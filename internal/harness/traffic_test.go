@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -176,7 +175,7 @@ func TestTrafficSpecValidation(t *testing.T) {
 // trafficDigestSpecs is the open-loop digest corpus: pinned in its own
 // golden file (testdata/traffic_digests.json) so the legacy corpus in
 // seed_digests.json — whose entry count is itself a guard — stays
-// untouched.
+// untouched. TestDigestsPinned checks it.
 func trafficDigestSpecs() []namedSpec {
 	var out []namedSpec
 	for _, pol := range []string{PolicyCFS, PolicyDIO, PolicyDike, PolicyDikeAF, PolicyOracle} {
@@ -192,58 +191,6 @@ func trafficDigestSpecs() []namedSpec {
 		spec: RunSpec{Traffic: loaded, Policy: PolicyDikeAF, Seed: 7},
 	})
 	return out
-}
-
-func TestTrafficDigestsPinned(t *testing.T) {
-	blob, err := os.ReadFile("testdata/traffic_digests.json")
-	if err != nil {
-		t.Fatalf("reading traffic golden digests: %v", err)
-	}
-	var golden map[string]string
-	if err := json.Unmarshal(blob, &golden); err != nil {
-		t.Fatal(err)
-	}
-	specs := trafficDigestSpecs()
-	if len(golden) != len(specs) {
-		t.Fatalf("golden file has %d entries, corpus has %d — regenerate with GEN_DIGEST_GOLDEN=1 only for an intentional, store-invalidating change", len(golden), len(specs))
-	}
-	for _, e := range specs {
-		want, ok := golden[e.name]
-		if !ok {
-			t.Errorf("%s: missing from golden file", e.name)
-			continue
-		}
-		got, err := e.spec.Digest()
-		if err != nil {
-			t.Errorf("%s: digest failed: %v", e.name, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("%s: digest drifted\n got %s\nwant %s", e.name, got, want)
-		}
-	}
-}
-
-func TestGenerateTrafficDigestGolden(t *testing.T) {
-	if os.Getenv("GEN_DIGEST_GOLDEN") == "" {
-		t.Skip("set GEN_DIGEST_GOLDEN=1 to regenerate")
-	}
-	entries := trafficDigestSpecs()
-	out := make(map[string]string, len(entries))
-	for _, e := range entries {
-		d, err := e.spec.Digest()
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		out[e.name] = d
-	}
-	blob, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("testdata/traffic_digests.json", append(blob, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSLOExperimentQuick(t *testing.T) {
