@@ -80,34 +80,16 @@ func BenchmarkFig5(b *testing.B) {
 	}
 }
 
-// fig6Bench runs the full 16-workload, 5-policy comparison once per
-// iteration and reports the requested aggregate as a custom metric.
-func fig6Bench(b *testing.B, metric string) {
-	e, err := harness.Lookup("fig6")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := benchOpts()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := e.Run(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = rep
-		_ = metric
-	}
-}
-
-// BenchmarkFig6a regenerates the fairness-improvement comparison.
-func BenchmarkFig6a(b *testing.B) { fig6Bench(b, "fairness") }
+// BenchmarkFig6a regenerates the fairness-improvement comparison (the
+// full 16-workload, 5-policy run set).
+func BenchmarkFig6a(b *testing.B) { runExperiment(b, "fig6") }
 
 // BenchmarkFig6b regenerates the speedup comparison (same runs as 6a;
 // kept separate so each figure has its own regeneration target).
-func BenchmarkFig6b(b *testing.B) { fig6Bench(b, "speedup") }
+func BenchmarkFig6b(b *testing.B) { runExperiment(b, "fig6") }
 
 // BenchmarkTable3 regenerates the swap-count table (same run set).
-func BenchmarkTable3(b *testing.B) { fig6Bench(b, "swaps") }
+func BenchmarkTable3(b *testing.B) { runExperiment(b, "fig6") }
 
 // BenchmarkFig7 regenerates the per-workload prediction-error summary.
 func BenchmarkFig7(b *testing.B) { runExperiment(b, "fig7") }
@@ -205,17 +187,6 @@ func BenchmarkAblationTheta(b *testing.B) {
 // BenchmarkMachineStep measures the simulator's per-tick cost with the
 // full 40-thread Table II load.
 func BenchmarkMachineStep(b *testing.B) {
-	out, err := harness.Run(context.Background(), harness.RunSpec{
-		Workload: workload.MustTable2(1), Policy: harness.PolicyCFS, Seed: 42, Scale: 0.02,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = out
-	// A fresh machine, stepped manually.
-	spec := harness.RunSpec{Workload: workload.MustTable2(1), Policy: harness.PolicyCFS, Seed: 42, Scale: 1}
-	_ = spec
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// One full short simulation per iteration keeps the measurement
 		// honest about amortised per-tick cost.

@@ -143,7 +143,7 @@ func TestObserverClampsSaturatedReadings(t *testing.T) {
 		return d, true
 	}
 	obs := observeQuantum(t, m, o, 2)
-	capacity := m.Config().MemCapacity
+	capacity := m.MemCapacity()
 	if obs.Rate[0] != capacity {
 		t.Errorf("saturated rate = %v, want clamp to capacity %v", obs.Rate[0], capacity)
 	}

@@ -9,6 +9,7 @@ import (
 	"dike/internal/core"
 	"dike/internal/fault"
 	"dike/internal/machine"
+	"dike/internal/platform"
 	"dike/internal/power"
 	"dike/internal/sim"
 	"dike/internal/tournament"
@@ -29,7 +30,7 @@ type specKey struct {
 	Workload json.RawMessage
 	Policy   string
 	Dike     *core.Config `json:",omitempty"`
-	Machine  machine.Config
+	Machine  machineKey
 	Seed     uint64
 	Scale    float64
 	Step     sim.Time
@@ -37,7 +38,7 @@ type specKey struct {
 	Faults   *fault.Config `json:",omitempty"`
 	// Traffic is appended last with omitempty so every pre-existing
 	// (closed-loop) spec keeps a byte-identical canonical encoding — and
-	// therefore its digest — exactly like Machine.Spec before it.
+	// therefore its digest — exactly like machineKey.Spec before it.
 	Traffic *traffic.Spec `json:",omitempty"`
 	// Meta follows the same trailing-omitempty rule: set only for the
 	// meta policy (in fully resolved form), so every fixed-policy spec
@@ -67,7 +68,6 @@ func (s RunSpec) Digest() (string, error) {
 	key := specKey{
 		Workload: wl,
 		Policy:   s.Policy,
-		Machine:  machine.DefaultConfig(),
 		Seed:     s.Seed,
 		Scale:    s.Scale,
 		Step:     s.Step,
@@ -75,9 +75,11 @@ func (s RunSpec) Digest() (string, error) {
 		Faults:   s.Faults,
 		Traffic:  s.Traffic,
 	}
+	machineCfg := machine.DefaultConfig()
 	if s.MachineConfig != nil {
-		key.Machine = *s.MachineConfig
+		machineCfg = *s.MachineConfig
 	}
+	key.Machine = newMachineKey(machineCfg)
 	// Resolve the Dike configuration exactly as buildPolicy does: only
 	// the dike policies consult it, the goal is forced to match the
 	// policy name, and the placement seed comes from Seed.
@@ -119,4 +121,92 @@ func (s RunSpec) Digest() (string, error) {
 	}
 	sum := sha256.Sum256(blob)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// machineKey is the canonical encoding of a machine.Config. It keeps the
+// field layout Config had while the Table I machine was described by
+// separate fast/slow pool and memory fields, so every digest computed
+// then stays valid:
+//
+//   - a spec in exactly the shape such a config lowers to is written as
+//     those pool and memory fields, with Spec omitted;
+//   - any other spec is written in full, next to the Table I values in
+//     the pool and memory fields.
+//
+// TestMachineKeyCoversConfig keeps it in step with machine.Config.
+type machineKey struct {
+	Spec                *platform.MachineSpec `json:",omitempty"`
+	Topology            poolLayout
+	SMTPenalty          float64
+	MemCapacity         float64
+	MemBaseLatency      float64
+	MemMaxUtil          float64
+	Overlap             float64
+	LLCHitLatency       float64
+	MigrationStall      sim.Time
+	ColdMissFactor      float64
+	ColdHalfLife        float64
+	LocalColdFactor     float64
+	LocalColdHalfLife   float64
+	RemoteLatencyFactor float64
+}
+
+// poolLayout is the fast/slow two-pool layout of the Table I machine.
+type poolLayout struct {
+	FastPhysical, SlowPhysical, SMTWays int
+	FastSpeed, SlowSpeed                float64
+}
+
+func newMachineKey(c machine.Config) machineKey {
+	k := machineKey{
+		SMTPenalty:          c.SMTPenalty,
+		Overlap:             c.Overlap,
+		LLCHitLatency:       c.LLCHitLatency,
+		MigrationStall:      c.MigrationStall,
+		ColdMissFactor:      c.ColdMissFactor,
+		ColdHalfLife:        c.ColdHalfLife,
+		LocalColdFactor:     c.LocalColdFactor,
+		LocalColdHalfLife:   c.LocalColdHalfLife,
+		RemoteLatencyFactor: c.RemoteLatencyFactor,
+	}
+	if !k.setPools(c.Spec) {
+		k.Spec = c.Spec
+		k.setPools(machine.DefaultConfig().Spec)
+	}
+	return k
+}
+
+// setPools fills the pool and memory fields from s and reports whether s
+// has exactly the two-pool shape: the fast/slow type pair with equal SMT
+// ways and no per-type overrides, one shared memory controller, the
+// default socket distances, and a fast-only socket followed by a
+// slow-only one, either of which may be absent.
+func (k *machineKey) setPools(s *platform.MachineSpec) bool {
+	if len(s.CoreTypes) != 2 || s.SharedMem == nil || s.Distance != nil || len(s.Sockets) > 2 {
+		return false
+	}
+	fast, slow := s.CoreTypes[0], s.CoreTypes[1]
+	if fast.Name != "fast" || slow.Name != "slow" || fast.SMTWays != slow.SMTWays {
+		return false
+	}
+	for _, ct := range s.CoreTypes {
+		if ct.SMTPenalty != 0 || len(ct.DVFS) > 0 || ct.PowerStatic != 0 || ct.PowerPeak != 0 {
+			return false
+		}
+	}
+	var physical [2]int
+	last := -1
+	for _, sock := range s.Sockets {
+		if len(sock.Cores) != 1 || sock.Mem != (platform.MemSpec{}) {
+			return false
+		}
+		ti := s.TypeIndex(sock.Cores[0].Type)
+		if ti <= last {
+			return false
+		}
+		physical[ti], last = sock.Cores[0].Physical, ti
+	}
+	k.Topology = poolLayout{physical[0], physical[1], fast.SMTWays, fast.Speed, slow.Speed}
+	k.MemCapacity, k.MemBaseLatency, k.MemMaxUtil = s.SharedMem.Capacity, s.SharedMem.BaseLatency, s.SharedMem.MaxUtil
+	return true
 }

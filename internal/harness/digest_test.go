@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"dike/internal/core"
@@ -59,6 +60,14 @@ func TestSpecDigestResolvesDefaults(t *testing.T) {
 	if got := mustDigest(t, explicit); got != base {
 		t.Errorf("explicit default configs digest differently from nil configs")
 	}
+	// So does Table I written out by hand as a spec.
+	hand := digestBaseSpec()
+	hcfg := machine.DefaultConfig()
+	hcfg.Spec = twoPoolSpec()
+	hand.MachineConfig = &hcfg
+	if got := mustDigest(t, hand); got != base {
+		t.Errorf("hand-written Table I spec digests differently from the default machine")
+	}
 
 	// A DikeConfig on a non-Dike policy is ignored by Run, so it must be
 	// ignored by Digest too.
@@ -114,11 +123,22 @@ func TestSpecDigestChangesWithEveryResultField(t *testing.T) {
 		t.Errorf("fault seed change did not change the digest")
 	}
 	s = digestBaseSpec()
-	mcfg2 := mcfg
-	mcfg2.Topology.FastPhysical = mcfg.Topology.FastPhysical + 1
-	s.MachineConfig = &mcfg2
+	mcfg.Spec.Sockets[0].Cores[0].Physical++
+	s.MachineConfig = &mcfg
 	if mustDigest(t, s) == base {
 		t.Errorf("machine config change did not change the digest")
+	}
+}
+
+// TestMachineKeyCoversConfig: every machine.Config field must reach the
+// digest key, or two configs differing only in it would share a digest.
+func TestMachineKeyCoversConfig(t *testing.T) {
+	key := reflect.TypeOf(machineKey{})
+	cfg := reflect.TypeOf(machine.Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		if _, ok := key.FieldByName(cfg.Field(i).Name); !ok {
+			t.Errorf("machine.Config.%s is missing from machineKey", cfg.Field(i).Name)
+		}
 	}
 }
 
@@ -128,5 +148,10 @@ func TestSpecDigestRejectsInvalidSpec(t *testing.T) {
 	}
 	if _, err := (RunSpec{Workload: workload.MustTable2(1), Policy: "nope"}).Digest(); err == nil {
 		t.Error("digest of an unknown policy must fail")
+	}
+	noSpec := machine.DefaultConfig()
+	noSpec.Spec = nil
+	if _, err := (RunSpec{Workload: workload.MustTable2(1), Policy: PolicyCFS, MachineConfig: &noSpec}).Digest(); err == nil {
+		t.Error("digest of a machine without a spec must fail")
 	}
 }

@@ -13,13 +13,14 @@ func init() {
 }
 
 // homogeneousConfig is the all-fast machine used for Fig 1's homogeneous
-// bars: the same logical core count, every core at the fast speed.
+// bars: the same logical core count, every core at the fast speed, on
+// one socket. The slow type stays in the spec's type table, unused, so
+// the machine still declares the fast/slow pair.
 func homogeneousConfig() machine.Config {
 	cfg := machine.DefaultConfig()
-	cfg.Topology.FastPhysical += cfg.Topology.SlowPhysical
-	cfg.Topology.SlowPhysical = 0
-	// A homogeneous topology needs at least one nominally slow pool? No:
-	// zero slow cores is valid; SlowSpeed just goes unused.
+	spec := cfg.Spec
+	spec.Sockets[0].Cores[0].Physical += spec.Sockets[1].Cores[0].Physical
+	spec.Sockets = spec.Sockets[:1]
 	return cfg
 }
 

@@ -177,6 +177,11 @@ func (s RunSpec) Validate() error {
 			return err
 		}
 	}
+	if s.MachineConfig != nil {
+		if err := s.MachineConfig.Validate(); err != nil {
+			return err
+		}
+	}
 	if s.Traffic != nil {
 		return s.Traffic.Validate()
 	}

@@ -101,10 +101,8 @@ func TestScaleGridShape(t *testing.T) {
 		if err := p.cfg.Validate(); err != nil {
 			t.Errorf("point %s config invalid: %v", p.name, err)
 		}
-		if p.cfg.Spec != nil {
-			if got := p.cfg.Spec.TotalLogical(); got != p.logical {
-				t.Errorf("point %s declares %d logical cores, spec has %d", p.name, p.logical, got)
-			}
+		if got := p.cfg.Spec.TotalLogical(); got != p.logical {
+			t.Errorf("point %s declares %d logical cores, spec has %d", p.name, p.logical, got)
 		}
 		if p.logical > maxLogical {
 			maxLogical = p.logical

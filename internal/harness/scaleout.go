@@ -20,9 +20,10 @@ func init() {
 // high-end computing systems" the paper cites.
 func scaleOutConfig() machine.Config {
 	cfg := machine.DefaultConfig()
-	cfg.Topology.FastPhysical *= 4
-	cfg.Topology.SlowPhysical *= 4
-	cfg.MemCapacity *= 4
+	for i := range cfg.Spec.Sockets {
+		cfg.Spec.Sockets[i].Cores[0].Physical *= 4
+	}
+	cfg.Spec.SharedMem.Capacity *= 4
 	return cfg
 }
 
@@ -52,7 +53,7 @@ func runExtraScale(optsIn Options) (*Report, error) {
 		return nil, err
 	}
 	t := &Table{
-		Title:  fmt.Sprintf("%d threads on %d logical CPUs", w.TotalThreads(), (mcfg.Topology.FastPhysical+mcfg.Topology.SlowPhysical)*mcfg.Topology.SMTWays),
+		Title:  fmt.Sprintf("%d threads on %d logical CPUs", w.TotalThreads(), mcfg.Spec.TotalLogical()),
 		Header: []string{"policy", "fairness", "vs cfs", "speedup", "swaps"},
 	}
 	var base *metrics.RunResult

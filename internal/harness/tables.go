@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"dike/internal/machine"
 	"dike/internal/workload"
@@ -17,12 +18,22 @@ func init() {
 func runTab1(opts Options) (*Report, error) {
 	cfg := machine.DefaultConfig()
 	t := &Table{Title: "Simulated platform", Header: []string{"component", "details"}}
-	topo := cfg.Topology
-	t.AddRow("cores", fmt.Sprintf("%d fast (speed %.2f) + %d slow (speed %.2f) physical, %d-way SMT = %d logical",
-		topo.FastPhysical, topo.FastSpeed, topo.SlowPhysical, topo.SlowSpeed, topo.SMTWays,
-		(topo.FastPhysical+topo.SlowPhysical)*topo.SMTWays))
+	spec := cfg.Spec
+	physical := make([]int, len(spec.CoreTypes))
+	for _, sock := range spec.Sockets {
+		for _, g := range sock.Cores {
+			physical[spec.TypeIndex(g.Type)] += g.Physical
+		}
+	}
+	var pools []string
+	for i, ct := range spec.CoreTypes {
+		pools = append(pools, fmt.Sprintf("%d %s (speed %.2f)", physical[i], ct.Name, ct.Speed))
+	}
+	t.AddRow("cores", fmt.Sprintf("%s physical, %d-way SMT = %d logical",
+		strings.Join(pools, " + "), spec.CoreTypes[0].SMTWays, spec.TotalLogical()))
+	mem := spec.SharedMem
 	t.AddRow("memory controller", fmt.Sprintf("capacity %.0f misses/ms, base latency %.3f ms, max util %.2f",
-		cfg.MemCapacity, cfg.MemBaseLatency, cfg.MemMaxUtil))
+		mem.Capacity, mem.BaseLatency, mem.MaxUtil))
 	t.AddRow("LLC", fmt.Sprintf("hit latency %.4f ms, MLP overlap %.2f", cfg.LLCHitLatency, cfg.Overlap))
 	t.AddRow("SMT", fmt.Sprintf("per-lane throughput %.2f when sibling busy", cfg.SMTPenalty))
 	t.AddRow("migration", fmt.Sprintf("stall %d ms; cross-socket cold x%.1f (t1/2 %.0f ms), NUMA latency x%.1f; local cold x%.1f (t1/2 %.0f ms)",

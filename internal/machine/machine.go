@@ -14,28 +14,17 @@ import (
 // Config parameterises a Machine. DefaultConfig reproduces the paper's
 // platform (Table I) in model units.
 type Config struct {
-	// Spec, when set, replaces the legacy Topology/Mem* fields with a
-	// declarative topology-driven machine model: N core types, sockets
-	// with per-socket memory controllers, a socket-distance matrix and
-	// per-type DVFS tables. When nil the legacy fields below describe
-	// the canonical two-socket machine. The json tag omits the field
-	// when nil so the canonical encoding — and therefore every existing
-	// RunSpec digest — is unchanged for legacy configs.
-	Spec *platform.MachineSpec `json:"Spec,omitempty"`
-
-	Topology TopologySpec
+	// Spec is the hardware: core types with their speeds, SMT widths and
+	// DVFS tables, sockets with their memory controllers, and the
+	// socket-distance matrix. Required.
+	Spec *platform.MachineSpec
 
 	// SMTPenalty is the throughput factor each SMT lane gets when its
 	// sibling lane is also busy (e.g. 0.65: two busy hyperthreads each
-	// run at 65% of the physical core's full rate).
+	// run at 65% of the physical core's full rate). A core type's own
+	// smt_penalty overrides it.
 	SMTPenalty float64
 
-	// MemCapacity is the memory controller service capacity, misses/ms.
-	MemCapacity float64
-	// MemBaseLatency is the uncontended effective stall per miss, ms.
-	MemBaseLatency float64
-	// MemMaxUtil caps controller utilisation (keeps latency finite).
-	MemMaxUtil float64
 	// Overlap is the fraction of miss latency hidden by memory-level
 	// parallelism, in [0, 1).
 	Overlap float64
@@ -65,22 +54,25 @@ type Config struct {
 	RemoteLatencyFactor float64
 }
 
-// DefaultConfig returns the Table I machine: 10 fast + 10 slow physical
-// cores, 2-way SMT (40 logical cores), core speeds in the paper's
-// 2.33/1.21 frequency ratio, one shared memory controller.
+// DefaultConfig returns the Table I machine: 10 fast physical cores on
+// socket 0 and 10 slow ones on socket 1, 2-way SMT (40 logical cores),
+// core speeds in the paper's 2.33/1.21 frequency ratio, one shared
+// memory controller. Every call builds a fresh Spec, so callers may
+// edit it in place.
 func DefaultConfig() Config {
 	return Config{
-		Topology: TopologySpec{
-			FastPhysical: 10,
-			SlowPhysical: 10,
-			SMTWays:      2,
-			FastSpeed:    2.33,
-			SlowSpeed:    1.21,
+		Spec: &platform.MachineSpec{
+			CoreTypes: []platform.CoreTypeSpec{
+				{Name: "fast", Speed: 2.33, SMTWays: 2},
+				{Name: "slow", Speed: 1.21, SMTWays: 2},
+			},
+			Sockets: []platform.SocketSpec{
+				{Cores: []platform.CoreGroup{{Type: "fast", Physical: 10}}},
+				{Cores: []platform.CoreGroup{{Type: "slow", Physical: 10}}},
+			},
+			SharedMem: &platform.MemSpec{Capacity: 80, BaseLatency: 0.008, MaxUtil: 0.96},
 		},
 		SMTPenalty:          0.78,
-		MemCapacity:         80,
-		MemBaseLatency:      0.008,
-		MemMaxUtil:          0.96,
 		Overlap:             0.30,
 		LLCHitLatency:       0.0005,
 		MigrationStall:      8,
@@ -92,27 +84,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports the first problem with the configuration, or nil.
-// A topology-driven config (Spec set) validates the spec — including
-// every memory controller's capacity — up front; the legacy fields are
-// ignored in that case except for the shared penalty/solver parameters.
+// Validate reports the first problem with the configuration, or nil. The
+// spec — including every memory controller — is validated first; a nil
+// Spec is an error.
 func (c Config) Validate() error {
-	if c.Spec != nil {
-		if err := c.Spec.Validate(); err != nil {
-			return err
-		}
-	} else if err := c.Topology.Validate(); err != nil {
+	if err := c.Spec.Validate(); err != nil {
 		return err
 	}
 	switch {
 	case c.SMTPenalty <= 0 || c.SMTPenalty > 1:
 		return errors.New("machine: SMTPenalty must be in (0,1]")
-	case c.Spec == nil && c.MemCapacity <= 0:
-		return errors.New("machine: MemCapacity must be positive")
-	case c.Spec == nil && c.MemBaseLatency < 0:
-		return errors.New("machine: negative MemBaseLatency")
-	case c.Spec == nil && (c.MemMaxUtil <= 0 || c.MemMaxUtil >= 1):
-		return errors.New("machine: MemMaxUtil must be in (0,1)")
 	case c.Overlap < 0 || c.Overlap >= 1:
 		return errors.New("machine: Overlap must be in [0,1)")
 	case c.LLCHitLatency < 0:
@@ -223,8 +204,7 @@ type Machine struct {
 	topo *Topology
 	file *counters.File
 
-	// Resolved machine model (built once in New from either the legacy
-	// fields or cfg.Spec):
+	// Resolved machine model (built once in New from cfg.Spec):
 	ctrls      []MemController    // one per controller domain
 	solvers    []contentionSolver // parallel to ctrls
 	coreDomain []int              // logical core -> controller domain
@@ -275,13 +255,7 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var topo *Topology
-	var err error
-	if cfg.Spec != nil {
-		topo, err = platform.BuildMachineTopology(cfg.Spec)
-	} else {
-		topo, err = BuildTopology(cfg.Topology)
-	}
+	topo, err := platform.BuildMachineTopology(cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -295,56 +269,49 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// resolve builds the runtime machine model — controllers, controller
-// domains, distance matrix, per-kind SMT penalties and DVFS tables —
-// from either the legacy config fields or cfg.Spec. The legacy machine
-// resolves to a single controller domain spanning both sockets, so its
-// contention solve runs the exact same float operations as before the
-// topology-driven refactor.
+// resolve lowers cfg.Spec into the runtime machine model — controllers,
+// controller domains, distance matrix, per-kind SMT penalties, DVFS
+// tables and power coefficients. A spec with SharedMem (Table I)
+// resolves to a single controller domain spanning every socket.
 func (m *Machine) resolve() {
+	spec := m.cfg.Spec
 	nk := m.topo.NumKinds()
 	ns := m.topo.NumSockets()
 	m.smtPen = make([]float64, nk)
 	m.dvfsTab = make([][]float64, nk)
-	for k := range m.smtPen {
+	// Power model: per-kind dynamic peak watts, and per-socket leakage
+	// totals (one static contribution per physical core, counted once
+	// across its SMT lanes). Types without explicit coefficients derive
+	// them from their speed, so every machine has an energy meter.
+	static := make([]float64, nk)
+	m.dynPeak = make([]float64, nk)
+	for k := range spec.CoreTypes {
+		ct := &spec.CoreTypes[k]
 		m.smtPen[k] = m.cfg.SMTPenalty
+		if ct.SMTPenalty > 0 {
+			m.smtPen[k] = ct.SMTPenalty
+		}
+		if len(ct.DVFS) > 0 {
+			m.dvfsTab[k] = ct.DVFS
+		}
+		static[k] = ct.StaticPower()
+		m.dynPeak[k] = ct.PeakPower()
 	}
 	sockDomain := make([]int, ns)
-	if spec := m.cfg.Spec; spec != nil {
-		for k, ct := range spec.CoreTypes {
-			if ct.SMTPenalty > 0 {
-				m.smtPen[k] = ct.SMTPenalty
-			}
-			if len(ct.DVFS) > 0 {
-				m.dvfsTab[k] = ct.DVFS
-			}
-		}
-		if spec.SharedMem != nil {
-			m.ctrls = []MemController{{Capacity: spec.SharedMem.Capacity, BaseLatency: spec.SharedMem.BaseLatency, MaxUtil: spec.SharedMem.MaxUtil}}
-		} else {
-			m.ctrls = make([]MemController, ns)
-			for si, sock := range spec.Sockets {
-				m.ctrls[si] = MemController{Capacity: sock.Mem.Capacity, BaseLatency: sock.Mem.BaseLatency, MaxUtil: sock.Mem.MaxUtil}
-				sockDomain[si] = si
-			}
-		}
-		m.dist = make([][]float64, ns)
-		for i := range m.dist {
-			m.dist[i] = make([]float64, ns)
-			for j := range m.dist[i] {
-				m.dist[i][j] = spec.SocketDistance(i, j)
-			}
-		}
+	if mem := spec.SharedMem; mem != nil {
+		m.ctrls = []MemController{{Capacity: mem.Capacity, BaseLatency: mem.BaseLatency, MaxUtil: mem.MaxUtil}}
 	} else {
-		m.ctrls = []MemController{{Capacity: m.cfg.MemCapacity, BaseLatency: m.cfg.MemBaseLatency, MaxUtil: m.cfg.MemMaxUtil}}
-		m.dist = make([][]float64, ns)
-		for i := range m.dist {
-			m.dist[i] = make([]float64, ns)
-			for j := range m.dist[i] {
-				if i != j {
-					m.dist[i][j] = 1
-				}
-			}
+		m.ctrls = make([]MemController, ns)
+		for si, sock := range spec.Sockets {
+			m.ctrls[si] = MemController{Capacity: sock.Mem.Capacity, BaseLatency: sock.Mem.BaseLatency, MaxUtil: sock.Mem.MaxUtil}
+			sockDomain[si] = si
+		}
+	}
+	m.dist = make([][]float64, ns)
+	for i := range m.dist {
+		m.dist[i] = make([]float64, ns)
+		for j := range m.dist[i] {
+			m.dist[i][j] = spec.SocketDistance(i, j)
 		}
 	}
 	m.solvers = make([]contentionSolver, len(m.ctrls))
@@ -357,29 +324,6 @@ func (m *Machine) resolve() {
 	for _, c := range m.topo.Cores() {
 		m.coreDomain[c.ID] = sockDomain[c.Socket]
 		m.coreMult[c.ID] = m.nominalMult(c.Kind)
-	}
-
-	// Power model: per-kind dynamic peak watts, and per-socket leakage
-	// totals (one static contribution per physical core, counted once
-	// across its SMT lanes). Spec machines may override the coefficients
-	// per type; legacy machines derive them from the kind speeds, so every
-	// machine has an energy meter.
-	static := make([]float64, nk)
-	m.dynPeak = make([]float64, nk)
-	if spec := m.cfg.Spec; spec != nil {
-		for k := range spec.CoreTypes {
-			ct := &spec.CoreTypes[k]
-			static[k] = ct.StaticPower()
-			m.dynPeak[k] = ct.PeakPower()
-		}
-	} else {
-		for _, c := range m.topo.Cores() {
-			if static[c.Kind] == 0 {
-				ct := platform.CoreTypeSpec{Speed: c.Speed}
-				static[c.Kind] = ct.StaticPower()
-				m.dynPeak[c.Kind] = ct.PeakPower()
-			}
-		}
 	}
 	m.sockStatic = make([]float64, ns)
 	m.sockWatts = make([]float64, ns)
@@ -878,8 +822,8 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	}
 	prog := m.scratchProg[:len(active)]
 	if len(m.ctrls) == 1 {
-		// Single controller domain (the legacy machine, or a spec with
-		// SharedMem): one solve over all active threads in order.
+		// Single controller domain (a spec with SharedMem, such as
+		// Table I): one solve over all active threads in order.
 		offered := m.solvers[0].solve(rates, dems, lats, prog)
 		m.lastUtil = m.ctrls[0].Utilization(offered)
 	} else {
@@ -1067,7 +1011,7 @@ func (m *Machine) KindDVFSLevels() []int {
 }
 
 // NumMemDomains returns the number of independent memory controller
-// domains (1 for the legacy machine or any spec with SharedMem).
+// domains (1 for any spec with SharedMem, such as Table I).
 func (m *Machine) NumMemDomains() int { return len(m.ctrls) }
 
 // PlacementSnapshot returns the current thread→core map, sorted by thread

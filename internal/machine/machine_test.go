@@ -50,9 +50,10 @@ func TestConfigValidation(t *testing.T) {
 	mutations := []func(*Config){
 		func(c *Config) { c.SMTPenalty = 0 },
 		func(c *Config) { c.SMTPenalty = 1.5 },
-		func(c *Config) { c.MemCapacity = 0 },
-		func(c *Config) { c.MemBaseLatency = -1 },
-		func(c *Config) { c.MemMaxUtil = 1 },
+		func(c *Config) { c.Spec = nil },
+		func(c *Config) { c.Spec.SharedMem.Capacity = 0 },
+		func(c *Config) { c.Spec.SharedMem.BaseLatency = -1 },
+		func(c *Config) { c.Spec.SharedMem.MaxUtil = 1 },
 		func(c *Config) { c.Overlap = 1 },
 		func(c *Config) { c.LLCHitLatency = -1 },
 		func(c *Config) { c.MigrationStall = -1 },

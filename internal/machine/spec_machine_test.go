@@ -184,15 +184,15 @@ func TestDistanceScalesMigrationPenalty(t *testing.T) {
 	}
 }
 
-// TestNumMemDomains: legacy config and shared-mem specs resolve to one
-// controller domain; per-socket specs resolve to one per socket.
+// TestNumMemDomains: the Table I machine and other shared-mem specs
+// resolve to one controller domain; per-socket specs to one per socket.
 func TestNumMemDomains(t *testing.T) {
-	legacy, err := New(DefaultConfig())
+	table1, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := legacy.NumMemDomains(); got != 1 {
-		t.Errorf("legacy machine has %d mem domains, want 1", got)
+	if got := table1.NumMemDomains(); got != 1 {
+		t.Errorf("Table I machine has %d mem domains, want 1", got)
 	}
 	split, err := New(specConfig(twoSocketSpec()))
 	if err != nil {

@@ -41,13 +41,3 @@ type Core = platform.Core
 
 // Topology is the set of logical cores of a machine.
 type Topology = platform.Topology
-
-// TopologySpec parameterises BuildTopology.
-type TopologySpec = platform.TopologySpec
-
-// BuildTopology lays out logical cores: fast physical cores first, then
-// slow, with SMT lanes interleaved per physical core. Logical core ids are
-// dense in [0, Total).
-func BuildTopology(s TopologySpec) (*Topology, error) {
-	return platform.BuildTopology(s)
-}

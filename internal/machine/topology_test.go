@@ -1,26 +1,36 @@
 package machine
 
-import "testing"
+import (
+	"testing"
 
-func defaultSpec() TopologySpec {
-	return TopologySpec{FastPhysical: 10, SlowPhysical: 10, SMTWays: 2, FastSpeed: 2.33, SlowSpeed: 1.21}
-}
+	"dike/internal/platform"
+)
 
-func TestBuildTopologyCounts(t *testing.T) {
-	topo, err := BuildTopology(defaultSpec())
+// defaultTopology lays out the Table I machine.
+func defaultTopology(t *testing.T) *Topology {
+	t.Helper()
+	topo, err := platform.BuildMachineTopology(DefaultConfig().Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return topo
+}
+
+func TestBuildTopologyCounts(t *testing.T) {
+	topo := defaultTopology(t)
 	if topo.NumCores() != 40 {
 		t.Fatalf("NumCores = %d, want 40", topo.NumCores())
 	}
 	if len(topo.FastCores()) != 20 || len(topo.SlowCores()) != 20 {
 		t.Errorf("fast/slow split = %d/%d, want 20/20", len(topo.FastCores()), len(topo.SlowCores()))
 	}
+	if topo.NumSockets() != 2 || topo.NumKinds() != 2 {
+		t.Errorf("%d sockets, %d kinds; want 2, 2", topo.NumSockets(), topo.NumKinds())
+	}
 }
 
 func TestTopologyDenseIDs(t *testing.T) {
-	topo, _ := BuildTopology(defaultSpec())
+	topo := defaultTopology(t)
 	for i, c := range topo.Cores() {
 		if int(c.ID) != i {
 			t.Fatalf("core %d has id %d", i, c.ID)
@@ -29,7 +39,7 @@ func TestTopologyDenseIDs(t *testing.T) {
 }
 
 func TestTopologySiblings(t *testing.T) {
-	topo, _ := BuildTopology(defaultSpec())
+	topo := defaultTopology(t)
 	for _, c := range topo.Cores() {
 		sib := topo.Siblings(c.ID)
 		if len(sib) != 2 {
@@ -54,7 +64,7 @@ func TestTopologySiblings(t *testing.T) {
 }
 
 func TestTopologySpeeds(t *testing.T) {
-	topo, _ := BuildTopology(defaultSpec())
+	topo := defaultTopology(t)
 	for _, id := range topo.FastCores() {
 		if topo.Core(id).Speed != 2.33 {
 			t.Fatalf("fast core speed = %v", topo.Core(id).Speed)
@@ -67,23 +77,32 @@ func TestTopologySpeeds(t *testing.T) {
 	}
 }
 
+// TestTopologyValidation: New rejects a config whose spec cannot lay
+// out a machine, a nil spec included, with an error rather than a panic.
 func TestTopologyValidation(t *testing.T) {
-	bad := []TopologySpec{
-		{FastPhysical: -1, SlowPhysical: 1, SMTWays: 1, FastSpeed: 2, SlowSpeed: 1},
-		{FastPhysical: 0, SlowPhysical: 0, SMTWays: 1, FastSpeed: 2, SlowSpeed: 1},
-		{FastPhysical: 1, SlowPhysical: 1, SMTWays: 0, FastSpeed: 2, SlowSpeed: 1},
-		{FastPhysical: 1, SlowPhysical: 1, SMTWays: 1, FastSpeed: 0, SlowSpeed: 1},
-		{FastPhysical: 1, SlowPhysical: 1, SMTWays: 1, FastSpeed: 1, SlowSpeed: 2},
+	bad := []func(*platform.MachineSpec){
+		func(s *platform.MachineSpec) { s.Sockets[0].Cores[0].Physical = -1 },
+		func(s *platform.MachineSpec) { s.Sockets = nil },
+		func(s *platform.MachineSpec) { s.CoreTypes[0].SMTWays = 0 },
+		func(s *platform.MachineSpec) { s.CoreTypes[0].Speed = 0 },
+		func(s *platform.MachineSpec) { s.Sockets[1].Cores[0].Type = "medium" },
 	}
-	for i, s := range bad {
-		if _, err := BuildTopology(s); err == nil {
-			t.Errorf("spec %d accepted: %+v", i, s)
+	for i, mut := range bad {
+		cfg := DefaultConfig()
+		mut(cfg.Spec)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("spec %d accepted: %+v", i, cfg.Spec)
 		}
+	}
+	cfg := DefaultConfig()
+	cfg.Spec = nil
+	if _, err := New(cfg); err == nil {
+		t.Error("nil spec accepted")
 	}
 }
 
 func TestTopologyCorePanicsOutOfRange(t *testing.T) {
-	topo, _ := BuildTopology(defaultSpec())
+	topo := defaultTopology(t)
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range Core did not panic")

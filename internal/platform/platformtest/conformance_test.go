@@ -9,22 +9,40 @@ import (
 	"dike/internal/sim"
 )
 
-// conformanceMachine builds the standard conformance population: six
-// long-running threads in three processes (two threads each) on a
-// 2 fast + 2 slow physical, 2-way SMT topology (8 logical cores).
-func conformanceMachine(t *testing.T) *Machine {
+// populated builds a machine from cfg running n long-running threads,
+// two per process.
+func populated(t *testing.T, cfg Config, n int) *Machine {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Topology.FastPhysical = 2
-	cfg.Topology.SlowPhysical = 2
 	m := NewMachine(cfg)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < n; i++ {
 		prog := ConstProgram{Work: 1e6, Demand: Demand{AccessesPerWork: 4, MissRatio: 0.2}}
 		if err := m.AddThread(platform.ThreadID(i), i/2, prog); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return m
+}
+
+// conformanceMachine builds the standard conformance population: six
+// long-running threads in three processes (two threads each) on a
+// 2 fast + 2 slow physical, 2-way SMT topology (8 logical cores).
+func conformanceMachine(t *testing.T) *Machine {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Spec.Sockets[0].Cores[0].Physical = 2
+	cfg.Spec.Sockets[1].Cores[0].Physical = 2
+	return populated(t, cfg, 6)
+}
+
+// onePoolMachine is the conformance population on a one-socket machine
+// of 4 fast physical cores, the slow type declared but unpopulated — the
+// shape of Fig 1's homogeneous machine.
+func onePoolMachine(t *testing.T) *Machine {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Spec.Sockets = cfg.Spec.Sockets[:1]
+	cfg.Spec.Sockets[0].Cores[0].Physical = 4
+	return populated(t, cfg, 6)
 }
 
 // TestMachineConformance holds the simulated machine to the platform
@@ -65,14 +83,7 @@ func conformanceSpecMachine(t *testing.T) *Machine {
 	}
 	cfg := DefaultConfig()
 	cfg.Spec = spec
-	m := NewMachine(cfg)
-	for i := 0; i < 8; i++ {
-		prog := ConstProgram{Work: 1e6, Demand: Demand{AccessesPerWork: 4, MissRatio: 0.2}}
-		if err := m.AddThread(platform.ThreadID(i), i/2, prog); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return m
+	return populated(t, cfg, 8)
 }
 
 // TestSpecMachineConformance holds a multi-socket, four-core-type
@@ -82,12 +93,36 @@ func TestSpecMachineConformance(t *testing.T) {
 	Conformance(t, &Instance{P: m, Advance: m.Step})
 }
 
-// TestSpecReplayConformance records the conformance script against the
-// multi-socket machine and replays it: the new topology — sockets, kind
+// TestSpecReplayConformance records the conformance script against
+// machines of other shapes and replays it: the topology — sockets, kind
 // names, per-type speeds — must round-trip through the log and the
 // player must verify the identical call stream.
 func TestSpecReplayConformance(t *testing.T) {
-	m := conformanceSpecMachine(t)
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) *Machine
+	}{
+		{"four-socket", conformanceSpecMachine},
+		{"one-pool", onePoolMachine},
+	} {
+		t.Run(tc.name, func(t *testing.T) { replayConformance(t, tc.build(t)) })
+	}
+}
+
+// TestReplayConformance holds the record/replay backend to the same
+// contract: the conformance script is recorded against a machine, then
+// run a second time against a player of that recording. The player
+// must both satisfy every assertion the machine did and verify that the
+// second pass issues the identical call stream.
+func TestReplayConformance(t *testing.T) {
+	replayConformance(t, conformanceMachine(t))
+}
+
+// replayConformance records the conformance script against m, checks
+// that the player rebuilds m's topology exactly, and runs the script
+// again against the player.
+func replayConformance(t *testing.T, m *Machine) {
+	t.Helper()
 	var buf bytes.Buffer
 	rec := replay.NewRecorder(m, &buf)
 	if err := rec.Start(replay.Meta{Policy: "conformance", Seed: 1}); err != nil {
@@ -126,51 +161,6 @@ func TestSpecReplayConformance(t *testing.T) {
 		if played.KindName(platform.CoreKind(k)) != live.KindName(platform.CoreKind(k)) {
 			t.Errorf("replayed kind %d named %q, live %q", k, played.KindName(platform.CoreKind(k)), live.KindName(platform.CoreKind(k)))
 		}
-	}
-	Conformance(t, &Instance{
-		P: p,
-		Boundary: func(now sim.Time) {
-			got, ok, err := p.NextQuantum()
-			if err != nil {
-				t.Fatalf("NextQuantum at %v: %v", now, err)
-			}
-			if !ok || got != now {
-				t.Fatalf("NextQuantum = (%v, %v), want (%v, true)", got, ok, now)
-			}
-		},
-	})
-	if err := p.Err(); err != nil {
-		t.Fatalf("replay diverged: %v", err)
-	}
-}
-
-// TestReplayConformance holds the record/replay backend to the same
-// contract: the conformance script is recorded against a machine, then
-// run a second time against a player of that recording. The player
-// must both satisfy every assertion the machine did and verify that the
-// second pass issues the identical call stream.
-func TestReplayConformance(t *testing.T) {
-	m := conformanceMachine(t)
-	var buf bytes.Buffer
-	rec := replay.NewRecorder(m, &buf)
-	if err := rec.Start(replay.Meta{Policy: "conformance", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	Conformance(t, &Instance{
-		P:        rec,
-		Advance:  m.Step,
-		Boundary: func(now sim.Time) { _ = rec.Quantum(now) },
-	})
-	if t.Failed() {
-		t.Fatal("machine leg failed; replay leg would be meaningless")
-	}
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := replay.NewPlayer(&buf)
-	if err != nil {
-		t.Fatal(err)
 	}
 	Conformance(t, &Instance{
 		P: p,

@@ -109,8 +109,7 @@ type MachineSpec struct {
 	Sockets   []SocketSpec   `json:"sockets"`
 	// SharedMem, when set, gives the whole machine a single shared
 	// memory controller and per-socket Mem fields are ignored. This is
-	// how the legacy Table I machine is expressed: two sockets, one
-	// controller.
+	// how the Table I machine is expressed: two sockets, one controller.
 	SharedMem *MemSpec `json:"shared_mem,omitempty"`
 	// Distance is the socket-distance matrix (len(Sockets) ×
 	// len(Sockets), zero diagonal, non-negative). Distance scales both
@@ -132,7 +131,11 @@ func (m MemSpec) validate(field string) error {
 }
 
 // Validate reports the first problem with the spec as a *SpecError, or nil.
+// A nil spec is invalid.
 func (s *MachineSpec) Validate() error {
+	if s == nil {
+		return specErrf("spec", "required, got nil")
+	}
 	if len(s.CoreTypes) == 0 {
 		return specErrf("core_types", "at least one core type required")
 	}
@@ -168,7 +171,6 @@ func (s *MachineSpec) Validate() error {
 	if len(s.Sockets) == 0 {
 		return specErrf("sockets", "at least one socket required")
 	}
-	total := 0
 	for i, sock := range s.Sockets {
 		field := fmt.Sprintf("sockets[%d]", i)
 		if len(sock.Cores) == 0 {
@@ -182,7 +184,6 @@ func (s *MachineSpec) Validate() error {
 			if g.Physical < 1 {
 				return specErrf(gf+".physical", "must be >= 1, got %d", g.Physical)
 			}
-			total += g.Physical
 		}
 		if s.SharedMem == nil {
 			if err := sock.Mem.validate(field + ".mem"); err != nil {
@@ -190,7 +191,6 @@ func (s *MachineSpec) Validate() error {
 			}
 		}
 	}
-	_ = total
 	if s.SharedMem != nil {
 		if err := s.SharedMem.validate("shared_mem"); err != nil {
 			return err

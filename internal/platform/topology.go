@@ -12,9 +12,9 @@ type CoreID int
 // ThreadID identifies a thread.
 type ThreadID int
 
-// CoreKind is an index into the machine's core-type table. The legacy
-// two-pool machine uses FastCore and SlowCore; topology-driven machines
-// may define any number of types.
+// CoreKind is an index into the machine's core-type table. The Table I
+// machine's two types are FastCore and SlowCore; a MachineSpec may
+// define any number of types.
 type CoreKind int
 
 const (
@@ -59,79 +59,6 @@ type Topology struct {
 	// kinds the topology declares.
 	kindNames  []string
 	numSockets int
-}
-
-// TopologySpec parameterises BuildTopology — the legacy fast/slow
-// two-socket machine.
-type TopologySpec struct {
-	FastPhysical int     // number of fast physical cores
-	SlowPhysical int     // number of slow physical cores
-	SMTWays      int     // logical cores per physical core
-	FastSpeed    float64 // work units/ms of a fast core
-	SlowSpeed    float64 // work units/ms of a slow core
-}
-
-// Validate reports the first problem with the spec, or nil.
-func (s TopologySpec) Validate() error {
-	switch {
-	case s.FastPhysical < 0 || s.SlowPhysical < 0:
-		return errors.New("platform: negative core count")
-	case s.FastPhysical+s.SlowPhysical == 0:
-		return errors.New("platform: no cores")
-	case s.SMTWays < 1:
-		return errors.New("platform: SMTWays must be >= 1")
-	case s.FastSpeed <= 0 || s.SlowSpeed <= 0:
-		return errors.New("platform: non-positive core speed")
-	case s.SlowSpeed > s.FastSpeed:
-		return errors.New("platform: slow cores faster than fast cores")
-	}
-	return nil
-}
-
-// MachineSpec returns the canonical topology-driven form of the legacy
-// spec: fast cores on socket 0, slow cores on socket 1, distance 1
-// between them. Memory controller fields are left to the caller.
-func (s TopologySpec) MachineSpec() *MachineSpec {
-	ms := &MachineSpec{
-		CoreTypes: []CoreTypeSpec{
-			{Name: "fast", Speed: s.FastSpeed, SMTWays: s.SMTWays},
-			{Name: "slow", Speed: s.SlowSpeed, SMTWays: s.SMTWays},
-		},
-	}
-	if s.FastPhysical > 0 {
-		ms.Sockets = append(ms.Sockets, SocketSpec{Cores: []CoreGroup{{Type: "fast", Physical: s.FastPhysical}}})
-	}
-	if s.SlowPhysical > 0 {
-		ms.Sockets = append(ms.Sockets, SocketSpec{Cores: []CoreGroup{{Type: "slow", Physical: s.SlowPhysical}}})
-	}
-	return ms
-}
-
-// BuildTopology lays out logical cores for the legacy machine: fast
-// physical cores first (socket 0), then slow (socket 1), with SMT lanes
-// interleaved per physical core. Logical core ids are dense in [0, Total).
-func BuildTopology(s TopologySpec) (*Topology, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	t := &Topology{siblings: make(map[int][]CoreID), kindNames: []string{"fast", "slow"}}
-	id := CoreID(0)
-	phys := 0
-	add := func(n int, kind CoreKind, speed float64, socket int) {
-		for i := 0; i < n; i++ {
-			for w := 0; w < s.SMTWays; w++ {
-				c := Core{ID: id, Kind: kind, Speed: speed, Physical: phys, Socket: socket}
-				t.cores = append(t.cores, c)
-				t.siblings[phys] = append(t.siblings[phys], id)
-				id++
-			}
-			phys++
-		}
-	}
-	add(s.FastPhysical, FastCore, s.FastSpeed, 0)
-	add(s.SlowPhysical, SlowCore, s.SlowSpeed, 1)
-	t.numSockets = 2
-	return t, nil
 }
 
 // BuildMachineTopology lays out logical cores from a validated

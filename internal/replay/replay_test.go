@@ -17,8 +17,8 @@ import (
 func record(t *testing.T) ([]byte, map[platform.ThreadID]platform.CoreID) {
 	t.Helper()
 	cfg := platformtest.DefaultConfig()
-	cfg.Topology.FastPhysical = 1
-	cfg.Topology.SlowPhysical = 1
+	cfg.Spec.Sockets[0].Cores[0].Physical = 1
+	cfg.Spec.Sockets[1].Cores[0].Physical = 1
 	m := platformtest.NewMachine(cfg) // 4 logical cores
 	for i := 0; i < 4; i++ {
 		prog := platformtest.ConstProgram{Work: 1e6, Demand: platformtest.Demand{AccessesPerWork: 2, MissRatio: 0.3}}

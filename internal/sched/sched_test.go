@@ -83,8 +83,8 @@ func TestSpreadPlacementDeterministic(t *testing.T) {
 
 func TestSpreadPlacementWrapsWhenOversubscribed(t *testing.T) {
 	cfg := platformtest.DefaultConfig()
-	cfg.Topology.FastPhysical = 1
-	cfg.Topology.SlowPhysical = 1
+	cfg.Spec.Sockets[0].Cores[0].Physical = 1
+	cfg.Spec.Sockets[1].Cores[0].Physical = 1
 	m := platformtest.NewMachine(cfg) // 4 logical cores
 	for i := 0; i < 10; i++ {
 		if err := m.AddThread(platform.ThreadID(i), 0, platformtest.ConstProgram{Work: 10}); err != nil {
