@@ -16,7 +16,10 @@ import (
 
 	"dike/internal/core"
 	"dike/internal/harness"
+	"dike/internal/machine"
 	"dike/internal/metrics"
+	"dike/internal/platform"
+	"dike/internal/sim"
 	"dike/internal/workload"
 )
 
@@ -184,18 +187,90 @@ func BenchmarkAblationTheta(b *testing.B) {
 
 // --- Micro-benches on the hot paths ---------------------------------------
 
-// BenchmarkMachineStep measures the simulator's per-tick cost with the
-// full 40-thread Table II load.
+// BenchmarkMachineStep measures one tick (Machine.Step) of an already
+// placed machine; with -benchmem it reports ns/tick and allocs/tick.
+//
+//   - t1-40: the Table I machine running Table II's WL6, one thread per
+//     lane.
+//   - per-socket-1024: 8 sockets of 4 core types, 1024 lanes and one
+//     memory controller per socket (the per-domain solve), running 1020
+//     generated threads, half memory-intensive.
+//
+// When every thread has finished the machine is rebuilt off the clock.
 func BenchmarkMachineStep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		// One full short simulation per iteration keeps the measurement
-		// honest about amortised per-tick cost.
-		if _, err := harness.Run(context.Background(), harness.RunSpec{
-			Workload: workload.MustTable2(1), Policy: harness.PolicyCFS, Seed: 42, Scale: 0.02,
-		}); err != nil {
-			b.Fatal(err)
-		}
+	cases := []struct {
+		name string
+		cfg  func() machine.Config
+		wl   func() (*workload.Workload, error)
+	}{
+		{"t1-40", machine.DefaultConfig, func() (*workload.Workload, error) { return workload.Table2(6) }},
+		{"per-socket-1024", perSocketConfig, func() (*workload.Workload, error) {
+			return workload.Generate(workload.GeneratorSpec{
+				Name: "per-socket-1024", Benchmarks: 102, ThreadsPer: 10, MemoryApps: 51, AllowRepeats: true,
+			}, sim.NewRNG(42))
+		}},
 	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			build := func() *machine.Machine {
+				w, err := c.wl()
+				if err != nil {
+					b.Fatal(err)
+				}
+				m, err := machine.New(c.cfg())
+				if err != nil {
+					b.Fatal(err)
+				}
+				inst, err := w.Build(m, workload.BuildOptions{Seed: 42})
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := m.Topology().NumCores()
+				for i, th := range inst.Threads {
+					if err := m.Place(th.ID, machine.CoreID(i%n)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				return m
+			}
+			m := build()
+			now := sim.Time(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if m.Done() {
+					b.StopTimer()
+					m, now = build(), 0
+					b.StartTimer()
+				}
+				m.Step(now, 1)
+				now++
+			}
+		})
+	}
+}
+
+// perSocketConfig is an 8-socket machine of four core types, 128 lanes
+// and one memory controller per socket.
+func perSocketConfig() machine.Config {
+	spec := &platform.MachineSpec{CoreTypes: []platform.CoreTypeSpec{
+		{Name: "big", Speed: 2.6, SMTWays: 2, SMTPenalty: 0.75, DVFS: []float64{1, 0.8, 0.6}},
+		{Name: "perf", Speed: 2.2, SMTWays: 2},
+		{Name: "mid", Speed: 1.6, SMTWays: 2, SMTPenalty: 0.8},
+		{Name: "little", Speed: 1.0, SMTWays: 1},
+	}}
+	for s := 0; s < 8; s++ {
+		spec.Sockets = append(spec.Sockets, platform.SocketSpec{
+			Cores: []platform.CoreGroup{
+				{Type: "big", Physical: 8}, {Type: "perf", Physical: 16},
+				{Type: "mid", Physical: 16}, {Type: "little", Physical: 48},
+			},
+			Mem: platform.MemSpec{Capacity: 256, BaseLatency: 0.008, MaxUtil: 0.96},
+		})
+	}
+	cfg := machine.DefaultConfig()
+	cfg.Spec = spec
+	return cfg
 }
 
 // BenchmarkDikeQuantum measures a complete Dike run (observe, select,

@@ -141,14 +141,19 @@ func (d ThreadDelta) MissRatio() float64 {
 // DiffThread returns the delta between a previous snapshot and the current
 // counters for tid over interval ms.
 func (f *File) DiffThread(tid int, prev ThreadCounters, interval float64) ThreadDelta {
-	cur := f.Thread(tid)
+	return f.Thread(tid).Since(prev, interval)
+}
+
+// Since returns the delta between a previous snapshot and c over
+// interval ms.
+func (c ThreadCounters) Since(prev ThreadCounters, interval float64) ThreadDelta {
 	return ThreadDelta{
 		Interval:     interval,
-		Work:         cur.Work - prev.Work,
-		Instructions: cur.Instructions - prev.Instructions,
-		Accesses:     cur.Accesses - prev.Accesses,
-		Misses:       cur.Misses - prev.Misses,
-		Migrations:   cur.Migrations - prev.Migrations,
+		Work:         c.Work - prev.Work,
+		Instructions: c.Instructions - prev.Instructions,
+		Accesses:     c.Accesses - prev.Accesses,
+		Misses:       c.Misses - prev.Misses,
+		Migrations:   c.Migrations - prev.Migrations,
 	}
 }
 

@@ -366,7 +366,7 @@ func Run(ctx context.Context, spec RunSpec) (*RunOutput, error) {
 			spec.OnProgress(Progress{
 				Time:        now,
 				Quantum:     quantum,
-				Alive:       len(m.Alive()),
+				Alive:       m.AliveCount(),
 				Swaps:       m.SwapCount(),
 				Utilization: m.Utilization(),
 			})

@@ -61,7 +61,7 @@ func newRunTrace(inj *fault.Injector, withDispersion bool) *RunTrace {
 func (rt *RunTrace) sample(now sim.Time, m *machine.Machine, inst *workload.Instance) {
 	t := float64(now.Millis())
 	rt.Utilization.Add(t, m.Utilization())
-	rt.Alive.Add(t, float64(len(m.Alive())))
+	rt.Alive.Add(t, float64(m.AliveCount()))
 	rt.Swaps.Add(t, float64(m.SwapCount()))
 	rt.Watts.Add(t, m.PowerWatts())
 	rt.EnergyJ.Add(t, m.EnergyJoules())

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dike/internal/counters"
 	"dike/internal/platform"
@@ -137,7 +137,15 @@ type thread struct {
 	coldHalf   float64
 	numaBoost  float64
 	barrier    *barrierGroup
+	// tc is the thread's counter block, cached at AddThread (the counter
+	// file stores pointers, so it stays valid).
+	tc *counters.ThreadCounters
+	// sampled is tc as of the last Sample that saw the thread alive.
+	sampled counters.ThreadCounters
 }
+
+// alive reports whether t has arrived by now and not finished.
+func (t *thread) alive(now sim.Time) bool { return !t.finished && t.startAt <= now }
 
 // barrierGroup couples threads that synchronise every `interval` work
 // units (the KMEANS model: "excessive inter-thread communication"). No
@@ -205,6 +213,7 @@ type Machine struct {
 	file *counters.File
 
 	// Resolved machine model (built once in New from cfg.Spec):
+	cores      []Core             // topo.Cores(), indexed by CoreID
 	ctrls      []MemController    // one per controller domain
 	solvers    []contentionSolver // parallel to ctrls
 	coreDomain []int              // logical core -> controller domain
@@ -216,8 +225,8 @@ type Machine struct {
 	dynPeak    []float64          // per-kind dynamic watts at multiplier 1, one busy lane
 	sockStatic []float64          // per-socket leakage watts (always burned)
 
-	threads map[ThreadID]*thread
-	order   []ThreadID // deterministic iteration order
+	threads map[ThreadID]*thread // by-id lookups for the affinity API
+	slots   []*thread            // registration order; every per-tick loop walks this
 	groups  []*barrierGroup
 	smp     *sampler // lazily-created counter sampling stream
 
@@ -236,7 +245,13 @@ type Machine struct {
 	sockWatts []float64
 	sockDyn   []float64 // scratch: per-socket dynamic watts this step
 
-	// scratch buffers reused across Step calls to avoid per-tick allocs.
+	// Step scratch, reused every tick so Step never allocates. The
+	// occupancy counts are sized in resolve (one per logical and one per
+	// physical core); the per-thread buffers, the per-domain ones and the
+	// solvers' memo slices are grown by AddThread to the registered thread
+	// count, so even the first Step after placement allocates nothing.
+	laneCount    []int // per logical core: arrived, unfinished threads bound to it
+	physBusy     []int // per physical core: busy lanes
 	scratchT     []*thread
 	scratchRates []float64
 	scratchDem   []Demand
@@ -318,24 +333,62 @@ func (m *Machine) resolve() {
 	for d := range m.ctrls {
 		m.solvers[d] = contentionSolver{ctrl: &m.ctrls[d], overlap: m.cfg.Overlap, hitLat: m.cfg.LLCHitLatency}
 	}
-	m.coreDomain = make([]int, m.topo.NumCores())
-	m.dvfsLevel = make([]int, m.topo.NumCores())
-	m.coreMult = make([]float64, m.topo.NumCores())
-	for _, c := range m.topo.Cores() {
+	m.domIdx = make([][]int, len(m.ctrls))
+	m.domRates = make([][]float64, len(m.ctrls))
+	m.domDems = make([][]Demand, len(m.ctrls))
+	m.domLats = make([][]float64, len(m.ctrls))
+	m.domProg = make([][]float64, len(m.ctrls))
+	m.cores = m.topo.Cores()
+	nc := len(m.cores)
+	m.coreDomain = make([]int, nc)
+	m.dvfsLevel = make([]int, nc)
+	m.coreMult = make([]float64, nc)
+	m.laneCount = make([]int, nc)
+	nphys := 0
+	for _, c := range m.cores {
 		m.coreDomain[c.ID] = sockDomain[c.Socket]
 		m.coreMult[c.ID] = m.nominalMult(c.Kind)
+		nphys = max(nphys, c.Physical+1)
 	}
+	m.physBusy = make([]int, nphys)
 	m.sockStatic = make([]float64, ns)
 	m.sockWatts = make([]float64, ns)
 	m.sockDyn = make([]float64, ns)
-	physSeen := make(map[int]bool)
-	for _, c := range m.topo.Cores() {
+	physSeen := make([]bool, nphys)
+	for _, c := range m.cores {
 		if !physSeen[c.Physical] {
 			physSeen[c.Physical] = true
 			m.sockStatic[c.Socket] += static[c.Kind]
 		}
 	}
 	copy(m.sockWatts, m.sockStatic)
+}
+
+// reserveScratch grows every per-thread Step buffer to hold n threads:
+// the gather buffers, each controller domain's sub-slices (any domain may
+// hold every thread) and each solver's memo.
+func (m *Machine) reserveScratch(n int) {
+	m.scratchT = reserve(m.scratchT, n)
+	m.scratchRates = reserve(m.scratchRates, n)
+	m.scratchDem = reserve(m.scratchDem, n)
+	m.scratchLat = reserve(m.scratchLat, n)
+	m.scratchProg = reserve(m.scratchProg, n)
+	for d := range m.ctrls {
+		m.domIdx[d] = reserve(m.domIdx[d], n)
+		m.domRates[d] = reserve(m.domRates[d], n)
+		m.domDems[d] = reserve(m.domDems[d], n)
+		m.domLats[d] = reserve(m.domLats[d], n)
+		m.domProg[d] = reserve(m.domProg[d], n)
+		m.solvers[d].reserve(n)
+	}
+}
+
+// reserve returns s, with its contents, grown to a capacity of at least n.
+func reserve[E any](s []E, n int) []E {
+	if n > cap(s) {
+		return slices.Grow(s, n-len(s))
+	}
+	return s
 }
 
 // nominalMult returns kind k's level-0 speed multiplier (1 when the
@@ -388,9 +441,11 @@ func (m *Machine) AddThread(id ThreadID, bench int, prog Program) error {
 	if prog.TotalWork() <= 0 {
 		return fmt.Errorf("machine: thread %d has non-positive work", id)
 	}
-	m.threads[id] = &thread{id: id, bench: bench, prog: prog, migratedAt: -1}
-	m.order = append(m.order, id)
 	m.file.AddThread(int(id))
+	t := &thread{id: id, bench: bench, prog: prog, migratedAt: -1, tc: m.file.MutThread(int(id))}
+	m.threads[id] = t
+	m.slots = append(m.slots, t)
+	m.reserveScratch(len(m.slots))
 	return nil
 }
 
@@ -498,7 +553,7 @@ func (m *Machine) Migrate(id ThreadID, core CoreID, now sim.Time) error {
 	t.core = core
 	t.stallUntil = now + m.cfg.MigrationStall
 	t.migratedAt = now
-	m.file.MutThread(int(id)).Migrations++
+	t.tc.Migrations++
 	m.migrations++
 	return nil
 }
@@ -545,9 +600,8 @@ func (m *Machine) CrashCount() int { return m.crashes }
 // AliveCount implements sim.LiveCounter for horizon diagnostics.
 func (m *Machine) AliveCount() int {
 	n := 0
-	for _, id := range m.order {
-		t := m.threads[id]
-		if !t.finished && t.startAt <= m.lastNow {
+	for _, t := range m.slots {
+		if t.alive(m.lastNow) {
 			n++
 		}
 	}
@@ -578,8 +632,10 @@ func (m *Machine) BenchOf(id ThreadID) (int, error) {
 
 // Threads returns all thread ids in registration order.
 func (m *Machine) Threads() []ThreadID {
-	out := make([]ThreadID, len(m.order))
-	copy(out, m.order)
+	out := make([]ThreadID, len(m.slots))
+	for i, t := range m.slots {
+		out[i] = t.id
+	}
 	return out
 }
 
@@ -587,10 +643,9 @@ func (m *Machine) Threads() []ThreadID {
 // registration order.
 func (m *Machine) Alive() []ThreadID {
 	var out []ThreadID
-	for _, id := range m.order {
-		t := m.threads[id]
-		if !t.finished && t.startAt <= m.lastNow {
-			out = append(out, id)
+	for _, t := range m.slots {
+		if t.alive(m.lastNow) {
+			out = append(out, t.id)
 		}
 	}
 	return out
@@ -599,9 +654,9 @@ func (m *Machine) Alive() []ThreadID {
 // Pending returns the ids of threads that have not arrived yet.
 func (m *Machine) Pending() []ThreadID {
 	var out []ThreadID
-	for _, id := range m.order {
-		if t := m.threads[id]; !t.finished && t.startAt > m.lastNow {
-			out = append(out, id)
+	for _, t := range m.slots {
+		if !t.finished && t.startAt > m.lastNow {
+			out = append(out, t.id)
 		}
 	}
 	return out
@@ -644,8 +699,7 @@ func (m *Machine) Terminate(id ThreadID, at sim.Time) error {
 // intervals of an open-loop run.
 func (m *Machine) IdleUntil(now sim.Time) (sim.Time, bool) {
 	wake := sim.Time(-1)
-	for _, id := range m.order {
-		t := m.threads[id]
+	for _, t := range m.slots {
 		if t.finished {
 			continue
 		}
@@ -673,8 +727,8 @@ func (m *Machine) Progress(id ThreadID) float64 {
 
 // Done implements sim.World: true once every thread has finished.
 func (m *Machine) Done() bool {
-	for _, id := range m.order {
-		if !m.threads[id].finished {
+	for _, t := range m.slots {
+		if !t.finished {
 			return false
 		}
 	}
@@ -715,21 +769,19 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	// Occupancy: unfinished threads per logical core, and busy lanes per
 	// physical core (for the SMT penalty).
 	m.lastNow = now + dt
-	laneCount := make(map[CoreID]int, len(m.order))
-	physBusy := make(map[int]int)
-	for i := range m.sockDyn {
-		m.sockDyn[i] = 0
-	}
-	for _, id := range m.order {
-		t := m.threads[id]
-		if t.finished || t.startAt > now {
+	laneCount, physBusy := m.laneCount, m.physBusy
+	clear(laneCount)
+	clear(physBusy)
+	clear(m.sockDyn)
+	for _, t := range m.slots {
+		if !t.alive(now) {
 			continue
 		}
 		if !t.placed {
-			panic(fmt.Sprintf("machine: thread %d stepped before placement", id))
+			panic(fmt.Sprintf("machine: thread %d stepped before placement", t.id))
 		}
 		if laneCount[t.core] == 0 {
-			c := m.topo.Core(t.core)
+			c := &m.cores[t.core]
 			// Dynamic power: the first busy lane of a physical core clocks
 			// the full pipeline; further SMT lanes add only the duplicated
 			// front-end share. Scales with the cube of the DVFS multiplier
@@ -760,17 +812,16 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	rates := m.scratchRates[:0]
 	dems := m.scratchDem[:0]
 	lats := m.scratchLat[:0]
-	for _, id := range m.order {
-		t := m.threads[id]
-		if t.finished || t.startAt > now {
+	for _, t := range m.slots {
+		if !t.alive(now) {
 			continue
 		}
 		if t.stallUntil > now {
-			m.file.MutThread(int(id)).StallTime += float64(dt)
+			t.tc.StallTime += float64(dt)
 			continue
 		}
 		if m.disruptor != nil {
-			stalled, crashed := m.disruptor.ThreadFault(id, now)
+			stalled, crashed := m.disruptor.ThreadFault(t.id, now)
 			if crashed {
 				// Injected crash: the thread terminates with its work
 				// incomplete, freeing its core.
@@ -780,11 +831,11 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 				continue
 			}
 			if stalled {
-				m.file.MutThread(int(id)).StallTime += float64(dt)
+				t.tc.StallTime += float64(dt)
 				continue
 			}
 		}
-		core := m.topo.Core(t.core)
+		core := &m.cores[t.core]
 		rate := core.Speed
 		rate *= m.coreMult[t.core] // DVFS level multiplier (exactly 1 at nominal)
 		if m.disruptor != nil {
@@ -792,7 +843,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			if factor <= 0 {
 				// Core offline: the occupant cannot run until the core
 				// recovers or the scheduler moves the thread elsewhere.
-				m.file.MutThread(int(id)).StallTime += float64(dt)
+				t.tc.StallTime += float64(dt)
 				continue
 			}
 			rate *= factor
@@ -816,9 +867,6 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 
 	if len(active) == 0 {
 		return
-	}
-	if cap(m.scratchProg) < len(active) {
-		m.scratchProg = make([]float64, len(active))
 	}
 	prog := m.scratchProg[:len(active)]
 	if len(m.ctrls) == 1 {
@@ -854,7 +902,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			dw = limit
 		}
 		t.work += dw
-		tc := m.file.MutThread(int(t.id))
+		tc := t.tc
 		tc.Work += dw
 		tc.Instructions += dw * 1000
 		tc.Accesses += dw * dems[i].AccessesPerWork
@@ -884,13 +932,6 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 // are scattered back. lastUtil is the hottest controller's utilisation.
 func (m *Machine) solveDomains(active []*thread, rates []float64, dems []Demand, lats []float64, prog []float64) {
 	nd := len(m.ctrls)
-	if len(m.domIdx) < nd {
-		m.domIdx = make([][]int, nd)
-		m.domRates = make([][]float64, nd)
-		m.domDems = make([][]Demand, nd)
-		m.domLats = make([][]float64, nd)
-		m.domProg = make([][]float64, nd)
-	}
 	for d := 0; d < nd; d++ {
 		m.domIdx[d] = m.domIdx[d][:0]
 	}
@@ -913,9 +954,6 @@ func (m *Machine) solveDomains(active []*thread, rates []float64, dems []Demand,
 			lt = append(lt, lats[i])
 		}
 		m.domRates[d], m.domDems[d], m.domLats[d] = r, dm, lt
-		if cap(m.domProg[d]) < len(idx) {
-			m.domProg[d] = make([]float64, len(idx))
-		}
 		out := m.domProg[d][:len(idx)]
 		offered := m.solvers[d].solve(r, dm, lt, out)
 		for j, i := range idx {
@@ -1014,12 +1052,12 @@ func (m *Machine) KindDVFSLevels() []int {
 // domains (1 for any spec with SharedMem, such as Table I).
 func (m *Machine) NumMemDomains() int { return len(m.ctrls) }
 
-// PlacementSnapshot returns the current thread→core map, sorted by thread
-// id. Used by traces and tests.
+// PlacementSnapshot returns a fresh map from every registered thread's id
+// to the core it is currently bound to. Used by traces and tests.
 func (m *Machine) PlacementSnapshot() map[ThreadID]CoreID {
-	out := make(map[ThreadID]CoreID, len(m.order))
-	for _, id := range m.order {
-		out[id] = m.threads[id].core
+	out := make(map[ThreadID]CoreID, len(m.slots))
+	for _, t := range m.slots {
+		out[t.id] = t.core
 	}
 	return out
 }
@@ -1028,12 +1066,11 @@ func (m *Machine) PlacementSnapshot() map[ThreadID]CoreID {
 // ascending thread-id order.
 func (m *Machine) ThreadsOn(c CoreID) []ThreadID {
 	var out []ThreadID
-	for _, id := range m.order {
-		t := m.threads[id]
-		if !t.finished && t.startAt <= m.lastNow && t.core == c {
-			out = append(out, id)
+	for _, t := range m.slots {
+		if t.alive(m.lastNow) && t.core == c {
+			out = append(out, t.id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -134,6 +134,15 @@ func (s *contentionSolver) solve(rates []float64, dem []Demand, latMult []float6
 	return offered
 }
 
+// reserve grows the memo slices to hold n threads, so memoizing a solve
+// over every registered thread allocates nothing.
+func (s *contentionSolver) reserve(n int) {
+	s.memoRates = reserve(s.memoRates, n)
+	s.memoDem = reserve(s.memoDem, n)
+	s.memoLat = reserve(s.memoLat, n)
+	s.memoOut = reserve(s.memoOut, n)
+}
+
 // memoHit reports whether the inputs are bit-identical to the previous
 // call's. NaN inputs never hit (NaN != NaN), which is the conservative
 // direction.

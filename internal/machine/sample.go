@@ -7,12 +7,12 @@ import (
 )
 
 // sampler holds the machine's counter-snapshot state: the previous
-// per-thread and per-core counter values, so Sample can return deltas
-// exactly as a sampling profiler would.
+// per-core counter values, so Sample can return deltas exactly as a
+// sampling profiler would. Each thread's previous values live in its
+// slot (thread.sampled).
 type sampler struct {
 	lastTime sim.Time
 	first    bool
-	prevT    map[ThreadID]counters.ThreadCounters
 	prevC    []counters.CoreCounters
 }
 
@@ -42,7 +42,6 @@ func (m *Machine) Sample(now sim.Time) *platform.Sample {
 	if m.smp == nil {
 		m.smp = &sampler{
 			first: true,
-			prevT: make(map[ThreadID]counters.ThreadCounters),
 			prevC: make([]counters.CoreCounters, m.file.NumCores()),
 		}
 	}
@@ -52,30 +51,34 @@ func (m *Machine) Sample(now sim.Time) *platform.Sample {
 		interval = 0
 		s.first = false
 	}
+	alive := m.AliveCount()
 	out := &platform.Sample{
 		Interval: interval,
-		Threads:  make(map[ThreadID]counters.ThreadDelta),
+		Threads:  make(map[ThreadID]counters.ThreadDelta, alive),
 		Cores:    make([]counters.CoreDelta, m.file.NumCores()),
-		Instr:    make(map[ThreadID]float64),
+		Instr:    make(map[ThreadID]float64, alive),
 	}
-	for _, tid := range m.Alive() {
-		prev := s.prevT[tid]
-		delta := m.file.DiffThread(int(tid), prev, interval)
-		s.prevT[tid] = m.file.Thread(int(tid))
+	for _, t := range m.slots {
+		if !t.alive(m.lastNow) {
+			continue
+		}
+		cur := *t.tc
+		delta := cur.Since(t.sampled, interval)
+		t.sampled = cur
 		// The cumulative instruction count is read directly (not via the
 		// delta), so it survives individual lost samples.
-		out.Instr[tid] = m.file.Thread(int(tid)).Instructions
+		out.Instr[t.id] = cur.Instructions
 		if m.disruptor != nil && interval > 0 {
 			// Counter faults: the read may be lost (thread absent from the
 			// sample) or corrupted. The underlying cumulative counters are
 			// untouched, so a later successful read recovers.
-			d, ok := m.disruptor.PerturbDelta(tid, now, delta)
+			d, ok := m.disruptor.PerturbDelta(t.id, now, delta)
 			if !ok {
 				continue
 			}
 			delta = d
 		}
-		out.Threads[tid] = delta
+		out.Threads[t.id] = delta
 	}
 	for c := 0; c < m.file.NumCores(); c++ {
 		out.Cores[c] = m.file.DiffCore(c, s.prevC[c], interval)

@@ -1,0 +1,125 @@
+package machine
+
+import (
+	"testing"
+
+	"dike/internal/sim"
+)
+
+// waveProgram alternates between two demands every few ticks, so the
+// contention solver's inputs change and its cold path runs as well as
+// its memo.
+type waveProgram struct{ lo, hi Demand }
+
+func (waveProgram) TotalWork() float64 { return 1e9 }
+
+func (p waveProgram) DemandAt(_ float64, now sim.Time) Demand {
+	if now%5 < 2 {
+		return p.hi
+	}
+	return p.lo
+}
+
+// TestStepZeroAlloc gates the tick loop at exactly zero allocations per
+// Step: both the first Step after placement and the steady state, on the
+// Table I machine, on a two-socket machine with one memory controller per
+// socket (the per-domain solve), and with a pending arrival and a
+// migration in flight.
+func TestStepZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	wave := waveProgram{
+		lo: Demand{AccessesPerWork: 5, MissRatio: 0.02},
+		hi: Demand{AccessesPerWork: 40, MissRatio: 0.3},
+	}
+	cases := []struct {
+		name  string
+		build func(t *testing.T) *Machine
+	}{
+		{"table1", func(t *testing.T) *Machine {
+			m := testMachine(t)
+			// 48 threads on 40 lanes: SMT siblings busy and some lanes
+			// time-shared; two threads coupled by a barrier.
+			for i := 0; i < 48; i++ {
+				if err := m.AddThread(ThreadID(i), i/4, wave); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Place(ThreadID(i), CoreID(i%40)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.AddBarrierGroup(100, []ThreadID{0, 1}); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}},
+		{"per-socket", func(t *testing.T) *Machine {
+			m, err := New(specConfig(twoSocketSpec()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				if err := m.AddThread(ThreadID(i), 0, wave); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Place(ThreadID(i), CoreID(i%6)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return m
+		}},
+		{"arrival-and-migration", func(t *testing.T) *Machine {
+			m := testMachine(t)
+			for i := 0; i < 6; i++ {
+				if err := m.AddThread(ThreadID(i), 0, wave); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Place(ThreadID(i), CoreID(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Thread 5 arrives mid-window; thread 0 moves across sockets
+			// before the first Step and stays stalled for MigrationStall.
+			if err := m.SetStart(5, 30); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Migrate(0, 30, 0); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// First Step: AllocsPerRun calls f runs+1 times (one warm-up),
+			// each on a fresh machine.
+			const runs = 5
+			fresh := make([]*Machine, runs+1)
+			for i := range fresh {
+				fresh[i] = tc.build(t)
+			}
+			next := 0
+			first := testing.AllocsPerRun(runs, func() {
+				fresh[next].Step(0, 1)
+				next++
+			})
+			if first != 0 {
+				t.Errorf("first Step: %v allocs, want 0", first)
+			}
+
+			m := tc.build(t)
+			now := sim.Time(0)
+			steady := testing.AllocsPerRun(100, func() {
+				m.Step(now, 1)
+				now++
+			})
+			if steady != 0 {
+				t.Errorf("steady Step: %v allocs/tick, want 0", steady)
+			}
+			if m.AliveCount() == 0 || m.Done() {
+				t.Fatal("threads finished inside the measured window")
+			}
+		})
+	}
+}
