@@ -6,9 +6,11 @@
 //	dikebench -exp fig6                # one experiment (fig6 = 6a+6b+Table III)
 //	dikebench -exp fig1,fig7 -scale 1  # several, at full workload scale
 //	dikebench -list                    # list experiment ids
+//	dikebench -gate bench/             # every experiment with a baseline, gated
 //
 // Output is plain text tables; add -csv DIR to also dump each table as a
-// CSV file under DIR.
+// CSV file under DIR. Gated experiments (scale, slo, tournament, energy)
+// also write their bench document to -bench-out DIR as BENCH_<id>.json.
 package main
 
 import (
@@ -33,17 +35,10 @@ func main() {
 		workerFlag = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		quickFlag  = flag.Bool("quick", false, "shrink everything for a fast smoke run")
 		csvFlag    = flag.String("csv", "", "directory to write per-table CSV files into")
-		benchOut   = flag.String("bench-out", "BENCH_scale.json", "file the scale experiment writes raw measurements to")
-		benchBase  = flag.String("bench-baseline", "", "baseline BENCH_scale.json to compare against; exit 1 if ns/quantum regresses >25%")
-		sloOut     = flag.String("slo-out", "BENCH_slo.json", "file the slo experiment writes raw measurements to")
-		sloBase    = flag.String("slo-baseline", "", "baseline BENCH_slo.json to compare against; exit 1 if worst-tenant p99 regresses >25%")
-		tourOut    = flag.String("tournament-out", "BENCH_tournament.json", "file the tournament experiment writes its leaderboard to")
-		tourBase   = flag.String("tournament-baseline", "", "baseline BENCH_tournament.json; exit 1 if any cell's p99 regresses >25% or the meta policy misses its regret bar")
-		tourRegret = flag.Float64("tournament-regret", 0.10, "max meta-policy regret vs per-load oracle-best when gating against -tournament-baseline")
+		benchOut   = flag.String("bench-out", ".", "directory gated experiments write BENCH_<id>.json into")
+		gateDir    = flag.String("gate", "", "directory of baseline bench documents; gate each run against the one naming its experiment and exit 1 on any violation. With -exp all, runs exactly the experiments that have baselines, at each baseline's seed and quick setting unless -seed/-quick are given")
 		tourStore  = flag.String("tournament-store", "", "durable store directory caching tournament cells by run digest")
 		tourServer = flag.String("tournament-server", "", "dikeserved/dikecoord base URL to submit tournament cells to instead of simulating locally")
-		energyOut  = flag.String("energy-out", "BENCH_energy.json", "file the energy experiment writes raw measurements to")
-		energyBase = flag.String("energy-baseline", "", "baseline BENCH_energy.json; exit 1 if any cell's EDP regresses >10% or the fairness governor fails its gate")
 	)
 	flag.Parse()
 
@@ -60,30 +55,57 @@ func main() {
 		SweepScale:       *sweepFlag,
 		Workers:          *workerFlag,
 		Quick:            *quickFlag,
-		BenchOut:         *benchOut,
-		SLOOut:           *sloOut,
-		TournamentOut:    *tourOut,
+		BenchDir:         *benchOut,
 		TournamentStore:  *tourStore,
 		TournamentServer: *tourServer,
-		EnergyOut:        *energyOut,
 	}
 
+	var baselines map[string]*harness.BenchDoc
+	if *gateDir != "" {
+		var err error
+		if baselines, err = harness.LoadBaselines(*gateDir); err != nil {
+			cli.Fatal(err)
+		}
+	}
 	var ids []string
-	if *expFlag == "all" {
+	switch {
+	case *expFlag == "all" && baselines != nil:
+		for _, id := range harness.ExperimentIDs() {
+			if baselines[id] != nil {
+				ids = append(ids, id)
+			}
+		}
+	case *expFlag == "all":
 		ids = harness.ExperimentIDs()
-	} else {
+	default:
 		for _, id := range strings.Split(*expFlag, ",") {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
+	failed := 0
 	for _, id := range ids {
 		e, err := harness.Lookup(id)
 		if err != nil {
 			cli.Fatal(err)
 		}
+		base := baselines[id]
+		runOpts := opts
+		if baselines != nil {
+			if base == nil {
+				cli.Fatal(fmt.Errorf("no baseline in %s names experiment %q", *gateDir, id))
+			}
+			if !explicit["seed"] {
+				runOpts.Seed = base.Seed
+			}
+			if !explicit["quick"] {
+				runOpts.Quick = base.Quick
+			}
+		}
 		start := time.Now()
-		rep, err := e.Run(opts)
+		rep, err := e.Run(runOpts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: ", id)
 			cli.Fatal(err)
@@ -97,127 +119,35 @@ func main() {
 				cli.Fatal(err)
 			}
 		}
-		if rep.ID == "scale" && *benchBase != "" {
-			if err := checkBenchBaseline(*benchOut, *benchBase); err != nil {
-				cli.Fatal(err)
-			}
+		if base != nil && !gate(e, rep.Bench, base, *gateDir) {
+			failed++
 		}
-		if rep.ID == "slo" && *sloBase != "" {
-			if err := checkSLOBaseline(*sloOut, *sloBase); err != nil {
-				cli.Fatal(err)
-			}
-		}
-		if rep.ID == "tournament" && *tourBase != "" {
-			if err := checkTournamentBaseline(*tourOut, *tourBase, *tourRegret); err != nil {
-				cli.Fatal(err)
-			}
-		}
-		if rep.ID == "energy" && *energyBase != "" {
-			if err := checkEnergyBaseline(*energyOut, *energyBase); err != nil {
-				cli.Fatal(err)
-			}
-		}
+	}
+	if failed > 0 {
+		cli.Fatal(fmt.Errorf("%d experiment(s) failed the gate against %s", failed, *gateDir))
 	}
 }
 
-// checkEnergyBaseline gates the energy grid two ways: per-cell EDP
-// drift against a committed baseline (EDP is simulated, so any trip is
-// a real scheduling/governing change), and the absolute bar that the
-// fairness-coupled governor beats ondemand on fairness-per-J·s at the
-// tightest cap.
-func checkEnergyBaseline(current, baseline string) error {
-	cur, err := harness.LoadBenchEnergy(current)
+// gate checks one run's bench document against its baseline and reports
+// the outcome; it returns false on any violation.
+func gate(e harness.Experiment, cur, base *harness.BenchDoc, dir string) bool {
+	if cur == nil {
+		fmt.Fprintf(os.Stderr, "%s gate: the experiment wrote no bench document\n", e.ID)
+		return false
+	}
+	violations, err := e.Gate(cur, base)
 	if err != nil {
-		return err
+		fmt.Fprintf(os.Stderr, "gate: %v\n", err)
+		return false
 	}
-	base, err := harness.LoadBenchEnergy(baseline)
-	if err != nil {
-		return err
+	for _, v := range violations {
+		fmt.Fprintf(os.Stderr, "%s gate: %s\n", e.ID, v)
 	}
-	problems := harness.CompareBenchEnergy(cur, base, 0.10)
-	problems = append(problems, harness.GateBenchEnergy(cur)...)
-	if len(problems) == 0 {
-		fmt.Printf("EDP within 10%% of baseline %s; fairness governor beats ondemand at the tightest cap\n", baseline)
-		return nil
+	if len(violations) > 0 {
+		return false
 	}
-	for _, p := range problems {
-		fmt.Fprintln(os.Stderr, "energy gate: "+p)
-	}
-	return fmt.Errorf("%d energy gate violation(s) vs %s", len(problems), baseline)
-}
-
-// checkTournamentBaseline gates the tournament leaderboard two ways:
-// per-cell p99 drift against a committed baseline (like the slo gate),
-// and the absolute meta-scheduling bars — meta beats the worst fixed
-// policy and stays within regretMax of the per-load oracle-best.
-func checkTournamentBaseline(current, baseline string, regretMax float64) error {
-	cur, err := harness.LoadBenchTournament(current)
-	if err != nil {
-		return err
-	}
-	base, err := harness.LoadBenchTournament(baseline)
-	if err != nil {
-		return err
-	}
-	problems := harness.CompareBenchTournament(cur, base, 0.25)
-	problems = append(problems, harness.GateBenchTournament(cur, regretMax)...)
-	if len(problems) == 0 {
-		fmt.Printf("leaderboard within 25%% of baseline %s; meta within %.0f%% of oracle-best at every load\n",
-			baseline, 100*regretMax)
-		return nil
-	}
-	for _, p := range problems {
-		fmt.Fprintln(os.Stderr, "tournament gate: "+p)
-	}
-	return fmt.Errorf("%d tournament gate violation(s) vs %s", len(problems), baseline)
-}
-
-// checkSLOBaseline compares the slo experiment's fresh measurements
-// against a committed baseline and fails on a >25% worst-tenant p99
-// sojourn regression at any (load, policy) point both files measured.
-// Sojourns are simulated time, so a trip is a real scheduling change,
-// not wall-clock noise.
-func checkSLOBaseline(current, baseline string) error {
-	cur, err := harness.LoadBenchSLO(current)
-	if err != nil {
-		return err
-	}
-	base, err := harness.LoadBenchSLO(baseline)
-	if err != nil {
-		return err
-	}
-	regressions := harness.CompareBenchSLO(cur, base, 0.25)
-	if len(regressions) == 0 {
-		fmt.Printf("tail latency within 25%% of baseline %s\n", baseline)
-		return nil
-	}
-	for _, r := range regressions {
-		fmt.Fprintln(os.Stderr, "tail latency regression: "+r)
-	}
-	return fmt.Errorf("%d tail-latency regression(s) vs %s", len(regressions), baseline)
-}
-
-// checkBenchBaseline compares the scale experiment's fresh measurements
-// against a committed baseline and fails on a >25% per-policy decision
-// cost regression at any machine point both files measured.
-func checkBenchBaseline(current, baseline string) error {
-	cur, err := harness.LoadBenchScale(current)
-	if err != nil {
-		return err
-	}
-	base, err := harness.LoadBenchScale(baseline)
-	if err != nil {
-		return err
-	}
-	regressions := harness.CompareBenchScale(cur, base, 0.25)
-	if len(regressions) == 0 {
-		fmt.Printf("decision cost within 25%% of baseline %s\n", baseline)
-		return nil
-	}
-	for _, r := range regressions {
-		fmt.Fprintln(os.Stderr, "decision cost regression: "+r)
-	}
-	return fmt.Errorf("%d decision-cost regression(s) vs %s", len(regressions), baseline)
+	fmt.Printf("%s: %d entries pass the gates of the baseline in %s\n\n", e.ID, len(cur.Entries), dir)
+	return true
 }
 
 // writeCSVs dumps each table of rep as DIR/<exp>_<n>.csv.

@@ -2,9 +2,8 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
+	"slices"
 
 	"dike/internal/machine"
 	"dike/internal/platform"
@@ -17,129 +16,43 @@ func init() {
 		ID:    "energy",
 		Title: "Energy: power caps × governor × policy, energy-delay product and fairness under throttling",
 		Run:   runEnergy,
+		// EDP is simulated joule-seconds, so a trip is a real
+		// scheduling/governing change, not runner noise.
+		Gates: []MetricGate{{Metric: "edp", Tolerance: 0.10}},
+		Check: checkEnergy,
 	})
 }
 
-// BenchEnergySchema tags BENCH_energy.json documents.
-const BenchEnergySchema = "dike/bench-energy/v1"
-
-// BenchEnergyEntry is one (cap, policy, governor) cell of the energy
-// grid. Every field is simulated — joules integrate the deterministic
-// power model, the makespan is simulated time, and the actuation count
-// comes from the governor's replayable decision stream — so the
-// document is byte-stable across hosts and runs.
-type BenchEnergyEntry struct {
-	// CapWatts is the per-socket power budget handed to the governor;
-	// zero for the ungoverned reference row.
-	CapWatts float64 `json:"cap_watts,omitempty"`
-	Policy   string  `json:"policy"`
-	Governor string  `json:"governor,omitempty"`
-	// EnergyJ is total joules over the run; EDP the energy-delay
-	// product EnergyJ × makespan-seconds (J·s, lower is better).
-	EnergyJ    float64 `json:"energy_j"`
-	EDP        float64 `json:"edp"`
-	MakespanMs float64 `json:"makespan_ms"`
-	// Fairness is Eqn 4 (higher is better); FPE is fairness per J·s,
-	// the gate's combined figure of merit.
-	Fairness float64 `json:"fairness"`
-	FPE      float64 `json:"fpe"`
-	// Invocations and Actuations count governor adaptations and the
-	// DVFS level changes they issued; zero for the ungoverned row.
-	Invocations int `json:"invocations,omitempty"`
-	Actuations  int `json:"actuations,omitempty"`
-	// Digest is the run's RunSpec content address.
-	Digest string `json:"digest"`
+func energyKey(capW float64, policy, governor string) string {
+	return fmt.Sprintf("%.0fW/%s/%s", capW, policy, governor)
 }
 
-// BenchEnergy is the BENCH_energy.json document.
-type BenchEnergy struct {
-	Schema  string             `json:"schema"`
-	Seed    uint64             `json:"seed"`
-	Scale   float64            `json:"scale"`
-	Quick   bool               `json:"quick"`
-	Caps    []float64          `json:"caps"`
-	Machine string             `json:"machine"`
-	Entries []BenchEnergyEntry `json:"entries"`
-}
+// governed accepts the cells that ran under a governor.
+func governed(e BenchEntry) bool { return e.Labels["governor"] != "" }
 
-// LoadBenchEnergy reads a BENCH_energy.json document.
-func LoadBenchEnergy(path string) (*BenchEnergy, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b BenchEnergy
-	if err := json.Unmarshal(blob, &b); err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", path, err)
-	}
-	if b.Schema != BenchEnergySchema {
-		return nil, fmt.Errorf("harness: %s: schema %q, want %q", path, b.Schema, BenchEnergySchema)
-	}
-	return &b, nil
-}
-
-// CompareBenchEnergy reports every cell present in both documents whose
-// energy-delay product regressed by more than tolerance (0.10 = 10%).
-// EDP is simulated, so a trip means the scheduler/governor pair really
-// spends more joule-seconds, not that CI was noisy.
-func CompareBenchEnergy(cur, base *BenchEnergy, tolerance float64) []string {
-	key := func(e BenchEnergyEntry) string {
-		return fmt.Sprintf("%.0fW/%s/%s", e.CapWatts, e.Policy, e.Governor)
-	}
-	baseline := make(map[string]BenchEnergyEntry, len(base.Entries))
-	for _, e := range base.Entries {
-		baseline[key(e)] = e
-	}
-	var regressions []string
-	for _, e := range cur.Entries {
-		b, ok := baseline[key(e)]
-		if !ok || b.EDP <= 0 {
-			continue
-		}
-		if e.EDP > b.EDP*(1+tolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: EDP %.1f J·s vs baseline %.1f (+%.1f%%)",
-				key(e), e.EDP, b.EDP, 100*(e.EDP/b.EDP-1)))
-		}
-	}
-	return regressions
-}
-
-// GateBenchEnergy checks the document's absolute acceptance property:
-// at the tightest cap, the fairness-coupled governor must deliver
-// strictly more fairness per joule-second (FPE) on dike-af than the
-// fixed-cap ondemand governor — spending the budget on the core type
-// that limits the slowest thread has to beat blind throttling.
-func GateBenchEnergy(b *BenchEnergy) []string {
-	if len(b.Caps) == 0 {
-		return []string{"no caps in document"}
-	}
-	tightest := b.Caps[0]
-	for _, c := range b.Caps {
-		if c < tightest {
-			tightest = c
-		}
-	}
-	find := func(gov string) *BenchEnergyEntry {
-		for i := range b.Entries {
-			e := &b.Entries[i]
-			if e.CapWatts == tightest && e.Policy == PolicyDikeAF && e.Governor == gov {
-				return e
-			}
-		}
-		return nil
-	}
-	od, fg := find(power.GovernorOndemand), find(power.GovernorFairness)
-	var violations []string
+// checkEnergy: the ungoverned reference plus one cell per (cap, combo);
+// every cell burned joules and finished; every governed cell invoked
+// its governor; and at the tightest cap the fairness-coupled governor
+// delivers strictly more fairness per joule-second (FPE) on dike-af than
+// fixed-cap ondemand — spending the budget on the core type that limits
+// the slowest thread has to beat blind throttling.
+func checkEnergy(d *BenchDoc) []string {
+	caps := energyCaps(d.Quick)
+	v := d.wantEntries(1 + len(caps)*len(energyCombos(d.Quick)))
+	v = append(v, d.positive(nil, "energy_j", "edp", "makespan_ms")...)
+	v = append(v, d.positive(governed, "invocations")...)
+	tightest := slices.Min(caps)
+	od := d.entry(energyKey(tightest, PolicyDikeAF, power.GovernorOndemand))
+	fg := d.entry(energyKey(tightest, PolicyDikeAF, power.GovernorFairness))
 	switch {
 	case od == nil || fg == nil:
-		violations = append(violations, fmt.Sprintf("tightest cap %.0fW: missing ondemand/fairness dike-af cells", tightest))
-	case !(fg.FPE > od.FPE):
-		violations = append(violations, fmt.Sprintf(
+		v = append(v, fmt.Sprintf("tightest cap %.0fW: missing ondemand/fairness dike-af cells", tightest))
+	case !(fg.Metrics["fpe"] > od.Metrics["fpe"]):
+		v = append(v, fmt.Sprintf(
 			"tightest cap %.0fW: fairness governor FPE %.6g does not strictly beat ondemand %.6g",
-			tightest, fg.FPE, od.FPE))
+			tightest, fg.Metrics["fpe"], od.Metrics["fpe"]))
 	}
-	return violations
+	return v
 }
 
 // dvfs8Spec is the energy grid's machine, mirrored byte-for-byte by
@@ -202,9 +115,9 @@ func energyCombos(quick bool) [][2]string {
 
 // runEnergy sweeps power caps × (policy, governor) over the dvfs8
 // machine and reports joules, energy-delay product and fairness under
-// throttling, against an ungoverned dike-af reference. When
-// Options.EnergyOut is set the raw measurements are written there as a
-// BENCH_energy.json document.
+// throttling, against an ungoverned dike-af reference. Each cell is one
+// bench entry keyed "capW/policy/governor"; every number in it is
+// simulated, so the document is byte-stable across hosts and runs.
 func runEnergy(optsIn Options) (*Report, error) {
 	opts := optsIn.withDefaults()
 	scale := 0.25
@@ -212,16 +125,14 @@ func runEnergy(optsIn Options) (*Report, error) {
 		scale = 0.1
 	}
 	caps := energyCaps(opts.Quick)
-	bench := &BenchEnergy{
-		Schema: BenchEnergySchema, Seed: opts.Seed, Scale: scale, Quick: opts.Quick,
-		Caps: caps, Machine: "dvfs8",
-	}
+	doc := newBenchDoc("energy", opts)
+	doc.Scale = scale
 	t := &Table{
 		Title:  "Energy grid: per-socket cap × governor × policy on the dvfs8 machine",
 		Header: []string{"cap", "policy", "governor", "joules", "makespan", "EDP", "fairness", "FPE", "acts"},
 	}
 	ctx := context.Background()
-	cell := func(capW float64, pol, gov string) (BenchEnergyEntry, error) {
+	cell := func(capW float64, pol, gov string) error {
 		spec := RunSpec{
 			// Workload 3 (memory-heavy mix): its CV trajectory crosses
 			// Dike's fairness gate both ways at these caps, so dike-ea's
@@ -242,67 +153,52 @@ func runEnergy(optsIn Options) (*Report, error) {
 				spec.Power.ThermalCool = 40
 			}
 		}
+		key := energyKey(capW, pol, gov)
 		digest, err := spec.Digest()
 		if err != nil {
-			return BenchEnergyEntry{}, err
+			return fmt.Errorf("energy %s: %w", key, err)
 		}
 		out, err := Run(ctx, spec)
 		if err != nil {
-			return BenchEnergyEntry{}, err
+			return fmt.Errorf("energy %s: %w", key, err)
 		}
-		e := BenchEnergyEntry{
-			CapWatts: capW, Policy: pol, Governor: gov,
-			EnergyJ:    out.EnergyJ,
-			EDP:        out.EDP,
-			MakespanMs: out.Result.Makespan,
-			Fairness:   out.Result.Fairness,
-			Digest:     digest,
+		// EDP is joules × makespan-seconds (J·s, lower is better); FPE is
+		// Eqn 4 fairness per J·s, the check's combined figure of merit.
+		fpe := 0.0
+		if out.EDP > 0 {
+			fpe = out.Result.Fairness / out.EDP
 		}
-		if e.EDP > 0 {
-			e.FPE = e.Fairness / e.EDP
+		labels := map[string]string{"policy": pol, "digest": digest}
+		metrics := map[string]float64{
+			"energy_j": out.EnergyJ, "edp": out.EDP, "makespan_ms": out.Result.Makespan,
+			"fairness": out.Result.Fairness, "fpe": fpe,
 		}
-		if out.Power != nil {
-			e.Invocations = len(out.Power.Invocations)
-			e.Actuations = out.Power.Actions()
+		capLabel, govLabel, acts := "-", "(none)", 0
+		if gov != "" {
+			// Invocations and actuations count governor adaptations and
+			// the DVFS level changes they issued.
+			acts = out.Power.Actions()
+			labels["governor"] = gov
+			metrics["cap_watts"] = capW
+			metrics["invocations"] = float64(len(out.Power.Invocations))
+			metrics["actuations"] = float64(acts)
+			capLabel, govLabel = fmt.Sprintf("%.0fW", capW), gov
 		}
-		return e, nil
+		doc.add(key, labels, metrics)
+		t.AddRow(capLabel, pol, govLabel,
+			fmt.Sprintf("%.0f", out.EnergyJ), fmt.Sprintf("%.0f", out.Result.Makespan),
+			fmt.Sprintf("%.1f", out.EDP), fmt.Sprintf("%.4f", out.Result.Fairness),
+			fmt.Sprintf("%.3g", fpe), acts)
+		return nil
 	}
-	add := func(e BenchEnergyEntry) {
-		bench.Entries = append(bench.Entries, e)
-		capLabel := "-"
-		if e.CapWatts > 0 {
-			capLabel = fmt.Sprintf("%.0fW", e.CapWatts)
-		}
-		gov := e.Governor
-		if gov == "" {
-			gov = "(none)"
-		}
-		t.AddRow(capLabel, e.Policy, gov,
-			fmt.Sprintf("%.0f", e.EnergyJ), fmt.Sprintf("%.0f", e.MakespanMs),
-			fmt.Sprintf("%.1f", e.EDP), fmt.Sprintf("%.4f", e.Fairness),
-			fmt.Sprintf("%.3g", e.FPE), e.Actuations)
+	if err := cell(0, PolicyDikeAF, ""); err != nil {
+		return nil, err
 	}
-	ref, err := cell(0, PolicyDikeAF, "")
-	if err != nil {
-		return nil, fmt.Errorf("energy reference: %w", err)
-	}
-	add(ref)
 	for _, capW := range caps {
 		for _, combo := range energyCombos(opts.Quick) {
-			e, err := cell(capW, combo[0], combo[1])
-			if err != nil {
-				return nil, fmt.Errorf("energy %.0fW/%s/%s: %w", capW, combo[0], combo[1], err)
+			if err := cell(capW, combo[0], combo[1]); err != nil {
+				return nil, err
 			}
-			add(e)
-		}
-	}
-	if opts.EnergyOut != "" {
-		blob, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opts.EnergyOut, append(blob, '\n'), 0o644); err != nil {
-			return nil, err
 		}
 	}
 	notes := []string{
@@ -310,11 +206,8 @@ func runEnergy(optsIn Options) (*Report, error) {
 		"EDP is joules × makespan-seconds (lower is better); FPE is fairness per J·s (higher is better)",
 		"caps are per-socket watt budgets; the first row is the ungoverned dike-af reference",
 	}
-	if opts.EnergyOut != "" {
-		notes = append(notes, "measurements written to "+opts.EnergyOut)
-	}
 	if opts.Quick {
 		notes = append(notes, "quick mode: caps {30, 18}, no thermal governor, scale 0.1")
 	}
-	return &Report{ID: "energy", Title: "Energy and power capping", Tables: []*Table{t}, Notes: notes}, nil
+	return withBench(&Report{ID: "energy", Title: "Energy and power capping", Tables: []*Table{t}, Notes: notes}, doc, opts.BenchDir)
 }

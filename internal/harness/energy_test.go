@@ -5,7 +5,6 @@ import (
 	"context"
 	"os"
 	"reflect"
-	"strings"
 	"testing"
 
 	"dike/internal/platform"
@@ -29,60 +28,6 @@ func TestDVFS8ExampleMatchesSpec(t *testing.T) {
 	}
 	if want := dvfs8Spec(); !reflect.DeepEqual(parsed, want) {
 		t.Fatalf("examples/machines/dvfs8.json diverged from dvfs8Spec():\n file: %+v\n code: %+v", parsed, want)
-	}
-}
-
-func energyDoc(entries ...BenchEnergyEntry) *BenchEnergy {
-	return &BenchEnergy{
-		Schema: BenchEnergySchema, Seed: 42, Scale: 0.1, Quick: true,
-		Caps: []float64{30, 18}, Machine: "dvfs8", Entries: entries,
-	}
-}
-
-func TestCompareBenchEnergy(t *testing.T) {
-	base := energyDoc(
-		BenchEnergyEntry{CapWatts: 18, Policy: PolicyDikeAF, Governor: power.GovernorOndemand, EDP: 1000},
-		BenchEnergyEntry{CapWatts: 18, Policy: PolicyDikeAF, Governor: power.GovernorFairness, EDP: 800},
-	)
-	cur := energyDoc(
-		BenchEnergyEntry{CapWatts: 18, Policy: PolicyDikeAF, Governor: power.GovernorOndemand, EDP: 1050}, // +5%: fine
-		BenchEnergyEntry{CapWatts: 18, Policy: PolicyDikeAF, Governor: power.GovernorFairness, EDP: 1000}, // +25%: trips
-		BenchEnergyEntry{CapWatts: 30, Policy: PolicyDikeAF, Governor: power.GovernorOndemand, EDP: 9999}, // not in base: skipped
-	)
-	regs := CompareBenchEnergy(cur, base, 0.10)
-	if len(regs) != 1 || !strings.Contains(regs[0], "fairness") {
-		t.Fatalf("regressions = %v, want exactly the fairness cell", regs)
-	}
-	if regs := CompareBenchEnergy(base, base, 0.10); len(regs) != 0 {
-		t.Fatalf("self-comparison regressed: %v", regs)
-	}
-}
-
-func TestGateBenchEnergy(t *testing.T) {
-	pass := energyDoc(
-		BenchEnergyEntry{CapWatts: 18, Policy: PolicyDikeAF, Governor: power.GovernorOndemand, FPE: 3.0e-6},
-		BenchEnergyEntry{CapWatts: 18, Policy: PolicyDikeAF, Governor: power.GovernorFairness, FPE: 4.0e-6},
-		BenchEnergyEntry{CapWatts: 30, Policy: PolicyDikeAF, Governor: power.GovernorFairness, FPE: 1.0e-9},
-	)
-	if v := GateBenchEnergy(pass); len(v) != 0 {
-		t.Fatalf("passing document gated: %v", v)
-	}
-	// Tie is a violation: strictly better is the bar.
-	tie := energyDoc(
-		BenchEnergyEntry{CapWatts: 18, Policy: PolicyDikeAF, Governor: power.GovernorOndemand, FPE: 3.0e-6},
-		BenchEnergyEntry{CapWatts: 18, Policy: PolicyDikeAF, Governor: power.GovernorFairness, FPE: 3.0e-6},
-	)
-	if v := GateBenchEnergy(tie); len(v) != 1 {
-		t.Fatalf("FPE tie not flagged: %v", v)
-	}
-	missing := energyDoc(
-		BenchEnergyEntry{CapWatts: 18, Policy: PolicyDikeAF, Governor: power.GovernorOndemand, FPE: 3.0e-6},
-	)
-	if v := GateBenchEnergy(missing); len(v) != 1 {
-		t.Fatalf("missing fairness cell not flagged: %v", v)
-	}
-	if v := GateBenchEnergy(energyDoc()); len(v) == 0 {
-		t.Fatal("empty document passed the gate")
 	}
 }
 

@@ -22,18 +22,10 @@ type Options struct {
 	Workers int
 	// Quick shrinks everything further for smoke tests.
 	Quick bool
-	// BenchOut, when set, is where benchmark experiments (currently
-	// `scale`) write their raw machine-readable measurements
-	// (BENCH_scale.json). Empty disables the file.
-	BenchOut string
-	// SLOOut, when set, is where the `slo` experiment writes its raw
-	// measurements (BENCH_slo.json). Empty disables the file.
-	SLOOut string
-	// TournamentOut, when set, is where the `tournament` experiment
-	// writes its leaderboard (BENCH_tournament.json). The document holds
-	// simulated measurements only — no wall-clock or cache-status fields
-	// — so two runs of the same grid produce byte-identical files.
-	TournamentOut string
+	// BenchDir, when set, is the directory gated experiments (scale, slo,
+	// tournament, energy) write their bench document to, as
+	// BENCH_<id>.json. Empty disables the file.
+	BenchDir string
 	// TournamentStore, when set, is a durable run-store directory the
 	// `tournament` experiment caches cell results in, content-addressed
 	// by RunSpec digest: re-running the grid replays cached cells
@@ -41,11 +33,6 @@ type Options struct {
 	// (same store engine as dikeserved, separate payload format — do not
 	// point it at a server's store directory).
 	TournamentStore string
-	// EnergyOut, when set, is where the `energy` experiment writes its
-	// raw measurements (BENCH_energy.json). Every field in the document
-	// is simulated — energy and EDP integrate the deterministic power
-	// model — so two runs of the same grid produce byte-identical files.
-	EnergyOut string
 	// TournamentServer, when set, is the base URL of a dikeserved or
 	// dikecoord instance the `tournament` experiment submits its grid
 	// cells to instead of simulating locally; the server's digest cache
@@ -74,11 +61,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Experiment regenerates one table or figure of the paper.
+// Experiment regenerates one table or figure of the paper. Experiments
+// that write a bench document declare how it is gated: Gates bound
+// metric drift against a baseline, Check tests absolute properties of
+// one document. See Experiment.Gate.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Options) (*Report, error)
+	Gates []MetricGate
+	Check func(*BenchDoc) []string
 }
 
 // registry holds all experiments keyed by id.

@@ -1,8 +1,8 @@
 package harness
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"testing"
 
 	"dike/internal/fault"
@@ -20,9 +20,10 @@ func faultSpec() RunSpec {
 	}
 }
 
-// TestFaultRunDeterminism is the reproducibility acceptance check (the CI
-// workflow runs it twice with -count=2): the same spec and fault seed
-// must yield a bit-identical run — metrics, fault schedule and trace.
+// TestFaultRunDeterminism is the reproducibility acceptance check: the
+// same spec and fault seed, run twice in one process, must yield a
+// bit-identical run — metrics, fault schedule, degradation counters and
+// trace bytes.
 func TestFaultRunDeterminism(t *testing.T) {
 	a, err := Run(context.Background(), faultSpec())
 	if err != nil {

@@ -1,14 +1,17 @@
 package harness
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"dike/internal/fault"
+	"dike/internal/machine"
+	"dike/internal/platform"
+	"dike/internal/power"
 	"dike/internal/replay"
 	"dike/internal/workload"
 )
@@ -26,53 +29,91 @@ func recordRun(t *testing.T, spec RunSpec) (*RunOutput, []byte) {
 	return out, buf.Bytes()
 }
 
-// TestRecordReplayDike is the tentpole round trip: a Fig-6-style Dike
-// run is recorded, replayed twice, and all three decision digests —
-// including every per-quantum fairness value, compared bit-for-bit —
-// must be identical.
+// TestRecordReplayDike is the tentpole round trip: a Dike run is
+// recorded, replayed twice, and all three run digests — including every
+// per-quantum fairness value, compared bit-for-bit, and any governor
+// decision stream — must be identical. The cases are the dikesim command
+// lines (default -seed, -fault-rate and -fault-seed) a user would
+// record and replay:
+//
+//	dikesim -wl 6 -policy dike -scale 0.1
+//	dikesim -wl 1 -policy dike-af -scale 0.1 -faults all
+//	dikesim -wl 3 -policy dike-af -scale 0.1 -machine examples/machines/dvfs8.json -governor fairness -power-cap 20
 func TestRecordReplayDike(t *testing.T) {
-	spec := RunSpec{Workload: workload.MustTable2(6), Policy: PolicyDike, Seed: 42, Scale: 0.05}
-	out, log := recordRun(t, spec)
-	if len(out.History) == 0 {
-		t.Fatal("live run recorded no quanta")
-	}
-	live := Digest(spec.Policy, out.History)
-
-	rep1, err := Replay(bytes.NewReader(log))
+	classes, err := fault.ParseClasses("all")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := Replay(bytes.NewReader(log))
+	faults := fault.DefaultConfig()
+	faults.Classes, faults.Rate, faults.Seed = classes, 1, 1
+	dvfs8, err := platform.LoadMachineSpec("../../examples/machines/dvfs8.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := Digest(rep1.Policy, rep1.History)
-	d2 := Digest(rep2.Policy, rep2.History)
-	if live != d1 {
-		t.Fatalf("replay digest differs from live run:\nlive:\n%s\nreplay:\n%s", live, d1)
-	}
-	if d1 != d2 {
-		t.Fatal("two replays of the same log differ")
-	}
+	mcfg := machine.DefaultConfig()
+	mcfg.Spec = dvfs8
 
-	// The full prediction bookkeeping reproduces bit-identically too.
-	if rep1.PredMin != out.PredMin || rep1.PredAvg != out.PredAvg || rep1.PredMax != out.PredMax {
-		t.Errorf("prediction stats differ: live (%v %v %v), replay (%v %v %v)",
-			out.PredMin, out.PredAvg, out.PredMax, rep1.PredMin, rep1.PredAvg, rep1.PredMax)
+	cases := []struct {
+		name     string
+		spec     RunSpec
+		governed bool
+	}{
+		{"healthy", RunSpec{Workload: workload.MustTable2(6), Policy: PolicyDike, Seed: 42, Scale: 0.1}, false},
+		{"faulty", RunSpec{Workload: workload.MustTable2(1), Policy: PolicyDikeAF, Seed: 42, Scale: 0.1, Faults: &faults}, false},
+		{"governed", RunSpec{Workload: workload.MustTable2(3), Policy: PolicyDikeAF, Seed: 42, Scale: 0.1,
+			MachineConfig: &mcfg, Power: &power.Config{Governor: power.GovernorFairness, CapWatts: 20}}, true},
 	}
-	if len(rep1.ErrSeries) != len(out.ErrSeries) {
-		t.Fatalf("error series length %d != %d", len(rep1.ErrSeries), len(out.ErrSeries))
-	}
-	for i := range out.ErrSeries {
-		if rep1.ErrSeries[i] != out.ErrSeries[i] {
-			t.Fatalf("error series diverges at %d: %+v != %+v", i, rep1.ErrSeries[i], out.ErrSeries[i])
-		}
-	}
-	if rep1.Policy != PolicyDike || rep1.Seed != 42 {
-		t.Errorf("replay identity = %s/%d", rep1.Policy, rep1.Seed)
-	}
-	if rep1.Quanta == 0 || rep1.CompletedAt <= 0 {
-		t.Error("replay progress bookkeeping empty")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec := c.spec
+			out, log := recordRun(t, spec)
+			if len(out.History) == 0 {
+				t.Fatal("live run recorded no quanta")
+			}
+			live := RunDigest(spec.Policy, out.History, out.MetaStats, out.Power)
+
+			rep1, err := Replay(bytes.NewReader(log))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep2, err := Replay(bytes.NewReader(log))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d1 := RunDigest(rep1.Policy, rep1.History, rep1.MetaStats, rep1.Power)
+			d2 := RunDigest(rep2.Policy, rep2.History, rep2.MetaStats, rep2.Power)
+			if live != d1 {
+				t.Fatalf("replay digest differs from live run:\nlive:\n%s\nreplay:\n%s", live, d1)
+			}
+			if d1 != d2 {
+				t.Fatal("two replays of the same log differ")
+			}
+			// The log really carries the governor stream: DVFS actuation
+			// events are present.
+			if c.governed && !bytes.Contains(log, []byte(`"k":"d"`)) {
+				t.Error("governed log carries no DVFS actuation events")
+			}
+
+			// The full prediction bookkeeping reproduces bit-identically too.
+			if rep1.PredMin != out.PredMin || rep1.PredAvg != out.PredAvg || rep1.PredMax != out.PredMax {
+				t.Errorf("prediction stats differ: live (%v %v %v), replay (%v %v %v)",
+					out.PredMin, out.PredAvg, out.PredMax, rep1.PredMin, rep1.PredAvg, rep1.PredMax)
+			}
+			if len(rep1.ErrSeries) != len(out.ErrSeries) {
+				t.Fatalf("error series length %d != %d", len(rep1.ErrSeries), len(out.ErrSeries))
+			}
+			for i := range out.ErrSeries {
+				if rep1.ErrSeries[i] != out.ErrSeries[i] {
+					t.Fatalf("error series diverges at %d: %+v != %+v", i, rep1.ErrSeries[i], out.ErrSeries[i])
+				}
+			}
+			if rep1.Policy != spec.Policy || rep1.Seed != spec.Seed {
+				t.Errorf("replay identity = %s/%d", rep1.Policy, rep1.Seed)
+			}
+			if rep1.Quanta == 0 || rep1.CompletedAt <= 0 {
+				t.Error("replay progress bookkeeping empty")
+			}
+		})
 	}
 }
 

@@ -106,6 +106,9 @@ type Report struct {
 	Title  string
 	Tables []*Table
 	Notes  []string
+	// Bench is the run's bench document; nil for experiments that write
+	// none.
+	Bench *BenchDoc
 }
 
 // Render writes the report as text.

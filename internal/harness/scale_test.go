@@ -7,8 +7,9 @@ import (
 )
 
 // TestScaleExperimentQuick runs the trimmed CI grid end to end: every
-// (point, policy) pair must produce a measurement, and the BenchOut
-// document must round-trip through LoadBenchScale.
+// (point, policy) pair must produce a measurement that passes the
+// experiment's Check, and the bench document must round-trip through
+// LoadBench.
 func TestScaleExperimentQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale sweep in -short mode")
@@ -17,8 +18,8 @@ func TestScaleExperimentQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	rep, err := e.Run(Options{Seed: 42, SweepScale: 0.015, Workers: 8, Quick: true, BenchOut: out})
+	dir := t.TempDir()
+	rep, err := e.Run(Options{Seed: 42, SweepScale: 0.015, Workers: 8, Quick: true, BenchDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,64 +31,22 @@ func TestScaleExperimentQuick(t *testing.T) {
 		t.Errorf("report missing grid points:\n%s", sb.String())
 	}
 
-	b, err := LoadBenchScale(out)
+	b, err := LoadBench(filepath.Join(dir, "BENCH_scale.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Quick || b.Seed != 42 {
-		t.Errorf("bench doc header = quick %v seed %d", b.Quick, b.Seed)
+	if !b.Quick || b.Seed != 42 || b.Experiment != "scale" {
+		t.Errorf("bench doc header = %s quick %v seed %d", b.Experiment, b.Quick, b.Seed)
 	}
-	wantEntries := 2 * len(scalePolicies) // two quick points x policies
-	if len(b.Entries) != wantEntries {
-		t.Fatalf("bench doc has %d entries, want %d", len(b.Entries), wantEntries)
+	if v := e.Check(b); len(v) != 0 {
+		t.Errorf("quick grid fails its own check: %v", v)
 	}
 	seen := map[string]bool{}
 	for _, ent := range b.Entries {
-		seen[ent.Point+"/"+ent.Policy] = true
-		if ent.Quanta <= 0 {
-			t.Errorf("%s/%s measured %d quanta", ent.Point, ent.Policy, ent.Quanta)
-		}
-		if ent.NsPerQuantum <= 0 {
-			t.Errorf("%s/%s measured %v ns/quantum", ent.Point, ent.Policy, ent.NsPerQuantum)
-		}
+		seen[ent.Key] = true
 	}
-	if len(seen) != wantEntries {
-		t.Errorf("duplicate (point, policy) entries: %d unique of %d", len(seen), wantEntries)
-	}
-
-	// Self-comparison is regression-free; a halved-tolerance baseline at
-	// 1/3 the cost flags every shared entry.
-	if regs := CompareBenchScale(b, b, 0.25); len(regs) != 0 {
-		t.Errorf("self-comparison reported regressions: %v", regs)
-	}
-	cheap := *b
-	cheap.Entries = append([]BenchScaleEntry(nil), b.Entries...)
-	for i := range cheap.Entries {
-		cheap.Entries[i].NsPerQuantum /= 3
-	}
-	if regs := CompareBenchScale(b, &cheap, 0.25); len(regs) != len(b.Entries) {
-		t.Errorf("regression check flagged %d of %d entries", len(regs), len(b.Entries))
-	}
-}
-
-// TestCompareBenchScaleSkipsMissing: points only one side measured (a
-// quick run vs a full baseline, or vice versa) are not regressions.
-func TestCompareBenchScaleSkipsMissing(t *testing.T) {
-	cur := &BenchScale{Schema: BenchScaleSchema, Entries: []BenchScaleEntry{
-		{Point: "t1-40", Policy: "dike", NsPerQuantum: 500},
-		{Point: "8s4t-1024", Policy: "dike", NsPerQuantum: 9e9},
-	}}
-	base := &BenchScale{Schema: BenchScaleSchema, Entries: []BenchScaleEntry{
-		{Point: "t1-40", Policy: "dike", NsPerQuantum: 450},
-		{Point: "t1-40", Policy: "cfs", NsPerQuantum: 100},
-	}}
-	if regs := CompareBenchScale(cur, base, 0.25); len(regs) != 0 {
-		t.Errorf("missing-point comparison reported %v", regs)
-	}
-	base.Entries[0].NsPerQuantum = 100
-	regs := CompareBenchScale(cur, base, 0.25)
-	if len(regs) != 1 || !strings.Contains(regs[0], "t1-40/dike") {
-		t.Errorf("want one t1-40/dike regression, got %v", regs)
+	if len(seen) != len(b.Entries) {
+		t.Errorf("duplicate entry keys: %d unique of %d", len(seen), len(b.Entries))
 	}
 }
 

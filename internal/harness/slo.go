@@ -2,114 +2,43 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"dike/internal/traffic"
 )
 
 func init() {
-	register(Experiment{ID: "slo", Title: "Open-loop SLO sweep: offered load 0.3→0.95, tail latency and per-tenant fairness", Run: runSLO})
+	register(Experiment{
+		ID:    "slo",
+		Title: "Open-loop SLO sweep: offered load 0.3→0.95, tail latency and per-tenant fairness",
+		Run:   runSLO,
+		// Sojourns are simulated time, so a trip is a real scheduling
+		// change, never runner noise. Only the headline (worst-tenant)
+		// entries are gated; class entries are detail.
+		Gates: []MetricGate{{Metric: "p99_ms", Tolerance: 0.25, Where: sloHeadline}},
+		Check: checkSLO,
+	})
 }
 
-// BenchSLOSchema tags BENCH_slo.json so downstream tooling can reject
-// files written by other generations of the benchmark.
-const BenchSLOSchema = "dike/bench-slo/v1"
+// sloHeadline accepts the per-(load, policy) entries, not the per-class
+// ones.
+func sloHeadline(e BenchEntry) bool { return e.Labels["class"] == "" }
 
-// SLOClassEntry is one tenant class's outcome at one (load, policy)
-// point.
-type SLOClassEntry struct {
-	Name          string  `json:"name"`
-	SLOMs         float64 `json:"slo_ms,omitempty"`
-	Arrivals      int     `json:"arrivals"`
-	Rejected      int     `json:"rejected,omitempty"`
-	Completed     int     `json:"completed"`
-	P50Ms         float64 `json:"p50_ms"`
-	P95Ms         float64 `json:"p95_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	MeanMs        float64 `json:"mean_ms"`
-	Slowdown      float64 `json:"slowdown"`
-	ViolationRate float64 `json:"violation_rate"`
-}
-
-// BenchSLOEntry is one (offered load, policy) measurement of the
-// open-loop sweep. The headline P*Ms fields are the worst tenant's
-// percentiles across the latency-critical classes — the number an SLO
-// is judged on; per-class detail is in Classes. Sojourn times are
-// simulated, so they are bit-stable across hosts; NsPerQuantum,
-// AllocsPerQuantum and RunsPerSec are wall-clock/heap measurements.
-type BenchSLOEntry struct {
-	Load             float64         `json:"load"`
-	Policy           string          `json:"policy"`
-	Arrivals         int             `json:"arrivals"`
-	Admitted         int             `json:"admitted"`
-	Rejected         int             `json:"rejected"`
-	Completed        int             `json:"completed"`
-	P50Ms            float64         `json:"p50_ms"`
-	P95Ms            float64         `json:"p95_ms"`
-	P99Ms            float64         `json:"p99_ms"`
-	ViolationRate    float64         `json:"violation_rate"`
-	FairnessJain     float64         `json:"fairness_jain"`
-	FairnessMinMax   float64         `json:"fairness_minmax"`
-	DrainedAtMs      int64           `json:"drained_at_ms"`
-	Quanta           int             `json:"quanta"`
-	NsPerQuantum     float64         `json:"ns_per_quantum"`
-	AllocsPerQuantum float64         `json:"allocs_per_quantum"`
-	RunsPerSec       float64         `json:"runs_per_sec"`
-	Classes          []SLOClassEntry `json:"classes"`
-}
-
-// BenchSLO is the BENCH_slo.json document.
-type BenchSLO struct {
-	Schema    string          `json:"schema"`
-	Seed      uint64          `json:"seed"`
-	HorizonMs int64           `json:"horizon_ms"`
-	Quick     bool            `json:"quick"`
-	Entries   []BenchSLOEntry `json:"entries"`
-}
-
-// LoadBenchSLO reads a BENCH_slo.json document (e.g. the committed CI
-// baseline).
-func LoadBenchSLO(path string) (*BenchSLO, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b BenchSLO
-	if err := json.Unmarshal(blob, &b); err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", path, err)
-	}
-	if b.Schema != BenchSLOSchema {
-		return nil, fmt.Errorf("harness: %s: schema %q, want %q", path, b.Schema, BenchSLOSchema)
-	}
-	return &b, nil
-}
-
-// CompareBenchSLO reports every (load, policy) point present in both
-// documents whose worst-tenant p99 sojourn regressed by more than
-// tolerance (0.25 = 25%). Sojourns are simulated time, so this gate is
-// deterministic — unlike the wall-clock scale gate, a trip means the
-// scheduler actually serves the tail worse, not that CI was noisy.
-func CompareBenchSLO(cur, base *BenchSLO, tolerance float64) []string {
-	key := func(e BenchSLOEntry) string { return fmt.Sprintf("%.2f/%s", e.Load, e.Policy) }
-	baseline := make(map[string]BenchSLOEntry, len(base.Entries))
-	for _, e := range base.Entries {
-		baseline[key(e)] = e
-	}
-	var regressions []string
-	for _, e := range cur.Entries {
-		b, ok := baseline[key(e)]
-		if !ok || b.P99Ms <= 0 {
-			continue
-		}
-		if e.P99Ms > b.P99Ms*(1+tolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: p99 %.0f ms vs baseline %.0f (+%.0f%%)",
-				key(e), e.P99Ms, b.P99Ms, 100*(e.P99Ms/b.P99Ms-1)))
+// checkSLO: one headline entry per (load, policy) plus one per tenant
+// class; every point completed requests and was timed; admission
+// accounting balances.
+func checkSLO(d *BenchDoc) []string {
+	points := len(sloLoads(d.Quick)) * len(sloPolicies(d.Quick))
+	v := d.wantEntries(points * (1 + len(sloTraffic(1, 0).Classes)))
+	v = append(v, d.positive(sloHeadline, "completed", "p99_ms", "runs_per_sec")...)
+	for _, e := range d.Entries {
+		m := e.Metrics
+		if sloHeadline(e) && m["arrivals"] != m["admitted"]+m["rejected"] {
+			v = append(v, fmt.Sprintf("%s: arrivals %g != admitted %g + rejected %g",
+				e.Key, m["arrivals"], m["admitted"], m["rejected"]))
 		}
 	}
-	return regressions
+	return v
 }
 
 // sloCapacity is the Table I machine's aggregate single-lane compute
@@ -164,15 +93,17 @@ func sloPolicies(quick bool) []string {
 
 // runSLO sweeps offered load × policy over the colocation scenario and
 // reports worst-tenant tail latency, SLO violations, admission behaviour
-// and per-tenant fairness. When Options.SLOOut is set the raw
-// measurements are written there as a BENCH_slo.json document.
+// and per-tenant fairness. Each (load, policy) point is a headline bench
+// entry keyed "load/policy", followed by one entry per tenant class
+// keyed "load/policy/class".
 func runSLO(optsIn Options) (*Report, error) {
 	opts := optsIn.withDefaults()
 	horizon := int64(12_000)
 	if opts.Quick {
 		horizon = 4_000
 	}
-	bench := &BenchSLO{Schema: BenchSLOSchema, Seed: opts.Seed, HorizonMs: horizon, Quick: opts.Quick}
+	doc := newBenchDoc("slo", opts)
+	doc.HorizonMs = horizon
 	t := &Table{
 		Title:  "Open-loop colocation: worst-tenant tail latency and per-tenant fairness",
 		Header: []string{"load", "policy", "arrivals", "rejected", "p50", "p95", "p99", "viol%", "jain", "minmax", "ns/quantum", "allocs/quantum"},
@@ -188,76 +119,64 @@ func runSLO(optsIn Options) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("slo %.2f/%s: %w", load, pol, err)
 			}
-			e := sloEntry(load, pol, out)
-			e.AllocsPerQuantum = apq
-			e.RunsPerSec = rps
-			bench.Entries = append(bench.Entries, e)
-			t.AddRow(fmt.Sprintf("%.2f", load), pol, e.Arrivals, e.Rejected,
-				fmt.Sprintf("%.0f", e.P50Ms), fmt.Sprintf("%.0f", e.P95Ms), fmt.Sprintf("%.0f", e.P99Ms),
-				fmt.Sprintf("%.1f", 100*e.ViolationRate),
-				fmt.Sprintf("%.4f", e.FairnessJain), fmt.Sprintf("%.4f", e.FairnessMinMax),
-				fmt.Sprintf("%.0f", e.NsPerQuantum), fmt.Sprintf("%.0f", e.AllocsPerQuantum))
-		}
-	}
-	if opts.SLOOut != "" {
-		blob, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opts.SLOOut, append(blob, '\n'), 0o644); err != nil {
-			return nil, err
+			tr := out.Traffic
+			p50, p95, p99, viol := worstTenant(tr.Classes)
+			nsq := 0.0
+			if out.Decisions > 0 {
+				nsq = float64(out.DecisionTime.Nanoseconds()) / float64(out.Decisions)
+			}
+			key := fmt.Sprintf("%.2f/%s", load, pol)
+			doc.add(key, map[string]string{"policy": pol}, map[string]float64{
+				"load": load, "arrivals": float64(tr.Arrivals), "admitted": float64(tr.Admitted),
+				"rejected": float64(tr.Rejected), "completed": float64(tr.Completed),
+				"p50_ms": p50, "p95_ms": p95, "p99_ms": p99, "violation_rate": viol,
+				"fairness_jain": tr.FairnessJain, "fairness_minmax": tr.FairnessMinMax,
+				"drained_at_ms": float64(tr.DrainedAtMs), "quanta": float64(out.Decisions),
+				"ns_per_quantum": nsq, "allocs_per_quantum": apq, "runs_per_sec": rps,
+			})
+			for _, c := range tr.Classes {
+				m := map[string]float64{
+					"load": load, "arrivals": float64(c.Arrivals), "rejected": float64(c.Rejected),
+					"completed": float64(c.Completed), "p50_ms": c.P50Ms, "p95_ms": c.P95Ms, "p99_ms": c.P99Ms,
+					"mean_ms": c.MeanMs, "slowdown": c.Slowdown, "violation_rate": c.ViolationRate,
+				}
+				if c.SLOMs > 0 {
+					m["slo_ms"] = c.SLOMs
+				}
+				doc.add(key+"/"+c.Name, map[string]string{"policy": pol, "class": c.Name}, m)
+			}
+			t.AddRow(fmt.Sprintf("%.2f", load), pol, tr.Arrivals, tr.Rejected,
+				fmt.Sprintf("%.0f", p50), fmt.Sprintf("%.0f", p95), fmt.Sprintf("%.0f", p99),
+				fmt.Sprintf("%.1f", 100*viol),
+				fmt.Sprintf("%.4f", tr.FairnessJain), fmt.Sprintf("%.4f", tr.FairnessMinMax),
+				fmt.Sprintf("%.0f", nsq), fmt.Sprintf("%.0f", apq))
 		}
 	}
 	notes := []string{
 		fmt.Sprintf("seed %d, arrival horizon %dms; p50/p95/p99 are the worst latency-critical tenant's sojourn percentiles (ms, simulated)", opts.Seed, horizon),
 		"runs are serial so allocs/quantum and runs/sec attribute cleanly",
 	}
-	if opts.SLOOut != "" {
-		notes = append(notes, "raw measurements written to "+opts.SLOOut)
-	}
 	if opts.Quick {
 		notes = append(notes, "quick mode: loads {0.30, 0.80} on cfs and dike-af only")
 	}
-	return &Report{ID: "slo", Title: "Open-loop SLO sweep (offered load 0.3→0.95)", Tables: []*Table{t}, Notes: notes}, nil
+	return withBench(&Report{ID: "slo", Title: "Open-loop SLO sweep (offered load 0.3→0.95)", Tables: []*Table{t}, Notes: notes}, doc, opts.BenchDir)
 }
 
-// sloEntry folds one run's traffic result into a bench entry: headline
-// percentiles are the worst latency-critical tenant's, the violation
-// rate pools all SLO-carrying completions.
-func sloEntry(load float64, policy string, out *RunOutput) BenchSLOEntry {
-	tr := out.Traffic
-	e := BenchSLOEntry{
-		Load: load, Policy: policy,
-		Arrivals: tr.Arrivals, Admitted: tr.Admitted, Rejected: tr.Rejected, Completed: tr.Completed,
-		FairnessJain: tr.FairnessJain, FairnessMinMax: tr.FairnessMinMax,
-		DrainedAtMs: tr.DrainedAtMs, Quanta: out.Decisions,
-	}
-	if out.Decisions > 0 {
-		e.NsPerQuantum = float64(out.DecisionTime.Nanoseconds()) / float64(out.Decisions)
-	}
+// worstTenant folds per-class outcomes into the figures an SLO is judged
+// on: the worst latency-critical class's sojourn percentiles, and the
+// violation rate pooled over every SLO-carrying completion.
+func worstTenant(classes []traffic.ClassResult) (p50, p95, p99, violationRate float64) {
 	violations, sloCompleted := 0, 0
-	for _, c := range tr.Classes {
-		e.Classes = append(e.Classes, SLOClassEntry{
-			Name: c.Name, SLOMs: c.SLOMs, Arrivals: c.Arrivals, Rejected: c.Rejected,
-			Completed: c.Completed, P50Ms: c.P50Ms, P95Ms: c.P95Ms, P99Ms: c.P99Ms,
-			MeanMs: c.MeanMs, Slowdown: c.Slowdown, ViolationRate: c.ViolationRate,
-		})
-		if c.SLOMs > 0 {
-			violations += c.Violations
-			sloCompleted += c.Completed
-			if c.P50Ms > e.P50Ms {
-				e.P50Ms = c.P50Ms
-			}
-			if c.P95Ms > e.P95Ms {
-				e.P95Ms = c.P95Ms
-			}
-			if c.P99Ms > e.P99Ms {
-				e.P99Ms = c.P99Ms
-			}
+	for _, c := range classes {
+		if c.SLOMs <= 0 {
+			continue
 		}
+		violations += c.Violations
+		sloCompleted += c.Completed
+		p50, p95, p99 = max(p50, c.P50Ms), max(p95, c.P95Ms), max(p99, c.P99Ms)
 	}
 	if sloCompleted > 0 {
-		e.ViolationRate = float64(violations) / float64(sloCompleted)
+		violationRate = float64(violations) / float64(sloCompleted)
 	}
-	return e
+	return p50, p95, p99, violationRate
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"time"
 
 	"dike/internal/serve/api"
@@ -20,11 +19,59 @@ func init() {
 		ID:    "tournament",
 		Title: "Meta-scheduling tournament: policy × load leaderboard with per-cell regret vs oracle-best",
 		Run:   runTournament,
+		Gates: []MetricGate{{Metric: "p99_ms", Tolerance: 0.25}},
+		Check: checkTournament,
 	})
 }
 
-// BenchTournamentSchema tags BENCH_tournament.json documents.
-const BenchTournamentSchema = "dike/bench-tournament/v1"
+// tournamentRegretMax is the meta policy's acceptance bar: its p99 may
+// trail the per-load oracle-best fixed policy by at most 10%.
+const tournamentRegretMax = 0.10
+
+func tournamentKey(load float64, policy string) string {
+	return fmt.Sprintf("%.2f/%s", load, policy)
+}
+
+// checkTournament: one cell per (load, policy), and at every load
+// exactly one winner and a meta cell that is not oracle-eligible, beats
+// the worst fixed policy's p99 and stays within tournamentRegretMax of
+// the oracle-best.
+func checkTournament(d *BenchDoc) []string {
+	loads, policies := tournamentLoads(d.Quick), tournamentPolicies(d.Quick)
+	v := d.wantEntries(len(loads) * len(policies))
+	for _, load := range loads {
+		winners, worstFixed := 0.0, 0.0
+		for _, pol := range policies {
+			if e := d.entry(tournamentKey(load, pol)); e != nil {
+				winners += e.Metrics["winner"]
+				if pol != PolicyMeta {
+					worstFixed = max(worstFixed, e.Metrics["p99_ms"])
+				}
+			}
+		}
+		if winners != 1 {
+			v = append(v, fmt.Sprintf("load %.2f: %g winners, want 1", load, winners))
+		}
+		meta := d.entry(tournamentKey(load, PolicyMeta))
+		if meta == nil {
+			v = append(v, fmt.Sprintf("load %.2f: no meta cell", load))
+			continue
+		}
+		m := meta.Metrics
+		if m["oracle"] != 0 {
+			v = append(v, fmt.Sprintf("load %.2f: meta is oracle-eligible", load))
+		}
+		if worstFixed > 0 && m["p99_ms"] >= worstFixed {
+			v = append(v, fmt.Sprintf("load %.2f: meta p99 %.0f ms does not beat worst fixed policy (%.0f)",
+				load, m["p99_ms"], worstFixed))
+		}
+		if m["regret"] > tournamentRegretMax {
+			v = append(v, fmt.Sprintf("load %.2f: meta regret %.1f%% exceeds %.0f%% of oracle-best",
+				load, 100*m["regret"], 100*tournamentRegretMax))
+		}
+	}
+	return v
+}
 
 // TournamentMeasure is one grid cell's deterministic measurement: the
 // worst latency-critical tenant's sojourn percentiles under one policy
@@ -53,114 +100,6 @@ type TournamentMeasure struct {
 	RunsPerSec       float64 `json:"runs_per_sec,omitempty"`
 }
 
-// BenchTournamentCell is a measured cell with its leaderboard
-// placement. Digest is the underlying run's content address — the same
-// value a dikeserved digest lookup resolves, so any cell can be audited
-// against a served or replayed run.
-type BenchTournamentCell struct {
-	TournamentMeasure
-	Digest string  `json:"digest"`
-	Oracle bool    `json:"oracle"`
-	Rank   int     `json:"rank"`
-	Regret float64 `json:"regret"`
-	Winner bool    `json:"winner,omitempty"`
-}
-
-// BenchTournament is the BENCH_tournament.json document. Every field
-// except the plain-local throughput columns (allocs_per_quantum,
-// runs_per_sec) is derived from simulated time and the grid definition,
-// so two store-cached or served runs of the same grid write
-// byte-identical documents; plain local runs add the wall-clock/heap
-// columns on top of the identical deterministic core.
-type BenchTournament struct {
-	Schema    string                `json:"schema"`
-	Seed      uint64                `json:"seed"`
-	HorizonMs int64                 `json:"horizon_ms"`
-	Quick     bool                  `json:"quick"`
-	Policies  []string              `json:"policies"`
-	Loads     []float64             `json:"loads"`
-	Cells     []BenchTournamentCell `json:"cells"`
-}
-
-// LoadBenchTournament reads a BENCH_tournament.json document.
-func LoadBenchTournament(path string) (*BenchTournament, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b BenchTournament
-	if err := json.Unmarshal(blob, &b); err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", path, err)
-	}
-	if b.Schema != BenchTournamentSchema {
-		return nil, fmt.Errorf("harness: %s: schema %q, want %q", path, b.Schema, BenchTournamentSchema)
-	}
-	return &b, nil
-}
-
-// CompareBenchTournament reports every (load, policy) cell present in
-// both documents whose p99 regressed by more than tolerance. Like the
-// SLO gate, sojourns are simulated time: a trip means the scheduler
-// actually serves the tail worse.
-func CompareBenchTournament(cur, base *BenchTournament, tolerance float64) []string {
-	key := func(c BenchTournamentCell) string { return fmt.Sprintf("%.2f/%s", c.Load, c.Policy) }
-	baseline := make(map[string]BenchTournamentCell, len(base.Cells))
-	for _, c := range base.Cells {
-		baseline[key(c)] = c
-	}
-	var regressions []string
-	for _, c := range cur.Cells {
-		b, ok := baseline[key(c)]
-		if !ok || b.P99Ms <= 0 {
-			continue
-		}
-		if c.P99Ms > b.P99Ms*(1+tolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: p99 %.0f ms vs baseline %.0f (+%.0f%%)",
-				key(c), c.P99Ms, b.P99Ms, 100*(c.P99Ms/b.P99Ms-1)))
-		}
-	}
-	return regressions
-}
-
-// GateBenchTournament checks the document's absolute meta-scheduling
-// acceptance properties at every load: the meta policy must beat the
-// worst fixed policy's p99 and stay within regretMax of the per-load
-// oracle-best. Violations are returned as human-readable strings.
-func GateBenchTournament(b *BenchTournament, regretMax float64) []string {
-	var violations []string
-	for _, load := range b.Loads {
-		var meta *BenchTournamentCell
-		worstFixed := 0.0
-		for i := range b.Cells {
-			c := &b.Cells[i]
-			if c.Load != load {
-				continue
-			}
-			if c.Policy == PolicyMeta {
-				meta = c
-			} else if c.P99Ms > worstFixed {
-				worstFixed = c.P99Ms
-			}
-		}
-		if meta == nil {
-			violations = append(violations, fmt.Sprintf("load %.2f: no meta cell", load))
-			continue
-		}
-		if worstFixed > 0 && meta.P99Ms >= worstFixed {
-			violations = append(violations, fmt.Sprintf(
-				"load %.2f: meta p99 %.0f ms does not beat worst fixed policy (%.0f)",
-				load, meta.P99Ms, worstFixed))
-		}
-		if meta.Regret > regretMax {
-			violations = append(violations, fmt.Sprintf(
-				"load %.2f: meta regret %.1f%% exceeds %.0f%% of oracle-best",
-				load, 100*meta.Regret, 100*regretMax))
-		}
-	}
-	return violations
-}
-
 // tournamentLoads returns the offered-load grid.
 func tournamentLoads(quick bool) []float64 {
 	if quick {
@@ -181,13 +120,13 @@ func tournamentPolicies(quick bool) []string {
 
 // tournamentMeasure folds one local run into a cell measurement.
 func tournamentMeasure(load float64, policy string, out *RunOutput) TournamentMeasure {
-	e := sloEntry(load, policy, out)
+	tr := out.Traffic
 	m := TournamentMeasure{
 		Load: load, Policy: policy,
-		Arrivals: e.Arrivals, Rejected: e.Rejected, Completed: e.Completed,
-		P50Ms: e.P50Ms, P95Ms: e.P95Ms, P99Ms: e.P99Ms,
-		ViolationRate: e.ViolationRate, FairnessJain: e.FairnessJain,
+		Arrivals: tr.Arrivals, Rejected: tr.Rejected, Completed: tr.Completed,
+		FairnessJain: tr.FairnessJain,
 	}
+	m.P50Ms, m.P95Ms, m.P99Ms, m.ViolationRate = worstTenant(tr.Classes)
 	if ms := out.MetaStats; ms != nil {
 		m.MetaSwitches = ms.Switches
 		m.MetaFinalPolicy = ms.FinalPolicy
@@ -408,17 +347,19 @@ func runTournament(optsIn Options) (*Report, error) {
 
 	loads := tournamentLoads(opts.Quick)
 	policies := tournamentPolicies(opts.Quick)
-	bench := &BenchTournament{
-		Schema: BenchTournamentSchema, Seed: opts.Seed, HorizonMs: horizon, Quick: opts.Quick,
-		Policies: policies, Loads: loads,
-	}
+	doc := newBenchDoc("tournament", opts)
+	doc.HorizonMs = horizon
 	t := &Table{
 		Title:  "Tournament leaderboard: worst-tenant p99 per (load, policy), regret vs oracle-best",
 		Header: []string{"load", "rank", "policy", "p99", "regret%", "viol%", "jain", "switches", "final"},
 	}
 	ctx := context.Background()
+	type cell struct {
+		m      TournamentMeasure
+		digest string
+	}
 	for _, load := range loads {
-		cells := make(map[string]BenchTournamentCell, len(policies))
+		cells := make(map[string]cell, len(policies))
 		entries := make([]tournament.CellEntry, 0, len(policies))
 		for _, pol := range policies {
 			spec := RunSpec{Traffic: sloTraffic(load, horizon), Policy: pol, Seed: opts.Seed}
@@ -426,33 +367,46 @@ func runTournament(optsIn Options) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("tournament %.2f/%s: %w", load, pol, err)
 			}
-			oracle := pol != PolicyMeta
-			cells[pol] = BenchTournamentCell{TournamentMeasure: m, Digest: digest, Oracle: oracle}
-			entries = append(entries, tournament.CellEntry{Policy: pol, Objective: m.P99Ms, Oracle: oracle})
+			cells[pol] = cell{m, digest}
+			entries = append(entries, tournament.CellEntry{Policy: pol, Objective: m.P99Ms, Oracle: pol != PolicyMeta})
 		}
 		ranked, err := tournament.RankCell(entries)
 		if err != nil {
 			return nil, fmt.Errorf("tournament %.2f: %w", load, err)
 		}
+		// Cells enter the document in rank order. The digest label is
+		// the run's content address, the value a dikeserved digest
+		// lookup resolves, so any cell can be audited against a served
+		// or replayed run. Every metric is simulated or derived from the
+		// grid, except the plain-local throughput columns, which are
+		// omitted when unmeasured so store-cached and served grids write
+		// byte-identical documents.
 		for _, re := range ranked {
-			cell := cells[re.Policy]
-			cell.Rank = re.Rank
-			cell.Regret = re.Regret
-			cell.Winner = re.Winner
-			bench.Cells = append(bench.Cells, cell)
-			t.AddRow(fmt.Sprintf("%.2f", load), cell.Rank, cell.Policy,
-				fmt.Sprintf("%.0f", cell.P99Ms), fmt.Sprintf("%+.1f", 100*cell.Regret),
-				fmt.Sprintf("%.1f", 100*cell.ViolationRate), fmt.Sprintf("%.4f", cell.FairnessJain),
-				cell.MetaSwitches, cell.MetaFinalPolicy)
-		}
-	}
-	if opts.TournamentOut != "" {
-		blob, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(opts.TournamentOut, append(blob, '\n'), 0o644); err != nil {
-			return nil, err
+			c := cells[re.Policy]
+			m := c.m
+			labels := map[string]string{"policy": m.Policy, "digest": c.digest}
+			if m.MetaFinalPolicy != "" {
+				labels["meta_final_policy"] = m.MetaFinalPolicy
+			}
+			metrics := map[string]float64{
+				"load": load, "arrivals": float64(m.Arrivals), "rejected": float64(m.Rejected),
+				"completed": float64(m.Completed), "p50_ms": m.P50Ms, "p95_ms": m.P95Ms, "p99_ms": m.P99Ms,
+				"violation_rate": m.ViolationRate, "fairness_jain": m.FairnessJain,
+				"oracle": boolMetric(re.Oracle), "rank": float64(re.Rank), "regret": re.Regret,
+				"winner": boolMetric(re.Winner),
+			}
+			for k, x := range map[string]float64{
+				"meta_switches": float64(m.MetaSwitches), "allocs_per_quantum": m.AllocsPerQuantum, "runs_per_sec": m.RunsPerSec,
+			} {
+				if x != 0 {
+					metrics[k] = x
+				}
+			}
+			doc.add(tournamentKey(load, m.Policy), labels, metrics)
+			t.AddRow(fmt.Sprintf("%.2f", load), re.Rank, m.Policy,
+				fmt.Sprintf("%.0f", m.P99Ms), fmt.Sprintf("%+.1f", 100*re.Regret),
+				fmt.Sprintf("%.1f", 100*m.ViolationRate), fmt.Sprintf("%.4f", m.FairnessJain),
+				m.MetaSwitches, m.MetaFinalPolicy)
 		}
 	}
 	notes := []string{
@@ -467,11 +421,8 @@ func runTournament(optsIn Options) (*Report, error) {
 		notes = append(notes, fmt.Sprintf("cell cache %s: %d hit(s), %d miss(es), %d result(s) stored",
 			opts.TournamentStore, runner.hits, runner.misses, s.Results))
 	}
-	if opts.TournamentOut != "" {
-		notes = append(notes, "leaderboard written to "+opts.TournamentOut)
-	}
 	if opts.Quick {
 		notes = append(notes, "quick mode: loads {0.30, 0.95}, horizon 4s, dio/dike-af/meta only")
 	}
-	return &Report{ID: "tournament", Title: "Competitive meta-scheduling tournament", Tables: []*Table{t}, Notes: notes}, nil
+	return withBench(&Report{ID: "tournament", Title: "Competitive meta-scheduling tournament", Tables: []*Table{t}, Notes: notes}, doc, opts.BenchDir)
 }

@@ -172,41 +172,24 @@ func TestMetaRegistryEnumeration(t *testing.T) {
 func TestMetaAcceptanceGrid(t *testing.T) {
 	// The headline acceptance criterion: at every offered load the meta
 	// policy beats the worst fixed policy on the worst latency-critical
-	// tenant's p99 and stays within 10% regret of the per-load best.
-	// ~11s of simulation, so skipped under -short.
+	// tenant's p99 and stays within 10% regret of the per-load best —
+	// the tournament experiment's full grid (seed 42, 12 s horizon)
+	// judged by that experiment's own Check. Skipped under -short.
 	if testing.Short() {
 		t.Skip("full acceptance grid is slow; run without -short")
 	}
-	const horizon = 12000
-	policies := []string{PolicyCFS, PolicyDIO, PolicyDike, PolicyDikeAF}
-	for _, load := range []float64{0.30, 0.50, 0.70, 0.85, 0.95} {
-		best, worst := 0.0, 0.0
-		for _, pol := range policies {
-			out, err := Run(context.Background(), RunSpec{
-				Traffic: sloTraffic(load, horizon), Policy: pol, Seed: 42})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p99 := sloEntry(load, pol, out).P99Ms
-			if best == 0 || p99 < best {
-				best = p99
-			}
-			if p99 > worst {
-				worst = p99
-			}
-		}
-		out, err := Run(context.Background(), RunSpec{
-			Traffic: sloTraffic(load, horizon), Policy: PolicyMeta, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		meta := sloEntry(load, PolicyMeta, out).P99Ms
-		if meta >= worst {
-			t.Errorf("load %.2f: meta p99 %.0f does not beat worst fixed %.0f", load, meta, worst)
-		}
-		if limit := best * 1.10; meta > limit {
-			t.Errorf("load %.2f: meta p99 %.0f exceeds 10%% regret bar %.0f (oracle %.0f)",
-				load, meta, limit, best)
-		}
+	e, err := Lookup("tournament")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := e.Run(Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bench.Quick || rep.Bench.HorizonMs != 12000 {
+		t.Fatalf("grid ran quick=%v horizon %dms, want the full 12 s grid", rep.Bench.Quick, rep.Bench.HorizonMs)
+	}
+	for _, v := range e.Check(rep.Bench) {
+		t.Error(v)
 	}
 }

@@ -195,47 +195,35 @@ func trafficDigestSpecs() []namedSpec {
 
 func TestSLOExperimentQuick(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_slo.json")
-	rep, err := runSLO(Options{Quick: true, SLOOut: out})
+	rep, err := runSLO(Options{Quick: true, BenchDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.ID != "slo" || len(rep.Tables) != 1 {
 		t.Fatalf("unexpected report shape: %+v", rep)
 	}
-	b, err := LoadBenchSLO(out)
+	b, err := LoadBench(filepath.Join(dir, "BENCH_slo.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEntries := len(sloLoads(true)) * len(sloPolicies(true))
-	if len(b.Entries) != wantEntries {
-		t.Fatalf("%d entries, want %d", len(b.Entries), wantEntries)
+	e, err := Lookup("slo")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range b.Entries {
-		if e.Completed == 0 {
-			t.Errorf("%.2f/%s: no completed arrivals", e.Load, e.Policy)
-		}
-		if e.P99Ms < e.P95Ms || e.P95Ms < e.P50Ms || e.P50Ms <= 0 {
-			t.Errorf("%.2f/%s: percentiles not monotone: %g/%g/%g", e.Load, e.Policy, e.P50Ms, e.P95Ms, e.P99Ms)
-		}
-		if e.Quanta == 0 || e.NsPerQuantum <= 0 {
-			t.Errorf("%.2f/%s: decision-cost columns empty", e.Load, e.Policy)
-		}
-		if e.RunsPerSec <= 0 {
-			t.Errorf("%.2f/%s: runs/sec not measured", e.Load, e.Policy)
-		}
-		if len(e.Classes) != 3 {
-			t.Errorf("%.2f/%s: %d class entries, want 3", e.Load, e.Policy, len(e.Classes))
-		}
+	// Entry count, completions, runs/sec and admission accounting.
+	if v := e.Check(b); len(v) != 0 {
+		t.Errorf("quick grid fails its own check: %v", v)
 	}
-	// Self-comparison is clean; an inflated current p99 trips the gate.
-	if regs := CompareBenchSLO(b, b, 0.25); len(regs) != 0 {
-		t.Errorf("self-comparison flagged regressions: %v", regs)
-	}
-	worse := *b
-	worse.Entries = append([]BenchSLOEntry(nil), b.Entries...)
-	worse.Entries[0].P99Ms *= 2
-	if regs := CompareBenchSLO(&worse, b, 0.25); len(regs) != 1 {
-		t.Errorf("doubled p99 flagged %d regressions, want 1: %v", len(regs), regs)
+	for _, ent := range b.Entries {
+		if !sloHeadline(ent) {
+			continue
+		}
+		m := ent.Metrics
+		if m["p99_ms"] < m["p95_ms"] || m["p95_ms"] < m["p50_ms"] || m["p50_ms"] <= 0 {
+			t.Errorf("%s: percentiles not monotone: %g/%g/%g", ent.Key, m["p50_ms"], m["p95_ms"], m["p99_ms"])
+		}
+		if m["quanta"] == 0 || m["ns_per_quantum"] <= 0 {
+			t.Errorf("%s: decision-cost columns empty", ent.Key)
+		}
 	}
 }
