@@ -83,3 +83,23 @@ func TestScaleGridShape(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareBenchScaleSkipsMissing: points only one side measured (a
+// quick run vs a full baseline, or vice versa) are not regressions; a
+// shared point more than 25% slower is.
+func TestCompareBenchScaleSkipsMissing(t *testing.T) {
+	e := gatesOnly(t, "scale")
+	cur := metricDoc("scale", "ns_per_quantum", []string{"t1-40/dike", "8s4t-1024/dike"}, 500, 9e9)
+	base := metricDoc("scale", "ns_per_quantum", []string{"t1-40/dike", "t1-40/cfs"}, 450, 100)
+	if regs, err := e.Gate(cur, base); err != nil || len(regs) != 0 {
+		t.Errorf("missing-point comparison reported %v %v", regs, err)
+	}
+	base.Entries[0].Metrics["ns_per_quantum"] = 100
+	regs, err := e.Gate(cur, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 1 || !strings.HasPrefix(regs[0], "t1-40/dike: ns_per_quantum") {
+		t.Errorf("want one t1-40/dike regression, got %v", regs)
+	}
+}
