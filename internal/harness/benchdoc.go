@@ -44,14 +44,13 @@ type BenchEntry struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// MetricGate bounds one metric's drift against a baseline: a current
-// value worse than the baseline's by more than Tolerance (0.25 = 25%) is
-// a violation. Entries only one side measured, and baseline values that
+// MetricGate bounds one lower-is-better metric's drift against a
+// baseline: a current value above the baseline's by more than Tolerance
+// (0.25 = 25%) is a violation. Entries only one side measured, and baseline values that
 // are not positive, are skipped.
 type MetricGate struct {
-	Metric         string
-	HigherIsBetter bool
-	Tolerance      float64
+	Metric    string
+	Tolerance float64
 	// Where, when set, limits the gate to the entries it accepts.
 	Where func(BenchEntry) bool
 }
@@ -207,11 +206,7 @@ func (e Experiment) Gate(cur, base *BenchDoc) ([]string, error) {
 			if was <= 0 {
 				continue
 			}
-			worse := now > was*(1+g.Tolerance)
-			if g.HigherIsBetter {
-				worse = now < was*(1-g.Tolerance)
-			}
-			if worse {
+			if now > was*(1+g.Tolerance) {
 				violations = append(violations, fmt.Sprintf("%s: %s %.6g vs baseline %.6g (%+.1f%%, tolerance %.0f%%)",
 					c.Key, g.Metric, now, was, 100*(now/was-1), 100*g.Tolerance))
 			}

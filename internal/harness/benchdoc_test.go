@@ -91,11 +91,7 @@ func TestBenchGates(t *testing.T) {
 			}
 			step := func(over float64) func(*BenchDoc) {
 				return func(d *BenchDoc) {
-					f := 1 + g.Tolerance + over
-					if g.HigherIsBetter {
-						f = 1 - g.Tolerance - over
-					}
-					entryMetrics(t, d, key)[g.Metric] *= f
+					entryMetrics(t, d, key)[g.Metric] *= 1 + g.Tolerance + over
 				}
 			}
 			cases = append(cases,
