@@ -222,31 +222,41 @@ func TestDigestsPinned(t *testing.T) {
 
 // TestGenerateDigestGolden rewrites one corpus's golden file from the
 // current Digest implementation: GEN_DIGEST_GOLDEN names the corpus.
+// GEN_DIGEST_GOLDEN=outcome rewrites the outcome corpus from what the
+// current code computes.
 func TestGenerateDigestGolden(t *testing.T) {
 	which := os.Getenv("GEN_DIGEST_GOLDEN")
 	if which == "" {
-		t.Skip("set GEN_DIGEST_GOLDEN=seed|traffic|spec to regenerate that corpus")
+		t.Skip("set GEN_DIGEST_GOLDEN=seed|traffic|spec|outcome to regenerate that corpus")
 	}
-	for _, c := range digestCorpora {
-		if c.name != which {
-			continue
-		}
-		out := make(map[string]string)
-		for _, e := range c.specs() {
-			d, err := e.spec.Digest()
-			if err != nil {
-				t.Fatalf("%s: %v", e.name, err)
-			}
-			out[e.name] = d
-		}
-		blob, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(c.file, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if which == "outcome" {
+		writeGolden(t, outcomeFile, outcomeSpecs(), runOutcome)
 		return
 	}
+	for _, c := range digestCorpora {
+		if c.name == which {
+			writeGolden(t, c.file, c.specs(), RunSpec.Digest)
+			return
+		}
+	}
 	t.Fatalf("GEN_DIGEST_GOLDEN=%q names no corpus", which)
+}
+
+// writeGolden writes hash of every spec to file as a name-keyed map.
+func writeGolden(t *testing.T, file string, specs []namedSpec, hash func(RunSpec) (string, error)) {
+	out := make(map[string]string)
+	for _, e := range specs {
+		d, err := hash(e.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		out[e.name] = d
+	}
+	blob, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, append(blob, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
