@@ -80,41 +80,19 @@ func (s RunSpec) Digest() (string, error) {
 		machineCfg = *s.MachineConfig
 	}
 	key.Machine = newMachineKey(machineCfg)
-	// Resolve the Dike configuration exactly as buildPolicy does: only
-	// the dike policies consult it, the goal is forced to match the
-	// policy name, and the placement seed comes from Seed.
-	switch s.Policy {
-	case PolicyDike, PolicyDikeAF, PolicyDikeAP, PolicyDikeEA:
-		cfg := core.DefaultConfig()
-		if s.DikeConfig != nil {
-			cfg = *s.DikeConfig
-		}
-		switch s.Policy {
-		case PolicyDike:
-			cfg.Goal = core.AdaptNone
-		case PolicyDikeAF:
-			cfg.Goal = core.AdaptFairness
-		case PolicyDikeAP:
-			cfg.Goal = core.AdaptPerformance
-		case PolicyDikeEA:
-			cfg.Goal = core.AdaptEnergy
-		}
-		cfg.PlacementSeed = s.Seed
-		key.Dike = &cfg
-	case PolicyMeta:
-		// Resolve exactly as buildMeta does (Validate already vetted it).
-		mcfg, err := resolveMetaConfig(s)
-		if err != nil {
-			return "", err
-		}
-		key.Meta = &mcfg
+	// Resolve the policy and governor configurations exactly as Run
+	// does.
+	cfg, err := s.policyConfig()
+	if err != nil {
+		return "", err
 	}
-	// Resolve the governor configuration exactly as Run does: a nil
-	// config and an empty governor name both mean ungoverned.
-	if s.Power != nil && s.Power.Governor != "" {
-		pcfg := s.Power.WithDefaults()
-		key.Power = &pcfg
+	switch c := cfg.(type) {
+	case core.Config:
+		key.Dike = &c
+	case tournament.Config:
+		key.Meta = &c
 	}
+	key.Power = s.governor()
 	blob, err := json.Marshal(key)
 	if err != nil {
 		return "", fmt.Errorf("harness: digest spec: %w", err)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 	"dike/internal/core"
 	"dike/internal/power"
 	"dike/internal/replay"
-	"dike/internal/sched"
 	"dike/internal/sim"
 	"dike/internal/tournament"
 )
@@ -27,22 +25,10 @@ type ReplayOutput struct {
 	Quanta int
 	// CompletedAt is the simulated time of the last replayed event.
 	CompletedAt sim.Time
-	// History, ErrSeries and the Pred* fields mirror RunOutput for Dike
-	// policies; zero otherwise.
-	History                   []core.QuantumRecord
-	ErrSeries                 []core.ErrPoint
-	PredMin, PredAvg, PredMax float64
-	WatchdogTrips             int
-	FailedSwaps               int
-	Sanitized                 core.SanitizeStats
-	// MetaStats mirrors RunOutput.MetaStats for replayed meta runs: the
-	// reconstructed tournament record, which must digest identically to
-	// the live run's.
-	MetaStats *tournament.Stats
-	// Power mirrors RunOutput.Power for replayed governed runs: the
-	// governor's reconstructed invocation log, which must digest
-	// identically to the live run's.
-	Power *power.Stats
+	// PolicyStats mirrors RunOutput's: the reconstructed Dike, meta and
+	// governor bookkeeping, which must digest identically to the live
+	// run's.
+	PolicyStats
 }
 
 // Replay re-runs a recorded log: it rebuilds the policy named in the
@@ -56,107 +42,21 @@ func Replay(r io.Reader) (*ReplayOutput, error) {
 		return nil, err
 	}
 	meta := p.Meta()
-
-	var policy sched.Policy
-	var dk *core.Dike
-	switch meta.Policy {
-	case PolicyCFS:
-		policy = sched.NewCFS(p, meta.Seed)
-	case PolicyNull:
-		policy = sched.NewNull(p, meta.Seed)
-	case PolicyDIO:
-		policy = sched.NewDIO(p, meta.Seed)
-	case PolicyRotate:
-		policy = sched.NewRotate(p, meta.Seed)
-	case PolicyOracle:
-		if meta.Static == nil {
-			return nil, fmt.Errorf("harness: log for policy %q carries no static assignment", meta.Policy)
-		}
-		policy, err = sched.NewStatic(p, meta.Static)
-		if err != nil {
-			return nil, err
-		}
-	case PolicyDike, PolicyDikeAF, PolicyDikeAP, PolicyDikeEA:
-		cfg := core.DefaultConfig()
-		if len(meta.PolicyConfig) > 0 {
-			cfg = core.Config{}
-			if err := json.Unmarshal(meta.PolicyConfig, &cfg); err != nil {
-				return nil, fmt.Errorf("harness: log policy config: %w", err)
-			}
-		}
-		dk, err = core.New(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		policy = dk
-	case PolicyMeta:
-		var cfg tournament.Config
-		if len(meta.PolicyConfig) > 0 {
-			if err := json.Unmarshal(meta.PolicyConfig, &cfg); err != nil {
-				return nil, fmt.Errorf("harness: log meta config: %w", err)
-			}
-		}
-		if len(cfg.Candidates) == 0 {
-			cfg.Candidates = append([]string(nil), DefaultMetaCandidates...)
-		}
-		cands := make([]tournament.Candidate, len(cfg.Candidates))
-		for i, name := range cfg.Candidates {
-			cands[i] = tournament.Candidate{Name: name, New: candidateFactory(name)}
-		}
-		mp, err := tournament.NewMeta(p, cfg, meta.Seed, cands)
-		if err != nil {
-			return nil, err
-		}
-		policy = mp
-	default:
-		return nil, fmt.Errorf("%w %q (in replay log)", ErrUnknownPolicy, meta.Policy)
+	policy, err := build(p, meta)
+	if err != nil {
+		return nil, err
 	}
-
-	mp, _ := policy.(*tournament.Meta)
-	// A governed recording carries the resolved governor setup in its
-	// header; rebuild the identical governor over the Player, whose
-	// power-control calls replay (and verify) the recorded meter reads
-	// and actuations.
-	var gp *sched.Governed
-	if len(meta.Power) > 0 {
-		var setup power.Setup
-		if err := json.Unmarshal(meta.Power, &setup); err != nil {
-			return nil, fmt.Errorf("harness: log governor setup: %w", err)
-		}
-		gov, err := power.New(setup.Config)
-		if err != nil {
-			return nil, err
-		}
-		gov.Bind(p.Topology(), setup.Levels)
-		gp = sched.Govern(policy, gov, p, setup.Config.AdaptEvery)
-		policy = gp
-	}
-
 	quanta, err := replay.Run(p, policy)
 	if err != nil {
 		return nil, err
 	}
-	out := &ReplayOutput{
+	return &ReplayOutput{
 		Policy:      meta.Policy,
 		Seed:        meta.Seed,
 		Quanta:      quanta,
 		CompletedAt: p.LastTime(),
-	}
-	if dk != nil {
-		out.History = dk.History()
-		out.ErrSeries = dk.ErrorSeries()
-		out.PredMin, out.PredAvg, out.PredMax = dk.PredictionStats().MinAvgMax()
-		out.WatchdogTrips = dk.WatchdogTrips()
-		out.FailedSwaps = dk.FailedSwaps()
-		out.Sanitized = dk.SanitizedTotal()
-	}
-	if mp != nil {
-		out.MetaStats = mp.Stats()
-	}
-	if gp != nil {
-		out.Power = gp.Stats()
-	}
-	return out, nil
+		PolicyStats: policyStats(policy),
+	}, nil
 }
 
 // RunDigest extends Digest with the meta policy's tournament stream

@@ -145,16 +145,6 @@ var (
 	ErrAmbiguousSource = errors.New("harness: spec has both workload and traffic")
 )
 
-// knownPolicies is the accepted RunSpec.Policy set, derived from the
-// registry in registry.go.
-var knownPolicies = func() map[string]bool {
-	m := make(map[string]bool, len(policyRegistry))
-	for _, p := range policyRegistry {
-		m[p.Name] = true
-	}
-	return m
-}()
-
 // Validate reports the first problem with the spec, or nil. Run calls
 // it; sweep builders call it early to fail before spawning workers.
 func (s RunSpec) Validate() error {
@@ -164,13 +154,8 @@ func (s RunSpec) Validate() error {
 	if s.Workload != nil && s.Traffic != nil {
 		return fmt.Errorf("%w (policy %q)", ErrAmbiguousSource, s.Policy)
 	}
-	if !knownPolicies[s.Policy] {
-		return fmt.Errorf("%w %q", ErrUnknownPolicy, s.Policy)
-	}
-	if s.Policy == PolicyMeta {
-		if _, err := resolveMetaConfig(s); err != nil {
-			return err
-		}
+	if _, err := s.policyConfig(); err != nil {
+		return err
 	}
 	if s.Power != nil {
 		if err := s.Power.Validate(); err != nil {
@@ -198,11 +183,34 @@ func (s RunSpec) sourceName() string {
 	return "traffic:" + s.Traffic.Label()
 }
 
-// RunOutput bundles a finished run's metrics and, for Dike runs, the
-// prediction bookkeeping the figure harnesses need.
-type RunOutput struct {
-	Spec   RunSpec
-	Result *metrics.RunResult
+// policyConfig resolves the spec's policy configuration as Run records
+// it and Digest hashes it: a core.Config for the dike variants, a
+// tournament.Config for meta, nil for the other policies.
+func (s RunSpec) policyConfig() (any, error) {
+	e, ok := lookupPolicy(s.Policy)
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownPolicy, s.Policy)
+	}
+	if e.config == nil {
+		return nil, nil
+	}
+	return e.config(s)
+}
+
+// governor returns the spec's resolved governor configuration, or nil
+// when the run is ungoverned: a nil config and an empty governor name
+// both mean ungoverned.
+func (s RunSpec) governor() *power.Config {
+	if s.Power == nil || s.Power.Governor == "" {
+		return nil
+	}
+	cfg := s.Power.WithDefaults()
+	return &cfg
+}
+
+// PolicyStats is the policy-side bookkeeping a run reports and a replay
+// of its recording reproduces, field for field.
+type PolicyStats struct {
 	// PredMin/PredAvg/PredMax are Fig 7's per-thread averaged prediction
 	// error extremes; zero for non-Dike policies.
 	PredMin, PredAvg, PredMax float64
@@ -210,6 +218,28 @@ type RunOutput struct {
 	ErrSeries []core.ErrPoint
 	// History is Dike's per-quantum decision log (Dike only).
 	History []core.QuantumRecord
+	// WatchdogTrips / FailedSwaps / Sanitized report Dike's degradation
+	// bookkeeping: last-known-good reverts, swaps that silently failed
+	// and were rolled back, and counter readings dropped/rejected/clamped
+	// by the Observer. Zero for non-Dike policies.
+	WatchdogTrips int
+	FailedSwaps   int
+	Sanitized     core.SanitizeStats
+	// MetaStats carries the meta policy's tournament record — epochs,
+	// scores, switches. Nil for fixed-policy runs.
+	MetaStats *tournament.Stats
+	// Power carries the governor's invocation log — one entry per
+	// adaptation with the watts it saw and the DVFS levels it set. Nil
+	// for ungoverned runs.
+	Power *power.Stats
+}
+
+// RunOutput bundles a finished run's metrics and, for Dike, meta and
+// governed runs, the policy bookkeeping the figure harnesses need.
+type RunOutput struct {
+	Spec   RunSpec
+	Result *metrics.RunResult
+	PolicyStats
 	// CompletedAt is the simulated completion time.
 	CompletedAt sim.Time
 	// DecisionTime is the cumulative wall-clock time spent inside the
@@ -227,9 +257,6 @@ type RunOutput struct {
 	// (one bench per tenant class) so every downstream consumer of
 	// RunResult keeps working.
 	Traffic *traffic.Result
-	// MetaStats carries the meta policy's tournament record — epochs,
-	// scores, switches. Nil for fixed-policy runs.
-	MetaStats *tournament.Stats
 	// EnergyJ is the machine's total energy over the run in joules,
 	// integrated per tick from the power model; EDP is the
 	// energy-delay product EnergyJ × makespan-seconds (J·s), the
@@ -237,17 +264,6 @@ type RunOutput struct {
 	// where no machine model runs.
 	EnergyJ float64
 	EDP     float64
-	// Power carries the governor's invocation log — one entry per
-	// adaptation with the watts it saw and the DVFS levels it set. Nil
-	// for ungoverned runs.
-	Power *power.Stats
-	// WatchdogTrips / FailedSwaps / Sanitized report Dike's degradation
-	// bookkeeping: last-known-good reverts, swaps that silently failed
-	// and were rolled back, and counter readings dropped/rejected/clamped
-	// by the Observer. Zero for non-Dike policies.
-	WatchdogTrips int
-	FailedSwaps   int
-	Sanitized     core.SanitizeStats
 }
 
 // Run executes one simulation to completion. Cancelling ctx aborts the
@@ -292,43 +308,24 @@ func Run(ctx context.Context, spec RunSpec) (*RunOutput, error) {
 		rec = replay.NewRecorder(m, spec.Record)
 		plat = rec
 	}
-
-	policy, dk, meta, err := buildPolicy(spec, plat, inst, tr)
+	// Resolve the header first, then build from it exactly as Replay
+	// does. The governor is wrapped before the recorder's policy wrapper,
+	// so a governed log reads in causal order: quantum boundary, policy
+	// calls, then governor calls.
+	meta, err := spec.resolve(plat, m, inst, tr)
 	if err != nil {
 		return nil, err
 	}
-	mp, _ := policy.(*tournament.Meta)
-	// A configured governor interposes between the policy and the
-	// platform seam. It is wrapped before the recorder's policy wrapper,
-	// and its meter reads and actuations go through plat (the Recorder
-	// when recording) — so a governed log reads in causal order:
-	// quantum boundary, policy calls, then governor calls.
-	var gp *sched.Governed
-	if spec.Power != nil && spec.Power.Governor != "" {
-		pcfg := spec.Power.WithDefaults()
-		gov, err := power.New(pcfg)
-		if err != nil {
-			return nil, err
-		}
-		levels := m.KindDVFSLevels()
-		gov.Bind(m.Topology(), levels)
-		pc, ok := plat.(platform.PowerControl)
-		if !ok {
-			return nil, fmt.Errorf("harness: platform has no power control for governor %q", pcfg.Governor)
-		}
-		gp = sched.Govern(policy, gov, pc, pcfg.AdaptEvery)
-		policy = gp
-		blob, err := json.Marshal(power.Setup{Config: pcfg, Levels: levels})
-		if err != nil {
-			return nil, err
-		}
-		meta.Power = blob
+	policy, err := build(plat, meta)
+	if err != nil {
+		return nil, err
 	}
+	run := policy
 	if rec != nil {
 		if err := rec.Start(meta); err != nil {
 			return nil, err
 		}
-		policy = rec.WrapPolicy(policy)
+		run = rec.WrapPolicy(policy)
 	}
 
 	ecfg := sim.DefaultConfig()
@@ -345,7 +342,7 @@ func Run(ctx context.Context, spec RunSpec) (*RunOutput, error) {
 			ecfg.MaxTime = h
 		}
 	}
-	engine, err := sim.NewEngine(m, policy, ecfg)
+	engine, err := sim.NewEngine(m, run, ecfg)
 	if err != nil {
 		return nil, err
 	}
@@ -393,48 +390,34 @@ func Run(ctx context.Context, spec RunSpec) (*RunOutput, error) {
 			return nil, err
 		}
 	}
-	out := &RunOutput{Spec: spec, Result: result, CompletedAt: done, Trace: rt, Traffic: tres}
+	out := &RunOutput{Spec: spec, Result: result, PolicyStats: policyStats(policy), CompletedAt: done, Trace: rt, Traffic: tres}
 	out.DecisionTime, out.Decisions = engine.DecisionCost()
 	out.EnergyJ = m.EnergyJoules()
 	out.EDP = out.EnergyJ * float64(done) / 1000
-	if gp != nil {
-		out.Power = gp.Stats()
-	}
 	if inj != nil {
 		st := inj.Stats()
 		out.FaultStats = &st
 	}
-	if mp != nil {
-		out.MetaStats = mp.Stats()
-	}
-	if dk != nil {
-		out.PredMin, out.PredAvg, out.PredMax = dk.PredictionStats().MinAvgMax()
-		out.ErrSeries = dk.ErrorSeries()
-		out.History = dk.History()
-		out.WatchdogTrips = dk.WatchdogTrips()
-		out.FailedSwaps = dk.FailedSwaps()
-		out.Sanitized = dk.SanitizedTotal()
-	}
 	return out, nil
 }
 
-// buildPolicy constructs spec's policy over the platform seam. It also
-// returns the Dike instance (nil for other policies) and the replay
-// metadata a recording of the run must carry to rebuild the policy: the
-// resolved Dike configuration, or the oracle's static assignment (which
-// is derived from workload ground truth unavailable at replay time).
-func buildPolicy(spec RunSpec, plat platform.Platform, inst *workload.Instance, tr *traffic.Run) (sched.Policy, *core.Dike, replay.Meta, error) {
-	meta := replay.Meta{Policy: spec.Policy, Seed: spec.Seed}
-	switch spec.Policy {
-	case PolicyCFS:
-		return sched.NewCFS(plat, spec.Seed), nil, meta, nil
-	case PolicyNull:
-		return sched.NewNull(plat, spec.Seed), nil, meta, nil
-	case PolicyDIO:
-		return sched.NewDIO(plat, spec.Seed), nil, meta, nil
-	case PolicyRotate:
-		return sched.NewRotate(plat, spec.Seed), nil, meta, nil
-	case PolicyOracle:
+// resolve turns the spec into the replay header its policy is built
+// from, which is also the header a recording of the run carries: the
+// resolved policy configuration, the oracle's static assignment
+// (computed over plat from workload or traffic ground truth, which a
+// replay cannot see) and the governor setup with m's DVFS levels.
+func (s RunSpec) resolve(plat platform.Platform, m *machine.Machine, inst *workload.Instance, tr *traffic.Run) (replay.Meta, error) {
+	meta := replay.Meta{Policy: s.Policy, Seed: s.Seed}
+	cfg, err := s.policyConfig()
+	if err != nil {
+		return meta, err
+	}
+	if cfg != nil {
+		if meta.PolicyConfig, err = json.Marshal(cfg); err != nil {
+			return meta, err
+		}
+	}
+	if s.Policy == PolicyOracle {
 		intensity := make(map[platform.ThreadID]float64)
 		if tr != nil {
 			for id, x := range tr.Intensity() {
@@ -442,54 +425,17 @@ func buildPolicy(spec RunSpec, plat platform.Platform, inst *workload.Instance, 
 			}
 		} else {
 			for _, ti := range inst.Threads {
-				intensity[ti.ID] = spec.Workload.Benchmarks[ti.Bench].Profile.MeanMissesPerWork()
+				intensity[ti.ID] = s.Workload.Benchmarks[ti.Bench].Profile.MeanMissesPerWork()
 			}
 		}
-		st, err := sched.NewStatic(plat, sched.OracleAssignment(plat, intensity))
-		if err != nil {
-			return nil, nil, meta, err
-		}
-		meta.Static = st.Assignment()
-		return st, nil, meta, nil
-	case PolicyDike, PolicyDikeAF, PolicyDikeAP, PolicyDikeEA:
-		cfg := core.DefaultConfig()
-		if spec.DikeConfig != nil {
-			cfg = *spec.DikeConfig
-		}
-		switch spec.Policy {
-		case PolicyDike:
-			cfg.Goal = core.AdaptNone
-		case PolicyDikeAF:
-			cfg.Goal = core.AdaptFairness
-		case PolicyDikeAP:
-			cfg.Goal = core.AdaptPerformance
-		case PolicyDikeEA:
-			cfg.Goal = core.AdaptEnergy
-		}
-		cfg.PlacementSeed = spec.Seed
-		dk, err := core.New(plat, cfg)
-		if err != nil {
-			return nil, nil, meta, err
-		}
-		blob, err := json.Marshal(cfg)
-		if err != nil {
-			return nil, nil, meta, err
-		}
-		meta.PolicyConfig = blob
-		return dk, dk, meta, nil
-	case PolicyMeta:
-		mp, cfg, err := buildMeta(spec, plat)
-		if err != nil {
-			return nil, nil, meta, err
-		}
-		blob, err := json.Marshal(cfg)
-		if err != nil {
-			return nil, nil, meta, err
-		}
-		meta.PolicyConfig = blob
-		return mp, nil, meta, nil
+		meta.Static = sched.OracleAssignment(plat, intensity)
 	}
-	return nil, nil, meta, fmt.Errorf("%w %q", ErrUnknownPolicy, spec.Policy)
+	if pcfg := s.governor(); pcfg != nil {
+		if meta.Power, err = json.Marshal(power.Setup{Config: *pcfg, Levels: m.KindDVFSLevels()}); err != nil {
+			return meta, err
+		}
+	}
+	return meta, nil
 }
 
 // trafficRunResult synthesizes a metrics.RunResult from an open-loop
