@@ -735,29 +735,27 @@ func (m *Machine) Done() bool {
 	return true
 }
 
-// coldFactor returns the current cold-cache miss multiplier for t.
-func (m *Machine) coldFactor(t *thread, now sim.Time) float64 {
-	if t.migratedAt < 0 || t.coldBoost <= 0 {
-		return 1
+// migrationFactors returns t's current cold-cache miss multiplier and
+// its per-miss latency multiplier (remote NUMA accesses after a
+// cross-socket migration). Both decay from the last migration with the
+// same half-life, so one exp serves both.
+func (m *Machine) migrationFactors(t *thread, now sim.Time) (cold, numa float64) {
+	cold, numa = 1, 1
+	if t.migratedAt < 0 || (t.coldBoost <= 0 && t.numaBoost <= 0) {
+		return cold, numa
 	}
 	age := float64(now - t.migratedAt)
 	if age < 0 {
 		age = 0
 	}
-	return 1 + t.coldBoost*math.Exp(-age*math.Ln2/t.coldHalf)
-}
-
-// numaFactor returns the current per-miss latency multiplier for t
-// (remote NUMA accesses after a cross-socket migration).
-func (m *Machine) numaFactor(t *thread, now sim.Time) float64 {
-	if t.migratedAt < 0 || t.numaBoost <= 0 {
-		return 1
+	decay := math.Exp(-age * math.Ln2 / t.coldHalf)
+	if t.coldBoost > 0 {
+		cold = 1 + t.coldBoost*decay
 	}
-	age := float64(now - t.migratedAt)
-	if age < 0 {
-		age = 0
+	if t.numaBoost > 0 {
+		numa = 1 + t.numaBoost*decay
 	}
-	return 1 + t.numaBoost*math.Exp(-age*math.Ln2/t.coldHalf)
+	return cold, numa
 }
 
 // Step implements sim.World. It advances all threads by dt ms, solving
@@ -855,13 +853,14 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			rate /= float64(n) // lane time-sharing
 		}
 		dem := t.prog.DemandAt(t.work, now)
-		if cf := m.coldFactor(t, now); cf > 1 {
-			dem.MissRatio = math.Min(dem.MissRatio*cf, 1)
+		cold, numa := m.migrationFactors(t, now)
+		if cold > 1 {
+			dem.MissRatio = math.Min(dem.MissRatio*cold, 1)
 		}
 		active = append(active, t)
 		rates = append(rates, rate)
 		dems = append(dems, dem)
-		lats = append(lats, m.numaFactor(t, now))
+		lats = append(lats, numa)
 	}
 	m.scratchT, m.scratchRates, m.scratchDem, m.scratchLat = active, rates, dems, lats
 

@@ -219,20 +219,24 @@ func TestColdCachePenaltyDecays(t *testing.T) {
 	slow := m.Topology().SlowCores()[0]
 	place(t, m, 0, 0, 1e6, Demand{AccessesPerWork: 10, MissRatio: 0.4}, fast)
 	th := m.threads[0]
-	if m.coldFactor(th, 0) != 1 {
+	coldFactor := func(now sim.Time) float64 {
+		cold, _ := m.migrationFactors(th, now)
+		return cold
+	}
+	if coldFactor(0) != 1 {
 		t.Error("unmigrated thread has cold penalty")
 	}
 	m.Migrate(0, slow, 100)
-	justAfter := m.coldFactor(th, 100)
+	justAfter := coldFactor(100)
 	wantPeak := m.cfg.ColdMissFactor
 	if math.Abs(justAfter-wantPeak) > 1e-9 {
 		t.Errorf("cold factor at migration = %v, want %v", justAfter, wantPeak)
 	}
-	half := m.coldFactor(th, 100+sim.Time(m.cfg.ColdHalfLife))
+	half := coldFactor(100 + sim.Time(m.cfg.ColdHalfLife))
 	if math.Abs(half-1-(wantPeak-1)/2) > 1e-9 {
 		t.Errorf("cold factor after one half-life = %v", half)
 	}
-	late := m.coldFactor(th, 100+sim.Time(20*m.cfg.ColdHalfLife))
+	late := coldFactor(100 + sim.Time(20*m.cfg.ColdHalfLife))
 	if late > 1.001 {
 		t.Errorf("cold factor did not decay: %v", late)
 	}
@@ -246,18 +250,20 @@ func TestLocalVsRemoteMigrationPenalty(t *testing.T) {
 	place(t, m, 1, 0, 1e6, Demand{AccessesPerWork: 10, MissRatio: 0.4}, fast[2])
 	// Cross-socket move: big penalty plus NUMA latency factor.
 	m.Migrate(0, slow[0], 0)
-	if m.coldFactor(m.threads[0], 0) != m.cfg.ColdMissFactor {
+	cold, numa := m.migrationFactors(m.threads[0], 0)
+	if cold != m.cfg.ColdMissFactor {
 		t.Error("cross-socket move did not use remote penalty")
 	}
-	if m.numaFactor(m.threads[0], 0) != m.cfg.RemoteLatencyFactor {
+	if numa != m.cfg.RemoteLatencyFactor {
 		t.Error("cross-socket move did not set NUMA factor")
 	}
 	// Same-socket move: small penalty, no NUMA factor.
 	m.Migrate(1, fast[4], 0)
-	if m.coldFactor(m.threads[1], 0) != m.cfg.LocalColdFactor {
+	cold, numa = m.migrationFactors(m.threads[1], 0)
+	if cold != m.cfg.LocalColdFactor {
 		t.Error("local move did not use local penalty")
 	}
-	if m.numaFactor(m.threads[1], 0) != 1 {
+	if numa != 1 {
 		t.Error("local move set a NUMA factor")
 	}
 }

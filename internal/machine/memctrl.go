@@ -66,8 +66,10 @@ func (mc *MemController) Utilization(offered float64) float64 {
 // its misses per work unit, apw_i its accesses per work unit; and the
 // aggregate offered rate feeding L is sum_i mpw_i * p_i. Higher L lowers
 // p_i which lowers the offered rate, so the map is monotone contracting
-// and plain iteration converges geometrically; a handful of rounds gets
-// within float tolerance.
+// and damped iteration converges geometrically, but slowly: measured on
+// Table II workloads, a memo miss runs 21–24 of the 24 rounds, and most
+// misses end on the round cap 1–2e-9 from the fixed point rather than
+// within the 1e-9 tolerance.
 type contentionSolver struct {
 	ctrl    *MemController
 	overlap float64 // fraction of miss latency hidden by MLP/prefetch
