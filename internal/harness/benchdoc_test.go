@@ -94,9 +94,10 @@ func TestBenchGates(t *testing.T) {
 					entryMetrics(t, d, key)[g.Metric] *= 1 + g.Tolerance + over
 				}
 			}
+			// Just inside an exact (zero-tolerance) gate means equal.
 			cases = append(cases,
 				plant{name: e.ID + "/" + g.Metric + "/past", exp: e.ID, mutate: step(0.001), want: key + ": " + g.Metric},
-				plant{name: e.ID + "/" + g.Metric + "/inside", exp: e.ID, mutate: step(-0.001)})
+				plant{name: e.ID + "/" + g.Metric + "/inside", exp: e.ID, mutate: step(-min(g.Tolerance, 0.001))})
 		}
 		// The entry count, derived from the grid functions.
 		cases = append(cases, plant{name: e.ID + "/entry-count", exp: e.ID, self: true, want: "entries, want",

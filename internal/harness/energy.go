@@ -16,9 +16,9 @@ func init() {
 		ID:    "energy",
 		Title: "Energy: power caps × governor × policy, energy-delay product and fairness under throttling",
 		Run:   runEnergy,
-		// EDP is simulated joule-seconds, so a trip is a real
-		// scheduling/governing change, not runner noise.
-		Gates: []MetricGate{{Metric: "edp", Tolerance: 0.10}},
+		// EDP is simulated joule-seconds, so the gate is exact: any rise
+		// is a real scheduling/governing change, not runner noise.
+		Gates: []MetricGate{{Metric: "edp", Tolerance: 0}},
 		Check: checkEnergy,
 	})
 }

@@ -54,9 +54,9 @@ func metricDoc(exp, metric string, keys []string, values ...float64) *BenchDoc {
 	return d
 }
 
-// TestCompareBenchEnergy: the EDP gate trips on a cell more than 10%
-// worse than the baseline, lets one inside the band through, and skips
-// a cell the baseline never measured.
+// TestCompareBenchEnergy: the EDP gate is exact. It trips on a cell any
+// worse than the baseline, lets an equal one through, and skips a cell
+// the baseline never measured.
 func TestCompareBenchEnergy(t *testing.T) {
 	e := gatesOnly(t, "energy")
 	od := energyKey(18, PolicyDikeAF, power.GovernorOndemand)
@@ -64,9 +64,9 @@ func TestCompareBenchEnergy(t *testing.T) {
 	loose := energyKey(30, PolicyDikeAF, power.GovernorOndemand)
 	base := metricDoc("energy", "edp", []string{od, fg}, 1000, 800)
 	cur := metricDoc("energy", "edp", []string{od, fg, loose},
-		1050, // +5%: fine
-		1000, // +25%: trips
-		9999) // not in base: skipped
+		1000,  // equal: fine
+		800.8, // +0.1%: trips
+		9999)  // not in base: skipped
 	regs, err := e.Gate(cur, base)
 	if err != nil {
 		t.Fatal(err)

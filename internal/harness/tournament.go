@@ -19,7 +19,8 @@ func init() {
 		ID:    "tournament",
 		Title: "Meta-scheduling tournament: policy × load leaderboard with per-cell regret vs oracle-best",
 		Run:   runTournament,
-		Gates: []MetricGate{{Metric: "p99_ms", Tolerance: 0.25}},
+		// Simulated time: exact, like the slo gate.
+		Gates: []MetricGate{{Metric: "p99_ms", Tolerance: 0}},
 		Check: checkTournament,
 	})
 }
