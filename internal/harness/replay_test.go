@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 
 // recordRun executes spec with recording enabled and returns the run
 // output plus the log bytes.
-func recordRun(t *testing.T, spec RunSpec) (*RunOutput, []byte) {
+func recordRun(t testing.TB, spec RunSpec) (*RunOutput, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	spec.Record = &buf
@@ -200,6 +201,60 @@ func TestReplayDetectsTamperedLog(t *testing.T) {
 	_, err := Replay(strings.NewReader(strings.Join(lines, "\n")))
 	if !errors.Is(err, replay.ErrDivergence) {
 		t.Fatalf("tampered log replayed with err = %v, want divergence", err)
+	}
+}
+
+// TestReplayRejectsOutOfRangeIDs edits one recorded event to name a
+// core outside the header's topology or a thread outside its thread
+// table. Policies index per-core and per-thread state by these ids, so
+// the player must reject the log at decode time, whatever the policy:
+// dike and dike-af would otherwise index out of range, and dio and cfs
+// would replay the bad placement without complaint.
+func TestReplayRejectsOutOfRangeIDs(t *testing.T) {
+	cases := []struct {
+		name, policy string
+		kind         string // the kind of the first event edited
+		from, to     string // a regexp over that event's line, and its replacement
+	}{
+		{"dike post-placement core", PolicyDike, "p", `"pa":\d+`, `"pa":999`},
+		{"dike-af post-placement core", PolicyDikeAF, "p", `"pa":\d+`, `"pa":999`},
+		{"dio post-placement core", PolicyDIO, "p", `"pa":\d+`, `"pa":999`},
+		{"cfs post-placement core", PolicyCFS, "p", `"pa":\d+`, `"pa":999`},
+		{"requested core", PolicyDike, "p", `"c":\d+`, `"c":-1`},
+		{"placed thread", PolicyDike, "p", `"a":\d+`, `"a":999`},
+		{"swap partner", PolicyDike, "w", `"b":\d+`, `"b":999`},
+		{"swap partner's core", PolicyDike, "w", `"pb":\d+`, `"pb":999`},
+		{"alive thread", PolicyDike, "q", `"alive":\[`, `"alive":[999,`},
+	}
+	logs := map[string][]byte{}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			log, ok := logs[c.policy]
+			if !ok {
+				_, log = recordRun(t, RunSpec{Workload: workload.MustTable2(6), Policy: c.policy, Seed: 42, Scale: 0.05})
+				logs[c.policy] = log
+			}
+			lines := strings.Split(string(log), "\n")
+			edited := -1
+			for i, ln := range lines[1:] {
+				if strings.HasPrefix(ln, `{"k":"`+c.kind+`"`) {
+					edited = i + 1
+					break
+				}
+			}
+			if edited < 0 {
+				t.Fatalf("the %s log has no %q event", c.policy, c.kind)
+			}
+			re := regexp.MustCompile(c.from)
+			lines[edited] = re.ReplaceAllString(lines[edited], c.to)
+			rep, err := Replay(strings.NewReader(strings.Join(lines, "\n")))
+			if err == nil {
+				t.Fatalf("replayed %d quanta of a log with %s", rep.Quanta, lines[edited])
+			}
+			if errors.Is(err, replay.ErrDivergence) || !strings.Contains(err.Error(), "event ") {
+				t.Errorf("err = %v, want a decode error naming the event", err)
+			}
+		})
 	}
 }
 

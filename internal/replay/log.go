@@ -23,7 +23,6 @@ import (
 	"math"
 	"strconv"
 
-	"dike/internal/counters"
 	"dike/internal/platform"
 	"dike/internal/sim"
 )
@@ -162,10 +161,16 @@ type event struct {
 	W []jfloat `json:"pw,omitempty"`
 	E jfloat   `json:"pe,omitempty"`
 	L int      `json:"l,omitempty"`
+
+	// sample is S as the Player's scanner decodes it, straight into the
+	// platform type. The Recorder writes S; encoding/json ignores this.
+	sample *platform.Sample
 }
 
 // wireSample serialises a platform.Sample. Map keys are integers, which
 // encoding/json writes as sorted strings — log bytes are deterministic.
+// The Player reads it back with the scanner (scan.go), not with
+// encoding/json.
 type wireSample struct {
 	Interval jfloat                                `json:"iv"`
 	Threads  map[platform.ThreadID]wireThreadDelta `json:"th,omitempty"`
@@ -216,31 +221,4 @@ func toWire(s *platform.Sample) *wireSample {
 		}
 	}
 	return w
-}
-
-// fromWire converts a deserialised sample back to the platform type.
-func fromWire(w *wireSample) *platform.Sample {
-	s := &platform.Sample{
-		Interval: float64(w.Interval),
-		Threads:  make(map[platform.ThreadID]counters.ThreadDelta, len(w.Threads)),
-		Cores:    make([]counters.CoreDelta, len(w.Cores)),
-		Instr:    make(map[platform.ThreadID]float64, len(w.Instr)),
-	}
-	for id, d := range w.Threads {
-		s.Threads[id] = counters.ThreadDelta{
-			Interval:     float64(d.Interval),
-			Work:         float64(d.Work),
-			Instructions: float64(d.Instructions),
-			Accesses:     float64(d.Accesses),
-			Misses:       float64(d.Misses),
-			Migrations:   d.Migrations,
-		}
-	}
-	for i, d := range w.Cores {
-		s.Cores[i] = counters.CoreDelta{Interval: float64(d.Interval), ServedMisses: float64(d.ServedMisses)}
-	}
-	for id, v := range w.Instr {
-		s.Instr[id] = float64(v)
-	}
-	return s
 }

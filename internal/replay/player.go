@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -65,7 +66,9 @@ func describe(ev *event) string {
 // with Run, which fires the policy at each recorded quantum boundary.
 type Player struct {
 	hdr       header
-	dec       *json.Decoder
+	r         *bufio.Reader
+	long      []byte // a line longer than r's buffer, reassembled
+	scan      scanner
 	topo      *platform.Topology
 	threads   []platform.ThreadID
 	procs     map[platform.ThreadID]int
@@ -80,31 +83,40 @@ type Player struct {
 }
 
 // NewPlayer reads the log header from r and returns a player positioned
-// before the first event.
+// before the first event. The header is the first line, decoded with
+// encoding/json; each later line is one event, decoded by the scanner
+// as the player reaches it.
 func NewPlayer(r io.Reader) (*Player, error) {
-	dec := json.NewDecoder(r)
+	p := &Player{r: bufio.NewReaderSize(r, 64<<10)}
+	line, err := p.readLine()
+	if err != nil {
+		return nil, fmt.Errorf("replay: reading header: %w", err)
+	}
 	var h header
-	if err := dec.Decode(&h); err != nil {
+	if err := json.Unmarshal(line, &h); err != nil {
 		return nil, fmt.Errorf("replay: reading header: %w", err)
 	}
 	if h.Version != Version {
 		return nil, fmt.Errorf("replay: log version %d, player supports %d", h.Version, Version)
 	}
 	cores := make([]platform.Core, len(h.Cores))
+	kinds := max(len(h.KindNames), 2)
 	for i, c := range h.Cores {
+		// The topology and a governor allocate tables per kind and per
+		// socket; a recorded topology has no kind past its name table
+		// and no more sockets than cores.
+		if int(c.Kind) >= kinds || c.Socket >= len(h.Cores) {
+			return nil, fmt.Errorf("replay: header: core %d has kind %d and socket %d; the log names %d kinds and %d cores", c.ID, c.Kind, c.Socket, kinds, len(h.Cores))
+		}
 		cores[i] = platform.Core{ID: c.ID, Kind: c.Kind, Speed: float64(c.Speed), Physical: c.Physical, Socket: c.Socket}
 	}
-	topo, err := platform.NewTopologyNamed(cores, h.KindNames)
+	p.topo, err = platform.NewTopologyNamed(cores, h.KindNames)
 	if err != nil {
 		return nil, fmt.Errorf("replay: header: %w", err)
 	}
-	p := &Player{
-		hdr:       h,
-		dec:       dec,
-		topo:      topo,
-		procs:     make(map[platform.ThreadID]int, len(h.Threads)),
-		placement: make(map[platform.ThreadID]platform.CoreID, len(h.Threads)),
-	}
+	p.hdr = h
+	p.procs = make(map[platform.ThreadID]int, len(h.Threads))
+	p.placement = make(map[platform.ThreadID]platform.CoreID, len(h.Threads))
 	for _, t := range h.Threads {
 		if _, ok := p.procs[t.ID]; ok {
 			return nil, fmt.Errorf("replay: header: duplicate thread %d", t.ID)
@@ -131,7 +143,7 @@ func (p *Player) LastTime() sim.Time { return p.lastNow }
 func (p *Player) Err() error { return p.sticky }
 
 // peek returns the next event without consuming it, or nil at a clean
-// end of log.
+// end of log. Blank lines are skipped.
 func (p *Player) peek() (*event, error) {
 	if p.sticky != nil {
 		return nil, p.sticky
@@ -139,16 +151,103 @@ func (p *Player) peek() (*event, error) {
 	if p.pending != nil {
 		return p.pending, nil
 	}
-	var ev event
-	if err := p.dec.Decode(&ev); err != nil {
+	for {
+		line, err := p.readLine()
 		if errors.Is(err, io.EOF) {
 			return nil, nil
 		}
-		p.sticky = fmt.Errorf("replay: event %d: %w", p.idx, err)
-		return nil, p.sticky
+		if err == nil && blank(line) {
+			continue
+		}
+		var ev *event
+		if err == nil {
+			ev, err = p.scan.decode(line)
+		}
+		if err == nil {
+			err = p.check(ev)
+		}
+		if err != nil {
+			p.sticky = fmt.Errorf("replay: event %d: %w", p.idx, err)
+			return nil, p.sticky
+		}
+		p.pending = ev
+		return ev, nil
 	}
-	p.pending = &ev
-	return p.pending, nil
+}
+
+// readLine returns the next line of the log, newline included, or
+// io.EOF after the last. A line longer than the reader's buffer is
+// reassembled in p.long, so lines have no length limit. The slice is
+// valid until the next call.
+func (p *Player) readLine() ([]byte, error) {
+	line, err := p.r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		p.long = append(p.long[:0], line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			line, err = p.r.ReadSlice('\n')
+			p.long = append(p.long, line...)
+		}
+		line = p.long
+	}
+	if errors.Is(err, io.EOF) && len(line) > 0 {
+		err = nil // a last line without a newline
+	}
+	return line, err
+}
+
+func blank(line []byte) bool {
+	for _, c := range line {
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return false
+		}
+	}
+	return true
+}
+
+// check rejects an event whose thread or core ids fall outside the
+// header's thread table and topology, or a sample that lacks its
+// readings or a delta for each core: policies index their per-thread
+// and per-core state by these. A failed call is exempt: its ids are
+// only compared with the replayed call, never applied, and a platform
+// records an out-of-range request as it was made.
+func (p *Player) check(ev *event) error {
+	switch {
+	case ev.K == evQuantum:
+		for _, id := range ev.Alive {
+			if err := p.checkThread(id); err != nil {
+				return err
+			}
+		}
+	case ev.K == evSample:
+		if ev.sample == nil {
+			return errors.New(`sample event without "s"`)
+		}
+		if n := p.topo.NumCores(); len(ev.sample.Cores) != n {
+			return fmt.Errorf("sample has %d core deltas, the topology %d cores", len(ev.sample.Cores), n)
+		}
+	case ev.Err != "":
+	case ev.K == evPlace, ev.K == evMigrate:
+		return errors.Join(p.checkThread(ev.A), p.checkCore(ev.Core), p.checkCore(ev.PostA))
+	case ev.K == evSwap:
+		return errors.Join(p.checkThread(ev.A), p.checkThread(ev.B), p.checkCore(ev.PostA), p.checkCore(ev.PostB))
+	case ev.K == evDVFS:
+		return p.checkCore(ev.Core)
+	}
+	return nil
+}
+
+func (p *Player) checkThread(id platform.ThreadID) error {
+	if _, ok := p.procs[id]; !ok {
+		return fmt.Errorf("thread %d is not in the header's thread table", id)
+	}
+	return nil
+}
+
+func (p *Player) checkCore(c platform.CoreID) error {
+	if n := p.topo.NumCores(); c < 0 || int(c) >= n {
+		return fmt.Errorf("core %d is outside the header's %d-core topology", c, n)
+	}
+	return nil
 }
 
 // take consumes the event returned by the last peek.
@@ -222,10 +321,11 @@ func (p *Player) ProcessOf(id platform.ThreadID) (int, error) {
 }
 
 // Sample implements platform.Platform: it verifies the call against the
-// stream and returns the recorded readings. Sample cannot return an
-// error, so on divergence it returns an empty zero-interval sample —
-// which policies treat as "nothing measured yet" — and latches the
-// divergence for Run to surface.
+// stream and returns the recorded readings in a freshly allocated
+// sample, which belongs to the caller. Sample cannot return an error,
+// so on divergence it returns an empty zero-interval sample — which
+// policies treat as "nothing measured yet" — and latches the divergence
+// for Run to surface.
 func (p *Player) Sample(now sim.Time) *platform.Sample {
 	ev, err := p.expect(fmt.Sprintf("sample(t=%v)", now), func(ev *event) bool {
 		return ev.K == evSample && ev.Now == now
@@ -236,7 +336,7 @@ func (p *Player) Sample(now sim.Time) *platform.Sample {
 			Instr:   map[platform.ThreadID]float64{},
 		}
 	}
-	return fromWire(ev.S)
+	return ev.sample
 }
 
 // Place implements platform.Platform, applying the recorded outcome.

@@ -3,6 +3,7 @@ package replay_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -204,5 +205,113 @@ func TestPlayerRejectsBadLogs(t *testing.T) {
 	}
 	if _, err := replay.NewPlayer(strings.NewReader(`not json`)); err == nil {
 		t.Error("garbage accepted")
+	}
+	// Kind and socket ids size the topology's tables, so they are bounded
+	// by the log's kind names and core count.
+	for _, core := range []string{`{"id":0,"kind":1000000000,"speed":1,"phys":0}`, `{"id":0,"kind":0,"speed":1,"phys":0,"sock":1000000000}`} {
+		if _, err := replay.NewPlayer(strings.NewReader(`{"version":1,"cores":[` + core + `]}`)); err == nil {
+			t.Errorf("header core %s accepted", core)
+		}
+	}
+
+	// A sample event without readings, whether null or missing, is a
+	// decode error naming the event (the baseline sample is event 5,
+	// after the first boundary and four placements), never a panic.
+	log, _ := record(t)
+	lines := strings.Split(string(log), "\n")
+	if !strings.HasPrefix(lines[6], `{"k":"s","t":0,`) {
+		t.Fatalf("line 6 is not the baseline sample: %.40s", lines[6])
+	}
+	for _, bad := range []string{
+		`{"k":"s","t":0,"s":null,"a":0,"b":0,"c":0,"pa":0,"pb":0}`,
+		`{"k":"s","t":0,"a":0,"b":0,"c":0,"pa":0,"pb":0}`,
+		`{"k":"s","t":0,"s":{"iv":0},"a":0,"b":0,"c":0,"pa":0,"pb":0}`, // no core deltas
+		`{"K":"s","t":0,"s":{"iv":0},"a":0,"b":0,"c":0,"pa":0,"pb":0}`, // keys are case-sensitive
+	} {
+		edited := append(append([]string(nil), lines[:6]...), bad)
+		p := newPlayer(t, []byte(strings.Join(append(edited, lines[7:]...), "\n")))
+		p.NextQuantum()
+		for i := 0; i < 4; i++ {
+			if err := p.Place(platform.ThreadID(i), platform.CoreID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s := p.Sample(0); s == nil || s.Threads == nil {
+			t.Errorf("%s: Sample returned %v", bad, s)
+		}
+		if err := p.Err(); err == nil || errors.Is(err, replay.ErrDivergence) || !strings.Contains(err.Error(), "event 5:") {
+			t.Errorf("%s: latched %v, want a decode error naming event 5", bad, err)
+		}
+	}
+}
+
+// TestPlayerReadsLongLines records a run on a machine built here with so
+// many threads that a sample line outgrows the player's 64 KiB read
+// buffer, and replays it: the line reader has no length limit, and the
+// replayed sample equals the recorded one.
+func TestPlayerReadsLongLines(t *testing.T) {
+	cfg := platformtest.DefaultConfig()
+	cfg.Spec = &platform.MachineSpec{
+		CoreTypes: []platform.CoreTypeSpec{{Name: "big", Speed: 2, SMTWays: 2}, {Name: "little", Speed: 1, SMTWays: 1}},
+		Sockets: []platform.SocketSpec{{
+			Cores: []platform.CoreGroup{{Type: "big", Physical: 8}, {Type: "little", Physical: 16}},
+			Mem:   platform.MemSpec{Capacity: 16, BaseLatency: 0.008, MaxUtil: 0.96},
+		}},
+	}
+	m := platformtest.NewMachine(cfg)
+	const threads = 1000
+	for i := 0; i < threads; i++ {
+		prog := platformtest.ConstProgram{Work: 1e6, Demand: platformtest.Demand{AccessesPerWork: 1 + float64(i%5), MissRatio: 0.3}}
+		if err := m.AddThread(platform.ThreadID(i), i/10, prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cores := m.Topology().NumCores()
+	var buf bytes.Buffer
+	rec := replay.NewRecorder(m, &buf)
+	if err := rec.Start(replay.Meta{Policy: "long", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Quantum(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < threads; i++ {
+		if err := rec.Place(platform.ThreadID(i), platform.CoreID(i%cores)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec.Sample(0)
+	m.Step(0, 100)
+	if err := rec.Quantum(100); err != nil {
+		t.Fatal(err)
+	}
+	want := rec.Sample(100)
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for _, ln := range bytes.Split(buf.Bytes(), []byte("\n")) {
+		longest = max(longest, len(ln))
+	}
+	if longest <= 64<<10 {
+		t.Fatalf("longest line is %d bytes; the test needs one over 64 KiB", longest)
+	}
+
+	p := newPlayer(t, buf.Bytes())
+	p.NextQuantum()
+	for i := 0; i < threads; i++ {
+		if err := p.Place(platform.ThreadID(i), platform.CoreID(i%cores)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Sample(0)
+	if _, ok, err := p.NextQuantum(); !ok || err != nil {
+		t.Fatalf("second quantum: ok=%v err=%v", ok, err)
+	}
+	if got := p.Sample(100); !reflect.DeepEqual(got, want) {
+		t.Error("replayed long sample differs from the recorded one")
+	}
+	if _, ok, err := p.NextQuantum(); ok || err != nil {
+		t.Fatalf("expected clean end of log, got ok=%v err=%v", ok, err)
 	}
 }

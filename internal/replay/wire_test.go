@@ -1,12 +1,15 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
 
 	"dike/internal/counters"
 	"dike/internal/platform"
+	"dike/internal/platform/platformtest"
+	"dike/internal/sim"
 )
 
 // TestJfloatRoundTrip checks the log's float encoding is exact: finite
@@ -53,45 +56,67 @@ func TestJfloatRejectsGarbage(t *testing.T) {
 	f.mustUnmarshalFail(t, `{}`)
 }
 
-// TestSampleWireRoundTrip pushes a sample with corrupted (non-finite)
-// readings through serialisation and back.
+// sampler is a live platform whose Sample hands out prepared samples in
+// turn, so a test controls exactly what the Recorder encodes.
+type sampler struct {
+	platform.Platform
+	samples []*platform.Sample
+}
+
+func (s *sampler) Sample(sim.Time) *platform.Sample {
+	next := s.samples[0]
+	s.samples = s.samples[1:]
+	return next
+}
+
+// TestSampleWireRoundTrip pushes samples through the Recorder's encoder
+// and back through the scanner: non-finite and negative-zero readings,
+// a sample without thread maps and one without core deltas must all
+// come back bit for bit, with non-nil maps.
 func TestSampleWireRoundTrip(t *testing.T) {
-	s := &platform.Sample{
-		Interval: 500,
-		Threads: map[platform.ThreadID]counters.ThreadDelta{
-			0: {Interval: 500, Work: 12.5, Instructions: 12500, Accesses: 50, Misses: 5, Migrations: 2},
-			3: {Interval: 500, Work: math.NaN(), Instructions: math.Inf(1), Accesses: -3, Misses: 0.1},
+	samples := []*platform.Sample{
+		{
+			Interval: 500,
+			Threads: map[platform.ThreadID]counters.ThreadDelta{
+				0: {Interval: 500, Work: 12.5, Instructions: 12500, Accesses: 50, Misses: 5, Migrations: 2},
+				3: {Interval: 500, Work: math.NaN(), Instructions: math.Inf(1), Accesses: -3, Misses: math.Copysign(0, -1)},
+			},
+			Cores: []counters.CoreDelta{
+				{Interval: 500, ServedMisses: 5},
+				{Interval: 500, ServedMisses: math.Inf(-1)},
+			},
+			Instr: map[platform.ThreadID]float64{0: 99999.25, 3: 1.0 / 3.0},
 		},
-		Cores: []counters.CoreDelta{
-			{Interval: 500, ServedMisses: 5},
-			{Interval: 500, ServedMisses: math.Inf(-1)},
+		{Interval: 250, Cores: []counters.CoreDelta{{Interval: 250, ServedMisses: math.NaN()}}},
+		{
+			Threads: map[platform.ThreadID]counters.ThreadDelta{7: {Work: math.MaxFloat64, Misses: math.SmallestNonzeroFloat64}},
+			Instr:   map[platform.ThreadID]float64{7: 1e300},
 		},
-		Instr: map[platform.ThreadID]float64{0: 99999.25, 3: 1.0 / 3.0},
 	}
-	b, err := json.Marshal(toWire(s))
-	if err != nil {
+	var buf bytes.Buffer
+	rec := NewRecorder(&sampler{Platform: platformtest.NewMachine(platformtest.DefaultConfig()), samples: samples}, &buf)
+	if err := rec.Start(Meta{Policy: "wire"}); err != nil {
 		t.Fatal(err)
 	}
-	var w wireSample
-	if err := json.Unmarshal(b, &w); err != nil {
+	for i := range samples {
+		rec.Sample(sim.Time(i))
+	}
+	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got := fromWire(&w)
-	if got.Interval != s.Interval {
-		t.Errorf("interval %v != %v", got.Interval, s.Interval)
-	}
-	d := got.Threads[0]
-	if d != s.Threads[0] {
-		t.Errorf("thread 0 delta %+v != %+v", d, s.Threads[0])
-	}
-	d3 := got.Threads[3]
-	if !math.IsNaN(d3.Work) || !math.IsInf(d3.Instructions, 1) || d3.Accesses != -3 {
-		t.Errorf("corrupted delta did not survive: %+v", d3)
-	}
-	if len(got.Cores) != 2 || got.Cores[0] != s.Cores[0] || !math.IsInf(got.Cores[1].ServedMisses, -1) {
-		t.Errorf("core deltas did not survive: %+v", got.Cores)
-	}
-	if got.Instr[0] != s.Instr[0] || got.Instr[3] != s.Instr[3] {
-		t.Errorf("instr map did not survive: %+v", got.Instr)
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))[1:] // after the header
+	var sc scanner
+	for i, want := range samples {
+		ev, err := sc.decode(lines[i])
+		if err != nil {
+			t.Fatalf("sample %d: %v", i, err)
+		}
+		got := ev.sample
+		if got == nil || got.Threads == nil || got.Instr == nil || got.Cores == nil {
+			t.Fatalf("sample %d decoded with nil parts: %+v", i, got)
+		}
+		if diff := sampleDiff(got, toWire(want)); diff != "" {
+			t.Errorf("sample %d: %s", i, diff)
+		}
 	}
 }
