@@ -23,6 +23,8 @@ type Decider struct {
 	// ablation studies; both false in normal operation.
 	DisableCooldown   bool
 	DisableProfitGate bool
+	// accepted is Filter's result buffer, reused from call to call.
+	accepted []Prediction
 }
 
 // cooldownWindow is the target rest time after a migration, ms.
@@ -45,9 +47,10 @@ func (d *Decider) SetQuanta(q sim.Time) {
 
 // Filter returns the predictions that survive both rules at quantum
 // index q. It does not record anything; call Committed for the swaps the
-// migrator actually performs.
+// migrator actually performs. The returned slice is the Decider's own and
+// is overwritten by the next Filter call.
 func (d *Decider) Filter(preds []Prediction, q int) []Prediction {
-	var out []Prediction
+	out := d.accepted[:0]
 	for _, p := range preds {
 		if !d.DisableCooldown && (d.swappedLastQuantum(p.Pair.Low, q) || d.swappedLastQuantum(p.Pair.High, q)) {
 			continue
@@ -57,6 +60,7 @@ func (d *Decider) Filter(preds []Prediction, q int) []Prediction {
 		}
 		out = append(out, p)
 	}
+	d.accepted = out
 	return out
 }
 

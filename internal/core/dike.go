@@ -30,13 +30,18 @@ type Dike struct {
 	placed     bool
 	quantumIdx int
 
-	// Prediction bookkeeping: what the predictor expected each thread's
-	// access rate to be this quantum (set at the end of the previous
-	// quantum), and accumulated per-thread error statistics.
-	predNext map[platform.ThreadID]float64
-	errSum   map[platform.ThreadID]float64
-	errCount map[platform.ThreadID]int
-	series   []ErrPoint
+	// Prediction bookkeeping, double-buffered: predIDs/predRates are
+	// what the predictor expected each alive thread's access rate to be
+	// this quantum (set at the end of the previous quantum, ascending
+	// id), and nextIDs/nextRates the expectations the current quantum
+	// builds before the two pairs of buffers swap. errs accumulates
+	// per-thread error statistics, sorted by thread id; preds is the
+	// per-quantum prediction buffer.
+	predIDs, nextIDs     []platform.ThreadID
+	predRates, nextRates []float64
+	errs                 []threadErr
+	preds                []Prediction
+	series               []ErrPoint
 
 	history []QuantumRecord
 
@@ -87,6 +92,15 @@ type QuantumRecord struct {
 	Held int
 }
 
+// threadErr is one thread's accumulated prediction error.
+type threadErr struct {
+	id  platform.ThreadID
+	sum float64
+	n   int
+}
+
+func (e threadErr) key() int { return int(e.id) }
+
 // errFloor and errClamp bound the per-quantum relative prediction error:
 // rates below errFloor (misses/ms) are too small for a meaningful
 // relative comparison, and single-quantum errors are clamped so one
@@ -133,9 +147,6 @@ func New(p platform.Platform, cfg Config) (*Dike, error) {
 		mig:      NewMigrator(p),
 		swapSize: cfg.SwapSize,
 		quanta:   cfg.QuantaLength,
-		predNext: make(map[platform.ThreadID]float64),
-		errSum:   make(map[platform.ThreadID]float64),
-		errCount: make(map[platform.ThreadID]int),
 	}
 	d.dec.DisableProfitGate = cfg.DisableProfitGate
 	d.dec.DisableCooldown = cfg.DisableCooldown
@@ -242,14 +253,12 @@ func (d *Dike) Quantum(now sim.Time) error {
 		Quanta:     d.quanta,
 		MemThreads: obs.MemoryThreads(),
 		Alive:      len(obs.Alive),
-		Held:       len(obs.Held),
+		Held:       obs.HeldThreads(),
 	}
 
 	// Default prediction: threads that stay put keep their access rate.
-	next := make(map[platform.ThreadID]float64, len(obs.Alive))
-	for _, id := range obs.Alive {
-		next[id] = obs.Rate[id]
-	}
+	d.nextIDs = append(d.nextIDs[:0], obs.Alive...)
+	d.nextRates = append(d.nextRates[:0], obs.Rate...)
 
 	// Fairness gate: act only when the system is unfair.
 	if obs.Fairness >= d.cfg.FairnessThreshold {
@@ -264,12 +273,12 @@ func (d *Dike) Quantum(now sim.Time) error {
 			pairs = kept
 		}
 		rec.Candidates = len(pairs)
-		preds := make([]Prediction, 0, len(pairs))
+		d.preds = d.preds[:0]
 		for _, p := range pairs {
-			preds = append(preds, d.prd.Predict(obs, p, d.quanta))
+			d.preds = append(d.preds, d.prd.Predict(obs, p, d.quanta))
 		}
 		d.dec.SetQuanta(d.quanta)
-		accepted := d.dec.Filter(preds, d.quantumIdx)
+		accepted := d.dec.Filter(d.preds, d.quantumIdx)
 		rec.Accepted = len(accepted)
 		if _, err := d.mig.Apply(accepted, d.dec, d.quantumIdx, now); err != nil {
 			return err
@@ -277,11 +286,12 @@ func (d *Dike) Quantum(now sim.Time) error {
 		// Swapped threads are predicted to take over their destination
 		// core's bandwidth (Eqn 1's model).
 		for _, p := range accepted {
-			next[p.Pair.Low] = p.PredLowRate
-			next[p.Pair.High] = p.PredHighRate
+			d.nextRates[obs.Index(p.Pair.Low)] = p.PredLowRate
+			d.nextRates[obs.Index(p.Pair.High)] = p.PredHighRate
 		}
 	}
-	d.predNext = next
+	d.predIDs, d.nextIDs = d.nextIDs, d.predIDs
+	d.predRates, d.nextRates = d.nextRates, d.predRates
 	d.history = append(d.history, rec)
 	return nil
 }
@@ -329,20 +339,32 @@ func (d *Dike) watchdog(obs *Observation) {
 // not a measurement, and scoring the predictor against it — or letting
 // it learn from it — would poison the accuracy statistics with garbage.
 func (d *Dike) recordErrors(obs *Observation) {
-	if len(d.predNext) == 0 {
+	if len(d.predIDs) == 0 {
 		return
 	}
 	sum, n := 0.0, 0
-	for _, id := range obs.Alive {
-		pred, ok := d.predNext[id]
-		if !ok || obs.Held[id] {
+	// Both obs.Alive and predIDs ascend, so one merge walk pairs each
+	// thread with its prediction, and errs is searched from where the
+	// previous thread was found.
+	j, from := 0, 0
+	for i, id := range obs.Alive {
+		for j < len(d.predIDs) && d.predIDs[j] < id {
+			j++
+		}
+		if j == len(d.predIDs) {
+			break
+		}
+		if d.predIDs[j] != id || obs.Held[i] {
 			continue
 		}
-		actual := obs.Rate[id]
+		pred := d.predRates[j]
+		actual := obs.Rate[i]
 		denom := math.Max(actual, errFloor)
 		err := stats.Clamp((pred-actual)/denom, -errClamp, errClamp)
-		d.errSum[id] += err
-		d.errCount[id]++
+		var e *threadErr
+		e, from = entry(&d.errs, from, threadErr{id: id})
+		e.sum += err
+		e.n++
 		sum += err
 		n++
 	}
@@ -362,27 +384,21 @@ func (d *Dike) updateLimiting(obs *Observation) {
 	if obs.Fairness < d.cfg.FairnessThreshold {
 		return
 	}
-	best := platform.ThreadID(0)
+	best := -1
 	bestSlow := 0.0
-	found := false
-	for _, id := range obs.Alive {
-		base := obs.Baseline[id]
-		if base <= 0 || obs.Held[id] {
+	for i, base := range obs.Baseline {
+		if base <= 0 || obs.Held[i] {
 			continue
 		}
-		slow := obs.Rate[id] / base
-		if !found || slow < bestSlow {
-			best, bestSlow, found = id, slow, true
+		slow := obs.Rate[i] / base
+		if best < 0 || slow < bestSlow {
+			best, bestSlow = i, slow
 		}
 	}
-	if !found {
+	if best < 0 {
 		return
 	}
-	core, ok := obs.CoreOf[best]
-	if !ok {
-		return
-	}
-	d.limKind = d.p.Topology().Core(core).Kind
+	d.limKind = d.p.Topology().Core(obs.CoreOf[best]).Kind
 	d.limOK = true
 }
 
@@ -450,11 +466,9 @@ func (ps PredStats) MinAvgMax() (lo, avg, hi float64) {
 // PredictionStats returns the per-thread averaged prediction errors
 // accumulated so far.
 func (d *Dike) PredictionStats() PredStats {
-	out := PredStats{PerThread: make(map[platform.ThreadID]float64, len(d.errSum))}
-	for id, sum := range d.errSum {
-		if c := d.errCount[id]; c > 0 {
-			out.PerThread[id] = sum / float64(c)
-		}
+	out := PredStats{PerThread: make(map[platform.ThreadID]float64, len(d.errs))}
+	for _, e := range d.errs {
+		out.PerThread[e.id] = e.sum / float64(e.n)
 	}
 	return out
 }

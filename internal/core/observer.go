@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dike/internal/platform"
 	"dike/internal/sim"
@@ -31,30 +32,44 @@ func (c ThreadClass) String() string {
 // Observation is everything one quantum of observing yields: the raw
 // counter sample, thread classifications, access rates, the per-core
 // bandwidth estimates, and the high/low-bandwidth core partition.
+//
+// An Observation belongs to the Observer that produced it. The Observer
+// rebuilds the same Observation in place on every Observe call, so an
+// Observation, every slice it holds, and the Ranking and pairs the
+// Selector derives from it are valid only until the next Observe on that
+// Observer. A caller that needs a value across quanta copies it out.
 type Observation struct {
 	Now    sim.Time
 	Sample *platform.Sample
-	// Alive lists live threads in ascending id order.
+	// Alive lists live threads in ascending id order. The per-thread
+	// slices below (Class through Held) are parallel to it: entry i
+	// describes thread Alive[i], and Index maps an id to its position.
 	Alive []platform.ThreadID
 	// Class is the current per-thread classification.
-	Class map[platform.ThreadID]ThreadClass
+	Class []ThreadClass
 	// Rate is the measured access rate (misses/ms) per thread.
-	Rate map[platform.ThreadID]float64
+	Rate []float64
 	// Baseline is the thread's intrinsic demand estimate: the mean
 	// access rate of its process's threads this quantum. Homogeneous
 	// threads of one process doing equal work make this a core-agnostic
 	// demand figure.
-	Baseline map[platform.ThreadID]float64
+	Baseline []float64
 	// Instr is each thread's cumulative retired-instruction count — the
 	// PMU-visible progress proxy the Selector uses to rotate lagging
 	// siblings onto fast cores.
-	Instr map[platform.ThreadID]float64
+	Instr []float64
 	// CoreOf is each thread's current core.
-	CoreOf map[platform.ThreadID]platform.CoreID
-	// Proc maps each thread to its process (benchmark) id. Process
-	// membership is OS-visible (tgid), so using it carries no a priori
-	// knowledge about application character.
-	Proc map[platform.ThreadID]int
+	CoreOf []platform.CoreID
+	// Proc is each thread's process (benchmark) id. Process membership
+	// is OS-visible (tgid), so using it carries no a priori knowledge
+	// about application character.
+	Proc []int
+	// Held marks threads whose counter reading this quantum was missing
+	// or rejected by sanitization; their Rate is the held last-good
+	// estimate (zero once the estimate is too stale to trust). Consumers
+	// must not treat held rates as fresh feedback — the Predictor's
+	// error bookkeeping and the capability estimator both skip them.
+	Held []bool
 	// CoreBW is the per-core moving-mean served bandwidth (misses/ms) —
 	// the paper's CoreBW variable in raw form; kept for diagnostics.
 	CoreBW []float64
@@ -67,15 +82,10 @@ type Observation struct {
 	// tracks contention ("a core may become low-bandwidth due to
 	// contention").
 	Capability []float64
-	// HighBW marks cores in the higher-capability half of the occupied
-	// cores (the Observer's "core identification").
-	HighBW map[platform.CoreID]bool
-	// Held marks threads whose counter reading this quantum was missing
-	// or rejected by sanitization; their Rate is the held last-good
-	// estimate (zero once the estimate is too stale to trust). Consumers
-	// must not treat held rates as fresh feedback — the Predictor's
-	// error bookkeeping and the capability estimator both skip them.
-	Held map[platform.ThreadID]bool
+	// HighBW marks, by core id, the cores in the higher-capability half
+	// of the occupied cores (the Observer's "core identification"). Only
+	// occupied cores are ever marked.
+	HighBW []bool
 	// Sanitized counts this quantum's counter-sanitization actions.
 	Sanitized SanitizeStats
 	// SystemCV is the coefficient of variation of all alive threads'
@@ -88,13 +98,75 @@ type Observation struct {
 	// process makes the gate an online analogue of Eqn 4 that only
 	// closes when every application is progressing uniformly.
 	Fairness float64
+
+	// slot numbers this quantum's processes densely: procs lists the
+	// distinct process ids in ascending order, and slot[i] is the index
+	// in procs of thread Alive[i]'s process. indexProcs fills both.
+	slot  []int
+	procs []int
+	// sel holds the Selector's buffers, reused from quantum to quantum.
+	sel selectScratch
+}
+
+// Index returns the position of thread id in Alive (and so in every
+// per-thread slice), or -1 if id is not alive.
+func (o *Observation) Index(id platform.ThreadID) int {
+	i, ok := slices.BinarySearch(o.Alive, id)
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// HeldThreads returns how many alive threads' readings were held.
+func (o *Observation) HeldThreads() int {
+	n := 0
+	for _, h := range o.Held {
+		if h {
+			n++
+		}
+	}
+	return n
+}
+
+// indexProcs numbers the distinct processes of Proc in ascending process
+// id and records each thread's slot. Siblings are usually adjacent in
+// id order, so a thread whose process matches its predecessor's skips
+// the search.
+func (o *Observation) indexProcs() {
+	o.procs = o.procs[:0]
+	for i, p := range o.Proc {
+		if i > 0 && p == o.Proc[i-1] {
+			continue
+		}
+		if j, found := slices.BinarySearch(o.procs, p); !found {
+			o.procs = slices.Insert(o.procs, j, p)
+		}
+	}
+	o.slot = resize(o.slot, len(o.Proc))
+	for i, p := range o.Proc {
+		if i > 0 && p == o.Proc[i-1] {
+			o.slot[i] = o.slot[i-1]
+			continue
+		}
+		o.slot[i], _ = slices.BinarySearch(o.procs, p)
+	}
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. The contents are unspecified: callers overwrite or clear them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // MemoryThreads returns how many alive threads are classified M.
 func (o *Observation) MemoryThreads() int {
 	n := 0
-	for _, id := range o.Alive {
-		if o.Class[id] == MemoryClass {
+	for _, c := range o.Class {
+		if c == MemoryClass {
 			n++
 		}
 	}
@@ -110,9 +182,9 @@ func (o *Observation) ComputeThreads() int { return len(o.Alive) - o.MemoryThrea
 // CoreBW — "the thread consumes the new core's bandwidth" — expressed in
 // the migrating thread's own demand units so that swapping a compute
 // thread onto a big core is not predicted to magically produce a memory
-// hog's bandwidth.
+// hog's bandwidth. id must be alive.
 func (o *Observation) PredictRate(id platform.ThreadID, c platform.CoreID) float64 {
-	return o.Capability[c] * o.Baseline[id]
+	return o.Capability[c] * o.Baseline[o.Index(id)]
 }
 
 // SanitizeStats counts the Observer's counter-sanitization actions:
@@ -163,18 +235,72 @@ type Observer struct {
 	capacity float64
 	coreBW   []*stats.MovingMean
 	capab    []*stats.MovingMean
-	class    map[platform.ThreadID]ThreadClass
-	// procBase smooths each process's mean access rate across quanta so
+	// threads is the per-thread state that outlives a quantum, sorted by
+	// thread id: the last classification and hold-last-good bookkeeping.
+	threads []threadState
+	// bases smooths each process's mean access rate across quanta so
 	// that a single burst quantum does not fling a whole process across
-	// the placement boundary and back (burst-chasing churn).
-	procBase map[int]*stats.MovingMean
-	// lastRate/staleFor implement hold-last-good: the last sane measured
-	// rate per thread, and for how many consecutive quanta the thread's
-	// reading has been missing or rejected.
-	lastRate map[platform.ThreadID]float64
-	staleFor map[platform.ThreadID]int
+	// the placement boundary and back (burst-chasing churn). Sorted by
+	// process id.
+	bases []procBaseline
 	// sanitized accumulates sanitizer actions over the run.
 	sanitized SanitizeStats
+
+	// obs is the Observation every Observe call rebuilds in place.
+	obs Observation
+	// Scratch reused across quanta: keep marks the threads that feed
+	// their process's demand estimate; procRates holds those threads'
+	// rates grouped by process slot (slot s spans
+	// procStart[s]:procStart[s+1], in Alive order); procMean is the
+	// per-slot baseline; occupied marks occupied cores and caps holds
+	// their capabilities for the median.
+	keep      []bool
+	procRates []float64
+	procStart []int
+	procMean  []float64
+	occupied  []bool
+	caps      []float64
+}
+
+// threadState is one thread's Observer state that carries across quanta.
+type threadState struct {
+	id    platform.ThreadID
+	class ThreadClass
+	// lastRate/staleFor implement hold-last-good: the last sane measured
+	// rate, and for how many consecutive quanta the thread's reading has
+	// been missing or rejected.
+	lastRate float64
+	staleFor int
+}
+
+// procBaseline is one process's smoothed demand baseline.
+type procBaseline struct {
+	proc int
+	mean stats.MovingMean
+}
+
+func (t threadState) key() int  { return int(t.id) }
+func (b procBaseline) key() int { return b.proc }
+
+// keyed is an entry of a table sorted by key: the Observer's per-thread
+// and per-process state and Dike's per-thread prediction errors.
+type keyed interface{ key() int }
+
+// entry returns the entry of *table whose key is fresh's, inserting
+// fresh in order if there is none. Callers look keys up in ascending
+// order, so the search starts at from, the index after the previous
+// hit, and entry returns the next such index.
+func entry[E keyed](table *[]E, from int, fresh E) (*E, int) {
+	t, k := *table, fresh.key()
+	if from < len(t) && t[from].key() == k {
+		return &t[from], from + 1 // the common case: nothing left between
+	}
+	i, found := slices.BinarySearchFunc(t[from:], k, func(e E, k int) int { return cmp.Compare(e.key(), k) })
+	i += from
+	if !found {
+		*table = slices.Insert(t, i, fresh)
+	}
+	return &(*table)[i], i + 1
 }
 
 // NewObserver builds an observer over p. alpha is the EWMA weight for
@@ -199,10 +325,6 @@ func newObserver(p platform.Platform, alpha, missTh float64, useIPC bool) *Obser
 		capacity: p.MemCapacity(),
 		coreBW:   bw,
 		capab:    cp,
-		class:    make(map[platform.ThreadID]ThreadClass),
-		procBase: make(map[int]*stats.MovingMean),
-		lastRate: make(map[platform.ThreadID]float64),
-		staleFor: make(map[platform.ThreadID]int),
 	}
 }
 
@@ -221,28 +343,32 @@ func (o *Observer) SanitizedTotal() SanitizeStats { return o.sanitized }
 // service capacity are clamped to it. Held threads are marked in
 // Observation.Held and excluded from the capability and baseline
 // estimators so garbage never enters the closed loop.
+//
+// The returned Observation is the Observer's own: the next Observe call
+// rebuilds it in place. In steady state (no new threads, processes or
+// larger thread counts) Observe allocates nothing.
 func (o *Observer) Observe(now sim.Time) (*Observation, error) {
 	sample := o.p.Sample(now)
-	alive := o.p.Alive()
-	sort.Slice(alive, func(i, j int) bool { return alive[i] < alive[j] })
+	obs := &o.obs
+	obs.Alive = append(obs.Alive[:0], o.p.Alive()...)
+	slices.Sort(obs.Alive)
+	n := len(obs.Alive)
+	obs.Now, obs.Sample = now, sample
+	obs.Class = resize(obs.Class, n)
+	obs.Rate = resize(obs.Rate, n)
+	obs.Baseline = resize(obs.Baseline, n)
+	obs.Instr = resize(obs.Instr, n)
+	obs.CoreOf = resize(obs.CoreOf, n)
+	obs.Proc = resize(obs.Proc, n)
+	obs.Held = resize(obs.Held, n)
+	obs.Sanitized = SanitizeStats{}
+	obs.SystemCV, obs.Fairness = 0, 0
+	o.keep = resize(o.keep, n)
 
-	obs := &Observation{
-		Now:      now,
-		Sample:   sample,
-		Alive:    alive,
-		Class:    make(map[platform.ThreadID]ThreadClass, len(alive)),
-		Rate:     make(map[platform.ThreadID]float64, len(alive)),
-		Baseline: make(map[platform.ThreadID]float64, len(alive)),
-		Instr:    make(map[platform.ThreadID]float64, len(alive)),
-		CoreOf:   make(map[platform.ThreadID]platform.CoreID, len(alive)),
-		Proc:     make(map[platform.ThreadID]int, len(alive)),
-		Held:     make(map[platform.ThreadID]bool),
-		HighBW:   make(map[platform.CoreID]bool),
-	}
-
-	rates := make([]float64, 0, len(alive))
-	byProc := make(map[int][]float64)
-	for _, id := range alive {
+	next := 0 // where the next o.threads search starts
+	for i, id := range obs.Alive {
+		var ts *threadState
+		ts, next = entry(&o.threads, next, threadState{id: id})
 		delta, sampled := sample.Threads[id]
 		good := sampled && delta.Sane()
 		var rate float64
@@ -260,76 +386,57 @@ func (o *Observer) Observe(now sim.Time) (*Observation, error) {
 				obs.Sanitized.Clamped++
 			}
 		}
+		held := false
 		if sample.Interval > 0 && !good {
 			if !sampled {
 				obs.Sanitized.Dropped++
 			} else {
 				obs.Sanitized.Rejected++
 			}
-			o.staleFor[id]++
-			if o.staleFor[id] <= maxStaleQuanta {
+			ts.staleFor++
+			if ts.staleFor <= maxStaleQuanta {
 				// Hold-last-good: the thread keeps its last sane rate.
-				rate = o.lastRate[id]
+				rate = ts.lastRate
 			}
-			obs.Held[id] = true
+			held = true
 		} else if good {
-			o.staleFor[id] = 0
-			o.lastRate[id] = rate
+			ts.staleFor = 0
+			ts.lastRate = rate
 		}
-		obs.Rate[id] = rate
-		rates = append(rates, rate)
-		obs.Instr[id] = sample.Instr[id]
+		obs.Rate[i] = rate
+		obs.Held[i] = held
+		obs.Instr[i] = sample.Instr[id]
 		core, err := o.p.CoreOf(id)
 		if err != nil {
 			return nil, fmt.Errorf("core: observing thread %d: %w", id, err)
 		}
-		obs.CoreOf[id] = core
+		obs.CoreOf[i] = core
 		proc, err := o.p.ProcessOf(id)
 		if err != nil {
 			return nil, fmt.Errorf("core: observing thread %d: %w", id, err)
 		}
-		obs.Proc[id] = proc
+		obs.Proc[i] = proc
 		// A thread held beyond the staleness bound contributes nothing to
 		// its process's demand estimate: its zero rate is absence of
 		// information, not measured idleness.
-		if !obs.Held[id] || o.staleFor[id] <= maxStaleQuanta {
-			byProc[proc] = append(byProc[proc], rate)
-		}
+		o.keep[i] = !held || ts.staleFor <= maxStaleQuanta
 
 		// Reclassify only when the thread actually issued accesses this
 		// quantum (and the reading survived sanitization); a thread
 		// stalled by a migration keeps its old class.
 		if good && delta.Accesses > 0 {
 			if delta.MissRatio() > o.missTh {
-				o.class[id] = MemoryClass
+				ts.class = MemoryClass
 			} else {
-				o.class[id] = ComputeClass
+				ts.class = ComputeClass
 			}
 		}
-		obs.Class[id] = o.class[id]
+		obs.Class[i] = ts.class
 	}
 	o.sanitized.add(obs.Sanitized)
-	obs.SystemCV = stats.CV(rates)
-	procMean := make(map[int]float64, len(byProc))
-	for p, rs := range byProc {
-		mean := stats.Mean(rs)
-		if sample.Interval > 0 {
-			mm := o.procBase[p]
-			if mm == nil {
-				mm = stats.NewMovingMean(baselineAlpha)
-				o.procBase[p] = mm
-			}
-			mm.Add(mean)
-			mean = mm.Value()
-		}
-		procMean[p] = mean
-		if cv := stats.CV(rs); cv > obs.Fairness {
-			obs.Fairness = cv
-		}
-	}
-	for _, id := range alive {
-		obs.Baseline[id] = procMean[obs.Proc[id]]
-	}
+	obs.SystemCV = stats.CV(obs.Rate)
+	obs.indexProcs()
+	o.processBaselines(obs)
 
 	// Fold this quantum's measurements into the per-core estimates:
 	// served bandwidth (raw CoreBW) and relative capability (occupant
@@ -350,20 +457,19 @@ func (o *Observer) Observe(now sim.Time) (*Observation, error) {
 			}
 			o.coreBW[c].Add(bw)
 		}
-		for _, id := range alive {
-			if obs.Held[id] {
+		for i := range obs.Alive {
+			if obs.Held[i] {
 				continue
 			}
-			base := obs.Baseline[id]
+			base := obs.Baseline[i]
 			if base < minBaseline {
 				continue
 			}
-			c := obs.CoreOf[id]
-			o.capab[int(c)].Add(obs.Rate[id] / base)
+			o.capab[int(obs.CoreOf[i])].Add(obs.Rate[i] / base)
 		}
 	}
-	obs.CoreBW = make([]float64, len(o.coreBW))
-	obs.Capability = make([]float64, len(o.capab))
+	obs.CoreBW = resize(obs.CoreBW, len(o.coreBW))
+	obs.Capability = resize(obs.Capability, len(o.capab))
 	for c := range o.coreBW {
 		obs.CoreBW[c] = o.coreBW[c].Value()
 		if o.capab[c].Count() > 0 {
@@ -373,28 +479,98 @@ func (o *Observer) Observe(now sim.Time) (*Observation, error) {
 			obs.Capability[c] = 1
 		}
 	}
+	o.identifyCores(obs)
+	return obs, nil
+}
 
-	// Core identification: median split of capability over occupied
-	// cores. Strictly-greater-than-median marks the high half so that a
-	// degenerate all-equal state (cold start) classifies everything low
-	// and the Selector stays quiet rather than thrashing.
-	occupied := make(map[platform.CoreID]bool, len(alive))
-	for _, c := range obs.CoreOf {
-		occupied[c] = true
+// processBaselines sets each thread's Baseline to its process's demand
+// estimate and the fairness gate to the worst per-process CV. The rates
+// of the threads that feed the estimate are grouped by process slot in
+// Alive order, so every per-process mean and CV folds its floats in
+// Alive order.
+func (o *Observer) processBaselines(obs *Observation) {
+	np := len(obs.procs)
+	// Counting sort: start[s] first counts slot s, then becomes the end
+	// of its run, and the backward fill moves it to the run's start
+	// while keeping each run in Alive order.
+	start := resize(o.procStart, np+1)
+	clear(start)
+	for i, s := range obs.slot {
+		if o.keep[i] {
+			start[s]++
+		}
 	}
-	if len(occupied) > 1 {
-		caps := make([]float64, 0, len(occupied))
-		for c := range occupied {
+	for s := 1; s <= np; s++ {
+		start[s] += start[s-1]
+	}
+	rates := resize(o.procRates, start[np])
+	for i := len(obs.slot) - 1; i >= 0; i-- {
+		if s := obs.slot[i]; o.keep[i] {
+			start[s]--
+			rates[start[s]] = obs.Rate[i]
+		}
+	}
+	mean := resize(o.procMean, np)
+	next := 0 // where the next o.bases search starts
+	for s := 0; s < np; s++ {
+		rs := rates[start[s]:start[s+1]]
+		if len(rs) == 0 {
+			// Every thread held beyond the staleness bound: no estimate.
+			mean[s] = 0
+			continue
+		}
+		m := stats.Mean(rs)
+		if obs.Sample.Interval > 0 {
+			var b *procBaseline
+			b, next = entry(&o.bases, next, procBaseline{proc: obs.procs[s], mean: *stats.NewMovingMean(baselineAlpha)})
+			b.mean.Add(m)
+			m = b.mean.Value()
+		}
+		mean[s] = m
+		if cv := stats.CV(rs); cv > obs.Fairness {
+			obs.Fairness = cv
+		}
+	}
+	for i, s := range obs.slot {
+		obs.Baseline[i] = mean[s]
+	}
+	o.procStart, o.procRates, o.procMean = start, rates, mean
+}
+
+// identifyCores is the Observer's core identification: a median split
+// of capability over occupied cores. Strictly-greater-than-median marks
+// the high half so that a degenerate all-equal state (cold start)
+// classifies everything low and the Selector stays quiet rather than
+// thrashing.
+func (o *Observer) identifyCores(obs *Observation) {
+	occupied := resize(o.occupied, len(obs.Capability))
+	clear(occupied)
+	nocc := 0
+	for _, c := range obs.CoreOf {
+		if !occupied[c] {
+			occupied[c] = true
+			nocc++
+		}
+	}
+	obs.HighBW = resize(obs.HighBW, len(obs.Capability))
+	clear(obs.HighBW)
+	o.occupied = occupied
+	if nocc <= 1 {
+		return
+	}
+	caps := o.caps[:0]
+	for c, occ := range occupied {
+		if occ {
 			caps = append(caps, obs.Capability[c])
 		}
-		median := stats.Median(caps)
-		for c := range occupied {
-			if obs.Capability[c] > median {
-				obs.HighBW[c] = true
-			}
+	}
+	o.caps = caps
+	median := stats.MedianInPlace(caps)
+	for c, occ := range occupied {
+		if occ && obs.Capability[c] > median {
+			obs.HighBW[c] = true
 		}
 	}
-	return obs, nil
 }
 
 // CoreBW returns the current raw moving-mean served bandwidth of core c.

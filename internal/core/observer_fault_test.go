@@ -56,14 +56,14 @@ func TestObserverRejectsInsaneReadings(t *testing.T) {
 			m.SetDisruptor(dis)
 			mustObserve(t, o, 0)
 			clean := observeQuantum(t, m, o, 1)
-			goodRate := clean.Rate[0]
+			goodRate := clean.Rate[clean.Index(0)]
 			if goodRate <= 0 {
 				t.Fatal("setup: thread 0 should have a positive rate")
 			}
 
 			dis.mutate = k.mut
 			obs := observeQuantum(t, m, o, 2)
-			if !obs.Held[0] {
+			if !obs.Held[obs.Index(0)] {
 				t.Error("insane reading not marked held")
 			}
 			if obs.Sanitized.Rejected != 1 {
@@ -71,7 +71,7 @@ func TestObserverRejectsInsaneReadings(t *testing.T) {
 			}
 			// Hold-last-good: the rate stays near the last sane measurement
 			// instead of going NaN/Inf/negative.
-			r := obs.Rate[0]
+			r := obs.Rate[obs.Index(0)]
 			if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
 				t.Errorf("held rate is garbage: %v", r)
 			}
@@ -93,16 +93,16 @@ func TestObserverDropoutHoldsThenExpires(t *testing.T) {
 	m.SetDisruptor(dis)
 	mustObserve(t, o, 0)
 	clean := observeQuantum(t, m, o, 1)
-	goodRate := clean.Rate[0]
+	goodRate := clean.Rate[clean.Index(0)]
 
 	dis.mutate = func(d counters.ThreadDelta) (counters.ThreadDelta, bool) { return d, false }
 	for q := 2; q <= 1+maxStaleQuanta; q++ {
 		obs := observeQuantum(t, m, o, q)
-		if !obs.Held[0] {
+		if !obs.Held[obs.Index(0)] {
 			t.Fatalf("quantum %d: dropped sample not held", q)
 		}
-		if obs.Rate[0] != goodRate {
-			t.Fatalf("quantum %d: held rate %v, want %v", q, obs.Rate[0], goodRate)
+		if obs.Rate[obs.Index(0)] != goodRate {
+			t.Fatalf("quantum %d: held rate %v, want %v", q, obs.Rate[obs.Index(0)], goodRate)
 		}
 		if obs.Sanitized.Dropped != 1 {
 			t.Fatalf("quantum %d: Dropped = %d, want 1", q, obs.Sanitized.Dropped)
@@ -110,20 +110,20 @@ func TestObserverDropoutHoldsThenExpires(t *testing.T) {
 	}
 	// Beyond the staleness bound the held estimate expires to zero.
 	obs := observeQuantum(t, m, o, 2+maxStaleQuanta)
-	if !obs.Held[0] {
+	if !obs.Held[obs.Index(0)] {
 		t.Error("expired thread not marked held")
 	}
-	if obs.Rate[0] != 0 {
-		t.Errorf("stale-beyond-bound rate = %v, want 0", obs.Rate[0])
+	if obs.Rate[obs.Index(0)] != 0 {
+		t.Errorf("stale-beyond-bound rate = %v, want 0", obs.Rate[obs.Index(0)])
 	}
 	// Recovery: a good sample resets the hold state immediately.
 	dis.mutate = nil
 	obs = observeQuantum(t, m, o, 3+maxStaleQuanta)
-	if obs.Held[0] {
+	if obs.Held[obs.Index(0)] {
 		t.Error("recovered thread still held")
 	}
-	if obs.Rate[0] <= 0 {
-		t.Errorf("recovered rate = %v, want positive", obs.Rate[0])
+	if obs.Rate[obs.Index(0)] <= 0 {
+		t.Errorf("recovered rate = %v, want positive", obs.Rate[obs.Index(0)])
 	}
 	if got := o.SanitizedTotal().Dropped; got != maxStaleQuanta+1 {
 		t.Errorf("run total Dropped = %d, want %d", got, maxStaleQuanta+1)
@@ -144,14 +144,14 @@ func TestObserverClampsSaturatedReadings(t *testing.T) {
 	}
 	obs := observeQuantum(t, m, o, 2)
 	capacity := m.MemCapacity()
-	if obs.Rate[0] != capacity {
-		t.Errorf("saturated rate = %v, want clamp to capacity %v", obs.Rate[0], capacity)
+	if obs.Rate[obs.Index(0)] != capacity {
+		t.Errorf("saturated rate = %v, want clamp to capacity %v", obs.Rate[obs.Index(0)], capacity)
 	}
 	if obs.Sanitized.Clamped != 1 {
 		t.Errorf("Clamped = %d, want 1", obs.Sanitized.Clamped)
 	}
 	// A clamped reading is a (bounded) measurement, not a hold.
-	if obs.Held[0] {
+	if obs.Held[obs.Index(0)] {
 		t.Error("clamped reading marked held")
 	}
 }
@@ -166,13 +166,13 @@ func TestObserverZeroIntervalQuantum(t *testing.T) {
 	if obs.Sample.Interval != 0 {
 		t.Fatalf("interval = %v, want 0", obs.Sample.Interval)
 	}
-	for _, id := range obs.Alive {
-		if obs.Rate[id] != 0 {
-			t.Errorf("thread %d rate = %v in a zero-length quantum", id, obs.Rate[id])
+	for i, id := range obs.Alive {
+		if obs.Rate[i] != 0 {
+			t.Errorf("thread %d rate = %v in a zero-length quantum", id, obs.Rate[i])
 		}
 	}
-	if len(obs.Held) != 0 {
-		t.Errorf("zero-length quantum held %d threads", len(obs.Held))
+	if n := obs.HeldThreads(); n != 0 {
+		t.Errorf("zero-length quantum held %d threads", n)
 	}
 	if obs.Sanitized != (SanitizeStats{}) {
 		t.Errorf("zero-length quantum sanitized: %+v", obs.Sanitized)

@@ -63,13 +63,13 @@ func TestObserverClassification(t *testing.T) {
 	mustObserve(t, o, 0)
 	obs := observeAfter(t, m, o, 0, 500)
 	for i := 0; i < 8; i++ {
-		if obs.Class[platform.ThreadID(i)] != MemoryClass {
-			t.Errorf("thread %d classified %v, want M", i, obs.Class[platform.ThreadID(i)])
+		if obs.Class[obs.Index(platform.ThreadID(i))] != MemoryClass {
+			t.Errorf("thread %d classified %v, want M", i, obs.Class[obs.Index(platform.ThreadID(i))])
 		}
 	}
 	for i := 8; i < 16; i++ {
-		if obs.Class[platform.ThreadID(i)] != ComputeClass {
-			t.Errorf("thread %d classified %v, want C", i, obs.Class[platform.ThreadID(i)])
+		if obs.Class[obs.Index(platform.ThreadID(i))] != ComputeClass {
+			t.Errorf("thread %d classified %v, want C", i, obs.Class[obs.Index(platform.ThreadID(i))])
 		}
 	}
 	if obs.MemoryThreads() != 8 || obs.ComputeThreads() != 8 {
@@ -91,8 +91,7 @@ func TestObserverCapabilityIdentifiesFastCores(t *testing.T) {
 	// Every occupied fast core must estimate a higher capability than
 	// every occupied slow core.
 	minFast, maxSlow := 1e9, -1e9
-	for _, id := range obs.Alive {
-		c := obs.CoreOf[id]
+	for _, c := range obs.CoreOf {
 		cap := obs.Capability[c]
 		if topo.Core(c).Kind == platform.FastCore {
 			if cap < minFast {
@@ -106,8 +105,7 @@ func TestObserverCapabilityIdentifiesFastCores(t *testing.T) {
 		t.Errorf("capability overlap: min fast %v <= max slow %v", minFast, maxSlow)
 	}
 	// And the HighBW partition therefore marks exactly the fast cores.
-	for _, id := range obs.Alive {
-		c := obs.CoreOf[id]
+	for _, c := range obs.CoreOf {
 		isFast := topo.Core(c).Kind == platform.FastCore
 		if obs.HighBW[c] != isFast {
 			t.Errorf("core %d highBW=%v, kind=%v", c, obs.HighBW[c], topo.Core(c).Kind)
@@ -121,15 +119,15 @@ func TestObserverBaselinePerProcess(t *testing.T) {
 	mustObserve(t, o, 0)
 	obs := observeAfter(t, m, o, 0, 500)
 	// All threads of one process share a baseline.
-	b0 := obs.Baseline[0]
+	b0 := obs.Baseline[obs.Index(0)]
 	for i := 1; i < 8; i++ {
-		if obs.Baseline[platform.ThreadID(i)] != b0 {
+		if obs.Baseline[obs.Index(platform.ThreadID(i))] != b0 {
 			t.Error("process baselines differ across siblings")
 		}
 	}
 	// Memory baseline far above compute baseline.
-	if obs.Baseline[0] < 5*obs.Baseline[8] {
-		t.Errorf("baselines not separated: %v vs %v", obs.Baseline[0], obs.Baseline[8])
+	if obs.Baseline[obs.Index(0)] < 5*obs.Baseline[obs.Index(8)] {
+		t.Errorf("baselines not separated: %v vs %v", obs.Baseline[obs.Index(0)], obs.Baseline[obs.Index(8)])
 	}
 }
 
@@ -144,9 +142,9 @@ func TestObserverFairnessGate(t *testing.T) {
 		t.Errorf("gate = %v, want unfair (>0.1)", obs.Fairness)
 	}
 	// Instr is cumulative and positive.
-	for _, id := range obs.Alive {
-		if obs.Instr[id] <= 0 {
-			t.Errorf("thread %d instr = %v", id, obs.Instr[id])
+	for i, id := range obs.Alive {
+		if obs.Instr[i] <= 0 {
+			t.Errorf("thread %d instr = %v", id, obs.Instr[i])
 		}
 	}
 }
@@ -170,7 +168,7 @@ func TestObserverStalledThreadKeepsClass(t *testing.T) {
 	o := NewObserver(m, 0.25, 0.10)
 	mustObserve(t, o, 0)
 	obs := observeAfter(t, m, o, 0, 500)
-	if obs.Class[0] != MemoryClass {
+	if obs.Class[obs.Index(0)] != MemoryClass {
 		t.Fatal("setup: thread 0 should be M")
 	}
 	// Freeze thread 0 with a long migration stall, then observe over a
@@ -184,7 +182,7 @@ func TestObserverStalledThreadKeepsClass(t *testing.T) {
 	// Observe a window shorter than the stall.
 	m.Step(500, 1)
 	obs = mustObserve(t, o, 502)
-	if obs.Class[0] != MemoryClass {
+	if obs.Class[obs.Index(0)] != MemoryClass {
 		t.Error("stalled thread lost its classification")
 	}
 }
@@ -220,11 +218,11 @@ func TestObserverIPCMetric(t *testing.T) {
 	obs := observeAfter(t, m, o, 0, 500)
 	// Under IPC, compute threads score HIGHER than memory threads — the
 	// inversion the paper warns about.
-	if obs.Rate[8] <= obs.Rate[0] {
-		t.Errorf("IPC metric: compute %v not above memory %v", obs.Rate[8], obs.Rate[0])
+	if obs.Rate[obs.Index(8)] <= obs.Rate[obs.Index(0)] {
+		t.Errorf("IPC metric: compute %v not above memory %v", obs.Rate[obs.Index(8)], obs.Rate[obs.Index(0)])
 	}
 	// Classification is metric-independent (still miss-ratio based).
-	if obs.Class[0] != MemoryClass || obs.Class[8] != ComputeClass {
+	if obs.Class[obs.Index(0)] != MemoryClass || obs.Class[obs.Index(8)] != ComputeClass {
 		t.Error("classification changed under IPC metric")
 	}
 }

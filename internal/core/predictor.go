@@ -46,13 +46,14 @@ type Predictor struct {
 }
 
 // Predict evaluates one candidate pair under observation obs with the
-// current quantum length.
+// current quantum length. Both members of pair must be alive in obs.
 func (p Predictor) Predict(obs *Observation, pair Pair, quanta sim.Time) Prediction {
-	destLow := obs.CoreOf[pair.High] // t_l moves to t_h's core
-	destHigh := obs.CoreOf[pair.Low] // and vice versa
+	lo, hi := obs.Index(pair.Low), obs.Index(pair.High)
+	destLow := obs.CoreOf[hi]  // t_l moves to t_h's core
+	destHigh := obs.CoreOf[lo] // and vice versa
 
-	rateLow := obs.Rate[pair.Low]
-	rateHigh := obs.Rate[pair.High]
+	rateLow := obs.Rate[lo]
+	rateHigh := obs.Rate[hi]
 	ohFrac := 0.0
 	if quanta > 0 {
 		ohFrac = p.SwapOH / float64(quanta)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dike/internal/platform"
 )
@@ -69,63 +70,114 @@ type Ranking struct {
 	// begins: threads at index >= Boundary deserve high-bandwidth cores.
 	Boundary int
 	obs      *Observation
-	// procMean caches each process's mean retired-instruction count.
-	// admissible is called from SelectPairs' pair loop; recomputing the
-	// mean there made pair selection O(threads²), which dominates
-	// decision cost on 1024-core machines.
-	procMean map[int]float64
+	// order[i] is the position in obs.Alive of thread Sorted[i].
+	order []int
+	// procMean caches each process's mean retired-instruction count, by
+	// process slot. admissible is called from SelectPairs' pair loop;
+	// recomputing the mean there made pair selection O(threads²), which
+	// dominates decision cost on 1024-core machines. procN counts each
+	// slot's threads while the means are summed.
+	procMean []float64
+	procN    []int
+}
+
+// selectScratch is the Selector's storage inside an Observation: the
+// Ranking, the returned pairs and appendEqualizePairs' buffers, all
+// reused from quantum to quantum.
+type selectScratch struct {
+	rank   Ranking
+	pairs  []Pair
+	used   []bool
+	groups []equalizeGroup
+	cands  []equalizeCand
+}
+
+// equalizeGroup accumulates one process's unpaired threads for
+// appendEqualizePairs: its most-ahead and most-behind thread (positions
+// in Alive), its summed progress and its thread count.
+type equalizeGroup struct {
+	ahead, behind int
+	sum           float64
+	n             int
+}
+
+// equalizeCand is a candidate equalization pair and its progress spread.
+type equalizeCand struct {
+	pair   Pair
+	spread float64
 }
 
 // NewRanking orders obs's alive threads and locates the placement
 // boundary. All orderings break final ties by thread id, so runs are
-// deterministic.
+// deterministic. The Ranking lives in obs and is rebuilt by the next
+// NewRanking or SelectPairs on it.
 func NewRanking(obs *Observation) *Ranking {
-	sorted := make([]platform.ThreadID, len(obs.Alive))
-	copy(sorted, obs.Alive)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
-		ba, bb := obs.Baseline[a], obs.Baseline[b]
-		if diff := ba - bb; diff < -baselineTie || diff > baselineTie {
-			return ba < bb
+	r := &obs.sel.rank
+	r.obs = obs
+	n := len(obs.Alive)
+	r.order = resize(r.order, n)
+	for i := range r.order {
+		r.order[i] = i
+	}
+	// Positions in Alive sort in id order, since Alive ascends. The
+	// comparator is not transitive (demand ties are within baselineTie,
+	// not equal), so the ranking depends on the sort algorithm and its
+	// input order, and the pinned run outputs depend on both staying
+	// pdqsort over Alive order. pdqsort consults only cmp < 0, so
+	// "not less" may read 1.
+	slices.SortFunc(r.order, func(a, b int) int {
+		if rankLess(obs, a, b) {
+			return -1
 		}
-		// Demand tie: more progress sorts lower (less deserving of a
-		// fast core). Only meaningful within a process, but harmless as
-		// a global rule since cross-process exact ties are accidental.
-		ia, ib := obs.Instr[a], obs.Instr[b]
-		if ia != ib {
-			return ia > ib
-		}
-		return a < b
+		return 1
 	})
-	// Count occupied high-bandwidth cores: that is how many threads the
-	// ideal mapping can put on the high side.
+	r.Sorted = resize(r.Sorted, n)
+	for k, i := range r.order {
+		r.Sorted[k] = obs.Alive[i]
+	}
+	// Count high-bandwidth cores, all of them occupied: that is how many
+	// threads the ideal mapping can put on the high side.
 	k := 0
-	seen := make(map[platform.CoreID]bool, len(obs.CoreOf))
-	for _, c := range obs.CoreOf {
-		if !seen[c] {
-			seen[c] = true
-			if obs.HighBW[c] {
-				k++
-			}
+	for _, high := range obs.HighBW {
+		if high {
+			k++
 		}
 	}
-	boundary := len(sorted) - k
-	if boundary < 0 {
-		boundary = 0
+	r.Boundary = n - k
+	if r.Boundary < 0 {
+		r.Boundary = 0
 	}
-	// Per-process progress means, accumulated in obs.Alive order so the
-	// float summation order matches the former per-call computation.
-	sum := make(map[int]float64)
-	cnt := make(map[int]int)
-	for _, id := range obs.Alive {
-		sum[obs.Proc[id]] += obs.Instr[id]
-		cnt[obs.Proc[id]]++
+	// Per-process progress means, summed in obs.Alive order.
+	np := len(obs.procs)
+	r.procMean = resize(r.procMean, np)
+	r.procN = resize(r.procN, np)
+	clear(r.procMean)
+	clear(r.procN)
+	for i, s := range obs.slot {
+		r.procMean[s] += obs.Instr[i]
+		r.procN[s]++
 	}
-	mean := make(map[int]float64, len(sum))
-	for p, s := range sum {
-		mean[p] = s / float64(cnt[p])
+	for s := range r.procMean {
+		r.procMean[s] /= float64(r.procN[s])
 	}
-	return &Ranking{Sorted: sorted, Boundary: boundary, obs: obs, procMean: mean}
+	return r
+}
+
+// rankLess orders the threads at positions a and b of obs.Alive by
+// ascending demand rank.
+func rankLess(obs *Observation, a, b int) bool {
+	ba, bb := obs.Baseline[a], obs.Baseline[b]
+	if diff := ba - bb; diff < -baselineTie || diff > baselineTie {
+		return ba < bb
+	}
+	// Demand tie: more progress sorts lower (less deserving of a
+	// fast core). Only meaningful within a process, but harmless as
+	// a global rule since cross-process exact ties are accidental.
+	ia, ib := obs.Instr[a], obs.Instr[b]
+	if ia != ib {
+		return ia > ib
+	}
+	return a < b
 }
 
 // HighDeserving reports whether the thread at sorted index i belongs in
@@ -136,19 +188,19 @@ func (r *Ranking) HighDeserving(i int) bool { return i >= r.Boundary }
 // placement rule: a high-demand thread on a low-bandwidth core, or a
 // low-demand thread on a high-bandwidth core.
 func (r *Ranking) Violator(i int) bool {
-	onHigh := r.obs.HighBW[r.obs.CoreOf[r.Sorted[i]]]
+	onHigh := r.obs.HighBW[r.obs.CoreOf[r.order[i]]]
 	return r.HighDeserving(i) != onHigh
 }
 
 // admissible reports whether the candidate pair (low-side index h,
 // high-side index t in r.Sorted) clears the dead-bands.
 func (r *Ranking) admissible(h, t int) bool {
-	lo, hi := r.Sorted[h], r.Sorted[t]
+	lo, hi := r.order[h], r.order[t]
 	obs := r.obs
-	if obs.Proc[lo] == obs.Proc[hi] {
+	if s := obs.slot[lo]; s == obs.slot[hi] {
 		// Intra-process rotation: only worthwhile if the sibling on the
 		// better core is materially ahead.
-		mean := r.procMean[obs.Proc[lo]]
+		mean := r.procMean[s]
 		if mean == 0 {
 			return false
 		}
@@ -170,6 +222,9 @@ func (r *Ranking) admissible(h, t int) bool {
 // The fairness gate (skip the quantum when the system is fair) lives in
 // Dike's quantum loop; SelectPairs assumes the system is already known
 // to be unfair.
+//
+// The returned slice lives in obs: the next SelectPairs on obs reuses
+// it, and the Observer's next Observe invalidates it.
 func SelectPairs(obs *Observation, swapSize int) []Pair {
 	n := len(obs.Alive)
 	if n < 2 || swapSize < 2 {
@@ -177,43 +232,42 @@ func SelectPairs(obs *Observation, swapSize int) []Pair {
 	}
 	maxPairs := swapSize / 2
 	r := NewRanking(obs)
+	pairs := obs.sel.pairs[:0]
 
-	// All threads the same type: pair from both ends regardless of the
-	// placement rule.
 	if sameClass(obs) {
-		var pairs []Pair
+		// All threads the same type: pair from both ends regardless of
+		// the placement rule.
 		for k := 0; k < maxPairs && k < n-1-k; k++ {
 			if !r.admissible(k, n-1-k) {
 				continue
 			}
 			pairs = append(pairs, Pair{Low: r.Sorted[k], High: r.Sorted[n-1-k]})
 		}
-		return pairs
-	}
-
-	var pairs []Pair
-	head, tail := 0, n-1
-	for len(pairs) < maxPairs && head < tail {
-		// Advance head to the next low-side violator.
-		for head < n && !(r.Violator(head) && !r.HighDeserving(head)) {
+	} else {
+		head, tail := 0, n-1
+		for len(pairs) < maxPairs && head < tail {
+			// Advance head to the next low-side violator.
+			for head < n && !(r.Violator(head) && !r.HighDeserving(head)) {
+				head++
+			}
+			// Retreat tail to the next high-side violator.
+			for tail >= 0 && !(r.Violator(tail) && r.HighDeserving(tail)) {
+				tail--
+			}
+			if head >= tail || head >= n || tail < 0 {
+				break // pointers crossed: fewer violators than swapSize
+			}
+			if !r.admissible(head, tail) {
+				head++ // look for a more distinct low-side candidate
+				continue
+			}
+			pairs = append(pairs, Pair{Low: r.Sorted[head], High: r.Sorted[tail]})
 			head++
-		}
-		// Retreat tail to the next high-side violator.
-		for tail >= 0 && !(r.Violator(tail) && r.HighDeserving(tail)) {
 			tail--
 		}
-		if head >= tail || head >= n || tail < 0 {
-			break // pointers crossed: fewer violators than swapSize
-		}
-		if !r.admissible(head, tail) {
-			head++ // look for a more distinct low-side candidate
-			continue
-		}
-		pairs = append(pairs, Pair{Low: r.Sorted[head], High: r.Sorted[tail]})
-		head++
-		tail--
+		pairs = appendEqualizePairs(obs, pairs, maxPairs)
 	}
-	pairs = appendEqualizePairs(obs, pairs, maxPairs)
+	obs.sel.pairs = pairs
 	return pairs
 }
 
@@ -229,58 +283,67 @@ func appendEqualizePairs(obs *Observation, pairs []Pair, maxPairs int) []Pair {
 	if len(pairs) >= maxPairs {
 		return pairs
 	}
-	used := make(map[platform.ThreadID]bool, 2*len(pairs))
+	sc := &obs.sel
+	sc.used = resize(sc.used, len(obs.Alive))
+	clear(sc.used)
 	for _, p := range pairs {
-		used[p.Low] = true
-		used[p.High] = true
+		sc.used[obs.Index(p.Low)] = true
+		sc.used[obs.Index(p.High)] = true
 	}
-	byProc := make(map[int][]platform.ThreadID)
-	for _, id := range obs.Alive {
-		if !used[id] {
-			byProc[obs.Proc[id]] = append(byProc[obs.Proc[id]], id)
-		}
-	}
-	type cand struct {
-		pair   Pair
-		spread float64
-	}
-	var cands []cand
-	for _, ids := range byProc {
-		if len(ids) < 2 {
+	// One pass in Alive order gathers each process's unpaired threads:
+	// the sum folds in the same order as a per-process walk would.
+	sc.groups = resize(sc.groups, len(obs.procs))
+	clear(sc.groups)
+	for i, s := range obs.slot {
+		if sc.used[i] {
 			continue
 		}
-		ahead, behind := ids[0], ids[0]
-		mean := 0.0
-		for _, id := range ids {
-			mean += obs.Instr[id]
-			if obs.Instr[id] > obs.Instr[ahead] {
-				ahead = id
-			}
-			if obs.Instr[id] < obs.Instr[behind] {
-				behind = id
-			}
+		g := &sc.groups[s]
+		if g.n == 0 {
+			g.ahead, g.behind = i, i
 		}
-		mean /= float64(len(ids))
+		g.sum += obs.Instr[i]
+		if obs.Instr[i] > obs.Instr[g.ahead] {
+			g.ahead = i
+		}
+		if obs.Instr[i] < obs.Instr[g.behind] {
+			g.behind = i
+		}
+		g.n++
+	}
+	cands := sc.cands[:0]
+	for _, g := range sc.groups {
+		if g.n < 2 {
+			continue
+		}
+		mean := g.sum / float64(g.n)
 		if mean <= 0 {
 			continue
 		}
-		spread := (obs.Instr[ahead] - obs.Instr[behind]) / mean
+		spread := (obs.Instr[g.ahead] - obs.Instr[g.behind]) / mean
 		if spread <= 2*ProgressDeadband {
 			continue
 		}
-		capAhead := obs.Capability[obs.CoreOf[ahead]]
-		capBehind := obs.Capability[obs.CoreOf[behind]]
+		capAhead := obs.Capability[obs.CoreOf[g.ahead]]
+		capBehind := obs.Capability[obs.CoreOf[g.behind]]
 		if capAhead <= capBehind*EqualizeCapMargin {
 			continue
 		}
-		cands = append(cands, cand{pair: Pair{Low: ahead, High: behind, Equalize: true}, spread: spread})
+		pair := Pair{Low: obs.Alive[g.ahead], High: obs.Alive[g.behind], Equalize: true}
+		cands = append(cands, equalizeCand{pair: pair, spread: spread})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].spread != cands[j].spread {
-			return cands[i].spread > cands[j].spread
+	// Widest spread first, then ascending laggard id: a total order over
+	// distinct processes, so the input order does not matter.
+	slices.SortFunc(cands, func(a, b equalizeCand) int {
+		if a.spread != b.spread {
+			if a.spread > b.spread {
+				return -1
+			}
+			return 1
 		}
-		return cands[i].pair.High < cands[j].pair.High
+		return cmp.Compare(a.pair.High, b.pair.High)
 	})
+	sc.cands = cands
 	for _, c := range cands {
 		if len(pairs) >= maxPairs {
 			break
@@ -292,12 +355,8 @@ func appendEqualizePairs(obs *Observation, pairs []Pair, maxPairs int) []Pair {
 
 // sameClass reports whether every alive thread has the same class.
 func sameClass(obs *Observation) bool {
-	if len(obs.Alive) == 0 {
-		return true
-	}
-	first := obs.Class[obs.Alive[0]]
-	for _, id := range obs.Alive[1:] {
-		if obs.Class[id] != first {
+	for _, c := range obs.Class {
+		if c != obs.Class[0] {
 			return false
 		}
 	}

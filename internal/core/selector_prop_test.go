@@ -69,7 +69,7 @@ func TestSelectPairsInvariants(t *testing.T) {
 			used[p.Low] = true
 			used[p.High] = true
 			// Members must be alive threads on distinct cores.
-			if obs.CoreOf[p.Low] == obs.CoreOf[p.High] {
+			if obs.CoreOf[obs.Index(p.Low)] == obs.CoreOf[obs.Index(p.High)] {
 				return false
 			}
 		}
@@ -103,11 +103,11 @@ func TestPlacementPairsCrossBoundary(t *testing.T) {
 				continue
 			}
 			// Low side: a low-demand thread on a high-bandwidth core.
-			if r.HighDeserving(rank[p.Low]) || !obs.HighBW[obs.CoreOf[p.Low]] {
+			if r.HighDeserving(rank[p.Low]) || !obs.HighBW[obs.CoreOf[obs.Index(p.Low)]] {
 				return false
 			}
 			// High side: a high-demand thread on a low-bandwidth core.
-			if !r.HighDeserving(rank[p.High]) || obs.HighBW[obs.CoreOf[p.High]] {
+			if !r.HighDeserving(rank[p.High]) || obs.HighBW[obs.CoreOf[obs.Index(p.High)]] {
 				return false
 			}
 		}
@@ -131,15 +131,16 @@ func TestEqualizePairsInvariants(t *testing.T) {
 			if !p.Equalize {
 				continue
 			}
-			if obs.Proc[p.Low] != obs.Proc[p.High] {
+			lo, hi := obs.Index(p.Low), obs.Index(p.High)
+			if obs.Proc[lo] != obs.Proc[hi] {
 				return false
 			}
 			// Low = ahead sibling, High = behind sibling.
-			if obs.Instr[p.Low] < obs.Instr[p.High] {
+			if obs.Instr[lo] < obs.Instr[hi] {
 				return false
 			}
 			// The ahead sibling's core must be materially stronger.
-			if obs.Capability[obs.CoreOf[p.Low]] <= obs.Capability[obs.CoreOf[p.High]] {
+			if obs.Capability[obs.CoreOf[lo]] <= obs.Capability[obs.CoreOf[hi]] {
 				return false
 			}
 		}
@@ -174,7 +175,7 @@ func TestRankingIsPermutation(t *testing.T) {
 		}
 		// Sorted by baseline (non-decreasing).
 		for i := 1; i < len(r.Sorted); i++ {
-			if obs.Baseline[r.Sorted[i]] < obs.Baseline[r.Sorted[i-1]]-1e-12 {
+			if obs.Baseline[obs.Index(r.Sorted[i])] < obs.Baseline[obs.Index(r.Sorted[i-1])]-1e-12 {
 				return false
 			}
 		}

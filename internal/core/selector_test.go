@@ -21,15 +21,7 @@ type obsSpec struct {
 }
 
 func makeObs(specs []obsSpec) *Observation {
-	obs := &Observation{
-		Class:    map[platform.ThreadID]ThreadClass{},
-		Rate:     map[platform.ThreadID]float64{},
-		Baseline: map[platform.ThreadID]float64{},
-		Instr:    map[platform.ThreadID]float64{},
-		CoreOf:   map[platform.ThreadID]platform.CoreID{},
-		Proc:     map[platform.ThreadID]int{},
-		HighBW:   map[platform.CoreID]bool{},
-	}
+	obs := &Observation{}
 	maxCore := platform.CoreID(0)
 	for _, s := range specs {
 		if s.core > maxCore {
@@ -40,14 +32,19 @@ func makeObs(specs []obsSpec) *Observation {
 	for i := range obs.Capability {
 		obs.Capability[i] = 1
 	}
+	obs.HighBW = make([]bool, int(maxCore)+1)
 	for _, s := range specs {
+		if n := len(obs.Alive); n > 0 && s.id <= obs.Alive[n-1] {
+			panic("makeObs: thread ids must ascend")
+		}
 		obs.Alive = append(obs.Alive, s.id)
-		obs.Class[s.id] = s.class
-		obs.Rate[s.id] = s.rate
-		obs.Baseline[s.id] = s.baseline
-		obs.Instr[s.id] = s.instr
-		obs.CoreOf[s.id] = s.core
-		obs.Proc[s.id] = s.proc
+		obs.Class = append(obs.Class, s.class)
+		obs.Rate = append(obs.Rate, s.rate)
+		obs.Baseline = append(obs.Baseline, s.baseline)
+		obs.Instr = append(obs.Instr, s.instr)
+		obs.CoreOf = append(obs.CoreOf, s.core)
+		obs.Proc = append(obs.Proc, s.proc)
+		obs.Held = append(obs.Held, false)
 		if s.coreHigh {
 			obs.HighBW[s.core] = true
 		}
@@ -55,6 +52,7 @@ func makeObs(specs []obsSpec) *Observation {
 			obs.Capability[s.core] = s.coreCap
 		}
 	}
+	obs.indexProcs()
 	return obs
 }
 
@@ -95,7 +93,7 @@ func TestSelectPairsRepairsMisplacement(t *testing.T) {
 		t.Fatalf("pairs = %v, want 2", pairs)
 	}
 	for _, p := range pairs {
-		if obs.Class[p.Low] != ComputeClass || obs.Class[p.High] != MemoryClass {
+		if obs.Class[obs.Index(p.Low)] != ComputeClass || obs.Class[obs.Index(p.High)] != MemoryClass {
 			t.Errorf("pair %v does not cross the boundary", p)
 		}
 		if p.Equalize {

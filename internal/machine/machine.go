@@ -147,6 +147,9 @@ type thread struct {
 // alive reports whether t has arrived by now and not finished.
 func (t *thread) alive(now sim.Time) bool { return !t.finished && t.startAt <= now }
 
+// pending reports whether t has not arrived by now (and not finished).
+func (t *thread) pending(now sim.Time) bool { return !t.finished && t.startAt > now }
+
 // barrierGroup couples threads that synchronise every `interval` work
 // units (the KMEANS model: "excessive inter-thread communication"). No
 // member may run more than one barrier segment ahead of the slowest
@@ -642,7 +645,7 @@ func (m *Machine) Threads() []ThreadID {
 // Alive returns the ids of unfinished threads that have arrived, in
 // registration order.
 func (m *Machine) Alive() []ThreadID {
-	var out []ThreadID
+	out := make([]ThreadID, 0, m.AliveCount())
 	for _, t := range m.slots {
 		if t.alive(m.lastNow) {
 			out = append(out, t.id)
@@ -653,9 +656,15 @@ func (m *Machine) Alive() []ThreadID {
 
 // Pending returns the ids of threads that have not arrived yet.
 func (m *Machine) Pending() []ThreadID {
-	var out []ThreadID
+	n := 0
 	for _, t := range m.slots {
-		if !t.finished && t.startAt > m.lastNow {
+		if t.pending(m.lastNow) {
+			n++
+		}
+	}
+	out := make([]ThreadID, 0, n)
+	for _, t := range m.slots {
+		if t.pending(m.lastNow) {
 			out = append(out, t.id)
 		}
 	}

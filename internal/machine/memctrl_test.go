@@ -231,3 +231,33 @@ func TestDemandMissesPerWork(t *testing.T) {
 		t.Errorf("MissesPerWork = %v, want 3", d.MissesPerWork())
 	}
 }
+
+// BenchmarkContentionSolve times the solver's memo-miss path — the full
+// damped fixed-point iteration — on the Table I machine's 40 lanes, half
+// memory- and half compute-intensive. Each op toggles one lane's
+// attainable rate by a cold-cache-like 0.1%, as a migration does, so no
+// op's inputs match the memo.
+func BenchmarkContentionSolve(b *testing.B) {
+	s := newSolver()
+	const n = 40
+	base := make([]float64, n)
+	dem := make([]Demand, n)
+	for i := range base {
+		base[i] = 2.33
+		dem[i] = Demand{AccessesPerWork: 3, MissRatio: 0.03}
+		if i%2 == 0 {
+			base[i] = 1.21
+			dem[i] = Demand{AccessesPerWork: 10, MissRatio: 0.5}
+		}
+	}
+	rates, lat, out := append([]float64(nil), base...), ones(n), make([]float64, n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i % n
+		rates[k] = base[k]
+		if (i/n)%2 == 0 {
+			rates[k] *= 0.999
+		}
+		s.solve(rates, dem, lat, out)
+	}
+}

@@ -4,7 +4,7 @@
 // paper's Fairness metric (Eqn 4) are built on.
 //
 // All functions are pure and operate on float64 slices. Inputs are never
-// mutated unless the function name says so (e.g. QuantileInPlace).
+// mutated unless the function name says so (e.g. MedianInPlace).
 package stats
 
 import (
@@ -133,17 +133,22 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	cp := make([]float64, len(xs))
 	copy(cp, xs)
 	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0], nil
+	return quantileSorted(cp, q), nil
+}
+
+// quantileSorted is Quantile over an already sorted, non-empty slice.
+func quantileSorted(sorted []float64, q float64) float64 {
+	if len(sorted) == 1 {
+		return sorted[0]
 	}
-	pos := q * float64(len(cp)-1)
+	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return cp[lo], nil
+		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Median returns the median of xs (0 for empty input).
@@ -153,6 +158,16 @@ func Median(xs []float64) float64 {
 		return 0
 	}
 	return m
+}
+
+// MedianInPlace is Median without the copy: it sorts xs in place, so a
+// caller that owns a scratch buffer computes the median allocation-free.
+func MedianInPlace(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	return quantileSorted(xs, 0.5)
 }
 
 // Normalize returns xs scaled so its maximum is 1. If the maximum is not

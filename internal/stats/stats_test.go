@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -185,6 +186,22 @@ func TestMedian(t *testing.T) {
 	}
 	if got := Median(nil); got != 0 {
 		t.Errorf("Median(nil) = %v, want 0", got)
+	}
+}
+
+// TestMedianInPlaceMatchesMedian checks the in-place median returns
+// Median's exact bits and leaves its input sorted.
+func TestMedianInPlaceMatchesMedian(t *testing.T) {
+	f := func(xs []float64) bool {
+		want := Median(xs)
+		got := MedianInPlace(xs)
+		return math.Float64bits(got) == math.Float64bits(want) && sort.Float64sAreSorted(xs)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if got := MedianInPlace([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Errorf("MedianInPlace = %v, want 2.5", got)
 	}
 }
 
