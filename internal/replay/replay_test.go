@@ -315,3 +315,36 @@ func TestPlayerReadsLongLines(t *testing.T) {
 		t.Fatalf("expected clean end of log, got ok=%v err=%v", ok, err)
 	}
 }
+
+// TestDivergenceDescribesCall pins the exact description of the
+// diverging call for every verified Player method: after the first
+// quantum boundary the recording expects place(0, 0), so each call
+// below diverges there.
+func TestDivergenceDescribesCall(t *testing.T) {
+	log, _ := record(t)
+	for _, tc := range []struct {
+		name string
+		call func(p *replay.Player) error
+		want string
+	}{
+		{"Sample", func(p *replay.Player) error { p.Sample(1234); return p.Err() }, "sample(t=1.234s)"},
+		{"Place", func(p *replay.Player) error { return p.Place(0, 2) }, "place(thread=0, core=2)"},
+		{"Migrate", func(p *replay.Player) error { return p.Migrate(1, 3, 250) }, "migrate(thread=1, core=3, t=0.250s)"},
+		{"Swap", func(p *replay.Player) error { return p.Swap(2, 1, 100500) }, "swap(2, 1, t=100.500s)"},
+		{"PowerSample", func(p *replay.Player) error { p.PowerSample(); return p.Err() }, "powersample()"},
+		{"SetDVFS", func(p *replay.Player) error { return p.SetDVFS(3, 2) }, "setdvfs(core=3, level=2)"},
+	} {
+		p := newPlayer(t, log)
+		if _, _, err := p.NextQuantum(); err != nil {
+			t.Fatal(err)
+		}
+		var derr *replay.DivergenceError
+		if err := tc.call(p); !errors.As(err, &derr) {
+			t.Fatalf("%s: returned %v, want a DivergenceError", tc.name, err)
+		}
+		if derr.Got != tc.want || derr.Index != 1 || derr.Want != "place(thread=0, core=0)" {
+			t.Errorf("%s: divergence at event %d: recorded %q, got %q; want event 1, %q, %q",
+				tc.name, derr.Index, derr.Want, derr.Got, "place(thread=0, core=0)", tc.want)
+		}
+	}
+}
