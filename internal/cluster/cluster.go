@@ -166,28 +166,24 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		reg:        newRegistry(cfg.Workers, cfg.Breaker),
 		ring:       ring,
-		met:        newClusterMetrics(),
 		client:     cfg.Client,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*cjob),
 		jitter:     rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+	c.met = newClusterMetrics(c.reg.counts, func() int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return int64(c.inflight)
+	}, c.reg.states)
 	c.reg.onTransition = func(url string, to breakerState) {
-		c.met.breakerTransition(url, to.String())
+		c.met.breakerTransitions.Inc(url, to.String())
 	}
 	c.reg.onMembership = func(op string, members []string) {
-		c.met.membershipChange(op)
+		c.met.membershipChanges.Inc(op)
 		c.rebuildRing(members)
 	}
-	c.met.gauges = func() (int, int, int) {
-		healthy, total := c.reg.counts()
-		c.mu.Lock()
-		inflight := c.inflight
-		c.mu.Unlock()
-		return healthy, total, inflight
-	}
-	c.met.breakerStates = c.reg.states
 	c.mux = http.NewServeMux()
 	c.mux.HandleFunc("POST /v1/runs", c.handleSubmitRun)
 	c.mux.HandleFunc("POST /v1/sweeps", c.handleSubmitSweep)
@@ -297,7 +293,7 @@ func (c *Coordinator) Workers() api.WorkersView {
 
 // RoutingStats exposes ring placement counters (for tests).
 func (c *Coordinator) RoutingStats() (primary, rerouted, retries uint64) {
-	return c.met.snapshot()
+	return c.met.ringPrimary.Value(), c.met.ringRerouted.Value(), c.met.retries.Value()
 }
 
 // Drain gracefully shuts the coordinator down: new submissions are
@@ -378,7 +374,7 @@ func (c *Coordinator) admit(w http.ResponseWriter, kind, digest string, drive fu
 		}()
 		defer j.cancel()
 		drive(j)
-		c.met.jobDone(j.currentStatus())
+		c.met.jobs.Inc(j.currentStatus())
 	}()
 
 	api.WriteJSON(w, http.StatusAccepted, api.SubmitResponse{
@@ -483,7 +479,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.met.writeTo(w)
+	c.met.reg.WriteTo(w)
 }
 
 // backoff sleeps the capped-exponential, fully-jittered delay for the

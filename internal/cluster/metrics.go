@@ -1,12 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
-)
+import "dike/internal/obs"
 
 // shardBuckets are the upper bounds (seconds) of the shard-latency
 // histogram: a shard is a batch of simulations plus polling, so the
@@ -15,278 +9,74 @@ var shardBuckets = []float64{
 	0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300,
 }
 
-// histogram is a fixed-bucket cumulative histogram in the Prometheus
-// style, mirroring the serve layer's.
-type histogram struct {
-	counts []uint64 // len(shardBuckets)+1, lazily allocated
-	sum    float64
-	total  uint64
-}
-
-func (h *histogram) observe(v float64) {
-	if h.counts == nil {
-		h.counts = make([]uint64, len(shardBuckets)+1)
-	}
-	for i, ub := range shardBuckets {
-		if v <= ub {
-			h.counts[i]++
-		}
-	}
-	h.counts[len(shardBuckets)]++
-	h.sum += v
-	h.total++
-}
-
-// metrics is the coordinator's hand-rolled registry, extending the
-// fleet's observability with what only the coordinator can see: which
-// worker served what, how often routing had to leave the ring owner,
-// and how long shards take end to end.
+// metrics is the coordinator's registry, extending the fleet's
+// observability with what only the coordinator can see: which worker
+// served what, how often routing had to leave the ring owner, and how
+// long shards take end to end. newClusterMetrics registers the families
+// in scrape order.
 type metrics struct {
-	mu sync.Mutex
+	reg *obs.Registry
+	// jobs counts coordinator jobs by terminal status.
+	jobs *obs.Counter
 	// workerRequests/workerFailures count coordinator→worker job
 	// placements and their failures, per worker.
-	workerRequests map[string]uint64
-	workerFailures map[string]uint64
-	// retries counts re-route attempts beyond each job's first.
-	retries uint64
-	// ringPrimary/ringRerouted split placements by whether they landed
-	// on the key's ring owner (cache-affine) or a successor.
-	ringPrimary  uint64
-	ringRerouted uint64
-	// jobsTotal counts coordinator jobs by terminal status.
-	jobsTotal map[string]uint64
-	// shardLatency histograms successful shard round-trips (submit
-	// through terminal poll), seconds.
-	shardLatency histogram
+	workerRequests, workerFailures *obs.Counter
 	// breakerTransitions counts circuit-breaker state changes, per
 	// worker and target state — the number a soak asserts stays at zero
 	// when a single probe flaps.
-	breakerTransitions map[string]map[string]uint64
+	breakerTransitions *obs.Counter
 	// membershipChanges counts fleet mutations by op (join/leave/expire).
-	membershipChanges map[string]uint64
-	// spillovers counts placements that skipped a saturated worker.
-	spillovers uint64
-	// abandonedCancels counts best-effort DELETEs fired at workers whose
+	membershipChanges *obs.Counter
+	// spillovers counts placements that skipped a saturated worker;
+	// abandonedCancels the best-effort DELETEs fired at workers whose
 	// placements the coordinator gave up on mid-flight.
-	abandonedCancels uint64
-
-	// gauges samples live fleet state at scrape time.
-	gauges func() (healthy, total, inflight int)
-	// breakerStates samples per-worker breaker positions and inflight
-	// counts at scrape time (must not call back into metrics).
-	breakerStates func() (states map[string]string, inflight map[string]int)
+	spillovers, abandonedCancels *obs.Counter
+	// retries counts re-route attempts beyond each job's first.
+	retries *obs.Counter
+	// ringPrimary/ringRerouted split placements by whether they landed
+	// on the key's ring owner (cache-affine) or a successor.
+	ringPrimary, ringRerouted *obs.Counter
+	// shardLatency histograms successful shard round-trips (submit
+	// through terminal poll), seconds.
+	shardLatency *obs.Histogram
 }
 
-func newClusterMetrics() *metrics {
-	return &metrics{
-		workerRequests:     make(map[string]uint64),
-		workerFailures:     make(map[string]uint64),
-		jobsTotal:          make(map[string]uint64),
-		breakerTransitions: make(map[string]map[string]uint64),
-		membershipChanges:  make(map[string]uint64),
-	}
-}
-
-func (m *metrics) placement(worker string, primary bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.workerRequests[worker]++
-	if primary {
-		m.ringPrimary++
-	} else {
-		m.ringRerouted++
-	}
-}
-
-func (m *metrics) failure(worker string) {
-	m.mu.Lock()
-	m.workerFailures[worker]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) retry() {
-	m.mu.Lock()
-	m.retries++
-	m.mu.Unlock()
-}
-
-func (m *metrics) jobDone(status string) {
-	m.mu.Lock()
-	m.jobsTotal[status]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) shardDone(seconds float64) {
-	m.mu.Lock()
-	m.shardLatency.observe(seconds)
-	m.mu.Unlock()
-}
-
-func (m *metrics) breakerTransition(worker, to string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byTo := m.breakerTransitions[worker]
-	if byTo == nil {
-		byTo = make(map[string]uint64)
-		m.breakerTransitions[worker] = byTo
-	}
-	byTo[to]++
-}
-
-func (m *metrics) membershipChange(op string) {
-	m.mu.Lock()
-	m.membershipChanges[op]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) spillover() {
-	m.mu.Lock()
-	m.spillovers++
-	m.mu.Unlock()
-}
-
-func (m *metrics) abandonedCancel() {
-	m.mu.Lock()
-	m.abandonedCancels++
-	m.mu.Unlock()
-}
-
-// snapshot returns selected counters for tests.
-func (m *metrics) snapshot() (primary, rerouted, retries uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ringPrimary, m.ringRerouted, m.retries
+// newClusterMetrics registers the coordinator's families. fleet,
+// inflight and breakers sample live state at scrape time; breakers
+// returns each member's breaker position (0 closed, 1 half-open, 2
+// open) and inflight placements.
+func newClusterMetrics(fleet func() (healthy, total int), inflight func() int64, breakers func() (state, inflight map[string]int64)) *metrics {
+	r := new(obs.Registry)
+	m := &metrics{reg: r}
+	r.Gauge("dike_cluster_workers_total", "Configured fleet size.", func() int64 { _, total := fleet(); return int64(total) })
+	r.Gauge("dike_cluster_workers_healthy", "Workers currently marked healthy.", func() int64 { healthy, _ := fleet(); return int64(healthy) })
+	r.Gauge("dike_cluster_inflight_jobs", "Coordinator jobs currently in flight.", inflight)
+	m.jobs = r.Counter("dike_cluster_jobs_total", "Coordinator jobs finished, by terminal status.", "status")
+	m.workerRequests = r.Counter("dike_cluster_worker_requests_total", "Jobs and shards placed on each worker.", "worker")
+	m.workerFailures = r.Counter("dike_cluster_worker_failures_total", "Placements that failed, per worker.", "worker")
+	r.GaugeVec("dike_cluster_breaker_state", "Per-worker circuit-breaker position (0 closed, 1 half-open, 2 open).", "worker",
+		func() map[string]int64 { state, _ := breakers(); return state })
+	r.GaugeVec("dike_cluster_worker_inflight", "Coordinator placements currently running on each worker.", "worker",
+		func() map[string]int64 { _, inflight := breakers(); return inflight })
+	m.breakerTransitions = r.Counter("dike_cluster_breaker_transitions_total", "Circuit-breaker state changes, per worker and target state.", "worker", "to")
+	m.membershipChanges = r.Counter("dike_cluster_membership_changes_total", "Fleet membership mutations, by op.", "op")
+	m.spillovers = r.Counter("dike_cluster_spillover_total", "Placements that routed around a saturated worker.")
+	m.abandonedCancels = r.Counter("dike_cluster_abandoned_cancels_total", "Best-effort cancels sent for abandoned placements.")
+	m.retries = r.Counter("dike_cluster_retries_total", "Re-route attempts beyond each job's first placement.")
+	m.ringPrimary = r.Counter("dike_cluster_ring_primary_total", "Placements that landed on the key's ring owner.")
+	m.ringRerouted = r.Counter("dike_cluster_ring_rerouted_total", "Placements routed past the ring owner (unhealthy or retried).")
+	r.Ratio("dike_cluster_ring_hit_ratio", "Primary placements over all placements since start.",
+		[]string{"dike_cluster_ring_primary_total"}, []string{"dike_cluster_ring_rerouted_total"})
+	m.shardLatency = r.Histogram("dike_cluster_shard_seconds", "Successful shard round-trip latency (submit through terminal poll).", shardBuckets)
+	return m
 }
 
 // breakerTransitionCount sums transitions into `to` across the fleet
 // (for tests; "" sums every transition).
 func (m *metrics) breakerTransitionCount(to string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n uint64
-	for _, byTo := range m.breakerTransitions {
-		for t, c := range byTo {
-			if to == "" || t == to {
-				n += c
-			}
-		}
-	}
-	return n
+	return m.breakerTransitions.Value("", to)
 }
 
-func (m *metrics) requestsFor(worker string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.workerRequests[worker]
-}
+func (m *metrics) requestsFor(worker string) uint64 { return m.workerRequests.Value(worker) }
 
-func (m *metrics) failuresFor(worker string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.workerFailures[worker]
-}
-
-// writeTo renders the registry in the Prometheus text exposition format
-// with label sets in sorted order, mirroring the serve layer's scrapes.
-func (m *metrics) writeTo(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	var healthy, total, inflight int
-	if m.gauges != nil {
-		healthy, total, inflight = m.gauges()
-	}
-	hitRatio := 0.0
-	if placed := m.ringPrimary + m.ringRerouted; placed > 0 {
-		hitRatio = float64(m.ringPrimary) / float64(placed)
-	}
-
-	var b []byte
-	app := func(format string, args ...any) {
-		b = fmt.Appendf(b, format, args...)
-	}
-	app("# HELP dike_cluster_workers_total Configured fleet size.\n# TYPE dike_cluster_workers_total gauge\ndike_cluster_workers_total %d\n", total)
-	app("# HELP dike_cluster_workers_healthy Workers currently marked healthy.\n# TYPE dike_cluster_workers_healthy gauge\ndike_cluster_workers_healthy %d\n", healthy)
-	app("# HELP dike_cluster_inflight_jobs Coordinator jobs currently in flight.\n# TYPE dike_cluster_inflight_jobs gauge\ndike_cluster_inflight_jobs %d\n", inflight)
-
-	app("# HELP dike_cluster_jobs_total Coordinator jobs finished, by terminal status.\n# TYPE dike_cluster_jobs_total counter\n")
-	for _, status := range sortedKeys(m.jobsTotal) {
-		app("dike_cluster_jobs_total{status=%q} %d\n", status, m.jobsTotal[status])
-	}
-
-	app("# HELP dike_cluster_worker_requests_total Jobs and shards placed on each worker.\n# TYPE dike_cluster_worker_requests_total counter\n")
-	for _, url := range sortedKeys(m.workerRequests) {
-		app("dike_cluster_worker_requests_total{worker=%q} %d\n", url, m.workerRequests[url])
-	}
-	app("# HELP dike_cluster_worker_failures_total Placements that failed, per worker.\n# TYPE dike_cluster_worker_failures_total counter\n")
-	for _, url := range sortedKeys(m.workerFailures) {
-		app("dike_cluster_worker_failures_total{worker=%q} %d\n", url, m.workerFailures[url])
-	}
-
-	app("# HELP dike_cluster_breaker_state Per-worker circuit-breaker position (0 closed, 1 half-open, 2 open).\n# TYPE dike_cluster_breaker_state gauge\n")
-	if m.breakerStates != nil {
-		states, inflight := m.breakerStates()
-		code := map[string]int{"closed": 0, "half-open": 1, "open": 2}
-		for _, url := range sortedKeys(states) {
-			app("dike_cluster_breaker_state{worker=%q} %d\n", url, code[states[url]])
-		}
-		app("# HELP dike_cluster_worker_inflight Coordinator placements currently running on each worker.\n# TYPE dike_cluster_worker_inflight gauge\n")
-		for _, url := range sortedKeys(inflight) {
-			app("dike_cluster_worker_inflight{worker=%q} %d\n", url, inflight[url])
-		}
-	}
-
-	app("# HELP dike_cluster_breaker_transitions_total Circuit-breaker state changes, per worker and target state.\n# TYPE dike_cluster_breaker_transitions_total counter\n")
-	for _, url := range sortedKeys(m.breakerTransitions) {
-		byTo := m.breakerTransitions[url]
-		for _, to := range sortedKeys(byTo) {
-			app("dike_cluster_breaker_transitions_total{worker=%q,to=%q} %d\n", url, to, byTo[to])
-		}
-	}
-
-	app("# HELP dike_cluster_membership_changes_total Fleet membership mutations, by op.\n# TYPE dike_cluster_membership_changes_total counter\n")
-	for _, op := range sortedKeys(m.membershipChanges) {
-		app("dike_cluster_membership_changes_total{op=%q} %d\n", op, m.membershipChanges[op])
-	}
-
-	app("# HELP dike_cluster_spillover_total Placements that routed around a saturated worker.\n# TYPE dike_cluster_spillover_total counter\ndike_cluster_spillover_total %d\n", m.spillovers)
-	app("# HELP dike_cluster_abandoned_cancels_total Best-effort cancels sent for abandoned placements.\n# TYPE dike_cluster_abandoned_cancels_total counter\ndike_cluster_abandoned_cancels_total %d\n", m.abandonedCancels)
-
-	app("# HELP dike_cluster_retries_total Re-route attempts beyond each job's first placement.\n# TYPE dike_cluster_retries_total counter\ndike_cluster_retries_total %d\n", m.retries)
-	app("# HELP dike_cluster_ring_primary_total Placements that landed on the key's ring owner.\n# TYPE dike_cluster_ring_primary_total counter\ndike_cluster_ring_primary_total %d\n", m.ringPrimary)
-	app("# HELP dike_cluster_ring_rerouted_total Placements routed past the ring owner (unhealthy or retried).\n# TYPE dike_cluster_ring_rerouted_total counter\ndike_cluster_ring_rerouted_total %d\n", m.ringRerouted)
-	app("# HELP dike_cluster_ring_hit_ratio Primary placements over all placements since start.\n# TYPE dike_cluster_ring_hit_ratio gauge\ndike_cluster_ring_hit_ratio %s\n", formatFloat(hitRatio))
-
-	app("# HELP dike_cluster_shard_seconds Successful shard round-trip latency (submit through terminal poll).\n# TYPE dike_cluster_shard_seconds histogram\n")
-	h := &m.shardLatency
-	for i, ub := range shardBuckets {
-		count := uint64(0)
-		if h.counts != nil {
-			count = h.counts[i]
-		}
-		app("dike_cluster_shard_seconds_bucket{le=%q} %d\n", formatFloat(ub), count)
-	}
-	inf := uint64(0)
-	if h.counts != nil {
-		inf = h.counts[len(shardBuckets)]
-	}
-	app("dike_cluster_shard_seconds_bucket{le=\"+Inf\"} %d\n", inf)
-	app("dike_cluster_shard_seconds_sum %s\n", formatFloat(h.sum))
-	app("dike_cluster_shard_seconds_count %d\n", h.total)
-
-	_, err := w.Write(b)
-	return err
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+func (m *metrics) failuresFor(worker string) uint64 { return m.workerFailures.Value(worker) }

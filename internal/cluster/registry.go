@@ -257,21 +257,22 @@ func (r *registry) release(url string) {
 	}
 }
 
-// states samples every member's breaker position and inflight count
-// (for the metrics scrape; never calls back into metrics).
-func (r *registry) states() (map[string]string, map[string]int) {
+// states samples every member's breaker position (the breakerState
+// value: 0 closed, 1 half-open, 2 open) and inflight count, for the
+// metrics scrape.
+func (r *registry) states() (state, inflight map[string]int64) {
 	members := r.members()
-	states := make(map[string]string, len(members))
-	inflight := make(map[string]int, len(members))
+	state = make(map[string]int64, len(members))
+	inflight = make(map[string]int64, len(members))
 	for _, url := range members {
 		st, inf, member := r.stateOf(url)
 		if !member {
 			continue
 		}
-		states[url] = st.String()
-		inflight[url] = inf
+		state[url] = int64(st)
+		inflight[url] = int64(inf)
 	}
-	return states, inflight
+	return state, inflight
 }
 
 // counts returns (routable, total).

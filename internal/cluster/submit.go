@@ -89,7 +89,7 @@ func (c *Coordinator) callWorker(ctx context.Context, worker, path string, body 
 // fire-and-forget: the worker may itself be gone, and that's fine —
 // content-addressed jobs make the re-routed duplicate safe either way.
 func (c *Coordinator) cancelAbandoned(worker, id string) {
-	c.met.abandonedCancel()
+	c.met.abandonedCancels.Inc()
 	go func() {
 		cctx, cancel := context.WithTimeout(context.Background(), c.cfg.SubmitTimeout)
 		defer cancel()
@@ -187,7 +187,7 @@ func (c *Coordinator) place(ctx context.Context, pref []string, path string, bod
 			return placement{}, err
 		}
 		if try > 0 {
-			c.met.retry()
+			c.met.retries.Inc()
 			c.backoff(ctx, try)
 		}
 		worker, ok := c.pickWorker(pref, attempted)
@@ -198,7 +198,12 @@ func (c *Coordinator) place(ctx context.Context, pref []string, path string, bod
 			break
 		}
 		attempted[worker]++
-		c.met.placement(worker, len(pref) > 0 && worker == pref[0])
+		c.met.workerRequests.Inc(worker)
+		if len(pref) > 0 && worker == pref[0] {
+			c.met.ringPrimary.Inc()
+		} else {
+			c.met.ringRerouted.Inc()
+		}
 		c.reg.acquire(worker)
 		actx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 		start := time.Now()
@@ -206,10 +211,10 @@ func (c *Coordinator) place(ctx context.Context, pref []string, path string, bod
 		cancel()
 		c.reg.release(worker)
 		if err == nil {
-			c.met.shardDone(time.Since(start).Seconds())
+			c.met.shardLatency.Observe(time.Since(start).Seconds())
 			return placement{view: view, worker: worker}, nil
 		}
-		c.met.failure(worker)
+		c.met.workerFailures.Inc(worker)
 		attempts = append(attempts, fmt.Sprintf("attempt %d on %s: %v", try+1, worker, err))
 		if !retryable(err) {
 			break
@@ -261,7 +266,7 @@ func (c *Coordinator) pickWorker(pref []string, attempted map[string]int) (strin
 			continue
 		}
 		if spilled {
-			c.met.spillover()
+			c.met.spillovers.Inc()
 		}
 		return cand.url, true
 	}

@@ -57,24 +57,3 @@ func TestCacheDisabled(t *testing.T) {
 		t.Errorf("disabled cache len = %d", c.len())
 	}
 }
-
-func TestHistogramCumulative(t *testing.T) {
-	var h histogram
-	h.observe(0.0005) // below every bucket
-	h.observe(0.3)    // lands in 0.5 upward
-	h.observe(120)    // beyond the last bucket: only +Inf
-	if h.total != 3 || h.counts[len(latencyBuckets)] != 3 {
-		t.Fatalf("total = %d, +Inf = %d, want 3/3", h.total, h.counts[len(latencyBuckets)])
-	}
-	if h.counts[0] != 1 { // le=0.001
-		t.Errorf("le=0.001 bucket = %d, want 1", h.counts[0])
-	}
-	// Cumulative: each bucket ≥ the previous.
-	prev := uint64(0)
-	for i, c := range h.counts {
-		if c < prev {
-			t.Fatalf("bucket %d not cumulative: %d < %d", i, c, prev)
-		}
-		prev = c
-	}
-}

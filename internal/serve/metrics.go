@@ -1,12 +1,7 @@
 package serve
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
-
+	"dike/internal/obs"
 	"dike/internal/store"
 )
 
@@ -17,225 +12,77 @@ var latencyBuckets = []float64{
 	0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// histogram is a fixed-bucket cumulative histogram in the Prometheus
-// style: counts[i] counts observations ≤ latencyBuckets[i], plus a
-// final +Inf bucket.
-type histogram struct {
-	counts []uint64 // len(latencyBuckets)+1, lazily allocated
-	sum    float64
-	total  uint64
-}
-
-func (h *histogram) observe(v float64) {
-	if h.counts == nil {
-		h.counts = make([]uint64, len(latencyBuckets)+1)
-	}
-	for i, ub := range latencyBuckets {
-		if v <= ub {
-			h.counts[i]++
-		}
-	}
-	h.counts[len(latencyBuckets)]++
-	h.sum += v
-	h.total++
-}
-
-// metrics is the server's hand-rolled metric registry. Everything is
-// guarded by one mutex — scrape traffic is light and jobs run for
-// seconds, so contention is irrelevant next to legibility.
+// metrics is the server's registry and the counters its call sites
+// increment; newMetrics registers them in scrape order.
 type metrics struct {
-	mu sync.Mutex
-	// jobsTotal counts jobs by terminal status (done/failed/canceled).
-	jobsTotal map[string]uint64
+	reg *obs.Registry
+	// jobs counts jobs by terminal status (done/failed/canceled).
+	jobs *obs.Counter
 	// simulations counts actual harness executions — the number the
 	// cache exists to minimise. A cache hit serves a job without
 	// incrementing it.
-	simulations uint64
-	cacheHits   uint64
-	cacheMisses uint64
-	dedup       uint64
-	rejected    uint64
-	inflight    int
+	simulations, cacheHits, cacheMisses, dedup, rejected *obs.Counter
 	// storeErrors counts durable-store writes that failed (the job still
-	// completes; only durability degrades).
-	storeErrors uint64
-	// checkpointResumes / checkpointResumedPoints count sweeps resumed
-	// from a durable checkpoint and the grid points those checkpoints
-	// carried (i.e. simulations avoided by resuming).
-	checkpointResumes       uint64
-	checkpointResumedPoints uint64
-	// httpTotal counts requests by route and status code.
-	httpTotal map[[2]string]uint64
-	// latency histograms the request duration per route.
-	latency map[string]*histogram
-
-	// queueDepth/queueCap/workers are sampled from the server at scrape
-	// time via this callback.
-	gauges func() (depth, capacity, workers int)
-	// storeStats snapshots the durable store's own counters at scrape
-	// time; nil when the server runs without a store.
-	storeStats func() store.Stats
+	// completes; only durability degrades). checkpointResumes and
+	// checkpointResumedPoints count sweeps resumed from a durable
+	// checkpoint and the grid points those checkpoints carried (i.e.
+	// simulations avoided by resuming).
+	storeErrors, checkpointResumes, checkpointResumedPoints *obs.Counter
+	// http counts requests by route and status code; latency histograms
+	// their duration per route.
+	http    *obs.Counter
+	latency *obs.Histogram
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		jobsTotal: make(map[string]uint64),
-		httpTotal: make(map[[2]string]uint64),
-		latency:   make(map[string]*histogram),
-	}
-}
-
-func (m *metrics) jobDone(status string) {
-	m.mu.Lock()
-	m.jobsTotal[status]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) simulated() {
-	m.mu.Lock()
-	m.simulations++
-	m.mu.Unlock()
-}
-
-func (m *metrics) cacheHit()  { m.mu.Lock(); m.cacheHits++; m.mu.Unlock() }
-func (m *metrics) cacheMiss() { m.mu.Lock(); m.cacheMisses++; m.mu.Unlock() }
-func (m *metrics) deduped()   { m.mu.Lock(); m.dedup++; m.mu.Unlock() }
-func (m *metrics) reject()    { m.mu.Lock(); m.rejected++; m.mu.Unlock() }
-
-func (m *metrics) storeError() { m.mu.Lock(); m.storeErrors++; m.mu.Unlock() }
-
-func (m *metrics) checkpointResume(points int) {
-	m.mu.Lock()
-	m.checkpointResumes++
-	m.checkpointResumedPoints += uint64(points)
-	m.mu.Unlock()
-}
-
-func (m *metrics) workerBusy(delta int) {
-	m.mu.Lock()
-	m.inflight += delta
-	m.mu.Unlock()
-}
-
-func (m *metrics) httpDone(route string, code int, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.httpTotal[[2]string{route, strconv.Itoa(code)}]++
-	h, ok := m.latency[route]
-	if !ok {
-		h = &histogram{}
-		m.latency[route] = h
-	}
-	h.observe(seconds)
-}
-
-// snapshot returns selected counters for tests and dikeload's summary.
-func (m *metrics) snapshot() (hits, misses, dedup, sims uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cacheHits, m.cacheMisses, m.dedup, m.simulations
-}
-
-// writeTo renders the registry in the Prometheus text exposition format
-// (version 0.0.4): HELP/TYPE headers, counters, gauges and cumulative
-// histograms, with label sets emitted in sorted order so scrapes are
-// deterministic.
-func (m *metrics) writeTo(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	var depth, capacity, workers int
-	if m.gauges != nil {
-		depth, capacity, workers = m.gauges()
-	}
+// newMetrics registers the server's families. queueDepth and running
+// are sampled at scrape time. storeStats snapshots the durable store's
+// own counters; it is nil when the server runs without a store, and so
+// are the dike_store_* families.
+func newMetrics(queueDepth func() int64, capacity, workers int, running func() int64, storeStats func() store.Stats) *metrics {
+	r := new(obs.Registry)
+	m := &metrics{reg: r}
+	r.Gauge("dike_serve_queue_depth", "Jobs waiting in the bounded queue.", queueDepth)
+	r.Gauge("dike_serve_queue_capacity", "Bounded queue capacity.", func() int64 { return int64(capacity) })
+	r.Gauge("dike_serve_workers", "Size of the simulation worker pool.", func() int64 { return int64(workers) })
+	r.Gauge("dike_serve_inflight_jobs", "Jobs currently executing.", running)
+	m.jobs = r.Counter("dike_serve_jobs_total", "Jobs finished, by terminal status.", "status")
+	m.simulations = r.Counter("dike_serve_simulations_total", "Simulations actually executed (cache hits serve jobs without one).")
+	m.cacheHits = r.Counter("dike_serve_cache_hits_total", "Submissions served from the result cache.")
+	m.cacheMisses = r.Counter("dike_serve_cache_misses_total", "Submissions that missed the result cache.")
 	// A singleflight-coalesced duplicate is a hit for dashboard purposes:
 	// the submitter got a result without a new simulation, exactly like a
 	// cache hit, so excluding dedups would understate cache effectiveness
 	// under concurrent identical load.
-	hitRatio := 0.0
-	if lookups := m.cacheHits + m.dedup + m.cacheMisses; lookups > 0 {
-		hitRatio = float64(m.cacheHits+m.dedup) / float64(lookups)
-	}
+	r.Ratio("dike_serve_cache_hit_ratio", "Hits (including coalesced duplicates) over lookups since start.",
+		[]string{"dike_serve_cache_hits_total", "dike_serve_dedup_total"}, []string{"dike_serve_cache_misses_total"})
+	m.dedup = r.Counter("dike_serve_dedup_total", "Submissions coalesced onto an identical in-flight job.")
+	m.rejected = r.Counter("dike_serve_rejected_total", "Submissions rejected with 429 because the queue was full.")
 
-	var b []byte
-	app := func(format string, args ...any) {
-		b = fmt.Appendf(b, format, args...)
+	// Without a store these three are never incremented; they live on a
+	// registry nobody scrapes.
+	sr := new(obs.Registry)
+	if storeStats != nil {
+		sr = r
+		stat := func(v func(store.Stats) int64) func() int64 { return func() int64 { return v(storeStats()) } }
+		r.CounterFunc("dike_store_hits_total", "Lookups served from the durable run store.", stat(func(s store.Stats) int64 { return int64(s.Hits) }))
+		r.CounterFunc("dike_store_misses_total", "Lookups that missed the durable run store.", stat(func(s store.Stats) int64 { return int64(s.Misses) }))
+		r.CounterFunc("dike_store_appends_total", "Records appended to the segment log.", stat(func(s store.Stats) int64 { return int64(s.Appends) }))
+		r.CounterFunc("dike_store_appended_bytes_total", "Bytes appended to the segment log.", stat(func(s store.Stats) int64 { return int64(s.AppendedBytes) }))
+		r.Gauge("dike_store_size_bytes", "Total on-disk size of all segments.", stat(func(s store.Stats) int64 { return s.SizeBytes }))
+		r.Gauge("dike_store_segments", "Segment files in the store directory.", stat(func(s store.Stats) int64 { return int64(s.Segments) }))
+		r.Gauge("dike_store_results", "Live result records in the index.", stat(func(s store.Stats) int64 { return int64(s.Results) }))
+		r.Gauge("dike_store_checkpoints", "Live sweep checkpoint records in the index.", stat(func(s store.Stats) int64 { return int64(s.Checkpoints) }))
+		r.CounterFunc("dike_store_recovered_records_total", "Records replayed from disk at open.", stat(func(s store.Stats) int64 { return int64(s.RecoveredRecords) }))
+		r.CounterFunc("dike_store_truncated_records_total", "Torn tail records truncated during recovery.", stat(func(s store.Stats) int64 { return int64(s.TruncatedRecords) }))
+		r.CounterFunc("dike_store_corrupt_records_total", "Corrupt records skipped during recovery.", stat(func(s store.Stats) int64 { return int64(s.CorruptRecords) }))
+		r.CounterFunc("dike_store_compactions_total", "Compaction passes completed.", stat(func(s store.Stats) int64 { return int64(s.Compactions) }))
+		r.CounterFunc("dike_store_reclaimed_bytes_total", "Bytes reclaimed by compaction.", stat(func(s store.Stats) int64 { return int64(s.ReclaimedBytes) }))
 	}
-	app("# HELP dike_serve_queue_depth Jobs waiting in the bounded queue.\n# TYPE dike_serve_queue_depth gauge\ndike_serve_queue_depth %d\n", depth)
-	app("# HELP dike_serve_queue_capacity Bounded queue capacity.\n# TYPE dike_serve_queue_capacity gauge\ndike_serve_queue_capacity %d\n", capacity)
-	app("# HELP dike_serve_workers Size of the simulation worker pool.\n# TYPE dike_serve_workers gauge\ndike_serve_workers %d\n", workers)
-	app("# HELP dike_serve_inflight_jobs Jobs currently executing.\n# TYPE dike_serve_inflight_jobs gauge\ndike_serve_inflight_jobs %d\n", m.inflight)
+	m.storeErrors = sr.Counter("dike_store_errors_total", "Durable-store writes that failed (job still served).")
+	m.checkpointResumes = sr.Counter("dike_store_checkpoint_resumes_total", "Sweeps resumed from a durable checkpoint.")
+	m.checkpointResumedPoints = sr.Counter("dike_store_checkpoint_resumed_points_total", "Grid points restored from checkpoints instead of re-simulated.")
 
-	app("# HELP dike_serve_jobs_total Jobs finished, by terminal status.\n# TYPE dike_serve_jobs_total counter\n")
-	for _, status := range sortedKeys(m.jobsTotal) {
-		app("dike_serve_jobs_total{status=%q} %d\n", status, m.jobsTotal[status])
-	}
-	app("# HELP dike_serve_simulations_total Simulations actually executed (cache hits serve jobs without one).\n# TYPE dike_serve_simulations_total counter\ndike_serve_simulations_total %d\n", m.simulations)
-	app("# HELP dike_serve_cache_hits_total Submissions served from the result cache.\n# TYPE dike_serve_cache_hits_total counter\ndike_serve_cache_hits_total %d\n", m.cacheHits)
-	app("# HELP dike_serve_cache_misses_total Submissions that missed the result cache.\n# TYPE dike_serve_cache_misses_total counter\ndike_serve_cache_misses_total %d\n", m.cacheMisses)
-	app("# HELP dike_serve_cache_hit_ratio Hits (including coalesced duplicates) over lookups since start.\n# TYPE dike_serve_cache_hit_ratio gauge\ndike_serve_cache_hit_ratio %s\n", formatFloat(hitRatio))
-	app("# HELP dike_serve_dedup_total Submissions coalesced onto an identical in-flight job.\n# TYPE dike_serve_dedup_total counter\ndike_serve_dedup_total %d\n", m.dedup)
-	app("# HELP dike_serve_rejected_total Submissions rejected with 429 because the queue was full.\n# TYPE dike_serve_rejected_total counter\ndike_serve_rejected_total %d\n", m.rejected)
-
-	if m.storeStats != nil {
-		st := m.storeStats()
-		app("# HELP dike_store_hits_total Lookups served from the durable run store.\n# TYPE dike_store_hits_total counter\ndike_store_hits_total %d\n", st.Hits)
-		app("# HELP dike_store_misses_total Lookups that missed the durable run store.\n# TYPE dike_store_misses_total counter\ndike_store_misses_total %d\n", st.Misses)
-		app("# HELP dike_store_appends_total Records appended to the segment log.\n# TYPE dike_store_appends_total counter\ndike_store_appends_total %d\n", st.Appends)
-		app("# HELP dike_store_appended_bytes_total Bytes appended to the segment log.\n# TYPE dike_store_appended_bytes_total counter\ndike_store_appended_bytes_total %d\n", st.AppendedBytes)
-		app("# HELP dike_store_size_bytes Total on-disk size of all segments.\n# TYPE dike_store_size_bytes gauge\ndike_store_size_bytes %d\n", st.SizeBytes)
-		app("# HELP dike_store_segments Segment files in the store directory.\n# TYPE dike_store_segments gauge\ndike_store_segments %d\n", st.Segments)
-		app("# HELP dike_store_results Live result records in the index.\n# TYPE dike_store_results gauge\ndike_store_results %d\n", st.Results)
-		app("# HELP dike_store_checkpoints Live sweep checkpoint records in the index.\n# TYPE dike_store_checkpoints gauge\ndike_store_checkpoints %d\n", st.Checkpoints)
-		app("# HELP dike_store_recovered_records_total Records replayed from disk at open.\n# TYPE dike_store_recovered_records_total counter\ndike_store_recovered_records_total %d\n", st.RecoveredRecords)
-		app("# HELP dike_store_truncated_records_total Torn tail records truncated during recovery.\n# TYPE dike_store_truncated_records_total counter\ndike_store_truncated_records_total %d\n", st.TruncatedRecords)
-		app("# HELP dike_store_corrupt_records_total Corrupt records skipped during recovery.\n# TYPE dike_store_corrupt_records_total counter\ndike_store_corrupt_records_total %d\n", st.CorruptRecords)
-		app("# HELP dike_store_compactions_total Compaction passes completed.\n# TYPE dike_store_compactions_total counter\ndike_store_compactions_total %d\n", st.Compactions)
-		app("# HELP dike_store_reclaimed_bytes_total Bytes reclaimed by compaction.\n# TYPE dike_store_reclaimed_bytes_total counter\ndike_store_reclaimed_bytes_total %d\n", st.ReclaimedBytes)
-		app("# HELP dike_store_errors_total Durable-store writes that failed (job still served).\n# TYPE dike_store_errors_total counter\ndike_store_errors_total %d\n", m.storeErrors)
-		app("# HELP dike_store_checkpoint_resumes_total Sweeps resumed from a durable checkpoint.\n# TYPE dike_store_checkpoint_resumes_total counter\ndike_store_checkpoint_resumes_total %d\n", m.checkpointResumes)
-		app("# HELP dike_store_checkpoint_resumed_points_total Grid points restored from checkpoints instead of re-simulated.\n# TYPE dike_store_checkpoint_resumed_points_total counter\ndike_store_checkpoint_resumed_points_total %d\n", m.checkpointResumedPoints)
-	}
-
-	app("# HELP dike_serve_http_requests_total HTTP requests, by route and status code.\n# TYPE dike_serve_http_requests_total counter\n")
-	keys := make([][2]string, 0, len(m.httpTotal))
-	for k := range m.httpTotal {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		app("dike_serve_http_requests_total{route=%q,code=%q} %d\n", k[0], k[1], m.httpTotal[k])
-	}
-
-	app("# HELP dike_serve_http_request_seconds HTTP request latency, by route.\n# TYPE dike_serve_http_request_seconds histogram\n")
-	for _, route := range sortedKeys(m.latency) {
-		h := m.latency[route]
-		for i, ub := range latencyBuckets {
-			app("dike_serve_http_request_seconds_bucket{route=%q,le=%q} %d\n", route, formatFloat(ub), h.counts[i])
-		}
-		app("dike_serve_http_request_seconds_bucket{route=%q,le=\"+Inf\"} %d\n", route, h.counts[len(latencyBuckets)])
-		app("dike_serve_http_request_seconds_sum{route=%q} %s\n", route, formatFloat(h.sum))
-		app("dike_serve_http_request_seconds_count{route=%q} %d\n", route, h.total)
-	}
-
-	_, err := w.Write(b)
-	return err
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	m.http = r.Counter("dike_serve_http_requests_total", "HTTP requests, by route and status code.", "route", "code")
+	m.latency = r.Histogram("dike_serve_http_request_seconds", "HTTP request latency, by route.", latencyBuckets, "route")
+	return m
 }

@@ -19,7 +19,9 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dike/internal/harness"
@@ -87,6 +89,8 @@ type Server struct {
 	metrics *metrics
 	cache   *resultCache
 	store   *store.Store // nil: in-memory only
+	// running counts jobs currently executing on the worker pool.
+	running atomic.Int64
 
 	// baseCtx parents every job context; closing it hard-cancels
 	// everything still running (used only after a drain deadline).
@@ -117,7 +121,6 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		metrics:    newMetrics(),
 		cache:      newResultCache(cfg.CacheSize),
 		store:      cfg.Store,
 		baseCtx:    ctx,
@@ -138,12 +141,11 @@ func New(cfg Config) *Server {
 	if cfg.SweepShard != nil {
 		s.shard = cfg.SweepShard
 	}
-	s.metrics.gauges = func() (int, int, int) {
-		return len(s.queue), cfg.QueueDepth, cfg.Workers
-	}
+	var storeStats func() store.Stats
 	if s.store != nil {
-		s.metrics.storeStats = s.store.Stats
+		storeStats = s.store.Stats
 	}
+	s.metrics = newMetrics(func() int64 { return int64(len(s.queue)) }, cfg.QueueDepth, cfg.Workers, s.running.Load, storeStats)
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/runs", s.handleSubmitRun)
 	s.route("POST /v1/sweeps", s.handleSubmitSweep)
@@ -218,7 +220,8 @@ func (s *Server) Draining() bool {
 // CacheStats exposes hit/miss/dedup/simulation counters (for dikeload
 // summaries and tests).
 func (s *Server) CacheStats() (hits, misses, dedup, simulations uint64) {
-	return s.metrics.snapshot()
+	m := s.metrics
+	return m.cacheHits.Value(), m.cacheMisses.Value(), m.dedup.Value(), m.simulations.Value()
 }
 
 // route mounts an instrumented handler: every request is counted and
@@ -228,7 +231,8 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 		start := time.Now()
 		cw := api.NewCodeWriter(w)
 		h(cw, r)
-		s.metrics.httpDone(pattern, cw.Code, time.Since(start).Seconds())
+		s.metrics.http.Inc(pattern, strconv.Itoa(cw.Code))
+		s.metrics.latency.Observe(time.Since(start).Seconds(), pattern)
 	})
 }
 
@@ -259,7 +263,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 				Util:    p.Utilization,
 			})
 		}
-		s.metrics.simulated()
+		s.metrics.simulations.Inc()
 		out, err := s.simulate(ctx, runSpec)
 		if err != nil {
 			return nil, err
@@ -336,7 +340,7 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 	// Identical submission already in flight: one simulation serves both.
 	if leader, ok := s.inflight[job.digest]; ok {
 		s.mu.Unlock()
-		s.metrics.deduped()
+		s.metrics.dedup.Inc()
 		writeJSON(w, http.StatusOK, submitResponse{
 			ID: leader.id, Status: leader.Status(), Digest: leader.digest, Deduped: true,
 		})
@@ -356,7 +360,7 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 	if cached, ok := s.cache.get(job.digest); ok {
 		s.jobs[job.id] = job
 		s.mu.Unlock()
-		s.metrics.cacheHit()
+		s.metrics.cacheHits.Inc()
 		s.completeCached(w, job, cached, false)
 		return
 	}
@@ -385,7 +389,7 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 	if leader, ok := s.inflight[job.digest]; ok {
 		s.mu.Unlock()
 		job.cancel()
-		s.metrics.deduped()
+		s.metrics.dedup.Inc()
 		writeJSON(w, http.StatusOK, submitResponse{
 			ID: leader.id, Status: leader.Status(), Digest: leader.digest, Deduped: true,
 		})
@@ -398,14 +402,14 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 		s.jobs[job.id] = job
 		s.inflight[job.digest] = job
 		s.mu.Unlock()
-		s.metrics.cacheMiss()
+		s.metrics.cacheMisses.Inc()
 		writeJSON(w, http.StatusAccepted, submitResponse{
 			ID: job.id, Status: StatusQueued, Digest: job.digest,
 		})
 	default:
 		s.mu.Unlock()
 		job.cancel()
-		s.metrics.reject()
+		s.metrics.rejected.Inc()
 		// A slot frees when a worker finishes a job; with simulations
 		// running for O(seconds), 1s is an honest first retry interval.
 		w.Header().Set("Retry-After", "1")
@@ -428,7 +432,7 @@ func (s *Server) completeCached(w http.ResponseWriter, job *Job, result json.Raw
 	job.mu.Unlock()
 	job.cancel()
 	job.events.close(Event{Status: StatusDone})
-	s.metrics.jobDone(StatusDone)
+	s.metrics.jobs.Inc(StatusDone)
 	writeJSON(w, http.StatusOK, submitResponse{
 		ID: job.id, Status: StatusDone, Digest: job.digest, Cached: true, Stored: fromStore,
 	})
@@ -445,8 +449,8 @@ func (s *Server) execute(job *Job) {
 	job.status = StatusRunning
 	job.started = time.Now()
 	job.mu.Unlock()
-	s.metrics.workerBusy(1)
-	defer s.metrics.workerBusy(-1)
+	s.running.Add(1)
+	defer s.running.Add(-1)
 
 	ctx, cancel := context.WithTimeout(job.ctx, job.deadline)
 	defer cancel()
@@ -494,7 +498,7 @@ func (s *Server) finish(job *Job, result json.RawMessage, err error) {
 	job.mu.Unlock()
 	job.cancel()
 	job.events.close(final)
-	s.metrics.jobDone(status)
+	s.metrics.jobs.Inc(status)
 }
 
 func (s *Server) lookup(id string) *Job {
@@ -574,7 +578,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writeTo(w)
+	s.metrics.reg.WriteTo(w)
 }
 
 // decodeJSON, writeError and writeJSON delegate to the shared wire

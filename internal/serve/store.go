@@ -44,7 +44,7 @@ func (s *Server) storePut(digest string, meta, result []byte) {
 		return
 	}
 	if err := s.store.Put(digest, meta, result); err != nil {
-		s.metrics.storeError()
+		s.metrics.storeErrors.Inc()
 	}
 }
 
@@ -81,7 +81,8 @@ func (s *Server) loadSweepCheckpoint(digest string, total int) map[int]SweepPoin
 		}
 		points[idx] = p
 	}
-	s.metrics.checkpointResume(len(points))
+	s.metrics.checkpointResumes.Inc()
+	s.metrics.checkpointResumedPoints.Add(uint64(len(points)))
 	return points
 }
 
@@ -136,7 +137,7 @@ func (s *Server) storedSweepExec(job *Job, rs ResolvedSweep) func(ctx context.Co
 				return
 			}
 			if err := s.store.PutCheckpoint(job.digest, raw); err != nil {
-				s.metrics.storeError()
+				s.metrics.storeErrors.Inc()
 			}
 		}
 
@@ -192,7 +193,7 @@ func (s *Server) storedSweepExec(job *Job, rs ResolvedSweep) func(ctx context.Co
 		// The sweep's own result record (written by finish) now covers
 		// restarts; the checkpoint is done.
 		if err := s.store.DeleteCheckpoint(job.digest); err != nil {
-			s.metrics.storeError()
+			s.metrics.storeErrors.Inc()
 		}
 		return raw, nil
 	}
@@ -213,7 +214,7 @@ func (s *Server) runGridPoint(ctx context.Context, spec harness.RunSpec, cr harn
 		}
 		// An undecodable stored payload falls through to recompute.
 	}
-	s.metrics.simulated()
+	s.metrics.simulations.Inc()
 	out, err := s.simulate(ctx, spec)
 	if err != nil {
 		return SweepPoint{}, err
@@ -246,7 +247,7 @@ func (s *Server) handleLookupRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if payload, ok := s.cache.get(digest); ok {
-		s.metrics.cacheHit()
+		s.metrics.cacheHits.Inc()
 		writeJSON(w, http.StatusOK, api.StoredResult{Digest: digest, Source: "cache", Result: payload})
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -245,15 +246,16 @@ func TestServeSweepCheckpointResume(t *testing.T) {
 // hit-ratio bug: a singleflight-coalesced duplicate got a result
 // without a simulation, so the ratio must count it as a hit.
 func TestMetricsHitRatioCountsDedup(t *testing.T) {
-	m := newMetrics()
-	m.cacheHit()
-	m.deduped()
-	m.cacheMiss()
+	gauge := func() int64 { return 0 }
+	m := newMetrics(gauge, 0, 0, gauge, nil)
+	m.cacheHits.Inc()
+	m.dedup.Inc()
+	m.cacheMisses.Inc()
 	var buf bytes.Buffer
-	if err := m.writeTo(&buf); err != nil {
+	if _, err := m.reg.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("dike_serve_cache_hit_ratio %s\n", formatFloat(2.0/3.0))
+	want := fmt.Sprintf("dike_serve_cache_hit_ratio %s\n", strconv.FormatFloat(2.0/3.0, 'g', -1, 64))
 	if !strings.Contains(buf.String(), want) {
 		t.Fatalf("metrics missing %q (dedup must count as a hit):\n%s", want, grepMetric(buf.String(), "hit_ratio"))
 	}
@@ -262,9 +264,10 @@ func TestMetricsHitRatioCountsDedup(t *testing.T) {
 // TestMetricsStoreSection checks the dike_store_* family appears
 // exactly when a store is attached.
 func TestMetricsStoreSection(t *testing.T) {
-	m := newMetrics()
+	gauge := func() int64 { return 0 }
+	m := newMetrics(gauge, 0, 0, gauge, nil)
 	var buf bytes.Buffer
-	m.writeTo(&buf)
+	m.reg.WriteTo(&buf)
 	if strings.Contains(buf.String(), "dike_store_") {
 		t.Fatal("store metrics present without a store")
 	}
@@ -274,10 +277,11 @@ func TestMetricsStoreSection(t *testing.T) {
 	if err := st.Put(strings.Repeat("cd", 32), nil, []byte(`{"ok":true}`)); err != nil {
 		t.Fatal(err)
 	}
-	m.storeStats = st.Stats
-	m.checkpointResume(7)
+	m = newMetrics(gauge, 0, 0, gauge, st.Stats)
+	m.checkpointResumes.Inc()
+	m.checkpointResumedPoints.Add(7)
 	buf.Reset()
-	m.writeTo(&buf)
+	m.reg.WriteTo(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		"dike_store_appends_total 1",
