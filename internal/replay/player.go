@@ -257,15 +257,15 @@ func (p *Player) take() {
 }
 
 // expect consumes the next event, requiring it to match the call the
-// policy just made. `got` describes that call; match checks argument
-// equality. On any mismatch the divergence is latched and returned.
-func (p *Player) expect(got string, match func(*event) bool) (*event, error) {
+// policy just made. match checks argument equality; got describes the
+// call, and runs only on a mismatch, which is latched and returned.
+func (p *Player) expect(got func() string, match func(*event) bool) (*event, error) {
 	ev, err := p.peek()
 	if err != nil {
 		return nil, err
 	}
 	if ev == nil || !match(ev) {
-		p.sticky = &DivergenceError{Index: p.idx, Want: describe(ev), Got: got}
+		p.sticky = &DivergenceError{Index: p.idx, Want: describe(ev), Got: got()}
 		return nil, p.sticky
 	}
 	p.take()
@@ -327,7 +327,7 @@ func (p *Player) ProcessOf(id platform.ThreadID) (int, error) {
 // policies treat as "nothing measured yet" — and latches the divergence
 // for Run to surface.
 func (p *Player) Sample(now sim.Time) *platform.Sample {
-	ev, err := p.expect(fmt.Sprintf("sample(t=%v)", now), func(ev *event) bool {
+	ev, err := p.expect(func() string { return fmt.Sprintf("sample(t=%v)", now) }, func(ev *event) bool {
 		return ev.K == evSample && ev.Now == now
 	})
 	if err != nil {
@@ -341,7 +341,7 @@ func (p *Player) Sample(now sim.Time) *platform.Sample {
 
 // Place implements platform.Platform, applying the recorded outcome.
 func (p *Player) Place(id platform.ThreadID, core platform.CoreID) error {
-	ev, err := p.expect(fmt.Sprintf("place(thread=%d, core=%d)", id, core), func(ev *event) bool {
+	ev, err := p.expect(func() string { return fmt.Sprintf("place(thread=%d, core=%d)", id, core) }, func(ev *event) bool {
 		return ev.K == evPlace && ev.A == id && ev.Core == core
 	})
 	if err != nil {
@@ -357,7 +357,7 @@ func (p *Player) Place(id platform.ThreadID, core platform.CoreID) error {
 // recorded post-migration core, which on a faulty recorded platform may
 // be where it already was (silently dropped affinity change).
 func (p *Player) Migrate(id platform.ThreadID, core platform.CoreID, now sim.Time) error {
-	ev, err := p.expect(fmt.Sprintf("migrate(thread=%d, core=%d, t=%v)", id, core, now), func(ev *event) bool {
+	ev, err := p.expect(func() string { return fmt.Sprintf("migrate(thread=%d, core=%d, t=%v)", id, core, now) }, func(ev *event) bool {
 		return ev.K == evMigrate && ev.A == id && ev.Core == core && ev.Now == now
 	})
 	if err != nil {
@@ -371,7 +371,7 @@ func (p *Player) Migrate(id platform.ThreadID, core platform.CoreID, now sim.Tim
 
 // Swap implements platform.Platform, applying both recorded outcomes.
 func (p *Player) Swap(a, b platform.ThreadID, now sim.Time) error {
-	ev, err := p.expect(fmt.Sprintf("swap(%d, %d, t=%v)", a, b, now), func(ev *event) bool {
+	ev, err := p.expect(func() string { return fmt.Sprintf("swap(%d, %d, t=%v)", a, b, now) }, func(ev *event) bool {
 		return ev.K == evSwap && ev.A == a && ev.B == b && ev.Now == now
 	})
 	if err != nil {
@@ -389,7 +389,7 @@ func (p *Player) Swap(a, b platform.ThreadID, now sim.Time) error {
 // cannot error, so on divergence it returns the zero sample and latches
 // the divergence for Run to surface.
 func (p *Player) PowerSample() platform.PowerSample {
-	ev, err := p.expect("powersample()", func(ev *event) bool {
+	ev, err := p.expect(func() string { return "powersample()" }, func(ev *event) bool {
 		return ev.K == evPower
 	})
 	if err != nil {
@@ -409,7 +409,7 @@ func (p *Player) PowerSample() platform.PowerSample {
 // core and level — against the recorded stream and reproducing the
 // recorded outcome.
 func (p *Player) SetDVFS(core platform.CoreID, level int) error {
-	ev, err := p.expect(fmt.Sprintf("setdvfs(core=%d, level=%d)", core, level), func(ev *event) bool {
+	ev, err := p.expect(func() string { return fmt.Sprintf("setdvfs(core=%d, level=%d)", core, level) }, func(ev *event) bool {
 		return ev.K == evDVFS && ev.Core == core && ev.L == level
 	})
 	if err != nil {
