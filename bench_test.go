@@ -20,6 +20,7 @@ import (
 	"dike/internal/metrics"
 	"dike/internal/platform"
 	"dike/internal/sim"
+	"dike/internal/traffic"
 	"dike/internal/workload"
 )
 
@@ -195,39 +196,52 @@ func BenchmarkAblationTheta(b *testing.B) {
 //   - per-socket-1024: 8 sockets of 4 core types, 1024 lanes and one
 //     memory controller per socket (the per-domain solve), running 1020
 //     generated threads, half memory-intensive.
+//   - churn: the Table I machine running examples/traffic/colo.json
+//     through traffic.Build: about 400 requests registered up front, a
+//     few dozen alive at a time. Every request is admitted: there is no
+//     traffic accountant to reject any.
 //
 // When every thread has finished the machine is rebuilt off the clock.
 func BenchmarkMachineStep(b *testing.B) {
 	cases := []struct {
 		name string
 		cfg  func() machine.Config
-		wl   func() (*workload.Workload, error)
+		load func(m *machine.Machine) error // registers the threads
 	}{
-		{"t1-40", machine.DefaultConfig, func() (*workload.Workload, error) { return workload.Table2(6) }},
-		{"per-socket-1024", perSocketConfig, func() (*workload.Workload, error) {
-			return workload.Generate(workload.GeneratorSpec{
+		{"t1-40", machine.DefaultConfig, func(m *machine.Machine) error {
+			return buildWorkload(m, workload.MustTable2(6))
+		}},
+		{"per-socket-1024", perSocketConfig, func(m *machine.Machine) error {
+			w, err := workload.Generate(workload.GeneratorSpec{
 				Name: "per-socket-1024", Benchmarks: 102, ThreadsPer: 10, MemoryApps: 51, AllowRepeats: true,
 			}, sim.NewRNG(42))
+			if err != nil {
+				return err
+			}
+			return buildWorkload(m, w)
+		}},
+		{"churn", machine.DefaultConfig, func(m *machine.Machine) error {
+			spec, err := traffic.LoadSpec("examples/traffic/colo.json")
+			if err != nil {
+				return err
+			}
+			_, err = traffic.Build(m, *spec, 42)
+			return err
 		}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			build := func() *machine.Machine {
-				w, err := c.wl()
-				if err != nil {
-					b.Fatal(err)
-				}
 				m, err := machine.New(c.cfg())
 				if err != nil {
 					b.Fatal(err)
 				}
-				inst, err := w.Build(m, workload.BuildOptions{Seed: 42})
-				if err != nil {
+				if err := c.load(m); err != nil {
 					b.Fatal(err)
 				}
 				n := m.Topology().NumCores()
-				for i, th := range inst.Threads {
-					if err := m.Place(th.ID, machine.CoreID(i%n)); err != nil {
+				for i, id := range m.Threads() {
+					if err := m.Place(id, machine.CoreID(i%n)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -248,6 +262,12 @@ func BenchmarkMachineStep(b *testing.B) {
 			}
 		})
 	}
+}
+
+// buildWorkload registers w's threads on m.
+func buildWorkload(m *machine.Machine, w *workload.Workload) error {
+	_, err := w.Build(m, workload.BuildOptions{Seed: 42})
+	return err
 }
 
 // perSocketConfig is an 8-socket machine of four core types, 128 lanes

@@ -229,9 +229,26 @@ type Machine struct {
 	sockStatic []float64          // per-socket leakage watts (always burned)
 
 	threads map[ThreadID]*thread // by-id lookups for the affinity API
-	slots   []*thread            // registration order; every per-tick loop walks this
-	groups  []*barrierGroup
-	smp     *sampler // lazily-created counter sampling stream
+	// slots holds every registered thread in registration order. Only
+	// admit's rescan and the once-per-quantum queries (Alive, Pending,
+	// Sample, ThreadsOn, AliveCount) walk it; the per-tick loops walk
+	// live.
+	slots  []*thread
+	groups []*barrierGroup
+	// live is the threads that had arrived and not finished at the last
+	// admit, in registration order: Step and IdleUntil cost O(live),
+	// not O(registered). admit rebuilds it from slots only when
+	// an arrival may be due (now >= nextStart), when time went backwards
+	// (now < liveAt), or when rescan is set; otherwise it only compacts
+	// out threads that finished since.
+	live      []*thread
+	liveAt    sim.Time // now of the last admit
+	nextStart sim.Time // earliest start among unfinished threads not in live; never if none
+	// rescan is set when the cached nextStart may be stale: AddThread,
+	// SetStart, and Terminate of a thread that had not been admitted.
+	rescan     bool
+	unfinished int      // registered threads not yet finished; Done is unfinished == 0
+	smp        *sampler // lazily-created counter sampling stream
 
 	disruptor Disruptor
 
@@ -371,6 +388,7 @@ func (m *Machine) resolve() {
 // the gather buffers, each controller domain's sub-slices (any domain may
 // hold every thread) and each solver's memo.
 func (m *Machine) reserveScratch(n int) {
+	m.live = reserve(m.live, n)
 	m.scratchT = reserve(m.scratchT, n)
 	m.scratchRates = reserve(m.scratchRates, n)
 	m.scratchDem = reserve(m.scratchDem, n)
@@ -448,6 +466,8 @@ func (m *Machine) AddThread(id ThreadID, bench int, prog Program) error {
 	t := &thread{id: id, bench: bench, prog: prog, migratedAt: -1, tc: m.file.MutThread(int(id))}
 	m.threads[id] = t
 	m.slots = append(m.slots, t)
+	m.unfinished++
+	m.rescan = true
 	m.reserveScratch(len(m.slots))
 	return nil
 }
@@ -464,6 +484,7 @@ func (m *Machine) SetStart(id ThreadID, at sim.Time) error {
 		return fmt.Errorf("machine: negative start time for thread %d", id)
 	}
 	t.startAt = at
+	m.rescan = true
 	return nil
 }
 
@@ -693,6 +714,12 @@ func (m *Machine) Terminate(id ThreadID, at sim.Time) error {
 		return nil
 	}
 	t.finished = true
+	m.unfinished--
+	if t.startAt > m.liveAt {
+		// Not admitted at the last admit: its start may be the cached
+		// nextStart, which IdleUntil must not report.
+		m.rescan = true
+	}
 	if at < t.startAt {
 		at = t.startAt
 	}
@@ -707,22 +734,50 @@ func (m *Machine) Terminate(id ThreadID, at sim.Time) error {
 // done), so the engine only fast-forwards through genuinely empty
 // intervals of an open-loop run.
 func (m *Machine) IdleUntil(now sim.Time) (sim.Time, bool) {
-	wake := sim.Time(-1)
-	for _, t := range m.slots {
-		if t.finished {
-			continue
-		}
-		if t.startAt <= now {
-			return 0, false // runnable work exists right now
-		}
-		if wake < 0 || t.startAt < wake {
-			wake = t.startAt
-		}
-	}
-	if wake < 0 {
+	m.admit(now)
+	if len(m.live) > 0 || m.nextStart == never {
 		return 0, false
 	}
-	return wake, true
+	return m.nextStart, true
+}
+
+// never is nextStart when no unfinished thread is still to arrive.
+const never = sim.Time(math.MaxInt64)
+
+// stale reports whether admit(now) must rescan slots: an arrival may be
+// due, time went backwards, or nextStart may be out of date.
+func (m *Machine) stale(now sim.Time) bool {
+	return m.rescan || now >= m.nextStart || now < m.liveAt
+}
+
+// admit brings live up to date for now: the unfinished threads with
+// startAt <= now, in registration order. It rescans slots only when an
+// arrival may be due, time went backwards, or rescan is set; on every
+// other tick it compacts out the threads that finished since the last
+// admit, so a tick costs O(live).
+func (m *Machine) admit(now sim.Time) {
+	if m.stale(now) {
+		live := m.live[:0]
+		m.nextStart = never
+		for _, t := range m.slots {
+			switch {
+			case t.finished:
+			case t.startAt <= now:
+				live = append(live, t)
+			case t.startAt < m.nextStart:
+				m.nextStart = t.startAt
+			}
+		}
+		m.live, m.liveAt, m.rescan = live, now, false
+		return
+	}
+	live := m.live[:0]
+	for _, t := range m.live {
+		if !t.finished {
+			live = append(live, t)
+		}
+	}
+	m.live, m.liveAt = live, now
 }
 
 // Progress returns the fraction of its total work a thread has completed.
@@ -735,14 +790,12 @@ func (m *Machine) Progress(id ThreadID) float64 {
 }
 
 // Done implements sim.World: true once every thread has finished.
-func (m *Machine) Done() bool {
-	for _, t := range m.slots {
-		if !t.finished {
-			return false
-		}
-	}
-	return true
-}
+func (m *Machine) Done() bool { return m.unfinished == 0 }
+
+// FinishedCount returns how many registered threads have finished:
+// completed, crashed or terminated. It only grows, so a caller can skip
+// work while it is unchanged.
+func (m *Machine) FinishedCount() int { return len(m.slots) - m.unfinished }
 
 // migrationFactors returns t's current cold-cache miss multiplier and
 // its per-miss latency multiplier (remote NUMA accesses after a
@@ -780,10 +833,8 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	clear(laneCount)
 	clear(physBusy)
 	clear(m.sockDyn)
-	for _, t := range m.slots {
-		if !t.alive(now) {
-			continue
-		}
+	m.admit(now)
+	for _, t := range m.live {
 		if !t.placed {
 			panic(fmt.Sprintf("machine: thread %d stepped before placement", t.id))
 		}
@@ -819,10 +870,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	rates := m.scratchRates[:0]
 	dems := m.scratchDem[:0]
 	lats := m.scratchLat[:0]
-	for _, t := range m.slots {
-		if !t.alive(now) {
-			continue
-		}
+	for _, t := range m.live {
 		if t.stallUntil > now {
 			t.tc.StallTime += float64(dt)
 			continue
@@ -834,6 +882,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 				// incomplete, freeing its core.
 				t.finished = true
 				t.finishAt = now + dt
+				m.unfinished--
 				m.crashes++
 				continue
 			}
@@ -921,6 +970,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		cc.BusyTime += used
 		if t.work >= t.prog.TotalWork()-1e-9 {
 			t.finished = true
+			m.unfinished--
 			// Interpolate the finish instant inside the tick.
 			t.finishAt = now + sim.Time(math.Ceil(used))
 			if t.finishAt < now+1 {

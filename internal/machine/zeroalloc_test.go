@@ -23,8 +23,11 @@ func (p waveProgram) DemandAt(_ float64, now sim.Time) Demand {
 // TestStepZeroAlloc gates the tick loop at exactly zero allocations per
 // Step: both the first Step after placement and the steady state, on the
 // Table I machine, on a two-socket machine with one memory controller per
-// socket (the per-domain solve), and with a pending arrival and a
-// migration in flight.
+// socket (the per-domain solve), with a pending arrival and a migration
+// in flight, and under open-loop churn. The churn case also measures
+// single ticks and requires both kinds of admit among them: ticks that
+// rescan the thread slots for arrivals and ticks that only compact out
+// finished threads.
 func TestStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -36,6 +39,7 @@ func TestStepZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func(t *testing.T) *Machine
+		churn bool
 	}{
 		{"table1", func(t *testing.T) *Machine {
 			m := testMachine(t)
@@ -53,7 +57,7 @@ func TestStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return m
-		}},
+		}, false},
 		{"per-socket", func(t *testing.T) *Machine {
 			m, err := New(specConfig(twoSocketSpec()))
 			if err != nil {
@@ -68,7 +72,7 @@ func TestStepZeroAlloc(t *testing.T) {
 				}
 			}
 			return m
-		}},
+		}, false},
 		{"arrival-and-migration", func(t *testing.T) *Machine {
 			m := testMachine(t)
 			for i := 0; i < 6; i++ {
@@ -88,7 +92,25 @@ func TestStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return m
-		}},
+		}, false},
+		{"traffic-churn", func(t *testing.T) *Machine {
+			m := testMachine(t)
+			// 300 requests, one arriving every 3 ms, each done within
+			// tens of ticks: far more threads registered than alive.
+			for i := 0; i < 300; i++ {
+				id := ThreadID(i)
+				if err := m.AddThread(id, i%4, ConstProgram{Work: float64(20 + i%7*10), Demand: wave.hi}); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Place(id, CoreID(i%40)); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.SetStart(id, sim.Time(3*i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return m
+		}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,6 +142,45 @@ func TestStepZeroAlloc(t *testing.T) {
 			if m.AliveCount() == 0 || m.Done() {
 				t.Fatal("threads finished inside the measured window")
 			}
+			if tc.churn {
+				churnTicks(t, m, now)
+			}
 		})
+	}
+}
+
+// churnTicks measures single ticks of a churning machine, from now on,
+// terminating a running thread and a pending one every few ticks. Every
+// tick must allocate nothing, and the measured ticks must include both a
+// rescan and a compaction.
+func churnTicks(t *testing.T, m *Machine, now sim.Time) {
+	t.Helper()
+	var rescans, compactions int
+	for i := 0; i < 40; i++ {
+		var rescan bool
+		allocs := testing.AllocsPerRun(1, func() {
+			if now%5 == 0 && len(m.live) > 0 {
+				if err := m.Terminate(m.live[0].id, now); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Terminate(ThreadID(len(m.slots)-1-int(now)), now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rescan = m.stale(now)
+			m.Step(now, 1)
+			now++
+		})
+		if allocs != 0 {
+			t.Errorf("tick %d (rescan %v): %v allocs, want 0", now-1, rescan, allocs)
+		}
+		if rescan {
+			rescans++
+		} else {
+			compactions++
+		}
+	}
+	if rescans == 0 || compactions == 0 {
+		t.Errorf("measured %d rescan and %d compaction ticks, want both", rescans, compactions)
 	}
 }

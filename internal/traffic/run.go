@@ -24,6 +24,7 @@ type Run struct {
 
 	cursor   int                // next unprocessed arrival (== its ThreadID)
 	inflight []machine.ThreadID // admitted, not yet departed
+	reaped   int                // m.FinishedCount() at the last full reap
 	inSystem []int              // per class: admitted, unfinished
 	agg      []classAgg
 }
@@ -138,7 +139,14 @@ func (r *Run) Tick(now sim.Time) {
 }
 
 // reapDepartures retires inflight requests the machine has finished.
+// While no thread has finished since its last full pass there is
+// nothing to retire, so it skips the scan.
 func (r *Run) reapDepartures() {
+	n := r.m.FinishedCount()
+	if n == r.reaped {
+		return
+	}
+	r.reaped = n
 	for i := len(r.inflight) - 1; i >= 0; i-- {
 		id := r.inflight[i]
 		ft, done := r.m.Finished(id)

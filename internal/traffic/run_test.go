@@ -163,6 +163,49 @@ func TestTickAccountingInvariant(t *testing.T) {
 	}
 }
 
+// TestReapRetiresEveryDeparture checks that Tick's departure pass, which
+// skips its scan while the machine's finished count is unchanged, still
+// retires every finished request on the tick it finishes: after each
+// Tick no in-flight request has finished and the per-class in-system
+// counts match the in-flight list. Without a cap only completions move
+// the finished count; with one, rejections move it too.
+func TestReapRetiresEveryDeparture(t *testing.T) {
+	for _, maxInSystem := range []int{0, 3} {
+		m := newMachine(t)
+		r, err := Build(m, tinySpec(maxInSystem), 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cores := m.Topology().Cores()
+		placed := make(map[machine.ThreadID]bool)
+		now := sim.Time(0)
+		for i := 0; !m.Done() && i < 200_000; i++ {
+			r.Tick(now)
+			for _, id := range r.inflight {
+				if _, done := m.Finished(id); done {
+					t.Fatalf("cap %d, t=%v: finished request %d still in flight", maxInSystem, now, id)
+				}
+			}
+			if got := r.inSystem[0]; got != len(r.inflight) {
+				t.Fatalf("cap %d, t=%v: in system %d, in flight %d", maxInSystem, now, got, len(r.inflight))
+			}
+			for _, id := range m.Alive() {
+				if !placed[id] {
+					if err := m.Place(id, cores[int(id)%len(cores)].ID); err != nil {
+						t.Fatal(err)
+					}
+					placed[id] = true
+				}
+			}
+			m.Step(now, 1)
+			now++
+		}
+		if !m.Done() {
+			t.Fatalf("cap %d: run did not drain", maxInSystem)
+		}
+	}
+}
+
 func TestPercentileNearestRank(t *testing.T) {
 	sorted := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	cases := []struct {
