@@ -267,22 +267,27 @@ type Machine struct {
 
 	// Step scratch, reused every tick so Step never allocates. The
 	// occupancy counts are sized in resolve (one per logical and one per
-	// physical core); the per-thread buffers, the per-domain ones and the
+	// physical core); the per-thread buffers, the multi-domain ones and the
 	// solvers' memo slices are grown by AddThread to the registered thread
 	// count, so even the first Step after placement allocates nothing.
 	laneCount    []int // per logical core: arrived, unfinished threads bound to it
 	physBusy     []int // per physical core: busy lanes
 	scratchT     []*thread
 	scratchRates []float64
-	scratchDem   []Demand
+	scratchApw   []float64 // accesses per work unit
+	scratchMpw   []float64 // misses per work unit
+	scratchHit   []float64 // LLC-hit stall per work unit
 	scratchLat   []float64
 	scratchProg  []float64
-	// per-controller-domain scratch for the multi-socket solve.
+	// Multi-domain solve scratch: each domain's active-thread indices, and
+	// the sub-slices the domains take turns with (each solver memoizes its
+	// own copy of its inputs).
 	domIdx   [][]int
-	domRates [][]float64
-	domDems  [][]Demand
-	domLats  [][]float64
-	domProg  [][]float64
+	domRates []float64
+	domMpw   []float64
+	domHit   []float64
+	domLats  []float64
+	domProg  []float64
 }
 
 // New builds a machine from cfg.
@@ -351,13 +356,9 @@ func (m *Machine) resolve() {
 	}
 	m.solvers = make([]contentionSolver, len(m.ctrls))
 	for d := range m.ctrls {
-		m.solvers[d] = contentionSolver{ctrl: &m.ctrls[d], overlap: m.cfg.Overlap, hitLat: m.cfg.LLCHitLatency}
+		m.solvers[d] = contentionSolver{ctrl: &m.ctrls[d], overlap: m.cfg.Overlap}
 	}
 	m.domIdx = make([][]int, len(m.ctrls))
-	m.domRates = make([][]float64, len(m.ctrls))
-	m.domDems = make([][]Demand, len(m.ctrls))
-	m.domLats = make([][]float64, len(m.ctrls))
-	m.domProg = make([][]float64, len(m.ctrls))
 	m.cores = m.topo.Cores()
 	nc := len(m.cores)
 	m.coreDomain = make([]int, nc)
@@ -385,23 +386,33 @@ func (m *Machine) resolve() {
 }
 
 // reserveScratch grows every per-thread Step buffer to hold n threads:
-// the gather buffers, each controller domain's sub-slices (any domain may
-// hold every thread) and each solver's memo.
+// the gather buffers and each solver's memo and, on a machine with more
+// than one controller domain, each domain's index list (any domain may
+// hold every thread) and the domains' shared sub-slices. A single domain
+// solves over the gather buffers.
 func (m *Machine) reserveScratch(n int) {
 	m.live = reserve(m.live, n)
 	m.scratchT = reserve(m.scratchT, n)
 	m.scratchRates = reserve(m.scratchRates, n)
-	m.scratchDem = reserve(m.scratchDem, n)
+	m.scratchApw = reserve(m.scratchApw, n)
+	m.scratchMpw = reserve(m.scratchMpw, n)
+	m.scratchHit = reserve(m.scratchHit, n)
 	m.scratchLat = reserve(m.scratchLat, n)
 	m.scratchProg = reserve(m.scratchProg, n)
 	for d := range m.ctrls {
-		m.domIdx[d] = reserve(m.domIdx[d], n)
-		m.domRates[d] = reserve(m.domRates[d], n)
-		m.domDems[d] = reserve(m.domDems[d], n)
-		m.domLats[d] = reserve(m.domLats[d], n)
-		m.domProg[d] = reserve(m.domProg[d], n)
 		m.solvers[d].reserve(n)
 	}
+	if len(m.ctrls) == 1 {
+		return
+	}
+	for d := range m.ctrls {
+		m.domIdx[d] = reserve(m.domIdx[d], n)
+	}
+	m.domRates = reserve(m.domRates, n)
+	m.domMpw = reserve(m.domMpw, n)
+	m.domHit = reserve(m.domHit, n)
+	m.domLats = reserve(m.domLats, n)
+	m.domProg = reserve(m.domProg, n)
 }
 
 // reserve returns s, with its contents, grown to a capacity of at least n.
@@ -865,11 +876,16 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		m.energyJ += w * fdtSec
 	}
 
-	// Gather runnable threads and their attainable rates and demands.
+	// Gather runnable threads, their attainable rates and the solver's
+	// per-thread coefficients, computed once per tick rather than once per
+	// solver pass.
 	active := m.scratchT[:0]
 	rates := m.scratchRates[:0]
-	dems := m.scratchDem[:0]
+	apws := m.scratchApw[:0]
+	mpws := m.scratchMpw[:0]
+	hits := m.scratchHit[:0]
 	lats := m.scratchLat[:0]
+	hitLat := m.cfg.LLCHitLatency
 	for _, t := range m.live {
 		if t.stallUntil > now {
 			t.tc.StallTime += float64(dt)
@@ -917,10 +933,13 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		}
 		active = append(active, t)
 		rates = append(rates, rate)
-		dems = append(dems, dem)
+		apws = append(apws, dem.AccessesPerWork)
+		mpws = append(mpws, dem.MissesPerWork())
+		hits = append(hits, dem.AccessesPerWork*hitLat)
 		lats = append(lats, numa)
 	}
-	m.scratchT, m.scratchRates, m.scratchDem, m.scratchLat = active, rates, dems, lats
+	m.scratchT, m.scratchRates, m.scratchLat = active, rates, lats
+	m.scratchApw, m.scratchMpw, m.scratchHit = apws, mpws, hits
 
 	if len(active) == 0 {
 		return
@@ -929,10 +948,10 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	if len(m.ctrls) == 1 {
 		// Single controller domain (a spec with SharedMem, such as
 		// Table I): one solve over all active threads in order.
-		offered := m.solvers[0].solve(rates, dems, lats, prog)
+		offered := m.solvers[0].solve(rates, mpws, hits, lats, prog)
 		m.lastUtil = m.ctrls[0].Utilization(offered)
 	} else {
-		m.solveDomains(active, rates, dems, lats, prog)
+		m.solveDomains(active, rates, mpws, hits, lats, prog)
 	}
 
 	// Advance work, respecting per-thread remaining work and barrier
@@ -962,8 +981,8 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		tc := t.tc
 		tc.Work += dw
 		tc.Instructions += dw * 1000
-		tc.Accesses += dw * dems[i].AccessesPerWork
-		misses := dw * dems[i].MissesPerWork()
+		tc.Accesses += dw * apws[i]
+		misses := dw * mpws[i]
 		tc.Misses += misses
 		cc := m.file.MutCore(int(t.core))
 		cc.ServedMisses += misses
@@ -986,9 +1005,9 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 // solveDomains runs the contention fixed point independently per memory
 // controller: active threads are partitioned by their core's controller
 // domain (preserving registration order within each domain), each
-// domain's solver runs over its own sub-slices, and the progress rates
-// are scattered back. lastUtil is the hottest controller's utilisation.
-func (m *Machine) solveDomains(active []*thread, rates []float64, dems []Demand, lats []float64, prog []float64) {
+// domain's solver runs over its threads' sub-slices, and the progress
+// rates are scattered back. lastUtil is the hottest controller's utilisation.
+func (m *Machine) solveDomains(active []*thread, rates, mpws, hits, lats, prog []float64) {
 	nd := len(m.ctrls)
 	for d := 0; d < nd; d++ {
 		m.domIdx[d] = m.domIdx[d][:0]
@@ -1003,17 +1022,18 @@ func (m *Machine) solveDomains(active []*thread, rates []float64, dems []Demand,
 		if len(idx) == 0 {
 			continue
 		}
-		r := m.domRates[d][:0]
-		dm := m.domDems[d][:0]
-		lt := m.domLats[d][:0]
+		r := m.domRates[:0]
+		mp := m.domMpw[:0]
+		ht := m.domHit[:0]
+		lt := m.domLats[:0]
 		for _, i := range idx {
 			r = append(r, rates[i])
-			dm = append(dm, dems[i])
+			mp = append(mp, mpws[i])
+			ht = append(ht, hits[i])
 			lt = append(lt, lats[i])
 		}
-		m.domRates[d], m.domDems[d], m.domLats[d] = r, dm, lt
-		out := m.domProg[d][:len(idx)]
-		offered := m.solvers[d].solve(r, dm, lt, out)
+		out := m.domProg[:len(idx)]
+		offered := m.solvers[d].solve(r, mp, ht, lt, out)
 		for j, i := range idx {
 			prog[i] = out[j]
 		}

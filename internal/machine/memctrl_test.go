@@ -82,7 +82,28 @@ func TestUtilization(t *testing.T) {
 
 func newSolver() contentionSolver {
 	mc := &MemController{Capacity: 80, BaseLatency: 0.008, MaxUtil: 0.96}
-	return contentionSolver{ctrl: mc, overlap: 0.3, hitLat: 0.0005}
+	return contentionSolver{ctrl: mc, overlap: 0.3}
+}
+
+// testHitLat is the LLC hit latency the solver tests assume.
+const testHitLat = 0.0005
+
+// coeffs derives the solver's per-thread coefficients from demands, as
+// Step's gather does.
+func coeffs(dem []Demand, hitLat float64) (mpw, hit []float64) {
+	mpw = make([]float64, len(dem))
+	hit = make([]float64, len(dem))
+	for i, d := range dem {
+		mpw[i] = d.MissesPerWork()
+		hit[i] = d.AccessesPerWork * hitLat
+	}
+	return mpw, hit
+}
+
+// solveDem runs s.solve on demands at testHitLat.
+func solveDem(s *contentionSolver, rates []float64, dem []Demand, latMult, out []float64) float64 {
+	mpw, hit := coeffs(dem, testHitLat)
+	return s.solve(rates, mpw, hit, latMult, out)
 }
 
 func ones(n int) []float64 {
@@ -98,7 +119,7 @@ func TestSolveComputeThreadNearFullSpeed(t *testing.T) {
 	rates := []float64{2.33}
 	dem := []Demand{{AccessesPerWork: 2, MissRatio: 0.02}}
 	out := make([]float64, 1)
-	s.solve(rates, dem, ones(1), out)
+	solveDem(&s, rates, dem, ones(1), out)
 	if out[0] < 2.2 || out[0] > 2.33 {
 		t.Errorf("compute thread progress = %v, want near 2.33", out[0])
 	}
@@ -115,9 +136,9 @@ func TestSolveMemoryThreadSlowed(t *testing.T) {
 		dem[i] = Demand{AccessesPerWork: 10, MissRatio: 0.55}
 	}
 	out := make([]float64, n)
-	offered := s.solve(rates, dem, ones(n), out)
+	offered := solveDem(&s, rates, dem, ones(n), out)
 	solo := make([]float64, 1)
-	s.solve(rates[:1], dem[:1], ones(1), solo)
+	solveDem(&s, rates[:1], dem[:1], ones(1), solo)
 	if out[0] >= solo[0] {
 		t.Errorf("contended progress %v not below solo %v", out[0], solo[0])
 	}
@@ -146,7 +167,7 @@ func TestSolveDifferentialContention(t *testing.T) {
 	rates[n+1] = 2.33
 	dem[n+1] = Demand{AccessesPerWork: 3, MissRatio: 0.03} // probe: compute
 	out := make([]float64, n+2)
-	s.solve(rates, dem, ones(n+2), out)
+	solveDem(&s, rates, dem, ones(n+2), out)
 	memSlow := 2.33 / out[n]
 	compSlow := 2.33 / out[n+1]
 	if memSlow < 2*compSlow {
@@ -160,8 +181,8 @@ func TestSolveLatencyMultiplier(t *testing.T) {
 	dem := []Demand{{AccessesPerWork: 10, MissRatio: 0.55}}
 	outWarm := make([]float64, 1)
 	outCold := make([]float64, 1)
-	s.solve(rates, dem, []float64{1}, outWarm)
-	s.solve(rates, dem, []float64{1.7}, outCold)
+	solveDem(&s, rates, dem, []float64{1}, outWarm)
+	solveDem(&s, rates, dem, []float64{1.7}, outCold)
 	if outCold[0] >= outWarm[0] {
 		t.Errorf("NUMA-penalised progress %v not below warm %v", outCold[0], outWarm[0])
 	}
@@ -172,7 +193,7 @@ func TestSolveZeroRateThreads(t *testing.T) {
 	rates := []float64{0, 2.33}
 	dem := []Demand{{AccessesPerWork: 5, MissRatio: 0.5}, {AccessesPerWork: 5, MissRatio: 0.5}}
 	out := make([]float64, 2)
-	s.solve(rates, dem, ones(2), out)
+	solveDem(&s, rates, dem, ones(2), out)
 	if out[0] != 0 {
 		t.Errorf("zero-rate thread progressed: %v", out[0])
 	}
@@ -188,7 +209,7 @@ func TestSolveLengthMismatchPanics(t *testing.T) {
 			t.Error("length mismatch did not panic")
 		}
 	}()
-	s.solve([]float64{1}, []Demand{}, []float64{1}, []float64{1})
+	s.solve([]float64{1}, []float64{}, []float64{1}, []float64{1}, []float64{1})
 }
 
 func TestSolveOfferedNeverExceedsPhysics(t *testing.T) {
@@ -209,7 +230,7 @@ func TestSolveOfferedNeverExceedsPhysics(t *testing.T) {
 			}
 		}
 		out := make([]float64, len(seeds))
-		offered := s.solve(rates, dem, ones(len(seeds)), out)
+		offered := solveDem(&s, rates, dem, ones(len(seeds)), out)
 		if math.IsNaN(offered) || offered < 0 {
 			return false
 		}
@@ -232,32 +253,45 @@ func TestDemandMissesPerWork(t *testing.T) {
 	}
 }
 
-// BenchmarkContentionSolve times the solver's memo-miss path — the full
-// damped fixed-point iteration — on the Table I machine's 40 lanes, half
-// memory- and half compute-intensive. Each op toggles one lane's
-// attainable rate by a cold-cache-like 0.1%, as a migration does, so no
-// op's inputs match the memo.
+// BenchmarkContentionSolve times the solver's memo-miss path on the
+// Table I machine's 40 lanes. Each op toggles one lane's attainable rate
+// by a cold-cache-like 0.1%, as a migration does, so no op's inputs match
+// the memo. In "mixed", half the lanes are memory- and half
+// compute-intensive: round 0 clamps at Lmax but the fixed point lies
+// below it, so the shortcut's pass fails and the damped loop runs. In
+// "saturated", every lane is memory-intensive and every pass clamps, so
+// the shortcut answers in 2 passes. passes/op counts thread passes.
 func BenchmarkContentionSolve(b *testing.B) {
-	s := newSolver()
-	const n = 40
-	base := make([]float64, n)
-	dem := make([]Demand, n)
-	for i := range base {
-		base[i] = 2.33
-		dem[i] = Demand{AccessesPerWork: 3, MissRatio: 0.03}
-		if i%2 == 0 {
-			base[i] = 1.21
-			dem[i] = Demand{AccessesPerWork: 10, MissRatio: 0.5}
-		}
-	}
-	rates, lat, out := append([]float64(nil), base...), ones(n), make([]float64, n)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := i % n
-		rates[k] = base[k]
-		if (i/n)%2 == 0 {
-			rates[k] *= 0.999
-		}
-		s.solve(rates, dem, lat, out)
+	mem := Demand{AccessesPerWork: 10, MissRatio: 0.5}
+	cpu := Demand{AccessesPerWork: 3, MissRatio: 0.03}
+	for _, bc := range []struct {
+		name string
+		odd  Demand // demand of the odd lanes; even lanes are memory-intensive
+	}{{"mixed", cpu}, {"saturated", mem}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := newSolver()
+			const n = 40
+			base := make([]float64, n)
+			dem := make([]Demand, n)
+			for i := range base {
+				base[i], dem[i] = 2.33, bc.odd
+				if i%2 == 0 {
+					base[i], dem[i] = 1.21, mem
+				}
+			}
+			mpw, hit := coeffs(dem, testHitLat)
+			rates, lat, out := append([]float64(nil), base...), ones(n), make([]float64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % n
+				rates[k] = base[k]
+				if (i/n)%2 == 0 {
+					rates[k] *= 0.999
+				}
+				s.solve(rates, mpw, hit, lat, out)
+			}
+			b.ReportMetric(float64(s.passes)/float64(b.N), "passes/op")
+		})
 	}
 }

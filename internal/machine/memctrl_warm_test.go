@@ -33,11 +33,11 @@ func TestSolverWarmStartFloatIdentical(t *testing.T) {
 			dem[i] = Demand{AccessesPerWork: m * 2, MissRatio: 0.5}
 		}
 		wOut := make([]float64, len(rates))
-		wOff := warm.solve(rates, dem, lats, wOut)
+		wOff := solveDem(&warm, rates, dem, lats, wOut)
 
 		cold := newSolver()
 		cOut := make([]float64, len(rates))
-		cOff := cold.solve(rates, dem, lats, cOut)
+		cOff := solveDem(&cold, rates, dem, lats, cOut)
 
 		if math.Float64bits(wOff) != math.Float64bits(cOff) {
 			t.Fatalf("step %d: offered diverged: warm %x cold %x", step, math.Float64bits(wOff), math.Float64bits(cOff))
@@ -56,11 +56,11 @@ func TestSolverWarmStartFloatIdentical(t *testing.T) {
 func TestSolverWarmStartNaNMisses(t *testing.T) {
 	s := newSolver()
 	rates := []float64{math.NaN(), 2.33}
-	dem := []Demand{{AccessesPerWork: 0.8, MissRatio: 0.5}, {AccessesPerWork: 0.1, MissRatio: 0.2}}
+	mpw, hit := []float64{0.4, 0.02}, []float64{0.0004, 0.00005}
 	lats := []float64{1, 1}
 	out := make([]float64, 2)
-	s.solve(rates, dem, lats, out)
-	if s.memoHit(rates, dem, lats) {
+	s.solve(rates, mpw, hit, lats, out)
+	if s.memoHit(rates, mpw, hit, lats) {
 		t.Fatal("NaN input hit the memo")
 	}
 }
@@ -70,29 +70,34 @@ func TestSolverWarmStartNaNMisses(t *testing.T) {
 func TestSolverWarmStartMemoHit(t *testing.T) {
 	s := newSolver()
 	rates := []float64{2.33, 1.21}
-	dem := []Demand{{AccessesPerWork: 0.8, MissRatio: 0.5}, {AccessesPerWork: 0.1, MissRatio: 0.2}}
+	mpw, hit := []float64{0.4, 0.02}, []float64{0.0004, 0.00005}
 	lats := []float64{1, 1.4}
 	out := make([]float64, 2)
-	s.solve(rates, dem, lats, out)
-	if !s.memoHit(rates, dem, lats) {
+	s.solve(rates, mpw, hit, lats, out)
+	if !s.memoHit(rates, mpw, hit, lats) {
 		t.Fatal("identical inputs missed the memo")
 	}
 	r2 := append([]float64(nil), rates...)
 	r2[1] += 1e-12
-	if s.memoHit(r2, dem, lats) {
+	if s.memoHit(r2, mpw, hit, lats) {
 		t.Fatal("perturbed rate hit the memo")
 	}
-	d2 := append([]Demand(nil), dem...)
-	d2[0].MissRatio = 0.51
-	if s.memoHit(rates, d2, lats) {
-		t.Fatal("perturbed demand hit the memo")
+	m2 := append([]float64(nil), mpw...)
+	m2[0] = 0.41
+	if s.memoHit(rates, m2, hit, lats) {
+		t.Fatal("perturbed misses per work hit the memo")
+	}
+	h2 := append([]float64(nil), hit...)
+	h2[1] = 0.00006
+	if s.memoHit(rates, mpw, h2, lats) {
+		t.Fatal("perturbed hit stall hit the memo")
 	}
 	l2 := append([]float64(nil), lats...)
 	l2[0] = 1.1
-	if s.memoHit(rates, dem, l2) {
+	if s.memoHit(rates, mpw, hit, l2) {
 		t.Fatal("perturbed latency multiplier hit the memo")
 	}
-	if s.memoHit(rates[:1], dem[:1], lats[:1]) {
+	if s.memoHit(rates[:1], mpw[:1], hit[:1], lats[:1]) {
 		t.Fatal("shorter population hit the memo")
 	}
 }

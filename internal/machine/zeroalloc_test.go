@@ -24,10 +24,12 @@ func (p waveProgram) DemandAt(_ float64, now sim.Time) Demand {
 // Step: both the first Step after placement and the steady state, on the
 // Table I machine, on a two-socket machine with one memory controller per
 // socket (the per-domain solve), with a pending arrival and a migration
-// in flight, and under open-loop churn. The churn case also measures
-// single ticks and requires both kinds of admit among them: ticks that
-// rescan the thread slots for arrivals and ticks that only compact out
-// finished threads.
+// in flight, under open-loop churn, and with a memory-bound and a mixed
+// population. The churn case also measures single ticks and requires
+// both kinds of admit among them: ticks that rescan the thread slots for
+// arrivals and ticks that only compact out finished threads. The last two
+// cases measure single ticks whose solve takes the saturation shortcut
+// and ticks whose solve falls through to the damped loop.
 func TestStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -36,10 +38,29 @@ func TestStepZeroAlloc(t *testing.T) {
 		lo: Demand{AccessesPerWork: 5, MissRatio: 0.02},
 		hi: Demand{AccessesPerWork: 40, MissRatio: 0.3},
 	}
+	// population places n threads on the Table I machine, one per lane,
+	// alternating between the two programs.
+	population := func(t *testing.T, n int, even, odd waveProgram) *Machine {
+		m := testMachine(t)
+		for i := 0; i < n; i++ {
+			prog := odd
+			if i%2 == 0 {
+				prog = even
+			}
+			if err := m.AddThread(ThreadID(i), 0, prog); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Place(ThreadID(i), CoreID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
 	cases := []struct {
 		name  string
 		build func(t *testing.T) *Machine
 		churn bool
+		path  solvePath // the solve path single ticks must include, if any
 	}{
 		{"table1", func(t *testing.T) *Machine {
 			m := testMachine(t)
@@ -57,7 +78,7 @@ func TestStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return m
-		}, false},
+		}, false, 0},
 		{"per-socket", func(t *testing.T) *Machine {
 			m, err := New(specConfig(twoSocketSpec()))
 			if err != nil {
@@ -72,7 +93,7 @@ func TestStepZeroAlloc(t *testing.T) {
 				}
 			}
 			return m
-		}, false},
+		}, false, 0},
 		{"arrival-and-migration", func(t *testing.T) *Machine {
 			m := testMachine(t)
 			for i := 0; i < 6; i++ {
@@ -92,7 +113,7 @@ func TestStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return m
-		}, false},
+		}, false, 0},
 		{"traffic-churn", func(t *testing.T) *Machine {
 			m := testMachine(t)
 			// 300 requests, one arriving every 3 ms, each done within
@@ -110,7 +131,16 @@ func TestStepZeroAlloc(t *testing.T) {
 				}
 			}
 			return m
-		}, true},
+		}, true, 0},
+		{"saturated", func(t *testing.T) *Machine {
+			heavy := waveProgram{lo: wave.hi, hi: Demand{AccessesPerWork: 30, MissRatio: 0.5}}
+			return population(t, 40, heavy, heavy)
+		}, false, pathShortcut},
+		{"fall-through", func(t *testing.T) *Machine {
+			mem := waveProgram{lo: Demand{AccessesPerWork: 20, MissRatio: 0.25}, hi: Demand{AccessesPerWork: 20, MissRatio: 0.26}}
+			cpu := waveProgram{lo: Demand{AccessesPerWork: 3, MissRatio: 0.03}, hi: Demand{AccessesPerWork: 3, MissRatio: 0.02}}
+			return population(t, 40, mem, cpu)
+		}, false, pathFellThrough},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,6 +174,9 @@ func TestStepZeroAlloc(t *testing.T) {
 			}
 			if tc.churn {
 				churnTicks(t, m, now)
+			}
+			if tc.path != 0 {
+				solveTicks(t, m, now, tc.path)
 			}
 		})
 	}
@@ -183,4 +216,61 @@ func churnTicks(t *testing.T, m *Machine, now sim.Time) {
 	if rescans == 0 || compactions == 0 {
 		t.Errorf("measured %d rescan and %d compaction ticks, want both", rescans, compactions)
 	}
+}
+
+// solvePath is the way a tick's contention solve went.
+type solvePath int
+
+const (
+	pathMemo        solvePath = iota + 1 // the memo served it
+	pathShortcut                         // the saturation shortcut answered
+	pathFellThrough                      // round 0 clamped, the shortcut's pass did not
+	pathLoop                             // round 0 did not clamp: the damped loop alone
+)
+
+// solveTicks measures single ticks of a single-controller machine, from
+// now on. Every tick must allocate nothing, and the measured ticks must
+// include one whose solve took path.
+func solveTicks(t *testing.T, m *Machine, now sim.Time, path solvePath) {
+	t.Helper()
+	s := &m.solvers[0]
+	seen := map[solvePath]int{}
+	for i := 0; i < 40; i++ {
+		var before int // passes before the measured (last) call
+		allocs := testing.AllocsPerRun(1, func() {
+			before = s.passes
+			m.Step(now, 1)
+			now++
+		})
+		p := pathOf(s, s.passes-before)
+		if allocs != 0 {
+			t.Errorf("tick %d (solve path %d): %v allocs, want 0", now-1, p, allocs)
+		}
+		seen[p]++
+	}
+	t.Logf("solve paths of the measured ticks: %v", seen)
+	if seen[path] == 0 {
+		t.Errorf("no measured tick took solve path %d; paths seen %v", path, seen)
+	}
+}
+
+// pathOf classifies the solve s just ran, which took passes passes, by
+// replaying round 0 and the shortcut on a fresh solver over the memoized
+// inputs.
+func pathOf(s *contentionSolver, passes int) solvePath {
+	if passes == 0 {
+		return pathMemo
+	}
+	fresh := contentionSolver{ctrl: s.ctrl, overlap: s.overlap}
+	rates, mpw, hit, lat := s.memoRates, s.memoMpw, s.memoHits, s.memoLat
+	out := make([]float64, len(rates))
+	l0 := s.ctrl.Latency(0)
+	next := s.ctrl.Latency(fresh.pass(rates, mpw, hit, lat, l0, out))
+	switch _, ok := fresh.saturated(rates, mpw, hit, lat, l0, next, out); {
+	case ok:
+		return pathShortcut
+	case fresh.passes == 2:
+		return pathFellThrough
+	}
+	return pathLoop
 }
