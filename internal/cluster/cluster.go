@@ -291,11 +291,6 @@ func (c *Coordinator) Workers() api.WorkersView {
 	return api.WorkersView{Workers: views, Healthy: healthy}
 }
 
-// RoutingStats exposes ring placement counters (for tests).
-func (c *Coordinator) RoutingStats() (primary, rerouted, retries uint64) {
-	return c.met.ringPrimary.Value(), c.met.ringRerouted.Value(), c.met.retries.Value()
-}
-
 // Drain gracefully shuts the coordinator down: new submissions are
 // refused with 503 while status, events, metrics and fleet views stay
 // readable; in-flight jobs run to completion. Drain stops the

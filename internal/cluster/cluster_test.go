@@ -13,9 +13,9 @@ import (
 	"time"
 
 	"dike/internal/harness"
+	simmetrics "dike/internal/metrics"
 	"dike/internal/serve"
 	"dike/internal/serve/api"
-	simmetrics "dike/internal/metrics"
 	"dike/internal/workload"
 )
 
@@ -111,26 +111,18 @@ func await(t *testing.T, base, id string, timeout time.Duration) api.JobView {
 	return api.JobView{}
 }
 
-// stubShard returns a deterministic fake shard executor: point i of the
-// grid gets synthetic but index-identifiable values.
-func stubShard(calls *atomic.Int64) func(context.Context, *workload.Workload, harness.Options, []int) ([]harness.ConfigResult, error) {
-	return func(ctx context.Context, w *workload.Workload, opts harness.Options, indices []int) ([]harness.ConfigResult, error) {
-		calls.Add(1)
-		out := make([]harness.ConfigResult, len(indices))
-		for i, idx := range indices {
-			out[i] = fakePoint(idx)
-		}
-		return out, nil
-	}
-}
-
-func fakePoint(idx int) harness.ConfigResult {
-	return harness.ConfigResult{
-		SwapSize: idx + 1,
-		Quanta:   100,
-		Fairness: float64(idx) / 31,
-		Perf:     1 / float64(idx+1),
-		Swaps:    idx,
+// gridRun is a simulate stub whose result is a pure function of the
+// spec's Dike swap size and quanta length, so every sweep grid point
+// gets distinct, position-identifiable values.
+func gridRun(spec harness.RunSpec) *harness.RunOutput {
+	ss, q := spec.DikeConfig.SwapSize, float64(spec.DikeConfig.QuantaLength)
+	return &harness.RunOutput{
+		Result: &simmetrics.RunResult{
+			Policy: spec.Policy, Workload: spec.Workload.Name,
+			Fairness: float64(ss) / q, Makespan: q + float64(ss), AvgTime: q,
+			Swaps: ss * int(q),
+		},
+		CompletedAt: 100,
 	}
 }
 
@@ -155,17 +147,18 @@ func TestShardedSweepByteIdenticalToSingleNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sweeps in -short mode")
 	}
-	// The real harness does the work; the seam only counts shard jobs so
-	// the test can prove the sweep was actually split across the fleet.
-	var shardsA, shardsB atomic.Int64
-	countingShard := func(n *atomic.Int64) func(context.Context, *workload.Workload, harness.Options, []int) ([]harness.ConfigResult, error) {
-		return func(ctx context.Context, w *workload.Workload, opts harness.Options, indices []int) ([]harness.ConfigResult, error) {
+	// The real harness does the work; the seam only counts each worker's
+	// simulations so the test can prove the sweep was actually split
+	// across the fleet.
+	var simsA, simsB atomic.Int64
+	counting := func(n *atomic.Int64) func(context.Context, harness.RunSpec) (*harness.RunOutput, error) {
+		return func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error) {
 			n.Add(1)
-			return harness.SweepShard(ctx, w, opts, indices)
+			return harness.Run(ctx, spec)
 		}
 	}
-	_, tsA := newWorker(t, serve.Config{Workers: 2, SweepWorkers: 4, SweepShard: countingShard(&shardsA)})
-	_, tsB := newWorker(t, serve.Config{Workers: 2, SweepWorkers: 4, SweepShard: countingShard(&shardsB)})
+	_, tsA := newWorker(t, serve.Config{Workers: 2, SweepWorkers: 4, Simulate: counting(&simsA)})
+	_, tsB := newWorker(t, serve.Config{Workers: 2, SweepWorkers: 4, Simulate: counting(&simsB)})
 	_, coord := newCoord(t, []string{tsA.URL, tsB.URL}, nil)
 
 	const body = `{"workload": 1, "seed": 7, "scale": 0.01}`
@@ -175,6 +168,9 @@ func TestShardedSweepByteIdenticalToSingleNode(t *testing.T) {
 	sv := await(t, tsA.URL, single.ID, 2*time.Minute)
 	if sv.Status != api.StatusDone {
 		t.Fatalf("single-node sweep %s: %s", sv.Status, sv.Error)
+	}
+	if a, b := simsA.Load(), simsB.Load(); a != 32 || b != 0 {
+		t.Fatalf("single-node sweep simulated A=%d B=%d, want 32/0", a, b)
 	}
 
 	// Sharded: the same sweep through the coordinator.
@@ -188,9 +184,11 @@ func TestShardedSweepByteIdenticalToSingleNode(t *testing.T) {
 		t.Fatalf("sharded sweep differs from single-node:\nsingle:  %s\nsharded: %s", sv.Result, cv.Result)
 	}
 
-	// The sweep must actually have been sharded: both workers ran a shard.
-	if shardsA.Load() == 0 || shardsB.Load() == 0 {
-		t.Fatalf("sweep not sharded across both workers: shard jobs A=%d B=%d", shardsA.Load(), shardsB.Load())
+	// The sweep must actually have been sharded: both workers simulated
+	// part of it, and together exactly the grid.
+	a, b := simsA.Load()-32, simsB.Load()
+	if a == 0 || b == 0 || a+b != 32 {
+		t.Fatalf("sweep not sharded across both workers: simulations A=%d B=%d, want both > 0 summing to 32", a, b)
 	}
 }
 
@@ -199,7 +197,6 @@ func TestShardedSweepByteIdenticalToSingleNode(t *testing.T) {
 // missing grid point — via re-route to the surviving worker, with the
 // retry recorded in metrics.
 func TestWorkerKilledMidSweepReroutes(t *testing.T) {
-	var callsB atomic.Int64
 	gate := make(chan struct{})
 	defer func() {
 		select {
@@ -210,9 +207,9 @@ func TestWorkerKilledMidSweepReroutes(t *testing.T) {
 	}()
 	entered := make(chan struct{}, 1)
 
-	// Worker A hangs in its shard until killed; worker B answers
-	// instantly with deterministic points.
-	_, tsA := newWorker(t, serve.Config{Workers: 2, SweepShard: func(ctx context.Context, w *workload.Workload, opts harness.Options, indices []int) ([]harness.ConfigResult, error) {
+	// Worker A hangs in its first grid point until killed; worker B
+	// answers instantly with deterministic points.
+	_, tsA := newWorker(t, serve.Config{Workers: 2, Simulate: func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error) {
 		select {
 		case entered <- struct{}{}:
 		default:
@@ -221,13 +218,11 @@ func TestWorkerKilledMidSweepReroutes(t *testing.T) {
 		case <-gate:
 		case <-ctx.Done():
 		}
-		out := make([]harness.ConfigResult, len(indices))
-		for i, idx := range indices {
-			out[i] = fakePoint(idx)
-		}
-		return out, ctx.Err()
+		return gridRun(spec), ctx.Err()
 	}})
-	_, tsB := newWorker(t, serve.Config{Workers: 2, SweepShard: stubShard(&callsB)})
+	_, tsB := newWorker(t, serve.Config{Workers: 2, Simulate: func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error) {
+		return gridRun(spec), nil
+	}})
 	// One-strike breaker: this test asserts the kill is reflected in the
 	// fleet view after a single failed poll; gentler thresholds are
 	// covered by the breaker tests.
@@ -254,12 +249,15 @@ func TestWorkerKilledMidSweepReroutes(t *testing.T) {
 	if err := json.Unmarshal(v.Result, &res); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Grid) != 32 {
-		t.Fatalf("merged grid has %d points, want 32", len(res.Grid))
+	specs, _ := harness.SweepGrid(workload.MustTable2(1), harness.Options{Seed: 9, SweepScale: 0.05})
+	if len(res.Grid) != len(specs) {
+		t.Fatalf("merged grid has %d points, want %d", len(res.Grid), len(specs))
 	}
 	for i, p := range res.Grid {
-		want := fakePoint(i)
-		if p.SwapSize != want.SwapSize || p.Swaps != want.Swaps || p.Fairness != want.Fairness {
+		cfg := specs[i].DikeConfig
+		want := gridRun(specs[i]).Result
+		if p.SwapSize != cfg.SwapSize || p.QuantaMs != cfg.QuantaLength.Millis() ||
+			p.Fairness != want.Fairness || p.Swaps != want.Swaps {
 			t.Fatalf("grid point %d corrupted by re-route: %+v", i, p)
 		}
 	}

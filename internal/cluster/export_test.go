@@ -1,0 +1,6 @@
+package cluster
+
+// RoutingStats exposes ring placement counters.
+func (c *Coordinator) RoutingStats() (primary, rerouted, retries uint64) {
+	return c.met.ringPrimary.Value(), c.met.ringRerouted.Value(), c.met.retries.Value()
+}

@@ -319,12 +319,10 @@ type shardOutcome struct {
 func (c *Coordinator) driveSweep(j *cjob, rs serve.ResolvedSweep) {
 	j.setRunning()
 	specs, _ := harness.SweepGrid(rs.Workload, rs.Options(1))
-	indices := rs.Indices
-	if indices == nil {
-		indices = make([]int, len(specs))
-		for i := range specs {
-			indices[i] = i
-		}
+	indices, err := harness.ShardIndices(rs.Indices, len(specs))
+	if err != nil {
+		j.finish(api.StatusFailed, nil, "cluster: "+err.Error())
+		return
 	}
 
 	// Group grid points by the first routable worker in each point's
@@ -362,7 +360,10 @@ func (c *Coordinator) driveSweep(j *cjob, rs serve.ResolvedSweep) {
 	wg.Wait()
 	close(outcomes)
 
-	merged := make(map[int]api.SweepPoint, len(indices))
+	// Deterministic, strict merge: points land by grid index, never by
+	// arrival order; a point delivered twice fails its shard, and a gap
+	// fails the sweep.
+	merge := harness.NewGridMerge[api.SweepPoint](indices)
 	var failed []shardOutcome
 	workers := make(map[string]bool)
 	for o := range outcomes {
@@ -372,12 +373,11 @@ func (c *Coordinator) driveSweep(j *cjob, rs serve.ResolvedSweep) {
 		}
 		workers[o.worker] = true
 		for i, idx := range o.indices {
-			if _, dup := merged[idx]; dup {
-				o.err = fmt.Errorf("grid point %d delivered twice", idx)
+			if err := merge.Put(idx, o.points[i]); err != nil {
+				o.err = err
 				failed = append(failed, o)
 				break
 			}
-			merged[idx] = o.points[i]
 		}
 	}
 	if err := j.ctx.Err(); err != nil {
@@ -392,20 +392,13 @@ func (c *Coordinator) driveSweep(j *cjob, rs serve.ResolvedSweep) {
 		}
 		j.finish(api.StatusFailed, nil, fmt.Sprintf(
 			"cluster: sweep incomplete: %d/%d grid points merged; %s",
-			len(merged), len(indices), strings.Join(parts, "; ")))
+			merge.Len(), len(indices), strings.Join(parts, "; ")))
 		return
 	}
-
-	// Deterministic merge: points land by grid index, never by arrival
-	// order, and the completeness check refuses a silent gap.
-	grid := make([]api.SweepPoint, 0, len(indices))
-	for _, idx := range indices {
-		p, ok := merged[idx]
-		if !ok {
-			j.finish(api.StatusFailed, nil, fmt.Sprintf("cluster: grid point %d missing after merge", idx))
-			return
-		}
-		grid = append(grid, p)
+	grid, err := merge.Grid()
+	if err != nil {
+		j.finish(api.StatusFailed, nil, "cluster: "+err.Error())
+		return
 	}
 	for w := range workers {
 		j.servedBy(w)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"dike/internal/core"
 	"dike/internal/metrics"
 )
 
@@ -126,6 +125,3 @@ func ReadRunRecord(r io.Reader) (*RunRecord, error) {
 	}
 	return &rec, nil
 }
-
-// keep the core import referenced even if History is empty at call sites.
-var _ = core.QuantumRecord{}

@@ -1,8 +1,8 @@
 package harness
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 

@@ -1,12 +1,11 @@
 package harness
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dike/internal/core"
 	"dike/internal/workload"
@@ -43,82 +42,99 @@ func sweepGrid(w *workload.Workload, opts Options) ([]RunSpec, []ConfigResult) {
 	return specs, meta
 }
 
-// ValidateShard checks that indices form a well-formed shard of a
-// total-point grid: non-empty, strictly increasing (sorted, no
-// duplicates) and in [0, total).
-func ValidateShard(indices []int, total int) error {
-	if len(indices) == 0 {
-		return fmt.Errorf("harness: empty shard")
+// ShardIndices resolves a requested shard of a total-point grid to the
+// grid positions it covers. A nil shard means the whole grid, every
+// index in order. Otherwise the shard must be non-empty, strictly
+// increasing (sorted, no duplicates) and within [0, total), and is
+// returned as given.
+func ShardIndices(shard []int, total int) ([]int, error) {
+	if shard == nil {
+		all := make([]int, total)
+		for i := range all {
+			all[i] = i
+		}
+		return all, nil
 	}
-	for i, idx := range indices {
+	if len(shard) == 0 {
+		return nil, fmt.Errorf("harness: empty shard")
+	}
+	for i, idx := range shard {
 		if idx < 0 || idx >= total {
-			return fmt.Errorf("harness: shard index %d outside grid [0, %d)", idx, total)
+			return nil, fmt.Errorf("harness: shard index %d outside grid [0, %d)", idx, total)
 		}
-		if i > 0 && idx <= indices[i-1] {
-			return fmt.Errorf("harness: shard indices not strictly increasing at %d", idx)
+		if i > 0 && idx <= shard[i-1] {
+			return nil, fmt.Errorf("harness: shard indices not strictly increasing at %d", idx)
 		}
 	}
+	return shard, nil
+}
+
+// GridMerge assembles the points of a sweep, or of one shard of it,
+// strictly by grid index. Points are placed by index, never by arrival
+// order, so the merged grid is the same however the points were
+// scheduled or routed. It is strict: an index outside the requested
+// shard, an index delivered twice, and an index never delivered are all
+// errors naming the index, so a dropped or double-executed point can
+// never be silently papered over. A GridMerge is not safe for
+// concurrent use.
+type GridMerge[T any] struct {
+	indices []int // requested grid positions, strictly increasing
+	grid    []T   // grid[k] is the point for indices[k]
+	have    []bool
+	n       int
+}
+
+// NewGridMerge returns an empty merge over indices, which must be
+// strictly increasing, as ShardIndices returns them.
+func NewGridMerge[T any](indices []int) *GridMerge[T] {
+	return &GridMerge[T]{indices: indices, grid: make([]T, len(indices)), have: make([]bool, len(indices))}
+}
+
+// Put delivers the point for grid index idx.
+func (m *GridMerge[T]) Put(idx int, v T) error {
+	k, ok := slices.BinarySearch(m.indices, idx)
+	if !ok {
+		return fmt.Errorf("harness: grid index %d outside the requested shard", idx)
+	}
+	if m.have[k] {
+		return fmt.Errorf("harness: grid index %d delivered twice", idx)
+	}
+	m.grid[k], m.have[k] = v, true
+	m.n++
 	return nil
 }
 
-// SweepShard runs only the grid points named by indices (positions in
-// SweepGrid order, strictly increasing) and returns their results in
-// that same index order. A sweep sharded across machines and merged with
-// MergeShards is therefore identical to the single-node sweep: every
-// shard executes the same RunSpec the full sweep would, and simulations
-// are deterministic in their spec.
-func SweepShard(ctx context.Context, w *workload.Workload, optsIn Options, indices []int) ([]ConfigResult, error) {
-	opts := optsIn.withDefaults()
-	specs, meta := sweepGrid(w, opts)
-	if err := ValidateShard(indices, len(specs)); err != nil {
-		return nil, err
+// Len returns the number of points delivered so far.
+func (m *GridMerge[T]) Len() int { return m.n }
+
+// Missing returns the requested grid indices not yet delivered, in grid
+// order.
+func (m *GridMerge[T]) Missing() []int {
+	var out []int
+	for k, idx := range m.indices {
+		if !m.have[k] {
+			out = append(out, idx)
+		}
 	}
-	sub := make([]RunSpec, len(indices))
-	res := make([]ConfigResult, len(indices))
-	for i, idx := range indices {
-		sub[i] = specs[idx]
-		res[i] = meta[idx]
-	}
-	outs, err := RunAll(ctx, sub, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	for i, out := range outs {
-		res[i].Fill(out)
-	}
-	return res, nil
+	return out
 }
 
-// MergeShards reassembles a full sweep grid from disjoint shards keyed
-// by grid index. The merge is deterministic — results are placed by
-// index, never by arrival order — and strict: a missing, duplicate or
-// out-of-range index is an error, so a dropped or double-executed shard
-// can never be silently papered over.
-func MergeShards(total int, shards map[int]ConfigResult) ([]ConfigResult, error) {
-	if len(shards) != total {
-		missing := make([]int, 0, total-len(shards))
-		for i := 0; i < total; i++ {
-			if _, ok := shards[i]; !ok {
-				missing = append(missing, i)
-			}
-		}
-		if len(missing) > 0 {
-			return nil, fmt.Errorf("harness: merge missing grid indices %v", missing)
+// Each calls f for every delivered point, in grid order.
+func (m *GridMerge[T]) Each(f func(idx int, v T)) {
+	for k, idx := range m.indices {
+		if m.have[k] {
+			f(idx, m.grid[k])
 		}
 	}
-	grid := make([]ConfigResult, total)
-	seen := 0
-	for idx, r := range shards {
-		if idx < 0 || idx >= total {
-			return nil, fmt.Errorf("harness: merge index %d outside grid [0, %d)", idx, total)
-		}
-		grid[idx] = r
-		seen++
+}
+
+// Grid returns the merged points in grid order, or an error naming the
+// indices still missing.
+func (m *GridMerge[T]) Grid() ([]T, error) {
+	if missing := m.Missing(); len(missing) > 0 {
+		return nil, fmt.Errorf("harness: merge missing grid indices %v", missing)
 	}
-	if seen != total {
-		return nil, fmt.Errorf("harness: merged %d results into a %d-point grid", seen, total)
-	}
-	return grid, nil
+	return m.grid, nil
 }
 
 // SweepDigest content-addresses a sweep (or a shard of one, when
@@ -131,10 +147,8 @@ func MergeShards(total int, shards map[int]ConfigResult) ([]ConfigResult, error)
 // else does.
 func SweepDigest(w *workload.Workload, opts Options, indices []int) (string, error) {
 	specs, _ := SweepGrid(w, opts)
-	if indices != nil {
-		if err := ValidateShard(indices, len(specs)); err != nil {
-			return "", err
-		}
+	if _, err := ShardIndices(indices, len(specs)); err != nil {
+		return "", err
 	}
 	digests := make([]string, len(specs))
 	for i, spec := range specs {
@@ -154,23 +168,4 @@ func SweepDigest(w *workload.Workload, opts Options, indices []int) (string, err
 	}
 	sum := sha256.Sum256(blob)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// ShardSlices partitions grid indices into per-key groups using route:
-// index → routing key (typically a cluster worker). Groups come back
-// keyed by route key with their indices sorted ascending, plus the
-// sorted key list for deterministic iteration.
-func ShardSlices(total int, route func(index int) string) (map[string][]int, []string) {
-	groups := make(map[string][]int)
-	for i := 0; i < total; i++ {
-		k := route(i)
-		groups[k] = append(groups[k], i)
-	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		sort.Ints(groups[k])
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return groups, keys
 }

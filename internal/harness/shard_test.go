@@ -2,6 +2,9 @@ package harness
 
 import (
 	"context"
+	"fmt"
+	"regexp"
+	"slices"
 	"testing"
 
 	"dike/internal/workload"
@@ -22,7 +25,8 @@ func TestSweepShardMergeMatchesFullSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interleaved shards, deliberately not contiguous.
+	// Interleaved shards, deliberately not contiguous, delivered odd
+	// shard first.
 	var even, odd []int
 	for i := range full {
 		if i%2 == 0 {
@@ -31,20 +35,30 @@ func TestSweepShardMergeMatchesFullSweep(t *testing.T) {
 			odd = append(odd, i)
 		}
 	}
-	shards := make(map[int]ConfigResult)
-	for _, indices := range [][]int{even, odd} {
-		res, err := SweepShard(context.Background(), w, opts, indices)
+	specs, meta := SweepGrid(w, opts)
+	all, err := ShardIndices(nil, len(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merge := NewGridMerge[ConfigResult](all)
+	for _, indices := range [][]int{odd, even} {
+		sub := make([]RunSpec, len(indices))
+		for i, idx := range indices {
+			sub[i] = specs[idx]
+		}
+		outs, err := RunAll(context.Background(), sub, opts.Workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != len(indices) {
-			t.Fatalf("shard returned %d results for %d indices", len(res), len(indices))
-		}
 		for i, idx := range indices {
-			shards[idx] = res[i]
+			r := meta[idx]
+			r.Fill(outs[i])
+			if err := merge.Put(idx, r); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	merged, err := MergeShards(len(full), shards)
+	merged, err := merge.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,29 +97,69 @@ func TestValidateShard(t *testing.T) {
 	}{
 		{"full", []int{0, 1, 2, 3}, 4, true},
 		{"subset", []int{1, 3}, 4, true},
-		{"empty", nil, 4, false},
+		{"empty", []int{}, 4, false},
 		{"negative", []int{-1, 0}, 4, false},
 		{"out of range", []int{0, 4}, 4, false},
 		{"duplicate", []int{1, 1}, 4, false},
 		{"unsorted", []int{2, 1}, 4, false},
 	}
 	for _, tc := range cases {
-		if err := ValidateShard(tc.indices, tc.total); (err == nil) != tc.ok {
-			t.Errorf("%s: ValidateShard(%v, %d) = %v, want ok=%v", tc.name, tc.indices, tc.total, err, tc.ok)
+		got, err := ShardIndices(tc.indices, tc.total)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: ShardIndices(%v, %d) = %v, want ok=%v", tc.name, tc.indices, tc.total, err, tc.ok)
 		}
+		if tc.ok && !slices.Equal(got, tc.indices) {
+			t.Errorf("%s: ShardIndices(%v, %d) = %v, want the shard itself", tc.name, tc.indices, tc.total, got)
+		}
+	}
+	if got, err := ShardIndices(nil, 4); err != nil || !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Errorf("ShardIndices(nil, 4) = %v, %v, want the whole grid", got, err)
 	}
 }
 
+// TestMergeShardsStrict pins GridMerge: points land by grid index
+// whatever the delivery order, and every error names the offending
+// index.
 func TestMergeShardsStrict(t *testing.T) {
-	full := map[int]ConfigResult{0: {SwapSize: 2}, 1: {SwapSize: 4}, 2: {SwapSize: 8}}
-	if _, err := MergeShards(3, full); err != nil {
-		t.Fatalf("complete merge failed: %v", err)
+	type put struct{ idx, v int }
+	cases := []struct {
+		name    string
+		indices []int
+		puts    []put
+		want    []int
+		errIdx  int // the index the error must name; -1 for no error
+	}{
+		{"complete", []int{0, 1, 2}, []put{{0, 2}, {1, 4}, {2, 8}}, []int{2, 4, 8}, -1},
+		{"missing", []int{0, 1, 2}, []put{{0, 0}, {2, 0}}, nil, 1},
+		{"out of range", []int{0, 1}, []put{{0, 0}, {5, 0}}, nil, 5},
+
+		{"full grid", []int{0, 1, 2, 3}, []put{{0, 10}, {1, 11}, {2, 12}, {3, 13}}, []int{10, 11, 12, 13}, -1},
+		{"interleaved shard", []int{1, 3, 5}, []put{{1, 11}, {3, 13}, {5, 15}}, []int{11, 13, 15}, -1},
+		{"out of order", []int{0, 2, 4, 6}, []put{{6, 16}, {0, 10}, {4, 14}, {2, 12}}, []int{10, 12, 14, 16}, -1},
+		{"delivered twice", []int{0, 1, 2}, []put{{0, 0}, {2, 2}, {2, 2}}, nil, 2},
+		{"outside shard", []int{1, 3, 5}, []put{{1, 0}, {4, 0}}, nil, 4},
 	}
-	if _, err := MergeShards(3, map[int]ConfigResult{0: {}, 2: {}}); err == nil {
-		t.Error("missing index 1 not detected")
-	}
-	if _, err := MergeShards(2, map[int]ConfigResult{0: {}, 5: {}}); err == nil {
-		t.Error("out-of-range index not detected")
+	for _, tc := range cases {
+		m := NewGridMerge[int](tc.indices)
+		var err error
+		for _, p := range tc.puts {
+			if err = m.Put(p.idx, p.v); err != nil {
+				break
+			}
+		}
+		var grid []int
+		if err == nil {
+			grid, err = m.Grid()
+		}
+		names := regexp.MustCompile(fmt.Sprintf(`\b%d\b`, tc.errIdx))
+		switch {
+		case tc.errIdx < 0 && (err != nil || !slices.Equal(grid, tc.want)):
+			t.Errorf("%s: merged %v, %v; want %v", tc.name, grid, err, tc.want)
+		case tc.errIdx >= 0 && err == nil:
+			t.Errorf("%s: merge accepted, want an error naming index %d", tc.name, tc.errIdx)
+		case tc.errIdx >= 0 && !names.MatchString(err.Error()):
+			t.Errorf("%s: error %q does not name index %d", tc.name, err, tc.errIdx)
+		}
 	}
 }
 

@@ -27,10 +27,10 @@ type ConfigResult struct {
 
 // Fill copies a finished run's sweep-relevant outcome into the grid
 // skeleton: Fairness is Eqn 4 verbatim, Perf the inverse makespan.
-// Single-node sweeps and shards share this one definition of how a
-// RunOutput becomes a grid point; the serve layer's durable per-point
-// executor mirrors it through the JSON round-trip (exact for float64),
-// which is what keeps resumed sweeps byte-identical.
+// Every sweep shares this one definition of how a RunOutput becomes a
+// grid point; the serve layer's per-point executor mirrors it through
+// the JSON round-trip (exact for float64), which is what keeps served,
+// sharded and resumed sweeps byte-identical to Sweep.
 func (c *ConfigResult) Fill(out *RunOutput) {
 	c.Fairness = out.Result.Fairness
 	c.Perf = 1 / out.Result.Makespan

@@ -104,11 +104,6 @@ func (s *Static) Name() string { return "static" }
 // QuantaLength implements Policy.
 func (s *Static) QuantaLength() sim.Time { return 1000 }
 
-// Assignment returns the policy's thread→core map (shared; do not
-// mutate). Recording backends persist it so a static run can be
-// replayed without the workload that derived it.
-func (s *Static) Assignment() map[platform.ThreadID]platform.CoreID { return s.assignment }
-
 // Quantum implements Policy. Threads are placed in ascending id order so
 // the platform sees a deterministic call sequence (map iteration order
 // would differ between otherwise-identical runs, which record/replay

@@ -1,0 +1,18 @@
+package serve
+
+import "sort"
+
+// StoreCheckpoints lists the store's live checkpoint keys.
+func (s *Server) StoreCheckpoints() []string {
+	if s.store == nil {
+		return nil
+	}
+	var keys []string
+	for _, rec := range s.store.Records() {
+		if rec.Kind == "checkpoint" {
+			keys = append(keys, rec.Key)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}

@@ -129,7 +129,7 @@ func scrapeCounter(t *testing.T, base, name string) float64 {
 // dikeserved-shaped process is SIGKILLed mid-sweep, a second process
 // over the same store directory recovers, resumes the sweep from its
 // checkpoint (simulating strictly fewer than 32 points), and produces a
-// result byte-identical to an uninterrupted single-node sweep.
+// result byte-identical to harness.Sweep.
 func TestServeKillNineResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses and runs real sweeps")
@@ -193,16 +193,8 @@ func TestServeKillNineResume(t *testing.T) {
 	child2.Process.Kill()
 	child2.Wait()
 
-	// Reference: an uninterrupted sweep, in-process, no store, no stubs.
-	_, ts := newTestServer(t, Config{Workers: 2, SweepWorkers: 2})
-	_, rawRef := postJSON(t, ts.URL+"/v1/sweeps", sweepBody)
-	var subRef submitResponse
-	json.Unmarshal(rawRef, &subRef)
-	vRef := waitDone(t, ts.URL, subRef.ID)
-	if vRef.Status != StatusDone {
-		t.Fatalf("reference sweep = %s: %s", vRef.Status, vRef.Error)
-	}
-	if !bytes.Equal(v.Result, vRef.Result) {
-		t.Errorf("kill-resume grid differs from uninterrupted reference:\n  resumed   %s\n  reference %s", v.Result, vRef.Result)
+	// Reference: harness.Sweep itself, independent of the executor.
+	if ref := harnessSweepJSON(t, 1, 33, 0.02); !bytes.Equal(v.Result, ref) {
+		t.Errorf("kill-resume grid differs from harness.Sweep:\n  resumed   %s\n  reference %s", v.Result, ref)
 	}
 }

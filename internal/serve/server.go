@@ -27,7 +27,6 @@ import (
 	"dike/internal/harness"
 	"dike/internal/serve/api"
 	"dike/internal/store"
-	"dike/internal/workload"
 )
 
 // Config parameterises a Server.
@@ -53,13 +52,12 @@ type Config struct {
 	// the store's lifecycle (open before New, close after Drain).
 	Store *store.Store
 
-	// Simulate, Sweep and SweepShard override the harness entry points;
-	// nil uses the real harness. They are seams for tests (cluster tests
-	// boot workers with deterministic stubs and controllable delays) and
-	// are not reachable from any flag.
-	Simulate   func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error)
-	Sweep      func(ctx context.Context, w *workload.Workload, opts harness.Options) ([]harness.ConfigResult, error)
-	SweepShard func(ctx context.Context, w *workload.Workload, opts harness.Options, indices []int) ([]harness.ConfigResult, error)
+	// Simulate overrides harness.Run, the one simulation entry point:
+	// runs call it once and sweeps once per grid point they do not find
+	// in the store. Nil uses the real harness. It is a seam for tests
+	// (cluster tests boot workers with deterministic stubs and
+	// controllable delays) and is not reachable from any flag.
+	Simulate func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error)
 }
 
 func (c Config) withDefaults() Config {
@@ -107,12 +105,10 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// simulate/sweep/shard are the harness entry points; tests and the
-	// Config seams substitute stubs to exercise queueing, backpressure
-	// and cluster re-routing deterministically.
+	// simulate is the harness entry point; tests and the Config seam
+	// substitute stubs to exercise queueing, backpressure and cluster
+	// re-routing deterministically.
 	simulate func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error)
-	sweep    func(ctx context.Context, w *workload.Workload, opts harness.Options) ([]harness.ConfigResult, error)
-	shard    func(ctx context.Context, w *workload.Workload, opts harness.Options, indices []int) ([]harness.ConfigResult, error)
 }
 
 // New builds a Server. Call Start before serving traffic.
@@ -129,17 +125,9 @@ func New(cfg Config) *Server {
 		inflight:   make(map[string]*Job),
 		queue:      make(chan *Job, cfg.QueueDepth),
 		simulate:   harness.Run,
-		sweep:      harness.Sweep,
-		shard:      harness.SweepShard,
 	}
 	if cfg.Simulate != nil {
 		s.simulate = cfg.Simulate
-	}
-	if cfg.Sweep != nil {
-		s.sweep = cfg.Sweep
-	}
-	if cfg.SweepShard != nil {
-		s.shard = cfg.SweepShard
 	}
 	var storeStats func() store.Stats
 	if s.store != nil {
@@ -286,35 +274,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	job := &Job{kind: "sweep", digest: rs.Digest, deadline: s.deadline(req.DeadlineMs)}
 	job.meta, _ = json.Marshal(req)
-	if s.store != nil {
-		// Durable mode drives the sweep point by point: each grid
-		// point's result is stored under its own run digest and a
-		// checkpoint record follows every completed point, so a killed
-		// process resumes instead of recomputing.
-		job.exec = s.storedSweepExec(job, rs)
-	} else {
-		job.exec = func(ctx context.Context) (json.RawMessage, error) {
-			opts := rs.Options(s.cfg.SweepWorkers)
-			var grid []harness.ConfigResult
-			var err error
-			if rs.Indices == nil {
-				grid, err = s.sweep(ctx, rs.Workload, opts)
-			} else {
-				grid, err = s.shard(ctx, rs.Workload, opts, rs.Indices)
-			}
-			if err != nil {
-				return nil, err
-			}
-			res := SweepResult{Workload: rs.Workload.Name, Shard: rs.Indices}
-			for _, g := range grid {
-				res.Grid = append(res.Grid, SweepPoint{
-					SwapSize: g.SwapSize, QuantaMs: g.Quanta.Millis(),
-					Fairness: g.Fairness, InvMakespan: g.Perf, Swaps: g.Swaps,
-				})
-			}
-			return json.Marshal(res)
-		}
-	}
+	job.exec = s.sweepExec(job, rs)
 	s.admit(w, job)
 }
 

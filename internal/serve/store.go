@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -17,7 +16,7 @@ import (
 // This file is the serve layer's storage tier: the durable run store
 // sits below the in-memory LRU as a write-through level (LRU miss →
 // store hit → repopulate LRU; every successful result is appended to
-// the log in finish), plus the checkpointed sweep executor that makes
+// the log in finish), plus the sweep executor, whose store steps make
 // interrupted sweeps resumable across a process kill.
 
 // storeLookup consults the durable tier after an LRU miss. A hit
@@ -61,94 +60,89 @@ type sweepCheckpoint struct {
 	Points map[string]SweepPoint `json:"points"`
 }
 
-// loadSweepCheckpoint returns the completed points of an earlier,
-// interrupted execution of the sweep with this digest.
-func (s *Server) loadSweepCheckpoint(digest string, total int) map[int]SweepPoint {
+// loadSweepCheckpoint returns a merge over indices seeded with the
+// completed points of an earlier, interrupted execution of the sweep
+// with this digest. Without a store, or without a usable checkpoint,
+// the merge starts empty.
+func (s *Server) loadSweepCheckpoint(digest string, indices []int) *harness.GridMerge[SweepPoint] {
+	merge := harness.NewGridMerge[SweepPoint](indices)
+	if s.store == nil {
+		return merge
+	}
 	raw, ok := s.store.GetCheckpoint(digest)
 	if !ok {
-		return nil
+		return merge
 	}
 	var cp sweepCheckpoint
-	if err := json.Unmarshal(raw, &cp); err != nil || cp.Total != total {
+	if err := json.Unmarshal(raw, &cp); err != nil || cp.Total != len(indices) {
 		// Unreadable or mismatched (the grid shape changed): recompute.
-		return nil
+		return merge
 	}
-	points := make(map[int]SweepPoint, len(cp.Points))
 	for k, p := range cp.Points {
 		idx, err := strconv.Atoi(k)
-		if err != nil || idx < 0 || idx >= total {
-			return nil
+		if err != nil || merge.Put(idx, p) != nil {
+			return harness.NewGridMerge[SweepPoint](indices)
 		}
-		points[idx] = p
 	}
 	s.metrics.checkpointResumes.Inc()
-	s.metrics.checkpointResumedPoints.Add(uint64(len(points)))
-	return points
+	s.metrics.checkpointResumedPoints.Add(uint64(merge.Len()))
+	return merge
 }
 
-// storedSweepExec returns the sweep executor used when the durable
-// store is configured. Instead of handing the whole grid to the
-// harness, it drives the sweep point by point so that:
+// putSweepCheckpoint appends the sweep's cumulative progress record.
+func (s *Server) putSweepCheckpoint(digest, workload string, merge *harness.GridMerge[SweepPoint], total int) {
+	if s.store == nil {
+		return
+	}
+	cp := sweepCheckpoint{Workload: workload, Total: total, Points: make(map[string]SweepPoint, merge.Len())}
+	merge.Each(func(idx int, p SweepPoint) { cp.Points[strconv.Itoa(idx)] = p })
+	raw, err := json.Marshal(cp)
+	if err != nil {
+		return
+	}
+	if err := s.store.PutCheckpoint(digest, raw); err != nil {
+		s.metrics.storeErrors.Inc()
+	}
+}
+
+// sweepExec returns the executor of a sweep or shard job. It drives the
+// grid point by point through s.simulate, so every simulated point is
+// counted, and assembles the result with harness.GridMerge. With a
+// durable store configured it also:
 //
-//   - each grid point's result is content-addressed into the store
-//     under its own RunSpec digest (a later run or sweep sharing the
-//     point — on this node or, via dikecoord re-routes, any node
-//     writing to this store — never recomputes it),
-//   - a cumulative checkpoint record follows every completed point, so
-//     a kill -9 mid-sweep costs at most the points in flight, and
-//   - a resubmission after restart resumes from the checkpoint's last
-//     completed grid index instead of simulating 32 points again.
+//   - content-addresses each grid point's result into the store under
+//     its own RunSpec digest (a later run or sweep sharing the point —
+//     on this node or, via dikecoord re-routes, any node writing to this
+//     store — never recomputes it),
+//   - appends a cumulative checkpoint record after every completed
+//     point, so a kill -9 mid-sweep costs at most the points in flight,
+//     and
+//   - resumes a resubmission after restart from the checkpoint instead
+//     of simulating 32 points again.
 //
-// The assembled result is byte-identical to the harness path: points
-// land in grid-index order and every number is either the same float64
-// the harness would produce or its exact JSON round-trip.
-func (s *Server) storedSweepExec(job *Job, rs ResolvedSweep) func(ctx context.Context) (json.RawMessage, error) {
+// The assembled result is byte-identical to harness.Sweep: points land
+// in grid-index order and every number is either the same float64 the
+// harness would produce or its exact JSON round-trip.
+func (s *Server) sweepExec(job *Job, rs ResolvedSweep) func(ctx context.Context) (json.RawMessage, error) {
 	return func(ctx context.Context) (json.RawMessage, error) {
 		specs, meta := harness.SweepGrid(rs.Workload, rs.Options(s.cfg.SweepWorkers))
-		indices := rs.Indices
-		if indices == nil {
-			indices = make([]int, len(specs))
-			for i := range specs {
-				indices[i] = i
-			}
-		} else if err := harness.ValidateShard(indices, len(specs)); err != nil {
+		indices, err := harness.ShardIndices(rs.Indices, len(specs))
+		if err != nil {
 			return nil, err
 		}
-
-		done := s.loadSweepCheckpoint(job.digest, len(indices))
-		var mu sync.Mutex // guards points + checkpoint appends
-		points := make(map[int]SweepPoint, len(indices))
-		var todo []int
-		for _, idx := range indices {
-			if p, ok := done[idx]; ok {
-				points[idx] = p
-				continue
-			}
-			todo = append(todo, idx)
-		}
-
-		checkpoint := func() {
-			cp := sweepCheckpoint{Workload: rs.Workload.Name, Total: len(indices), Points: make(map[string]SweepPoint, len(points))}
-			for idx, p := range points {
-				cp.Points[strconv.Itoa(idx)] = p
-			}
-			raw, err := json.Marshal(cp)
-			if err != nil {
-				return
-			}
-			if err := s.store.PutCheckpoint(job.digest, raw); err != nil {
-				s.metrics.storeErrors.Inc()
-			}
-		}
+		merge := s.loadSweepCheckpoint(job.digest, indices)
+		todo := merge.Missing()
 
 		// Execute the missing points with the configured intra-sweep
 		// concurrency, checkpointing after each completion.
 		pctx, cancel := context.WithCancel(ctx)
 		defer cancel()
+		var mu sync.Mutex // guards merge + checkpoint appends
 		sem := make(chan struct{}, s.cfg.SweepWorkers)
 		var wg sync.WaitGroup
 		var firstErr error
 		var errOnce sync.Once
+		fail := func(err error) { errOnce.Do(func() { firstErr = err; cancel() }) }
 		for _, idx := range todo {
 			wg.Add(1)
 			go func(idx int) {
@@ -161,13 +155,16 @@ func (s *Server) storedSweepExec(job *Job, rs ResolvedSweep) func(ctx context.Co
 				}
 				p, err := s.runGridPoint(pctx, specs[idx], meta[idx])
 				if err != nil {
-					errOnce.Do(func() { firstErr = err; cancel() })
+					fail(err)
 					return
 				}
 				mu.Lock()
-				points[idx] = p
-				checkpoint()
-				mu.Unlock()
+				defer mu.Unlock()
+				if err := merge.Put(idx, p); err != nil {
+					fail(err)
+					return
+				}
+				s.putSweepCheckpoint(job.digest, rs.Workload.Name, merge, len(indices))
 			}(idx)
 		}
 		wg.Wait()
@@ -178,41 +175,41 @@ func (s *Server) storedSweepExec(job *Job, rs ResolvedSweep) func(ctx context.Co
 			return nil, err
 		}
 
-		res := SweepResult{Workload: rs.Workload.Name, Shard: rs.Indices}
-		for _, idx := range indices {
-			p, ok := points[idx]
-			if !ok {
-				return nil, fmt.Errorf("serve: grid point %d missing after sweep", idx)
-			}
-			res.Grid = append(res.Grid, p)
+		grid, err := merge.Grid()
+		if err != nil {
+			return nil, err
 		}
-		raw, err := json.Marshal(res)
+		raw, err := json.Marshal(SweepResult{Workload: rs.Workload.Name, Shard: rs.Indices, Grid: grid})
 		if err != nil {
 			return nil, err
 		}
 		// The sweep's own result record (written by finish) now covers
 		// restarts; the checkpoint is done.
-		if err := s.store.DeleteCheckpoint(job.digest); err != nil {
-			s.metrics.storeErrors.Inc()
+		if s.store != nil {
+			if err := s.store.DeleteCheckpoint(job.digest); err != nil {
+				s.metrics.storeErrors.Inc()
+			}
 		}
 		return raw, nil
 	}
 }
 
-// runGridPoint produces one sweep point: served from the store when the
-// point's RunSpec digest is already known, simulated (and stored)
-// otherwise.
+// runGridPoint produces one sweep point: served from the store when one
+// is configured and already knows the point's RunSpec digest, simulated
+// (and stored) otherwise.
 func (s *Server) runGridPoint(ctx context.Context, spec harness.RunSpec, cr harness.ConfigResult) (SweepPoint, error) {
 	digest, err := spec.Digest()
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	if payload, ok := s.store.Get(digest); ok {
-		var rr RunResult
-		if err := json.Unmarshal(payload, &rr); err == nil {
-			return pointFrom(cr, rr), nil
+	if s.store != nil {
+		if payload, ok := s.store.Get(digest); ok {
+			var rr RunResult
+			if err := json.Unmarshal(payload, &rr); err == nil {
+				return pointFrom(cr, rr), nil
+			}
+			// An undecodable stored payload falls through to recompute.
 		}
-		// An undecodable stored payload falls through to recompute.
 	}
 	s.metrics.simulations.Inc()
 	out, err := s.simulate(ctx, spec)
@@ -267,19 +264,4 @@ func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 		view.Stats, _ = json.Marshal(s.store.Stats())
 	}
 	writeJSON(w, http.StatusOK, view)
-}
-
-// StoreCheckpoints lists the store's live checkpoint keys (tests).
-func (s *Server) StoreCheckpoints() []string {
-	if s.store == nil {
-		return nil
-	}
-	var keys []string
-	for _, rec := range s.store.Records() {
-		if rec.Kind == "checkpoint" {
-			keys = append(keys, rec.Key)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -15,6 +15,7 @@ import (
 	"dike/internal/harness"
 	"dike/internal/serve/api"
 	"dike/internal/store"
+	"dike/internal/workload"
 )
 
 // openStore opens a durable store in dir and closes it with the test.
@@ -168,9 +169,9 @@ func TestServeStoreStats(t *testing.T) {
 // TestServeSweepCheckpointResume interrupts a sweep mid-flight, then
 // resumes it on a fresh server over the same store: only the missing
 // points simulate, and the grid is byte-identical to an uninterrupted
-// store-less sweep. All three phases run the real harness — the
-// store-less reference goes through harness.Sweep, so equality pins the
-// durable per-point executor to the harness path's exact bytes.
+// harness.Sweep. Both phases run the real harness, and the reference is
+// harness.Sweep called directly, so equality pins the per-point
+// executor to the harness path's exact bytes.
 func TestServeSweepCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two real 32-point sweeps")
@@ -227,18 +228,108 @@ func TestServeSweepCheckpointResume(t *testing.T) {
 		t.Errorf("finished sweep left checkpoints %v", cps)
 	}
 
-	// Reference: an uninterrupted sweep on a store-less server, which
-	// executes via harness.Sweep — no stubs, no store.
-	_, ts3 := newTestServer(t, Config{Workers: 1, SweepWorkers: 1})
-	_, raw3 := postJSON(t, ts3.URL+"/v1/sweeps", sweepBody)
-	var sub3 submitResponse
-	json.Unmarshal(raw3, &sub3)
-	v3 := waitDone(t, ts3.URL, sub3.ID)
-	if v3.Status != StatusDone {
-		t.Fatalf("reference sweep = %s: %s", v3.Status, v3.Error)
+	// Reference: harness.Sweep itself, independent of the executor.
+	if ref := harnessSweepJSON(t, 1, 21, 0.02); !bytes.Equal(v2.Result, ref) {
+		t.Errorf("resumed grid differs from harness.Sweep:\n  resumed   %s\n  reference %s", v2.Result, ref)
 	}
-	if !bytes.Equal(v2.Result, v3.Result) {
-		t.Errorf("resumed grid differs from uninterrupted reference:\n  resumed   %s\n  reference %s", v2.Result, v3.Result)
+}
+
+// TestServeShardCheckpointResume: a shard's checkpoint resumes like a
+// full sweep's, even though its grid indices exceed the shard's size.
+func TestServeShardCheckpointResume(t *testing.T) {
+	dir := t.TempDir()
+	const body = `{"workload":1,"scale":0.01,"seed":5,"shard":[20,25]}`
+	var calls1 atomic.Int64
+	_, ts1 := newTestServer(t, Config{
+		Workers: 1, SweepWorkers: 1, Store: openStore(t, dir),
+		Simulate: func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error) {
+			if calls1.Add(1) > 1 {
+				return nil, errors.New("injected mid-shard failure")
+			}
+			return stubOutput(), nil
+		},
+	})
+	_, raw := postJSON(t, ts1.URL+"/v1/sweeps", body)
+	var sub submitResponse
+	json.Unmarshal(raw, &sub)
+	if v := waitDone(t, ts1.URL, sub.ID); v.Status != StatusFailed {
+		t.Fatalf("interrupted shard = %s, want failed", v.Status)
+	}
+
+	var calls2 atomic.Int64
+	_, ts2 := newTestServer(t, Config{Workers: 1, SweepWorkers: 1, Store: openStore(t, dir), Simulate: countingStub(&calls2)})
+	_, raw2 := postJSON(t, ts2.URL+"/v1/sweeps", body)
+	var sub2 submitResponse
+	json.Unmarshal(raw2, &sub2)
+	if v := waitDone(t, ts2.URL, sub2.ID); v.Status != StatusDone {
+		t.Fatalf("resumed shard = %s: %s", v.Status, v.Error)
+	}
+	if got := calls2.Load(); got != 1 {
+		t.Errorf("resumed shard simulated %d points, want 1", got)
+	}
+	if got := scrapeCounter(t, ts2.URL, "dike_store_checkpoint_resumes_total"); got != 1 {
+		t.Errorf("checkpoint resumes = %v, want 1", got)
+	}
+}
+
+// harnessSweepJSON renders harness.Sweep of Table II workload wl as the
+// service's sweep result: the reference that every executed sweep must
+// match byte for byte.
+func harnessSweepJSON(t *testing.T, wl int, seed uint64, scale float64) []byte {
+	t.Helper()
+	w := workload.MustTable2(wl)
+	grid, err := harness.Sweep(context.Background(), w, harness.Options{Seed: seed, SweepScale: scale, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := SweepResult{Workload: w.Name}
+	for _, g := range grid {
+		res.Grid = append(res.Grid, SweepPoint{
+			SwapSize: g.SwapSize, QuantaMs: g.Quanta.Millis(),
+			Fairness: g.Fairness, InvMakespan: g.Perf, Swaps: g.Swaps,
+		})
+	}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestSweepCountsSimulations: every grid point a sweep simulates counts
+// in dike_serve_simulations_total, with or without a store, and a cached
+// resubmission simulates nothing.
+func TestSweepCountsSimulations(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("store=%v", durable), func(t *testing.T) {
+			var calls atomic.Int64
+			cfg := Config{Workers: 1, SweepWorkers: 4, Simulate: countingStub(&calls)}
+			if durable {
+				cfg.Store = openStore(t, t.TempDir())
+			}
+			s, ts := newTestServer(t, cfg)
+			const body = `{"workload":1,"scale":0.01,"seed":3}`
+			_, raw := postJSON(t, ts.URL+"/v1/sweeps", body)
+			var sub submitResponse
+			json.Unmarshal(raw, &sub)
+			if v := waitDone(t, ts.URL, sub.ID); v.Status != StatusDone {
+				t.Fatalf("sweep = %s: %s", v.Status, v.Error)
+			}
+			if _, _, _, sims := s.CacheStats(); sims != 32 || calls.Load() != 32 {
+				t.Fatalf("after one sweep: counted %d simulations, ran %d, want 32 and 32", sims, calls.Load())
+			}
+			if got := scrapeCounter(t, ts.URL, "dike_serve_simulations_total"); got != 32 {
+				t.Fatalf("dike_serve_simulations_total = %v, want 32", got)
+			}
+
+			resp, raw2 := postJSON(t, ts.URL+"/v1/sweeps", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("resubmit = %d (%s), want cached 200", resp.StatusCode, raw2)
+			}
+			if _, _, _, sims := s.CacheStats(); sims != 32 || calls.Load() != 32 {
+				t.Fatalf("after cached resubmit: counted %d simulations, ran %d, want 32 and 32", sims, calls.Load())
+			}
+		})
 	}
 }
 

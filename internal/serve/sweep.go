@@ -71,10 +71,3 @@ func ResolveSweep(req api.SweepRequest) (ResolvedSweep, error) {
 	}
 	return rs, nil
 }
-
-// GridSize returns the number of points in a full sweep of the resolved
-// workload — the total the coordinator shards over.
-func (rs ResolvedSweep) GridSize() int {
-	specs, _ := harness.SweepGrid(rs.Workload, rs.Options(1))
-	return len(specs)
-}

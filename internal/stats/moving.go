@@ -44,65 +44,3 @@ func (m *MovingMean) Count() int { return m.n }
 
 // Reset forgets all samples.
 func (m *MovingMean) Reset() { m.value, m.n = 0, 0 }
-
-// Window is a fixed-capacity sliding window of float64 samples with O(1)
-// push and O(1) running sum, used for windowed rate estimates (e.g. the
-// per-quantum access-rate series behind Fig 8).
-type Window struct {
-	buf  []float64
-	head int
-	size int
-	sum  float64
-}
-
-// NewWindow returns a window holding the last n samples (n ≥ 1).
-func NewWindow(n int) *Window {
-	if n < 1 {
-		n = 1
-	}
-	return &Window{buf: make([]float64, n)}
-}
-
-// Push adds a sample, evicting the oldest if the window is full.
-func (w *Window) Push(x float64) {
-	if w.size == len(w.buf) {
-		w.sum -= w.buf[w.head]
-		w.buf[w.head] = x
-		w.head = (w.head + 1) % len(w.buf)
-	} else {
-		w.buf[(w.head+w.size)%len(w.buf)] = x
-		w.size++
-	}
-	w.sum += x
-}
-
-// Mean returns the mean of the samples currently in the window (0 if empty).
-func (w *Window) Mean() float64 {
-	if w.size == 0 {
-		return 0
-	}
-	return w.sum / float64(w.size)
-}
-
-// Len returns the number of samples currently held.
-func (w *Window) Len() int { return w.size }
-
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
-// Values returns the samples oldest-first as a fresh slice.
-func (w *Window) Values() []float64 {
-	out := make([]float64, 0, w.size)
-	for i := 0; i < w.size; i++ {
-		out = append(out, w.buf[(w.head+i)%len(w.buf)])
-	}
-	return out
-}
-
-// Reset empties the window.
-func (w *Window) Reset() {
-	w.head, w.size, w.sum = 0, 0, 0
-	for i := range w.buf {
-		w.buf[i] = 0
-	}
-}

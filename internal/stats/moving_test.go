@@ -92,79 +92,3 @@ func TestMovingMeanBounded(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestWindowBasics(t *testing.T) {
-	w := NewWindow(3)
-	if w.Cap() != 3 || w.Len() != 0 || w.Mean() != 0 {
-		t.Error("fresh window state wrong")
-	}
-	w.Push(1)
-	w.Push(2)
-	if w.Len() != 2 || !almost(w.Mean(), 1.5, 1e-12) {
-		t.Errorf("mean = %v, want 1.5", w.Mean())
-	}
-	w.Push(3)
-	w.Push(4) // evicts 1
-	if w.Len() != 3 || !almost(w.Mean(), 3, 1e-12) {
-		t.Errorf("mean after eviction = %v, want 3", w.Mean())
-	}
-	vals := w.Values()
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Errorf("Values = %v, want %v", vals, want)
-		}
-	}
-}
-
-func TestWindowCapacityOne(t *testing.T) {
-	w := NewWindow(0) // clamps to 1
-	w.Push(5)
-	w.Push(6)
-	if w.Len() != 1 || w.Mean() != 6 {
-		t.Errorf("len=%d mean=%v, want 1, 6", w.Len(), w.Mean())
-	}
-}
-
-func TestWindowReset(t *testing.T) {
-	w := NewWindow(4)
-	w.Push(1)
-	w.Push(2)
-	w.Reset()
-	if w.Len() != 0 || w.Mean() != 0 {
-		t.Error("Reset did not clear window")
-	}
-	w.Push(7)
-	if w.Mean() != 7 {
-		t.Error("window broken after Reset")
-	}
-}
-
-func TestWindowMeanMatchesValues(t *testing.T) {
-	// The running sum must agree with a recomputation from Values().
-	f := func(xs []float64, capRaw uint8) bool {
-		capN := int(capRaw%16) + 1
-		w := NewWindow(capN)
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e9 {
-				return true
-			}
-			w.Push(x)
-		}
-		vals := w.Values()
-		if len(vals) != w.Len() {
-			return false
-		}
-		sum := 0.0
-		for _, v := range vals {
-			sum += v
-		}
-		if w.Len() == 0 {
-			return w.Mean() == 0
-		}
-		return almost(w.Mean(), sum/float64(len(vals)), 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
