@@ -119,10 +119,11 @@ type thread struct {
 	id       ThreadID
 	bench    int
 	prog     Program
+	total    float64 // prog.TotalWork(), read once at AddThread
 	core     CoreID
 	placed   bool
-	work     float64
 	finished bool
+	work     float64
 	finishAt sim.Time
 	// startAt is when the thread enters the system; it is invisible to
 	// scheduling and makes no progress before then.
@@ -136,7 +137,17 @@ type thread struct {
 	coldBoost  float64
 	coldHalf   float64
 	numaBoost  float64
-	barrier    *barrierGroup
+	// settleAge is the first migration age at which Step found both
+	// factors settled to exactly 1; never until then. Migrate resets it.
+	settleAge sim.Time
+	barrier   *barrierGroup
+	// seg is floor(work/barrier.interval), updated wherever a barrier
+	// member's work changes, so limit divides nothing.
+	seg float64
+	// dem is the program's last demand answer and win the window it
+	// holds for; Step asks again once the thread leaves it.
+	dem Demand
+	win Window
 	// tc is the thread's counter block, cached at AddThread (the counter
 	// file stores pointers, so it stays valid).
 	tc *counters.ThreadCounters
@@ -168,13 +179,12 @@ func (g *barrierGroup) limit(t *thread, now sim.Time) float64 {
 		if m.finished || m.startAt > now {
 			continue
 		}
-		seg := math.Floor(m.work / g.interval)
-		if seg < minSeg {
-			minSeg = seg
+		if m.seg < minSeg {
+			minSeg = m.seg
 		}
 	}
 	if minSeg == math.MaxFloat64 {
-		return t.prog.TotalWork()
+		return t.total
 	}
 	return (minSeg + 1) * g.interval
 }
@@ -248,7 +258,17 @@ type Machine struct {
 	// SetStart, and Terminate of a thread that had not been admitted.
 	rescan     bool
 	unfinished int      // registered threads not yet finished; Done is unfinished == 0
+	admitted   int      // unfinished as of the last admit: compaction is due when they differ
 	smp        *sampler // lazily-created counter sampling stream
+
+	// dirty is set by every event that changes what rebuild computes: a
+	// change of the live set's membership, Place, a Migrate that moved a
+	// thread, and SetDVFS. Step rebuilds the occupancy, the socket watts
+	// and the live threads' rates only while it is set.
+	dirty bool
+	// decays memoizes the migration decay by (age, half-life), so the
+	// threads of one swap share one exp.
+	decays [1 << decayBits]decayEntry
 
 	disruptor Disruptor
 
@@ -263,15 +283,17 @@ type Machine struct {
 	// model: cumulative joules and the per-socket watts of the last step.
 	energyJ   float64
 	sockWatts []float64
-	sockDyn   []float64 // scratch: per-socket dynamic watts this step
+	sockDyn   []float64 // scratch: per-socket dynamic watts of the last rebuild
 
 	// Step scratch, reused every tick so Step never allocates. The
 	// occupancy counts are sized in resolve (one per logical and one per
-	// physical core); the per-thread buffers, the multi-domain ones and the
-	// solvers' memo slices are grown by AddThread to the registered thread
-	// count, so even the first Step after placement allocates nothing.
-	laneCount    []int // per logical core: arrived, unfinished threads bound to it
-	physBusy     []int // per physical core: busy lanes
+	// physical core) and kept between rebuilds; the per-thread buffers,
+	// the multi-domain ones and the solvers' memo slices are grown by
+	// AddThread to the registered thread count, so even the first Step
+	// after placement allocates nothing.
+	laneCount    []int     // per logical core: live threads bound to it
+	physBusy     []int     // per physical core: busy lanes
+	coreRate     []float64 // per logical core holding a live thread: rateOf(c, 1)
 	scratchT     []*thread
 	scratchRates []float64
 	scratchApw   []float64 // accesses per work unit
@@ -365,6 +387,7 @@ func (m *Machine) resolve() {
 	m.dvfsLevel = make([]int, nc)
 	m.coreMult = make([]float64, nc)
 	m.laneCount = make([]int, nc)
+	m.coreRate = make([]float64, nc)
 	nphys := 0
 	for _, c := range m.cores {
 		m.coreDomain[c.ID] = sockDomain[c.Socket]
@@ -383,6 +406,9 @@ func (m *Machine) resolve() {
 		}
 	}
 	copy(m.sockWatts, m.sockStatic)
+	for i := range m.decays {
+		m.decays[i].half = math.NaN() // matches no key
+	}
 }
 
 // reserveScratch grows every per-thread Step buffer to hold n threads:
@@ -470,11 +496,16 @@ func (m *Machine) AddThread(id ThreadID, bench int, prog Program) error {
 	if prog == nil {
 		return fmt.Errorf("machine: thread %d has nil program", id)
 	}
-	if prog.TotalWork() <= 0 {
+	total := prog.TotalWork()
+	if total <= 0 {
 		return fmt.Errorf("machine: thread %d has non-positive work", id)
 	}
 	m.file.AddThread(int(id))
-	t := &thread{id: id, bench: bench, prog: prog, migratedAt: -1, tc: m.file.MutThread(int(id))}
+	t := &thread{
+		id: id, bench: bench, prog: prog, total: total, migratedAt: -1, settleAge: never,
+		win: Window{WorkFrom: math.NaN()}, // holds nothing: the first Step asks
+		tc:  m.file.MutThread(int(id)),
+	}
 	m.threads[id] = t
 	m.slots = append(m.slots, t)
 	m.unfinished++
@@ -530,6 +561,7 @@ func (m *Machine) AddBarrierGroup(interval float64, members []ThreadID) error {
 	}
 	for _, t := range g.members {
 		t.barrier = g
+		t.seg = math.Floor(t.work / interval)
 	}
 	m.groups = append(m.groups, g)
 	return nil
@@ -546,6 +578,7 @@ func (m *Machine) Place(id ThreadID, core CoreID) error {
 	}
 	t.core = core
 	t.placed = true
+	m.dirty = true
 	return nil
 }
 
@@ -588,8 +621,10 @@ func (m *Machine) Migrate(id ThreadID, core CoreID, now sim.Time) error {
 	t.core = core
 	t.stallUntil = now + m.cfg.MigrationStall
 	t.migratedAt = now
+	t.settleAge = never
 	t.tc.Migrations++
 	m.migrations++
+	m.dirty = true
 	return nil
 }
 
@@ -763,9 +798,10 @@ func (m *Machine) stale(now sim.Time) bool {
 
 // admit brings live up to date for now: the unfinished threads with
 // startAt <= now, in registration order. It rescans slots only when an
-// arrival may be due, time went backwards, or rescan is set; on every
-// other tick it compacts out the threads that finished since the last
-// admit, so a tick costs O(live).
+// arrival may be due, time went backwards, or rescan is set; otherwise it
+// compacts out the threads that finished since the last admit, and only
+// when some did, so a tick costs O(live) at most. A rescan, or a
+// compaction that drops a thread, sets dirty.
 func (m *Machine) admit(now sim.Time) {
 	if m.stale(now) {
 		live := m.live[:0]
@@ -780,6 +816,13 @@ func (m *Machine) admit(now sim.Time) {
 			}
 		}
 		m.live, m.liveAt, m.rescan = live, now, false
+		m.admitted, m.dirty = m.unfinished, true
+		return
+	}
+	m.liveAt = now
+	if m.admitted == m.unfinished {
+		// Only AddThread adds to unfinished, and it forces a rescan: no
+		// thread finished since the last admit.
 		return
 	}
 	live := m.live[:0]
@@ -788,7 +831,10 @@ func (m *Machine) admit(now sim.Time) {
 			live = append(live, t)
 		}
 	}
-	m.live, m.liveAt = live, now
+	if len(live) < len(m.live) {
+		m.dirty = true
+	}
+	m.live, m.admitted = live, m.unfinished
 }
 
 // Progress returns the fraction of its total work a thread has completed.
@@ -797,7 +843,7 @@ func (m *Machine) Progress(id ThreadID) float64 {
 	if !ok {
 		return 0
 	}
-	return t.work / t.prog.TotalWork()
+	return t.work / t.total
 }
 
 // Done implements sim.World: true once every thread has finished.
@@ -812,39 +858,89 @@ func (m *Machine) FinishedCount() int { return len(m.slots) - m.unfinished }
 // its per-miss latency multiplier (remote NUMA accesses after a
 // cross-socket migration). Both decay from the last migration with the
 // same half-life, so one exp serves both.
+//
+// Once both boosts times the decay are below settleEps, 1+boost·decay
+// rounds to exactly 1 (it would for anything below 2^-53), and the decay
+// only falls as the age grows, so from that age on the factors are 1
+// without evaluating the decay; an earlier age (time stepped backwards)
+// evaluates it again.
 func (m *Machine) migrationFactors(t *thread, now sim.Time) (cold, numa float64) {
 	cold, numa = 1, 1
 	if t.migratedAt < 0 || (t.coldBoost <= 0 && t.numaBoost <= 0) {
 		return cold, numa
 	}
-	age := float64(now - t.migratedAt)
-	if age < 0 {
-		age = 0
+	age := max(now-t.migratedAt, 0)
+	if age >= t.settleAge {
+		return cold, numa
 	}
-	decay := math.Exp(-age * math.Ln2 / t.coldHalf)
+	decay := m.decay(age, t.coldHalf)
+	cb, nb := t.coldBoost*decay, t.numaBoost*decay
+	if cb < settleEps && nb < settleEps {
+		t.settleAge = age
+		return cold, numa
+	}
 	if t.coldBoost > 0 {
-		cold = 1 + t.coldBoost*decay
+		cold = 1 + cb
 	}
 	if t.numaBoost > 0 {
-		numa = 1 + t.numaBoost*decay
+		numa = 1 + nb
 	}
 	return cold, numa
 }
 
-// Step implements sim.World. It advances all threads by dt ms, solving
-// the contention fixed point once for the tick.
-func (m *Machine) Step(now sim.Time, dt sim.Time) {
-	if dt <= 0 {
-		return
+// settleEps bounds boost·decay for a settled migration penalty: 2^7 below
+// the 2^-53 under which 1+boost·decay rounds to 1, far more than the
+// error of math.Exp.
+const settleEps = 0x1p-60
+
+// decayBits is the log2 of the decay memo's size.
+const decayBits = 6
+
+// decayEntry is one slot of the decay memo.
+type decayEntry struct {
+	age   sim.Time
+	half  float64
+	decay float64
+}
+
+// decay returns exp(-age·ln2/half), the migration decay at an age, from
+// the memo when its slot holds the same (age, half).
+func (m *Machine) decay(age sim.Time, half float64) float64 {
+	h := (uint64(age) ^ math.Float64bits(half)) * 0x9E3779B97F4A7C15
+	e := &m.decays[h>>(64-decayBits)]
+	if e.age == age && e.half == half {
+		return e.decay
 	}
-	// Occupancy: unfinished threads per logical core, and busy lanes per
-	// physical core (for the SMT penalty).
-	m.lastNow = now + dt
+	d := math.Exp(-float64(age) * math.Ln2 / half)
+	*e = decayEntry{age: age, half: half, decay: d}
+	return d
+}
+
+// rateOf returns the attainable compute rate of a thread on core c at
+// speed factor f (1 on a healthy core), under the occupancy of the last
+// rebuild.
+func (m *Machine) rateOf(c CoreID, f float64) float64 {
+	core := &m.cores[c]
+	rate := core.Speed * m.coreMult[c] * f // DVFS multiplier is exactly 1 at nominal
+	if m.physBusy[core.Physical] > 1 {
+		rate *= m.smtPen[core.Kind]
+	}
+	if n := m.laneCount[c]; n > 1 {
+		rate /= float64(n) // lane time-sharing
+	}
+	return rate
+}
+
+// rebuild recomputes what Step reads of the occupancy: live threads per
+// logical core, busy lanes per physical core (for the SMT penalty), each
+// socket's watts, and the rate on every core a live thread is bound to.
+// Step calls it only while dirty is set; nothing else it reads changes
+// between those events.
+func (m *Machine) rebuild() {
 	laneCount, physBusy := m.laneCount, m.physBusy
 	clear(laneCount)
 	clear(physBusy)
 	clear(m.sockDyn)
-	m.admit(now)
 	for _, t := range m.live {
 		if !t.placed {
 			panic(fmt.Sprintf("machine: thread %d stepped before placement", t.id))
@@ -866,19 +962,38 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		}
 		laneCount[t.core]++
 	}
-	// Integrate energy over the step: leakage always burns; dynamic power
-	// follows lane occupancy. Folding per-socket in index order keeps the
-	// float stream deterministic.
-	fdtSec := float64(dt) / 1000
+	// Leakage always burns; dynamic power follows lane occupancy. Folding
+	// per socket in index order keeps the float stream deterministic.
 	for s := range m.sockWatts {
-		w := m.sockStatic[s] + m.sockDyn[s]
-		m.sockWatts[s] = w
+		m.sockWatts[s] = m.sockStatic[s] + m.sockDyn[s]
+	}
+	for _, t := range m.live {
+		m.coreRate[t.core] = m.rateOf(t.core, 1)
+	}
+	m.dirty = false
+}
+
+// Step implements sim.World. It advances all threads by dt ms, solving
+// the contention fixed point once for the tick.
+func (m *Machine) Step(now sim.Time, dt sim.Time) {
+	if dt <= 0 {
+		return
+	}
+	m.lastNow = now + dt
+	m.admit(now)
+	if m.dirty {
+		m.rebuild()
+	}
+	// Integrate energy over the step at the watts of the last rebuild.
+	fdtSec := float64(dt) / 1000
+	for _, w := range m.sockWatts {
 		m.energyJ += w * fdtSec
 	}
 
 	// Gather runnable threads, their attainable rates and the solver's
 	// per-thread coefficients, computed once per tick rather than once per
-	// solver pass.
+	// solver pass. A thread's program is asked for demand only once the
+	// thread leaves the window of its last answer.
 	active := m.scratchT[:0]
 	rates := m.scratchRates[:0]
 	apws := m.scratchApw[:0]
@@ -891,6 +1006,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			t.tc.StallTime += float64(dt)
 			continue
 		}
+		rate := m.coreRate[t.core]
 		if m.disruptor != nil {
 			stalled, crashed := m.disruptor.ThreadFault(t.id, now)
 			if crashed {
@@ -906,11 +1022,6 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 				t.tc.StallTime += float64(dt)
 				continue
 			}
-		}
-		core := &m.cores[t.core]
-		rate := core.Speed
-		rate *= m.coreMult[t.core] // DVFS level multiplier (exactly 1 at nominal)
-		if m.disruptor != nil {
 			factor := m.disruptor.CoreFactor(t.core, now)
 			if factor <= 0 {
 				// Core offline: the occupant cannot run until the core
@@ -918,15 +1029,12 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 				t.tc.StallTime += float64(dt)
 				continue
 			}
-			rate *= factor
+			rate = m.rateOf(t.core, factor)
 		}
-		if physBusy[core.Physical] > 1 {
-			rate *= m.smtPen[core.Kind]
+		if !t.win.Contains(t.work, now) {
+			t.dem, t.win = t.prog.DemandAt(t.work, now)
 		}
-		if n := laneCount[t.core]; n > 1 {
-			rate /= float64(n) // lane time-sharing
-		}
-		dem := t.prog.DemandAt(t.work, now)
+		dem := t.dem
 		cold, numa := m.migrationFactors(t, now)
 		if cold > 1 {
 			dem.MissRatio = math.Min(dem.MissRatio*cold, 1)
@@ -959,7 +1067,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	fdt := float64(dt)
 	for i, t := range active {
 		dw := prog[i] * fdt
-		limit := t.prog.TotalWork() - t.work
+		limit := t.total - t.work
 		if t.barrier != nil {
 			if bl := t.barrier.limit(t, now) - t.work; bl < limit {
 				limit = bl
@@ -978,6 +1086,9 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			dw = limit
 		}
 		t.work += dw
+		if t.barrier != nil {
+			t.seg = math.Floor(t.work / t.barrier.interval)
+		}
 		tc := t.tc
 		tc.Work += dw
 		tc.Instructions += dw * 1000
@@ -987,7 +1098,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		cc := m.file.MutCore(int(t.core))
 		cc.ServedMisses += misses
 		cc.BusyTime += used
-		if t.work >= t.prog.TotalWork()-1e-9 {
+		if t.work >= t.total-1e-9 {
 			t.finished = true
 			m.unfinished--
 			// Interpolate the finish instant inside the tick.
@@ -1054,6 +1165,7 @@ func (m *Machine) SetDVFS(core CoreID, level int) error {
 	if level == 0 {
 		m.dvfsLevel[core] = 0
 		m.coreMult[core] = m.nominalMult(k)
+		m.dirty = true
 		return nil
 	}
 	tab := m.dvfsTab[k]
@@ -1063,6 +1175,7 @@ func (m *Machine) SetDVFS(core CoreID, level int) error {
 	}
 	m.dvfsLevel[core] = level
 	m.coreMult[core] = tab[level]
+	m.dirty = true
 	return nil
 }
 

@@ -13,11 +13,15 @@ type waveProgram struct{ lo, hi Demand }
 
 func (waveProgram) TotalWork() float64 { return 1e9 }
 
-func (p waveProgram) DemandAt(_ float64, now sim.Time) Demand {
+// DemandAt answers for the current tick only, so the machine refreshes
+// its demand cache on every tick.
+func (p waveProgram) DemandAt(_ float64, now sim.Time) (Demand, Window) {
+	win := Forever()
+	win.From, win.To = now, now
 	if now%5 < 2 {
-		return p.hi
+		return p.hi, win
 	}
-	return p.lo
+	return p.lo, win
 }
 
 // TestStepZeroAlloc gates the tick loop at exactly zero allocations per
@@ -29,7 +33,11 @@ func (p waveProgram) DemandAt(_ float64, now sim.Time) Demand {
 // both kinds of admit among them: ticks that rescan the thread slots for
 // arrivals and ticks that only compact out finished threads. The last two
 // cases measure single ticks whose solve takes the saturation shortcut
-// and ticks whose solve falls through to the damped loop.
+// and ticks whose solve falls through to the damped loop. Four more take
+// the paths that rebuild or refresh a cached per-tick input: a burst of
+// cross-socket swaps every few ticks, DVFS level changes, a disruptor
+// that throttles cores (rates per tick), and programs whose demand
+// windows are left by work and by time.
 func TestStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -61,8 +69,12 @@ func TestStepZeroAlloc(t *testing.T) {
 		build func(t *testing.T) *Machine
 		churn bool
 		path  solvePath // the solve path single ticks must include, if any
+		// perturb, if set, runs before every measured Step; when it
+		// rebuilds, some measured tick must find the occupancy dirty.
+		perturb  func(m *Machine, now sim.Time)
+		rebuilds bool
 	}{
-		{"table1", func(t *testing.T) *Machine {
+		{name: "table1", build: func(t *testing.T) *Machine {
 			m := testMachine(t)
 			// 48 threads on 40 lanes: SMT siblings busy and some lanes
 			// time-shared; two threads coupled by a barrier.
@@ -78,8 +90,8 @@ func TestStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return m
-		}, false, 0},
-		{"per-socket", func(t *testing.T) *Machine {
+		}},
+		{name: "per-socket", build: func(t *testing.T) *Machine {
 			m, err := New(specConfig(twoSocketSpec()))
 			if err != nil {
 				t.Fatal(err)
@@ -93,8 +105,8 @@ func TestStepZeroAlloc(t *testing.T) {
 				}
 			}
 			return m
-		}, false, 0},
-		{"arrival-and-migration", func(t *testing.T) *Machine {
+		}},
+		{name: "arrival-and-migration", build: func(t *testing.T) *Machine {
 			m := testMachine(t)
 			for i := 0; i < 6; i++ {
 				if err := m.AddThread(ThreadID(i), 0, wave); err != nil {
@@ -113,8 +125,8 @@ func TestStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			return m
-		}, false, 0},
-		{"traffic-churn", func(t *testing.T) *Machine {
+		}},
+		{name: "traffic-churn", churn: true, build: func(t *testing.T) *Machine {
 			m := testMachine(t)
 			// 300 requests, one arriving every 3 ms, each done within
 			// tens of ticks: far more threads registered than alive.
@@ -131,16 +143,74 @@ func TestStepZeroAlloc(t *testing.T) {
 				}
 			}
 			return m
-		}, true, 0},
-		{"saturated", func(t *testing.T) *Machine {
+		}},
+		{name: "saturated", path: pathShortcut, build: func(t *testing.T) *Machine {
 			heavy := waveProgram{lo: wave.hi, hi: Demand{AccessesPerWork: 30, MissRatio: 0.5}}
 			return population(t, 40, heavy, heavy)
-		}, false, pathShortcut},
-		{"fall-through", func(t *testing.T) *Machine {
+		}},
+		{name: "fall-through", path: pathFellThrough, build: func(t *testing.T) *Machine {
 			mem := waveProgram{lo: Demand{AccessesPerWork: 20, MissRatio: 0.25}, hi: Demand{AccessesPerWork: 20, MissRatio: 0.26}}
 			cpu := waveProgram{lo: Demand{AccessesPerWork: 3, MissRatio: 0.03}, hi: Demand{AccessesPerWork: 3, MissRatio: 0.02}}
 			return population(t, 40, mem, cpu)
-		}, false, pathFellThrough},
+		}},
+		{name: "migration-burst", rebuilds: true, build: func(t *testing.T) *Machine {
+			return population(t, 40, wave, wave)
+		}, perturb: func(m *Machine, now sim.Time) {
+			// Every 7 ticks, eight threads on socket 0 swap with eight on
+			// socket 1.
+			if now%7 != 0 {
+				return
+			}
+			for i := 0; i < 8; i++ {
+				if err := m.Swap(ThreadID(i), ThreadID(20+i), now); err != nil {
+					panic(err)
+				}
+			}
+		}},
+		{name: "dvfs-change", rebuilds: true, build: func(t *testing.T) *Machine {
+			m := dvfsMachine(t)
+			for i := 0; i < 8; i++ {
+				if err := m.AddThread(ThreadID(i), 0, wave); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Place(ThreadID(i), CoreID(i%6)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return m
+		}, perturb: func(m *Machine, now sim.Time) {
+			if now%3 == 0 {
+				c := CoreID(now / 3 % 6)
+				if err := m.SetDVFS(c, int(now)%m.DVFSLevels(c)); err != nil {
+					panic(err)
+				}
+			}
+		}},
+		{name: "disruptor", build: func(t *testing.T) *Machine {
+			m := population(t, 40, wave, wave)
+			m.SetDisruptor(&stubDisruptor{factor: map[CoreID]float64{0: 0.5, 3: 0, 21: 0.8}})
+			return m
+		}},
+		{name: "window-refresh", build: func(t *testing.T) *Machine {
+			// Phases end every 3 work units and demand flips every 4 ms,
+			// so windows are left by work and by time within the run.
+			stepped := stepProgram{total: 1e9, period: 4, scale: 2}
+			for b := 3.0; b < 300; b += 3 {
+				stepped.bounds = append(stepped.bounds, b)
+				stepped.dems = append(stepped.dems, Demand{AccessesPerWork: b / 10, MissRatio: 0.1})
+			}
+			stepped.dems = append(stepped.dems, wave.lo)
+			m := testMachine(t)
+			for i := 0; i < 40; i++ {
+				if err := m.AddThread(ThreadID(i), 0, stepped); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Place(ThreadID(i), CoreID(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return m
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,7 +232,14 @@ func TestStepZeroAlloc(t *testing.T) {
 
 			m := tc.build(t)
 			now := sim.Time(0)
+			dirty := 0
 			steady := testing.AllocsPerRun(100, func() {
+				if tc.perturb != nil {
+					tc.perturb(m, now)
+				}
+				if m.dirty {
+					dirty++
+				}
 				m.Step(now, 1)
 				now++
 			})
@@ -171,6 +248,9 @@ func TestStepZeroAlloc(t *testing.T) {
 			}
 			if m.AliveCount() == 0 || m.Done() {
 				t.Fatal("threads finished inside the measured window")
+			}
+			if tc.rebuilds && dirty == 0 {
+				t.Error("no measured tick rebuilt the occupancy")
 			}
 			if tc.churn {
 				churnTicks(t, m, now)

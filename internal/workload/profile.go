@@ -8,6 +8,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dike/internal/machine"
 	"dike/internal/sim"
@@ -166,26 +167,51 @@ const noiseEpoch = 64
 func (g *program) TotalWork() float64 { return g.total }
 
 // DemandAt implements machine.Program. It is a pure function of
-// (work, now) as the machine contract requires.
-func (g *program) DemandAt(work float64, now sim.Time) machine.Demand {
+// (work, now) as the machine contract requires. The window is the
+// intersection of the phase's work range, the burst episode or gap that
+// holds now, and the noise epoch; before time zero (or where now plus the
+// burst offset overflows) it holds for now alone.
+func (g *program) DemandAt(work float64, now sim.Time) (machine.Demand, machine.Window) {
+	win := machine.Forever()
 	// Locate the current phase by completed work (linear scan: profiles
-	// have a handful of phases).
+	// have a handful of phases). Work at or past every earlier bound and
+	// below the phase's own stays in it; any work past the bounds before
+	// the last phase is in the last one.
 	idx := len(g.bounds) - 1
-	for i, b := range g.bounds {
+	for i, b := range g.bounds[:idx] {
 		if work < b {
 			idx = i
+			win.WorkTo = math.Nextafter(b, math.Inf(-1))
 			break
+		}
+		if b > win.WorkFrom {
+			win.WorkFrom = b
 		}
 	}
 	ph := g.p.Phases[idx]
 	dem := machine.Demand{AccessesPerWork: ph.AccessesPerWork, MissRatio: ph.MissRatio}
 
 	// Burst episodes override the phase demand.
-	if g.p.BurstEvery > 0 {
-		pos := (now + g.burstOffset) % g.p.BurstEvery
-		if pos < g.p.BurstLen {
+	if every := g.p.BurstEvery; every > 0 {
+		x := now + g.burstOffset
+		pos := x % every
+		burst := pos < g.p.BurstLen
+		if burst {
 			dem.AccessesPerWork = g.p.BurstAccesses
 			dem.MissRatio = g.p.BurstMissRatio
+		}
+		if x < 0 {
+			win.From, win.To = now, now
+		} else {
+			// x lies in the period [x-pos, x-pos+every): a burst over its
+			// first BurstLen ms, a gap over the rest.
+			start, end := x-pos, addSat(x-pos, every-1)
+			if burst {
+				end = addSat(start, g.p.BurstLen-1)
+			} else {
+				start += max(g.p.BurstLen, 0)
+			}
+			win.From, win.To = start-g.burstOffset, end-g.burstOffset
 		}
 	}
 
@@ -199,8 +225,22 @@ func (g *program) DemandAt(work float64, now sim.Time) machine.Demand {
 		if dem.MissRatio > 1 {
 			dem.MissRatio = 1
 		}
+		from, to := now, now
+		if now >= 0 {
+			from = now - now%noiseEpoch
+			to = from + noiseEpoch - 1
+		}
+		win.From, win.To = max(win.From, from), min(win.To, to)
 	}
-	return dem
+	return dem, win
+}
+
+// addSat returns a+b for b >= 0, or the largest time where that overflows.
+func addSat(a, b sim.Time) sim.Time {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // mix hashes (seed, x) with a splitmix64 finaliser; used for stateless

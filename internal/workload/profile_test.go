@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dike/internal/machine"
 	"dike/internal/sim"
 )
 
@@ -55,16 +56,16 @@ func TestProgramPhaseLookup(t *testing.T) {
 	if prog.TotalWork() != 150 {
 		t.Errorf("TotalWork = %v", prog.TotalWork())
 	}
-	d1 := prog.DemandAt(10, 0)
+	d1 := demandAt(prog, 10, 0)
 	if d1.AccessesPerWork != 10 || d1.MissRatio != 0.5 {
 		t.Errorf("phase 1 demand = %+v", d1)
 	}
-	d2 := prog.DemandAt(120, 0)
+	d2 := demandAt(prog, 120, 0)
 	if d2.AccessesPerWork != 2 || d2.MissRatio != 0.1 {
 		t.Errorf("phase 2 demand = %+v", d2)
 	}
 	// Beyond total work: clamp to last phase.
-	d3 := prog.DemandAt(1e9, 0)
+	d3 := demandAt(prog, 1e9, 0)
 	if d3.AccessesPerWork != 2 {
 		t.Errorf("overrun demand = %+v", d3)
 	}
@@ -80,8 +81,8 @@ func TestProgramDeterministic(t *testing.T) {
 	a := p.Instantiate(42)
 	b := p.Instantiate(42)
 	for now := sim.Time(0); now < 2000; now += 37 {
-		da := a.DemandAt(float64(now%150), now)
-		db := b.DemandAt(float64(now%150), now)
+		da := demandAt(a, float64(now%150), now)
+		db := demandAt(b, float64(now%150), now)
 		if da != db {
 			t.Fatalf("same seed diverged at %v", now)
 		}
@@ -98,7 +99,7 @@ func TestProgramSeedsDecorrelated(t *testing.T) {
 	b := p.Instantiate(2)
 	diff := 0
 	for now := sim.Time(0); now < 5000; now += 25 {
-		if a.DemandAt(10, now) != b.DemandAt(10, now) {
+		if demandAt(a, 10, now) != demandAt(b, 10, now) {
 			diff++
 		}
 	}
@@ -116,7 +117,7 @@ func TestProgramBurstsChangeDemand(t *testing.T) {
 	prog := p.Instantiate(7)
 	sawBurst := false
 	for now := sim.Time(0); now < 400; now++ {
-		if prog.DemandAt(10, now).AccessesPerWork == 99 {
+		if demandAt(prog, 10, now).AccessesPerWork == 99 {
 			sawBurst = true
 			break
 		}
@@ -131,7 +132,7 @@ func TestProgramNoiseBounded(t *testing.T) {
 		p := validProfile()
 		p.NoiseEps = 0.2
 		prog := p.Instantiate(seed)
-		d := prog.DemandAt(10, sim.Time(nowRaw))
+		d := demandAt(prog, 10, sim.Time(nowRaw))
 		if d.MissRatio < 0 || d.MissRatio > 1 {
 			return false
 		}
@@ -196,4 +197,10 @@ func TestLookupProfile(t *testing.T) {
 	if _, err := LookupProfile("nope"); err == nil {
 		t.Error("unknown app lookup succeeded")
 	}
+}
+
+// demandAt returns prog's demand at (work, now) without its window.
+func demandAt(prog machine.Program, work float64, now sim.Time) machine.Demand {
+	d, _ := prog.DemandAt(work, now)
+	return d
 }
