@@ -22,7 +22,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -139,9 +138,9 @@ type Coordinator struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
+	jobs *serve.Jobs
+
 	mu       sync.Mutex
-	seq      int
-	jobs     map[string]*cjob
 	inflight int
 	draining bool
 	started  bool
@@ -169,7 +168,7 @@ func New(cfg Config) (*Coordinator, error) {
 		client:     cfg.Client,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       make(map[string]*cjob),
+		jobs:       serve.NewJobs("cluster"),
 		jitter:     rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	c.met = newClusterMetrics(c.reg.counts, func() int64 {
@@ -188,10 +187,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("POST /v1/runs", c.handleSubmitRun)
 	c.mux.HandleFunc("POST /v1/sweeps", c.handleSubmitSweep)
 	c.mux.HandleFunc("GET /v1/runs", c.handleLookupRun)
-	c.mux.HandleFunc("GET /v1/runs/{id}", c.handleGetJob)
 	c.mux.HandleFunc("GET /v1/store/stats", c.handleStoreStats)
-	c.mux.HandleFunc("DELETE /v1/runs/{id}", c.handleCancelJob)
-	c.mux.HandleFunc("GET /v1/runs/{id}/events", c.handleEvents)
+	c.jobs.Mount(c.mux.HandleFunc)
 	c.mux.HandleFunc("GET /v1/cluster/workers", c.handleWorkers)
 	c.mux.HandleFunc("POST /v1/cluster/workers", c.handleJoinWorker)
 	c.mux.HandleFunc("DELETE /v1/cluster/workers", c.handleLeaveWorker)
@@ -338,24 +335,14 @@ func (c *Coordinator) Draining() bool {
 
 // admit registers a new job and spawns its drive goroutine, or refuses
 // while draining.
-func (c *Coordinator) admit(w http.ResponseWriter, kind, digest string, drive func(j *cjob)) {
+func (c *Coordinator) admit(w http.ResponseWriter, kind, digest string, drive func(j *serve.Job)) {
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
 		api.WriteError(w, http.StatusServiceUnavailable, errors.New("cluster: draining, not accepting jobs"))
 		return
 	}
-	c.seq++
-	j := &cjob{
-		id:        fmt.Sprintf("%s-%06d-%.8s", kind, c.seq, digest),
-		kind:      kind,
-		digest:    digest,
-		status:    api.StatusQueued,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-	}
-	j.ctx, j.cancel = context.WithCancel(c.baseCtx)
-	c.jobs[j.id] = j
+	j := c.jobs.Submit(c.baseCtx, kind, digest)
 	c.inflight++
 	c.wg.Add(1)
 	c.mu.Unlock()
@@ -367,20 +354,13 @@ func (c *Coordinator) admit(w http.ResponseWriter, kind, digest string, drive fu
 			c.mu.Unlock()
 			c.wg.Done()
 		}()
-		defer j.cancel()
 		drive(j)
-		c.met.jobs.Inc(j.currentStatus())
+		c.met.jobs.Inc(j.Status())
 	}()
 
 	api.WriteJSON(w, http.StatusAccepted, api.SubmitResponse{
-		ID: j.id, Status: api.StatusQueued, Digest: digest,
+		ID: j.ID(), Status: api.StatusQueued, Digest: digest,
 	})
-}
-
-func (c *Coordinator) lookup(id string) *cjob {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.jobs[id]
 }
 
 func (c *Coordinator) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
@@ -396,7 +376,7 @@ func (c *Coordinator) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	c.admit(w, "run", digest, func(j *cjob) { c.driveRun(j, req, digest) })
+	c.admit(w, "run", digest, func(j *serve.Job) { c.driveRun(j, req, digest) })
 }
 
 func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
@@ -410,51 +390,7 @@ func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) 
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	c.admit(w, "sweep", rs.Digest, func(j *cjob) { c.driveSweep(j, rs) })
-}
-
-func (c *Coordinator) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	j := c.lookup(r.PathValue("id"))
-	if j == nil {
-		api.WriteError(w, http.StatusNotFound, errors.New("cluster: no such job"))
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, j.view())
-}
-
-func (c *Coordinator) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	j := c.lookup(r.PathValue("id"))
-	if j == nil {
-		api.WriteError(w, http.StatusNotFound, errors.New("cluster: no such job"))
-		return
-	}
-	j.cancel()
-	api.WriteJSON(w, http.StatusAccepted, j.view())
-}
-
-// handleEvents is the coordinator's NDJSON stream. Per-quantum events
-// are worker-local (the coordinator does not proxy them); the
-// coordinator's stream delivers the job's terminal event, which is what
-// a cluster client can rely on across re-routes.
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := c.lookup(r.PathValue("id"))
-	if j == nil {
-		api.WriteError(w, http.StatusNotFound, errors.New("cluster: no such job"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	rc.Flush()
-	select {
-	case <-j.done:
-	case <-r.Context().Done():
-		return
-	}
-	v := j.view()
-	ev := api.Event{Status: v.Status, Error: v.Error}
-	api.WriteNDJSON(w, ev)
-	rc.Flush()
+	c.admit(w, "sweep", rs.Digest, func(j *serve.Job) { c.driveSweep(j, rs) })
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {

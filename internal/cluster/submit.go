@@ -284,26 +284,24 @@ func (c *Coordinator) pickWorker(pref []string, attempted map[string]int) (strin
 
 // driveRun executes one run job: route by digest, place with retries,
 // adopt the worker's terminal state.
-func (c *Coordinator) driveRun(j *cjob, req api.RunRequest, digest string) {
-	j.setRunning()
+func (c *Coordinator) driveRun(j *serve.Job, req api.RunRequest, digest string) {
+	j.Start()
 	body, err := json.Marshal(req)
 	if err != nil {
-		j.finish(api.StatusFailed, nil, "cluster: marshal run request: "+err.Error())
+		j.Finish(api.StatusFailed, nil, "cluster: marshal run request: "+err.Error())
 		return
 	}
-	pl, err := c.place(j.ctx, c.ringOrder(digest), "/v1/runs", body)
+	pl, err := c.place(j.Context(), c.ringOrder(digest), "/v1/runs", body)
 	if err != nil {
-		c.finishErr(j, err)
+		j.Fail(err)
 		return
 	}
-	j.servedBy(pl.worker)
-	j.finish(pl.view.Status, pl.view.Result, pl.view.Error)
+	j.Finish(pl.view.Status, pl.view.Result, pl.view.Error)
 }
 
 // shardOutcome is one shard's fate inside a sweep fan-out.
 type shardOutcome struct {
 	indices []int
-	worker  string
 	points  []api.SweepPoint
 	err     error
 }
@@ -316,12 +314,12 @@ type shardOutcome struct {
 // worker in the ring inside place; whatever still fails after the
 // retry budget produces a partial-result error naming every failed
 // shard and the attempts made for it.
-func (c *Coordinator) driveSweep(j *cjob, rs serve.ResolvedSweep) {
-	j.setRunning()
+func (c *Coordinator) driveSweep(j *serve.Job, rs serve.ResolvedSweep) {
+	j.Start()
 	specs, _ := harness.SweepGrid(rs.Workload, rs.Options(1))
 	indices, err := harness.ShardIndices(rs.Indices, len(specs))
 	if err != nil {
-		j.finish(api.StatusFailed, nil, "cluster: "+err.Error())
+		j.Finish(api.StatusFailed, nil, "cluster: "+err.Error())
 		return
 	}
 
@@ -333,7 +331,7 @@ func (c *Coordinator) driveSweep(j *cjob, rs serve.ResolvedSweep) {
 	for _, idx := range indices {
 		d, err := specs[idx].Digest()
 		if err != nil {
-			j.finish(api.StatusFailed, nil, fmt.Sprintf("cluster: digest grid point %d: %v", idx, err))
+			j.Finish(api.StatusFailed, nil, fmt.Sprintf("cluster: digest grid point %d: %v", idx, err))
 			return
 		}
 		pref := c.ringOrder(d)
@@ -354,7 +352,7 @@ func (c *Coordinator) driveSweep(j *cjob, rs serve.ResolvedSweep) {
 		wg.Add(1)
 		go func(worker string, shard []int) {
 			defer wg.Done()
-			outcomes <- c.driveShard(j.ctx, rs, prefs[shard[0]], shard)
+			outcomes <- c.driveShard(j.Context(), rs, prefs[shard[0]], shard)
 		}(worker, shard)
 	}
 	wg.Wait()
@@ -365,13 +363,11 @@ func (c *Coordinator) driveSweep(j *cjob, rs serve.ResolvedSweep) {
 	// fails the sweep.
 	merge := harness.NewGridMerge[api.SweepPoint](indices)
 	var failed []shardOutcome
-	workers := make(map[string]bool)
 	for o := range outcomes {
 		if o.err != nil {
 			failed = append(failed, o)
 			continue
 		}
-		workers[o.worker] = true
 		for i, idx := range o.indices {
 			if err := merge.Put(idx, o.points[i]); err != nil {
 				o.err = err
@@ -380,8 +376,8 @@ func (c *Coordinator) driveSweep(j *cjob, rs serve.ResolvedSweep) {
 			}
 		}
 	}
-	if err := j.ctx.Err(); err != nil {
-		c.finishErr(j, err)
+	if err := j.Context().Err(); err != nil {
+		j.Fail(err)
 		return
 	}
 	if len(failed) > 0 {
@@ -390,25 +386,22 @@ func (c *Coordinator) driveSweep(j *cjob, rs serve.ResolvedSweep) {
 		for _, o := range failed {
 			parts = append(parts, fmt.Sprintf("shard %v: %v", o.indices, o.err))
 		}
-		j.finish(api.StatusFailed, nil, fmt.Sprintf(
+		j.Finish(api.StatusFailed, nil, fmt.Sprintf(
 			"cluster: sweep incomplete: %d/%d grid points merged; %s",
 			merge.Len(), len(indices), strings.Join(parts, "; ")))
 		return
 	}
 	grid, err := merge.Grid()
 	if err != nil {
-		j.finish(api.StatusFailed, nil, "cluster: "+err.Error())
+		j.Finish(api.StatusFailed, nil, "cluster: "+err.Error())
 		return
-	}
-	for w := range workers {
-		j.servedBy(w)
 	}
 	result, err := json.Marshal(api.SweepResult{Workload: rs.Workload.Name, Shard: rs.Indices, Grid: grid})
 	if err != nil {
-		j.finish(api.StatusFailed, nil, "cluster: marshal sweep result: "+err.Error())
+		j.Finish(api.StatusFailed, nil, "cluster: marshal sweep result: "+err.Error())
 		return
 	}
-	j.finish(api.StatusDone, result, "")
+	j.Finish(api.StatusDone, result, "")
 }
 
 // driveShard places one shard (a set of grid indices) and decodes its
@@ -428,7 +421,6 @@ func (c *Coordinator) driveShard(ctx context.Context, rs serve.ResolvedSweep, pr
 		o.err = err
 		return o
 	}
-	o.worker = pl.worker
 	if pl.view.Status != api.StatusDone {
 		o.err = fmt.Errorf("worker %s: job %s: %s", pl.worker, pl.view.Status, pl.view.Error)
 		return o
@@ -444,14 +436,4 @@ func (c *Coordinator) driveShard(ctx context.Context, rs serve.ResolvedSweep, pr
 	}
 	o.points = res.Grid
 	return o
-}
-
-// finishErr maps a drive error to the job's terminal state: context
-// cancellation becomes canceled, everything else failed.
-func (c *Coordinator) finishErr(j *cjob, err error) {
-	if errors.Is(err, context.Canceled) {
-		j.finish(api.StatusCanceled, nil, "")
-		return
-	}
-	j.finish(api.StatusFailed, nil, err.Error())
 }

@@ -173,9 +173,6 @@ func (o *Observation) MemoryThreads() int {
 	return n
 }
 
-// ComputeThreads returns how many alive threads are classified C.
-func (o *Observation) ComputeThreads() int { return len(o.Alive) - o.MemoryThreads() }
-
 // PredictRate is the Observer-backed estimate of the access rate thread
 // id would achieve on core c: the core's relative capability times the
 // thread's intrinsic demand baseline. It is the quantity Eqn 1 calls

@@ -72,8 +72,8 @@ func TestObserverClassification(t *testing.T) {
 			t.Errorf("thread %d classified %v, want C", i, obs.Class[obs.Index(platform.ThreadID(i))])
 		}
 	}
-	if obs.MemoryThreads() != 8 || obs.ComputeThreads() != 8 {
-		t.Errorf("counts = %d M / %d C", obs.MemoryThreads(), obs.ComputeThreads())
+	if m := obs.MemoryThreads(); m != 8 || len(obs.Alive)-m != 8 {
+		t.Errorf("counts = %d M / %d C", m, len(obs.Alive)-m)
 	}
 }
 

@@ -77,15 +77,6 @@ func (f *File) Core(c int) CoreCounters { return f.cores[c] }
 // NumCores returns the number of logical cores tracked.
 func (f *File) NumCores() int { return len(f.cores) }
 
-// ThreadIDs returns the registered thread ids in unspecified order.
-func (f *File) ThreadIDs() []int {
-	ids := make([]int, 0, len(f.threads))
-	for id := range f.threads {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // ThreadDelta is the difference of two thread counter snapshots over an
 // interval, with derived rates.
 type ThreadDelta struct {
@@ -136,12 +127,6 @@ func (d ThreadDelta) MissRatio() float64 {
 		return 0
 	}
 	return d.Misses / d.Accesses
-}
-
-// DiffThread returns the delta between a previous snapshot and the current
-// counters for tid over interval ms.
-func (f *File) DiffThread(tid int, prev ThreadCounters, interval float64) ThreadDelta {
-	return f.Thread(tid).Since(prev, interval)
 }
 
 // Since returns the delta between a previous snapshot and c over

@@ -2,7 +2,6 @@ package counters
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -13,11 +12,6 @@ func TestFileAddAndRead(t *testing.T) {
 	f.AddThread(7)
 	if f.NumCores() != 4 {
 		t.Errorf("NumCores = %d, want 4", f.NumCores())
-	}
-	ids := f.ThreadIDs()
-	sort.Ints(ids)
-	if len(ids) != 2 || ids[0] != 0 || ids[1] != 7 {
-		t.Errorf("ThreadIDs = %v", ids)
 	}
 	f.MutThread(7).Misses = 12
 	if got := f.Thread(7).Misses; got != 12 {
@@ -62,7 +56,7 @@ func TestThreadDelta(t *testing.T) {
 	tc.Instructions = 1000
 	tc.Work = 1
 	tc.Migrations = 2
-	d := f.DiffThread(0, prev, 100)
+	d := f.Thread(0).Since(prev, 100)
 	if d.AccessRate() != 0.5 {
 		t.Errorf("AccessRate = %v, want 0.5", d.AccessRate())
 	}
@@ -100,7 +94,7 @@ func TestCoreDelta(t *testing.T) {
 	}
 }
 
-func TestDiffThreadIsExactDifference(t *testing.T) {
+func TestThreadSinceIsExactDifference(t *testing.T) {
 	// Differencing two snapshots always recovers exactly what was added
 	// between them, for any update sequence.
 	f := func(add1, add2 []float64) bool {
@@ -120,7 +114,7 @@ func TestDiffThreadIsExactDifference(t *testing.T) {
 		apply(add1)
 		snap := file.Thread(0)
 		want := apply(add2)
-		d := file.DiffThread(0, snap, 1)
+		d := file.Thread(0).Since(snap, 1)
 		diff := d.Misses - want
 		return diff < 1e-6 && diff > -1e-6
 	}

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
 	"dike/internal/serve/api"
 	"dike/internal/store"
 	"dike/internal/tournament"
+	"dike/internal/traffic"
 )
 
 func init() {
@@ -136,8 +138,11 @@ func tournamentMeasure(load float64, policy string, out *RunOutput) TournamentMe
 }
 
 // tournamentMeasureFromAPI folds a served run result into the same cell
-// measurement a local run produces: worst SLO-carrying class
-// percentiles, pooled violation rate.
+// measurement a local run produces. The wire carries each class's
+// violation rate, not its count; the count is recovered as
+// round(rate·completed) — exact, since rate is the float64 quotient of
+// two small integers — so both paths pool the same integers through
+// worstTenant and score bit-identically.
 func tournamentMeasureFromAPI(load float64, policy string, res *api.RunResult) (TournamentMeasure, error) {
 	if res.Traffic == nil {
 		return TournamentMeasure{}, fmt.Errorf("harness: served %s run has no traffic result", policy)
@@ -150,26 +155,15 @@ func tournamentMeasureFromAPI(load float64, policy string, res *api.RunResult) (
 		MetaSwitches:    res.MetaSwitches,
 		MetaFinalPolicy: res.MetaFinalPolicy,
 	}
-	violations, sloCompleted := 0.0, 0
-	for _, c := range tr.Classes {
-		if c.SLOMs <= 0 {
-			continue
-		}
-		violations += c.ViolationRate * float64(c.Completed)
-		sloCompleted += c.Completed
-		if c.P50Ms > m.P50Ms {
-			m.P50Ms = c.P50Ms
-		}
-		if c.P95Ms > m.P95Ms {
-			m.P95Ms = c.P95Ms
-		}
-		if c.P99Ms > m.P99Ms {
-			m.P99Ms = c.P99Ms
+	classes := make([]traffic.ClassResult, len(tr.Classes))
+	for i, c := range tr.Classes {
+		classes[i] = traffic.ClassResult{
+			SLOMs: c.SLOMs, Completed: c.Completed,
+			P50Ms: c.P50Ms, P95Ms: c.P95Ms, P99Ms: c.P99Ms,
+			Violations: int(math.Round(c.ViolationRate * float64(c.Completed))),
 		}
 	}
-	if sloCompleted > 0 {
-		m.ViolationRate = violations / float64(sloCompleted)
-	}
+	m.P50Ms, m.P95Ms, m.P99Ms, m.ViolationRate = worstTenant(classes)
 	return m, nil
 }
 

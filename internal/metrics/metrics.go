@@ -127,15 +127,6 @@ func Speedup(res, base *RunResult) float64 {
 	return base.Makespan / res.Makespan
 }
 
-// AvgTimeSpeedup is the mean-benchmark-completion-time variant of
-// Speedup, reported alongside it for the throughput-oriented view.
-func AvgTimeSpeedup(res, base *RunResult) float64 {
-	if res.AvgTime <= 0 {
-		return 0
-	}
-	return base.AvgTime / res.AvgTime
-}
-
 // GeoMeanImprovement aggregates per-workload improvement fractions with
 // the geometric mean of the underlying ratios, as the paper's headline
 // numbers do. Input and output are fractions (0.38 = 38%).

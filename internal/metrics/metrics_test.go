@@ -119,18 +119,12 @@ func TestImprovementAndSpeedup(t *testing.T) {
 	if got := Speedup(res, base); math.Abs(got-1.25) > 1e-12 {
 		t.Errorf("speedup = %v, want 1.25", got)
 	}
-	if got := AvgTimeSpeedup(res, base); math.Abs(got-1.25) > 1e-12 {
-		t.Errorf("avg speedup = %v, want 1.25", got)
-	}
 	// Degenerate denominators.
 	if FairnessImprovement(res, &RunResult{Fairness: 0}) != 0 {
 		t.Error("zero-fairness base not handled")
 	}
 	if Speedup(&RunResult{Makespan: 0}, base) != 0 {
 		t.Error("zero makespan not handled")
-	}
-	if AvgTimeSpeedup(&RunResult{AvgTime: 0}, base) != 0 {
-		t.Error("zero avg time not handled")
 	}
 }
 

@@ -32,11 +32,6 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// WriteNDJSON writes v as one line of an NDJSON stream.
-func WriteNDJSON(w http.ResponseWriter, v any) error {
-	return json.NewEncoder(w).Encode(v)
-}
-
 // CodeWriter wraps a ResponseWriter to capture the response status for
 // metrics instrumentation.
 type CodeWriter struct {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dike/internal/harness"
+	"dike/internal/serve/api"
 )
 
 // BenchmarkServeCacheHit measures one POST /v1/runs answered from the
@@ -38,7 +39,7 @@ func BenchmarkServeCacheHit(b *testing.B) {
 
 	// Populate the cache: submit once and wait for the job to finish.
 	rec := post()
-	var sub submitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil {
 		b.Fatalf("submit = %d %s: %v", rec.Code, rec.Body, err)
 	}
@@ -52,7 +53,7 @@ func BenchmarkServeCacheHit(b *testing.B) {
 		if v.Status == StatusDone {
 			break
 		}
-		if terminal(v.Status) || time.Now().After(deadline) {
+		if api.Terminal(v.Status) || time.Now().After(deadline) {
 			b.Fatalf("priming job = %+v", v)
 		}
 		time.Sleep(time.Millisecond)

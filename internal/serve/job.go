@@ -6,7 +6,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -49,13 +51,17 @@ const (
 	StatusCanceled = api.StatusCanceled
 )
 
-// Job is one unit of work in the server: a run or a sweep, from
-// admission through its terminal state.
+// Job is one unit of work on a node — a run or a sweep — from
+// admission through its terminal state. The server and the cluster
+// coordinator share it, so a job is queued, run, finished and shown the
+// same way whichever of them owns it.
 type Job struct {
 	id     string
 	kind   string // "run" | "sweep"
 	digest string
-	// exec performs the work when a worker picks the job up.
+	// exec performs the work when a worker picks the job up. It, meta
+	// and deadline are unset on a coordinator job, whose drive goroutine
+	// does the work.
 	exec func(ctx context.Context) (json.RawMessage, error)
 	// meta is the original request body, persisted alongside the result
 	// in the durable store so offline tools can see what a digest means.
@@ -74,10 +80,67 @@ type Job struct {
 	result    json.RawMessage
 	cached    bool
 	stored    bool
-	done      chan struct{}
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
+}
+
+// ID returns the job's id.
+func (j *Job) ID() string { return j.id }
+
+// Context returns the job's lifetime context; DELETE cancels it.
+func (j *Job) Context() context.Context { return j.ctx }
+
+// Status returns the job's current status.
+func (j *Job) Status() string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status
+}
+
+// Start moves a queued job to running.
+func (j *Job) Start() {
+	j.mu.Lock()
+	j.status = StatusRunning
+	j.started = time.Now()
+	j.mu.Unlock()
+}
+
+// Finish moves the job to a terminal state exactly once: it records the
+// outcome, cancels the job's context and closes its event stream with
+// the terminal event. Later calls do nothing.
+func (j *Job) Finish(status string, result json.RawMessage, errMsg string) {
+	j.mu.Lock()
+	if api.Terminal(j.status) {
+		j.mu.Unlock()
+		return
+	}
+	j.status = status
+	j.result = result
+	j.errMsg = errMsg
+	if j.finished.IsZero() { // a cache hit stamps its zero-length run beforehand
+		j.finished = time.Now()
+	}
+	if j.started.IsZero() {
+		j.started = j.finished
+	}
+	j.mu.Unlock()
+	j.cancel()
+	j.events.close(Event{Status: status, Error: errMsg})
+}
+
+// Fail finishes the job from an execution error: cancellation becomes
+// canceled, an expired deadline fails with "deadline exceeded", and any
+// other error fails with its text.
+func (j *Job) Fail(err error) {
+	switch {
+	case errors.Is(err, context.Canceled):
+		j.Finish(StatusCanceled, nil, "")
+	case errors.Is(err, context.DeadlineExceeded):
+		j.Finish(StatusFailed, nil, "deadline exceeded")
+	default:
+		j.Finish(StatusFailed, nil, err.Error())
+	}
 }
 
 // view snapshots the job for the API.
@@ -103,15 +166,129 @@ func (j *Job) view() JobView {
 	return v
 }
 
-// Status returns the job's current status.
-func (j *Job) Status() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
+// Jobs is a node's id-keyed job table together with the routes that
+// read, cancel and stream its jobs.
+type Jobs struct {
+	notFound error
+
+	mu   sync.Mutex
+	seq  int
+	byID map[string]*Job
 }
 
-// terminal reports whether the job has reached a final state.
-func terminal(status string) bool { return api.Terminal(status) }
+// NewJobs returns an empty table; component ("serve", "cluster")
+// prefixes its not-found error.
+func NewJobs(component string) *Jobs {
+	return &Jobs{notFound: errors.New(component + ": no such job"), byID: make(map[string]*Job)}
+}
+
+// Submit opens a queued job of kind for digest under parent and makes
+// it visible to the routes.
+func (t *Jobs) Submit(parent context.Context, kind, digest string) *Job {
+	j := &Job{kind: kind, digest: digest}
+	t.open(parent, j)
+	t.add(j)
+	return j
+}
+
+// open gives j the next id and starts its life as a queued job whose
+// context derives from parent. The routes do not see it until add.
+func (t *Jobs) open(parent context.Context, j *Job) {
+	t.mu.Lock()
+	t.seq++
+	j.id = fmt.Sprintf("%s-%06d-%.8s", j.kind, t.seq, j.digest)
+	t.mu.Unlock()
+	j.status = StatusQueued
+	j.submitted = time.Now()
+	j.events = newBroker()
+	j.ctx, j.cancel = context.WithCancel(parent)
+}
+
+func (t *Jobs) add(j *Job) {
+	t.mu.Lock()
+	t.byID[j.id] = j
+	t.mu.Unlock()
+}
+
+func (t *Jobs) lookup(id string) *Job {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.byID[id]
+}
+
+// Mount registers GET and DELETE /v1/runs/{id} and GET
+// /v1/runs/{id}/events through route: a mux's HandleFunc, or a wrapper
+// that instruments it.
+func (t *Jobs) Mount(route func(pattern string, h func(http.ResponseWriter, *http.Request))) {
+	route("GET /v1/runs/{id}", t.handleGet)
+	route("DELETE /v1/runs/{id}", t.handleCancel)
+	route("GET /v1/runs/{id}/events", t.handleEvents)
+}
+
+func (t *Jobs) handleGet(w http.ResponseWriter, r *http.Request) {
+	job := t.lookup(r.PathValue("id"))
+	if job == nil {
+		api.WriteError(w, http.StatusNotFound, t.notFound)
+		return
+	}
+	api.WriteJSON(w, http.StatusOK, job.view())
+}
+
+func (t *Jobs) handleCancel(w http.ResponseWriter, r *http.Request) {
+	job := t.lookup(r.PathValue("id"))
+	if job == nil {
+		api.WriteError(w, http.StatusNotFound, t.notFound)
+		return
+	}
+	// Queued jobs are cancelled when their worker picks them up; running
+	// jobs stop within one simulated quantum. A job another submitter
+	// was deduped onto is cancelled for them too — DELETE is on the job,
+	// not the submission.
+	job.cancel()
+	api.WriteJSON(w, http.StatusAccepted, job.view())
+}
+
+// handleEvents streams the job's events as NDJSON: the history so far,
+// then live events until the terminal one. A coordinator job publishes
+// only its terminal event — per-quantum events stay on the worker that
+// simulates.
+func (t *Jobs) handleEvents(w http.ResponseWriter, r *http.Request) {
+	job := t.lookup(r.PathValue("id"))
+	if job == nil {
+		api.WriteError(w, http.StatusNotFound, t.notFound)
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	rc := http.NewResponseController(w)
+	enc := json.NewEncoder(w)
+
+	replay, live, cancel := job.events.subscribe()
+	defer cancel()
+	for _, ev := range replay {
+		if enc.Encode(ev) != nil {
+			return
+		}
+	}
+	rc.Flush()
+	if live == nil {
+		return // stream already complete
+	}
+	for {
+		select {
+		case ev, ok := <-live:
+			if !ok {
+				return
+			}
+			if enc.Encode(ev) != nil {
+				return
+			}
+			rc.Flush()
+		case <-r.Context().Done():
+			return
+		}
+	}
+}
 
 // BuildRunSpec translates an API run request into a validated harness
 // spec plus its digest. The OnProgress hook is attached later, per job.
@@ -119,24 +296,83 @@ func terminal(status string) bool { return api.Terminal(status) }
 // resolving the request exactly the way the worker that executes it
 // will.
 func BuildRunSpec(req RunRequest) (harness.RunSpec, string, error) {
-	if len(req.Traffic) > 0 {
-		return buildTrafficRunSpec(req)
-	}
-	mc, merr := parseMetaConfig(req)
-	if merr != nil {
-		return harness.RunSpec{}, "", merr
-	}
-	pc, perr := parsePowerConfig(req)
-	if perr != nil {
-		return harness.RunSpec{}, "", perr
-	}
-	var w *workload.Workload
+	var spec harness.RunSpec
 	var err error
+	if len(req.Traffic) > 0 {
+		// An open-loop request: the traffic spec replaces every workload
+		// source, and Scale does not apply (the arrival horizon sizes
+		// the run).
+		if spec.Traffic, err = traffic.ParseSpec(req.Traffic); err != nil {
+			return harness.RunSpec{}, "", err
+		}
+		if req.Scale != 0 {
+			return harness.RunSpec{}, "", fmt.Errorf("serve: scale does not apply to traffic runs")
+		}
+	}
+	if spec.Meta, err = parseMetaConfig(req); err != nil {
+		return harness.RunSpec{}, "", err
+	}
+	if spec.Power, err = parsePowerConfig(req); err != nil {
+		return harness.RunSpec{}, "", err
+	}
+	if spec.Traffic == nil {
+		if spec.Workload, err = requestWorkload(req); err != nil {
+			return harness.RunSpec{}, "", err
+		}
+		spec.Scale = req.Scale
+		if spec.Scale == 0 {
+			spec.Scale = 0.1
+		}
+		if spec.Scale < 0 || spec.Scale > 1 {
+			return harness.RunSpec{}, "", fmt.Errorf("serve: scale %g outside (0, 1]", req.Scale)
+		}
+	}
+	spec.Policy = req.Policy
+	spec.Seed = 42
+	if req.Seed != nil {
+		spec.Seed = *req.Seed
+	}
+	spec.MaxTime = sim.Time(req.MaxTimeMs)
+	if len(req.Machine) > 0 {
+		ms, err := platform.ParseMachineSpec(req.Machine)
+		if err != nil {
+			return harness.RunSpec{}, "", err
+		}
+		mcfg := machine.DefaultConfig()
+		mcfg.Spec = ms
+		spec.MachineConfig = &mcfg
+	}
+	if req.Faults != nil {
+		classes, err := fault.ParseClasses(req.Faults.Classes)
+		if err != nil {
+			return harness.RunSpec{}, "", err
+		}
+		if classes != 0 {
+			fc := fault.DefaultConfig()
+			fc.Classes = classes
+			if req.Faults.Rate != 0 {
+				fc.Rate = req.Faults.Rate
+			}
+			if req.Faults.Seed != 0 {
+				fc.Seed = req.Faults.Seed
+			}
+			spec.Faults = &fc
+		}
+	}
+	digest, err := spec.Digest() // also validates policy, workload and traffic spec
+	if err != nil {
+		return harness.RunSpec{}, "", err
+	}
+	return spec, digest, nil
+}
+
+// requestWorkload resolves a closed-loop request's workload: a
+// generated mix, an explicit app list, or a Table 2 row (default 1).
+func requestWorkload(req RunRequest) (*workload.Workload, error) {
 	switch {
 	case req.Generator != nil:
 		g := req.Generator
 		spec := workload.GeneratorSpec{
-			Name:          "gen",
 			Benchmarks:    g.Benchmarks,
 			ThreadsPer:    g.ThreadsPer,
 			MemoryApps:    -1,
@@ -150,143 +386,24 @@ func BuildRunSpec(req RunRequest) (harness.RunSpec, string, error) {
 			seed = 1
 		}
 		spec.Name = fmt.Sprintf("gen-%d", seed)
-		w, err = workload.Generate(spec, sim.NewRNG(seed))
+		return workload.Generate(spec, sim.NewRNG(seed))
 	case len(req.Apps) > 0:
-		w = &workload.Workload{Name: "custom:" + strings.Join(req.Apps, ",")}
+		w := &workload.Workload{Name: "custom:" + strings.Join(req.Apps, ",")}
 		for _, app := range req.Apps {
-			var p *workload.Profile
-			p, err = workload.LookupProfile(strings.TrimSpace(app))
+			p, err := workload.LookupProfile(strings.TrimSpace(app))
 			if err != nil {
-				break
+				return nil, err
 			}
 			w.Benchmarks = append(w.Benchmarks, workload.Benchmark{Profile: p, Threads: workload.ThreadsPerBenchmark})
 		}
+		return w, nil
 	default:
 		n := req.Workload
 		if n == 0 {
 			n = 1
 		}
-		w, err = workload.Table2(n)
+		return workload.Table2(n)
 	}
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-
-	scale := req.Scale
-	if scale == 0 {
-		scale = 0.1
-	}
-	if scale < 0 || scale > 1 {
-		return harness.RunSpec{}, "", fmt.Errorf("serve: scale %g outside (0, 1]", req.Scale)
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	spec := harness.RunSpec{
-		Workload: w,
-		Policy:   req.Policy,
-		Seed:     seed,
-		Scale:    scale,
-		MaxTime:  sim.Time(req.MaxTimeMs),
-		Meta:     mc,
-		Power:    pc,
-	}
-	if len(req.Machine) > 0 {
-		ms, err := platform.ParseMachineSpec(req.Machine)
-		if err != nil {
-			return harness.RunSpec{}, "", err
-		}
-		mcfg := machine.DefaultConfig()
-		mcfg.Spec = ms
-		spec.MachineConfig = &mcfg
-	}
-	if req.Faults != nil {
-		classes, err := fault.ParseClasses(req.Faults.Classes)
-		if err != nil {
-			return harness.RunSpec{}, "", err
-		}
-		if classes != 0 {
-			fc := fault.DefaultConfig()
-			fc.Classes = classes
-			if req.Faults.Rate != 0 {
-				fc.Rate = req.Faults.Rate
-			}
-			if req.Faults.Seed != 0 {
-				fc.Seed = req.Faults.Seed
-			}
-			spec.Faults = &fc
-		}
-	}
-	digest, err := spec.Digest() // also validates policy and workload
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-	return spec, digest, nil
-}
-
-// buildTrafficRunSpec resolves an open-loop request: the traffic spec
-// replaces every workload source, and Scale does not apply (the
-// arrival horizon sizes the run).
-func buildTrafficRunSpec(req RunRequest) (harness.RunSpec, string, error) {
-	ts, err := traffic.ParseSpec(req.Traffic)
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-	if req.Scale != 0 {
-		return harness.RunSpec{}, "", fmt.Errorf("serve: scale does not apply to traffic runs")
-	}
-	mc, err := parseMetaConfig(req)
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-	pc, err := parsePowerConfig(req)
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	spec := harness.RunSpec{
-		Traffic: ts,
-		Policy:  req.Policy,
-		Seed:    seed,
-		MaxTime: sim.Time(req.MaxTimeMs),
-		Meta:    mc,
-		Power:   pc,
-	}
-	if len(req.Machine) > 0 {
-		ms, err := platform.ParseMachineSpec(req.Machine)
-		if err != nil {
-			return harness.RunSpec{}, "", err
-		}
-		mcfg := machine.DefaultConfig()
-		mcfg.Spec = ms
-		spec.MachineConfig = &mcfg
-	}
-	if req.Faults != nil {
-		classes, err := fault.ParseClasses(req.Faults.Classes)
-		if err != nil {
-			return harness.RunSpec{}, "", err
-		}
-		if classes != 0 {
-			fc := fault.DefaultConfig()
-			fc.Classes = classes
-			if req.Faults.Rate != 0 {
-				fc.Rate = req.Faults.Rate
-			}
-			if req.Faults.Seed != 0 {
-				fc.Seed = req.Faults.Seed
-			}
-			spec.Faults = &fc
-		}
-	}
-	digest, err := spec.Digest() // also validates policy and traffic spec
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-	return spec, digest, nil
 }
 
 // parsePowerConfig decodes a request's governor configuration. Unknown

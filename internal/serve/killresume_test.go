@@ -143,7 +143,7 @@ func TestServeKillNineResume(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("child submit = %d, body %s", resp.StatusCode, raw)
 	}
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(raw, &sub)
 
 	deadline := time.Now().Add(60 * time.Second)
@@ -172,7 +172,7 @@ func TestServeKillNineResume(t *testing.T) {
 	if resp2.StatusCode != http.StatusAccepted && resp2.StatusCode != http.StatusOK {
 		t.Fatalf("resubmit = %d, body %s", resp2.StatusCode, raw2)
 	}
-	var sub2 submitResponse
+	var sub2 api.SubmitResponse
 	json.Unmarshal(raw2, &sub2)
 	if sub2.Digest != sub.Digest {
 		t.Fatalf("sweep digest changed across processes: %s vs %s", sub2.Digest, sub.Digest)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"dike/internal/serve/api"
 )
 
 // metaBody is a served meta-policy run: the adaptive switcher on a
@@ -34,7 +36,7 @@ func TestServeMetaRunEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d, body %s", resp.StatusCode, body)
 	}
-	var sub submitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestServeMetaRunEndToEnd(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("cached resubmit = %d, body %s, want 200", resp2.StatusCode, body2)
 	}
-	var sub2 submitResponse
+	var sub2 api.SubmitResponse
 	if err := json.Unmarshal(body2, &sub2); err != nil {
 		t.Fatal(err)
 	}

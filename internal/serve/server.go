@@ -95,9 +95,9 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
+	jobs *Jobs
+
 	mu       sync.Mutex
-	seq      int
-	jobs     map[string]*Job
 	inflight map[string]*Job // digest → leader job, until terminal
 	queue    chan *Job
 	draining bool
@@ -121,7 +121,7 @@ func New(cfg Config) *Server {
 		store:      cfg.Store,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jobs:       make(map[string]*Job),
+		jobs:       NewJobs("serve"),
 		inflight:   make(map[string]*Job),
 		queue:      make(chan *Job, cfg.QueueDepth),
 		simulate:   harness.Run,
@@ -139,9 +139,7 @@ func New(cfg Config) *Server {
 	s.route("POST /v1/sweeps", s.handleSubmitSweep)
 	s.route("GET /v1/runs", s.handleLookupRun)
 	s.route("GET /v1/store/stats", s.handleStoreStats)
-	s.route("GET /v1/runs/{id}", s.handleGetJob)
-	s.route("DELETE /v1/runs/{id}", s.handleCancelJob)
-	s.route("GET /v1/runs/{id}/events", s.handleEvents)
+	s.jobs.Mount(s.route)
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /metrics", s.handleMetrics)
 	return s
@@ -214,7 +212,7 @@ func (s *Server) CacheStats() (hits, misses, dedup, simulations uint64) {
 
 // route mounts an instrumented handler: every request is counted and
 // timed under its route pattern.
-func (s *Server) route(pattern string, h http.HandlerFunc) {
+func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request)) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		cw := api.NewCodeWriter(w)
@@ -224,18 +222,15 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 	})
 }
 
-// submitResponse is the body of a successful submission.
-type submitResponse = api.SubmitResponse
-
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	spec, digest, err := BuildRunSpec(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	job := &Job{kind: "run", digest: digest, deadline: s.deadline(req.DeadlineMs)}
@@ -264,12 +259,12 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	rs, err := ResolveSweep(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	job := &Job{kind: "sweep", digest: rs.Digest, deadline: s.deadline(req.DeadlineMs)}
@@ -293,7 +288,7 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, errors.New("serve: draining, not accepting jobs"))
+		api.WriteError(w, http.StatusServiceUnavailable, errors.New("serve: draining, not accepting jobs"))
 		return
 	}
 
@@ -301,24 +296,18 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 	if leader, ok := s.inflight[job.digest]; ok {
 		s.mu.Unlock()
 		s.metrics.dedup.Inc()
-		writeJSON(w, http.StatusOK, submitResponse{
+		api.WriteJSON(w, http.StatusOK, api.SubmitResponse{
 			ID: leader.id, Status: leader.Status(), Digest: leader.digest, Deduped: true,
 		})
 		return
 	}
 
-	s.seq++
-	job.id = fmt.Sprintf("%s-%06d-%.8s", job.kind, s.seq, job.digest)
-	job.status = StatusQueued
-	job.submitted = time.Now()
-	job.done = make(chan struct{})
-	job.events = newBroker()
-	job.ctx, job.cancel = context.WithCancel(s.baseCtx)
+	s.jobs.open(s.baseCtx, job)
 
 	// Result already known to the in-memory tier: complete without
 	// queueing or simulating.
 	if cached, ok := s.cache.get(job.digest); ok {
-		s.jobs[job.id] = job
+		s.jobs.add(job)
 		s.mu.Unlock()
 		s.metrics.cacheHits.Inc()
 		s.completeCached(w, job, cached, false)
@@ -330,9 +319,7 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 	// repopulates the LRU and completes the job exactly like a cache
 	// hit — an earlier process already simulated this digest.
 	if payload, ok := s.storeLookup(job.digest); ok {
-		s.mu.Lock()
-		s.jobs[job.id] = job
-		s.mu.Unlock()
+		s.jobs.add(job)
 		s.completeCached(w, job, payload, true)
 		return
 	}
@@ -343,14 +330,14 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 	if s.draining {
 		s.mu.Unlock()
 		job.cancel()
-		writeError(w, http.StatusServiceUnavailable, errors.New("serve: draining, not accepting jobs"))
+		api.WriteError(w, http.StatusServiceUnavailable, errors.New("serve: draining, not accepting jobs"))
 		return
 	}
 	if leader, ok := s.inflight[job.digest]; ok {
 		s.mu.Unlock()
 		job.cancel()
 		s.metrics.dedup.Inc()
-		writeJSON(w, http.StatusOK, submitResponse{
+		api.WriteJSON(w, http.StatusOK, api.SubmitResponse{
 			ID: leader.id, Status: leader.Status(), Digest: leader.digest, Deduped: true,
 		})
 		return
@@ -359,11 +346,11 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 	// Bounded enqueue: never block the client, never queue unboundedly.
 	select {
 	case s.queue <- job:
-		s.jobs[job.id] = job
+		s.jobs.add(job)
 		s.inflight[job.digest] = job
 		s.mu.Unlock()
 		s.metrics.cacheMisses.Inc()
-		writeJSON(w, http.StatusAccepted, submitResponse{
+		api.WriteJSON(w, http.StatusAccepted, api.SubmitResponse{
 			ID: job.id, Status: StatusQueued, Digest: job.digest,
 		})
 	default:
@@ -373,7 +360,7 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 		// A slot frees when a worker finishes a job; with simulations
 		// running for O(seconds), 1s is an honest first retry interval.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
+		api.WriteError(w, http.StatusTooManyRequests,
 			fmt.Errorf("serve: queue full (%d jobs)", s.cfg.QueueDepth))
 	}
 }
@@ -382,18 +369,14 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 // durable store) without it ever touching the queue.
 func (s *Server) completeCached(w http.ResponseWriter, job *Job, result json.RawMessage, fromStore bool) {
 	job.mu.Lock()
-	job.status = StatusDone
 	job.cached = true
 	job.stored = fromStore
-	job.result = result
 	job.started = job.submitted
 	job.finished = job.submitted
-	close(job.done)
 	job.mu.Unlock()
-	job.cancel()
-	job.events.close(Event{Status: StatusDone})
+	job.Finish(StatusDone, result, "")
 	s.metrics.jobs.Inc(StatusDone)
-	writeJSON(w, http.StatusOK, submitResponse{
+	api.WriteJSON(w, http.StatusOK, api.SubmitResponse{
 		ID: job.id, Status: StatusDone, Digest: job.digest, Cached: true, Stored: fromStore,
 	})
 }
@@ -405,10 +388,7 @@ func (s *Server) execute(job *Job) {
 		s.finish(job, nil, err)
 		return
 	}
-	job.mu.Lock()
-	job.status = StatusRunning
-	job.started = time.Now()
-	job.mu.Unlock()
+	job.Start()
 	s.running.Add(1)
 	defer s.running.Add(-1)
 
@@ -418,26 +398,14 @@ func (s *Server) execute(job *Job) {
 	s.finish(job, result, err)
 }
 
-// finish moves a job to its terminal state, publishes the terminal
-// event, updates the cache and releases the singleflight slot.
+// finish updates the cache and the durable store, releases the
+// singleflight slot and moves the job to its terminal state.
 func (s *Server) finish(job *Job, result json.RawMessage, err error) {
-	status := StatusDone
-	final := Event{Status: StatusDone}
-	switch {
-	case err == nil:
+	if err == nil {
 		s.cache.put(job.digest, result)
 		// Write-through to the durable tier: a restarted process serves
 		// this digest from disk without re-simulating.
 		s.storePut(job.digest, job.meta, result)
-	case errors.Is(err, context.Canceled):
-		status, final.Status = StatusCanceled, StatusCanceled
-	default:
-		status, final.Status = StatusFailed, StatusFailed
-		if errors.Is(err, context.DeadlineExceeded) {
-			final.Error = "deadline exceeded"
-		} else {
-			final.Error = err.Error()
-		}
 	}
 
 	s.mu.Lock()
@@ -446,94 +414,20 @@ func (s *Server) finish(job *Job, result json.RawMessage, err error) {
 	}
 	s.mu.Unlock()
 
-	job.mu.Lock()
-	job.status = status
-	job.result = result
-	job.errMsg = final.Error
-	job.finished = time.Now()
-	if job.started.IsZero() {
-		job.started = job.finished
+	if err != nil {
+		job.Fail(err)
+	} else {
+		job.Finish(StatusDone, result, "")
 	}
-	close(job.done)
-	job.mu.Unlock()
-	job.cancel()
-	job.events.close(final)
-	s.metrics.jobs.Inc(status)
-}
-
-func (s *Server) lookup(id string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	job := s.lookup(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, errors.New("serve: no such job"))
-		return
-	}
-	writeJSON(w, http.StatusOK, job.view())
-}
-
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	job := s.lookup(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, errors.New("serve: no such job"))
-		return
-	}
-	// Queued jobs are cancelled when their worker picks them up; running
-	// jobs stop within one simulated quantum. A job another submitter
-	// was deduped onto is cancelled for them too — DELETE is on the job,
-	// not the submission.
-	job.cancel()
-	writeJSON(w, http.StatusAccepted, job.view())
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job := s.lookup(r.PathValue("id"))
-	if job == nil {
-		writeError(w, http.StatusNotFound, errors.New("serve: no such job"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-
-	replay, live, cancel := job.events.subscribe()
-	defer cancel()
-	for _, ev := range replay {
-		if enc.Encode(ev) != nil {
-			return
-		}
-	}
-	rc.Flush()
-	if live == nil {
-		return // stream already complete
-	}
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return
-			}
-			if enc.Encode(ev) != nil {
-				return
-			}
-			rc.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	s.metrics.jobs.Inc(job.Status())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		api.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -541,15 +435,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.reg.WriteTo(w)
 }
 
-// decodeJSON, writeError and writeJSON delegate to the shared wire
-// helpers so worker and coordinator speak identical bodies.
+// decodeJSON decodes a request body through the shared wire helper, so
+// worker and coordinator reject the same bodies.
 func decodeJSON(r *http.Request, v any) error {
 	if err := api.DecodeJSON(r, v); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }
-
-func writeError(w http.ResponseWriter, code int, err error) { api.WriteError(w, code, err) }
-
-func writeJSON(w http.ResponseWriter, code int, v any) { api.WriteJSON(w, code, v) }

@@ -14,6 +14,7 @@ import (
 
 	"dike/internal/harness"
 	simmetrics "dike/internal/metrics"
+	"dike/internal/serve/api"
 )
 
 // newTestServer boots a started Server over httptest.
@@ -89,7 +90,7 @@ func waitDone(t *testing.T, base, id string) JobView {
 	for time.Now().Before(deadline) {
 		var v JobView
 		getJSON(t, base+"/v1/runs/"+id, &v)
-		if terminal(v.Status) {
+		if api.Terminal(v.Status) {
 			return v
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -105,7 +106,7 @@ func TestServeRunEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d, body %s", resp.StatusCode, body)
 	}
-	var sub submitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestServeRunEndToEnd(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("resubmit = %d, body %s", resp2.StatusCode, body2)
 	}
-	var sub2 submitResponse
+	var sub2 api.SubmitResponse
 	json.Unmarshal(body2, &sub2)
 	if !sub2.Cached || sub2.Status != StatusDone || sub2.Digest != sub.Digest {
 		t.Fatalf("resubmit not served from cache: %+v", sub2)
@@ -191,10 +192,10 @@ func TestServeBackpressure(t *testing.T) {
 	s.simulate = blockingStub(started, release)
 	defer close(release)
 
-	submit := func(seed int) (*http.Response, submitResponse) {
+	submit := func(seed int) (*http.Response, api.SubmitResponse) {
 		resp, body := postJSON(t, ts.URL+"/v1/runs",
 			fmt.Sprintf(`{"workload":1,"policy":"null","seed":%d}`, seed))
-		var sub submitResponse
+		var sub api.SubmitResponse
 		json.Unmarshal(body, &sub)
 		return resp, sub
 	}
@@ -237,9 +238,9 @@ func TestServeSingleflightDedup(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	s.simulate = blockingStub(started, release)
 
-	respA, subA := func() (*http.Response, submitResponse) {
+	respA, subA := func() (*http.Response, api.SubmitResponse) {
 		resp, body := postJSON(t, ts.URL+"/v1/runs", `{"workload":1,"policy":"null","seed":1}`)
-		var sub submitResponse
+		var sub api.SubmitResponse
 		json.Unmarshal(body, &sub)
 		return resp, sub
 	}()
@@ -253,7 +254,7 @@ func TestServeSingleflightDedup(t *testing.T) {
 	if respB.StatusCode != http.StatusOK {
 		t.Fatalf("dedup submit = %d (%s), want 200", respB.StatusCode, bodyB)
 	}
-	var subB submitResponse
+	var subB api.SubmitResponse
 	json.Unmarshal(bodyB, &subB)
 	if !subB.Deduped || subB.ID != subA.ID {
 		t.Fatalf("second submission not coalesced: %+v vs leader %s", subB, subA.ID)
@@ -281,7 +282,7 @@ func TestServeCancel(t *testing.T) {
 	defer close(release)
 
 	_, body := postJSON(t, ts.URL+"/v1/runs", `{"workload":1,"policy":"null","seed":1}`)
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(body, &sub)
 	<-started
 
@@ -311,7 +312,7 @@ func TestServeEventsStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 
 	_, body := postJSON(t, ts.URL+"/v1/runs", `{"workload":1,"policy":"dike","scale":0.05,"seed":7}`)
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(body, &sub)
 	waitDone(t, ts.URL, sub.ID)
 
@@ -356,7 +357,7 @@ func TestServeDrain(t *testing.T) {
 	defer ts.Close()
 
 	_, body := postJSON(t, ts.URL+"/v1/runs", `{"workload":1,"policy":"null","seed":1}`)
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(body, &sub)
 	<-started
 
@@ -400,7 +401,7 @@ func TestServeSweep(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep submit = %d (%s)", resp.StatusCode, body)
 	}
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(body, &sub)
 	v := waitDone(t, ts.URL, sub.ID)
 	if v.Status != StatusDone {
@@ -433,7 +434,7 @@ func TestServeGeneratorWorkload(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("generator submit = %d (%s)", resp.StatusCode, body)
 	}
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(body, &sub)
 	v := waitDone(t, ts.URL, sub.ID)
 	if v.Status != StatusDone {

@@ -240,19 +240,19 @@ func pointFrom(cr harness.ConfigResult, rr RunResult) SweepPoint {
 func (s *Server) handleLookupRun(w http.ResponseWriter, r *http.Request) {
 	digest := r.URL.Query().Get("digest")
 	if digest == "" {
-		writeError(w, http.StatusBadRequest, errors.New("serve: lookup requires ?digest="))
+		api.WriteError(w, http.StatusBadRequest, errors.New("serve: lookup requires ?digest="))
 		return
 	}
 	if payload, ok := s.cache.get(digest); ok {
 		s.metrics.cacheHits.Inc()
-		writeJSON(w, http.StatusOK, api.StoredResult{Digest: digest, Source: "cache", Result: payload})
+		api.WriteJSON(w, http.StatusOK, api.StoredResult{Digest: digest, Source: "cache", Result: payload})
 		return
 	}
 	if payload, ok := s.storeLookup(digest); ok {
-		writeJSON(w, http.StatusOK, api.StoredResult{Digest: digest, Source: "store", Result: payload})
+		api.WriteJSON(w, http.StatusOK, api.StoredResult{Digest: digest, Source: "store", Result: payload})
 		return
 	}
-	writeError(w, http.StatusNotFound, fmt.Errorf("serve: no result for digest %.12s…", digest))
+	api.WriteError(w, http.StatusNotFound, fmt.Errorf("serve: no result for digest %.12s…", digest))
 }
 
 // handleStoreStats is GET /v1/store/stats.
@@ -263,5 +263,5 @@ func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 		view.Dir = s.store.Dir()
 		view.Stats, _ = json.Marshal(s.store.Stats())
 	}
-	writeJSON(w, http.StatusOK, view)
+	api.WriteJSON(w, http.StatusOK, view)
 }

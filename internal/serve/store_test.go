@@ -52,7 +52,7 @@ func TestServeStoreWriteThrough(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d, body %s", resp.StatusCode, raw)
 	}
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(raw, &sub)
 	v1 := waitDone(t, ts1.URL, sub.ID)
 	if v1.Status != StatusDone || sims1.Load() != 1 {
@@ -68,7 +68,7 @@ func TestServeStoreWriteThrough(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("resubmit = %d, body %s", resp2.StatusCode, raw2)
 	}
-	var sub2 submitResponse
+	var sub2 api.SubmitResponse
 	json.Unmarshal(raw2, &sub2)
 	if !sub2.Cached || !sub2.Stored || sub2.Digest != sub.Digest {
 		t.Fatalf("resubmit not served from store: %+v", sub2)
@@ -87,7 +87,7 @@ func TestServeStoreWriteThrough(t *testing.T) {
 	// The store hit repopulated the LRU: a third submission is a plain
 	// cache hit, not another store read.
 	resp3, raw3 := postJSON(t, ts2.URL+"/v1/runs", body)
-	var sub3 submitResponse
+	var sub3 api.SubmitResponse
 	json.Unmarshal(raw3, &sub3)
 	if resp3.StatusCode != http.StatusOK || !sub3.Cached || sub3.Stored {
 		t.Fatalf("third submission should be an LRU hit: %d %+v", resp3.StatusCode, sub3)
@@ -110,7 +110,7 @@ func TestServeLookupRun(t *testing.T) {
 	}
 
 	_, raw := postJSON(t, ts.URL+"/v1/runs", `{"workload":1,"policy":"null","scale":0.05,"seed":12}`)
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(raw, &sub)
 	v := waitDone(t, ts.URL, sub.ID)
 
@@ -148,7 +148,7 @@ func TestServeStoreStats(t *testing.T) {
 		Workers: 1, Store: openStore(t, dir), Simulate: countingStub(&sims),
 	})
 	_, raw := postJSON(t, ts.URL+"/v1/runs", `{"workload":1,"policy":"null","scale":0.05,"seed":13}`)
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(raw, &sub)
 	waitDone(t, ts.URL, sub.ID)
 
@@ -193,7 +193,7 @@ func TestServeSweepCheckpointResume(t *testing.T) {
 		},
 	})
 	_, raw := postJSON(t, ts1.URL+"/v1/sweeps", sweepBody)
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(raw, &sub)
 	if v := waitDone(t, ts1.URL, sub.ID); v.Status != StatusFailed {
 		t.Fatalf("interrupted sweep = %s, want failed", v.Status)
@@ -212,7 +212,7 @@ func TestServeSweepCheckpointResume(t *testing.T) {
 		},
 	})
 	_, raw2 := postJSON(t, ts2.URL+"/v1/sweeps", sweepBody)
-	var sub2 submitResponse
+	var sub2 api.SubmitResponse
 	json.Unmarshal(raw2, &sub2)
 	if sub2.Digest != sub.Digest {
 		t.Fatalf("sweep digest changed across restart: %s vs %s", sub2.Digest, sub.Digest)
@@ -250,7 +250,7 @@ func TestServeShardCheckpointResume(t *testing.T) {
 		},
 	})
 	_, raw := postJSON(t, ts1.URL+"/v1/sweeps", body)
-	var sub submitResponse
+	var sub api.SubmitResponse
 	json.Unmarshal(raw, &sub)
 	if v := waitDone(t, ts1.URL, sub.ID); v.Status != StatusFailed {
 		t.Fatalf("interrupted shard = %s, want failed", v.Status)
@@ -259,7 +259,7 @@ func TestServeShardCheckpointResume(t *testing.T) {
 	var calls2 atomic.Int64
 	_, ts2 := newTestServer(t, Config{Workers: 1, SweepWorkers: 1, Store: openStore(t, dir), Simulate: countingStub(&calls2)})
 	_, raw2 := postJSON(t, ts2.URL+"/v1/sweeps", body)
-	var sub2 submitResponse
+	var sub2 api.SubmitResponse
 	json.Unmarshal(raw2, &sub2)
 	if v := waitDone(t, ts2.URL, sub2.ID); v.Status != StatusDone {
 		t.Fatalf("resumed shard = %s: %s", v.Status, v.Error)
@@ -310,7 +310,7 @@ func TestSweepCountsSimulations(t *testing.T) {
 			s, ts := newTestServer(t, cfg)
 			const body = `{"workload":1,"scale":0.01,"seed":3}`
 			_, raw := postJSON(t, ts.URL+"/v1/sweeps", body)
-			var sub submitResponse
+			var sub api.SubmitResponse
 			json.Unmarshal(raw, &sub)
 			if v := waitDone(t, ts.URL, sub.ID); v.Status != StatusDone {
 				t.Fatalf("sweep = %s: %s", v.Status, v.Error)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dike/internal/harness"
+	"dike/internal/serve/api"
 )
 
 func mustUnmarshal(t *testing.T, raw []byte, v any) {
@@ -48,11 +49,11 @@ func TestServeEventsClientDisconnect(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %s: %s", resp.Status, body)
 	}
-	var sub submitResponse
+	var sub api.SubmitResponse
 	mustUnmarshal(t, body, &sub)
 	<-started
 
-	job := s.lookup(sub.ID)
+	job := s.jobs.lookup(sub.ID)
 	if job == nil {
 		t.Fatalf("job %s not found", sub.ID)
 	}
@@ -115,7 +116,7 @@ func TestServeConcurrentDuplicateSubmissions(t *testing.T) {
 	if respA.StatusCode != http.StatusAccepted {
 		t.Fatalf("run A: %s: %s", respA.Status, bodyA)
 	}
-	var subA submitResponse
+	var subA api.SubmitResponse
 	mustUnmarshal(t, bodyA, &subA)
 	<-started
 
@@ -125,7 +126,7 @@ func TestServeConcurrentDuplicateSubmissions(t *testing.T) {
 	if respB.StatusCode != http.StatusAccepted {
 		t.Fatalf("run B: %s: %s", respB.Status, rawB)
 	}
-	var subB submitResponse
+	var subB api.SubmitResponse
 	mustUnmarshal(t, rawB, &subB)
 
 	// Queue full. A concurrent burst of duplicates of B must all coalesce
@@ -134,7 +135,7 @@ func TestServeConcurrentDuplicateSubmissions(t *testing.T) {
 	var wg sync.WaitGroup
 	type outcome struct {
 		code int
-		sub  submitResponse
+		sub  api.SubmitResponse
 	}
 	outcomes := make([]outcome, burst)
 	for i := 0; i < burst; i++ {

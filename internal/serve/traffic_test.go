@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"dike/internal/serve/api"
 )
 
 // trafficBody is a small open-loop run request: two tenants on a short
@@ -32,7 +34,7 @@ func TestServeTrafficRunEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d, body %s", resp.StatusCode, body)
 	}
-	var sub submitResponse
+	var sub api.SubmitResponse
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestServeTrafficRunEndToEnd(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("cached resubmit = %d, body %s, want 200", resp2.StatusCode, body2)
 	}
-	var sub2 submitResponse
+	var sub2 api.SubmitResponse
 	if err := json.Unmarshal(body2, &sub2); err != nil {
 		t.Fatal(err)
 	}

@@ -64,13 +64,6 @@ func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Jitter returns x scaled by a uniform factor in [1-eps, 1+eps]. It is the
-// noise primitive the workload profiles use to roughen their phase
-// behaviour without destroying determinism.
-func (r *RNG) Jitter(x, eps float64) float64 {
-	return x * (1 + eps*(2*r.Float64()-1))
-}
-
 // Perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

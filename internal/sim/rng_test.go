@@ -88,19 +88,6 @@ func TestRNGRange(t *testing.T) {
 	}
 }
 
-func TestRNGJitterBounds(t *testing.T) {
-	r := NewRNG(8)
-	for i := 0; i < 1000; i++ {
-		v := r.Jitter(10, 0.2)
-		if v < 8-1e-9 || v > 12+1e-9 {
-			t.Fatalf("Jitter out of bounds: %v", v)
-		}
-	}
-	if r.Jitter(10, 0) != 10 {
-		t.Error("Jitter with eps=0 changed the value")
-	}
-}
-
 func TestRNGPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1

@@ -170,22 +170,6 @@ func MedianInPlace(xs []float64) float64 {
 	return quantileSorted(xs, 0.5)
 }
 
-// Normalize returns xs scaled so its maximum is 1. If the maximum is not
-// positive, a copy of xs is returned unchanged. Used by the Fig 4/5
-// harnesses that plot configurations normalized to the best one.
-func Normalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	mx, err := Max(xs)
-	if err != nil || mx <= 0 {
-		return out
-	}
-	for i := range out {
-		out[i] /= mx
-	}
-	return out
-}
-
 // Clamp bounds x to the closed interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {

@@ -229,26 +229,6 @@ func TestQuantileWithinBounds(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{1, 2, 4})
-	want := []float64{0.25, 0.5, 1}
-	for i := range want {
-		if !almost(got[i], want[i], 1e-12) {
-			t.Errorf("Normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Non-positive max: unchanged copy.
-	in := []float64{-1, -2}
-	got = Normalize(in)
-	if got[0] != -1 || got[1] != -2 {
-		t.Errorf("Normalize of non-positive = %v, want copy", got)
-	}
-	got[0] = 99
-	if in[0] == 99 {
-		t.Error("Normalize aliases its input")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp misbehaves")

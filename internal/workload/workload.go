@@ -224,16 +224,5 @@ func (in *Instance) BenchOf(id machine.ThreadID) int {
 	return -1
 }
 
-// MainBenchIndices returns the indices of non-Extra benchmarks.
-func (in *Instance) MainBenchIndices() []int {
-	var out []int
-	for i, b := range in.Workload.Benchmarks {
-		if !b.Extra {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // simTime converts scaled milliseconds to a simulation time.
 func simTime(ms float64) sim.Time { return sim.Time(ms + 0.5) }

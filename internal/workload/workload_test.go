@@ -113,10 +113,6 @@ func TestBuildRegistersEverything(t *testing.T) {
 	if got := inst.BenchOf(machine.ThreadID(99)); got != -1 {
 		t.Errorf("BenchOf(99) = %d, want -1", got)
 	}
-	mains := inst.MainBenchIndices()
-	if len(mains) != 2 || mains[0] != 0 || mains[1] != 1 {
-		t.Errorf("MainBenchIndices = %v", mains)
-	}
 	// BenchOf on the machine agrees.
 	b, err := m.BenchOf(5)
 	if err != nil || b != 1 {
