@@ -37,7 +37,6 @@ func main() {
 		csvFlag    = flag.String("csv", "", "directory to write per-table CSV files into")
 		benchOut   = flag.String("bench-out", ".", "directory gated experiments write BENCH_<id>.json into")
 		gateDir    = flag.String("gate", "", "directory of baseline bench documents; gate each run against the one naming its experiment and exit 1 on any violation. With -exp all, runs exactly the experiments that have baselines, at each baseline's seed and quick setting unless -seed/-quick are given")
-		tourStore  = flag.String("tournament-store", "", "durable store directory caching tournament cells by run digest")
 		tourServer = flag.String("tournament-server", "", "dikeserved/dikecoord base URL to submit tournament cells to instead of simulating locally")
 	)
 	flag.Parse()
@@ -56,7 +55,6 @@ func main() {
 		Workers:          *workerFlag,
 		Quick:            *quickFlag,
 		BenchDir:         *benchOut,
-		TournamentStore:  *tourStore,
 		TournamentServer: *tourServer,
 	}
 

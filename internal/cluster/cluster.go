@@ -73,9 +73,6 @@ type Config struct {
 	// not resynchronise every retry. Defaults 100ms / 2s.
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// Client is the HTTP client for worker traffic. Default: a client
-	// with no overall timeout (per-call contexts bound every request).
-	Client *http.Client
 }
 
 func (c Config) withDefaults() Config {
@@ -108,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LeaseSweepInterval == 0 {
 		c.LeaseSweepInterval = time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	c.Breaker = c.Breaker.withDefaults()
 	return c
@@ -165,7 +159,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:        cfg,
 		reg:        newRegistry(cfg.Workers, cfg.Breaker),
 		ring:       ring,
-		client:     cfg.Client,
+		client:     &http.Client{}, // per-call contexts bound every request
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       serve.NewJobs("cluster"),

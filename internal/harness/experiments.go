@@ -26,13 +26,6 @@ type Options struct {
 	// tournament, energy) write their bench document to, as
 	// BENCH_<id>.json. Empty disables the file.
 	BenchDir string
-	// TournamentStore, when set, is a durable run-store directory the
-	// `tournament` experiment caches cell results in, content-addressed
-	// by RunSpec digest: re-running the grid replays cached cells
-	// instead of simulating. The directory is the experiment's own cache
-	// (same store engine as dikeserved, separate payload format — do not
-	// point it at a server's store directory).
-	TournamentStore string
 	// TournamentServer, when set, is the base URL of a dikeserved or
 	// dikecoord instance the `tournament` experiment submits its grid
 	// cells to instead of simulating locally; the server's digest cache

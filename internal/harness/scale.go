@@ -148,9 +148,7 @@ var scalePolicies = []string{PolicyCFS, PolicyDIO, PolicyDike, PolicyDikeAF, Pol
 // runScale sweeps the grid and reports, per machine point and policy,
 // the wall-clock decision cost (ns per scheduling quantum) alongside
 // fairness and swap counts — the roadmap's perf trajectory. Each
-// (point, policy) is one bench entry keyed "point/policy"; allocs per
-// quantum and runs per second are measured on serial runs so concurrent
-// simulations cannot attribute each other's work.
+// (point, policy) is one bench entry keyed "point/policy".
 func runScale(optsIn Options) (*Report, error) {
 	opts := optsIn.withDefaults()
 	points := scaleGrid(opts.Quick)
@@ -162,10 +160,10 @@ func runScale(optsIn Options) (*Report, error) {
 	doc.Scale = benchScale
 	t := &Table{
 		Title:  "Decision cost and fairness across the 40→1024-core grid",
-		Header: []string{"machine", "logical", "sockets", "types", "policy", "ns/quantum", "quanta", "fairness", "swaps", "allocs/quantum", "runs/sec"},
+		Header: []string{"machine", "logical", "sockets", "types", "policy", "ns/quantum", "quanta", "fairness", "swaps"},
 	}
-	// Runs are serial (not RunAll) so the per-run heap and wall-clock
-	// measurements are attributable to one simulation.
+	// Runs are serial (not RunAll) so no concurrent simulation inflates
+	// the wall-clock decision cost.
 	for _, p := range points {
 		w, err := scaleWorkload(p.logical, opts.Seed)
 		if err != nil {
@@ -177,7 +175,7 @@ func runScale(optsIn Options) (*Report, error) {
 				Workload: w, Policy: pol, Seed: opts.Seed, Scale: benchScale,
 				MachineConfig: &cfg,
 			}
-			out, apq, rps, err := measuredRun(context.Background(), spec)
+			out, err := Run(context.Background(), spec)
 			if err != nil {
 				return nil, fmt.Errorf("scale %s/%s: %w", p.name, pol, err)
 			}
@@ -189,18 +187,16 @@ func runScale(optsIn Options) (*Report, error) {
 				"logical": float64(p.logical), "sockets": float64(p.sockets), "core_types": float64(p.coreTypes),
 				"ns_per_quantum": nsq, "quanta": float64(out.Decisions),
 				"fairness": out.Result.Fairness, "swaps": float64(out.Result.Swaps),
-				"wall_ms":            float64(out.DecisionTime.Microseconds()) / 1000,
-				"allocs_per_quantum": apq, "runs_per_sec": rps,
+				"wall_ms": float64(out.DecisionTime.Microseconds()) / 1000,
 			})
 			t.AddRow(p.name, p.logical, p.sockets, p.coreTypes, pol,
 				fmt.Sprintf("%.0f", nsq), out.Decisions,
-				fmt.Sprintf("%.4f", out.Result.Fairness), out.Result.Swaps,
-				fmt.Sprintf("%.0f", apq), fmt.Sprintf("%.2f", rps))
+				fmt.Sprintf("%.4f", out.Result.Fairness), out.Result.Swaps)
 		}
 	}
 	notes := []string{
 		fmt.Sprintf("seed %d, work scale %.3f; ns/quantum is wall-clock inside policy.Quantum", opts.Seed, benchScale),
-		"runs are serial so allocs/quantum and runs/sec attribute cleanly",
+		"runs are serial so ns/quantum is not inflated by concurrent simulations",
 	}
 	if opts.Quick {
 		notes = append(notes, "quick mode: grid trimmed to points ≤128 logical cores")

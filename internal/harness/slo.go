@@ -25,12 +25,12 @@ func init() {
 func sloHeadline(e BenchEntry) bool { return e.Labels["class"] == "" }
 
 // checkSLO: one headline entry per (load, policy) plus one per tenant
-// class; every point completed requests and was timed; admission
-// accounting balances.
+// class; every point completed requests; admission accounting
+// balances.
 func checkSLO(d *BenchDoc) []string {
 	points := len(sloLoads(d.Quick)) * len(sloPolicies(d.Quick))
 	v := d.wantEntries(points * (1 + len(sloTraffic(1, 0).Classes)))
-	v = append(v, d.positive(sloHeadline, "completed", "p99_ms", "runs_per_sec")...)
+	v = append(v, d.positive(sloHeadline, "completed", "p99_ms")...)
 	for _, e := range d.Entries {
 		m := e.Metrics
 		if sloHeadline(e) && m["arrivals"] != m["admitted"]+m["rejected"] {
@@ -106,7 +106,7 @@ func runSLO(optsIn Options) (*Report, error) {
 	doc.HorizonMs = horizon
 	t := &Table{
 		Title:  "Open-loop colocation: worst-tenant tail latency and per-tenant fairness",
-		Header: []string{"load", "policy", "arrivals", "rejected", "p50", "p95", "p99", "viol%", "jain", "minmax", "ns/quantum", "allocs/quantum"},
+		Header: []string{"load", "policy", "arrivals", "rejected", "p50", "p95", "p99", "viol%", "jain", "minmax", "ns/quantum"},
 	}
 	for _, load := range sloLoads(opts.Quick) {
 		for _, pol := range sloPolicies(opts.Quick) {
@@ -115,7 +115,7 @@ func runSLO(optsIn Options) (*Report, error) {
 				Policy:  pol,
 				Seed:    opts.Seed,
 			}
-			out, apq, rps, err := measuredRun(context.Background(), spec)
+			out, err := Run(context.Background(), spec)
 			if err != nil {
 				return nil, fmt.Errorf("slo %.2f/%s: %w", load, pol, err)
 			}
@@ -132,7 +132,7 @@ func runSLO(optsIn Options) (*Report, error) {
 				"p50_ms": p50, "p95_ms": p95, "p99_ms": p99, "violation_rate": viol,
 				"fairness_jain": tr.FairnessJain, "fairness_minmax": tr.FairnessMinMax,
 				"drained_at_ms": float64(tr.DrainedAtMs), "quanta": float64(out.Decisions),
-				"ns_per_quantum": nsq, "allocs_per_quantum": apq, "runs_per_sec": rps,
+				"ns_per_quantum": nsq,
 			})
 			for _, c := range tr.Classes {
 				m := map[string]float64{
@@ -149,12 +149,12 @@ func runSLO(optsIn Options) (*Report, error) {
 				fmt.Sprintf("%.0f", p50), fmt.Sprintf("%.0f", p95), fmt.Sprintf("%.0f", p99),
 				fmt.Sprintf("%.1f", 100*viol),
 				fmt.Sprintf("%.4f", tr.FairnessJain), fmt.Sprintf("%.4f", tr.FairnessMinMax),
-				fmt.Sprintf("%.0f", nsq), fmt.Sprintf("%.0f", apq))
+				fmt.Sprintf("%.0f", nsq))
 		}
 	}
 	notes := []string{
 		fmt.Sprintf("seed %d, arrival horizon %dms; p50/p95/p99 are the worst latency-critical tenant's sojourn percentiles (ms, simulated)", opts.Seed, horizon),
-		"runs are serial so allocs/quantum and runs/sec attribute cleanly",
+		"runs are serial so ns/quantum is not inflated by concurrent simulations",
 	}
 	if opts.Quick {
 		notes = append(notes, "quick mode: loads {0.30, 0.80} on cfs and dike-af only")

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dike/internal/serve/api"
-	"dike/internal/store"
 	"dike/internal/tournament"
 	"dike/internal/traffic"
 )
@@ -79,28 +78,21 @@ func checkTournament(d *BenchDoc) []string {
 // TournamentMeasure is one grid cell's deterministic measurement: the
 // worst latency-critical tenant's sojourn percentiles under one policy
 // at one offered load, plus the meta policy's switching record. It is
-// a pure function of the cell's RunSpec, so it is also the payload the
-// content-addressed cell cache stores under the spec digest.
+// a pure function of the cell's RunSpec, so a local and a served cell
+// measure the same.
 type TournamentMeasure struct {
-	Load            float64 `json:"load"`
-	Policy          string  `json:"policy"`
-	Arrivals        int     `json:"arrivals"`
-	Rejected        int     `json:"rejected"`
-	Completed       int     `json:"completed"`
-	P50Ms           float64 `json:"p50_ms"`
-	P95Ms           float64 `json:"p95_ms"`
-	P99Ms           float64 `json:"p99_ms"`
-	ViolationRate   float64 `json:"violation_rate"`
-	FairnessJain    float64 `json:"fairness_jain"`
-	MetaSwitches    int     `json:"meta_switches,omitempty"`
-	MetaFinalPolicy string  `json:"meta_final_policy,omitempty"`
-	// AllocsPerQuantum and RunsPerSec are wall-clock/heap measurements
-	// (measuredRun), populated only in plain local mode: a store-cached
-	// or served cell must stay a pure function of the spec digest, so
-	// those modes leave both fields zero and omitted — cached and served
-	// documents keep their historical bytes.
-	AllocsPerQuantum float64 `json:"allocs_per_quantum,omitempty"`
-	RunsPerSec       float64 `json:"runs_per_sec,omitempty"`
+	Load            float64
+	Policy          string
+	Arrivals        int
+	Rejected        int
+	Completed       int
+	P50Ms           float64
+	P95Ms           float64
+	P99Ms           float64
+	ViolationRate   float64
+	FairnessJain    float64
+	MetaSwitches    int
+	MetaFinalPolicy string
 }
 
 // tournamentLoads returns the offered-load grid.
@@ -167,16 +159,12 @@ func tournamentMeasureFromAPI(load float64, policy string, res *api.RunResult) (
 	return m, nil
 }
 
-// tournamentCellRunner executes grid cells in one of three modes:
-// locally, locally with a content-addressed durable cell cache, or
-// against a running dikeserved/dikecoord instance (whose own digest
-// cache and store then dedup the work).
+// tournamentCellRunner executes grid cells locally, or against a
+// running dikeserved/dikecoord instance whose own digest cache and
+// store then dedup repeated grids.
 type tournamentCellRunner struct {
-	store  *store.Store
 	server string
 	client *http.Client
-	// hits/misses count cell-cache outcomes in store mode.
-	hits, misses int
 }
 
 func (r *tournamentCellRunner) run(ctx context.Context, spec RunSpec, load float64) (TournamentMeasure, string, error) {
@@ -187,45 +175,11 @@ func (r *tournamentCellRunner) run(ctx context.Context, spec RunSpec, load float
 	if err != nil {
 		return TournamentMeasure{}, "", err
 	}
-	if r.store != nil {
-		if blob, ok := r.store.Get(digest); ok {
-			var m TournamentMeasure
-			if err := json.Unmarshal(blob, &m); err == nil && m.Policy == spec.Policy {
-				r.hits++
-				return m, digest, nil
-			}
-		}
-		r.misses++
-	}
-	// Plain local mode (no store, no server) measures throughput around
-	// the run; the store path must keep the cached blob a pure function
-	// of the digest, so it runs unmeasured.
-	var m TournamentMeasure
-	if r.store == nil {
-		out, apq, rps, err := measuredRun(ctx, spec)
-		if err != nil {
-			return TournamentMeasure{}, "", err
-		}
-		m = tournamentMeasure(load, spec.Policy, out)
-		m.AllocsPerQuantum = apq
-		m.RunsPerSec = rps
-		return m, digest, nil
-	}
 	out, err := Run(ctx, spec)
 	if err != nil {
 		return TournamentMeasure{}, "", err
 	}
-	m = tournamentMeasure(load, spec.Policy, out)
-	if r.store != nil {
-		meta, _ := json.Marshal(map[string]any{"load": load, "policy": spec.Policy, "seed": spec.Seed})
-		blob, err := json.Marshal(m)
-		if err == nil {
-			if err := r.store.Put(digest, meta, blob); err != nil {
-				return TournamentMeasure{}, "", fmt.Errorf("harness: tournament store: %w", err)
-			}
-		}
-	}
-	return m, digest, nil
+	return tournamentMeasure(load, spec.Policy, out), digest, nil
 }
 
 // runServed submits the cell to the server and polls the job to its
@@ -323,22 +277,11 @@ func (r *tournamentCellRunner) awaitJob(ctx context.Context, id string) (*api.Jo
 // per-load oracle-best fixed policy.
 func runTournament(optsIn Options) (*Report, error) {
 	opts := optsIn.withDefaults()
-	if opts.TournamentStore != "" && opts.TournamentServer != "" {
-		return nil, fmt.Errorf("harness: tournament store and server modes are mutually exclusive")
-	}
 	horizon := int64(12_000)
 	if opts.Quick {
 		horizon = 4_000
 	}
 	runner := &tournamentCellRunner{server: opts.TournamentServer, client: &http.Client{Timeout: 5 * time.Minute}}
-	if opts.TournamentStore != "" {
-		st, err := store.Open(opts.TournamentStore, store.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("harness: tournament store: %w", err)
-		}
-		defer st.Close()
-		runner.store = st
-	}
 
 	loads := tournamentLoads(opts.Quick)
 	policies := tournamentPolicies(opts.Quick)
@@ -373,9 +316,7 @@ func runTournament(optsIn Options) (*Report, error) {
 		// the run's content address, the value a dikeserved digest
 		// lookup resolves, so any cell can be audited against a served
 		// or replayed run. Every metric is simulated or derived from the
-		// grid, except the plain-local throughput columns, which are
-		// omitted when unmeasured so store-cached and served grids write
-		// byte-identical documents.
+		// grid, so local and served grids write byte-identical documents.
 		for _, re := range ranked {
 			c := cells[re.Policy]
 			m := c.m
@@ -390,12 +331,8 @@ func runTournament(optsIn Options) (*Report, error) {
 				"oracle": boolMetric(re.Oracle), "rank": float64(re.Rank), "regret": re.Regret,
 				"winner": boolMetric(re.Winner),
 			}
-			for k, x := range map[string]float64{
-				"meta_switches": float64(m.MetaSwitches), "allocs_per_quantum": m.AllocsPerQuantum, "runs_per_sec": m.RunsPerSec,
-			} {
-				if x != 0 {
-					metrics[k] = x
-				}
+			if m.MetaSwitches != 0 {
+				metrics["meta_switches"] = float64(m.MetaSwitches)
 			}
 			doc.add(tournamentKey(load, m.Policy), labels, metrics)
 			t.AddRow(fmt.Sprintf("%.2f", load), re.Rank, m.Policy,
@@ -408,13 +345,8 @@ func runTournament(optsIn Options) (*Report, error) {
 		fmt.Sprintf("seed %d, arrival horizon %dms; objective is the worst latency-critical tenant's p99 sojourn (ms, simulated), lower is better", opts.Seed, horizon),
 		"regret is p99 relative to the per-load oracle-best fixed policy; meta competes but is not oracle-eligible",
 	}
-	switch {
-	case runner.server != "":
+	if runner.server != "" {
 		notes = append(notes, "cells simulated by "+runner.server+" (server-side digest cache and durable store dedup repeated grids)")
-	case runner.store != nil:
-		s := runner.store.Stats()
-		notes = append(notes, fmt.Sprintf("cell cache %s: %d hit(s), %d miss(es), %d result(s) stored",
-			opts.TournamentStore, runner.hits, runner.misses, s.Results))
 	}
 	if opts.Quick {
 		notes = append(notes, "quick mode: loads {0.30, 0.95}, horizon 4s, dio/dike-af/meta only")

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dike/internal/tournament"
@@ -174,7 +176,10 @@ func TestMetaAcceptanceGrid(t *testing.T) {
 	// policy beats the worst fixed policy on the worst latency-critical
 	// tenant's p99 and stays within 10% regret of the per-load best —
 	// the tournament experiment's full grid (seed 42, 12 s horizon)
-	// judged by that experiment's own Check. Skipped under -short.
+	// judged by that experiment's own Check. A plain local grid is a
+	// pure function of seed and grid, so the document it writes must
+	// also equal the committed baseline byte for byte. Skipped under
+	// -short.
 	if testing.Short() {
 		t.Skip("full acceptance grid is slow; run without -short")
 	}
@@ -182,7 +187,8 @@ func TestMetaAcceptanceGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Run(Options{Seed: 42})
+	dir := t.TempDir()
+	rep, err := e.Run(Options{Seed: 42, BenchDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,5 +197,16 @@ func TestMetaAcceptanceGrid(t *testing.T) {
 	}
 	for _, v := range e.Check(rep.Bench) {
 		t.Error(v)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "BENCH_tournament.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../bench/BENCH_tournament_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("local grid document (%d bytes) differs from bench/BENCH_tournament_baseline.json (%d bytes)", len(got), len(want))
 	}
 }

@@ -73,6 +73,8 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	events *broker
+	// table is the job table that retires the job once it finishes.
+	table *Jobs
 
 	mu        sync.Mutex
 	status    string
@@ -127,6 +129,7 @@ func (j *Job) Finish(status string, result json.RawMessage, errMsg string) {
 	j.mu.Unlock()
 	j.cancel()
 	j.events.close(Event{Status: status, Error: errMsg})
+	j.table.retire(j.id)
 }
 
 // Fail finishes the job from an execution error: cancellation becomes
@@ -166,6 +169,11 @@ func (j *Job) view() JobView {
 	return v
 }
 
+// maxFinishedJobs bounds how many terminal jobs a table keeps: past it,
+// each newly finished job evicts the one that finished longest ago.
+// Queued and running jobs are never evicted.
+const maxFinishedJobs = 1024
+
 // Jobs is a node's id-keyed job table together with the routes that
 // read, cancel and stream its jobs.
 type Jobs struct {
@@ -174,12 +182,31 @@ type Jobs struct {
 	mu   sync.Mutex
 	seq  int
 	byID map[string]*Job
+	// finished is a ring of the ids of the last maxFinishedJobs jobs to
+	// finish, in finishing order; next is the slot the next one takes,
+	// which holds the oldest-finished id once the ring is full.
+	finished [maxFinishedJobs]string
+	next     int
 }
 
 // NewJobs returns an empty table; component ("serve", "cluster")
 // prefixes its not-found error.
 func NewJobs(component string) *Jobs {
 	return &Jobs{notFound: errors.New(component + ": no such job"), byID: make(map[string]*Job)}
+}
+
+// retire records that job id finished and evicts the oldest-finished
+// job once more than maxFinishedJobs have, so a long-lived daemon holds
+// a bounded number of results and event histories. An evicted id
+// answers 404 like one never issued.
+func (t *Jobs) retire(id string) {
+	t.mu.Lock()
+	if old := t.finished[t.next]; old != "" {
+		delete(t.byID, old)
+	}
+	t.finished[t.next] = id
+	t.next = (t.next + 1) % maxFinishedJobs
+	t.mu.Unlock()
 }
 
 // Submit opens a queued job of kind for digest under parent and makes
@@ -202,6 +229,7 @@ func (t *Jobs) open(parent context.Context, j *Job) {
 	j.submitted = time.Now()
 	j.events = newBroker()
 	j.ctx, j.cancel = context.WithCancel(parent)
+	j.table = t
 }
 
 func (t *Jobs) add(j *Job) {

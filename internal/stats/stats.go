@@ -151,6 +151,25 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// Percentile returns the nearest-rank q-quantile (q in (0,1]) of an
+// already sorted slice: the smallest element with at least a q share of
+// the values at or below it. Unlike Quantile it never interpolates, so
+// the result is always one of the samples. It returns 0 for an empty
+// slice.
+func Percentile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
+}
+
 // Median returns the median of xs (0 for empty input).
 func Median(xs []float64) float64 {
 	m, err := Quantile(xs, 0.5)

@@ -148,6 +148,22 @@ func TestGeoMeanLeqArithMean(t *testing.T) {
 	}
 }
 
+func TestPercentileNearestRank(t *testing.T) {
+	sorted := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	cases := []struct {
+		q    float64
+		want float64
+	}{{0.50, 50}, {0.95, 100}, {0.99, 100}, {0.10, 10}, {1.0, 100}}
+	for _, tc := range cases {
+		if got := Percentile(sorted, tc.q); got != tc.want {
+			t.Errorf("Percentile(%.2f) = %g, want %g", tc.q, got, tc.want)
+		}
+	}
+	if got := Percentile(nil, 0.5); got != 0 {
+		t.Errorf("Percentile(empty) = %g, want 0", got)
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	for _, c := range []struct{ q, want float64 }{

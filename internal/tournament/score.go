@@ -7,6 +7,7 @@ import (
 	"dike/internal/platform"
 	"dike/internal/replay"
 	"dike/internal/sim"
+	"dike/internal/stats"
 )
 
 // shadowRun is one candidate's audition over a tape window: the window
@@ -367,9 +368,5 @@ func p99(sds []threadSlowdown) float64 {
 		vals[i] = ts.sd
 	}
 	sort.Float64s(vals)
-	rank := int(math.Ceil(0.99*float64(len(vals)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return vals[rank]
+	return stats.Percentile(vals, 0.99)
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dike/internal/sim"
+	"dike/internal/stats"
 )
 
 // ClassResult is one tenant class's outcome.
@@ -63,21 +64,6 @@ type Result struct {
 	Classes []ClassResult `json:"classes"`
 }
 
-// percentile returns the nearest-rank q-quantile (q in (0,1]) of sorted.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
 // result folds the accumulated class aggregates into a Result.
 func (r *Run) result(endAt sim.Time) *Result {
 	res := &Result{
@@ -107,9 +93,9 @@ func (r *Run) result(endAt sim.Time) *Result {
 				sum += v
 			}
 			cr.MeanMs = sum / float64(n)
-			cr.P50Ms = percentile(s, 0.50)
-			cr.P95Ms = percentile(s, 0.95)
-			cr.P99Ms = percentile(s, 0.99)
+			cr.P50Ms = stats.Percentile(s, 0.50)
+			cr.P95Ms = stats.Percentile(s, 0.95)
+			cr.P99Ms = stats.Percentile(s, 0.99)
 			cr.MaxMs = s[n-1]
 			if c.SLOMs > 0 {
 				for _, v := range s {

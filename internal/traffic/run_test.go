@@ -206,22 +206,6 @@ func TestReapRetiresEveryDeparture(t *testing.T) {
 	}
 }
 
-func TestPercentileNearestRank(t *testing.T) {
-	sorted := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	cases := []struct {
-		q    float64
-		want float64
-	}{{0.50, 50}, {0.95, 100}, {0.99, 100}, {0.10, 10}, {1.0, 100}}
-	for _, tc := range cases {
-		if got := percentile(sorted, tc.q); got != tc.want {
-			t.Errorf("percentile(%.2f) = %g, want %g", tc.q, got, tc.want)
-		}
-	}
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Errorf("percentile(empty) = %g, want 0", got)
-	}
-}
-
 func TestFairnessWeightDirection(t *testing.T) {
 	// Per ClassSpec.Weight, a weight-2 tenant is entitled to half the
 	// slowdown of a weight-1 tenant. Synthesize both outcomes directly:
