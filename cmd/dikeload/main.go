@@ -24,14 +24,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -41,6 +44,7 @@ import (
 	"time"
 
 	"dike/internal/cli"
+	"dike/internal/serve/api"
 )
 
 func main() {
@@ -69,8 +73,7 @@ func main() {
 	}
 
 	lg := &loadgen{
-		base:    strings.TrimRight(*addrFlag, "/"),
-		client:  &http.Client{Timeout: 30 * time.Second},
+		api:     &api.Client{Base: strings.TrimRight(*addrFlag, "/"), HTTP: &http.Client{Timeout: 30 * time.Second}},
 		n:       *nFlag,
 		scale:   *scaleFlag,
 		seed:    *seedFlag,
@@ -104,8 +107,7 @@ func main() {
 
 // loadgen is the shared state of all closed-loop clients.
 type loadgen struct {
-	base    string
-	client  *http.Client
+	api     *api.Client
 	n       int
 	scale   float64
 	seed    uint64
@@ -133,23 +135,6 @@ type loadgen struct {
 	retried int
 }
 
-// submitResponse mirrors the server's submission body.
-type submitResponse struct {
-	ID      string `json:"id"`
-	Status  string `json:"status"`
-	Digest  string `json:"digest"`
-	Cached  bool   `json:"cached"`
-	Deduped bool   `json:"deduped"`
-}
-
-// jobView mirrors the fields of the server's job view we poll on.
-type jobView struct {
-	Status string          `json:"status"`
-	Digest string          `json:"digest"`
-	Error  string          `json:"error"`
-	Result json.RawMessage `json:"result,omitempty"`
-}
-
 // run is one closed-loop client: claim an index, submit, (optionally)
 // poll to completion, repeat until the shared budget is spent.
 func (lg *loadgen) run(client int) {
@@ -166,38 +151,11 @@ func (lg *loadgen) run(client int) {
 			lg.churnOne(i, seed)
 			continue
 		}
-		path, body := lg.request(i, seed)
-
-		t0 := time.Now()
-		resp, err := lg.client.Post(lg.base+path, "application/json", bytes.NewReader(body))
-		lat := time.Since(t0)
-		if err != nil {
-			lg.mu.Lock()
-			lg.transport++
-			lg.mu.Unlock()
-			continue
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-
-		var sub submitResponse
-		json.Unmarshal(raw, &sub)
-		lg.mu.Lock()
-		lg.codes[resp.StatusCode]++
-		lg.lat.observe(lat)
-		if sub.Cached {
-			lg.cached++
-		}
-		if sub.Deduped {
-			lg.deduped++
-		}
-		lg.mu.Unlock()
-
-		accepted := resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK
-		if lg.poll && accepted && sub.ID != "" {
+		sub, code, ok := lg.submit(lg.request(i, seed))
+		if lg.poll && ok {
 			lg.await(sub.ID)
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
+		if code == http.StatusTooManyRequests {
 			// Closed loop honours backpressure: brief pause, then retry
 			// budget permitting (the index is already consumed — 429s are
 			// part of the measured mix, not retried invisibly).
@@ -213,17 +171,39 @@ func (lg *loadgen) run(client int) {
 // test rerun a pass against a warm store and demand zero simulations.
 func (lg *loadgen) request(i int64, seed uint64) (string, []byte) {
 	if lg.sweepW > 0 && int(i%int64(lg.runW+lg.sweepW)) < lg.sweepW {
-		body, _ := json.Marshal(map[string]any{
-			"workload": 1, "seed": seed, "scale": lg.scale,
-		})
+		body, _ := json.Marshal(api.SweepRequest{Workload: 1, Seed: &seed, Scale: lg.scale})
 		return "/v1/sweeps", body
 	}
 	policies := []string{"dike", "cfs", "dio"}
-	body, _ := json.Marshal(map[string]any{
-		"workload": 1 + int(seed%4), "policy": policies[seed%uint64(len(policies))],
-		"seed": seed, "scale": lg.scale,
+	body, _ := json.Marshal(api.RunRequest{
+		Workload: 1 + int(seed%4), Policy: policies[seed%uint64(len(policies))],
+		Seed: &seed, Scale: lg.scale,
 	})
 	return "/v1/runs", body
+}
+
+// submit posts one request and books its reply: the status code, the
+// latency and the served-from flags, or a transport error. ok reports
+// an accepted job.
+func (lg *loadgen) submit(path string, body []byte) (sub api.SubmitResponse, code int, ok bool) {
+	t0 := time.Now()
+	sub, code, err := lg.api.Submit(context.Background(), path, body)
+	lat := time.Since(t0)
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	if code == 0 {
+		lg.transport++
+		return sub, code, false
+	}
+	lg.codes[code]++
+	lg.lat.observe(lat)
+	if sub.Cached {
+		lg.cached++
+	}
+	if sub.Deduped {
+		lg.deduped++
+	}
+	return sub, code, err == nil
 }
 
 // churnOne drives one spec to completion through whatever the network
@@ -250,33 +230,8 @@ func (lg *loadgen) churnOne(i int64, seed uint64) {
 		}
 		first = false
 
-		t0 := time.Now()
-		resp, err := lg.client.Post(lg.base+path, "application/json", bytes.NewReader(body))
-		lat := time.Since(t0)
-		if err != nil {
-			lg.mu.Lock()
-			lg.transport++
-			lg.mu.Unlock()
-			continue
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-
-		var sub submitResponse
-		json.Unmarshal(raw, &sub)
-		lg.mu.Lock()
-		lg.codes[resp.StatusCode]++
-		lg.lat.observe(lat)
-		if sub.Cached {
-			lg.cached++
-		}
-		if sub.Deduped {
-			lg.deduped++
-		}
-		lg.mu.Unlock()
-
-		accepted := resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK
-		if !accepted || sub.ID == "" {
+		sub, _, ok := lg.submit(path, body)
+		if !ok {
 			continue
 		}
 		digest, sum, ok := lg.awaitResult(sub.ID, sub.Digest, deadline)
@@ -303,26 +258,23 @@ func (lg *loadgen) churnOne(i int64, seed uint64) {
 // a terminal failure returns ok=false so the caller resubmits.
 func (lg *loadgen) awaitResult(id, digest string, deadline time.Time) (string, string, bool) {
 	for time.Now().Before(deadline) {
-		resp, err := lg.client.Get(lg.base + "/v1/runs/" + id)
-		if err != nil {
+		v, code, err := lg.api.Job(context.Background(), id)
+		if code == 0 {
 			lg.mu.Lock()
 			lg.transport++
 			lg.mu.Unlock()
 			time.Sleep(50 * time.Millisecond)
 			continue
 		}
-		var v jobView
-		decErr := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&v)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
+		if code == http.StatusNotFound {
 			return "", "", false // job table lost the ID: resubmit
 		}
-		if decErr != nil || resp.StatusCode != http.StatusOK {
+		if err != nil {
 			time.Sleep(50 * time.Millisecond)
 			continue
 		}
 		switch v.Status {
-		case "done":
+		case api.StatusDone:
 			if v.Digest != "" {
 				digest = v.Digest
 			}
@@ -332,7 +284,7 @@ func (lg *loadgen) awaitResult(id, digest string, deadline time.Time) (string, s
 			}
 			sum := sha256.Sum256(buf.Bytes())
 			return digest, hex.EncodeToString(sum[:]), true
-		case "failed", "canceled":
+		case api.StatusFailed, api.StatusCanceled:
 			return "", "", false
 		}
 		time.Sleep(25 * time.Millisecond)
@@ -373,37 +325,24 @@ func (lg *loadgen) divergent() int {
 	return n
 }
 
-// await polls one job until it reaches a terminal state.
+// await polls one job until it reaches a terminal state. A poll that
+// gets no reply is a transport error; any other failed poll, and the
+// -job-timeout running out, fail the job at once.
 func (lg *loadgen) await(id string) {
-	deadline := time.Now().Add(lg.timeout)
-	for time.Now().Before(deadline) {
-		resp, err := lg.client.Get(lg.base + "/v1/runs/" + id)
-		if err != nil {
-			lg.mu.Lock()
-			lg.transport++
-			lg.mu.Unlock()
-			return
-		}
-		var v jobView
-		json.NewDecoder(resp.Body).Decode(&v)
-		resp.Body.Close()
-		switch v.Status {
-		case "done":
-			lg.mu.Lock()
-			lg.completed++
-			lg.mu.Unlock()
-			return
-		case "failed", "canceled":
-			lg.mu.Lock()
-			lg.jobFailed++
-			lg.mu.Unlock()
-			return
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), lg.timeout)
+	defer cancel()
+	v, err := lg.api.Await(ctx, id, 25*time.Millisecond)
 	lg.mu.Lock()
-	lg.jobFailed++
-	lg.mu.Unlock()
+	defer lg.mu.Unlock()
+	var transport *url.Error
+	switch {
+	case err == nil && v.Status == api.StatusDone:
+		lg.completed++
+	case ctx.Err() == nil && errors.As(err, &transport):
+		lg.transport++
+	default:
+		lg.jobFailed++
+	}
 }
 
 // hardErrors counts outcomes that should fail a smoke run: transport

@@ -1,8 +1,14 @@
 package main
 
 import (
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"dike/internal/serve/api"
 )
 
 // TestReservoirSmallRunPercentiles is the regression test for the
@@ -58,5 +64,38 @@ func TestReservoirBounded(t *testing.T) {
 	p50 := r.percentile(0.50)
 	if p50 < 1000*time.Microsecond || p50 > time.Duration(n-1000)*time.Microsecond {
 		t.Errorf("sampled p50 = %v, implausible for uniform 1..%dµs", p50, n)
+	}
+}
+
+// TestAwaitEndsOnPollStatus checks that a poll answered with a status
+// outside 2xx fails the job at once instead of polling it until
+// -job-timeout: a 404 body carries no job status to wait on.
+func TestAwaitEndsOnPollStatus(t *testing.T) {
+	var gets atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			api.WriteJSON(w, http.StatusAccepted, api.SubmitResponse{ID: "j1", Status: api.StatusQueued})
+			return
+		}
+		gets.Add(1)
+		api.WriteError(w, http.StatusNotFound, errors.New("no such job"))
+	}))
+	defer ts.Close()
+	lg := &loadgen{
+		api: &api.Client{Base: ts.URL, HTTP: ts.Client()}, n: 1, runW: 1,
+		poll: true, timeout: time.Minute,
+		codes: make(map[int]int), lat: newReservoir(reservoirSize, 1),
+	}
+	start := time.Now()
+	lg.run(0)
+	if gets.Load() != 1 || lg.jobFailed != 1 || lg.completed != 0 || lg.transport != 0 {
+		t.Errorf("GETs=%d failed=%d completed=%d transport=%d; want one GET and one failed job",
+			gets.Load(), lg.jobFailed, lg.completed, lg.transport)
+	}
+	if lg.codes[http.StatusAccepted] != 1 {
+		t.Errorf("status counts %v, want one 202", lg.codes)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("took %v: the poll waited for the job timeout", d)
 	}
 }

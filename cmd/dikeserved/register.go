@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -24,7 +23,7 @@ type registrar struct {
 	coord     string        // coordinator base URL
 	advertise string        // URL the coordinator should dial us on
 	ttl       time.Duration // lease TTL; 0 registers permanently (no heartbeat)
-	client    *http.Client
+	client    *api.Client   // the coordinator's /v1 API
 	stop      chan struct{}
 	done      chan struct{}
 }
@@ -42,7 +41,7 @@ func newRegistrar(coord, advertise string, ttl time.Duration) (*registrar, error
 		coord:     coord,
 		advertise: advertise,
 		ttl:       ttl,
-		client:    &http.Client{Timeout: 5 * time.Second},
+		client:    &api.Client{Base: coord, HTTP: &http.Client{Timeout: 5 * time.Second}},
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}, nil
@@ -96,13 +95,12 @@ func (r *registrar) join() error {
 	if err != nil {
 		return err
 	}
-	resp, err := r.client.Post(r.coord+"/v1/cluster/workers", "application/json", bytes.NewReader(body))
-	if err != nil {
+	code, err := r.client.Do(context.Background(), http.MethodPost, "/v1/cluster/workers", body, nil)
+	switch {
+	case code == 0:
 		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("coordinator answered %s", resp.Status)
+	case code != http.StatusOK && code != http.StatusCreated:
+		return fmt.Errorf("coordinator answered %d %s", code, http.StatusText(code))
 	}
 	return nil
 }
@@ -112,16 +110,10 @@ func (r *registrar) join() error {
 func (r *registrar) shutdown(ctx context.Context) {
 	close(r.stop)
 	<-r.done
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		r.coord+"/v1/cluster/workers?url="+url.QueryEscape(r.advertise), nil)
-	if err != nil {
-		return
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
+	code, err := r.client.Do(ctx, http.MethodDelete, "/v1/cluster/workers?url="+url.QueryEscape(r.advertise), nil, nil)
+	if code == 0 {
 		log.Printf("deregister from %s failed (lease will expire): %v", r.coord, err)
 		return
 	}
-	resp.Body.Close()
 	log.Printf("deregistered %s from %s", r.advertise, r.coord)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -346,22 +347,15 @@ func (r *registry) probeAll(ctx context.Context, client *http.Client, timeout ti
 			defer wg.Done()
 			pctx, cancel := context.WithTimeout(ctx, timeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(pctx, http.MethodGet, url+"/healthz", nil)
-			if err != nil {
+			code, err := (&api.Client{Base: url, HTTP: client}).Do(pctx, http.MethodGet, "/healthz", nil, nil)
+			switch code {
+			case http.StatusOK:
+				r.observe(url, true, "")
+			case 0:
 				r.observe(url, false, "probe: "+err.Error())
-				return
+			default:
+				r.observe(url, false, fmt.Sprintf("probe: %d %s", code, http.StatusText(code)))
 			}
-			resp, err := client.Do(req)
-			if err != nil {
-				r.observe(url, false, "probe: "+err.Error())
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				r.observe(url, false, "probe: "+resp.Status)
-				return
-			}
-			r.observe(url, true, "")
 		}(url)
 	}
 	wg.Wait()

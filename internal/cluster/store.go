@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sync"
@@ -42,29 +40,18 @@ func (c *Coordinator) handleLookupRun(w http.ResponseWriter, r *http.Request) {
 	api.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: no worker holds digest %.12s…", digest))
 }
 
-// lookupOn asks one worker for a stored result.
+// lookupOn asks one worker for a stored result. Only a transport
+// error counts against the worker's breaker: a miss, backpressure or a
+// bad body just moves the walk on.
 func (c *Coordinator) lookupOn(ctx context.Context, worker, digest string) (api.StoredResult, error) {
 	gctx, cancel := context.WithTimeout(ctx, c.cfg.SubmitTimeout)
 	defer cancel()
-	u := worker + "/v1/runs?digest=" + url.QueryEscape(digest)
-	req, err := http.NewRequestWithContext(gctx, http.MethodGet, u, nil)
-	if err != nil {
-		return api.StoredResult{}, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.reg.observe(worker, false, err.Error())
-		return api.StoredResult{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return api.StoredResult{}, fmt.Errorf("cluster: lookup on %s: %s", worker, resp.Status)
-	}
 	var res api.StoredResult
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&res); err != nil {
-		return api.StoredResult{}, err
+	code, err := c.on(worker).Do(gctx, http.MethodGet, "/v1/runs?digest="+url.QueryEscape(digest), nil, &res)
+	if code == 0 {
+		c.reg.observe(worker, false, err.Error())
 	}
-	return res, nil
+	return res, err
 }
 
 // WorkerStoreStats is one worker's entry in the coordinator's
@@ -113,22 +100,12 @@ func (c *Coordinator) storeStatsOn(ctx context.Context, worker string) WorkerSto
 	ws := WorkerStoreStats{Worker: worker}
 	gctx, cancel := context.WithTimeout(ctx, c.cfg.SubmitTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(gctx, http.MethodGet, worker+"/v1/store/stats", nil)
-	if err != nil {
-		ws.Error = err.Error()
-		return ws
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		ws.Error = err.Error()
-		return ws
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		ws.Error = resp.Status
-		return ws
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ws.Store); err != nil {
+	_, err := c.on(worker).Do(gctx, http.MethodGet, "/v1/store/stats", nil, &ws.Store)
+	var se *api.StatusError
+	switch {
+	case errors.As(err, &se):
+		ws.Error = se.Status
+	case err != nil:
 		ws.Error = err.Error()
 	}
 	return ws

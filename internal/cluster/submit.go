@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -93,78 +91,63 @@ func (c *Coordinator) cancelAbandoned(worker, id string) {
 	go func() {
 		cctx, cancel := context.WithTimeout(context.Background(), c.cfg.SubmitTimeout)
 		defer cancel()
-		req, err := http.NewRequestWithContext(cctx, http.MethodDelete, worker+"/v1/runs/"+id, nil)
-		if err != nil {
-			return
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			return
-		}
-		resp.Body.Close()
+		c.on(worker).Do(cctx, http.MethodDelete, "/v1/runs/"+id, nil, nil)
 	}()
+}
+
+// on returns a client for one worker.
+func (c *Coordinator) on(worker string) *api.Client {
+	return &api.Client{Base: worker, HTTP: c.client}
 }
 
 // postSubmit performs the submission POST.
 func (c *Coordinator) postSubmit(ctx context.Context, worker, path string, body []byte) (api.SubmitResponse, error) {
 	sctx, cancel := context.WithTimeout(ctx, c.cfg.SubmitTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(sctx, http.MethodPost, worker+path, bytes.NewReader(body))
-	if err != nil {
-		return api.SubmitResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
+	sub, code, err := c.on(worker).Submit(sctx, path, body)
+	var se *api.StatusError
+	switch {
+	case code == 0:
 		c.reg.observe(worker, false, err.Error())
 		return api.SubmitResponse{}, &retryableError{fmt.Errorf("cluster: submit to %s: %w", worker, err)}
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	switch {
-	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted:
+	case !errors.As(err, &se):
+		// 2xx: the worker answered, even if with a body we cannot use.
 		c.reg.observe(worker, true, "")
-	case resp.StatusCode == http.StatusTooManyRequests:
+		if err != nil {
+			return api.SubmitResponse{}, &retryableError{fmt.Errorf("cluster: bad submit response from %s: %v", worker, err)}
+		}
+		return sub, nil
+	case code == http.StatusTooManyRequests:
 		// Backpressure: the worker is healthy but full. Retry (after
 		// backoff) without counting a breaker failure.
-		return api.SubmitResponse{}, &retryableError{fmt.Errorf("cluster: %s backpressured: %s", worker, strings.TrimSpace(string(raw)))}
-	case resp.StatusCode >= 500:
+		return api.SubmitResponse{}, &retryableError{fmt.Errorf("cluster: %s backpressured: %s", worker, se.Body)}
+	case code >= 500:
 		// 503 draining or another server-side failure: a breaker failure
 		// (DownAfter of them in a row open the breaker).
-		c.reg.observe(worker, false, resp.Status)
-		return api.SubmitResponse{}, &retryableError{fmt.Errorf("cluster: submit to %s: %s", worker, resp.Status)}
+		c.reg.observe(worker, false, se.Status)
+		return api.SubmitResponse{}, &retryableError{fmt.Errorf("cluster: submit to %s: %s", worker, se.Status)}
 	default:
 		// 4xx: the request itself is bad; every worker would refuse it.
-		return api.SubmitResponse{}, fmt.Errorf("cluster: %s rejected submission: %s: %s", worker, resp.Status, strings.TrimSpace(string(raw)))
+		return api.SubmitResponse{}, fmt.Errorf("cluster: %s rejected submission: %s: %s", worker, se.Status, se.Body)
 	}
-	var sub api.SubmitResponse
-	if err := json.Unmarshal(raw, &sub); err != nil || sub.ID == "" {
-		return api.SubmitResponse{}, &retryableError{fmt.Errorf("cluster: bad submit response from %s: %v", worker, err)}
-	}
-	return sub, nil
 }
 
 // getJob fetches one job view from a worker.
 func (c *Coordinator) getJob(ctx context.Context, worker, id string) (api.JobView, error) {
 	gctx, cancel := context.WithTimeout(ctx, c.cfg.SubmitTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(gctx, http.MethodGet, worker+"/v1/runs/"+id, nil)
-	if err != nil {
-		return api.JobView{}, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
+	view, code, err := c.on(worker).Job(gctx, id)
+	var se *api.StatusError
+	switch {
+	case code == 0:
 		c.reg.observe(worker, false, err.Error())
 		return api.JobView{}, &retryableError{fmt.Errorf("cluster: poll %s: %w", worker, err)}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		c.reg.observe(worker, false, "poll: "+resp.Status)
-		return api.JobView{}, &retryableError{fmt.Errorf("cluster: poll %s: %s", worker, resp.Status)}
+	case errors.As(err, &se):
+		c.reg.observe(worker, false, "poll: "+se.Status)
+		return api.JobView{}, &retryableError{fmt.Errorf("cluster: poll %s: %s", worker, se.Status)}
 	}
 	c.reg.observe(worker, true, "")
-	var view api.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+	if err != nil {
 		return api.JobView{}, &retryableError{fmt.Errorf("cluster: poll %s: %w", worker, err)}
 	}
 	return view, nil

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"time"
@@ -159,17 +157,12 @@ func tournamentMeasureFromAPI(load float64, policy string, res *api.RunResult) (
 	return m, nil
 }
 
-// tournamentCellRunner executes grid cells locally, or against a
-// running dikeserved/dikecoord instance whose own digest cache and
-// store then dedup repeated grids.
-type tournamentCellRunner struct {
-	server string
-	client *http.Client
-}
-
-func (r *tournamentCellRunner) run(ctx context.Context, spec RunSpec, load float64) (TournamentMeasure, string, error) {
-	if r.server != "" {
-		return r.runServed(ctx, spec, load)
+// tournamentCell executes one grid cell locally, or, when served is
+// set, against a running dikeserved/dikecoord instance whose own digest
+// cache and store then dedup repeated grids.
+func tournamentCell(ctx context.Context, served *api.Client, spec RunSpec, load float64) (TournamentMeasure, string, error) {
+	if served != nil {
+		return servedCell(ctx, served, spec, load)
 	}
 	digest, err := spec.Digest()
 	if err != nil {
@@ -182,28 +175,27 @@ func (r *tournamentCellRunner) run(ctx context.Context, spec RunSpec, load float
 	return tournamentMeasure(load, spec.Policy, out), digest, nil
 }
 
-// runServed submits the cell to the server and polls the job to its
+// servedCell submits the cell to the server and polls the job to its
 // terminal state. The server resolves the request to the same RunSpec
 // digest BuildRunSpec computes locally, so repeated grids hit its
 // caches instead of simulating.
-func (r *tournamentCellRunner) runServed(ctx context.Context, spec RunSpec, load float64) (TournamentMeasure, string, error) {
+func servedCell(ctx context.Context, served *api.Client, spec RunSpec, load float64) (TournamentMeasure, string, error) {
 	traffic, err := json.Marshal(spec.Traffic)
 	if err != nil {
 		return TournamentMeasure{}, "", err
 	}
 	seed := spec.Seed
-	req := api.RunRequest{Policy: spec.Policy, Seed: &seed, Traffic: traffic}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(api.RunRequest{Policy: spec.Policy, Seed: &seed, Traffic: traffic})
 	if err != nil {
 		return TournamentMeasure{}, "", err
 	}
-	var sub api.SubmitResponse
-	if err := r.postJSON(ctx, r.server+"/v1/runs", body, &sub); err != nil {
-		return TournamentMeasure{}, "", err
-	}
-	view, err := r.awaitJob(ctx, sub.ID)
+	sub, _, err := served.Submit(ctx, "/v1/runs", body)
 	if err != nil {
-		return TournamentMeasure{}, "", err
+		return TournamentMeasure{}, "", fmt.Errorf("harness: submit to %s: %w", served.Base, err)
+	}
+	view, err := served.Await(ctx, sub.ID, 50*time.Millisecond)
+	if err != nil {
+		return TournamentMeasure{}, "", fmt.Errorf("harness: await job %s: %w", sub.ID, err)
 	}
 	if view.Status != api.StatusDone {
 		return TournamentMeasure{}, "", fmt.Errorf("harness: served %s/%.2f job %s: %s (%s)",
@@ -217,60 +209,6 @@ func (r *tournamentCellRunner) runServed(ctx context.Context, spec RunSpec, load
 	return m, sub.Digest, err
 }
 
-func (r *tournamentCellRunner) postJSON(ctx context.Context, url string, body []byte, into any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	blob, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("harness: POST %s: %s: %s", url, resp.Status, bytes.TrimSpace(blob))
-	}
-	return json.Unmarshal(blob, into)
-}
-
-func (r *tournamentCellRunner) awaitJob(ctx context.Context, id string) (*api.JobView, error) {
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.server+"/v1/runs/"+id, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := r.client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		blob, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode/100 != 2 {
-			return nil, fmt.Errorf("harness: GET job %s: %s: %s", id, resp.Status, bytes.TrimSpace(blob))
-		}
-		var view api.JobView
-		if err := json.Unmarshal(blob, &view); err != nil {
-			return nil, err
-		}
-		if api.Terminal(view.Status) {
-			return &view, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-}
-
 // runTournament runs the level-2 competitive grid: every entrant policy
 // (fixed comparison set + the meta policy) over the colocation scenario
 // at every offered load, ranked per cell with regret against the
@@ -281,7 +219,10 @@ func runTournament(optsIn Options) (*Report, error) {
 	if opts.Quick {
 		horizon = 4_000
 	}
-	runner := &tournamentCellRunner{server: opts.TournamentServer, client: &http.Client{Timeout: 5 * time.Minute}}
+	var served *api.Client
+	if opts.TournamentServer != "" {
+		served = &api.Client{Base: opts.TournamentServer, HTTP: &http.Client{Timeout: 5 * time.Minute}}
+	}
 
 	loads := tournamentLoads(opts.Quick)
 	policies := tournamentPolicies(opts.Quick)
@@ -301,7 +242,7 @@ func runTournament(optsIn Options) (*Report, error) {
 		entries := make([]tournament.CellEntry, 0, len(policies))
 		for _, pol := range policies {
 			spec := RunSpec{Traffic: sloTraffic(load, horizon), Policy: pol, Seed: opts.Seed}
-			m, digest, err := runner.run(ctx, spec, load)
+			m, digest, err := tournamentCell(ctx, served, spec, load)
 			if err != nil {
 				return nil, fmt.Errorf("tournament %.2f/%s: %w", load, pol, err)
 			}
@@ -345,8 +286,8 @@ func runTournament(optsIn Options) (*Report, error) {
 		fmt.Sprintf("seed %d, arrival horizon %dms; objective is the worst latency-critical tenant's p99 sojourn (ms, simulated), lower is better", opts.Seed, horizon),
 		"regret is p99 relative to the per-load oracle-best fixed policy; meta competes but is not oracle-eligible",
 	}
-	if runner.server != "" {
-		notes = append(notes, "cells simulated by "+runner.server+" (server-side digest cache and durable store dedup repeated grids)")
+	if opts.TournamentServer != "" {
+		notes = append(notes, "cells simulated by "+opts.TournamentServer+" (server-side digest cache and durable store dedup repeated grids)")
 	}
 	if opts.Quick {
 		notes = append(notes, "quick mode: loads {0.30, 0.95}, horizon 4s, dio/dike-af/meta only")

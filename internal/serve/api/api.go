@@ -4,7 +4,9 @@
 // serves these types and a dikecoord coordinator both serves and
 // consumes them — so the coordinator is a drop-in for a single node by
 // construction: there is exactly one definition of every body that
-// crosses the network.
+// crosses the network. Client is the one calling side of it, shared by
+// the coordinator, the dikeserved registrar, dikeload and the served
+// tournament grid.
 package api
 
 import "encoding/json"
