@@ -81,8 +81,7 @@ func (r *registry) members() []string {
 
 // add registers a worker (or renews an existing one's lease). ttl == 0
 // makes the membership permanent; ttl > 0 starts a lease that expire
-// removes unless renewed. Returns whether the worker is new, and the
-// member list when membership changed (nil otherwise).
+// removes unless renewed. Returns whether the worker is new.
 func (r *registry) add(url string, ttl time.Duration, source string) (added bool) {
 	r.mu.Lock()
 	w, ok := r.workers[url]

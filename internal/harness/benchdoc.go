@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,16 +11,10 @@ import (
 // written by other generations of the benchmark.
 const BenchSchema = "dike/bench/v1"
 
-// ErrNotComparable is returned by Experiment.Gate when the current
-// document and the baseline do not describe the same run: a different
-// header (experiment, seed, quick, grid parameters), or not one entry
-// key in common. Comparing such documents cell by cell would report
-// seed noise as regressions, or pass without comparing anything.
-var ErrNotComparable = errors.New("bench documents are not comparable")
-
-// BenchDoc is the one machine-readable document every gated experiment
+// BenchDoc is the one machine-readable document every bench experiment
 // writes (BENCH_<id>.json). The header names the run; each entry is one
-// grid cell.
+// grid cell. Every value in it is simulated, so a committed baseline
+// (bench/BENCH_<id>_baseline.json) pins a run byte for byte.
 type BenchDoc struct {
 	Schema     string `json:"schema"`
 	Experiment string `json:"experiment"`
@@ -36,23 +29,12 @@ type BenchDoc struct {
 }
 
 // BenchEntry is one measured cell. Key is unique within the document and
-// is what a gate matches entries on; labels name the cell (policy,
+// names the cell in a mismatch report; labels name the cell (policy,
 // digest, governor, …) and metrics carry every number measured there.
 type BenchEntry struct {
 	Key     string             `json:"key"`
 	Labels  map[string]string  `json:"labels"`
 	Metrics map[string]float64 `json:"metrics"`
-}
-
-// MetricGate bounds one lower-is-better metric's drift against a
-// baseline: a current value above the baseline's by more than Tolerance
-// (0.25 = 25%) is a violation. Entries only one side measured, and baseline values that
-// are not positive, are skipped.
-type MetricGate struct {
-	Metric    string
-	Tolerance float64
-	// Where, when set, limits the gate to the entries it accepts.
-	Where func(BenchEntry) bool
 }
 
 func newBenchDoc(id string, opts Options) *BenchDoc {
@@ -107,6 +89,12 @@ func boolMetric(b bool) float64 {
 	return 0
 }
 
+// encode renders the document as BENCH_<id>.json holds it.
+func (d *BenchDoc) encode() ([]byte, error) {
+	blob, err := json.MarshalIndent(d, "", "  ")
+	return append(blob, '\n'), err
+}
+
 // withBench attaches doc to rep and, when dir is set, writes it to
 // dir/BENCH_<id>.json and notes where.
 func withBench(rep *Report, doc *BenchDoc, dir string) (*Report, error) {
@@ -114,7 +102,7 @@ func withBench(rep *Report, doc *BenchDoc, dir string) (*Report, error) {
 	if dir == "" {
 		return rep, nil
 	}
-	blob, err := json.MarshalIndent(doc, "", "  ")
+	blob, err := doc.encode()
 	if err != nil {
 		return nil, err
 	}
@@ -122,101 +110,9 @@ func withBench(rep *Report, doc *BenchDoc, dir string) (*Report, error) {
 		return nil, err
 	}
 	path := filepath.Join(dir, "BENCH_"+doc.Experiment+".json")
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		return nil, err
 	}
 	rep.Notes = append(rep.Notes, "measurements written to "+path)
 	return rep, nil
-}
-
-// LoadBench reads a bench document and checks its schema.
-func LoadBench(path string) (*BenchDoc, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var d BenchDoc
-	if err := json.Unmarshal(blob, &d); err != nil {
-		return nil, fmt.Errorf("harness: %s: %w", path, err)
-	}
-	if d.Schema != BenchSchema {
-		return nil, fmt.Errorf("harness: %s: schema %q, want %q", path, d.Schema, BenchSchema)
-	}
-	return &d, nil
-}
-
-// LoadBaselines reads every *.json bench document in dir, keyed by the
-// experiment it names. Two baselines for one experiment are an error.
-func LoadBaselines(dir string) (map[string]*BenchDoc, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*BenchDoc, len(paths))
-	for _, p := range paths {
-		d, err := LoadBench(p)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := out[d.Experiment]; dup {
-			return nil, fmt.Errorf("harness: %s: second baseline for experiment %q", p, d.Experiment)
-		}
-		out[d.Experiment] = d
-	}
-	return out, nil
-}
-
-// Gate compares cur against the baseline under e's metric gates, then
-// applies e's Check to cur. It returns every violation found, or an
-// ErrNotComparable error when the two documents are not from the same
-// run.
-func (e Experiment) Gate(cur, base *BenchDoc) ([]string, error) {
-	if cur.Experiment != e.ID {
-		return nil, fmt.Errorf("%w: document is from experiment %q, gated as %q", ErrNotComparable, cur.Experiment, e.ID)
-	}
-	for _, f := range []struct {
-		name      string
-		cur, base any
-	}{
-		{"experiment", cur.Experiment, base.Experiment}, {"seed", cur.Seed, base.Seed},
-		{"quick", cur.Quick, base.Quick}, {"scale", cur.Scale, base.Scale},
-		{"horizon_ms", cur.HorizonMs, base.HorizonMs},
-	} {
-		if f.cur != f.base {
-			return nil, fmt.Errorf("%w: %s %s: %v, baseline %v", ErrNotComparable, e.ID, f.name, f.cur, f.base)
-		}
-	}
-	baseline := make(map[string]BenchEntry, len(base.Entries))
-	for _, b := range base.Entries {
-		baseline[b.Key] = b
-	}
-	var violations []string
-	shared := 0
-	for _, c := range cur.Entries {
-		b, ok := baseline[c.Key]
-		if !ok {
-			continue
-		}
-		shared++
-		for _, g := range e.Gates {
-			if g.Where != nil && !g.Where(c) {
-				continue
-			}
-			now, was := c.Metrics[g.Metric], b.Metrics[g.Metric]
-			if was <= 0 {
-				continue
-			}
-			if now > was*(1+g.Tolerance) {
-				violations = append(violations, fmt.Sprintf("%s: %s %.6g vs baseline %.6g (%+.1f%%, tolerance %.0f%%)",
-					c.Key, g.Metric, now, was, 100*(now/was-1), 100*g.Tolerance))
-			}
-		}
-	}
-	if shared == 0 {
-		return nil, fmt.Errorf("%w: %s: no entry key in common with the baseline", ErrNotComparable, e.ID)
-	}
-	if e.Check != nil {
-		violations = append(violations, e.Check(cur)...)
-	}
-	return violations, nil
 }

@@ -32,53 +32,6 @@ func TestDVFS8ExampleMatchesSpec(t *testing.T) {
 	}
 }
 
-// gatesOnly returns the registered experiment with its Check cleared,
-// so a hand-built document is judged by the metric gates alone.
-func gatesOnly(t *testing.T, id string) Experiment {
-	t.Helper()
-	e, err := Lookup(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Check = nil
-	return e
-}
-
-// metricDoc builds a bench document of the given experiment whose
-// entries carry a single metric, in the order given.
-func metricDoc(exp, metric string, keys []string, values ...float64) *BenchDoc {
-	d := &BenchDoc{Schema: BenchSchema, Experiment: exp, Seed: 42, Scale: 0.1, Quick: true}
-	for i, k := range keys {
-		d.add(k, nil, map[string]float64{metric: values[i]})
-	}
-	return d
-}
-
-// TestCompareBenchEnergy: the EDP gate is exact. It trips on a cell any
-// worse than the baseline, lets an equal one through, and skips a cell
-// the baseline never measured.
-func TestCompareBenchEnergy(t *testing.T) {
-	e := gatesOnly(t, "energy")
-	od := energyKey(18, PolicyDikeAF, power.GovernorOndemand)
-	fg := energyKey(18, PolicyDikeAF, power.GovernorFairness)
-	loose := energyKey(30, PolicyDikeAF, power.GovernorOndemand)
-	base := metricDoc("energy", "edp", []string{od, fg}, 1000, 800)
-	cur := metricDoc("energy", "edp", []string{od, fg, loose},
-		1000,  // equal: fine
-		800.8, // +0.1%: trips
-		9999)  // not in base: skipped
-	regs, err := e.Gate(cur, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 || !strings.HasPrefix(regs[0], fg+": edp") {
-		t.Fatalf("regressions = %v, want exactly the fairness cell", regs)
-	}
-	if regs, err := e.Gate(base, base); err != nil || len(regs) != 0 {
-		t.Fatalf("self-comparison regressed: %v %v", regs, err)
-	}
-}
-
 // TestGateBenchEnergy: the energy Check passes the committed baseline,
 // and flags an FPE tie at the tightest cap (strictly better is the bar),
 // a missing fairness cell, and an empty document.
@@ -87,7 +40,7 @@ func TestGateBenchEnergy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass := committedBaselines(t)["energy"]
+	pass := committedBaselines(t)["energy"].doc
 	if v := e.Check(pass); len(v) != 0 {
 		t.Fatalf("passing document gated: %v", v)
 	}

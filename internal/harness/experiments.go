@@ -22,7 +22,7 @@ type Options struct {
 	Workers int
 	// Quick shrinks everything further for smoke tests.
 	Quick bool
-	// BenchDir, when set, is the directory gated experiments (scale, slo,
+	// BenchDir, when set, is the directory bench experiments (scale, slo,
 	// tournament, energy) write their bench document to, as
 	// BENCH_<id>.json. Empty disables the file.
 	BenchDir string
@@ -55,14 +55,13 @@ func (o Options) withDefaults() Options {
 }
 
 // Experiment regenerates one table or figure of the paper. Experiments
-// that write a bench document declare how it is gated: Gates bound
-// metric drift against a baseline, Check tests absolute properties of
-// one document. See Experiment.Gate.
+// that write a bench document declare a Check: the absolute properties
+// one document must have, reported as violations. Their committed
+// baselines in bench/ pin the document itself byte for byte.
 type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Options) (*Report, error)
-	Gates []MetricGate
 	Check func(*BenchDoc) []string
 }
 

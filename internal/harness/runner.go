@@ -243,8 +243,7 @@ type RunOutput struct {
 	// CompletedAt is the simulated completion time.
 	CompletedAt sim.Time
 	// DecisionTime is the cumulative wall-clock time spent inside the
-	// policy's Quantum calls, and Decisions how many were taken. Their
-	// ratio (ns/quantum) is the scale benchmark's decision-cost metric.
+	// policy's Quantum calls, and Decisions how many were taken.
 	DecisionTime time.Duration
 	Decisions    int
 	// Trace holds the sampled time series when RunSpec.TraceEvery > 0.

@@ -18,8 +18,6 @@ func init() {
 		ID:    "tournament",
 		Title: "Meta-scheduling tournament: policy × load leaderboard with per-cell regret vs oracle-best",
 		Run:   runTournament,
-		// Simulated time: exact, like the slo gate.
-		Gates: []MetricGate{{Metric: "p99_ms", Tolerance: 0}},
 		Check: checkTournament,
 	})
 }

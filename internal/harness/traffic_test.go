@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -191,39 +190,4 @@ func trafficDigestSpecs() []namedSpec {
 		spec: RunSpec{Traffic: loaded, Policy: PolicyDikeAF, Seed: 7},
 	})
 	return out
-}
-
-func TestSLOExperimentQuick(t *testing.T) {
-	dir := t.TempDir()
-	rep, err := runSLO(Options{Quick: true, BenchDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ID != "slo" || len(rep.Tables) != 1 {
-		t.Fatalf("unexpected report shape: %+v", rep)
-	}
-	b, err := LoadBench(filepath.Join(dir, "BENCH_slo.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := Lookup("slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Entry count, completions, runs/sec and admission accounting.
-	if v := e.Check(b); len(v) != 0 {
-		t.Errorf("quick grid fails its own check: %v", v)
-	}
-	for _, ent := range b.Entries {
-		if !sloHeadline(ent) {
-			continue
-		}
-		m := ent.Metrics
-		if m["p99_ms"] < m["p95_ms"] || m["p95_ms"] < m["p50_ms"] || m["p50_ms"] <= 0 {
-			t.Errorf("%s: percentiles not monotone: %g/%g/%g", ent.Key, m["p50_ms"], m["p95_ms"], m["p99_ms"])
-		}
-		if m["quanta"] == 0 || m["ns_per_quantum"] <= 0 {
-			t.Errorf("%s: decision-cost columns empty", ent.Key)
-		}
-	}
 }

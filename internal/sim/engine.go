@@ -155,9 +155,7 @@ func (e *Engine) OnQuantum(fn TickFunc) {
 func (e *Engine) Now() Time { return e.clock.Now() }
 
 // DecisionCost returns the cumulative wall-clock time spent inside
-// policy.Quantum and the number of decisions taken. The scale benchmark
-// reports their ratio (ns/quantum) so algorithmic regressions in policy
-// decision loops show up as the core count grows.
+// policy.Quantum and the number of decisions taken.
 func (e *Engine) DecisionCost() (time.Duration, int) {
 	return e.decisionTime, e.decisions
 }
