@@ -133,6 +133,7 @@ type Coordinator struct {
 	baseCancel context.CancelFunc
 
 	jobs *serve.Jobs
+	runs *serve.RunMemo
 
 	mu       sync.Mutex
 	inflight int
@@ -163,6 +164,7 @@ func New(cfg Config) (*Coordinator, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       serve.NewJobs("cluster"),
+		runs:       serve.NewRunMemo(),
 		jitter:     rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	c.met = newClusterMetrics(c.reg.counts, func() int64 {
@@ -365,12 +367,12 @@ func (c *Coordinator) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve exactly as the executing worker will: the digest is the
 	// routing key, so coordinator and worker must agree on it.
-	_, digest, err := serve.BuildRunSpec(req)
+	body, digest, err := c.runs.Resolve(req)
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	c.admit(w, "run", digest, func(j *serve.Job) { c.driveRun(j, req, digest) })
+	c.admit(w, "run", digest, func(j *serve.Job) { c.driveRun(j, body, digest) })
 }
 
 func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {

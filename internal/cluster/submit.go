@@ -266,14 +266,10 @@ func (c *Coordinator) pickWorker(pref []string, attempted map[string]int) (strin
 }
 
 // driveRun executes one run job: route by digest, place with retries,
-// adopt the worker's terminal state.
-func (c *Coordinator) driveRun(j *serve.Job, req api.RunRequest, digest string) {
+// adopt the worker's terminal state. body is the request as the memo
+// encoded it.
+func (c *Coordinator) driveRun(j *serve.Job, body []byte, digest string) {
 	j.Start()
-	body, err := json.Marshal(req)
-	if err != nil {
-		j.Finish(api.StatusFailed, nil, "cluster: marshal run request: "+err.Error())
-		return
-	}
 	pl, err := c.place(j.Context(), c.ringOrder(digest), "/v1/runs", body)
 	if err != nil {
 		j.Fail(err)
@@ -299,8 +295,7 @@ type shardOutcome struct {
 // shard and the attempts made for it.
 func (c *Coordinator) driveSweep(j *serve.Job, rs serve.ResolvedSweep) {
 	j.Start()
-	specs, _ := harness.SweepGrid(rs.Workload, rs.Options(1))
-	indices, err := harness.ShardIndices(rs.Indices, len(specs))
+	indices, err := harness.ShardIndices(rs.Indices, len(rs.Points))
 	if err != nil {
 		j.Finish(api.StatusFailed, nil, "cluster: "+err.Error())
 		return
@@ -312,12 +307,7 @@ func (c *Coordinator) driveSweep(j *serve.Job, rs serve.ResolvedSweep) {
 	prefs := make(map[int][]string, len(indices))
 	groups := make(map[string][]int)
 	for _, idx := range indices {
-		d, err := specs[idx].Digest()
-		if err != nil {
-			j.Finish(api.StatusFailed, nil, fmt.Sprintf("cluster: digest grid point %d: %v", idx, err))
-			return
-		}
-		pref := c.ringOrder(d)
+		pref := c.ringOrder(rs.Points[idx])
 		prefs[idx] = pref
 		owner := ""
 		if len(pref) > 0 {

@@ -14,6 +14,7 @@ import (
 	"dike/internal/sim"
 	"dike/internal/tournament"
 	"dike/internal/traffic"
+	"dike/internal/workload"
 )
 
 // specKey is the canonical serialization Digest hashes: every RunSpec
@@ -26,8 +27,14 @@ import (
 // so "nil config" and "explicitly the default config" hash identically,
 // and a DikeConfig on a non-Dike policy (which Run ignores) does not
 // split the cache.
+//
+// Workload holds the value itself, not a pre-marshalled
+// json.RawMessage: the encoder writes it in the same pass as the rest
+// of the key, where a RawMessage would be marshalled once and then
+// validated and compacted a second time. Both paths escape HTML the
+// same way, so the bytes hashed are identical.
 type specKey struct {
-	Workload json.RawMessage
+	Workload *workload.Workload
 	Policy   string
 	Dike     *core.Config `json:",omitempty"`
 	Machine  machineKey
@@ -61,12 +68,8 @@ func (s RunSpec) Digest() (string, error) {
 	if err := s.Validate(); err != nil {
 		return "", err
 	}
-	wl, err := json.Marshal(s.Workload)
-	if err != nil {
-		return "", fmt.Errorf("harness: digest workload: %w", err)
-	}
 	key := specKey{
-		Workload: wl,
+		Workload: s.Workload,
 		Policy:   s.Policy,
 		Seed:     s.Seed,
 		Scale:    s.Scale,

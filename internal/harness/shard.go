@@ -144,17 +144,19 @@ func (m *GridMerge[T]) Grid() ([]T, error) {
 // lockstep with the run cache keys: anything that would change any
 // constituent run's digest (workload content, resolved Dike or machine
 // configuration, seed, scale) changes the sweep digest too, and nothing
-// else does.
-func SweepDigest(w *workload.Workload, opts Options, indices []int) (string, error) {
+// else does. It also returns the point digests of the whole grid, by
+// grid index, so callers that key each point by its digest need not
+// compute them again.
+func SweepDigest(w *workload.Workload, opts Options, indices []int) (digest string, points []string, err error) {
 	specs, _ := SweepGrid(w, opts)
 	if _, err := ShardIndices(indices, len(specs)); err != nil {
-		return "", err
+		return "", nil, err
 	}
 	digests := make([]string, len(specs))
 	for i, spec := range specs {
 		d, err := spec.Digest()
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
 		digests[i] = d
 	}
@@ -164,8 +166,8 @@ func SweepDigest(w *workload.Workload, opts Options, indices []int) (string, err
 		Indices []int `json:",omitempty"`
 	}{"sweep", digests, indices})
 	if err != nil {
-		return "", fmt.Errorf("harness: sweep digest: %w", err)
+		return "", nil, fmt.Errorf("harness: sweep digest: %w", err)
 	}
 	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:]), digests, nil
 }

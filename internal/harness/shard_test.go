@@ -166,16 +166,26 @@ func TestMergeShardsStrict(t *testing.T) {
 func TestSweepDigestDerivedFromSpecs(t *testing.T) {
 	w := workload.MustTable2(1)
 	opts := Options{Seed: 42, SweepScale: 0.05}
-	base, err := SweepDigest(w, opts, nil)
+	base, points, err := SweepDigest(w, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(base) != 64 {
 		t.Fatalf("digest %q is not a hex sha256", base)
 	}
+	// The point digests it returns are the grid's run digests, by index.
+	specs, _ := SweepGrid(w, opts)
+	if len(points) != len(specs) {
+		t.Fatalf("%d point digests for %d grid points", len(points), len(specs))
+	}
+	for i, spec := range specs {
+		if d := mustDigest(t, spec); points[i] != d {
+			t.Errorf("point %d digest %s, want %s", i, points[i], d)
+		}
+	}
 
 	// Identical inputs → identical digest.
-	again, err := SweepDigest(w, opts, nil)
+	again, _, err := SweepDigest(w, opts, nil)
 	if err != nil || again != base {
 		t.Fatalf("sweep digest unstable: %s vs %s (%v)", base, again, err)
 	}
@@ -196,7 +206,7 @@ func TestSweepDigestDerivedFromSpecs(t *testing.T) {
 	}
 	seen := map[string]string{base: "base"}
 	for _, tc := range cases {
-		d, err := SweepDigest(tc.w, tc.opts, tc.idx)
+		d, _, err := SweepDigest(tc.w, tc.opts, tc.idx)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -209,11 +219,11 @@ func TestSweepDigestDerivedFromSpecs(t *testing.T) {
 	// Workers is execution concurrency, not a result input: it must not
 	// split the key (mirrors Digest ignoring observers).
 	par := Options{Seed: 42, SweepScale: 0.05, Workers: 7}
-	if d, err := SweepDigest(w, par, nil); err != nil || d != base {
+	if d, _, err := SweepDigest(w, par, nil); err != nil || d != base {
 		t.Errorf("Workers changed the sweep digest: %s vs %s (%v)", d, base, err)
 	}
 
-	if _, err := SweepDigest(w, opts, []int{99}); err == nil {
+	if _, _, err := SweepDigest(w, opts, []int{99}); err == nil {
 		t.Error("out-of-range shard indices accepted")
 	}
 }

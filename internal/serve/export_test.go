@@ -16,3 +16,10 @@ func (s *Server) StoreCheckpoints() []string {
 	sort.Strings(keys)
 	return keys
 }
+
+// size reports how many resolutions the memo holds.
+func (m *RunMemo) size() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.digests)
+}

@@ -63,8 +63,9 @@ type Job struct {
 	// and deadline are unset on a coordinator job, whose drive goroutine
 	// does the work.
 	exec func(ctx context.Context) (json.RawMessage, error)
-	// meta is the original request body, persisted alongside the result
-	// in the durable store so offline tools can see what a digest means.
+	// meta is the decoded request re-encoded as JSON, persisted alongside
+	// the result in the durable store so offline tools can see what a
+	// digest means. For a run its SHA-256 is also the RunMemo key.
 	meta json.RawMessage
 	// deadline bounds wall-clock execution.
 	deadline time.Duration

@@ -86,6 +86,7 @@ type Server struct {
 	mux     *http.ServeMux
 	metrics *metrics
 	cache   *resultCache
+	runs    *RunMemo
 	store   *store.Store // nil: in-memory only
 	// running counts jobs currently executing on the worker pool.
 	running atomic.Int64
@@ -118,6 +119,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		cache:      newResultCache(cfg.CacheSize),
+		runs:       NewRunMemo(),
 		store:      cfg.Store,
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -228,15 +230,21 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	spec, digest, err := BuildRunSpec(req)
+	// The decoded request re-encoded: the memo key, and stored beside
+	// the result.
+	meta, digest, err := s.runs.Resolve(req)
 	if err != nil {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	job := &Job{kind: "run", digest: digest, deadline: s.deadline(req.DeadlineMs)}
-	job.meta, _ = json.Marshal(req) // resolved request, stored beside the result
+	job := &Job{kind: "run", digest: digest, meta: meta, deadline: s.deadline(req.DeadlineMs)}
 	job.exec = func(ctx context.Context) (json.RawMessage, error) {
-		runSpec := spec
+		// Only a job that simulates needs the spec; a memo hit served
+		// from the cache or the store never builds it.
+		runSpec, _, err := BuildRunSpec(req)
+		if err != nil {
+			return nil, err
+		}
 		runSpec.OnProgress = func(p harness.Progress) {
 			job.events.publish(Event{
 				TMs:     p.Time.Millis(),

@@ -153,7 +153,7 @@ func (s *Server) sweepExec(job *Job, rs ResolvedSweep) func(ctx context.Context)
 				case <-pctx.Done():
 					return
 				}
-				p, err := s.runGridPoint(pctx, specs[idx], meta[idx])
+				p, err := s.runGridPoint(pctx, specs[idx], rs.Points[idx], meta[idx])
 				if err != nil {
 					fail(err)
 					return
@@ -197,11 +197,7 @@ func (s *Server) sweepExec(job *Job, rs ResolvedSweep) func(ctx context.Context)
 // runGridPoint produces one sweep point: served from the store when one
 // is configured and already knows the point's RunSpec digest, simulated
 // (and stored) otherwise.
-func (s *Server) runGridPoint(ctx context.Context, spec harness.RunSpec, cr harness.ConfigResult) (SweepPoint, error) {
-	digest, err := spec.Digest()
-	if err != nil {
-		return SweepPoint{}, err
-	}
+func (s *Server) runGridPoint(ctx context.Context, spec harness.RunSpec, digest string, cr harness.ConfigResult) (SweepPoint, error) {
 	if s.store != nil {
 		if payload, ok := s.store.Get(digest); ok {
 			var rr RunResult

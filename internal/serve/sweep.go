@@ -26,6 +26,10 @@ type ResolvedSweep struct {
 	// sweep cache key can never drift from the run cache keys: exactly
 	// the inputs that would change a constituent run's result change it.
 	Digest string
+	// Points holds the run digest of every grid point, by grid index:
+	// the store key of a point's result and the coordinator's routing
+	// key for it.
+	Points []string
 }
 
 // Options returns the harness options for executing (any shard of) the
@@ -65,7 +69,7 @@ func ResolveSweep(req api.SweepRequest) (ResolvedSweep, error) {
 	if len(req.Shard) > 0 {
 		rs.Indices = req.Shard
 	}
-	rs.Digest, err = harness.SweepDigest(wl, rs.Options(1), rs.Indices)
+	rs.Digest, rs.Points, err = harness.SweepDigest(wl, rs.Options(1), rs.Indices)
 	if err != nil {
 		return ResolvedSweep{}, err
 	}
