@@ -18,11 +18,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -70,33 +68,15 @@ func main() {
 		cli.Fatal(err)
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *listenFlag,
-		Handler:           proxy,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	log.Printf("dikechaos fronting %s (seed=%d rate=%v faults=%v)", *targetFlag, *seedFlag, *rateFlag, classes)
 
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("dikechaos listening on %s → %s (seed=%d rate=%v faults=%v)",
-			*listenFlag, *targetFlag, *seedFlag, *rateFlag, classes)
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	select {
-	case err := <-errCh:
+	// A proxy holds no jobs, so there is nothing to drain before the
+	// HTTP server closes.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	noDrain := func(context.Context) error { return nil }
+	if err := cli.Serve(ctx, "dikechaos", *listenFlag, proxy, 5*time.Second, noDrain); err != nil {
 		log.Fatal(err)
-	case sig := <-sigCh:
-		log.Printf("received %v, shutting down", sig)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("http shutdown: %v", err)
 	}
 	log.Printf("dikechaos injected: %s", proxy.Summary())
 }

@@ -33,10 +33,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -86,44 +84,13 @@ func main() {
 	}
 	coord.Start()
 
-	httpSrv := &http.Server{
-		Addr:              *addrFlag,
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	log.Printf("dikecoord fronting %d workers (more may join at runtime): %s", len(workers), strings.Join(workers, ", "))
 
-	errCh := make(chan error, 1)
-	go func() {
-		if len(workers) == 0 {
-			log.Printf("dikecoord listening on %s with an empty fleet; waiting for workers to join", *addrFlag)
-		} else {
-			log.Printf("dikecoord listening on %s, fronting %d workers: %s",
-				*addrFlag, len(workers), strings.Join(workers, ", "))
-		}
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	select {
-	case err := <-errCh:
-		// The listener died before any shutdown was requested.
+	// The job layer drains first: submissions now get 503 while status,
+	// events, metrics and the fleet view stay readable.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := cli.Serve(ctx, "dikecoord", *addrFlag, coord.Handler(), *drainFlag, coord.Drain); err != nil {
 		log.Fatal(err)
-	case sig := <-sigCh:
-		log.Printf("received %v, draining (timeout %v)", sig, *drainFlag)
 	}
-
-	// Drain the job layer first — submissions now get 503 while status,
-	// events, metrics and the fleet view stay readable — then close the
-	// HTTP listener.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainFlag)
-	defer cancel()
-	if err := coord.Drain(ctx); err != nil {
-		log.Printf("drain incomplete, in-flight jobs were cancelled: %v", err)
-	}
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("http shutdown: %v", err)
-	}
-	log.Print("dikecoord stopped")
 }

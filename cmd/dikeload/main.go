@@ -88,17 +88,7 @@ func main() {
 		results: make(map[string]map[string]int),
 	}
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < *cFlag; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			lg.run(id)
-		}(i)
-	}
-	wg.Wait()
-	lg.report(os.Stdout, time.Since(start), *cFlag)
+	lg.report(os.Stdout, lg.drive(*cFlag), *cFlag)
 
 	if lg.hardErrors() > 0 {
 		os.Exit(1)
@@ -133,6 +123,22 @@ type loadgen struct {
 	results map[string]map[string]int
 	lost    int
 	retried int
+}
+
+// drive runs that many closed-loop clients until the request budget
+// is spent and returns the wall time they took.
+func (lg *loadgen) drive(clients int) time.Duration {
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			lg.run(id)
+		}(i)
+	}
+	wg.Wait()
+	return time.Since(start)
 }
 
 // run is one closed-loop client: claim an index, submit, (optionally)

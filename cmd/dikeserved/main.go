@@ -37,15 +37,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
+	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"dike/internal/cli"
 	"dike/internal/serve"
 	"dike/internal/store"
 )
@@ -76,37 +76,18 @@ func main() {
 		SweepWorkers:    *sweepFlag,
 	}
 	if *storeDirFlag != "" {
-		st, err := store.Open(*storeDirFlag, store.Options{
+		st, err := openStore(*storeDirFlag, store.Options{
 			SegmentBytes: int64(*storeSegFlag) << 20,
 			Sync:         *storeSync,
 		})
 		if err != nil {
-			log.Fatalf("open store %s: %v", *storeDirFlag, err)
+			log.Fatal(err)
 		}
 		defer st.Close()
-		stats := st.Stats()
-		log.Printf("store %s: %d results, %d checkpoints in %d segments (%d bytes)",
-			*storeDirFlag, stats.Results, stats.Checkpoints, stats.Segments, stats.SizeBytes)
-		if stats.TruncatedRecords > 0 || stats.CorruptRecords > 0 {
-			log.Printf("store recovery: truncated %d torn record(s) (%d bytes), skipped %d corrupt record(s) (%d bytes)",
-				stats.TruncatedRecords, stats.TruncatedBytes, stats.CorruptRecords, stats.CorruptBytes)
-		}
 		cfg.Store = st
 	}
 	srv := serve.New(cfg)
 	srv.Start()
-
-	httpSrv := &http.Server{
-		Addr:              *addrFlag,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("dikeserved listening on %s", *addrFlag)
-		errCh <- httpSrv.ListenAndServe()
-	}()
 
 	// Self-registration: join the coordinator's fleet and keep the
 	// membership lease renewed until shutdown.
@@ -119,31 +100,35 @@ func main() {
 		reg.start()
 	}
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	select {
-	case err := <-errCh:
-		// The listener died before any shutdown was requested.
-		log.Fatal(err)
-	case sig := <-sigCh:
-		log.Printf("received %v, draining (timeout %v)", sig, *drainFlag)
-	}
-
 	// Leave the fleet first so the coordinator stops routing new
-	// placements here, then drain the job layer — submissions now get
-	// 503 while status, events and metrics stay readable — then close
-	// the HTTP listener.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainFlag)
-	defer cancel()
-	if reg != nil {
-		reg.shutdown(ctx)
+	// placements here, then drain the job layer: submissions now get
+	// 503 while status, events and metrics stay readable.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err := cli.Serve(ctx, "dikeserved", *addrFlag, srv.Handler(), *drainFlag, func(ctx context.Context) error {
+		if reg != nil {
+			reg.shutdown(ctx)
+		}
+		return srv.Drain(ctx)
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	if err := srv.Drain(ctx); err != nil {
-		log.Printf("drain incomplete, in-flight jobs were cancelled: %v", err)
+}
+
+// openStore opens the durable run store in dir, which recovers a torn
+// tail, and logs what the store holds and what recovery repaired.
+func openStore(dir string, opts store.Options) (*store.Store, error) {
+	st, err := store.Open(dir, opts)
+	if err != nil {
+		return nil, fmt.Errorf("open store %s: %w", dir, err)
 	}
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("http shutdown: %v", err)
+	stats := st.Stats()
+	log.Printf("store %s: %d results, %d checkpoints in %d segments (%d bytes)",
+		dir, stats.Results, stats.Checkpoints, stats.Segments, stats.SizeBytes)
+	if stats.TruncatedRecords > 0 || stats.CorruptRecords > 0 {
+		log.Printf("store recovery: truncated %d torn record(s) (%d bytes), skipped %d corrupt record(s) (%d bytes)",
+			stats.TruncatedRecords, stats.TruncatedBytes, stats.CorruptRecords, stats.CorruptBytes)
 	}
-	log.Print("dikeserved stopped")
+	return st, nil
 }

@@ -18,34 +18,40 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
 	"dike/internal/store"
 )
 
-func main() {
-	dir := flag.String("dir", "", "store directory (required)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: dikestore -dir DIR {stats|ls|get DIGEST|verify|compact}\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run executes one dikestore command and returns the exit status: 0
+// on success, 1 when verify finds damage (a distinct status, so
+// scripts can react without parsing the report), 2 on any error.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("dikestore", flag.ExitOnError)
+	dir := fs.String("dir", "", "store directory (required)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: dikestore -dir DIR {stats|ls|get DIGEST|verify|compact}\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if *dir == "" || flag.NArg() < 1 {
-		flag.Usage()
-		os.Exit(2)
+	fs.Parse(args) // exits on a bad flag, as flag.Parse does
+	if *dir == "" || fs.NArg() < 1 {
+		fs.Usage()
+		return 2
 	}
 
 	var err error
-	switch cmd := flag.Arg(0); cmd {
+	switch cmd := fs.Arg(0); cmd {
 	case "stats":
 		err = withStore(*dir, func(s *store.Store) error {
-			return printJSON(s.Stats())
+			return printJSON(stdout, s.Stats())
 		})
 	case "ls":
 		err = withStore(*dir, func(s *store.Store) error {
-			tw := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
+			tw := tabwriter.NewWriter(stdout, 2, 8, 2, ' ', 0)
 			fmt.Fprintln(tw, "KIND\tSEGMENT\tBYTES\tKEY")
 			for _, rec := range s.Records() {
 				fmt.Fprintf(tw, "%s\t%08d\t%d\t%s\n", rec.Kind, rec.Segment, rec.Bytes, rec.Key)
@@ -53,31 +59,29 @@ func main() {
 			return tw.Flush()
 		})
 	case "get":
-		if flag.NArg() != 2 {
+		if fs.NArg() != 2 {
 			err = fmt.Errorf("get needs exactly one DIGEST argument")
 			break
 		}
 		err = withStore(*dir, func(s *store.Store) error {
-			meta, result, ok := s.GetRecord(flag.Arg(1))
+			meta, result, ok := s.GetRecord(fs.Arg(1))
 			if !ok {
-				return fmt.Errorf("no result for digest %s", flag.Arg(1))
+				return fmt.Errorf("no result for digest %s", fs.Arg(1))
 			}
 			out := struct {
 				Digest string          `json:"digest"`
 				Meta   json.RawMessage `json:"meta,omitempty"`
 				Result json.RawMessage `json:"result"`
-			}{Digest: flag.Arg(1), Meta: meta, Result: result}
-			return printJSON(out)
+			}{Digest: fs.Arg(1), Meta: meta, Result: result}
+			return printJSON(stdout, out)
 		})
 	case "verify":
 		var rep store.VerifyReport
 		rep, err = store.Verify(*dir)
 		if err == nil {
-			err = printJSON(rep)
+			err = printJSON(stdout, rep)
 			if err == nil && !rep.Clean() {
-				// Damage is a distinct exit code so scripts can react
-				// without parsing the report.
-				os.Exit(1)
+				return 1
 			}
 		}
 	case "compact":
@@ -87,7 +91,7 @@ func main() {
 				return err
 			}
 			after := s.Stats()
-			fmt.Printf("compacted: %d → %d bytes in %d → %d segments (%d live records)\n",
+			fmt.Fprintf(stdout, "compacted: %d → %d bytes in %d → %d segments (%d live records)\n",
 				before.SizeBytes, after.SizeBytes, before.Segments, after.Segments,
 				after.Results+after.Checkpoints)
 			return nil
@@ -97,8 +101,9 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dikestore:", err)
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 // withStore opens the store, runs fn, and always closes it.
@@ -111,8 +116,8 @@ func withStore(dir string, fn func(*store.Store) error) error {
 	return fn(s)
 }
 
-func printJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
+func printJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }

@@ -2,280 +2,26 @@ package cluster
 
 import (
 	"bytes"
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"dike/internal/chaos"
-	"dike/internal/harness"
-	simmetrics "dike/internal/metrics"
 	"dike/internal/serve"
 )
-
-// pureRun is a simulate stub that is a pure function of the spec, so
-// any two workers — and the undisturbed reference fleet — must produce
-// byte-identical results for the same digest.
-func pureRun(calls *atomic.Int64) func(context.Context, harness.RunSpec) (*harness.RunOutput, error) {
-	return func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error) {
-		if calls != nil {
-			calls.Add(1)
-		}
-		return &harness.RunOutput{
-			Result: &simmetrics.RunResult{
-				Policy:   spec.Policy,
-				Workload: spec.Workload.Name,
-				Fairness: float64(spec.Seed%97) / 97,
-				AvgTime:  float64(100 + spec.Seed%13),
-				Makespan: float64(1000 + spec.Seed%7),
-			},
-			CompletedAt: 100,
-		}, nil
-	}
-}
-
-// churnSpec builds the i-th soak spec body; distinct seeds, mixed
-// policies and workloads.
-func churnSpec(i int) string {
-	policies := []string{"dike", "cfs", "dio"}
-	return fmt.Sprintf(`{"workload": %d, "policy": %q, "seed": %d, "scale": 0.01}`,
-		1+i%4, policies[i%3], 5000+i)
-}
-
-// churnSubmit drives one spec to completion through chaos: submissions
-// are retried on transport errors and non-2xx, failed placements are
-// resubmitted, and the result bytes are hashed. Mirrors what
-// `dikeload -churn` does, in-process.
-func churnSubmit(base, body string, deadline time.Time) (digest, sum string, err error) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	for time.Now().Before(deadline) {
-		resp, perr := client.Post(base+"/v1/runs", "application/json", strings.NewReader(body))
-		if perr != nil {
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		var sub struct {
-			ID     string `json:"id"`
-			Digest string `json:"digest"`
-		}
-		decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sub)
-		code := resp.StatusCode
-		resp.Body.Close()
-		if decErr != nil || (code != http.StatusAccepted && code != http.StatusOK) || sub.ID == "" {
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-	poll:
-		for time.Now().Before(deadline) {
-			r2, gerr := client.Get(base + "/v1/runs/" + sub.ID)
-			if gerr != nil {
-				time.Sleep(20 * time.Millisecond)
-				continue
-			}
-			var v struct {
-				Status string          `json:"status"`
-				Digest string          `json:"digest"`
-				Result json.RawMessage `json:"result"`
-			}
-			decErr := json.NewDecoder(io.LimitReader(r2.Body, 4<<20)).Decode(&v)
-			r2.Body.Close()
-			if decErr != nil {
-				time.Sleep(20 * time.Millisecond)
-				continue
-			}
-			switch v.Status {
-			case "done":
-				var buf bytes.Buffer
-				if err := json.Compact(&buf, v.Result); err != nil {
-					break poll // garbled body: resubmit
-				}
-				h := sha256.Sum256(buf.Bytes())
-				return v.Digest, hex.EncodeToString(h[:]), nil
-			case "failed", "canceled":
-				break poll // placement exhausted its retries: resubmit
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	return "", "", fmt.Errorf("spec not served before deadline")
-}
-
-// soakFleet runs nSpecs through a coordinator and returns the
-// digest→result-hash table; any spec that cannot be completed fails
-// the test.
-func soakFleet(t *testing.T, base string, nSpecs int, timeout time.Duration, disturb func(i int)) map[string]map[string]bool {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	results := make(map[string]map[string]bool)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8)
-	for i := 0; i < nSpecs; i++ {
-		if disturb != nil {
-			disturb(i)
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			digest, sum, err := churnSubmit(base, churnSpec(i), deadline)
-			if err != nil {
-				t.Errorf("spec %d lost: %v", i, err)
-				return
-			}
-			mu.Lock()
-			if results[digest] == nil {
-				results[digest] = make(map[string]bool)
-			}
-			results[digest][sum] = true
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	return results
-}
-
-// chaosFront puts a deterministic chaos proxy in front of a worker URL
-// and returns the proxy's public URL.
-func chaosFront(t *testing.T, target string, seed uint64) string {
-	t.Helper()
-	p, err := chaos.NewProxy(target, chaos.Config{
-		Seed:       seed,
-		Rate:       0.2,
-		Classes:    []chaos.Class{chaos.ClassReset, chaos.ClassError5xx, chaos.ClassTruncate, chaos.ClassLatency},
-		MaxLatency: 20 * time.Millisecond,
-		BurstLen:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(p)
-	t.Cleanup(front.Close)
-	return front.URL
-}
-
-// TestChurnSoakExactlyOnce is the Go-level soak gate: a fleet behind
-// fault-injecting proxies, one worker joining mid-soak and one killed
-// and deregistered mid-soak, must serve every spec (zero loss) with
-// exactly one result hash per digest, and that table must match an
-// undisturbed single-worker reference fleet byte for byte.
-func TestChurnSoakExactlyOnce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test")
-	}
-	const nSpecs = 24
-
-	// Reference: one clean worker, no chaos, no churn.
-	_, refWorker := newWorker(t, serve.Config{Workers: 2, Simulate: pureRun(nil)})
-	_, refCoord := newCoord(t, []string{refWorker.URL}, nil)
-	ref := soakFleet(t, refCoord.URL, nSpecs, 30*time.Second, nil)
-
-	// Fleet under test: three workers behind chaos proxies, distinct
-	// seeds so their fault schedules differ.
-	_, wA := newWorker(t, serve.Config{Workers: 2, Simulate: pureRun(nil)})
-	_, wB := newWorker(t, serve.Config{Workers: 2, Simulate: pureRun(nil)})
-	wC := serve.New(serve.Config{Workers: 2, Simulate: pureRun(nil)})
-	wC.Start()
-	tsC := httptest.NewServer(wC.Handler()) // closed mid-soak by hand
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		wC.Drain(ctx)
-	})
-
-	pA := chaosFront(t, wA.URL, 101)
-	pB := chaosFront(t, wB.URL, 202)
-	pC := chaosFront(t, tsC.URL, 303)
-
-	// The late joiner (clean, no proxy — joins are about membership, the
-	// chaos is already exercised above).
-	_, wD := newWorker(t, serve.Config{Workers: 2, Simulate: pureRun(nil)})
-
-	coord, coordTS := newCoord(t, []string{pA, pB, pC}, func(cfg *Config) {
-		cfg.ProbeInterval = 50 * time.Millisecond
-		cfg.RetryBudget = 4
-		cfg.ShardTimeout = 10 * time.Second
-		cfg.Breaker = BreakerConfig{DownAfter: 2, UpAfter: 1, OpenFor: 200 * time.Millisecond}
-		cfg.LeaseSweepInterval = 20 * time.Millisecond
-	})
-
-	var once sync.Once
-	disturb := func(i int) {
-		if i == nSpecs/3 {
-			// Join the fourth worker through the membership API.
-			body := fmt.Sprintf(`{"url": %q}`, wD.URL)
-			resp, err := http.Post(coordTS.URL+"/v1/cluster/workers", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Errorf("join: %v", err)
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusCreated {
-				t.Errorf("join: %s", resp.Status)
-			}
-		}
-		if i == nSpecs/2 {
-			once.Do(func() {
-				// Kill worker C abruptly, then deregister it mid-soak.
-				tsC.Close()
-				req, _ := http.NewRequest(http.MethodDelete,
-					coordTS.URL+"/v1/cluster/workers?url="+pC, nil)
-				resp, err := http.DefaultClient.Do(req)
-				if err == nil {
-					resp.Body.Close()
-				}
-			})
-		}
-	}
-
-	got := soakFleet(t, coordTS.URL, nSpecs, 60*time.Second, disturb)
-
-	// Zero divergent duplicates: every digest resolved to one hash.
-	for digest, sums := range got {
-		if len(sums) != 1 {
-			t.Errorf("digest %.12s… has %d distinct result hashes", digest, len(sums))
-		}
-	}
-	// Byte-identical to the undisturbed reference, digest for digest.
-	if len(got) != len(ref) {
-		t.Fatalf("digest table size %d, reference %d", len(got), len(ref))
-	}
-	for digest, sums := range ref {
-		gsums, ok := got[digest]
-		if !ok {
-			t.Errorf("digest %.12s… missing from churn fleet", digest)
-			continue
-		}
-		for s := range sums {
-			if !gsums[s] {
-				t.Errorf("digest %.12s… diverged from reference", digest)
-			}
-		}
-	}
-	// The soak must have exercised the machinery it claims to gate.
-	if coord.met.breakerTransitionCount("") == 0 {
-		t.Log("note: no breaker transitions during soak (chaos may have been mild)")
-	}
-}
 
 // TestFlappingProbeCausesNoRouteChurn: with default breaker thresholds
 // a worker whose /healthz drops every third probe never leaves
 // rotation — the one-strike eviction the breaker was built to stop.
 func TestFlappingProbeCausesNoRouteChurn(t *testing.T) {
 	var calls atomic.Int64
-	inner, innerTS := newWorker(t, serve.Config{Workers: 2, Simulate: pureRun(&calls)})
+	inner, innerTS := newWorker(t, serve.Config{Workers: 2, Simulate: stubRun(&calls)})
 	_ = inner
 
 	// Flaky health front: every 3rd /healthz 500s, everything else is
@@ -304,7 +50,7 @@ func TestFlappingProbeCausesNoRouteChurn(t *testing.T) {
 	if n := coord.met.breakerTransitionCount(""); n != 0 {
 		t.Fatalf("flapping probe caused %d breaker transitions with default thresholds", n)
 	}
-	sub := submit(t, coordTS.URL, "/v1/runs", churnSpec(1))
+	sub := submit(t, coordTS.URL, "/v1/runs", `{"workload": 2, "policy": "cfs", "seed": 5001, "scale": 0.01}`)
 	if v := await(t, coordTS.URL, sub.ID, 10*time.Second); v.Status != "done" {
 		t.Fatalf("run on flapping-probe worker: %+v", v)
 	}
@@ -313,8 +59,9 @@ func TestFlappingProbeCausesNoRouteChurn(t *testing.T) {
 // TestMembershipAPIAndLeaseExpiry covers the HTTP membership protocol:
 // join validation, lease-carrying views, sweeper expiry, and leave.
 func TestMembershipAPIAndLeaseExpiry(t *testing.T) {
-	_, w1 := newWorker(t, serve.Config{Workers: 2, Simulate: pureRun(nil)})
-	_, w2 := newWorker(t, serve.Config{Workers: 2, Simulate: pureRun(nil)})
+	var calls atomic.Int64
+	_, w1 := newWorker(t, serve.Config{Workers: 2, Simulate: stubRun(&calls)})
+	_, w2 := newWorker(t, serve.Config{Workers: 2, Simulate: stubRun(&calls)})
 
 	_, coordTS := newCoord(t, []string{w1.URL}, func(cfg *Config) {
 		cfg.LeaseSweepInterval = 10 * time.Millisecond

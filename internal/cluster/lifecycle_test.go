@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,4 +138,50 @@ func awaitStatus(t *testing.T, base, id, status string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %s", id, status)
+}
+
+// TestTrailingBodyRejected posts bodies with bytes after their JSON
+// value to a worker and a coordinator: both refuse them with the same
+// 400 body, on runs and sweeps alike, and trailing whitespace is no
+// reason to refuse.
+func TestTrailingBodyRejected(t *testing.T) {
+	var calls atomic.Int64
+	_, worker := newWorker(t, serve.Config{Workers: 2, Simulate: stubRun(&calls)})
+	_, fronted := newWorker(t, serve.Config{Workers: 2, Simulate: stubRun(&calls)})
+	_, coord := newCoord(t, []string{fronted.URL}, nil)
+	post := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+
+	const refused = `{"error":"bad request body: data after the JSON value","code":400}` + "\n"
+	bodies := map[string]string{
+		"/v1/runs":   `{"workload":1,"policy":"cfs","scale":0.01}`,
+		"/v1/sweeps": `{"workload":1,"scale":0.01}`,
+	}
+	for path, body := range bodies {
+		for _, tail := range []string{" x", "}", " {}", " 1", " trailing garbage {"} {
+			for _, base := range []string{worker.URL, coord.URL} {
+				if code, got := post(base+path, body+tail); code != http.StatusBadRequest || got != refused {
+					t.Errorf("%s %q: %d %q, want 400 %q", path, body+tail, code, got, refused)
+				}
+			}
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("refused bodies simulated %d times", n)
+	}
+	for _, tail := range []string{"\n", "  \n\t "} {
+		for _, base := range []string{worker.URL, coord.URL} {
+			if code, got := post(base+"/v1/runs", bodies["/v1/runs"]+tail); code != http.StatusAccepted && code != http.StatusOK {
+				t.Errorf("run body + %q: %d %q, want it accepted", tail, code, got)
+			}
+		}
+	}
 }

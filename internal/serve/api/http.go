@@ -2,18 +2,24 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
 // DecodeJSON strictly decodes a request body into v: unknown fields are
 // an error, so a typo'd request field fails loudly instead of silently
-// running the default simulation.
+// running the default simulation, and so is anything but whitespace
+// after the one JSON value.
 func DecodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: data after the JSON value")
 	}
 	return nil
 }

@@ -226,7 +226,7 @@ func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := api.DecodeJSON(r, &req); err != nil {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -266,7 +266,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := api.DecodeJSON(r, &req); err != nil {
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -441,13 +441,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.reg.WriteTo(w)
-}
-
-// decodeJSON decodes a request body through the shared wire helper, so
-// worker and coordinator reject the same bodies.
-func decodeJSON(r *http.Request, v any) error {
-	if err := api.DecodeJSON(r, v); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
 }

@@ -1,11 +1,10 @@
 // Package trace records time series during simulation runs and exports
-// them as CSV, for the figure harnesses (e.g. Fig 8's prediction-error
-// trend) and the example programs.
+// them as wide CSV. Its one user is the harness's run tracing, which
+// samples memory utilisation, live threads, swaps and the like.
 package trace
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -32,38 +31,6 @@ func (s *Series) Len() int { return len(s.Times) }
 
 // At returns the i-th sample.
 func (s *Series) At(i int) (t, v float64) { return s.Times[i], s.Values[i] }
-
-// Last returns the most recent value, or 0 if empty.
-func (s *Series) Last() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[len(s.Values)-1]
-}
-
-// WriteCSV writes the series in long form: series,time_ms,value.
-func WriteCSV(w io.Writer, series ...*Series) error {
-	if _, err := io.WriteString(w, "series,time_ms,value\n"); err != nil {
-		return err
-	}
-	for _, s := range series {
-		if s == nil {
-			return errors.New("trace: nil series")
-		}
-		if len(s.Times) != len(s.Values) {
-			return fmt.Errorf("trace: series %q has mismatched lengths", s.Name)
-		}
-		for i := range s.Times {
-			line := s.Name + "," +
-				strconv.FormatFloat(s.Times[i], 'f', 3, 64) + "," +
-				strconv.FormatFloat(s.Values[i], 'g', 8, 64) + "\n"
-			if _, err := io.WriteString(w, line); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
 
 // WriteWideCSV writes the series in wide form — one time column and one
 // value column per series — aligning samples by exact timestamp. Missing

@@ -7,7 +7,7 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("err")
-	if s.Len() != 0 || s.Last() != 0 {
+	if s.Len() != 0 {
 		t.Error("fresh series state wrong")
 	}
 	s.Add(1, 0.5)
@@ -18,45 +18,6 @@ func TestSeriesBasics(t *testing.T) {
 	tm, v := s.At(1)
 	if tm != 2 || v != 0.7 {
 		t.Errorf("At(1) = %v, %v", tm, v)
-	}
-	if s.Last() != 0.7 {
-		t.Errorf("Last = %v", s.Last())
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	a := NewSeries("a")
-	a.Add(1, 10)
-	a.Add(2, 20)
-	b := NewSeries("b")
-	b.Add(1, -1)
-	var buf strings.Builder
-	if err := WriteCSV(&buf, a, b); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	lines := strings.Split(strings.TrimSpace(got), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d: %q", len(lines), got)
-	}
-	if lines[0] != "series,time_ms,value" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "a,1.000,10") {
-		t.Errorf("row = %q", lines[1])
-	}
-	if !strings.HasPrefix(lines[3], "b,1.000,-1") {
-		t.Errorf("row = %q", lines[3])
-	}
-}
-
-func TestWriteCSVErrors(t *testing.T) {
-	if err := WriteCSV(&strings.Builder{}, nil); err == nil {
-		t.Error("nil series accepted")
-	}
-	bad := &Series{Name: "x", Times: []float64{1}, Values: nil}
-	if err := WriteCSV(&strings.Builder{}, bad); err == nil {
-		t.Error("mismatched series accepted")
 	}
 }
 
