@@ -361,8 +361,7 @@ func (c *Coordinator) admit(w http.ResponseWriter, kind, digest string, drive fu
 
 func (c *Coordinator) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
-	if err := api.DecodeJSON(r, &req); err != nil {
-		api.WriteError(w, http.StatusBadRequest, err)
+	if !api.ReadRequest(w, r, &req) {
 		return
 	}
 	// Resolve exactly as the executing worker will: the digest is the
@@ -377,8 +376,7 @@ func (c *Coordinator) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	if err := api.DecodeJSON(r, &req); err != nil {
-		api.WriteError(w, http.StatusBadRequest, err)
+	if !api.ReadRequest(w, r, &req) {
 		return
 	}
 	rs, err := serve.ResolveSweep(req)

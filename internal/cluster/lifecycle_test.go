@@ -3,14 +3,19 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dike/internal/harness"
+	simmetrics "dike/internal/metrics"
 	"dike/internal/serve"
 	"dike/internal/serve/api"
 )
@@ -182,6 +187,99 @@ func TestTrailingBodyRejected(t *testing.T) {
 			if code, got := post(base+"/v1/runs", bodies["/v1/runs"]+tail); code != http.StatusAccepted && code != http.StatusOK {
 				t.Errorf("run body + %q: %d %q, want it accepted", tail, code, got)
 			}
+		}
+	}
+}
+
+// longBody is a request body of limit bytes: head, then fill repeated;
+// n counts the bytes read from it.
+type longBody struct {
+	head  string
+	fill  byte
+	n     int
+	limit int
+}
+
+func (b *longBody) Read(p []byte) (int, error) {
+	if b.n >= b.limit {
+		return 0, io.EOF
+	}
+	p = p[:min(len(p), b.limit-b.n)]
+	for i := range p {
+		p[i] = b.fill
+		if j := b.n + i; j < len(b.head) {
+			p[i] = b.head[j]
+		}
+	}
+	b.n += len(p)
+	return len(p), nil
+}
+
+// TestOversizedBodyRejected posts bodies four times api.MaxRequestBytes
+// to every route of a worker and a coordinator that decodes one: a
+// string that never closes, and a small value followed by whitespace.
+// Each must get 413 having read at most one byte past the cap, and the
+// process must have allocated a small multiple of the cap, not of the
+// body. A run carrying the largest example machine and traffic documents
+// is still accepted by both.
+func TestOversizedBodyRejected(t *testing.T) {
+	// A traffic run has no workload, which stubRun names.
+	simulate := func(_ context.Context, spec harness.RunSpec) (*harness.RunOutput, error) {
+		return &harness.RunOutput{Result: &simmetrics.RunResult{Policy: spec.Policy}, CompletedAt: 100}, nil
+	}
+	w, worker := newWorker(t, serve.Config{Workers: 2, Simulate: simulate})
+	_, fronted := newWorker(t, serve.Config{Workers: 2, Simulate: simulate})
+	c, coord := newCoord(t, []string{fronted.URL}, nil)
+	routes := []struct {
+		name string
+		h    http.Handler
+		path string
+	}{
+		{"worker", w.Handler(), "/v1/runs"},
+		{"worker", w.Handler(), "/v1/sweeps"},
+		{"coordinator", c.Handler(), "/v1/runs"},
+		{"coordinator", c.Handler(), "/v1/sweeps"},
+		{"coordinator", c.Handler(), "/v1/cluster/workers"},
+	}
+	for _, r := range routes {
+		for _, shape := range []struct{ head, fill string }{{`{"policy":"`, "a"}, {`{}`, " "}} {
+			body := &longBody{head: shape.head, fill: shape.fill[0], limit: 4 * api.MaxRequestBytes}
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, r.path, body))
+			runtime.ReadMemStats(&after)
+			where := fmt.Sprintf("%s POST %s (%q then %q)", r.name, r.path, shape.head, shape.fill)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s: %d %q, want 413", where, rec.Code, rec.Body)
+			}
+			if body.n > api.MaxRequestBytes+1 {
+				t.Errorf("%s: read %d bytes, cap %d", where, body.n, api.MaxRequestBytes)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 6*api.MaxRequestBytes {
+				t.Errorf("%s: allocated %d MiB for a %d MiB cap", where, alloc>>20, api.MaxRequestBytes>>20)
+			}
+		}
+	}
+
+	read := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	big := fmt.Sprintf(`{"policy":"cfs","seed":2,"machine":%s,"traffic":%s}`,
+		read("../../examples/machines/big4x4.json"), read("../../examples/traffic/colo.json"))
+	for _, base := range []string{worker.URL, coord.URL} {
+		resp, err := http.Post(base+"/v1/runs", "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Errorf("%s: largest example run: %d %s, want 202", base, resp.StatusCode, b)
 		}
 	}
 }

@@ -30,8 +30,7 @@ func (c *Coordinator) handleJoinWorker(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.WorkerJoinRequest
-	if err := api.DecodeJSON(r, &req); err != nil {
-		api.WriteError(w, http.StatusBadRequest, err)
+	if !api.ReadRequest(w, r, &req) {
 		return
 	}
 	target, err := normalizeWorkerURL(req.URL)

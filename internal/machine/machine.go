@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"dike/internal/counters"
 	"dike/internal/platform"
@@ -266,9 +267,11 @@ type Machine struct {
 	// thread, and SetDVFS. Step rebuilds the occupancy, the socket watts
 	// and the live threads' rates only while it is set.
 	dirty bool
-	// decays memoizes the migration decay by (age, half-life), so the
+	// decayTabs are the shared decay tables of the two configured
+	// half-lives; decays memoizes any other (age, half-life), so the
 	// threads of one swap share one exp.
-	decays [1 << decayBits]decayEntry
+	decayTabs [2]decayTable
+	decays    [1 << decayBits]decayEntry
 
 	disruptor Disruptor
 
@@ -286,30 +289,26 @@ type Machine struct {
 	sockDyn   []float64 // scratch: per-socket dynamic watts of the last rebuild
 
 	// Step scratch, reused every tick so Step never allocates. The
-	// occupancy counts are sized in resolve (one per logical and one per
-	// physical core) and kept between rebuilds; the per-thread buffers,
-	// the multi-domain ones and the solvers' memo slices are grown by
-	// AddThread to the registered thread count, so even the first Step
-	// after placement allocates nothing.
-	laneCount    []int     // per logical core: live threads bound to it
-	physBusy     []int     // per physical core: busy lanes
-	coreRate     []float64 // per logical core holding a live thread: rateOf(c, 1)
-	scratchT     []*thread
+	// occupancy counts and segment bounds are sized in resolve (one per
+	// logical core, physical core or controller domain) and kept between
+	// rebuilds; the per-thread buffers and the solvers' memo slices are
+	// grown by AddThread to the registered thread count, so even the
+	// first Step after placement allocates nothing.
+	laneCount []int     // per logical core: live threads bound to it
+	physBusy  []int     // per physical core: busy lanes
+	coreRate  []float64 // per logical core holding a live thread: rateOf(c, 1)
+	// The gather buffers are domain-major: domain d's active threads fill
+	// positions segStart[d] up to segEnd[d], in registration order.
+	segStart     []int
+	segEnd       []int
+	scratchT     []*thread // active threads, in registration order
+	scratchPos   []int     // each active thread's position in the gather buffers
 	scratchRates []float64
 	scratchApw   []float64 // accesses per work unit
 	scratchMpw   []float64 // misses per work unit
 	scratchHit   []float64 // LLC-hit stall per work unit
 	scratchLat   []float64
 	scratchProg  []float64
-	// Multi-domain solve scratch: each domain's active-thread indices, and
-	// the sub-slices the domains take turns with (each solver memoizes its
-	// own copy of its inputs).
-	domIdx   [][]int
-	domRates []float64
-	domMpw   []float64
-	domHit   []float64
-	domLats  []float64
-	domProg  []float64
 }
 
 // New builds a machine from cfg.
@@ -380,7 +379,8 @@ func (m *Machine) resolve() {
 	for d := range m.ctrls {
 		m.solvers[d] = contentionSolver{ctrl: &m.ctrls[d], overlap: m.cfg.Overlap}
 	}
-	m.domIdx = make([][]int, len(m.ctrls))
+	m.segStart = make([]int, len(m.ctrls)+1)
+	m.segEnd = make([]int, len(m.ctrls))
 	m.cores = m.topo.Cores()
 	nc := len(m.cores)
 	m.coreDomain = make([]int, nc)
@@ -406,39 +406,29 @@ func (m *Machine) resolve() {
 		}
 	}
 	copy(m.sockWatts, m.sockStatic)
+	m.decayTabs = [2]decayTable{sharedDecayTable(m.cfg.ColdHalfLife), sharedDecayTable(m.cfg.LocalColdHalfLife)}
 	for i := range m.decays {
 		m.decays[i].half = math.NaN() // matches no key
 	}
 }
 
 // reserveScratch grows every per-thread Step buffer to hold n threads:
-// the gather buffers and each solver's memo and, on a machine with more
-// than one controller domain, each domain's index list (any domain may
-// hold every thread) and the domains' shared sub-slices. A single domain
-// solves over the gather buffers.
+// the live set, the active list and each solver's memo to a capacity of
+// n, and the gather buffers, which Step indexes by segment position, to
+// a length of n.
 func (m *Machine) reserveScratch(n int) {
 	m.live = reserve(m.live, n)
 	m.scratchT = reserve(m.scratchT, n)
-	m.scratchRates = reserve(m.scratchRates, n)
-	m.scratchApw = reserve(m.scratchApw, n)
-	m.scratchMpw = reserve(m.scratchMpw, n)
-	m.scratchHit = reserve(m.scratchHit, n)
-	m.scratchLat = reserve(m.scratchLat, n)
-	m.scratchProg = reserve(m.scratchProg, n)
+	m.scratchPos = reserve(m.scratchPos, n)
+	m.scratchRates = reserve(m.scratchRates, n)[:n]
+	m.scratchApw = reserve(m.scratchApw, n)[:n]
+	m.scratchMpw = reserve(m.scratchMpw, n)[:n]
+	m.scratchHit = reserve(m.scratchHit, n)[:n]
+	m.scratchLat = reserve(m.scratchLat, n)[:n]
+	m.scratchProg = reserve(m.scratchProg, n)[:n]
 	for d := range m.ctrls {
 		m.solvers[d].reserve(n)
 	}
-	if len(m.ctrls) == 1 {
-		return
-	}
-	for d := range m.ctrls {
-		m.domIdx[d] = reserve(m.domIdx[d], n)
-	}
-	m.domRates = reserve(m.domRates, n)
-	m.domMpw = reserve(m.domMpw, n)
-	m.domHit = reserve(m.domHit, n)
-	m.domLats = reserve(m.domLats, n)
-	m.domProg = reserve(m.domProg, n)
 }
 
 // reserve returns s, with its contents, grown to a capacity of at least n.
@@ -903,9 +893,15 @@ type decayEntry struct {
 	decay float64
 }
 
-// decay returns exp(-age·ln2/half), the migration decay at an age, from
-// the memo when its slot holds the same (age, half).
+// decay returns exp(-age·ln2/half), the migration decay at an age: from
+// a shared table when one covers (age, half), else from the memo when its
+// slot holds the same (age, half).
 func (m *Machine) decay(age sim.Time, half float64) float64 {
+	for _, tab := range m.decayTabs {
+		if tab.half == half && uint64(age) < uint64(len(tab.decay)) {
+			return tab.decay[age]
+		}
+	}
 	h := (uint64(age) ^ math.Float64bits(half)) * 0x9E3779B97F4A7C15
 	e := &m.decays[h>>(64-decayBits)]
 	if e.age == age && e.half == half {
@@ -914,6 +910,45 @@ func (m *Machine) decay(age sim.Time, half float64) float64 {
 	d := math.Exp(-float64(age) * math.Ln2 / half)
 	*e = decayEntry{age: age, half: half, decay: d}
 	return d
+}
+
+// decayTable is the migration decay of one half-life at the ages 0 up to
+// len(decay)-1; empty when there is no table.
+type decayTable struct {
+	half  float64
+	decay []float64
+}
+
+// decayTables is the process's shared decay tables by half-life, at most
+// maxDecayTables of them, first come, first served. Each is filled by the
+// expression decay evaluates, so every entry is bit for bit what decay
+// would compute, and is never written once published.
+var decayTables = struct {
+	sync.Mutex
+	byHalf map[float64][]float64
+}{byHalf: map[float64][]float64{}}
+
+const maxDecayTables = 4
+
+// sharedDecayTable returns half's shared table, building it on first use:
+// 64 half-lives of ages, past the settle point of every migration
+// penalty, and at most 2^16. It is empty for a half-life that is not
+// positive, or once other half-lives hold every place.
+func sharedDecayTable(half float64) decayTable {
+	if !(half > 0) {
+		return decayTable{}
+	}
+	decayTables.Lock()
+	defer decayTables.Unlock()
+	tab, ok := decayTables.byHalf[half]
+	if !ok && len(decayTables.byHalf) < maxDecayTables {
+		tab = make([]float64, int(min(math.Ceil(64*half), 1<<16)))
+		for age := range tab {
+			tab[age] = math.Exp(-float64(age) * math.Ln2 / half)
+		}
+		decayTables.byHalf[half] = tab
+	}
+	return decayTable{half, tab}
 }
 
 // rateOf returns the attainable compute rate of a thread on core c at
@@ -933,18 +968,21 @@ func (m *Machine) rateOf(c CoreID, f float64) float64 {
 
 // rebuild recomputes what Step reads of the occupancy: live threads per
 // logical core, busy lanes per physical core (for the SMT penalty), each
-// socket's watts, and the rate on every core a live thread is bound to.
+// socket's watts, the rate on every core a live thread is bound to, and
+// where each controller domain's segment of the gather buffers starts.
 // Step calls it only while dirty is set; nothing else it reads changes
 // between those events.
 func (m *Machine) rebuild() {
-	laneCount, physBusy := m.laneCount, m.physBusy
+	laneCount, physBusy, segStart := m.laneCount, m.physBusy, m.segStart
 	clear(laneCount)
 	clear(physBusy)
 	clear(m.sockDyn)
+	clear(segStart)
 	for _, t := range m.live {
 		if !t.placed {
 			panic(fmt.Sprintf("machine: thread %d stepped before placement", t.id))
 		}
+		segStart[m.coreDomain[t.core]+1]++
 		if laneCount[t.core] == 0 {
 			c := &m.cores[t.core]
 			// Dynamic power: the first busy lane of a physical core clocks
@@ -970,6 +1008,9 @@ func (m *Machine) rebuild() {
 	for _, t := range m.live {
 		m.coreRate[t.core] = m.rateOf(t.core, 1)
 	}
+	for d := 1; d < len(segStart); d++ {
+		segStart[d] += segStart[d-1]
+	}
 	m.dirty = false
 }
 
@@ -993,13 +1034,13 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	// Gather runnable threads, their attainable rates and the solver's
 	// per-thread coefficients, computed once per tick rather than once per
 	// solver pass. A thread's program is asked for demand only once the
-	// thread leaves the window of its last answer.
-	active := m.scratchT[:0]
-	rates := m.scratchRates[:0]
-	apws := m.scratchApw[:0]
-	mpws := m.scratchMpw[:0]
-	hits := m.scratchHit[:0]
-	lats := m.scratchLat[:0]
+	// thread leaves the window of its last answer. Each thread's inputs go
+	// to the next position of its controller domain's segment.
+	active, pos := m.scratchT[:0], m.scratchPos[:0]
+	rates, apws, mpws := m.scratchRates, m.scratchApw, m.scratchMpw
+	hits, lats, prog := m.scratchHit, m.scratchLat, m.scratchProg
+	segEnd := m.segEnd
+	copy(segEnd, m.segStart)
 	hitLat := m.cfg.LLCHitLatency
 	for _, t := range m.live {
 		if t.stallUntil > now {
@@ -1039,34 +1080,42 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		if cold > 1 {
 			dem.MissRatio = math.Min(dem.MissRatio*cold, 1)
 		}
-		active = append(active, t)
-		rates = append(rates, rate)
-		apws = append(apws, dem.AccessesPerWork)
-		mpws = append(mpws, dem.MissesPerWork())
-		hits = append(hits, dem.AccessesPerWork*hitLat)
-		lats = append(lats, numa)
+		d := m.coreDomain[t.core]
+		p := segEnd[d]
+		segEnd[d] = p + 1
+		active, pos = append(active, t), append(pos, p)
+		rates[p] = rate
+		apws[p] = dem.AccessesPerWork
+		mpws[p] = dem.MissesPerWork()
+		hits[p] = dem.AccessesPerWork * hitLat
+		lats[p] = numa
 	}
-	m.scratchT, m.scratchRates, m.scratchLat = active, rates, lats
-	m.scratchApw, m.scratchMpw, m.scratchHit = apws, mpws, hits
+	m.scratchT, m.scratchPos = active, pos
 
 	if len(active) == 0 {
 		return
 	}
-	prog := m.scratchProg[:len(active)]
-	if len(m.ctrls) == 1 {
-		// Single controller domain (a spec with SharedMem, such as
-		// Table I): one solve over all active threads in order.
-		offered := m.solvers[0].solve(rates, mpws, hits, lats, prog)
-		m.lastUtil = m.ctrls[0].Utilization(offered)
-	} else {
-		m.solveDomains(active, rates, mpws, hits, lats, prog)
+	// The contention fixed point runs per memory controller, on its
+	// domain's segment. One domain (a spec with SharedMem, such as Table
+	// I) reports its utilisation as it is; several report the hottest.
+	m.lastUtil = 0
+	for d := range m.solvers {
+		lo, hi := m.segStart[d], segEnd[d]
+		if lo == hi {
+			continue
+		}
+		offered := m.solvers[d].solve(rates[lo:hi], mpws[lo:hi], hits[lo:hi], lats[lo:hi], prog[lo:hi])
+		if u := m.ctrls[d].Utilization(offered); u > m.lastUtil || len(m.ctrls) == 1 {
+			m.lastUtil = u
+		}
 	}
 
 	// Advance work, respecting per-thread remaining work and barrier
 	// limits captured at the start of the tick.
 	fdt := float64(dt)
 	for i, t := range active {
-		dw := prog[i] * fdt
+		p := pos[i]
+		dw := prog[p] * fdt
 		limit := t.total - t.work
 		if t.barrier != nil {
 			if bl := t.barrier.limit(t, now) - t.work; bl < limit {
@@ -1092,8 +1141,8 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		tc := t.tc
 		tc.Work += dw
 		tc.Instructions += dw * 1000
-		tc.Accesses += dw * apws[i]
-		misses := dw * mpws[i]
+		tc.Accesses += dw * apws[p]
+		misses := dw * mpws[p]
 		tc.Misses += misses
 		cc := m.file.MutCore(int(t.core))
 		cc.ServedMisses += misses
@@ -1102,54 +1151,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			t.finished = true
 			m.unfinished--
 			// Interpolate the finish instant inside the tick.
-			t.finishAt = now + sim.Time(math.Ceil(used))
-			if t.finishAt < now+1 {
-				t.finishAt = now + 1
-			}
-			if t.finishAt > now+dt {
-				t.finishAt = now + dt
-			}
-		}
-	}
-}
-
-// solveDomains runs the contention fixed point independently per memory
-// controller: active threads are partitioned by their core's controller
-// domain (preserving registration order within each domain), each
-// domain's solver runs over its threads' sub-slices, and the progress
-// rates are scattered back. lastUtil is the hottest controller's utilisation.
-func (m *Machine) solveDomains(active []*thread, rates, mpws, hits, lats, prog []float64) {
-	nd := len(m.ctrls)
-	for d := 0; d < nd; d++ {
-		m.domIdx[d] = m.domIdx[d][:0]
-	}
-	for i, t := range active {
-		d := m.coreDomain[t.core]
-		m.domIdx[d] = append(m.domIdx[d], i)
-	}
-	m.lastUtil = 0
-	for d := 0; d < nd; d++ {
-		idx := m.domIdx[d]
-		if len(idx) == 0 {
-			continue
-		}
-		r := m.domRates[:0]
-		mp := m.domMpw[:0]
-		ht := m.domHit[:0]
-		lt := m.domLats[:0]
-		for _, i := range idx {
-			r = append(r, rates[i])
-			mp = append(mp, mpws[i])
-			ht = append(ht, hits[i])
-			lt = append(lt, lats[i])
-		}
-		out := m.domProg[:len(idx)]
-		offered := m.solvers[d].solve(r, mp, ht, lt, out)
-		for j, i := range idx {
-			prog[i] = out[j]
-		}
-		if u := m.ctrls[d].Utilization(offered); u > m.lastUtil {
-			m.lastUtil = u
+			t.finishAt = min(max(now+sim.Time(math.Ceil(used)), now+1), now+dt)
 		}
 	}
 }
@@ -1187,9 +1189,7 @@ const smtDynShare = 0.35
 // PowerSample implements platform.PowerControl: a RAPL-style reading of
 // cumulative energy plus the per-socket watts of the last step.
 func (m *Machine) PowerSample() platform.PowerSample {
-	w := make([]float64, len(m.sockWatts))
-	copy(w, m.sockWatts)
-	return platform.PowerSample{Energy: m.energyJ, Watts: w}
+	return platform.PowerSample{Energy: m.energyJ, Watts: slices.Clone(m.sockWatts)}
 }
 
 // EnergyJoules returns the cumulative energy consumed since the start of
@@ -1219,10 +1219,7 @@ func (m *Machine) DVFSLevels(core CoreID) int {
 	if int(core) < 0 || int(core) >= m.topo.NumCores() {
 		return 1
 	}
-	if tab := m.dvfsTab[m.topo.Core(core).Kind]; len(tab) > 0 {
-		return len(tab)
-	}
-	return 1
+	return max(len(m.dvfsTab[m.topo.Core(core).Kind]), 1)
 }
 
 // KindDVFSLevels returns the per-kind DVFS level counts (index =
@@ -1231,10 +1228,7 @@ func (m *Machine) DVFSLevels(core CoreID) int {
 func (m *Machine) KindDVFSLevels() []int {
 	out := make([]int, len(m.dvfsTab))
 	for k, tab := range m.dvfsTab {
-		out[k] = 1
-		if len(tab) > 0 {
-			out[k] = len(tab)
-		}
+		out[k] = max(len(tab), 1)
 	}
 	return out
 }

@@ -149,16 +149,19 @@ func (s *contentionSolver) solve(rates, mpw, hit, latMult, out []float64) float6
 }
 
 // pass computes every thread's progress at one latency into out and
-// returns the offered miss rate, summed in thread order.
+// returns the offered miss rate, summed in thread order. The inputs are
+// resliced to len(rates), so the loop carries no bounds checks.
 func (s *contentionSolver) pass(rates, mpw, hit, latMult []float64, latency float64, out []float64) float64 {
 	s.passes++
+	mpw, hit, latMult, out = mpw[:len(rates)], hit[:len(rates)], latMult[:len(rates)], out[:len(rates)]
+	k := 1 - s.overlap
 	offered := 0.0
 	for i, r := range rates {
 		if r <= 0 {
 			out[i] = 0
 			continue
 		}
-		stallPerWork := mpw[i]*latency*latMult[i]*(1-s.overlap) + hit[i]
+		stallPerWork := mpw[i]*latency*latMult[i]*k + hit[i]
 		p := r / (1 + r*stallPerWork)
 		out[i] = p
 		offered += mpw[i] * p

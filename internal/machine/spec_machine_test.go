@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"testing"
 
 	"dike/internal/platform"
@@ -291,5 +292,29 @@ func TestBigMachineDeterminism(t *testing.T) {
 		if f2[id] != at {
 			t.Errorf("thread %d finished at %v in run 1, %v in run 2", id, at, f2[id])
 		}
+	}
+}
+
+// TestUtilizationNaN pins how each controller layout reports a NaN
+// demand. A single domain reports its solve's utilisation as it is, so
+// the NaN shows; with one controller per socket the hottest domain wins
+// and NaN never does.
+func TestUtilizationNaN(t *testing.T) {
+	nan := Demand{AccessesPerWork: 10, MissRatio: math.NaN()}
+	shared := testMachine(t)
+	place(t, shared, 0, 0, 100, nan, 0)
+	shared.Step(0, 1)
+	if u := shared.Utilization(); !math.IsNaN(u) {
+		t.Errorf("shared controller: utilisation %v, want NaN", u)
+	}
+	per, err := New(specConfig(twoSocketSpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	place(t, per, 0, 0, 100, Demand{AccessesPerWork: 10, MissRatio: 0.2}, 0)
+	place(t, per, 1, 0, 100, nan, 3)
+	per.Step(0, 1)
+	if u := per.Utilization(); !(u > 0) {
+		t.Errorf("per-socket controllers: utilisation %v, want socket 0's, above 0", u)
 	}
 }

@@ -17,6 +17,12 @@ import (
 // heap without bound.
 const MaxReplyBytes = 16 << 20
 
+// MaxRequestBytes caps every request body a daemon decodes. The largest
+// body on the wire is a run carrying a machine and a traffic document, a
+// few KiB; the cap stops one request from growing a daemon's heap
+// without bound.
+const MaxRequestBytes = 16 << 20
+
 // Client calls the /v1 API of one dikeserved worker or dikecoord
 // coordinator. It carries no policy: timeouts come from the caller's
 // context and HTTP client, and retries, breakers and counters stay with

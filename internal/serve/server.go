@@ -226,8 +226,7 @@ func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := api.DecodeJSON(r, &req); err != nil {
-		api.WriteError(w, http.StatusBadRequest, err)
+	if !api.ReadRequest(w, r, &req) {
 		return
 	}
 	// The decoded request re-encoded: the memo key, and stored beside
@@ -266,8 +265,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := api.DecodeJSON(r, &req); err != nil {
-		api.WriteError(w, http.StatusBadRequest, err)
+	if !api.ReadRequest(w, r, &req) {
 		return
 	}
 	rs, err := ResolveSweep(req)
