@@ -12,6 +12,7 @@ package dike
 import (
 	"context"
 	"io"
+	"os"
 	"testing"
 
 	"dike/internal/core"
@@ -221,7 +222,11 @@ func BenchmarkMachineStep(b *testing.B) {
 			return buildWorkload(m, w)
 		}},
 		{"churn", machine.DefaultConfig, func(m *machine.Machine) error {
-			spec, err := traffic.LoadSpec("examples/traffic/colo.json")
+			blob, err := os.ReadFile("examples/traffic/colo.json")
+			if err != nil {
+				return err
+			}
+			spec, err := traffic.ParseSpec(blob)
 			if err != nil {
 				return err
 			}

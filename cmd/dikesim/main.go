@@ -12,6 +12,13 @@
 //	dikesim -wl 6 -machine big.json             # topology-driven machine spec
 //	dikesim -traffic colo.json -policy dike-af  # open-loop traffic scenario
 //	dikesim -traffic colo.json -load 0.8        # same, at 80% offered load
+//	dikesim -request run.json                   # exactly a POST /v1/runs body
+//
+// The flags stand for a POST /v1/runs body, resolved by
+// serve.BuildRunSpec as dikeserved resolves it, so the report's digest
+// line is the key `dikestore get` and `GET /v1/runs?digest=` take. -apps
+// is the body's "apps" list and adds no kmeans benchmark. -request runs
+// a body file as it is; no flag that shapes the run may join it.
 //
 // With -traffic the run is open-loop: requests arrive, execute and
 // depart per the scenario's arrival processes, and the output is
@@ -36,46 +43,70 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"dike/internal/cli"
 	"dike/internal/fault"
 	"dike/internal/harness"
-	"dike/internal/machine"
-	"dike/internal/platform"
 	"dike/internal/power"
+	"dike/internal/serve"
+	"dike/internal/serve/api"
 	"dike/internal/tournament"
-	"dike/internal/traffic"
 	"dike/internal/workload"
 )
 
+// runFlags holds the flags that shape the run. Most are bound straight
+// to the POST /v1/runs body fields they stand for; request translates
+// the rest, which name files or lists, into the body.
+type runFlags struct {
+	req                          api.RunRequest
+	seed                         uint64
+	faults                       api.FaultRequest
+	power                        power.Config
+	apps, machine, traffic, meta string
+	load                         float64
+}
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		cli.Fatal(err)
+	}
+}
+
+// run executes one dikesim command line and writes its report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("dikesim", flag.ExitOnError)
+	var rf runFlags
+	fs.IntVar(&rf.req.Workload, "wl", 1, "Table II workload number (1-16); ignored when -apps is set")
+	fs.StringVar(&rf.apps, "apps", "", "comma-separated application list for a custom workload (no kmeans is added)")
+	fs.StringVar(&rf.req.Policy, "policy", "dike", "cfs | dio | dike | dike-af | dike-ap | dike-ea | rotate | oracle | meta")
+	fs.Uint64Var(&rf.seed, "seed", 42, "simulation seed")
+	fs.Float64Var(&rf.req.Scale, "scale", 0.5, "workload scale, in (0, 1]")
+	fs.StringVar(&rf.faults.Classes, "faults", "", "fault classes to inject: 'all', 'none', or a comma list of "+fault.ClassNames())
+	fs.Float64Var(&rf.faults.Rate, "fault-rate", 1, "multiplier on all fault-class base probabilities")
+	fs.Uint64Var(&rf.faults.Seed, "fault-seed", 1, "fault injector seed (same seed = identical fault schedule)")
+	fs.StringVar(&rf.machine, "machine", "", "JSON machine spec file (core types, sockets, memory controllers, distance matrix); default is the Table I machine")
+	fs.StringVar(&rf.traffic, "traffic", "", "JSON open-loop traffic spec file; replaces -wl/-apps with arrival-driven requests")
+	fs.Float64Var(&rf.load, "load", 0, "override the traffic spec's offered-load multiplier (requires -traffic)")
+	fs.StringVar(&rf.meta, "meta", "", "JSON tournament config file overriding the meta policy's defaults (requires -policy meta)")
+	fs.StringVar(&rf.power.Governor, "governor", "", "power governor to interpose: "+strings.Join(power.Names(), " | "))
+	fs.Float64Var(&rf.power.CapWatts, "power-cap", 0, "per-socket watt budget for the ondemand/fairness governors")
+	shaping := map[string]bool{} // every flag defined so far
+	fs.VisitAll(func(f *flag.Flag) { shaping[f.Name] = true })
 	var (
-		wlFlag     = flag.Int("wl", 1, "Table II workload number (1-16); ignored when -apps is set")
-		appsFlag   = flag.String("apps", "", "comma-separated application list for a custom workload")
-		policyFlag = flag.String("policy", "dike", "cfs | dio | dike | dike-af | dike-ap | dike-ea | rotate | oracle")
-		seedFlag   = flag.Uint64("seed", 42, "simulation seed")
-		scaleFlag  = flag.Float64("scale", 0.5, "workload scale")
-		kmeansFlag = flag.Bool("kmeans", true, "include the kmeans contention app in custom workloads")
-		traceFlag  = flag.String("trace", "", "write a CSV time-series trace (memory utilisation, alive threads, swaps, progress dispersion) to this file")
-		faultsFlag = flag.String("faults", "", "fault classes to inject: 'all', 'none', or a comma list of "+fault.ClassNames())
-		frateFlag  = flag.Float64("fault-rate", 1, "multiplier on all fault-class base probabilities")
-		fseedFlag  = flag.Uint64("fault-seed", 1, "fault injector seed (same seed = identical fault schedule)")
-		machFlag   = flag.String("machine", "", "JSON machine spec file (core types, sockets, memory controllers, distance matrix); default is the Table I machine")
-		trafFlag   = flag.String("traffic", "", "JSON open-loop traffic spec file; replaces -wl/-apps with arrival-driven requests")
-		loadFlag   = flag.Float64("load", 0, "override the traffic spec's offered-load multiplier (requires -traffic)")
-		recordFlag = flag.String("record", "", "write a replay log of the run to this file")
-		replayFlag = flag.String("replay", "", "re-run a recorded log instead of simulating; other run flags are ignored")
-		digestFlag = flag.Bool("digest", false, "print only the deterministic decision digest")
-		metaFlag   = flag.String("meta", "", "JSON tournament config file overriding the meta policy's defaults (requires -policy meta)")
-		govFlag    = flag.String("governor", "", "power governor to interpose: "+strings.Join(power.Names(), " | "))
-		capFlag    = flag.Float64("power-cap", 0, "per-socket watt budget for the ondemand/fairness governors")
-		listFlag   = flag.Bool("list-policies", false, "list registered scheduling policies and power governors, then exit")
+		requestFlag = fs.String("request", "", "JSON POST /v1/runs body file to run as it is; excludes every flag that shapes the run")
+		traceFlag   = fs.String("trace", "", "write a CSV time-series trace (memory utilisation, alive threads, swaps, progress dispersion) to this file")
+		recordFlag  = fs.String("record", "", "write a replay log of the run to this file")
+		replayFlag  = fs.String("replay", "", "re-run a recorded log instead of simulating; other run flags are ignored")
+		digestFlag  = fs.Bool("digest", false, "print only the deterministic decision digest")
+		listFlag    = fs.Bool("list-policies", false, "list registered scheduling policies and power governors, then exit")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *listFlag {
 		for _, p := range harness.Policies() {
@@ -83,183 +114,194 @@ func main() {
 			if p.MetaCandidate {
 				tag = " [meta-eligible]"
 			}
-			fmt.Printf("%-8s %s%s\n", p.Name, p.Description, tag)
+			fmt.Fprintf(w, "%-8s %s%s\n", p.Name, p.Description, tag)
 		}
-		fmt.Println("\npower governors (-governor):")
+		fmt.Fprintln(w, "\npower governors (-governor):")
 		for _, g := range power.Governors() {
-			fmt.Printf("%-8s %s\n", g.Name, g.Description)
+			fmt.Fprintf(w, "%-8s %s\n", g.Name, g.Description)
 		}
-		return
+		return nil
 	}
-
 	if *replayFlag != "" {
-		replayRun(*replayFlag, *digestFlag)
-		return
+		return replayRun(w, *replayFlag, *digestFlag)
 	}
 
-	var spec harness.RunSpec
-	if *trafFlag != "" {
-		ts, err := traffic.LoadSpec(*trafFlag)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		if *loadFlag != 0 {
-			ts.Load = *loadFlag
-		}
-		spec = harness.RunSpec{Traffic: ts, Policy: *policyFlag, Seed: *seedFlag}
+	var req api.RunRequest
+	var err error
+	if *requestFlag == "" {
+		req, err = rf.request()
 	} else {
-		if *loadFlag != 0 {
-			cli.Fatal(fmt.Errorf("-load requires -traffic"))
-		}
-		var w *workload.Workload
-		var err error
-		if *appsFlag != "" {
-			w, err = customWorkload(*appsFlag, *kmeansFlag)
-		} else {
-			w, err = workload.Table2(*wlFlag)
-		}
-		if err != nil {
-			cli.Fatal(err)
-		}
-		spec = harness.RunSpec{
-			Workload: w, Policy: *policyFlag, Seed: *seedFlag, Scale: *scaleFlag,
-		}
+		req, err = readRequest(*requestFlag)
+		fs.Visit(func(f *flag.Flag) {
+			if shaping[f.Name] {
+				err = fmt.Errorf("-%s cannot be combined with -request, which supplies the whole run", f.Name)
+			}
+		})
 	}
-	if *metaFlag != "" {
-		if *policyFlag != harness.PolicyMeta {
-			cli.Fatal(fmt.Errorf("-meta requires -policy %s", harness.PolicyMeta))
-		}
-		mc, err := loadMetaConfig(*metaFlag)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		spec.Meta = mc
+	if err != nil {
+		return err
 	}
-	if *govFlag != "" {
-		spec.Power = &power.Config{Governor: *govFlag, CapWatts: *capFlag}
-	} else if *capFlag != 0 {
-		cli.Fatal(fmt.Errorf("-power-cap requires -governor"))
+	spec, digest, err := serve.BuildRunSpec(req)
+	if err != nil {
+		return err
 	}
-	if *machFlag != "" {
-		ms, err := platform.LoadMachineSpec(*machFlag)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		mcfg := machine.DefaultConfig()
-		mcfg.Spec = ms
-		spec.MachineConfig = &mcfg
-	}
+	// Observers attach to the resolved spec, as serve attaches
+	// OnProgress; none of them is part of the digest.
 	if *traceFlag != "" {
 		spec.TraceEvery = 250
 	}
-	if *faultsFlag != "" {
-		classes, err := fault.ParseClasses(*faultsFlag)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		if classes != 0 {
-			fc := fault.DefaultConfig()
-			fc.Classes = classes
-			fc.Rate = *frateFlag
-			fc.Seed = *fseedFlag
-			spec.Faults = &fc
-		}
-	}
 	var recFile *os.File
 	if *recordFlag != "" {
-		f, err := os.Create(*recordFlag)
-		if err != nil {
-			cli.Fatal(err)
+		if recFile, err = os.Create(*recordFlag); err != nil {
+			return err
 		}
-		recFile = f
-		spec.Record = f
+		defer recFile.Close()
+		spec.Record = recFile
 	}
 	out, err := harness.Run(context.Background(), spec)
 	if err != nil {
-		cli.Fatal(err)
+		return err
 	}
 	if recFile != nil {
 		if err := recFile.Close(); err != nil {
-			cli.Fatal(err)
+			return err
 		}
 	}
 	if *digestFlag {
-		fmt.Print(harness.RunDigest(spec.Policy, out.History, out.MetaStats, out.Power))
-		return
-	}
-
-	writeTrace := func() {
-		if *traceFlag == "" || out.Trace == nil {
-			return
-		}
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		if err := out.Trace.WriteCSV(f); err != nil {
-			f.Close()
-			cli.Fatal(err)
-		}
-		f.Close()
-		fmt.Printf("trace      %s\n", *traceFlag)
+		fmt.Fprint(w, harness.RunDigest(spec.Policy, out.History, out.MetaStats, out.Power))
+		return nil
 	}
 
 	if out.Traffic != nil {
-		printTraffic(spec.Policy, out)
-		printMeta(out.MetaStats)
-		writeTrace()
-		return
+		printTraffic(w, spec.Policy, digest, out)
+		printMeta(w, out.MetaStats)
+		return writeTrace(w, *traceFlag, out)
 	}
 
 	r := out.Result
-	fmt.Printf("workload   %s (%s)\npolicy     %s\n", r.Workload, r.Type, r.Policy)
-	fmt.Printf("fairness   %.4f (Eqn 4)\n", r.Fairness)
-	fmt.Printf("makespan   %.1fs   mean main-bench time %.1fs\n", r.Makespan/1000, r.AvgTime/1000)
-	fmt.Printf("swaps      %d (%d migrations)\n", r.Swaps, r.Migrations)
-	printEnergy(out)
-	if out.History != nil {
-		fmt.Printf("prediction error: min %+.1f%% avg %+.1f%% max %+.1f%%\n",
-			out.PredMin*100, out.PredAvg*100, out.PredMax*100)
-	}
+	fmt.Fprintf(w, "workload   %s (%s)\npolicy     %s\ndigest     %s\n", r.Workload, r.Type, r.Policy, digest)
+	fmt.Fprintf(w, "fairness   %.4f (Eqn 4)\n", r.Fairness)
+	fmt.Fprintf(w, "makespan   %.1fs   mean main-bench time %.1fs\n", r.Makespan/1000, r.AvgTime/1000)
+	fmt.Fprintf(w, "swaps      %d (%d migrations)\n", r.Swaps, r.Migrations)
+	printEnergy(w, out)
 	if out.FaultStats != nil {
-		fmt.Printf("faults     %d injected: %s\n", out.FaultStats.Total(), out.FaultStats)
+		fmt.Fprintf(w, "faults     %d injected: %s\n", out.FaultStats.Total(), out.FaultStats)
 		if out.History != nil {
-			fmt.Printf("hardening  samples dropped %d rejected %d clamped %d; failed swaps %d; watchdog trips %d\n",
+			fmt.Fprintf(w, "hardening  samples dropped %d rejected %d clamped %d; failed swaps %d; watchdog trips %d\n",
 				out.Sanitized.Dropped, out.Sanitized.Rejected, out.Sanitized.Clamped,
 				out.FailedSwaps, out.WatchdogTrips)
 		}
 	}
-	printMeta(out.MetaStats)
-	writeTrace()
-	fmt.Println()
-	fmt.Printf("%-15s %-6s %10s %10s %8s\n", "benchmark", "class", "time", "mean", "cv")
+	printMeta(w, out.MetaStats)
+	if err := writeTrace(w, *traceFlag, out); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-15s %-6s %10s %10s %8s\n", "benchmark", "class", "time", "mean", "cv")
 	for _, b := range r.Benches {
 		tag := ""
 		if b.Extra {
 			tag = " (extra)"
 		}
-		fmt.Printf("%-15s %-6s %9.1fs %9.1fs %8.4f%s\n",
+		fmt.Fprintf(w, "%-15s %-6s %9.1fs %9.1fs %8.4f%s\n",
 			b.Name, classOf(b.Name), b.Time/1000, b.MeanThreadTime/1000, b.CV, tag)
 	}
+	return nil
+}
+
+// readRequest decodes a POST /v1/runs body file as the daemons decode
+// a body.
+func readRequest(path string) (req api.RunRequest, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return req, err
+	}
+	defer f.Close()
+	if err := api.Decode(f, &req); err != nil {
+		return req, fmt.Errorf("%s: %w", path, err)
+	}
+	return req, nil
+}
+
+// request returns the POST /v1/runs body the run flags stand for.
+func (rf *runFlags) request() (req api.RunRequest, err error) {
+	req = rf.req
+	req.Seed = &rf.seed
+	switch {
+	case rf.traffic != "":
+		// The traffic spec replaces every workload source, and the
+		// wire rejects a scale on traffic runs.
+		req.Workload, req.Scale = 0, 0
+		if req.Traffic, err = os.ReadFile(rf.traffic); err == nil && rf.load != 0 {
+			req.Traffic, err = withLoad(req.Traffic, rf.load)
+		}
+	case rf.load != 0:
+		err = errors.New("-load requires -traffic")
+	case rf.apps != "":
+		req.Workload = 0
+		for _, app := range strings.Split(rf.apps, ",") {
+			req.Apps = append(req.Apps, strings.TrimSpace(app))
+		}
+	}
+	if err == nil && rf.machine != "" {
+		req.Machine, err = os.ReadFile(rf.machine)
+	}
+	if err == nil && rf.meta != "" {
+		req.Meta, err = os.ReadFile(rf.meta)
+	}
+	if err == nil && rf.power != (power.Config{}) {
+		req.Power, err = json.Marshal(rf.power)
+	}
+	if rf.faults.Classes != "" {
+		req.Faults = &rf.faults
+	}
+	return req, err
+}
+
+// withLoad sets the "load" key of a traffic spec document.
+func withLoad(doc []byte, load float64) ([]byte, error) {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &fields); err != nil || fields == nil {
+		return nil, errors.New("-load needs the traffic spec to be a JSON object")
+	}
+	v, err := json.Marshal(load)
+	if err != nil {
+		return nil, err
+	}
+	fields["load"] = v
+	return json.Marshal(fields)
+}
+
+// writeTrace writes the run's trace as CSV to path, if -trace asked for
+// one.
+func writeTrace(w io.Writer, path string, out *harness.RunOutput) error {
+	if path == "" || out.Trace == nil {
+		return nil
+	}
+	var csv bytes.Buffer
+	if err := out.Trace.WriteCSV(&csv); err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "trace      %s\n", path)
+	return nil
 }
 
 // printTraffic reports an open-loop run: totals, fairness and the
 // per-tenant sojourn/SLO table.
-func printTraffic(policy string, out *harness.RunOutput) {
+func printTraffic(w io.Writer, policy, digest string, out *harness.RunOutput) {
 	tr := out.Traffic
-	fmt.Printf("scenario   %s (open-loop, load %.2f)\npolicy     %s\n", tr.Name, tr.Load, policy)
-	fmt.Printf("arrivals   %d admitted %d rejected %d completed %d killed %d\n",
+	fmt.Fprintf(w, "scenario   %s (open-loop, load %.2f)\npolicy     %s\ndigest     %s\n", tr.Name, tr.Load, policy, digest)
+	fmt.Fprintf(w, "arrivals   %d admitted %d rejected %d completed %d killed %d\n",
 		tr.Arrivals, tr.Admitted, tr.Rejected, tr.Completed, tr.Killed)
-	fmt.Printf("fairness   jain %.4f  min/max %.4f (weight-normalized inverse slowdown)\n",
+	fmt.Fprintf(w, "fairness   jain %.4f  min/max %.4f (weight-normalized inverse slowdown)\n",
 		tr.FairnessJain, tr.FairnessMinMax)
-	fmt.Printf("drained    %.1fs\n", float64(tr.DrainedAtMs)/1000)
-	printEnergy(out)
-	if out.History != nil {
-		fmt.Printf("prediction error: min %+.1f%% avg %+.1f%% max %+.1f%%\n",
-			out.PredMin*100, out.PredAvg*100, out.PredMax*100)
-	}
-	fmt.Println()
-	fmt.Printf("%-12s %8s %8s %8s %8s %8s %8s %9s %9s\n",
+	fmt.Fprintf(w, "drained    %.1fs\n", float64(tr.DrainedAtMs)/1000)
+	printEnergy(w, out)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%-12s %8s %8s %8s %8s %8s %8s %9s %9s\n",
 		"class", "complete", "p50", "p95", "p99", "max", "slowdown", "slo", "viol%")
 	for _, c := range tr.Classes {
 		slo := "-"
@@ -268,28 +310,33 @@ func printTraffic(policy string, out *harness.RunOutput) {
 			slo = fmt.Sprintf("%.0fms", c.SLOMs)
 			viol = fmt.Sprintf("%.1f", 100*c.ViolationRate)
 		}
-		fmt.Printf("%-12s %8d %7.0fms %7.0fms %7.0fms %7.0fms %8.2f %9s %9s\n",
+		fmt.Fprintf(w, "%-12s %8d %7.0fms %7.0fms %7.0fms %7.0fms %8.2f %9s %9s\n",
 			c.Name, c.Completed, c.P50Ms, c.P95Ms, c.P99Ms, c.MaxMs, c.Slowdown, slo, viol)
 	}
 }
 
-// printEnergy reports the run's power-model outcome and, for governed
-// runs, the governor's decision totals.
-func printEnergy(out *harness.RunOutput) {
-	fmt.Printf("energy     %.0f J (EDP %.1f J·s)\n", out.EnergyJ, out.EDP)
+// printEnergy reports the run's power-model outcome, the governor's
+// decision totals for governed runs and, for the Dike policies, the
+// prediction error.
+func printEnergy(w io.Writer, out *harness.RunOutput) {
+	fmt.Fprintf(w, "energy     %.0f J (EDP %.1f J·s)\n", out.EnergyJ, out.EDP)
 	if out.Power != nil {
-		fmt.Printf("governor   %s: %d invocation(s), %d DVFS actuation(s)\n",
+		fmt.Fprintf(w, "governor   %s: %d invocation(s), %d DVFS actuation(s)\n",
 			out.Power.Governor, len(out.Power.Invocations), out.Power.Actions())
+	}
+	if out.History != nil {
+		fmt.Fprintf(w, "prediction error: min %+.1f%% avg %+.1f%% max %+.1f%%\n",
+			out.PredMin*100, out.PredAvg*100, out.PredMax*100)
 	}
 }
 
 // printMeta reports the meta policy's tournament record: switch count,
 // shadow work, and the live-policy timeline (one entry per change).
-func printMeta(ms *tournament.Stats) {
+func printMeta(w io.Writer, ms *tournament.Stats) {
 	if ms == nil {
 		return
 	}
-	fmt.Printf("meta       %d epoch(s), %d switch(es), %d shadow quanta, objective %s\n",
+	fmt.Fprintf(w, "meta       %d epoch(s), %d switch(es), %d shadow quanta, objective %s\n",
 		len(ms.Epochs), ms.Switches, ms.ShadowQuanta, ms.Objective)
 	var tl strings.Builder
 	cur := ""
@@ -299,54 +346,38 @@ func printMeta(ms *tournament.Stats) {
 			cur = ep.Live
 		}
 	}
-	fmt.Printf("live       %s ->%s (final %s)\n", ms.Candidates[0], tl.String(), ms.FinalPolicy)
-}
-
-// loadMetaConfig reads a tournament config JSON file, rejecting unknown
-// fields so a typo'd key fails loudly instead of silently running the
-// defaults.
-func loadMetaConfig(path string) (*tournament.Config, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(blob))
-	dec.DisallowUnknownFields()
-	var cfg tournament.Config
-	if err := dec.Decode(&cfg); err != nil {
-		return nil, fmt.Errorf("meta config %s: %w", path, err)
-	}
-	return &cfg, nil
+	fmt.Fprintf(w, "live       %s ->%s (final %s)\n", ms.Candidates[0], tl.String(), ms.FinalPolicy)
 }
 
 // replayRun re-executes a recorded log and reports the verified run.
-func replayRun(path string, digest bool) {
+func replayRun(w io.Writer, path string, digest bool) error {
 	f, err := os.Open(path)
 	if err != nil {
-		cli.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	out, err := harness.Replay(f)
 	if err != nil {
-		cli.Fatal(err)
+		return err
 	}
 	if digest {
-		fmt.Print(harness.RunDigest(out.Policy, out.History, out.MetaStats, out.Power))
-		return
+		fmt.Fprint(w, harness.RunDigest(out.Policy, out.History, out.MetaStats, out.Power))
+		return nil
 	}
-	fmt.Printf("replayed   %s (seed %d)\n", out.Policy, out.Seed)
-	fmt.Printf("quanta     %d, last event at %.1fs\n", out.Quanta, float64(out.CompletedAt)/1000)
-	fmt.Println("verified   every decision matched the recording")
+	fmt.Fprintf(w, "replayed   %s (seed %d)\n", out.Policy, out.Seed)
+	fmt.Fprintf(w, "quanta     %d, last event at %.1fs\n", out.Quanta, float64(out.CompletedAt)/1000)
+	fmt.Fprintln(w, "verified   every decision matched the recording")
 	if out.Power != nil {
-		fmt.Printf("governor   %s: %d invocation(s), %d DVFS actuation(s) replayed\n",
+		fmt.Fprintf(w, "governor   %s: %d invocation(s), %d DVFS actuation(s) replayed\n",
 			out.Power.Governor, len(out.Power.Invocations), out.Power.Actions())
 	}
 	if out.History != nil {
-		fmt.Printf("prediction error: min %+.1f%% avg %+.1f%% max %+.1f%%\n",
+		fmt.Fprintf(w, "prediction error: min %+.1f%% avg %+.1f%% max %+.1f%%\n",
 			out.PredMin*100, out.PredAvg*100, out.PredMax*100)
 		last := out.History[len(out.History)-1]
-		fmt.Printf("final gate %.4f (swap=%d quanta=%dms)\n", last.Fairness, last.SwapSize, int64(last.Quanta))
+		fmt.Fprintf(w, "final gate %.4f (swap=%d quanta=%dms)\n", last.Fairness, last.SwapSize, int64(last.Quanta))
 	}
+	return nil
 }
 
 // classOf returns the ground-truth class letter for a builtin app.
@@ -356,24 +387,4 @@ func classOf(app string) string {
 		return "?"
 	}
 	return p.Class.String()
-}
-
-// customWorkload builds a workload from a comma-separated app list.
-func customWorkload(list string, kmeans bool) (*workload.Workload, error) {
-	w := &workload.Workload{Name: "custom"}
-	for _, app := range strings.Split(list, ",") {
-		p, err := workload.LookupProfile(strings.TrimSpace(app))
-		if err != nil {
-			return nil, err
-		}
-		w.Benchmarks = append(w.Benchmarks, workload.Benchmark{Profile: p, Threads: workload.ThreadsPerBenchmark})
-	}
-	if kmeans {
-		p, err := workload.LookupProfile("kmeans")
-		if err != nil {
-			return nil, err
-		}
-		w.Benchmarks = append(w.Benchmarks, workload.Benchmark{Profile: p, Threads: workload.ThreadsPerBenchmark, Extra: true})
-	}
-	return w, w.Validate()
 }

@@ -13,34 +13,43 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dike/internal/cli"
 	"dike/internal/core"
 	"dike/internal/harness"
+	"dike/internal/serve"
+	"dike/internal/serve/api"
 	"dike/internal/sim"
-	"dike/internal/workload"
 )
 
 func main() {
-	var (
-		wlFlag     = flag.Int("wl", 1, "Table II workload number (1-16)")
-		seedFlag   = flag.Uint64("seed", 42, "simulation seed")
-		scaleFlag  = flag.Float64("scale", 0.25, "workload scale")
-		workerFlag = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		csvFlag    = flag.String("csv", "", "file to write the grid as CSV")
-	)
-	flag.Parse()
-
-	w, err := workload.Table2(*wlFlag)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		cli.Fatal(err)
 	}
-	grid, err := harness.Sweep(context.Background(), w, harness.Options{
-		Seed: *seedFlag, SweepScale: *scaleFlag, Workers: *workerFlag,
-	})
+}
+
+// run executes one dikesweep command line and writes its report to w.
+// The flags stand for a POST /v1/sweeps body, resolved as dikeserved
+// resolves one, so the printed digest is the sweep's key there too.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("dikesweep", flag.ExitOnError)
+	req := api.SweepRequest{Seed: new(uint64)}
+	fs.IntVar(&req.Workload, "wl", 1, "Table II workload number (1-16)")
+	fs.Uint64Var(req.Seed, "seed", 42, "simulation seed")
+	fs.Float64Var(&req.Scale, "scale", 0.25, "workload scale, in (0, 1]")
+	workerFlag := fs.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
+	csvFlag := fs.String("csv", "", "file to write the grid as CSV")
+	fs.Parse(args)
+
+	rs, err := serve.ResolveSweep(req)
 	if err != nil {
-		cli.Fatal(err)
+		return err
+	}
+	grid, err := harness.Sweep(context.Background(), rs.Workload, rs.Options(*workerFlag))
+	if err != nil {
+		return err
 	}
 
 	// Locate maxima.
@@ -53,36 +62,37 @@ func main() {
 			bestP = r
 		}
 	}
-	fmt.Printf("workload %s (%s): 32-configuration sweep\n", w.Name, w.Type())
-	fmt.Printf("best fairness    <swap %2d, quanta %4d>  F=%.4f\n", bestF.SwapSize, bestF.Quanta.Millis(), bestF.Fairness)
-	fmt.Printf("best performance <swap %2d, quanta %4d>  1/makespan=%.3g\n\n", bestP.SwapSize, bestP.Quanta.Millis(), bestP.Perf)
+	fmt.Fprintf(w, "workload %s (%s): 32-configuration sweep\ndigest   %s\n", rs.Workload.Name, rs.Workload.Type(), rs.Digest)
+	fmt.Fprintf(w, "best fairness    <swap %2d, quanta %4d>  F=%.4f\n", bestF.SwapSize, bestF.Quanta.Millis(), bestF.Fairness)
+	fmt.Fprintf(w, "best performance <swap %2d, quanta %4d>  1/makespan=%.3g\n\n", bestP.SwapSize, bestP.Quanta.Millis(), bestP.Perf)
 
-	fmt.Printf("%-14s", "quanta\\swap")
+	fmt.Fprintf(w, "%-14s", "quanta\\swap")
 	for _, ss := range core.SwapSizeLevels() {
-		fmt.Printf("  %12d", ss)
+		fmt.Fprintf(w, "  %12d", ss)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	i := 0
 	for _, q := range core.QuantaLevels {
-		fmt.Printf("%-14s", fmt.Sprintf("%dms", sim.Time(q).Millis()))
+		fmt.Fprintf(w, "%-14s", fmt.Sprintf("%dms", sim.Time(q).Millis()))
 		for range core.SwapSizeLevels() {
 			r := grid[i]
-			fmt.Printf("  %.3f/%.3f", r.Fairness/bestF.Fairness, r.Perf/bestP.Perf)
+			fmt.Fprintf(w, "  %.3f/%.3f", r.Fairness/bestF.Fairness, r.Perf/bestP.Perf)
 			i++
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("\ncells are normalized fairness/performance (1.000 = best)")
+	fmt.Fprintln(w, "\ncells are normalized fairness/performance (1.000 = best)")
 
-	if *csvFlag != "" {
-		f, err := os.Create(*csvFlag)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		defer f.Close()
-		fmt.Fprintln(f, "swap_size,quanta_ms,fairness,inv_makespan,swaps")
-		for _, r := range grid {
-			fmt.Fprintf(f, "%d,%d,%.6f,%.6g,%d\n", r.SwapSize, r.Quanta.Millis(), r.Fairness, r.Perf, r.Swaps)
-		}
+	if *csvFlag == "" {
+		return nil
 	}
+	f, err := os.Create(*csvFlag)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(f, "swap_size,quanta_ms,fairness,inv_makespan,swaps")
+	for _, r := range grid {
+		fmt.Fprintf(f, "%d,%d,%.6f,%.6g,%d\n", r.SwapSize, r.Quanta.Millis(), r.Fairness, r.Perf, r.Swaps)
+	}
+	return f.Close()
 }

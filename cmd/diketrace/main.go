@@ -16,7 +16,8 @@ import (
 
 	"dike/internal/cli"
 	"dike/internal/harness"
-	"dike/internal/workload"
+	"dike/internal/serve"
+	"dike/internal/serve/api"
 )
 
 func main() {
@@ -39,23 +40,24 @@ func usage() {
 	os.Exit(2)
 }
 
+// record resolves its flags as a POST /v1/runs body, the way
+// dikeserved does, so the printed digest is the run's key there too.
 func record(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	wlFlag := fs.Int("wl", 1, "Table II workload number (1-16)")
-	policyFlag := fs.String("policy", "dike", "scheduling policy")
-	seedFlag := fs.Uint64("seed", 42, "simulation seed")
-	scaleFlag := fs.Float64("scale", 0.5, "workload scale")
+	req := api.RunRequest{Seed: new(uint64)}
+	fs.IntVar(&req.Workload, "wl", 1, "Table II workload number (1-16)")
+	fs.StringVar(&req.Policy, "policy", "dike", "scheduling policy")
+	fs.Uint64Var(req.Seed, "seed", 42, "simulation seed")
+	fs.Float64Var(&req.Scale, "scale", 0.5, "workload scale, in (0, 1]")
 	outFlag := fs.String("o", "run.json", "output file")
 	fs.Parse(args)
 
-	w, err := workload.Table2(*wlFlag)
+	spec, digest, err := serve.BuildRunSpec(req)
 	if err != nil {
 		cli.Fatal(err)
 	}
-	out, err := harness.Run(context.Background(), harness.RunSpec{
-		Workload: w, Policy: *policyFlag, Seed: *seedFlag, Scale: *scaleFlag,
-		TraceEvery: 500,
-	})
+	spec.TraceEvery = 500
+	out, err := harness.Run(context.Background(), spec)
 	if err != nil {
 		cli.Fatal(err)
 	}
@@ -67,9 +69,9 @@ func record(args []string) {
 	if err := harness.NewRunRecord(out).WriteJSON(f); err != nil {
 		cli.Fatal(err)
 	}
-	fmt.Printf("recorded %s/%s -> %s (fairness %.4f, makespan %.1fs, %d swaps)\n",
+	fmt.Printf("recorded %s/%s -> %s (fairness %.4f, makespan %.1fs, %d swaps)\ndigest   %s\n",
 		out.Result.Workload, out.Result.Policy, *outFlag,
-		out.Result.Fairness, out.Result.Makespan/1000, out.Result.Swaps)
+		out.Result.Fairness, out.Result.Makespan/1000, out.Result.Swaps, digest)
 }
 
 func summarize(args []string) {

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dike/internal/sim"
 )
@@ -150,15 +151,18 @@ func (c Config) Validate() error {
 	if c.SwapSize < MinSwapSize || c.SwapSize > MaxSwapSize || c.SwapSize%2 != 0 {
 		return fmt.Errorf("core: swapSize %d not an even number in [%d,%d]", c.SwapSize, MinSwapSize, MaxSwapSize)
 	}
+	// Each case negates the valid range, so NaN fails it too, and every
+	// unbounded range stops at the largest finite float.
+	const maxF = math.MaxFloat64
 	switch {
-	case c.FairnessThreshold <= 0:
-		return errors.New("core: fairness threshold must be positive")
-	case c.MissRatioThreshold <= 0 || c.MissRatioThreshold >= 1:
+	case !(c.FairnessThreshold > 0 && c.FairnessThreshold <= maxF):
+		return errors.New("core: fairness threshold must be finite and positive")
+	case !(c.MissRatioThreshold > 0 && c.MissRatioThreshold < 1):
 		return errors.New("core: miss-ratio threshold must be in (0,1)")
-	case c.CoreBWAlpha <= 0 || c.CoreBWAlpha > 1:
+	case !(c.CoreBWAlpha > 0 && c.CoreBWAlpha <= 1):
 		return errors.New("core: CoreBWAlpha must be in (0,1]")
-	case c.SwapOH < 0:
-		return errors.New("core: negative SwapOH")
+	case !(c.SwapOH >= 0 && c.SwapOH <= maxF):
+		return errors.New("core: SwapOH must be finite and >= 0")
 	case c.AdaptEvery < 1:
 		return errors.New("core: AdaptEvery must be >= 1")
 	}

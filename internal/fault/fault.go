@@ -176,18 +176,19 @@ func DefaultConfig() Config {
 
 // Validate reports the first problem with the configuration, or nil.
 func (c Config) Validate() error {
+	// Each check negates the valid range, so NaN fails it too.
 	switch {
-	case c.Rate < 0:
-		return errors.New("fault: negative Rate")
-	case c.ThrottleFactor <= 0 || c.ThrottleFactor >= 1:
+	case !(c.Rate >= 0 && c.Rate <= math.MaxFloat64):
+		return errors.New("fault: Rate must be finite and >= 0")
+	case !(c.ThrottleFactor > 0 && c.ThrottleFactor < 1):
 		return errors.New("fault: ThrottleFactor must be in (0,1)")
-	case c.StallFrac <= 0 || c.StallFrac > 1:
+	case !(c.StallFrac > 0 && c.StallFrac <= 1):
 		return errors.New("fault: StallFrac must be in (0,1]")
 	case c.Window <= 0:
 		return errors.New("fault: Window must be positive")
 	}
 	for _, p := range [...]float64{c.DropoutP, c.CorruptP, c.ThrottleP, c.OfflineP, c.MigFailP, c.StallP, c.CrashP} {
-		if p < 0 || p > 1 || math.IsNaN(p) {
+		if !(p >= 0 && p <= 1) {
 			return errors.New("fault: class probabilities must be in [0,1]")
 		}
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"testing"
 
 	"dike/internal/sim"
@@ -26,7 +27,11 @@ func BenchmarkDigest(b *testing.B) {
 			top = &RunSpec{Workload: apps, Policy: PolicyDikeAF, MachineConfig: &cfg, Seed: 42, Scale: 0.01}
 		}
 	}
-	colo, err := traffic.LoadSpec("../../examples/traffic/colo.json")
+	blob, err := os.ReadFile("../../examples/traffic/colo.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	colo, err := traffic.ParseSpec(blob)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -101,7 +101,11 @@ func twoPoolSpec() *platform.MachineSpec {
 // and near-misses of the Table I shape — each one edit away from it —
 // that must keep their spec-bearing encoding.
 func specDigestSpecs() []namedSpec {
-	big4x4, err := platform.LoadMachineSpec("../../examples/machines/big4x4.json")
+	blob, err := os.ReadFile("../../examples/machines/big4x4.json")
+	if err != nil {
+		panic(err)
+	}
+	big4x4, err := platform.ParseMachineSpec(blob)
 	if err != nil {
 		panic(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -47,7 +48,11 @@ func TestRecordReplayDike(t *testing.T) {
 	}
 	faults := fault.DefaultConfig()
 	faults.Classes, faults.Rate, faults.Seed = classes, 1, 1
-	dvfs8, err := platform.LoadMachineSpec("../../examples/machines/dvfs8.json")
+	blob, err := os.ReadFile("../../examples/machines/dvfs8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dvfs8, err := platform.ParseMachineSpec(blob)
 	if err != nil {
 		t.Fatal(err)
 	}

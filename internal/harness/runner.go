@@ -162,6 +162,11 @@ func (s RunSpec) Validate() error {
 			return err
 		}
 	}
+	if s.Faults != nil {
+		if err := s.Faults.Validate(); err != nil {
+			return err
+		}
+	}
 	if s.MachineConfig != nil {
 		if err := s.MachineConfig.Validate(); err != nil {
 			return err

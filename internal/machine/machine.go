@@ -92,25 +92,28 @@ func (c Config) Validate() error {
 	if err := c.Spec.Validate(); err != nil {
 		return err
 	}
+	// Each case negates the valid range, so NaN fails it too, and every
+	// unbounded range stops at the largest finite float.
+	const maxF = math.MaxFloat64
 	switch {
-	case c.SMTPenalty <= 0 || c.SMTPenalty > 1:
+	case !(c.SMTPenalty > 0 && c.SMTPenalty <= 1):
 		return errors.New("machine: SMTPenalty must be in (0,1]")
-	case c.Overlap < 0 || c.Overlap >= 1:
+	case !(c.Overlap >= 0 && c.Overlap < 1):
 		return errors.New("machine: Overlap must be in [0,1)")
-	case c.LLCHitLatency < 0:
-		return errors.New("machine: negative LLCHitLatency")
+	case !(c.LLCHitLatency >= 0 && c.LLCHitLatency <= maxF):
+		return errors.New("machine: LLCHitLatency must be finite and >= 0")
 	case c.MigrationStall < 0:
 		return errors.New("machine: negative MigrationStall")
-	case c.ColdMissFactor < 1:
-		return errors.New("machine: ColdMissFactor must be >= 1")
-	case c.ColdHalfLife <= 0:
-		return errors.New("machine: ColdHalfLife must be positive")
-	case c.LocalColdFactor < 1:
-		return errors.New("machine: LocalColdFactor must be >= 1")
-	case c.LocalColdHalfLife <= 0:
-		return errors.New("machine: LocalColdHalfLife must be positive")
-	case c.RemoteLatencyFactor < 1:
-		return errors.New("machine: RemoteLatencyFactor must be >= 1")
+	case !(c.ColdMissFactor >= 1 && c.ColdMissFactor <= maxF):
+		return errors.New("machine: ColdMissFactor must be finite and >= 1")
+	case !(c.ColdHalfLife > 0 && c.ColdHalfLife <= maxF):
+		return errors.New("machine: ColdHalfLife must be finite and positive")
+	case !(c.LocalColdFactor >= 1 && c.LocalColdFactor <= maxF):
+		return errors.New("machine: LocalColdFactor must be finite and >= 1")
+	case !(c.LocalColdHalfLife > 0 && c.LocalColdHalfLife <= maxF):
+		return errors.New("machine: LocalColdHalfLife must be finite and positive")
+	case !(c.RemoteLatencyFactor >= 1 && c.RemoteLatencyFactor <= maxF):
+		return errors.New("machine: RemoteLatencyFactor must be finite and >= 1")
 	}
 	return nil
 }

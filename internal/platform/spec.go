@@ -1,9 +1,11 @@
 package platform
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
+	"io"
+	"math"
 )
 
 // SpecError is a typed validation error for MachineSpec. Field names the
@@ -118,13 +120,17 @@ type MachineSpec struct {
 	Distance [][]float64 `json:"distance,omitempty"`
 }
 
+// Every range check below negates the valid range, so NaN fails it
+// too, and every unbounded range stops at the largest finite float.
+const maxF = math.MaxFloat64
+
 func (m MemSpec) validate(field string) error {
 	switch {
-	case m.Capacity <= 0:
-		return specErrf(field+".capacity", "must be > 0, got %g", m.Capacity)
-	case m.BaseLatency <= 0:
-		return specErrf(field+".base_latency", "must be > 0, got %g", m.BaseLatency)
-	case m.MaxUtil <= 0 || m.MaxUtil >= 1:
+	case !(m.Capacity > 0 && m.Capacity <= maxF):
+		return specErrf(field+".capacity", "must be finite and > 0, got %g", m.Capacity)
+	case !(m.BaseLatency > 0 && m.BaseLatency <= maxF):
+		return specErrf(field+".base_latency", "must be finite and > 0, got %g", m.BaseLatency)
+	case !(m.MaxUtil > 0 && m.MaxUtil < 1):
 		return specErrf(field+".max_util", "must be in (0,1), got %g", m.MaxUtil)
 	}
 	return nil
@@ -147,20 +153,20 @@ func (s *MachineSpec) Validate() error {
 			return specErrf(field+".name", "empty")
 		case names[ct.Name]:
 			return specErrf(field+".name", "duplicate type %q", ct.Name)
-		case ct.Speed <= 0:
-			return specErrf(field+".speed", "must be > 0, got %g", ct.Speed)
+		case !(ct.Speed > 0 && ct.Speed <= maxF):
+			return specErrf(field+".speed", "must be finite and > 0, got %g", ct.Speed)
 		case ct.SMTWays < 1:
 			return specErrf(field+".smt_ways", "must be >= 1, got %d", ct.SMTWays)
-		case ct.SMTPenalty < 0 || ct.SMTPenalty > 1:
+		case !(ct.SMTPenalty >= 0 && ct.SMTPenalty <= 1):
 			return specErrf(field+".smt_penalty", "must be in (0,1] or 0 for default, got %g", ct.SMTPenalty)
-		case ct.PowerStatic < 0:
-			return specErrf(field+".power_static", "must be >= 0, got %g", ct.PowerStatic)
-		case ct.PowerPeak < 0:
-			return specErrf(field+".power_peak", "must be >= 0, got %g", ct.PowerPeak)
+		case !(ct.PowerStatic >= 0 && ct.PowerStatic <= maxF):
+			return specErrf(field+".power_static", "must be finite and >= 0, got %g", ct.PowerStatic)
+		case !(ct.PowerPeak >= 0 && ct.PowerPeak <= maxF):
+			return specErrf(field+".power_peak", "must be finite and >= 0, got %g", ct.PowerPeak)
 		}
 		names[ct.Name] = true
 		for l, v := range ct.DVFS {
-			if v <= 0 || v > 1 {
+			if !(v > 0 && v <= 1) {
 				return specErrf(fmt.Sprintf("%s.dvfs[%d]", field, l), "must be in (0,1], got %g", v)
 			}
 			if l > 0 && v > ct.DVFS[l-1] {
@@ -209,8 +215,8 @@ func (s *MachineSpec) Validate() error {
 				if i == j && d != 0 {
 					return specErrf(fmt.Sprintf("distance[%d][%d]", i, j), "diagonal must be 0, got %g", d)
 				}
-				if d < 0 {
-					return specErrf(fmt.Sprintf("distance[%d][%d]", i, j), "must be >= 0, got %g", d)
+				if !(d >= 0 && d <= maxF) {
+					return specErrf(fmt.Sprintf("distance[%d][%d]", i, j), "must be finite and >= 0, got %g", d)
 				}
 			}
 		}
@@ -254,23 +260,21 @@ func (s *MachineSpec) TotalLogical() int {
 	return n
 }
 
-// ParseMachineSpec decodes and validates a MachineSpec from JSON.
+// ParseMachineSpec decodes and validates a MachineSpec from JSON. An
+// unknown key is an error, so a typo'd field cannot silently run its
+// default.
 func ParseMachineSpec(data []byte) (*MachineSpec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var s MachineSpec
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, specErrf("json", "%v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, specErrf("json", "data after the JSON value")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// LoadMachineSpec reads and validates a MachineSpec from a JSON file.
-func LoadMachineSpec(path string) (*MachineSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("platform: machine spec: %w", err)
-	}
-	return ParseMachineSpec(data)
 }

@@ -147,14 +147,6 @@ func TestParseMachineSpec(t *testing.T) {
 	}
 }
 
-// TestLoadMachineSpecMissingFile: the file-level loader wraps I/O errors
-// without inventing a SpecError for them.
-func TestLoadMachineSpecMissingFile(t *testing.T) {
-	if _, err := LoadMachineSpec("/nonexistent/machine.json"); err == nil {
-		t.Fatal("LoadMachineSpec on missing file succeeded")
-	}
-}
-
 func TestSocketDistanceDefaults(t *testing.T) {
 	s := validSpec()
 	s.Distance = nil

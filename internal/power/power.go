@@ -16,6 +16,7 @@ package power
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -77,9 +78,17 @@ func (c Config) WithDefaults() Config {
 }
 
 // Validate reports the first problem with the configuration, or nil.
-// The zero Config (ungoverned) is valid.
+// The zero Config (ungoverned) is valid; any other setting without a
+// governor is an error, since an ungoverned run would ignore it. Every
+// range check negates the valid range, so NaN fails it too, and every
+// unbounded range stops at the largest finite float. The thermal
+// settings join the digest whatever the governor, so they are checked
+// for every governor.
 func (c Config) Validate() error {
 	if c.Governor == "" {
+		if c != (Config{}) {
+			return errors.New("power: settings without a governor, which an ungoverned run ignores")
+		}
 		return nil
 	}
 	if !Known(c.Governor) {
@@ -88,19 +97,19 @@ func (c Config) Validate() error {
 	if c.AdaptEvery < 0 {
 		return errors.New("power: negative AdaptEvery")
 	}
-	switch c.Governor {
-	case GovernorOndemand, GovernorFairness:
-		if c.CapWatts <= 0 {
-			return fmt.Errorf("power: governor %q requires cap_watts > 0", c.Governor)
-		}
-	case GovernorThermal:
-		d := c.WithDefaults()
-		if d.ThermalR <= 0 || d.ThermalAlpha <= 0 || d.ThermalAlpha > 1 {
-			return errors.New("power: thermal_r must be > 0 and thermal_alpha in (0,1]")
-		}
-		if d.ThermalCool >= d.ThermalHot {
-			return fmt.Errorf("power: thermal_cool %g must be below thermal_hot %g", d.ThermalCool, d.ThermalHot)
-		}
+	const maxF = math.MaxFloat64
+	if !(c.CapWatts >= 0 && c.CapWatts <= maxF) {
+		return fmt.Errorf("power: cap_watts must be finite and >= 0, got %g", c.CapWatts)
+	}
+	if (c.Governor == GovernorOndemand || c.Governor == GovernorFairness) && !(c.CapWatts > 0) {
+		return fmt.Errorf("power: governor %q requires cap_watts > 0", c.Governor)
+	}
+	d := c.WithDefaults()
+	if !(d.ThermalR > 0 && d.ThermalR <= maxF && d.ThermalAlpha > 0 && d.ThermalAlpha <= 1) {
+		return errors.New("power: thermal_r must be finite and > 0 and thermal_alpha in (0,1]")
+	}
+	if !(-maxF <= d.ThermalCool && d.ThermalCool < d.ThermalHot && d.ThermalHot <= maxF) {
+		return fmt.Errorf("power: thermal_cool %g must be finite and below a finite thermal_hot %g", d.ThermalCool, d.ThermalHot)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package replay_test
 import (
 	"bytes"
 	"context"
+	"os"
 	"sync"
 	"testing"
 
@@ -23,13 +24,20 @@ import (
 // on the dvfs8 machine, for the energy-meter and DVFS events; and a meta
 // traffic run.
 var recordedLogs = sync.OnceValues(func() (map[string][]byte, error) {
-	dvfs8, err := platform.LoadMachineSpec("../../examples/machines/dvfs8.json")
+	blob, err := os.ReadFile("../../examples/machines/dvfs8.json")
+	if err != nil {
+		return nil, err
+	}
+	dvfs8, err := platform.ParseMachineSpec(blob)
 	if err != nil {
 		return nil, err
 	}
 	mcfg := machine.DefaultConfig()
 	mcfg.Spec = dvfs8
-	colo, err := traffic.LoadSpec("../../examples/traffic/colo.json")
+	if blob, err = os.ReadFile("../../examples/traffic/colo.json"); err != nil {
+		return nil, err
+	}
+	colo, err := traffic.ParseSpec(blob)
 	if err != nil {
 		return nil, err
 	}

@@ -8,22 +8,32 @@ import (
 	"net/http"
 )
 
-// DecodeJSON strictly decodes a request body into v: unknown fields are
-// an error, so a typo'd request field fails loudly instead of silently
-// running the default simulation, and so is anything but whitespace
-// after the one JSON value. It reads at most MaxRequestBytes+1 bytes; a
-// longer body is an error that wraps *http.MaxBytesError.
+// DecodeJSON strictly decodes a request body into v with Decode. It
+// reads at most MaxRequestBytes+1 bytes; a longer body is an error that
+// wraps *http.MaxBytesError.
 func DecodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, MaxRequestBytes))
+	if err := Decode(http.MaxBytesReader(nil, r.Body, MaxRequestBytes), v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
+}
+
+// Decode strictly decodes one JSON value from r into v: unknown fields
+// are an error, so a typo'd request field fails loudly instead of
+// silently running the default simulation, and so is anything but
+// whitespace after the value. The daemons decode every POST body and
+// its raw config fields through it, and dikesim -request its file.
+func Decode(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		return err
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		if errors.As(err, new(*http.MaxBytesError)) {
-			return fmt.Errorf("bad request body: %w", err)
+			return err
 		}
-		return errors.New("bad request body: data after the JSON value")
+		return errors.New("data after the JSON value")
 	}
 	return nil
 }

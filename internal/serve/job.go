@@ -338,11 +338,21 @@ func BuildRunSpec(req RunRequest) (harness.RunSpec, string, error) {
 			return harness.RunSpec{}, "", fmt.Errorf("serve: scale does not apply to traffic runs")
 		}
 	}
-	if spec.Meta, err = parseMetaConfig(req); err != nil {
-		return harness.RunSpec{}, "", err
+	if len(req.Meta) > 0 {
+		// Only the meta policy consults a tournament config, and the
+		// harness leaves it out of every other policy's content
+		// address, so it is rejected rather than ignored.
+		if req.Policy != harness.PolicyMeta {
+			return harness.RunSpec{}, "", fmt.Errorf("serve: meta config requires policy %q (got %q)", harness.PolicyMeta, req.Policy)
+		}
+		if spec.Meta, err = decodeConfig[tournament.Config]("meta", req.Meta); err != nil {
+			return harness.RunSpec{}, "", err
+		}
 	}
-	if spec.Power, err = parsePowerConfig(req); err != nil {
-		return harness.RunSpec{}, "", err
+	if len(req.Power) > 0 {
+		if spec.Power, err = decodeConfig[power.Config]("power", req.Power); err != nil {
+			return harness.RunSpec{}, "", err
+		}
 	}
 	if spec.Traffic == nil {
 		if spec.Workload, err = requestWorkload(req); err != nil {
@@ -352,7 +362,7 @@ func BuildRunSpec(req RunRequest) (harness.RunSpec, string, error) {
 		if spec.Scale == 0 {
 			spec.Scale = 0.1
 		}
-		if spec.Scale < 0 || spec.Scale > 1 {
+		if !(spec.Scale > 0 && spec.Scale <= 1) {
 			return harness.RunSpec{}, "", fmt.Errorf("serve: scale %g outside (0, 1]", req.Scale)
 		}
 	}
@@ -388,7 +398,7 @@ func BuildRunSpec(req RunRequest) (harness.RunSpec, string, error) {
 			spec.Faults = &fc
 		}
 	}
-	digest, err := spec.Digest() // also validates policy, workload and traffic spec
+	digest, err := spec.Digest() // also validates the policy and every config
 	if err != nil {
 		return harness.RunSpec{}, "", err
 	}
@@ -435,43 +445,15 @@ func requestWorkload(req RunRequest) (*workload.Workload, error) {
 	}
 }
 
-// parsePowerConfig decodes a request's governor configuration. Unknown
-// fields are rejected — a typoed cap would otherwise run ungoverned at
-// a different digest than the caller expects.
-func parsePowerConfig(req RunRequest) (*power.Config, error) {
-	if len(req.Power) == 0 {
-		return nil, nil
+// decodeConfig decodes a request's raw config field. Unknown fields
+// are rejected: a typo'd key would otherwise run the defaults at a
+// different digest than the caller expects.
+func decodeConfig[T any](name string, raw json.RawMessage) (*T, error) {
+	cfg := new(T)
+	if err := api.Decode(bytes.NewReader(raw), cfg); err != nil {
+		return nil, fmt.Errorf("serve: %s config: %w", name, err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(req.Power))
-	dec.DisallowUnknownFields()
-	var cfg power.Config
-	if err := dec.Decode(&cfg); err != nil {
-		return nil, fmt.Errorf("serve: power config: %w", err)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return &cfg, nil
-}
-
-// parseMetaConfig decodes a request's tournament configuration. Only
-// the meta policy consults it, and a config on any other policy would
-// silently not affect the run while the harness excludes it from the
-// content address — so it is rejected rather than ignored.
-func parseMetaConfig(req RunRequest) (*tournament.Config, error) {
-	if len(req.Meta) == 0 {
-		return nil, nil
-	}
-	if req.Policy != harness.PolicyMeta {
-		return nil, fmt.Errorf("serve: meta config requires policy %q (got %q)", harness.PolicyMeta, req.Policy)
-	}
-	dec := json.NewDecoder(bytes.NewReader(req.Meta))
-	dec.DisallowUnknownFields()
-	var cfg tournament.Config
-	if err := dec.Decode(&cfg); err != nil {
-		return nil, fmt.Errorf("serve: meta config: %w", err)
-	}
-	return &cfg, nil
+	return cfg, nil
 }
 
 // runResult converts a finished harness run into the API result.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"net/http"
 	"testing"
 )
 
@@ -38,6 +39,7 @@ func TestBuildRunSpecPowerRejectsBadConfig(t *testing.T) {
 		{"unknown field", `{"governor": "ondemand", "cap_wats": 20}`},
 		{"unknown governor", `{"governor": "turbo", "cap_watts": 20}`},
 		{"capping governor without cap", `{"governor": "fairness"}`},
+		{"cap without governor", `{"cap_watts": 18}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,5 +48,16 @@ func TestBuildRunSpecPowerRejectsBadConfig(t *testing.T) {
 				t.Fatalf("BuildRunSpec accepted %s", tc.raw)
 			}
 		})
+	}
+}
+
+// TestServePowerWithoutGovernorRejected: a power setting with no
+// governor would run ungoverned, at the digest of a run without it, so
+// the body is a 400 rather than a run that ignores the setting.
+func TestServePowerWithoutGovernorRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	resp, body := postJSON(t, ts.URL+"/v1/runs", `{"workload":1,"policy":"dike-af","power":{"cap_watts":18}}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("cap_watts without a governor = %d, body %s, want 400", resp.StatusCode, body)
 	}
 }

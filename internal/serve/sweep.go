@@ -63,7 +63,7 @@ func ResolveSweep(req api.SweepRequest) (ResolvedSweep, error) {
 	if rs.Scale == 0 {
 		rs.Scale = 0.05
 	}
-	if rs.Scale < 0 || rs.Scale > 1 {
+	if !(rs.Scale > 0 && rs.Scale <= 1) {
 		return ResolvedSweep{}, fmt.Errorf("serve: scale %g outside (0, 1]", req.Scale)
 	}
 	if len(req.Shard) > 0 {

@@ -16,6 +16,7 @@ package tournament
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Objective names accepted by Config.Objective.
@@ -148,23 +149,26 @@ func (c Config) WithDefaults() Config {
 
 // Validate reports the first problem with a resolved config, or nil.
 func (c Config) Validate() error {
+	// Each case negates the valid range, so NaN fails it too, and every
+	// unbounded range stops at the largest finite float.
+	const maxF = math.MaxFloat64
 	switch {
 	case c.WindowMs < 1:
 		return errors.New("tournament: window_ms < 1")
-	case c.SwitchMargin < 0:
-		return errors.New("tournament: negative switch margin")
+	case !(c.SwitchMargin >= 0 && c.SwitchMargin <= maxF):
+		return errors.New("tournament: switch margin must be finite and >= 0")
 	case c.MinDwellEpochs < 1:
 		return errors.New("tournament: min_dwell_epochs < 1")
-	case c.MigCostMs < 0:
-		return errors.New("tournament: negative migration cost")
-	case c.StallPerMissMs <= 0:
-		return errors.New("tournament: stall_per_miss_ms must be positive")
-	case c.TargetSlowdown <= 1:
-		return errors.New("tournament: target_slowdown must exceed 1")
-	case c.WeightFairness < 0 || c.WeightTail < 0 || c.WeightFairness+c.WeightTail <= 0:
-		return errors.New("tournament: blend weights must be non-negative with a positive sum")
-	case c.GrowthGain < 0:
-		return errors.New("tournament: negative growth gain")
+	case !(c.MigCostMs >= 0 && c.MigCostMs <= maxF):
+		return errors.New("tournament: migration cost must be finite and >= 0")
+	case !(c.StallPerMissMs > 0 && c.StallPerMissMs <= maxF):
+		return errors.New("tournament: stall_per_miss_ms must be finite and positive")
+	case !(c.TargetSlowdown > 1 && c.TargetSlowdown <= maxF):
+		return errors.New("tournament: target_slowdown must be finite and exceed 1")
+	case !(c.WeightFairness >= 0 && c.WeightTail >= 0 && c.WeightFairness+c.WeightTail > 0 && c.WeightFairness+c.WeightTail <= maxF):
+		return errors.New("tournament: blend weights must be non-negative with a finite positive sum")
+	case !(c.GrowthGain >= 0 && c.GrowthGain <= maxF):
+		return errors.New("tournament: growth gain must be finite and >= 0")
 	case len(c.Candidates) == 0:
 		return errors.New("tournament: no candidates")
 	}

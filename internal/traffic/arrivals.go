@@ -120,14 +120,7 @@ func genMMPP(r *sim.RNG, a ArrivalSpec, rate, horizon float64) []float64 {
 	if bf == 0 {
 		bf = 4
 	}
-	burstMs := a.BurstMs
-	if burstMs == 0 {
-		burstMs = 500
-	}
-	calmMs := a.CalmMs
-	if calmMs == 0 {
-		calmMs = 2000
-	}
+	burstMs, calmMs := a.dwells()
 	calmRate := rate * (calmMs + burstMs) / (calmMs + bf*burstMs)
 	var out []float64
 	t := 0.0
@@ -157,6 +150,19 @@ func genMMPP(r *sim.RNG, a ArrivalSpec, rate, horizon float64) []float64 {
 		}
 	}
 	return out
+}
+
+// dwells returns an MMPP class's mean burst and calm dwell times, ms,
+// with their defaults applied.
+func (a ArrivalSpec) dwells() (burstMs, calmMs float64) {
+	burstMs, calmMs = a.BurstMs, a.CalmMs
+	if burstMs == 0 {
+		burstMs = 500
+	}
+	if calmMs == 0 {
+		calmMs = 2000
+	}
+	return burstMs, calmMs
 }
 
 // genDiurnal samples a non-homogeneous Poisson process whose rate ramps

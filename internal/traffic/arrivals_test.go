@@ -202,3 +202,25 @@ func TestArrivalExpWorkDistMean(t *testing.T) {
 		t.Errorf("mean drawn work = %.0f, want ≈500", mean)
 	}
 }
+
+// TestValidateBoundsClassEvents: Generate draws a class's whole stream
+// before the run starts, so a spec whose rate or MMPP dwell times would
+// make it draw more than maxClassEvents events is rejected up front.
+func TestValidateBoundsClassEvents(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		arrival ArrivalSpec
+		ok      bool
+	}{
+		{"poisson at the bound", ArrivalSpec{Process: ProcessPoisson, RatePerSec: maxClassEvents}, true},
+		{"poisson over the bound", ArrivalSpec{Process: ProcessPoisson, RatePerSec: 2 * maxClassEvents}, false},
+		{"poisson at an overflowing rate", ArrivalSpec{Process: ProcessPoisson, RatePerSec: math.MaxFloat64}, false},
+		{"mmpp with millisecond dwells", ArrivalSpec{Process: ProcessMMPP, RatePerSec: 1, BurstMs: 1, CalmMs: 1}, true},
+		{"mmpp with vanishing dwells", ArrivalSpec{Process: ProcessMMPP, RatePerSec: 1, BurstMs: 1e-300, CalmMs: 1e-300}, false},
+	} {
+		s := &Spec{HorizonMs: 1000, Classes: []ClassSpec{{Name: "c", Profile: "jacobi", MeanWork: 500, Arrival: tc.arrival}}}
+		if err := s.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

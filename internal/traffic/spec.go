@@ -11,9 +11,12 @@
 package traffic
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
+	"io"
+	"math"
 
 	"dike/internal/workload"
 )
@@ -103,11 +106,17 @@ type ArrivalSpec struct {
 	Amplitude float64 `json:"amplitude,omitempty"`
 }
 
-// ParseSpec decodes and validates a JSON traffic spec.
+// ParseSpec decodes and validates a JSON traffic spec. An unknown key
+// is an error, so a typo'd field cannot silently run its default.
 func ParseSpec(blob []byte) (*Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
 	var s Spec
-	if err := json.Unmarshal(blob, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("traffic: parse spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("traffic: parse spec: data after the JSON value")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -115,26 +124,21 @@ func ParseSpec(blob []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// LoadSpec reads and validates a JSON traffic spec file.
-func LoadSpec(path string) (*Spec, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := ParseSpec(blob)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
+// maxClassEvents bounds the arrivals (and, for MMPP, the state changes)
+// one class expects over the horizon: about a million requests, far
+// beyond any scenario the machine model can run in reasonable time.
+const maxClassEvents = 1 << 20
 
-// Validate reports the first problem with the spec, or nil.
+// Validate reports the first problem with the spec, or nil. Every
+// range check negates the valid range, so NaN fails it too, and every
+// unbounded range stops at the largest finite float.
 func (s *Spec) Validate() error {
+	const maxF = math.MaxFloat64
 	if s.HorizonMs <= 0 {
 		return fmt.Errorf("traffic: horizon_ms must be positive (got %d)", s.HorizonMs)
 	}
-	if s.Load < 0 {
-		return fmt.Errorf("traffic: negative load %g", s.Load)
+	if !(s.Load >= 0 && s.Load <= maxF) {
+		return fmt.Errorf("traffic: load must be finite and >= 0 (got %g)", s.Load)
 	}
 	if len(s.Classes) == 0 {
 		return fmt.Errorf("traffic: spec has no classes")
@@ -151,22 +155,22 @@ func (s *Spec) Validate() error {
 		if _, err := workload.LookupProfile(c.Profile); err != nil {
 			return fmt.Errorf("traffic: class %q: %w", c.Name, err)
 		}
-		if c.MeanWork <= 0 {
-			return fmt.Errorf("traffic: class %q: mean_work must be positive", c.Name)
+		if !(c.MeanWork > 0 && c.MeanWork <= maxF) {
+			return fmt.Errorf("traffic: class %q: mean_work must be finite and positive", c.Name)
 		}
 		switch c.WorkDist {
 		case "", WorkDistExp, WorkDistFixed:
 		default:
 			return fmt.Errorf("traffic: class %q: unknown work_dist %q", c.Name, c.WorkDist)
 		}
-		if c.SLOMs < 0 {
-			return fmt.Errorf("traffic: class %q: negative slo_ms", c.Name)
+		if !(c.SLOMs >= 0 && c.SLOMs <= maxF) {
+			return fmt.Errorf("traffic: class %q: slo_ms must be finite and >= 0", c.Name)
 		}
 		if c.MaxInSystem < 0 {
 			return fmt.Errorf("traffic: class %q: negative max_in_system", c.Name)
 		}
-		if c.Weight < 0 {
-			return fmt.Errorf("traffic: class %q: negative weight", c.Name)
+		if !(c.Weight >= 0 && c.Weight <= maxF) {
+			return fmt.Errorf("traffic: class %q: weight must be finite and >= 0", c.Name)
 		}
 		a := c.Arrival
 		switch a.Process {
@@ -174,20 +178,30 @@ func (s *Spec) Validate() error {
 		default:
 			return fmt.Errorf("traffic: class %q: unknown arrival process %q", c.Name, a.Process)
 		}
-		if a.RatePerSec <= 0 {
-			return fmt.Errorf("traffic: class %q: rate_per_sec must be positive", c.Name)
+		if !(a.RatePerSec > 0 && a.RatePerSec <= maxF) {
+			return fmt.Errorf("traffic: class %q: rate_per_sec must be finite and positive", c.Name)
 		}
-		if a.BurstFactor < 0 || (a.BurstFactor > 0 && a.BurstFactor < 1) {
-			return fmt.Errorf("traffic: class %q: burst_factor must be >= 1", c.Name)
+		if !(a.BurstFactor == 0 || (a.BurstFactor >= 1 && a.BurstFactor <= maxF)) {
+			return fmt.Errorf("traffic: class %q: burst_factor must be finite and >= 1", c.Name)
 		}
-		if a.BurstMs < 0 || a.CalmMs < 0 {
-			return fmt.Errorf("traffic: class %q: negative mmpp dwell time", c.Name)
+		if !(a.BurstMs >= 0 && a.BurstMs <= maxF && a.CalmMs >= 0 && a.CalmMs <= maxF) {
+			return fmt.Errorf("traffic: class %q: mmpp dwell times must be finite and >= 0", c.Name)
 		}
-		if a.PeriodMs < 0 {
-			return fmt.Errorf("traffic: class %q: negative period_ms", c.Name)
+		if !(a.PeriodMs >= 0 && a.PeriodMs <= maxF) {
+			return fmt.Errorf("traffic: class %q: period_ms must be finite and >= 0", c.Name)
 		}
-		if a.Amplitude < 0 || a.Amplitude >= 1 {
+		if !(a.Amplitude >= 0 && a.Amplitude < 1) {
 			return fmt.Errorf("traffic: class %q: amplitude must be in [0, 1)", c.Name)
+		}
+		// Generate draws every event of the horizon before the run
+		// starts, so the number it will draw is bounded here.
+		events := a.RatePerSec / 1000 * s.load() * float64(s.HorizonMs)
+		if a.Process == ProcessMMPP {
+			burstMs, calmMs := a.dwells()
+			events += float64(s.HorizonMs) / min(burstMs, calmMs)
+		}
+		if !(events <= maxClassEvents) {
+			return fmt.Errorf("traffic: class %q: about %.3g arrivals and state changes over the horizon, more than %d", c.Name, events, maxClassEvents)
 		}
 	}
 	return nil
