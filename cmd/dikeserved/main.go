@@ -23,12 +23,12 @@
 //	GET    /healthz             liveness (503 while draining)
 //	GET    /metrics             Prometheus text exposition
 //
-// With -store-dir set, every finished result is appended to a durable,
-// content-addressed segment log under that directory. A restarted
-// daemon recovers the log (truncating a torn tail if the previous
-// process died mid-append), serves known digests from disk without
-// re-simulating, and resumes interrupted sweeps from their last
-// checkpointed grid point.
+// With -store-dir set, every finished result, each sweep grid point
+// included, is appended to a durable, content-addressed segment log
+// under that directory. A restarted daemon recovers the log (truncating
+// a torn tail if the previous process died mid-append), serves known
+// digests from disk without re-simulating, and so resumes an
+// interrupted sweep by simulating only the points it had not stored.
 //
 // On SIGINT/SIGTERM the daemon drains: new submissions get 503, queued
 // and in-flight jobs run to completion (bounded by -drain-timeout, after
@@ -124,8 +124,7 @@ func openStore(dir string, opts store.Options) (*store.Store, error) {
 		return nil, fmt.Errorf("open store %s: %w", dir, err)
 	}
 	stats := st.Stats()
-	log.Printf("store %s: %d results, %d checkpoints in %d segments (%d bytes)",
-		dir, stats.Results, stats.Checkpoints, stats.Segments, stats.SizeBytes)
+	log.Printf("store %s: %d results in %d segments (%d bytes)", dir, stats.Results, stats.Segments, stats.SizeBytes)
 	if stats.TruncatedRecords > 0 || stats.CorruptRecords > 0 {
 		log.Printf("store recovery: truncated %d torn record(s) (%d bytes), skipped %d corrupt record(s) (%d bytes)",
 			stats.TruncatedRecords, stats.TruncatedBytes, stats.CorruptRecords, stats.CorruptBytes)

@@ -43,7 +43,7 @@ func TestOpenStoreLogsRecovery(t *testing.T) {
 	}
 	st.Close()
 	for _, want := range []string{
-		"store " + dir + ": 2 results, 0 checkpoints in 1 segments",
+		"store " + dir + ": 2 results in 1 segments",
 		"store recovery: truncated 1 torn record(s) (4 bytes), skipped 0 corrupt record(s)",
 	} {
 		if !strings.Contains(logs.String(), want) {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dikestore -dir DIR stats             # counter snapshot (JSON)
-//	dikestore -dir DIR ls                # list live records
+//	dikestore -dir DIR ls                # list live result records
 //	dikestore -dir DIR get DIGEST        # print one stored result
 //	dikestore -dir DIR verify            # read-only damage scan
 //	dikestore -dir DIR compact           # rewrite live records, drop the rest
@@ -52,9 +52,9 @@ func run(args []string, stdout io.Writer) int {
 	case "ls":
 		err = withStore(*dir, func(s *store.Store) error {
 			tw := tabwriter.NewWriter(stdout, 2, 8, 2, ' ', 0)
-			fmt.Fprintln(tw, "KIND\tSEGMENT\tBYTES\tKEY")
+			fmt.Fprintln(tw, "SEGMENT\tBYTES\tKEY")
 			for _, rec := range s.Records() {
-				fmt.Fprintf(tw, "%s\t%08d\t%d\t%s\n", rec.Kind, rec.Segment, rec.Bytes, rec.Key)
+				fmt.Fprintf(tw, "%08d\t%d\t%s\n", rec.Segment, rec.Bytes, rec.Key)
 			}
 			return tw.Flush()
 		})
@@ -92,8 +92,7 @@ func run(args []string, stdout io.Writer) int {
 			}
 			after := s.Stats()
 			fmt.Fprintf(stdout, "compacted: %d → %d bytes in %d → %d segments (%d live records)\n",
-				before.SizeBytes, after.SizeBytes, before.Segments, after.Segments,
-				after.Results+after.Checkpoints)
+				before.SizeBytes, after.SizeBytes, before.Segments, after.Segments, after.Results)
 			return nil
 		})
 	default:

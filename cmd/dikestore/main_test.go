@@ -35,9 +35,6 @@ func TestVerifyCompactVerifyStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.PutCheckpoint("sweep", []byte(`{"done":[0]}`)); err != nil {
-		t.Fatal(err)
-	}
 	s.Close()
 
 	// A kill -9 mid-append leaves a partial frame after the last record.
@@ -59,7 +56,7 @@ func TestVerifyCompactVerifyStats(t *testing.T) {
 	}
 
 	code, out = dikestore(t, "-dir", dir, "compact")
-	if code != 0 || !strings.HasPrefix(out, "compacted: ") || !strings.Contains(out, "(3 live records)") {
+	if code != 0 || !strings.HasPrefix(out, "compacted: ") || !strings.Contains(out, "(2 live records)") {
 		t.Fatalf("compact: exit %d, %q", code, out)
 	}
 
@@ -68,8 +65,8 @@ func TestVerifyCompactVerifyStats(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("verify report %q: %v", out, err)
 	}
-	if code != 0 || !rep.Clean() || rep.ValidRecords != 3 || rep.SupersededRecords != 0 {
-		t.Fatalf("verify after compact: exit %d, %+v; want exit 0, clean, 3 records", code, rep)
+	if code != 0 || !rep.Clean() || rep.ValidRecords != 2 || rep.SupersededRecords != 0 {
+		t.Fatalf("verify after compact: exit %d, %+v; want exit 0, clean, 2 records", code, rep)
 	}
 
 	var st store.Stats
@@ -77,8 +74,8 @@ func TestVerifyCompactVerifyStats(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &st); err != nil {
 		t.Fatalf("stats %q: %v", out, err)
 	}
-	if code != 0 || st.Results != 2 || st.Checkpoints != 1 || st.TruncatedRecords != 0 {
-		t.Fatalf("stats: exit %d, %+v; want 2 results and 1 checkpoint", code, st)
+	if code != 0 || st.Results != 2 || st.TruncatedRecords != 0 {
+		t.Fatalf("stats: exit %d, %+v; want 2 results", code, st)
 	}
 
 	if code, out = dikestore(t, "-dir", dir, "get", "a"); code != 0 || !strings.Contains(out, `"v": 3`) {
@@ -87,6 +84,48 @@ func TestVerifyCompactVerifyStats(t *testing.T) {
 	for _, args := range [][]string{{"verify"}, {"-dir", dir}, {"-dir", dir, "get"}, {"-dir", dir, "frobnicate"}} {
 		if code, _ := dikestore(t, args...); code != 2 {
 			t.Errorf("dikestore %q: exit %d, want 2", args, code)
+		}
+	}
+}
+
+// TestLegacyStore runs the maintenance sequence on testdata/legacy, a
+// segment written by the previous store version: three live results,
+// one superseded result, sweep checkpoints and a tombstone. It verifies
+// clean, serves every result, and compaction leaves the results alone.
+func TestLegacyStore(t *testing.T) {
+	seg, err := os.ReadFile(filepath.Join("testdata", "legacy", "00000001.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "00000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	verify := func() store.VerifyReport {
+		t.Helper()
+		code, out := dikestore(t, "-dir", dir, "verify")
+		var rep store.VerifyReport
+		if err := json.Unmarshal([]byte(out), &rep); err != nil || code != 0 || !rep.Clean() {
+			t.Fatalf("verify: exit %d, %q (%v); want exit 0 and a clean report", code, out, err)
+		}
+		return rep
+	}
+	if rep := verify(); rep.ValidRecords != 8 || rep.Results != 3 || rep.SupersededRecords != 1 {
+		t.Fatalf("verify of the legacy store = %+v, want 8 frames, 3 results, 1 superseded", rep)
+	}
+	if code, out := dikestore(t, "-dir", dir, "compact"); code != 0 || !strings.Contains(out, "(3 live records)") {
+		t.Fatalf("compact: exit %d, %q", code, out)
+	}
+	if rep := verify(); rep.ValidRecords != 3 || rep.Results != 3 {
+		t.Fatalf("verify after compact = %+v, want the 3 results and nothing else", rep)
+	}
+	for key, want := range map[string]string{
+		"run-a":      `"fairness": 0.92`,
+		"run-b":      `"fairness": 0.87`,
+		"sweep-done": `"workload": "wl1"`,
+	} {
+		if code, out := dikestore(t, "-dir", dir, "get", key); code != 0 || !strings.Contains(out, want) {
+			t.Errorf("get %s: exit %d, %q; want %s", key, code, out, want)
 		}
 	}
 }

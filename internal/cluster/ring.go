@@ -87,8 +87,18 @@ func (r *Ring) Order(key string) []string {
 // Owner returns the primary worker for key.
 func (r *Ring) Owner(key string) string { return r.Order(key)[0] }
 
+// ringHash places a key or a virtual node on the ring. FNV-1a alone
+// leaves strings that differ only in their last bytes (one worker's
+// "url#0" … "url#63", or two workers on neighbouring ports) on a
+// lattice, so a whole fleet's virtual nodes interleave unevenly. The
+// 64-bit MurmurHash3 finaliser spreads them.
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
 }

@@ -3,6 +3,9 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"dike/internal/serve"
+	"dike/internal/serve/api"
 )
 
 func testWorkers(n int) []string {
@@ -123,5 +126,36 @@ func TestRingHealthAppliedAtLookup(t *testing.T) {
 	}
 	if len(healthy) != 2 || healthy[0] != order[1] {
 		t.Fatalf("next-in-ring selection wrong: %v (order %v)", healthy, order)
+	}
+}
+
+// TestRingSplitsSweepAcrossLocalPorts: two workers on loopback ports,
+// as the cluster tests boot them, must each own part of a 32-point
+// sweep. With plain FNV-1a about one port pair in a hundred gave one
+// worker no point at all, so a test waiting for that worker to receive
+// a shard waited in vain.
+func TestRingSplitsSweepAcrossLocalPorts(t *testing.T) {
+	seed := uint64(9)
+	rs, err := serve.ResolveSweep(api.SweepRequest{Workload: 1, Seed: &seed, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for port := 32768; port < 61000; port += 41 {
+		for _, gap := range []int{1, 7, 1000} {
+			a := fmt.Sprintf("http://127.0.0.1:%d", port)
+			r, err := NewRing([]string{a, fmt.Sprintf("http://127.0.0.1:%d", port+gap)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned := 0
+			for _, p := range rs.Points {
+				if r.Owner(p) == a {
+					owned++
+				}
+			}
+			if owned == 0 || owned == len(rs.Points) {
+				t.Fatalf("ports %d and %d: the first worker owns %d of %d sweep points", port, port+gap, owned, len(rs.Points))
+			}
+		}
 	}
 }

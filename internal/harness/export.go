@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"dike/internal/metrics"
+	"dike/internal/trace"
 )
 
 // RunRecord is the JSON-serialisable form of a finished run: enough to
@@ -85,16 +86,16 @@ func NewRunRecord(out *RunOutput) *RunRecord {
 		rec.Trace = map[string][]Sample{}
 		for _, s := range []struct {
 			name   string
-			series interface {
-				Len() int
-				At(int) (float64, float64)
-			}
+			series *trace.Series
 		}{
 			{"mem_util", out.Trace.Utilization},
 			{"alive", out.Trace.Alive},
 			{"swaps", out.Trace.Swaps},
 			{"dispersion", out.Trace.Dispersion},
 		} {
+			if s.series == nil {
+				continue // no dispersion series on an open-loop run
+			}
 			var pts []Sample
 			for i := 0; i < s.series.Len(); i++ {
 				t, v := s.series.At(i)

@@ -76,3 +76,26 @@ func TestRunRecordNonDike(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunRecordTraffic: an open-loop run traces no dispersion series,
+// and its record carries the series it has and omits that one.
+func TestRunRecordTraffic(t *testing.T) {
+	out, err := Run(context.Background(), RunSpec{Traffic: sloTraffic(0.3, 1000), Policy: PolicyDike, Seed: 42, TraceEvery: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRunRecord(out)
+	if len(rec.Trace["mem_util"]) == 0 || len(rec.Trace["alive"]) == 0 {
+		t.Fatalf("traffic record lacks its trace series: %v", rec.Trace)
+	}
+	if _, ok := rec.Trace["dispersion"]; ok {
+		t.Error("traffic record carries a dispersion series")
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadRunRecord(&buf); err != nil {
+		t.Fatal(err)
+	}
+}

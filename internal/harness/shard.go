@@ -119,15 +119,6 @@ func (m *GridMerge[T]) Missing() []int {
 	return out
 }
 
-// Each calls f for every delivered point, in grid order.
-func (m *GridMerge[T]) Each(f func(idx int, v T)) {
-	for k, idx := range m.indices {
-		if m.have[k] {
-			f(idx, m.grid[k])
-		}
-	}
-}
-
 // Grid returns the merged points in grid order, or an error naming the
 // indices still missing.
 func (m *GridMerge[T]) Grid() ([]T, error) {

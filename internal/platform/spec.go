@@ -124,6 +124,11 @@ type MachineSpec struct {
 // too, and every unbounded range stops at the largest finite float.
 const maxF = math.MaxFloat64
 
+// MaxLogicalCores bounds the logical cores one spec may describe: 4×
+// the largest machine the repository runs (1,024 lanes). A spec is
+// refused above it before any per-core state is allocated.
+const MaxLogicalCores = 4096
+
 func (m MemSpec) validate(field string) error {
 	switch {
 	case !(m.Capacity > 0 && m.Capacity <= maxF):
@@ -177,6 +182,7 @@ func (s *MachineSpec) Validate() error {
 	if len(s.Sockets) == 0 {
 		return specErrf("sockets", "at least one socket required")
 	}
+	logical := 0
 	for i, sock := range s.Sockets {
 		field := fmt.Sprintf("sockets[%d]", i)
 		if len(sock.Cores) == 0 {
@@ -190,6 +196,11 @@ func (s *MachineSpec) Validate() error {
 			if g.Physical < 1 {
 				return specErrf(gf+".physical", "must be >= 1, got %d", g.Physical)
 			}
+			ways := s.CoreTypes[s.TypeIndex(g.Type)].SMTWays
+			if g.Physical > MaxLogicalCores/ways || logical+g.Physical*ways > MaxLogicalCores {
+				return specErrf(gf+".physical", "machine exceeds %d logical cores", MaxLogicalCores)
+			}
+			logical += g.Physical * ways
 		}
 		if s.SharedMem == nil {
 			if err := sock.Mem.validate(field + ".mem"); err != nil {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,12 @@ func validSpec() *MachineSpec {
 func TestValidSpecValidates(t *testing.T) {
 	if err := validSpec().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+	// Exactly MaxLogicalCores lanes: 2·2044 on socket 0, 2·4 on socket 1.
+	s := validSpec()
+	s.Sockets[0].Cores[0].Physical = MaxLogicalCores/2 - 4
+	if err := s.Validate(); err != nil || s.TotalLogical() != MaxLogicalCores {
+		t.Fatalf("spec of %d logical cores: %v", s.TotalLogical(), err)
 	}
 }
 
@@ -51,6 +58,8 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"socket without cores", func(s *MachineSpec) { s.Sockets[1].Cores = nil }, "sockets[1].cores", "no cores"},
 		{"unknown core type", func(s *MachineSpec) { s.Sockets[0].Cores[0].Type = "gpu" }, "sockets[0].cores[0].type", `unknown core type "gpu"`},
 		{"zero physical cores", func(s *MachineSpec) { s.Sockets[0].Cores[0].Physical = 0 }, "sockets[0].cores[0].physical", ">= 1"},
+		{"physical cores overflow", func(s *MachineSpec) { s.Sockets[0].Cores[0].Physical = math.MaxInt }, "sockets[0].cores[0].physical", "4096 logical cores"},
+		{"logical cores over the bound", func(s *MachineSpec) { s.Sockets[0].Cores[0].Physical = MaxLogicalCores/2 - 3 }, "sockets[1].cores[0].physical", "4096 logical cores"},
 		{"mem zero capacity", func(s *MachineSpec) { s.Sockets[0].Mem.Capacity = 0 }, "sockets[0].mem.capacity", "> 0"},
 		{"mem zero latency", func(s *MachineSpec) { s.Sockets[1].Mem.BaseLatency = 0 }, "sockets[1].mem.base_latency", "> 0"},
 		{"mem util out of range", func(s *MachineSpec) { s.Sockets[0].Mem.MaxUtil = 1 }, "sockets[0].mem.max_util", "(0,1)"},

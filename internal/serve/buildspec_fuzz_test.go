@@ -43,6 +43,10 @@ func FuzzBuildRunSpec(f *testing.F) {
 		// rejects them.
 		`{"policy":"dike","traffic":{"horizon_ms":1000,"classes":[{"name":"c","profile":"jacobi","mean_work":10,"arrival":{"process":"mmpp","rate_per_sec":1,"burst_ms":1e-300,"calm_ms":1e-300}}]}}`,
 		`{"policy":"dike","traffic":{"horizon_ms":1000,"classes":[{"name":"c","profile":"jacobi","mean_work":10,"arrival":{"process":"poisson","rate_per_sec":1e300}}]}}`,
+		// Each of these allocated tens of megabytes per run before the
+		// thread and logical-core bounds rejected them.
+		oversizedBodies[0],
+		oversizedBodies[1],
 	} {
 		f.Add([]byte(body))
 	}

@@ -427,6 +427,9 @@ func requestWorkload(req RunRequest) (*workload.Workload, error) {
 		spec.Name = fmt.Sprintf("gen-%d", seed)
 		return workload.Generate(spec, sim.NewRNG(seed))
 	case len(req.Apps) > 0:
+		if len(req.Apps) > workload.MaxThreads/workload.ThreadsPerBenchmark {
+			return nil, fmt.Errorf("serve: %d apps ask for more than %d threads", len(req.Apps), workload.MaxThreads)
+		}
 		w := &workload.Workload{Name: "custom:" + strings.Join(req.Apps, ",")}
 		for _, app := range req.Apps {
 			p, err := workload.LookupProfile(strings.TrimSpace(app))

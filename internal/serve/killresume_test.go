@@ -127,9 +127,9 @@ func scrapeCounter(t *testing.T, base, name string) float64 {
 
 // TestServeKillNineResume is the crash-recovery acceptance test: a real
 // dikeserved-shaped process is SIGKILLed mid-sweep, a second process
-// over the same store directory recovers, resumes the sweep from its
-// checkpoint (simulating strictly fewer than 32 points), and produces a
-// result byte-identical to harness.Sweep.
+// over the same store directory recovers, resumes the sweep from the
+// grid points the first one stored (simulating only the rest), and
+// produces a result byte-identical to harness.Sweep.
 func TestServeKillNineResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses and runs real sweeps")
@@ -137,7 +137,7 @@ func TestServeKillNineResume(t *testing.T) {
 	dir := t.TempDir()
 	sweepBody := `{"workload":1,"scale":0.02,"seed":33}`
 
-	// Process 1: submit the sweep, wait for durable progress, SIGKILL.
+	// Process 1: submit the sweep, wait for two stored points, SIGKILL.
 	child1, base1 := startChild(t, dir)
 	resp, raw := postJSON(t, base1+"/v1/sweeps", sweepBody)
 	if resp.StatusCode != http.StatusAccepted {
@@ -149,7 +149,7 @@ func TestServeKillNineResume(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		st := childStoreStats(t, base1)
-		if st.Checkpoints >= 1 && st.Results >= 2 {
+		if st.Results >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -162,18 +162,19 @@ func TestServeKillNineResume(t *testing.T) {
 	}
 	child1.Wait()
 
-	// Process 2: same directory. Recovery must surface the checkpoint,
-	// and resubmitting the same sweep must resume, not restart.
+	// Process 2: same directory. Recovery must surface the stored
+	// points, and resubmitting the same sweep must resume, not restart.
 	child2, base2 := startChild(t, dir)
-	if st := childStoreStats(t, base2); st.Checkpoints != 1 {
-		t.Fatalf("recovered %d checkpoints, want 1 (stats %+v)", st.Checkpoints, st)
+	stored := childStoreStats(t, base2).Results
+	if stored < 2 {
+		t.Fatalf("recovered %d results, want at least the 2 seen before the kill", stored)
 	}
 	resp2, raw2 := postJSON(t, base2+"/v1/sweeps", sweepBody)
-	if resp2.StatusCode != http.StatusAccepted && resp2.StatusCode != http.StatusOK {
-		t.Fatalf("resubmit = %d, body %s", resp2.StatusCode, raw2)
-	}
 	var sub2 api.SubmitResponse
 	json.Unmarshal(raw2, &sub2)
+	if resp2.StatusCode != http.StatusAccepted || sub2.Stored {
+		t.Fatalf("resubmit = %d (%s): the sweep finished before the kill, so nothing was resumed", resp2.StatusCode, raw2)
+	}
 	if sub2.Digest != sub.Digest {
 		t.Fatalf("sweep digest changed across processes: %s vs %s", sub2.Digest, sub.Digest)
 	}
@@ -181,14 +182,10 @@ func TestServeKillNineResume(t *testing.T) {
 	if v.Status != StatusDone {
 		t.Fatalf("resumed sweep = %s: %s", v.Status, v.Error)
 	}
-	if sims := scrapeCounter(t, base2, "dike_serve_simulations_total"); sims >= 32 {
-		t.Errorf("resumed process simulated %v points, want < 32", sims)
-	}
-	if resumes := scrapeCounter(t, base2, "dike_store_checkpoint_resumes_total"); resumes != 1 {
-		t.Errorf("checkpoint resumes = %v, want 1", resumes)
-	}
-	if st := childStoreStats(t, base2); st.Checkpoints != 0 {
-		t.Errorf("finished sweep left %d checkpoints", st.Checkpoints)
+	sims := scrapeCounter(t, base2, "dike_serve_simulations_total")
+	hits := scrapeCounter(t, base2, "dike_store_hits_total")
+	if sims >= 32 || hits != float64(stored) || sims+hits != 32 {
+		t.Errorf("resumed process simulated %v points and read %v from the store, want 32-%d and %d", sims, hits, stored, stored)
 	}
 	child2.Process.Kill()
 	child2.Wait()

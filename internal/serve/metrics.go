@@ -23,11 +23,8 @@ type metrics struct {
 	// incrementing it.
 	simulations, cacheHits, cacheMisses, dedup, rejected *obs.Counter
 	// storeErrors counts durable-store writes that failed (the job still
-	// completes; only durability degrades). checkpointResumes and
-	// checkpointResumedPoints count sweeps resumed from a durable
-	// checkpoint and the grid points those checkpoints carried (i.e.
-	// simulations avoided by resuming).
-	storeErrors, checkpointResumes, checkpointResumedPoints *obs.Counter
+	// completes; only durability degrades).
+	storeErrors *obs.Counter
 	// http counts requests by route and status code; latency histograms
 	// their duration per route.
 	http    *obs.Counter
@@ -58,7 +55,7 @@ func newMetrics(queueDepth func() int64, capacity, workers int, running func() i
 	m.dedup = r.Counter("dike_serve_dedup_total", "Submissions coalesced onto an identical in-flight job.")
 	m.rejected = r.Counter("dike_serve_rejected_total", "Submissions rejected with 429 because the queue was full.")
 
-	// Without a store these three are never incremented; they live on a
+	// Without a store storeErrors is never incremented; it lives on a
 	// registry nobody scrapes.
 	sr := new(obs.Registry)
 	if storeStats != nil {
@@ -71,7 +68,6 @@ func newMetrics(queueDepth func() int64, capacity, workers int, running func() i
 		r.Gauge("dike_store_size_bytes", "Total on-disk size of all segments.", stat(func(s store.Stats) int64 { return s.SizeBytes }))
 		r.Gauge("dike_store_segments", "Segment files in the store directory.", stat(func(s store.Stats) int64 { return int64(s.Segments) }))
 		r.Gauge("dike_store_results", "Live result records in the index.", stat(func(s store.Stats) int64 { return int64(s.Results) }))
-		r.Gauge("dike_store_checkpoints", "Live sweep checkpoint records in the index.", stat(func(s store.Stats) int64 { return int64(s.Checkpoints) }))
 		r.CounterFunc("dike_store_recovered_records_total", "Records replayed from disk at open.", stat(func(s store.Stats) int64 { return int64(s.RecoveredRecords) }))
 		r.CounterFunc("dike_store_truncated_records_total", "Torn tail records truncated during recovery.", stat(func(s store.Stats) int64 { return int64(s.TruncatedRecords) }))
 		r.CounterFunc("dike_store_corrupt_records_total", "Corrupt records skipped during recovery.", stat(func(s store.Stats) int64 { return int64(s.CorruptRecords) }))
@@ -79,8 +75,6 @@ func newMetrics(queueDepth func() int64, capacity, workers int, running func() i
 		r.CounterFunc("dike_store_reclaimed_bytes_total", "Bytes reclaimed by compaction.", stat(func(s store.Stats) int64 { return int64(s.ReclaimedBytes) }))
 	}
 	m.storeErrors = sr.Counter("dike_store_errors_total", "Durable-store writes that failed (job still served).")
-	m.checkpointResumes = sr.Counter("dike_store_checkpoint_resumes_total", "Sweeps resumed from a durable checkpoint.")
-	m.checkpointResumedPoints = sr.Counter("dike_store_checkpoint_resumed_points_total", "Grid points restored from checkpoints instead of re-simulated.")
 
 	m.http = r.Counter("dike_serve_http_requests_total", "HTTP requests, by route and status code.", "route", "code")
 	m.latency = r.Histogram("dike_serve_http_request_seconds", "HTTP request latency, by route.", latencyBuckets, "route")

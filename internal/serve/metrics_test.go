@@ -41,7 +41,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 func populatedMetrics() *metrics {
 	stats := func() store.Stats {
 		return store.Stats{
-			Segments: 3, SizeBytes: 123456789, Results: 5, Checkpoints: 1,
+			Segments: 3, SizeBytes: 123456789, Results: 5,
 			Appends: 6, AppendedBytes: 4096, Hits: 10, Misses: 4,
 			RecoveredRecords: 12, TruncatedRecords: 1, CorruptRecords: 2,
 			Compactions: 1, ReclaimedBytes: 2048,
@@ -57,8 +57,6 @@ func populatedMetrics() *metrics {
 	m.cacheMisses.Add(2)
 	m.rejected.Add(2)
 	m.storeErrors.Inc()
-	m.checkpointResumes.Inc()
-	m.checkpointResumedPoints.Add(7)
 	for _, r := range []struct {
 		route   string
 		code    int

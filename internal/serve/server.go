@@ -47,9 +47,10 @@ type Config struct {
 	SweepWorkers int
 	// Store, when non-nil, is the durable run store: a write-through
 	// tier below the LRU (cache miss → store hit → repopulate LRU) that
-	// survives restarts, plus sweep checkpointing so an interrupted
-	// sweep resumes from its last completed grid index. The caller owns
-	// the store's lifecycle (open before New, close after Drain).
+	// survives restarts. Sweeps store every grid point under its own
+	// run digest, so a resubmitted sweep simulates only the points an
+	// interruption left out. The caller owns the store's lifecycle
+	// (open before New, close after Drain).
 	Store *store.Store
 
 	// Simulate overrides harness.Run, the one simulation entry point:
@@ -275,7 +276,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	job := &Job{kind: "sweep", digest: rs.Digest, deadline: s.deadline(req.DeadlineMs)}
 	job.meta, _ = json.Marshal(req)
-	job.exec = s.sweepExec(job, rs)
+	job.exec = s.sweepExec(rs)
 	s.admit(w, job)
 }
 

@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dike/internal/harness"
 	simmetrics "dike/internal/metrics"
 	"dike/internal/serve/api"
+	"dike/internal/workload"
 )
 
 // newTestServer boots a started Server over httptest.
@@ -494,5 +496,27 @@ func TestServeWorkloadDigestsDiffer(t *testing.T) {
 	}
 	if got := specA.Workload.Benchmarks[0].Profile.Name; got != "jacobi" {
 		t.Errorf("first app = %q, want jacobi", got)
+	}
+}
+
+// oversizedBodies name more threads (a generator) or more logical cores
+// (a machine) than a run may hold: a few bytes that would otherwise make
+// a worker allocate in proportion to the number they name.
+var oversizedBodies = []string{
+	`{"generator":{"benchmarks":4,"threads_per":20000},"policy":"cfs","scale":0.01,"max_time_ms":10}`,
+	`{"workload":1,"policy":"cfs","scale":0.01,"max_time_ms":10,"machine":{"core_types":[{"name":"a","speed":1,"smt_ways":1}],"sockets":[{"cores":[{"type":"a","physical":100000}],"mem":{"capacity":1,"base_latency":0.01,"max_util":0.9}}]}}`,
+	`{"apps":[` + strings.Repeat(`"jacobi",`, workload.MaxThreads/workload.ThreadsPerBenchmark) + `"jacobi"],"policy":"cfs"}`,
+}
+
+func TestServeOversizedAskRejected(t *testing.T) {
+	var sims atomic.Int64
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Simulate: countingStub(&sims)})
+	for _, body := range oversizedBodies {
+		if resp, raw := postJSON(t, ts.URL+"/v1/runs", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%.60s… = %d, body %s, want 400", body, resp.StatusCode, raw)
+		}
+	}
+	if sims.Load() != 0 {
+		t.Errorf("rejected bodies ran %d simulations", sims.Load())
 	}
 }

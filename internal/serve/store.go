@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"dike/internal/harness"
@@ -16,8 +15,8 @@ import (
 // This file is the serve layer's storage tier: the durable run store
 // sits below the in-memory LRU as a write-through level (LRU miss →
 // store hit → repopulate LRU; every successful result is appended to
-// the log in finish), plus the sweep executor, whose store steps make
-// interrupted sweeps resumable across a process kill.
+// the log in finish), plus the sweep executor, whose per-point store
+// records make interrupted sweeps resumable across a process kill.
 
 // storeLookup consults the durable tier after an LRU miss. A hit
 // repopulates the LRU so subsequent identical submissions stay
@@ -47,103 +46,39 @@ func (s *Server) storePut(digest string, meta, result []byte) {
 	}
 }
 
-// sweepCheckpoint is the durable progress record of a sweep job, keyed
-// in the store by the sweep's digest. It is cumulative — each append
-// carries every completed point — so recovery only ever needs the
-// latest record, and the append-only log's last-wins rule does the
-// rest.
-type sweepCheckpoint struct {
-	Workload string `json:"workload"`
-	Total    int    `json:"total"`
-	// Points maps grid index (as a JSON-safe string key) to the
-	// completed point.
-	Points map[string]SweepPoint `json:"points"`
-}
-
-// loadSweepCheckpoint returns a merge over indices seeded with the
-// completed points of an earlier, interrupted execution of the sweep
-// with this digest. Without a store, or without a usable checkpoint,
-// the merge starts empty.
-func (s *Server) loadSweepCheckpoint(digest string, indices []int) *harness.GridMerge[SweepPoint] {
-	merge := harness.NewGridMerge[SweepPoint](indices)
-	if s.store == nil {
-		return merge
-	}
-	raw, ok := s.store.GetCheckpoint(digest)
-	if !ok {
-		return merge
-	}
-	var cp sweepCheckpoint
-	if err := json.Unmarshal(raw, &cp); err != nil || cp.Total != len(indices) {
-		// Unreadable or mismatched (the grid shape changed): recompute.
-		return merge
-	}
-	for k, p := range cp.Points {
-		idx, err := strconv.Atoi(k)
-		if err != nil || merge.Put(idx, p) != nil {
-			return harness.NewGridMerge[SweepPoint](indices)
-		}
-	}
-	s.metrics.checkpointResumes.Inc()
-	s.metrics.checkpointResumedPoints.Add(uint64(merge.Len()))
-	return merge
-}
-
-// putSweepCheckpoint appends the sweep's cumulative progress record.
-func (s *Server) putSweepCheckpoint(digest, workload string, merge *harness.GridMerge[SweepPoint], total int) {
-	if s.store == nil {
-		return
-	}
-	cp := sweepCheckpoint{Workload: workload, Total: total, Points: make(map[string]SweepPoint, merge.Len())}
-	merge.Each(func(idx int, p SweepPoint) { cp.Points[strconv.Itoa(idx)] = p })
-	raw, err := json.Marshal(cp)
-	if err != nil {
-		return
-	}
-	if err := s.store.PutCheckpoint(digest, raw); err != nil {
-		s.metrics.storeErrors.Inc()
-	}
-}
-
 // sweepExec returns the executor of a sweep or shard job. It drives the
 // grid point by point through s.simulate, so every simulated point is
 // counted, and assembles the result with harness.GridMerge. With a
-// durable store configured it also:
-//
-//   - content-addresses each grid point's result into the store under
-//     its own RunSpec digest (a later run or sweep sharing the point —
-//     on this node or, via dikecoord re-routes, any node writing to this
-//     store — never recomputes it),
-//   - appends a cumulative checkpoint record after every completed
-//     point, so a kill -9 mid-sweep costs at most the points in flight,
-//     and
-//   - resumes a resubmission after restart from the checkpoint instead
-//     of simulating 32 points again.
+// durable store configured, runGridPoint content-addresses each grid
+// point's result into the store under its own RunSpec digest as soon
+// as it is simulated, and looks every point up there first. That one
+// mechanism makes a later run or sweep sharing a point (on this node
+// or, via dikecoord re-routes, any node writing to this store) never
+// recompute it, and makes a resubmission after a kill -9 simulate only
+// the points that were still in flight or not yet started.
 //
 // The assembled result is byte-identical to harness.Sweep: points land
 // in grid-index order and every number is either the same float64 the
 // harness would produce or its exact JSON round-trip.
-func (s *Server) sweepExec(job *Job, rs ResolvedSweep) func(ctx context.Context) (json.RawMessage, error) {
+func (s *Server) sweepExec(rs ResolvedSweep) func(ctx context.Context) (json.RawMessage, error) {
 	return func(ctx context.Context) (json.RawMessage, error) {
 		specs, meta := harness.SweepGrid(rs.Workload, rs.Options(s.cfg.SweepWorkers))
 		indices, err := harness.ShardIndices(rs.Indices, len(specs))
 		if err != nil {
 			return nil, err
 		}
-		merge := s.loadSweepCheckpoint(job.digest, indices)
-		todo := merge.Missing()
+		merge := harness.NewGridMerge[SweepPoint](indices)
 
-		// Execute the missing points with the configured intra-sweep
-		// concurrency, checkpointing after each completion.
+		// Execute the points with the configured intra-sweep concurrency.
 		pctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		var mu sync.Mutex // guards merge + checkpoint appends
+		var mu sync.Mutex // guards merge
 		sem := make(chan struct{}, s.cfg.SweepWorkers)
 		var wg sync.WaitGroup
 		var firstErr error
 		var errOnce sync.Once
 		fail := func(err error) { errOnce.Do(func() { firstErr = err; cancel() }) }
-		for _, idx := range todo {
+		for _, idx := range indices {
 			wg.Add(1)
 			go func(idx int) {
 				defer wg.Done()
@@ -159,12 +94,11 @@ func (s *Server) sweepExec(job *Job, rs ResolvedSweep) func(ctx context.Context)
 					return
 				}
 				mu.Lock()
-				defer mu.Unlock()
-				if err := merge.Put(idx, p); err != nil {
+				err = merge.Put(idx, p)
+				mu.Unlock()
+				if err != nil {
 					fail(err)
-					return
 				}
-				s.putSweepCheckpoint(job.digest, rs.Workload.Name, merge, len(indices))
 			}(idx)
 		}
 		wg.Wait()
@@ -179,18 +113,7 @@ func (s *Server) sweepExec(job *Job, rs ResolvedSweep) func(ctx context.Context)
 		if err != nil {
 			return nil, err
 		}
-		raw, err := json.Marshal(SweepResult{Workload: rs.Workload.Name, Shard: rs.Indices, Grid: grid})
-		if err != nil {
-			return nil, err
-		}
-		// The sweep's own result record (written by finish) now covers
-		// restarts; the checkpoint is done.
-		if s.store != nil {
-			if err := s.store.DeleteCheckpoint(job.digest); err != nil {
-				s.metrics.storeErrors.Inc()
-			}
-		}
-		return raw, nil
+		return json.Marshal(SweepResult{Workload: rs.Workload.Name, Shard: rs.Indices, Grid: grid})
 	}
 }
 

@@ -167,11 +167,12 @@ func TestServeStoreStats(t *testing.T) {
 }
 
 // TestServeSweepCheckpointResume interrupts a sweep mid-flight, then
-// resumes it on a fresh server over the same store: only the missing
-// points simulate, and the grid is byte-identical to an uninterrupted
-// harness.Sweep. Both phases run the real harness, and the reference is
-// harness.Sweep called directly, so equality pins the per-point
-// executor to the harness path's exact bytes.
+// resumes it on a fresh server over the same store. The per-point run
+// records the interrupted sweep stored are its checkpoint: only the
+// points missing from the store simulate, and the grid is byte-identical to an
+// uninterrupted harness.Sweep. Both phases run the real harness, and
+// the reference is harness.Sweep called directly, so equality pins the
+// per-point executor to the harness path's exact bytes.
 func TestServeSweepCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two real 32-point sweeps")
@@ -183,7 +184,7 @@ func TestServeSweepCheckpointResume(t *testing.T) {
 	// the count deterministic.
 	const failAfter = 5
 	var calls1 atomic.Int64
-	s1, ts1 := newTestServer(t, Config{
+	_, ts1 := newTestServer(t, Config{
 		Workers: 1, SweepWorkers: 1, Store: openStore(t, dir),
 		Simulate: func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error) {
 			if calls1.Add(1) > failAfter {
@@ -198,13 +199,10 @@ func TestServeSweepCheckpointResume(t *testing.T) {
 	if v := waitDone(t, ts1.URL, sub.ID); v.Status != StatusFailed {
 		t.Fatalf("interrupted sweep = %s, want failed", v.Status)
 	}
-	if cps := s1.StoreCheckpoints(); len(cps) != 1 || cps[0] != sub.Digest {
-		t.Fatalf("checkpoints after interruption = %v, want [%s]", cps, sub.Digest)
-	}
 
 	// Phase 2: fresh server, same store. Only the missing points run.
 	var calls2 atomic.Int64
-	s2, ts2 := newTestServer(t, Config{
+	_, ts2 := newTestServer(t, Config{
 		Workers: 1, SweepWorkers: 1, Store: openStore(t, dir),
 		Simulate: func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error) {
 			calls2.Add(1)
@@ -224,9 +222,6 @@ func TestServeSweepCheckpointResume(t *testing.T) {
 	if got := calls2.Load(); got != 32-failAfter {
 		t.Errorf("resume simulated %d points, want %d", got, 32-failAfter)
 	}
-	if cps := s2.StoreCheckpoints(); len(cps) != 0 {
-		t.Errorf("finished sweep left checkpoints %v", cps)
-	}
 
 	// Reference: harness.Sweep itself, independent of the executor.
 	if ref := harnessSweepJSON(t, 1, 21, 0.02); !bytes.Equal(v2.Result, ref) {
@@ -234,8 +229,9 @@ func TestServeSweepCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestServeShardCheckpointResume: a shard's checkpoint resumes like a
-// full sweep's, even though its grid indices exceed the shard's size.
+// TestServeShardCheckpointResume: a shard resumes from its stored
+// per-point records like a full sweep, even though
+// its grid indices exceed the shard's size.
 func TestServeShardCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	const body = `{"workload":1,"scale":0.01,"seed":5,"shard":[20,25]}`
@@ -267,8 +263,35 @@ func TestServeShardCheckpointResume(t *testing.T) {
 	if got := calls2.Load(); got != 1 {
 		t.Errorf("resumed shard simulated %d points, want 1", got)
 	}
-	if got := scrapeCounter(t, ts2.URL, "dike_store_checkpoint_resumes_total"); got != 1 {
-		t.Errorf("checkpoint resumes = %v, want 1", got)
+	if got := scrapeCounter(t, ts2.URL, "dike_store_hits_total"); got != 1 {
+		t.Errorf("store hits = %v, want 1 (the point stored before the interruption)", got)
+	}
+}
+
+// TestServeSweepAppendsOnlyResults: a 32-point sweep over a store
+// appends one result record per grid point plus the sweep's own, and
+// nothing else, so the log grows linearly in the grid.
+func TestServeSweepAppendsOnlyResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real 32-point sweep")
+	}
+	st := openStore(t, t.TempDir())
+	_, ts := newTestServer(t, Config{Workers: 1, SweepWorkers: 1, Store: st})
+	_, raw := postJSON(t, ts.URL+"/v1/sweeps", `{"workload":1,"scale":0.02,"seed":21}`)
+	var sub api.SubmitResponse
+	json.Unmarshal(raw, &sub)
+	if v := waitDone(t, ts.URL, sub.ID); v.Status != StatusDone {
+		t.Fatalf("sweep = %s: %s", v.Status, v.Error)
+	}
+	stats := st.Stats()
+	t.Logf("one 32-point sweep appended %d records, %d bytes", stats.Appends, stats.AppendedBytes)
+	resultBytes := 0
+	for _, rec := range st.Records() {
+		resultBytes += rec.Bytes
+	}
+	if stats.Appends != 33 || stats.Results != 33 || stats.AppendedBytes != uint64(resultBytes) {
+		t.Fatalf("appended %d records (%d bytes) for %d results of %d bytes, want 33 result records and nothing else",
+			stats.Appends, stats.AppendedBytes, stats.Results, resultBytes)
 	}
 }
 
@@ -369,16 +392,14 @@ func TestMetricsStoreSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = newMetrics(gauge, 0, 0, gauge, st.Stats)
-	m.checkpointResumes.Inc()
-	m.checkpointResumedPoints.Add(7)
+	m.storeErrors.Inc()
 	buf.Reset()
 	m.reg.WriteTo(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		"dike_store_appends_total 1",
 		"dike_store_results 1",
-		"dike_store_checkpoint_resumes_total 1",
-		"dike_store_checkpoint_resumed_points_total 7",
+		"dike_store_errors_total 1",
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("metrics missing %q:\n%s", want, grepMetric(out, "dike_store_"))

@@ -7,38 +7,27 @@ import (
 	"testing"
 )
 
-// fuzzSeedLog writes n records into a fresh store and returns its one
-// segment's bytes and the offset of every frame.
-func fuzzSeedLog(f *testing.F, n int) ([]byte, []int64) {
-	f.Helper()
-	dir := f.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var offsets []int64
+// fuzzSeedLog builds one segment of n frames — results, with a kind-2
+// checkpoint frame every third record and a kind-3 tombstone after
+// them, as earlier versions wrote — and returns its bytes and the
+// offset of every frame.
+func fuzzSeedLog(n int) ([]byte, []int64) {
+	var frames []frame
 	for i := 0; i < n; i++ {
-		offsets = append(offsets, s.Stats().SizeBytes)
 		if i%3 == 2 {
-			err = s.PutCheckpoint(fmt.Sprintf("sweep-%02d", i), []byte(fmt.Sprintf(`{"points":%d}`, i)))
+			frames = append(frames, frame{kind: 2, key: fmt.Sprintf("sweep-%02d", i), val: []byte(fmt.Sprintf(`{"points":%d}`, i))})
 		} else {
-			err = s.Put(fmt.Sprintf("key-%02d", i), []byte("meta"), []byte(fmt.Sprintf("value-%02d", i)))
-		}
-		if err != nil {
-			f.Fatal(err)
+			frames = append(frames, frame{kind: kindResult, key: fmt.Sprintf("key-%02d", i), meta: []byte("meta"), val: []byte(fmt.Sprintf("value-%02d", i))})
 		}
 	}
-	if err := s.DeleteCheckpoint("sweep-02"); err != nil {
-		f.Fatal(err)
+	frames = append(frames, frame{kind: 3, key: "sweep-02"})
+	var offsets []int64
+	off := int64(len(segMagic))
+	for i := range frames {
+		offsets = append(offsets, off)
+		off += int64(frames[i].encodedLen())
 	}
-	if err := s.Close(); err != nil {
-		f.Fatal(err)
-	}
-	buf, err := os.ReadFile(segPath(dir, 1))
-	if err != nil {
-		f.Fatal(err)
-	}
-	return buf, offsets
+	return rawSegment(frames...), offsets
 }
 
 // FuzzStoreOpen writes arbitrary bytes as one or two segment files and
@@ -47,7 +36,7 @@ func fuzzSeedLog(f *testing.F, n int) ([]byte, []int64) {
 // the read-only Verify sees it; and every record Get serves must be a
 // whole CRC-valid frame on disk.
 func FuzzStoreOpen(f *testing.F) {
-	log, offsets := fuzzSeedLog(f, 5)
+	log, offsets := fuzzSeedLog(5)
 	flipped := bytes.Clone(log)
 	flipped[offsets[2]] ^= 0xff // CRC byte of a mid-log frame
 	badHeader := bytes.Clone(log)
@@ -95,39 +84,28 @@ func FuzzStoreOpen(f *testing.F) {
 		st := s.Stats()
 		if st.RecoveredRecords != uint64(rep.ValidRecords) || st.CorruptRecords != uint64(rep.CorruptRecords) ||
 			st.CorruptBytes != uint64(rep.CorruptBytes) || st.TruncatedBytes != uint64(rep.TornTailBytes) ||
-			st.Results != rep.Results || st.Checkpoints != rep.Checkpoints {
+			st.Results != rep.Results {
 			t.Fatalf("stats %+v disagree with verify %+v", st, rep)
 		}
 
 		s.mu.RLock()
-		live := make(map[string]ref, len(s.results)+len(s.checks))
+		live := make(map[string]ref, len(s.results))
 		for k, r := range s.results {
-			live["r"+k] = r
-		}
-		for k, r := range s.checks {
-			live["c"+k] = r
+			live[k] = r
 		}
 		s.mu.RUnlock()
 		for k, r := range live {
-			var meta, val []byte
-			var ok bool
-			kind := kindResult
-			if k[0] == 'r' {
-				meta, val, ok = s.GetRecord(k[1:])
-			} else {
-				kind = kindCheckpoint
-				val, ok = s.GetCheckpoint(k[1:])
-			}
+			meta, val, ok := s.GetRecord(k)
 			if !ok {
-				t.Fatalf("indexed %q not served", k[1:])
+				t.Fatalf("indexed %q not served", k)
 			}
 			disk, err := os.ReadFile(segPath(dir, r.seg))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := (&frame{kind: kind, key: k[1:], meta: meta, val: val}).appendTo(nil)
+			want := (&frame{kind: kindResult, key: k, meta: meta, val: val}).appendTo(nil)
 			if r.off+int64(r.n) > int64(len(disk)) || !bytes.Equal(disk[r.off:r.off+int64(r.n)], want) {
-				t.Fatalf("%q served bytes that are not its CRC-valid frame on disk", k[1:])
+				t.Fatalf("%q served bytes that are not its CRC-valid frame on disk", k)
 			}
 		}
 

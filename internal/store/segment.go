@@ -23,7 +23,7 @@ import (
 //
 //	offset size field
 //	0      4    CRC32C over bytes [4, end of frame)
-//	4      1    kind (result | checkpoint | tombstone)
+//	4      1    kind (always result; see below)
 //	5      4    key length
 //	9      4    meta length
 //	13     4    value length
@@ -37,11 +37,14 @@ const (
 	segSuffix   = ".seg"
 )
 
-// Record kinds.
+// Record kinds. The store writes only results. Kinds 2 and 3 are the
+// sweep checkpoints and their tombstones that earlier versions wrote:
+// they still decode as valid frames, so a segment holding them stays
+// readable to its end, but recovery indexes none of them and Compact
+// drops them.
 const (
-	kindResult     = byte(1) // digest → result payload (+ spec meta)
-	kindCheckpoint = byte(2) // sweep digest → cumulative progress
-	kindTombstone  = byte(3) // deletes a checkpoint key
+	kindResult  = byte(1) // digest → result payload (+ spec meta)
+	kindMaxRead = byte(3) // highest kind a valid frame may carry
 )
 
 // Sanity bounds on frame sections: a length field beyond these means the
@@ -100,11 +103,10 @@ type frameError struct {
 	msg    string
 }
 
-func (e *frameError) Error() string { return e.msg }
-
-// decodeFrame parses the frame at buf[off:]. On success it returns the
-// frame and the offset just past it. On failure the *frameError tells
-// the caller whether the rest of the buffer is readable.
+// decodeFrame parses the frame at buf[off:]. It returns the frame and
+// the offset just past it; on failure the *frameError tells the caller
+// whether the rest of the buffer is readable, and for a resync error
+// the offset is still the end of the skipped frame.
 func decodeFrame(buf []byte, off int) (frame, int, *frameError) {
 	rest := buf[off:]
 	if len(rest) < frameHeader {
@@ -114,7 +116,7 @@ func decodeFrame(buf []byte, off int) (frame, int, *frameError) {
 	keyLen := binary.LittleEndian.Uint32(rest[5:9])
 	metaLen := binary.LittleEndian.Uint32(rest[9:13])
 	valLen := binary.LittleEndian.Uint32(rest[13:17])
-	if kind < kindResult || kind > kindTombstone ||
+	if kind < kindResult || kind > kindMaxRead ||
 		keyLen == 0 || keyLen > maxKeyLen || metaLen > maxMetaLen || valLen > maxValLen {
 		// The header itself is garbage: the length fields cannot be
 		// trusted to find the next frame boundary.
@@ -126,7 +128,7 @@ func decodeFrame(buf []byte, off int) (frame, int, *frameError) {
 	}
 	want := binary.LittleEndian.Uint32(rest[0:4])
 	if crc32.Checksum(rest[4:total], castagnoli) != want {
-		return frame{}, 0, &frameError{resync: true, msg: fmt.Sprintf("crc mismatch at offset %d", off)}
+		return frame{}, off + total, &frameError{resync: true, msg: fmt.Sprintf("crc mismatch at offset %d", off)}
 	}
 	body := rest[frameHeader:total]
 	k, m := int(keyLen), int(metaLen)
@@ -137,6 +139,63 @@ func decodeFrame(buf []byte, off int) (frame, int, *frameError) {
 		val:  body[k+m:],
 	}
 	return f, off + total, nil
+}
+
+// damage is what a walk over one segment found beyond its valid
+// frames: the torn tail recovery truncates and the corruption it skips.
+type damage struct {
+	// truncateAt is where the torn tail of the last segment starts (a
+	// frame cut short by a crash mid-append, or a header torn at
+	// creation), or -1 when there is none.
+	truncateAt int
+	// tornFrame reports that the torn tail is a partial frame rather
+	// than a torn segment header.
+	tornFrame bool
+	// corruptRecords counts frames skipped on a CRC mismatch, plus one
+	// for an unreadable remainder; corruptBytes is the size of that
+	// remainder (a damaged header leaves no way to find the next frame).
+	corruptRecords, corruptBytes int
+}
+
+// walkSegment is the one reading of a segment's bytes that recovery and
+// Verify share. It calls fn for every CRC-valid frame with its offset
+// and length, and classifies the rest. last selects the tail rules: a
+// torn frame at the end of the last segment is a torn tail; anywhere
+// else damage is skipped and counted.
+func walkSegment(buf []byte, last bool, fn func(fr frame, off, n int)) damage {
+	d := damage{truncateAt: -1}
+	if len(buf) == 0 {
+		return d // freshly created, crashed before the header landed
+	}
+	if len(buf) < len(segMagic) || string(buf[:len(segMagic)]) != segMagic {
+		if last {
+			d.truncateAt = 0
+		} else {
+			d.corruptRecords, d.corruptBytes = 1, len(buf)
+		}
+		return d
+	}
+	off := len(segMagic)
+	for off < len(buf) {
+		fr, next, ferr := decodeFrame(buf, off)
+		switch {
+		case ferr == nil:
+			fn(fr, off, next-off)
+		case ferr.torn && last:
+			d.truncateAt, d.tornFrame = off, true
+			return d
+		case ferr.resync:
+			d.corruptRecords++
+		default:
+			// A damaged header (or a torn frame mid-log): the length
+			// fields cannot be trusted, so the rest is unreadable.
+			d.corruptRecords++
+			d.corruptBytes = len(buf) - off
+			return d
+		}
+		off = next
+	}
+	return d
 }
 
 // segName formats a segment file name; segments sort lexically in

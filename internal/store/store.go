@@ -13,18 +13,16 @@
 // mid-append) instead of failing, and skip+count mid-log frames whose
 // CRC no longer matches.
 //
-// Beyond results the log carries sweep checkpoint records — cumulative
-// per-grid-point progress keyed by the sweep's digest — so a restarted
-// server resumes an interrupted sweep from its last completed grid
-// index, and tombstones that retire a checkpoint once its sweep result
-// has been stored. Compaction rewrites the live record set into fresh
+// The log holds result records only. A sweep stores each grid point
+// under its own run digest, so a restarted server resumes an
+// interrupted sweep by looking its points up, with no progress record
+// of its own. Compaction rewrites the live record set into fresh
 // segments and deletes the rest; because recovery is last-record-wins
 // in segment order, a crash anywhere inside compaction leaves a log
 // that recovers to the same index.
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -59,16 +57,16 @@ type Stats struct {
 	// Segments / SizeBytes describe the on-disk log right now.
 	Segments  int   `json:"segments"`
 	SizeBytes int64 `json:"size_bytes"`
-	// Results / Checkpoints count live (latest, non-tombstoned) records.
-	Results     int `json:"results"`
-	Checkpoints int `json:"checkpoints"`
+	// Results counts live (latest) result records.
+	Results int `json:"results"`
 	// Appends / AppendedBytes count records written by this process.
 	Appends       uint64 `json:"appends"`
 	AppendedBytes uint64 `json:"appended_bytes"`
-	// Hits / Misses count Get outcomes (results and checkpoints).
+	// Hits / Misses count Get and GetRecord outcomes.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// RecoveredRecords counts valid frames replayed at open.
+	// RecoveredRecords counts valid frames replayed at open, including
+	// the retired checkpoint frames of an older log, which it skips.
 	RecoveredRecords uint64 `json:"recovered_records"`
 	// TruncatedRecords / TruncatedBytes count the torn tail dropped at
 	// open by truncating the last segment back to its last good frame.
@@ -102,13 +100,12 @@ type Store struct {
 	active  int              // active (append) segment number
 	size    int64            // active segment size
 	results map[string]ref
-	checks  map[string]ref
 	closed  bool
 
 	// Lifetime counters; atomics so Get can run under RLock.
-	hits, misses uint64
+	hits, misses atomic.Uint64
 
-	stats Stats // recovery + append counters, guarded by mu
+	stats Stats // recovery, append and compaction counters, guarded by mu
 }
 
 // Open opens (creating if needed) the store in dir, replaying every
@@ -130,7 +127,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:    opts,
 		files:   make(map[int]*os.File),
 		results: make(map[string]ref),
-		checks:  make(map[string]ref),
 	}
 	for i, n := range nums {
 		if err := s.recoverSegment(n, i == len(nums)-1); err != nil {
@@ -164,7 +160,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.size = int64(len(segMagic))
 		}
 	}
-	s.refreshSizes()
 	return s, nil
 }
 
@@ -182,73 +177,24 @@ func (s *Store) recoverSegment(n int, last bool) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if len(buf) == 0 {
-		return nil // freshly created, crashed before the header landed
-	}
-	if len(buf) < len(segMagic) || string(buf[:len(segMagic)]) != segMagic {
-		if last {
-			// A header torn by a crash at creation: reuse the file.
-			s.stats.TruncatedBytes += uint64(len(buf))
-			return f.Truncate(0)
+	d := walkSegment(buf, last, func(fr frame, off, size int) {
+		s.stats.RecoveredRecords++
+		if fr.kind == kindResult {
+			s.results[fr.key] = ref{seg: n, off: int64(off), n: size}
 		}
-		s.stats.CorruptBytes += uint64(len(buf))
-		s.stats.CorruptRecords++
+	})
+	s.stats.CorruptRecords += uint64(d.corruptRecords)
+	s.stats.CorruptBytes += uint64(d.corruptBytes)
+	if d.truncateAt < 0 {
 		return nil
 	}
-
-	off := len(segMagic)
-	for off < len(buf) {
-		fr, next, ferr := decodeFrame(buf, off)
-		if ferr == nil {
-			s.apply(fr, ref{seg: n, off: int64(off), n: next - off})
-			s.stats.RecoveredRecords++
-			off = next
-			continue
-		}
-		if ferr.torn && last {
-			// Crash mid-append: drop the partial frame and keep the file
-			// appendable at the last good offset.
-			s.stats.TruncatedRecords++
-			s.stats.TruncatedBytes += uint64(len(buf) - off)
-			return f.Truncate(int64(off))
-		}
-		if ferr.resync {
-			// The frame is fully present but its CRC fails: skip exactly
-			// this frame and keep reading.
-			s.stats.CorruptRecords++
-			off += frameLenAt(buf, off)
-			continue
-		}
-		// A damaged header (or a torn frame mid-log): the length fields
-		// cannot be trusted, so the rest of this segment is unreadable.
-		s.stats.CorruptRecords++
-		s.stats.CorruptBytes += uint64(len(buf) - off)
-		return nil
+	// Crash mid-append (or mid-creation): drop the torn tail and keep
+	// the file appendable at the last good offset.
+	if d.tornFrame {
+		s.stats.TruncatedRecords++
 	}
-	return nil
-}
-
-// frameLenAt returns the full frame length declared by the (sane)
-// header at off. Only called after decodeFrame classified the frame as
-// resync-able, which guarantees the lengths were within bounds.
-func frameLenAt(buf []byte, off int) int {
-	fr := buf[off:]
-	kl := int(binary.LittleEndian.Uint32(fr[5:9]))
-	ml := int(binary.LittleEndian.Uint32(fr[9:13]))
-	vl := int(binary.LittleEndian.Uint32(fr[13:17]))
-	return frameHeader + kl + ml + vl
-}
-
-// apply folds one recovered or appended frame into the index.
-func (s *Store) apply(fr frame, r ref) {
-	switch fr.kind {
-	case kindResult:
-		s.results[fr.key] = r
-	case kindCheckpoint:
-		s.checks[fr.key] = r
-	case kindTombstone:
-		delete(s.checks, fr.key)
-	}
+	s.stats.TruncatedBytes += uint64(len(buf) - d.truncateAt)
+	return f.Truncate(int64(d.truncateAt))
 }
 
 // newSegment creates segment n, writes its header and makes it active.
@@ -267,8 +213,8 @@ func (s *Store) newSegment(n int) error {
 	return nil
 }
 
-// append writes one frame to the active segment, rotating first when it
-// would overflow, and indexes it. Caller holds mu.
+// append writes one result frame to the active segment, rotating first
+// when it would overflow, and indexes it. Caller holds mu.
 func (s *Store) append(fr frame) error {
 	if s.closed {
 		return errors.New("store: closed")
@@ -294,7 +240,7 @@ func (s *Store) append(fr frame) error {
 			return fmt.Errorf("store: %w", err)
 		}
 	}
-	s.apply(fr, ref{seg: s.active, off: s.size, n: n})
+	s.results[fr.key] = ref{seg: s.active, off: s.size, n: n}
 	s.size += int64(n)
 	s.stats.Appends++
 	s.stats.AppendedBytes += uint64(n)
@@ -325,38 +271,6 @@ func (s *Store) GetRecord(digest string) (meta, result []byte, ok bool) {
 	return s.lookup(s.resultsRef(digest))
 }
 
-// PutCheckpoint stores cumulative progress under key (a sweep digest).
-// Later checkpoints supersede earlier ones.
-func (s *Store) PutCheckpoint(key string, payload []byte) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.append(frame{kind: kindCheckpoint, key: key, val: payload})
-}
-
-// GetCheckpoint returns the latest checkpoint payload for key.
-func (s *Store) GetCheckpoint(key string) ([]byte, bool) {
-	_, val, ok := s.lookup(s.checksRef(key))
-	return val, ok
-}
-
-// DeleteCheckpoint retires a checkpoint (the sweep completed; its
-// result record now serves restarts). Deletion is an appended
-// tombstone, compacted away later.
-func (s *Store) DeleteCheckpoint(key string) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.checks[key]; !ok {
-		return nil
-	}
-	return s.append(frame{kind: kindTombstone, key: key})
-}
-
 func checkKey(key string) error {
 	if key == "" || len(key) > maxKeyLen {
 		return fmt.Errorf("store: bad key length %d", len(key))
@@ -371,74 +285,64 @@ func (s *Store) resultsRef(key string) (ref, bool) {
 	return r, ok
 }
 
-func (s *Store) checksRef(key string) (ref, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.checks[key]
-	return r, ok
-}
-
 // lookup reads the frame a ref points at and counts the hit or miss.
 func (s *Store) lookup(r ref, ok bool) (meta, val []byte, found bool) {
 	if !ok {
-		atomic.AddUint64(&s.misses, 1)
+		s.misses.Add(1)
 		return nil, nil, false
 	}
 	s.mu.RLock()
 	f := s.files[r.seg]
 	s.mu.RUnlock()
 	if f == nil {
-		atomic.AddUint64(&s.misses, 1)
+		s.misses.Add(1)
 		return nil, nil, false
 	}
 	buf := make([]byte, r.n)
 	if _, err := f.ReadAt(buf, r.off); err != nil {
-		atomic.AddUint64(&s.misses, 1)
+		s.misses.Add(1)
 		return nil, nil, false
 	}
 	fr, _, ferr := decodeFrame(buf, 0)
 	if ferr != nil {
-		atomic.AddUint64(&s.misses, 1)
+		s.misses.Add(1)
 		return nil, nil, false
 	}
-	atomic.AddUint64(&s.hits, 1)
+	s.hits.Add(1)
 	return fr.meta, fr.val, true
 }
 
-// RecordInfo describes one live record for offline inspection.
+// RecordInfo describes one live result record for offline inspection.
 type RecordInfo struct {
 	Key     string `json:"key"`
-	Kind    string `json:"kind"`
 	Segment int    `json:"segment"`
 	Bytes   int    `json:"bytes"`
 }
 
-// Records lists the live records, results first then checkpoints, each
-// group sorted by key.
+// Records lists the live result records, sorted by key.
 func (s *Store) Records() []RecordInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]RecordInfo, 0, len(s.results)+len(s.checks))
-	for _, group := range []struct {
-		kind string
-		m    map[string]ref
-	}{{"result", s.results}, {"checkpoint", s.checks}} {
-		keys := make([]string, 0, len(group.m))
-		for k := range group.m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			r := group.m[k]
-			out = append(out, RecordInfo{Key: k, Kind: group.kind, Segment: r.seg, Bytes: r.n})
-		}
+	out := make([]RecordInfo, 0, len(s.results))
+	for _, k := range sortedKeys(s.results) {
+		r := s.results[k]
+		out = append(out, RecordInfo{Key: k, Segment: r.seg, Bytes: r.n})
 	}
 	return out
 }
 
-// Compact rewrites the live record set (results plus un-retired
-// checkpoints) into fresh segments and deletes every older one,
-// reclaiming space held by superseded, tombstoned and corrupt records.
+func sortedKeys(m map[string]ref) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Compact rewrites the live result records into fresh segments and
+// deletes every older one, reclaiming space held by superseded and
+// corrupt records and by the retired checkpoint frames of an older log.
 // Crash-safe: new segments are numbered after the old ones and recovery
 // is last-record-wins, so dying between writing the new segments and
 // removing the old ones recovers to the identical index.
@@ -450,58 +354,33 @@ func (s *Store) Compact() error {
 	}
 
 	old := make([]int, 0, len(s.files))
-	var oldBytes int64
-	for n, f := range s.files {
+	for n := range s.files {
 		old = append(old, n)
-		if fi, err := f.Stat(); err == nil {
-			oldBytes += fi.Size()
-		}
 	}
 	sort.Ints(old)
+	_, oldBytes := s.diskSize()
 
 	// Read every live frame before touching any file.
-	type liveRec struct {
-		fr frame
-	}
-	var live []liveRec
-	collect := func(m map[string]ref, kind byte) error {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
+	var live []frame
+	for _, k := range sortedKeys(s.results) {
+		r := s.results[k]
+		buf := make([]byte, r.n)
+		if _, err := s.files[r.seg].ReadAt(buf, r.off); err != nil {
+			return fmt.Errorf("store: compact read %s: %w", k, err)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			r := m[k]
-			buf := make([]byte, r.n)
-			if _, err := s.files[r.seg].ReadAt(buf, r.off); err != nil {
-				return fmt.Errorf("store: compact read %s: %w", k, err)
-			}
-			fr, _, ferr := decodeFrame(buf, 0)
-			if ferr != nil {
-				return fmt.Errorf("store: compact decode %s: %s", k, ferr.msg)
-			}
-			fr.kind = kind
-			live = append(live, liveRec{fr: fr})
+		fr, _, ferr := decodeFrame(buf, 0)
+		if ferr != nil {
+			return fmt.Errorf("store: compact decode %s: %s", k, ferr.msg)
 		}
-		return nil
-	}
-	if err := collect(s.results, kindResult); err != nil {
-		return err
-	}
-	if err := collect(s.checks, kindCheckpoint); err != nil {
-		return err
+		live = append(live, fr)
 	}
 
 	// Write the live set into fresh segments numbered past the old log.
-	next := 1
-	if len(old) > 0 {
-		next = old[len(old)-1] + 1
-	}
-	if err := s.newSegment(next); err != nil {
+	if err := s.newSegment(old[len(old)-1] + 1); err != nil {
 		return err
 	}
-	for _, rec := range live {
-		if err := s.append(rec.fr); err != nil {
+	for _, fr := range live {
+		if err := s.append(fr); err != nil {
 			return err
 		}
 	}
@@ -518,23 +397,21 @@ func (s *Store) Compact() error {
 		}
 	}
 	s.stats.Compactions++
-	s.refreshSizes()
-	if reclaimed := oldBytes - s.stats.SizeBytes; reclaimed > 0 {
-		s.stats.ReclaimedBytes += uint64(reclaimed)
+	if _, newBytes := s.diskSize(); oldBytes > newBytes {
+		s.stats.ReclaimedBytes += uint64(oldBytes - newBytes)
 	}
 	return nil
 }
 
-// refreshSizes recomputes Segments and SizeBytes. Caller holds mu (or
-// has exclusive access during Open).
-func (s *Store) refreshSizes() {
-	s.stats.Segments = len(s.files)
-	s.stats.SizeBytes = 0
+// diskSize returns the number of segment files and their total size.
+// Caller holds mu.
+func (s *Store) diskSize() (segments int, bytes int64) {
 	for _, f := range s.files {
 		if fi, err := f.Stat(); err == nil {
-			s.stats.SizeBytes += fi.Size()
+			bytes += fi.Size()
 		}
 	}
+	return len(s.files), bytes
 }
 
 // Stats snapshots the store counters.
@@ -543,16 +420,9 @@ func (s *Store) Stats() Stats {
 	defer s.mu.RUnlock()
 	st := s.stats
 	st.Results = len(s.results)
-	st.Checkpoints = len(s.checks)
-	st.Segments = len(s.files)
-	st.SizeBytes = 0
-	for _, f := range s.files {
-		if fi, err := f.Stat(); err == nil {
-			st.SizeBytes += fi.Size()
-		}
-	}
-	st.Hits = atomic.LoadUint64(&s.hits)
-	st.Misses = atomic.LoadUint64(&s.misses)
+	st.Segments, st.SizeBytes = s.diskSize()
+	st.Hits = s.hits.Load()
+	st.Misses = s.misses.Load()
 	return st
 }
 

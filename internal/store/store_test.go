@@ -72,46 +72,81 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreCheckpointLifecycle(t *testing.T) {
+// rawSegment assembles a segment file from frames, bypassing the
+// Store: the way to write the checkpoint (kind 2) and tombstone (kind
+// 3) frames that earlier versions appended and this one never does.
+func rawSegment(frames ...frame) []byte {
+	buf := []byte(segMagic)
+	for i := range frames {
+		buf = frames[i].appendTo(buf)
+	}
+	return buf
+}
+
+// TestStoreOpensRetiredCheckpointFrames: a log written by an earlier
+// version holds sweep checkpoints and their tombstones between its
+// results. It opens with every result intact, verifies clean, and
+// compacts down to result frames only.
+func TestStoreOpensRetiredCheckpointFrames(t *testing.T) {
 	dir := t.TempDir()
+	seg := rawSegment(
+		frame{kind: kindResult, key: "run-a", meta: []byte("spec-a"), val: []byte("result-a")},
+		frame{kind: 2, key: "sweep", val: []byte(`{"total":32,"points":{"0":{}}}`)},
+		frame{kind: kindResult, key: "run-b", val: []byte("result-b")},
+		frame{kind: 2, key: "sweep", val: []byte(`{"total":32,"points":{"0":{},"1":{}}}`)},
+		frame{kind: kindResult, key: "sweep", val: []byte("grid")},
+		frame{kind: 3, key: "sweep"},
+		frame{kind: 2, key: "interrupted", val: []byte(`{"total":32,"points":{"3":{}}}`)},
+		frame{kind: kindResult, key: "run-a", meta: []byte("spec-a"), val: []byte("result-a2")},
+	)
+	if err := os.WriteFile(segPath(dir, 1), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || rep.ValidRecords != 8 || rep.Results != 3 || rep.SupersededRecords != 1 {
+		t.Fatalf("verify = %+v, want clean with 8 frames, 3 results, 1 superseded", rep)
+	}
+
 	s := openT(t, dir, Options{})
-	if err := s.PutCheckpoint("sweep1", []byte(`{"done":[0,1]}`)); err != nil {
+	if st := s.Stats(); st.Results != 3 || st.RecoveredRecords != 8 || st.CorruptRecords != 0 || st.TruncatedRecords != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	wantGet(t, s, "run-a", "result-a2")
+	wantGet(t, s, "run-b", "result-b")
+	wantGet(t, s, "sweep", "grid")
+	if _, ok := s.Get("interrupted"); ok {
+		t.Fatal("a checkpoint frame was served as a result")
+	}
+	if err := s.Compact(); err != nil {
 		t.Fatal(err)
-	}
-	if err := s.PutCheckpoint("sweep1", []byte(`{"done":[0,1,2]}`)); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.GetCheckpoint("sweep1")
-	if !ok || string(got) != `{"done":[0,1,2]}` {
-		t.Fatalf("checkpoint = %q/%v", got, ok)
-	}
-	// A result under the same key must not collide with the checkpoint.
-	put(t, s, "sweep1", "final")
-	wantGet(t, s, "sweep1", "final")
-	if _, ok := s.GetCheckpoint("sweep1"); !ok {
-		t.Fatal("checkpoint vanished after result write")
 	}
 	s.Close()
 
-	// Both namespaces survive a reopen.
-	s = openT(t, dir, Options{})
-	if got, ok := s.GetCheckpoint("sweep1"); !ok || string(got) != `{"done":[0,1,2]}` {
-		t.Fatalf("reopened checkpoint = %q/%v", got, ok)
-	}
-	if err := s.DeleteCheckpoint("sweep1"); err != nil {
+	nums, err := listSegments(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetCheckpoint("sweep1"); ok {
-		t.Fatal("checkpoint survived delete")
+	for i, n := range nums {
+		buf, err := os.ReadFile(segPath(dir, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		walkSegment(buf, i == len(nums)-1, func(fr frame, off, _ int) {
+			if fr.kind != kindResult {
+				t.Errorf("segment %d offset %d: kind-%d frame %q survived compaction", n, off, fr.kind, fr.key)
+			}
+		})
 	}
-	s.Close()
-
-	// The tombstone holds across recovery; the result is untouched.
+	if rep, err := Verify(dir); err != nil || !rep.Clean() || rep.ValidRecords != 3 || rep.Results != 3 {
+		t.Fatalf("verify after compaction = %+v, %v", rep, err)
+	}
 	s = openT(t, dir, Options{})
-	if _, ok := s.GetCheckpoint("sweep1"); ok {
-		t.Fatal("checkpoint resurrected by recovery")
-	}
-	wantGet(t, s, "sweep1", "final")
+	wantGet(t, s, "run-a", "result-a2")
+	wantGet(t, s, "run-b", "result-b")
+	wantGet(t, s, "sweep", "grid")
 }
 
 func TestStoreSegmentRotation(t *testing.T) {
@@ -340,23 +375,13 @@ func TestStoreRecoveryEmptySegment(t *testing.T) {
 	}
 }
 
-// TestStoreCompaction: superseded records and tombstones are dropped,
-// space is reclaimed, and the compacted log reopens to the identical
-// index.
+// TestStoreCompaction: superseded records are dropped, space is
+// reclaimed, and the compacted log reopens to the identical index.
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Options{SegmentBytes: 512})
 	for i := 0; i < 10; i++ {
 		put(t, s, fmt.Sprintf("key-%02d", i%3), fmt.Sprintf("gen-%02d", i)) // 3 live, 7 superseded
-	}
-	if err := s.PutCheckpoint("cp-live", []byte("progress")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutCheckpoint("cp-dead", []byte("progress")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeleteCheckpoint("cp-dead"); err != nil {
-		t.Fatal(err)
 	}
 	before := s.Stats()
 	if err := s.Compact(); err != nil {
@@ -369,8 +394,8 @@ func TestStoreCompaction(t *testing.T) {
 	if after.Compactions != 1 || after.ReclaimedBytes == 0 {
 		t.Fatalf("stats = %+v", after)
 	}
-	if after.Results != 3 || after.Checkpoints != 1 {
-		t.Fatalf("live set = %d results, %d checkpoints", after.Results, after.Checkpoints)
+	if after.Results != 3 {
+		t.Fatalf("live set = %d results", after.Results)
 	}
 	// Live data still served, and the store still accepts appends.
 	wantGet(t, s, "key-00", "gen-09")
@@ -382,17 +407,11 @@ func TestStoreCompaction(t *testing.T) {
 	// Reopen after compaction: identical index, no damage.
 	s2 := openT(t, dir, Options{SegmentBytes: 512})
 	st := s2.Stats()
-	if st.Results != 4 || st.Checkpoints != 1 || st.CorruptRecords != 0 || st.TruncatedRecords != 0 {
+	if st.Results != 4 || st.CorruptRecords != 0 || st.TruncatedRecords != 0 {
 		t.Fatalf("reopen stats = %+v", st)
 	}
 	wantGet(t, s2, "key-00", "gen-09")
 	wantGet(t, s2, "post-compact", "new")
-	if got, ok := s2.GetCheckpoint("cp-live"); !ok || string(got) != "progress" {
-		t.Fatalf("checkpoint = %q/%v", got, ok)
-	}
-	if _, ok := s2.GetCheckpoint("cp-dead"); ok {
-		t.Fatal("tombstoned checkpoint survived compaction")
-	}
 	if !clean(t, dir) {
 		t.Fatal("compacted log damaged")
 	}

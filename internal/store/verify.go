@@ -9,13 +9,15 @@ import (
 // what a recovery would index and what damage it would repair or skip,
 // without modifying a single byte.
 type VerifyReport struct {
-	Segments          int   `json:"segments"`
-	SizeBytes         int64 `json:"size_bytes"`
-	ValidRecords      int   `json:"valid_records"`
-	Results           int   `json:"results"`
-	Checkpoints       int   `json:"checkpoints"`
-	Tombstones        int   `json:"tombstones"`
-	SupersededRecords int   `json:"superseded_records"`
+	Segments  int   `json:"segments"`
+	SizeBytes int64 `json:"size_bytes"`
+	// ValidRecords counts CRC-valid frames, the retired checkpoint
+	// frames of an older log included; Results counts the live results
+	// among them and SupersededRecords the results a later frame for
+	// the same digest replaces.
+	ValidRecords      int `json:"valid_records"`
+	Results           int `json:"results"`
+	SupersededRecords int `json:"superseded_records"`
 	// TornTailBytes is the partial frame at the end of the last segment
 	// that Open would truncate away.
 	TornTailBytes int `json:"torn_tail_bytes"`
@@ -30,8 +32,9 @@ func (r VerifyReport) Clean() bool {
 }
 
 // Verify scans the store in dir read-only and reports what recovery
-// would find. Safe to run against a live store owned by another
-// process: it opens nothing for writing.
+// would find: it walks each segment exactly as Open does, but only
+// counts. Safe to run against a live store owned by another process:
+// it opens nothing for writing.
 func Verify(dir string) (VerifyReport, error) {
 	var rep VerifyReport
 	nums, err := listSegments(dir)
@@ -40,64 +43,28 @@ func Verify(dir string) (VerifyReport, error) {
 	}
 	rep.Segments = len(nums)
 	results := make(map[string]bool)
-	checks := make(map[string]bool)
 	for i, n := range nums {
-		last := i == len(nums)-1
 		buf, err := os.ReadFile(segPath(dir, n))
 		if err != nil {
 			return rep, fmt.Errorf("store: verify: %w", err)
 		}
 		rep.SizeBytes += int64(len(buf))
-		if len(buf) == 0 {
-			continue
+		d := walkSegment(buf, i == len(nums)-1, func(fr frame, _, _ int) {
+			rep.ValidRecords++
+			if fr.kind != kindResult {
+				return
+			}
+			if results[fr.key] {
+				rep.SupersededRecords++
+			}
+			results[fr.key] = true
+		})
+		if d.truncateAt >= 0 {
+			rep.TornTailBytes += len(buf) - d.truncateAt
 		}
-		if len(buf) < len(segMagic) || string(buf[:len(segMagic)]) != segMagic {
-			if last {
-				rep.TornTailBytes += len(buf)
-			} else {
-				rep.CorruptRecords++
-				rep.CorruptBytes += len(buf)
-			}
-			continue
-		}
-		off := len(segMagic)
-		for off < len(buf) {
-			fr, next, ferr := decodeFrame(buf, off)
-			if ferr == nil {
-				rep.ValidRecords++
-				switch fr.kind {
-				case kindResult:
-					if results[fr.key] {
-						rep.SupersededRecords++
-					}
-					results[fr.key] = true
-				case kindCheckpoint:
-					if checks[fr.key] {
-						rep.SupersededRecords++
-					}
-					checks[fr.key] = true
-				case kindTombstone:
-					rep.Tombstones++
-					delete(checks, fr.key)
-				}
-				off = next
-				continue
-			}
-			if ferr.torn && last {
-				rep.TornTailBytes += len(buf) - off
-				break
-			}
-			if ferr.resync {
-				rep.CorruptRecords++
-				off += frameLenAt(buf, off)
-				continue
-			}
-			rep.CorruptRecords++
-			rep.CorruptBytes += len(buf) - off
-			break
-		}
+		rep.CorruptRecords += d.corruptRecords
+		rep.CorruptBytes += d.corruptBytes
 	}
 	rep.Results = len(results)
-	rep.Checkpoints = len(checks)
 	return rep, nil
 }

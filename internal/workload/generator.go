@@ -41,6 +41,13 @@ func Generate(spec GeneratorSpec, rng *sim.RNG) (*Workload, error) {
 	if spec.Benchmarks < 1 || spec.ThreadsPer < 1 {
 		return nil, fmt.Errorf("workload: generator needs positive counts, got %d benchmarks x %d threads", spec.Benchmarks, spec.ThreadsPer)
 	}
+	apps := spec.Benchmarks
+	if spec.IncludeKmeans {
+		apps++
+	}
+	if spec.ThreadsPer > MaxThreads/apps {
+		return nil, fmt.Errorf("workload: generator asks for %d apps x %d threads, more than %d threads", apps, spec.ThreadsPer, MaxThreads)
+	}
 	catalogue := Profiles()
 	var memApps, compApps []*Profile
 	for _, name := range AppNames() {

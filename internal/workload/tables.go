@@ -7,6 +7,12 @@ import "fmt"
 // cores of the Table I machine.
 const ThreadsPerBenchmark = 8
 
+// MaxThreads bounds the threads one workload may hold: 16× the largest
+// workload the repository runs (1,024 threads on the 1,024-lane scale
+// machine). A request that names a thread count is refused above it
+// before anything is allocated per thread.
+const MaxThreads = 16384
+
 // table2 lists the four main applications of WL1–WL16 (Table II). Two
 // cells are illegible in the source text; we fill them consistently with
 // the stated 2M/2C balance and record the substitution in DESIGN.md:

@@ -66,6 +66,7 @@ func (w *Workload) Validate() error {
 	if len(w.Benchmarks) == 0 {
 		return fmt.Errorf("workload %s: no benchmarks", w.Name)
 	}
+	threads := 0
 	for i, b := range w.Benchmarks {
 		if b.Profile == nil {
 			return fmt.Errorf("workload %s: benchmark %d has nil profile", w.Name, i)
@@ -75,6 +76,9 @@ func (w *Workload) Validate() error {
 		}
 		if b.Threads < 1 {
 			return fmt.Errorf("workload %s: benchmark %q has %d threads", w.Name, b.Profile.Name, b.Threads)
+		}
+		if threads += b.Threads; b.Threads > MaxThreads || threads > MaxThreads {
+			return fmt.Errorf("workload %s: more than %d threads", w.Name, MaxThreads)
 		}
 		if b.StartAt < 0 {
 			return fmt.Errorf("workload %s: benchmark %q has negative start time", w.Name, b.Profile.Name)

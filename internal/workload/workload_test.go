@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"dike/internal/machine"
@@ -299,5 +301,29 @@ func TestGenerator(t *testing.T) {
 	}
 	if _, err := Generate(GeneratorSpec{Benchmarks: -1}, rng); err == nil {
 		t.Error("negative benchmarks accepted")
+	}
+}
+
+// TestThreadBound: a workload holds at most MaxThreads threads, and
+// Generate refuses a larger one before drawing anything.
+func TestThreadBound(t *testing.T) {
+	rng := sim.NewRNG(1)
+	w, err := Generate(GeneratorSpec{ThreadsPer: MaxThreads / 4}, rng)
+	if err != nil || w.TotalThreads() != MaxThreads {
+		t.Fatalf("4 x %d threads: %v", MaxThreads/4, err)
+	}
+	for _, spec := range []GeneratorSpec{
+		{ThreadsPer: MaxThreads / 4, IncludeKmeans: true},
+		{ThreadsPer: 20000},
+		{Benchmarks: math.MaxInt, ThreadsPer: 1, AllowRepeats: true},
+		{Benchmarks: 2, ThreadsPer: math.MaxInt},
+	} {
+		if _, err := Generate(spec, rng); err == nil || !strings.Contains(err.Error(), "16384 threads") {
+			t.Errorf("Generate(%+v) = %v, want the thread bound", spec, err)
+		}
+	}
+	w.Benchmarks = append(w.Benchmarks, Benchmark{Profile: w.Benchmarks[0].Profile, Threads: 1})
+	if err := w.Validate(); err == nil {
+		t.Errorf("workload of %d threads validated", w.TotalThreads())
 	}
 }
