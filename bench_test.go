@@ -246,7 +246,7 @@ func BenchmarkMachineStep(b *testing.B) {
 				}
 				n := m.Topology().NumCores()
 				for i, id := range m.Threads() {
-					if err := m.Place(id, machine.CoreID(i%n)); err != nil {
+					if err := m.Place(id, platform.CoreID(i%n)); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -108,7 +108,7 @@ type loadgen struct {
 	timeout time.Duration
 	churn   bool
 
-	next int64 // atomically claimed request index
+	next atomic.Int64 // claimed request index
 
 	mu        sync.Mutex
 	codes     map[int]int // HTTP status → count (submissions only)
@@ -145,7 +145,7 @@ func (lg *loadgen) drive(clients int) time.Duration {
 // poll to completion, repeat until the shared budget is spent.
 func (lg *loadgen) run(client int) {
 	for {
-		i := atomic.AddInt64(&lg.next, 1) - 1
+		i := lg.next.Add(1) - 1
 		if i >= int64(lg.n) {
 			return
 		}

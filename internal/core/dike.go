@@ -167,7 +167,7 @@ func MustNew(p platform.Platform, cfg Config) *Dike {
 	return d
 }
 
-// Name implements sched.Policy: "dike", "dike-af", "dike-ap" or
+// Name implements sim.Policy: "dike", "dike-af", "dike-ap" or
 // "dike-ea".
 func (d *Dike) Name() string {
 	switch d.cfg.Goal {
@@ -182,7 +182,7 @@ func (d *Dike) Name() string {
 	}
 }
 
-// QuantaLength implements sched.Policy; adaptive modes change it as the
+// QuantaLength implements sim.Policy; adaptive modes change it as the
 // Optimizer retunes.
 func (d *Dike) QuantaLength() sim.Time { return d.quanta }
 
@@ -208,7 +208,7 @@ func (d *Dike) FailedSwaps() int { return d.mig.FailedSwaps() }
 // Observer dropped, rejected or clamped.
 func (d *Dike) SanitizedTotal() SanitizeStats { return d.obs.SanitizedTotal() }
 
-// Quantum implements sched.Policy: one pass of the Figure 3 pipeline.
+// Quantum implements sim.Policy: one pass of the Figure 3 pipeline.
 func (d *Dike) Quantum(now sim.Time) error {
 	if !d.placed {
 		if err := sched.SpreadPlacement(d.p, d.cfg.PlacementSeed); err != nil {

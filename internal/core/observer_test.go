@@ -5,7 +5,6 @@ import (
 
 	"dike/internal/platform"
 	"dike/internal/platform/platformtest"
-	"dike/internal/sched"
 	"dike/internal/sim"
 )
 
@@ -186,8 +185,6 @@ func TestObserverStalledThreadKeepsClass(t *testing.T) {
 		t.Error("stalled thread lost its classification")
 	}
 }
-
-var _ = sched.Sample{} // keep the import meaningful if helpers change
 
 func TestObserverGetters(t *testing.T) {
 	m := twoClassMachine(t)

@@ -10,10 +10,7 @@
 // as a sampling profiler would.
 package counters
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // ThreadCounters is the cumulative counter block for one thread.
 type ThreadCounters struct {
@@ -28,54 +25,7 @@ type ThreadCounters struct {
 // CoreCounters is the cumulative counter block for one logical core.
 type CoreCounters struct {
 	ServedMisses float64 // memory transactions issued by threads while on this core
-	BusyTime     float64 // ms with at least one unfinished thread resident
 }
-
-// File holds all counters for a machine. The zero value is unusable;
-// construct with NewFile.
-type File struct {
-	threads map[int]*ThreadCounters
-	cores   []CoreCounters
-}
-
-// NewFile returns a counter file for nCores logical cores.
-func NewFile(nCores int) *File {
-	return &File{
-		threads: make(map[int]*ThreadCounters),
-		cores:   make([]CoreCounters, nCores),
-	}
-}
-
-// AddThread registers a thread id. It panics on duplicates: thread ids are
-// assigned once by the machine and a collision is a programming error.
-func (f *File) AddThread(tid int) {
-	if _, ok := f.threads[tid]; ok {
-		panic(fmt.Sprintf("counters: duplicate thread %d", tid))
-	}
-	f.threads[tid] = &ThreadCounters{}
-}
-
-// MutThread returns the mutable counter block for tid, for the machine's
-// use only. It panics on unknown ids.
-func (f *File) MutThread(tid int) *ThreadCounters {
-	tc, ok := f.threads[tid]
-	if !ok {
-		panic(fmt.Sprintf("counters: unknown thread %d", tid))
-	}
-	return tc
-}
-
-// MutCore returns the mutable counter block for core c.
-func (f *File) MutCore(c int) *CoreCounters { return &f.cores[c] }
-
-// Thread returns a copy of the counter block for tid.
-func (f *File) Thread(tid int) ThreadCounters { return *f.MutThread(tid) }
-
-// Core returns a copy of the counter block for core c.
-func (f *File) Core(c int) CoreCounters { return f.cores[c] }
-
-// NumCores returns the number of logical cores tracked.
-func (f *File) NumCores() int { return len(f.cores) }
 
 // ThreadDelta is the difference of two thread counter snapshots over an
 // interval, with derived rates.
@@ -163,12 +113,8 @@ func (d CoreDelta) Bandwidth() float64 {
 	return d.ServedMisses / d.Interval
 }
 
-// DiffCore returns the delta between a previous snapshot and the current
-// counters for core c over interval ms.
-func (f *File) DiffCore(c int, prev CoreCounters, interval float64) CoreDelta {
-	cur := f.Core(c)
-	return CoreDelta{
-		Interval:     interval,
-		ServedMisses: cur.ServedMisses - prev.ServedMisses,
-	}
+// Since returns the delta between a previous snapshot and c over
+// interval ms.
+func (c CoreCounters) Since(prev CoreCounters, interval float64) CoreDelta {
+	return CoreDelta{Interval: interval, ServedMisses: c.ServedMisses - prev.ServedMisses}
 }

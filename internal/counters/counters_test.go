@@ -6,57 +6,10 @@ import (
 	"testing/quick"
 )
 
-func TestFileAddAndRead(t *testing.T) {
-	f := NewFile(4)
-	f.AddThread(0)
-	f.AddThread(7)
-	if f.NumCores() != 4 {
-		t.Errorf("NumCores = %d, want 4", f.NumCores())
-	}
-	f.MutThread(7).Misses = 12
-	if got := f.Thread(7).Misses; got != 12 {
-		t.Errorf("Misses = %v, want 12", got)
-	}
-	// Thread returns a copy.
-	snap := f.Thread(7)
-	snap.Misses = 99
-	if f.Thread(7).Misses != 12 {
-		t.Error("Thread returned a live reference")
-	}
-}
-
-func TestFileDuplicatePanics(t *testing.T) {
-	f := NewFile(1)
-	f.AddThread(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate AddThread did not panic")
-		}
-	}()
-	f.AddThread(1)
-}
-
-func TestFileUnknownThreadPanics(t *testing.T) {
-	f := NewFile(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown thread did not panic")
-		}
-	}()
-	f.MutThread(3)
-}
-
 func TestThreadDelta(t *testing.T) {
-	f := NewFile(2)
-	f.AddThread(0)
-	prev := f.Thread(0)
-	tc := f.MutThread(0)
-	tc.Misses = 50
-	tc.Accesses = 200
-	tc.Instructions = 1000
-	tc.Work = 1
-	tc.Migrations = 2
-	d := f.Thread(0).Since(prev, 100)
+	var prev ThreadCounters
+	tc := ThreadCounters{Misses: 50, Accesses: 200, Instructions: 1000, Work: 1, Migrations: 2}
+	d := tc.Since(prev, 100)
 	if d.AccessRate() != 0.5 {
 		t.Errorf("AccessRate = %v, want 0.5", d.AccessRate())
 	}
@@ -82,10 +35,8 @@ func TestDeltaDegenerateIntervals(t *testing.T) {
 }
 
 func TestCoreDelta(t *testing.T) {
-	f := NewFile(2)
-	prev := f.Core(1)
-	f.MutCore(1).ServedMisses = 30
-	d := f.DiffCore(1, prev, 60)
+	var prev CoreCounters
+	d := CoreCounters{ServedMisses: 30}.Since(prev, 60)
 	if d.Bandwidth() != 0.5 {
 		t.Errorf("Bandwidth = %v, want 0.5", d.Bandwidth())
 	}
@@ -98,23 +49,22 @@ func TestThreadSinceIsExactDifference(t *testing.T) {
 	// Differencing two snapshots always recovers exactly what was added
 	// between them, for any update sequence.
 	f := func(add1, add2 []float64) bool {
-		file := NewFile(1)
-		file.AddThread(0)
+		var tc ThreadCounters
 		apply := func(xs []float64) float64 {
 			sum := 0.0
 			for _, x := range xs {
 				if x < 0 || x > 1e12 {
 					continue
 				}
-				file.MutThread(0).Misses += x
+				tc.Misses += x
 				sum += x
 			}
 			return sum
 		}
 		apply(add1)
-		snap := file.Thread(0)
+		snap := tc
 		want := apply(add2)
-		d := file.Thread(0).Since(snap, 1)
+		d := tc.Since(snap, 1)
 		diff := d.Misses - want
 		return diff < 1e-6 && diff > -1e-6
 	}

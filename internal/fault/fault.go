@@ -20,6 +20,7 @@ import (
 
 	"dike/internal/counters"
 	"dike/internal/machine"
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -318,7 +319,7 @@ func (in *Injector) countEpisode(salt, subject, w uint64, n *int) {
 }
 
 // CoreFactor implements machine.Disruptor: offline wins over throttle.
-func (in *Injector) CoreFactor(c machine.CoreID, now sim.Time) float64 {
+func (in *Injector) CoreFactor(c platform.CoreID, now sim.Time) float64 {
 	w := in.window(now)
 	if in.cfg.Classes&Offline != 0 && in.roll(saltOffline, uint64(c), w) < in.p(in.cfg.OfflineP) {
 		in.countEpisode(saltOffline, uint64(c), w, &in.stats.Offlines)
@@ -333,7 +334,7 @@ func (in *Injector) CoreFactor(c machine.CoreID, now sim.Time) float64 {
 
 // MigrationFails implements machine.Disruptor. The decision is keyed on
 // (thread, request time) so retries in later quanta roll fresh dice.
-func (in *Injector) MigrationFails(id machine.ThreadID, to machine.CoreID, now sim.Time) bool {
+func (in *Injector) MigrationFails(id platform.ThreadID, to platform.CoreID, now sim.Time) bool {
 	if in.cfg.Classes&MigrationFail == 0 {
 		return false
 	}
@@ -348,7 +349,7 @@ func (in *Injector) MigrationFails(id machine.ThreadID, to machine.CoreID, now s
 // are per (thread, window): a stalled thread is descheduled for the
 // first StallFrac of the window; a crashed thread dies in the window in
 // which its number comes up.
-func (in *Injector) ThreadFault(id machine.ThreadID, now sim.Time) (stalled, crashed bool) {
+func (in *Injector) ThreadFault(id platform.ThreadID, now sim.Time) (stalled, crashed bool) {
 	w := in.window(now)
 	if in.cfg.Classes&Crash != 0 && in.roll(saltCrash, uint64(id), w) < in.p(in.cfg.CrashP) {
 		in.countEpisode(saltCrash, uint64(id), w, &in.stats.Crashes)
@@ -368,7 +369,7 @@ func (in *Injector) ThreadFault(id machine.ThreadID, now sim.Time) (stalled, cra
 // corruption. Corruption cycles through the four pathologies a real PMU
 // read exhibits: NaN, +Inf, a negative delta (counter reset race), and a
 // saturated reading far beyond physical capacity.
-func (in *Injector) PerturbDelta(id machine.ThreadID, now sim.Time, d counters.ThreadDelta) (counters.ThreadDelta, bool) {
+func (in *Injector) PerturbDelta(id platform.ThreadID, now sim.Time, d counters.ThreadDelta) (counters.ThreadDelta, bool) {
 	if in.cfg.Classes&Dropout != 0 && in.roll(saltDropout, uint64(id), uint64(now)) < in.p(in.cfg.DropoutP) {
 		in.stats.Dropouts++
 		return d, false

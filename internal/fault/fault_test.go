@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"dike/internal/counters"
-	"dike/internal/machine"
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -78,15 +78,15 @@ func sweep(in *Injector) []float64 {
 	d := counters.ThreadDelta{Interval: 10, Instructions: 1000, Accesses: 100, Misses: 50, Work: 100}
 	for now := sim.Time(0); now < 5000; now += 250 {
 		for s := 0; s < 8; s++ {
-			out = append(out, in.CoreFactor(machine.CoreID(s), now))
-			if in.MigrationFails(machine.ThreadID(s), machine.CoreID(s+1), now) {
+			out = append(out, in.CoreFactor(platform.CoreID(s), now))
+			if in.MigrationFails(platform.ThreadID(s), platform.CoreID(s+1), now) {
 				out = append(out, 1)
 			} else {
 				out = append(out, 0)
 			}
-			stalled, crashed := in.ThreadFault(machine.ThreadID(s), now)
+			stalled, crashed := in.ThreadFault(platform.ThreadID(s), now)
 			out = append(out, b2f(stalled), b2f(crashed))
-			pd, ok := in.PerturbDelta(machine.ThreadID(s), now, d)
+			pd, ok := in.PerturbDelta(platform.ThreadID(s), now, d)
 			out = append(out, b2f(ok), pd.Misses, pd.Accesses)
 		}
 	}
@@ -153,7 +153,7 @@ func TestFaultQueryOrderIndependence(t *testing.T) {
 	b, _ := NewInjector(cfg)
 	sweep(b) // b has answered thousands of queries already
 	for now := sim.Time(0); now < 5000; now += 333 {
-		for c := machine.CoreID(0); c < 8; c++ {
+		for c := platform.CoreID(0); c < 8; c++ {
 			if a.CoreFactor(c, now) != b.CoreFactor(c, now) {
 				t.Fatalf("CoreFactor(%d, %v) depends on query history", c, now)
 			}

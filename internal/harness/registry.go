@@ -38,7 +38,7 @@ type policyEntry struct {
 	config func(RunSpec) (any, error)
 	// New builds the policy over p from a resolved replay header. An
 	// empty PolicyConfig resolves as a live spec without an override does.
-	New func(p platform.Platform, m replay.Meta) (sched.Policy, error)
+	New func(p platform.Platform, m replay.Meta) (sim.Policy, error)
 }
 
 // policyRegistry is the authoritative policy list, in presentation
@@ -86,10 +86,10 @@ func lookupPolicy(name string) (*policyEntry, bool) {
 }
 
 // seeded registers a policy whose only parameter is its seed.
-func seeded[P sched.Policy](name, desc string, newP func(platform.Platform, uint64) P) policyEntry {
+func seeded[P sim.Policy](name, desc string, newP func(platform.Platform, uint64) P) policyEntry {
 	return policyEntry{
 		PolicyInfo: PolicyInfo{name, desc, true},
-		New: func(p platform.Platform, m replay.Meta) (sched.Policy, error) {
+		New: func(p platform.Platform, m replay.Meta) (sim.Policy, error) {
 			return newP(p, m.Seed), nil
 		},
 	}
@@ -110,7 +110,7 @@ func dikeVariant(name, desc string, goal core.AdaptationGoal) policyEntry {
 	return policyEntry{
 		PolicyInfo: PolicyInfo{name, desc, true},
 		config:     func(s RunSpec) (any, error) { return resolve(s.DikeConfig, s.Seed), nil },
-		New: func(p platform.Platform, m replay.Meta) (sched.Policy, error) {
+		New: func(p platform.Platform, m replay.Meta) (sim.Policy, error) {
 			cfg := resolve(nil, m.Seed)
 			if len(m.PolicyConfig) > 0 {
 				cfg = core.Config{}
@@ -130,7 +130,7 @@ func dikeVariant(name, desc string, goal core.AdaptationGoal) policyEntry {
 // newOracle builds the static oracle placement. Its assignment comes
 // from workload ground truth, so Run resolves it into the header and a
 // replay reads it back from there.
-func newOracle(p platform.Platform, m replay.Meta) (sched.Policy, error) {
+func newOracle(p platform.Platform, m replay.Meta) (sim.Policy, error) {
 	if m.Static == nil {
 		return nil, fmt.Errorf("harness: policy %q has no static assignment", m.Policy)
 	}
@@ -144,7 +144,7 @@ func newOracle(p platform.Platform, m replay.Meta) (sched.Policy, error) {
 // newMeta builds the meta scheduler. Every candidate is its registry
 // entry built with the candidate's seed and no config, exactly as a
 // fixed run of that policy without overrides.
-func newMeta(p platform.Platform, m replay.Meta) (sched.Policy, error) {
+func newMeta(p platform.Platform, m replay.Meta) (sim.Policy, error) {
 	var override *tournament.Config
 	if len(m.PolicyConfig) > 0 {
 		override = new(tournament.Config)
@@ -208,7 +208,7 @@ func resolveMetaConfig(c *tournament.Config) (tournament.Config, error) {
 // its registry entry, wrapped in the governor m.Power sets up, if any.
 // Run builds the live policy this way from the header it records, and
 // Replay from the header it reads.
-func build(plat platform.Platform, m replay.Meta) (sched.Policy, error) {
+func build(plat platform.Platform, m replay.Meta) (sim.Policy, error) {
 	e, ok := lookupPolicy(m.Policy)
 	if !ok {
 		return nil, fmt.Errorf("%w %q", ErrUnknownPolicy, m.Policy)
@@ -227,7 +227,7 @@ func build(plat platform.Platform, m replay.Meta) (sched.Policy, error) {
 // govern interposes the governor setup describes between policy and
 // plat: its meter reads and DVFS actuations go through plat, which is
 // the Recorder when recording and the Player when replaying.
-func govern(policy sched.Policy, plat platform.Platform, setup power.Setup) (*sched.Governed, error) {
+func govern(policy sim.Policy, plat platform.Platform, setup power.Setup) (*sched.Governed, error) {
 	gov, err := power.New(setup.Config)
 	if err != nil {
 		return nil, err
@@ -242,7 +242,7 @@ func govern(policy sched.Policy, plat platform.Platform, setup power.Setup) (*sc
 
 // policyStats collects the Dike, meta and governor bookkeeping of a
 // policy build returned.
-func policyStats(policy sched.Policy) PolicyStats {
+func policyStats(policy sim.Policy) PolicyStats {
 	var s PolicyStats
 	if gp, ok := policy.(*sched.Governed); ok {
 		s.Power = gp.Stats()

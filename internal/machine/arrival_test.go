@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -34,7 +35,7 @@ func TestArrivalBasics(t *testing.T) {
 	for now := sim.Time(0); now < 100; now++ {
 		m.Step(now, 1)
 	}
-	if w := m.Counters().Thread(1).Work; w != 0 {
+	if w := m.ThreadCounters(1).Work; w != 0 {
 		t.Errorf("pending thread progressed: %v", w)
 	}
 	// Thread 0 finished long before thread 1 arrives; Done must be false.
@@ -58,7 +59,7 @@ func TestArrivalDoesNotHoldBarrier(t *testing.T) {
 	m := testMachine(t)
 	place(t, m, 0, 0, 1000, Demand{}, m.Topology().FastCores()[0])
 	place(t, m, 1, 0, 1000, Demand{}, m.Topology().FastCores()[2])
-	if err := m.AddBarrierGroup(50, []ThreadID{0, 1}); err != nil {
+	if err := m.AddBarrierGroup(50, []platform.ThreadID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SetStart(1, 10000); err != nil {
@@ -69,7 +70,7 @@ func TestArrivalDoesNotHoldBarrier(t *testing.T) {
 	}
 	// Thread 0 must not be stuck at the first barrier waiting for the
 	// not-yet-arrived sibling.
-	if w := m.Counters().Thread(0).Work; w < 100 {
+	if w := m.ThreadCounters(0).Work; w < 100 {
 		t.Errorf("thread 0 blocked by pending barrier member: work=%v", w)
 	}
 }
@@ -86,7 +87,7 @@ func TestArrivalOccupancy(t *testing.T) {
 	}
 	m.Step(0, 100)
 	// Thread 0 should run at full (un-shared) speed: 2.33 * 100.
-	if w := m.Counters().Thread(0).Work; w < 230 {
+	if w := m.ThreadCounters(0).Work; w < 230 {
 		t.Errorf("SMT penalty applied for pending sibling: work=%v", w)
 	}
 	if got := m.ThreadsOn(sib[1]); len(got) != 0 {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -41,77 +42,86 @@ func TestDecayTableMatchesExp(t *testing.T) {
 // TestDecayTablesShared steps identical Table I machines on separate
 // goroutines (CI runs it under -race) while their threads swap across and
 // within sockets, and one more machine that holds no shared table, so its
-// decay takes the memo and exp. All must end with the same work, counters
-// and energy, bit for bit, and the machines with tables must never have
-// written their memo: with the default half-lives no decay calls exp.
+// decay falls back to exp. All must end with the same work, counters and
+// energy, bit for bit. Every decay the machines with tables evaluate must
+// be one a table covers: with the default half-lives no decay calls exp.
 func TestDecayTablesShared(t *testing.T) {
 	const n, ticks, workers = 40, 3000, 4
-	run := func(tables bool) (*Machine, error) {
+	type result struct {
+		m                 *Machine
+		tabled, fallbacks int // decays evaluated from a table, and by exp
+		err               error
+	}
+	run := func(tables bool) (r result) {
 		m, err := New(DefaultConfig())
 		if err != nil {
-			return nil, err
+			return result{err: err}
 		}
+		r.m = m
 		if !tables {
 			m.decayTabs = [2]decayTable{}
 		}
 		for i := 0; i < n; i++ {
 			dem := Demand{AccessesPerWork: float64(5 + i%7*5), MissRatio: 0.05 + float64(i%5)*0.05}
-			if err := m.AddThread(ThreadID(i), i/4, ConstProgram{Work: 1e9, Demand: dem}); err != nil {
-				return nil, err
+			if r.err = m.AddThread(platform.ThreadID(i), i/4, ConstProgram{Work: 1e9, Demand: dem}); r.err != nil {
+				return r
 			}
-			if err := m.Place(ThreadID(i), CoreID(i)); err != nil {
-				return nil, err
+			if r.err = m.Place(platform.ThreadID(i), platform.CoreID(i)); r.err != nil {
+				return r
 			}
 		}
 		for now := sim.Time(0); now < ticks; now++ {
 			// Every 50 ms one pair swaps across sockets and one within a
 			// socket, so both half-lives stay in use.
 			if k := int(now / 50); now%50 == 0 {
-				a := ThreadID(k % 20)
-				if err := m.Swap(a, a+20, now); err != nil {
-					return nil, err
+				a := platform.ThreadID(k % 20)
+				if r.err = m.Swap(a, a+20, now); r.err != nil {
+					return r
 				}
-				if err := m.Swap(a, (a+1)%20, now); err != nil {
-					return nil, err
+				if r.err = m.Swap(a, (a+1)%20, now); r.err != nil {
+					return r
 				}
 			}
 			m.Step(now, 1)
+			for _, th := range m.scratchT {
+				// Step evaluated th's decay unless its penalty had settled
+				// at an earlier age.
+				if age := max(now-th.migratedAt, 0); th.migratedAt >= 0 && age <= th.settleAge {
+					if tabled(m, age, th.coldHalf) {
+						r.tabled++
+					} else {
+						r.fallbacks++
+					}
+				}
+			}
 		}
-		return m, nil
+		return r
 	}
-	ms := make([]*Machine, workers)
-	errs := make([]error, workers)
+	rs := make([]result, workers)
 	var wg sync.WaitGroup
-	for w := range ms {
+	for w := range rs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ms[w], errs[w] = run(true)
+			rs[w] = run(true)
 		}()
 	}
 	wg.Wait()
-	ref, err := run(false)
-	if err != nil {
-		t.Fatal(err)
+	ref := run(false)
+	if ref.err != nil {
+		t.Fatal(ref.err)
 	}
-	memoUsed := func(m *Machine) bool {
-		for _, e := range m.decays {
-			if !math.IsNaN(e.half) {
-				return true
-			}
-		}
-		return false
+	if ref.fallbacks == 0 || ref.tabled != 0 {
+		t.Fatalf("the machine without tables took %d decays from exp and %d from a table", ref.fallbacks, ref.tabled)
 	}
-	if !memoUsed(ref) {
-		t.Fatal("the machine without tables never used its memo")
-	}
-	for w, m := range ms {
-		if errs[w] != nil {
-			t.Fatal(errs[w])
+	for w, r := range rs {
+		if r.err != nil {
+			t.Fatal(r.err)
 		}
-		if memoUsed(m) {
-			t.Errorf("goroutine %d: decay took the memo with the default half-lives", w)
+		if r.fallbacks != 0 || r.tabled != ref.fallbacks {
+			t.Errorf("goroutine %d: %d decays from a table and %d from exp, want all %d from a table",
+				w, r.tabled, r.fallbacks, ref.fallbacks)
 		}
-		compareMachines(t, m, ref, "after the run")
+		compareMachines(t, r.m, ref.m, "after the run")
 	}
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -103,8 +104,8 @@ func TestIdleUntilEmptyMachineAtStart(t *testing.T) {
 	// spinning on the empty interval.
 	m := testMachine(t)
 	for id, start := range []sim.Time{70, 200} {
-		place(t, m, ThreadID(id), 0, 50, Demand{}, CoreID(id))
-		if err := m.SetStart(ThreadID(id), start); err != nil {
+		place(t, m, platform.ThreadID(id), 0, 50, Demand{}, platform.CoreID(id))
+		if err := m.SetStart(platform.ThreadID(id), start); err != nil {
 			t.Fatal(err)
 		}
 	}

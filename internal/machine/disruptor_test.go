@@ -4,32 +4,35 @@ import (
 	"testing"
 
 	"dike/internal/counters"
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
 // stubDisruptor is a hand-steered Disruptor for machine-level tests; the
 // probabilistic injector lives in internal/fault.
 type stubDisruptor struct {
-	factor  map[CoreID]float64
+	factor  map[platform.CoreID]float64
 	migFail bool
-	stall   map[ThreadID]bool
-	crash   map[ThreadID]bool
+	stall   map[platform.ThreadID]bool
+	crash   map[platform.ThreadID]bool
 }
 
-func (s *stubDisruptor) CoreFactor(c CoreID, _ sim.Time) float64 {
+func (s *stubDisruptor) CoreFactor(c platform.CoreID, _ sim.Time) float64 {
 	if f, ok := s.factor[c]; ok {
 		return f
 	}
 	return 1
 }
 
-func (s *stubDisruptor) MigrationFails(ThreadID, CoreID, sim.Time) bool { return s.migFail }
+func (s *stubDisruptor) MigrationFails(platform.ThreadID, platform.CoreID, sim.Time) bool {
+	return s.migFail
+}
 
-func (s *stubDisruptor) ThreadFault(id ThreadID, _ sim.Time) (bool, bool) {
+func (s *stubDisruptor) ThreadFault(id platform.ThreadID, _ sim.Time) (bool, bool) {
 	return s.stall[id], s.crash[id]
 }
 
-func (s *stubDisruptor) PerturbDelta(_ ThreadID, _ sim.Time, d counters.ThreadDelta) (counters.ThreadDelta, bool) {
+func (s *stubDisruptor) PerturbDelta(_ platform.ThreadID, _ sim.Time, d counters.ThreadDelta) (counters.ThreadDelta, bool) {
 	return d, true
 }
 
@@ -62,7 +65,7 @@ func TestDisruptorOfflineCoreMakesNoProgress(t *testing.T) {
 	m := testMachine(t)
 	fast := m.Topology().FastCores()
 	place(t, m, 0, 0, 1000, Demand{}, fast[0])
-	dis := &stubDisruptor{factor: map[CoreID]float64{fast[0]: 0}}
+	dis := &stubDisruptor{factor: map[platform.CoreID]float64{fast[0]: 0}}
 	m.SetDisruptor(dis)
 	for now := sim.Time(0); now < 50; now++ {
 		m.Step(now, 1)
@@ -87,7 +90,7 @@ func TestDisruptorThrottleSlowsCore(t *testing.T) {
 	fast := m.Topology().FastCores()
 	place(t, m, 0, 0, 5000, Demand{}, fast[0])
 	place(t, m, 1, 0, 5000, Demand{}, fast[2]) // distinct physical cores
-	m.SetDisruptor(&stubDisruptor{factor: map[CoreID]float64{fast[0]: 0.5}})
+	m.SetDisruptor(&stubDisruptor{factor: map[platform.CoreID]float64{fast[0]: 0.5}})
 	for now := sim.Time(0); now < 100; now++ {
 		m.Step(now, 1)
 	}
@@ -105,7 +108,7 @@ func TestDisruptorCrashFinishesThreadEarly(t *testing.T) {
 	m := testMachine(t)
 	fast := m.Topology().FastCores()
 	place(t, m, 0, 0, 1e9, Demand{}, fast[0]) // would run ~forever
-	m.SetDisruptor(&stubDisruptor{crash: map[ThreadID]bool{0: true}})
+	m.SetDisruptor(&stubDisruptor{crash: map[platform.ThreadID]bool{0: true}})
 	m.Step(0, 1)
 	if !m.Done() {
 		t.Fatal("crashed thread still counted as running")
@@ -122,14 +125,14 @@ func TestDisruptorStallChargesStallTime(t *testing.T) {
 	m := testMachine(t)
 	fast := m.Topology().FastCores()
 	place(t, m, 0, 0, 1000, Demand{}, fast[0])
-	m.SetDisruptor(&stubDisruptor{stall: map[ThreadID]bool{0: true}})
+	m.SetDisruptor(&stubDisruptor{stall: map[platform.ThreadID]bool{0: true}})
 	for now := sim.Time(0); now < 20; now++ {
 		m.Step(now, 1)
 	}
 	if p := m.Progress(0); p != 0 {
 		t.Errorf("stalled thread progressed: %v", p)
 	}
-	if st := m.Counters().Thread(0).StallTime; st < 20 {
+	if st := m.ThreadCounters(0).StallTime; st < 20 {
 		t.Errorf("StallTime = %v, want >= 20", st)
 	}
 }

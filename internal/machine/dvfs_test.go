@@ -43,7 +43,7 @@ func TestSetDVFSEdgeCases(t *testing.T) {
 	// eff cores 4-5 (single-lane). perf has 4 levels, eff has 3.
 	cases := []struct {
 		name  string
-		core  CoreID
+		core  platform.CoreID
 		level int
 		ok    bool
 	}{
@@ -122,14 +122,14 @@ func dvfsScenario(t *testing.T, schedule func(m *Machine, now sim.Time)) string 
 		now++
 	}
 	digest := ""
-	for id := ThreadID(0); id < 3; id++ {
+	for id := platform.ThreadID(0); id < 3; id++ {
 		at, ok := m.Finished(id)
 		if !ok {
 			t.Fatalf("thread %d not finished", id)
 		}
 		digest += fmt.Sprintf("t%d@%d;", id, at)
 	}
-	for c := CoreID(0); int(c) < m.Topology().NumCores(); c++ {
+	for c := platform.CoreID(0); int(c) < m.Topology().NumCores(); c++ {
 		digest += fmt.Sprintf("c%d=%d;", c, m.DVFSOf(c))
 	}
 	digest += fmt.Sprintf("E=%.9g", m.EnergyJoules())

@@ -96,7 +96,7 @@ func oracleStep(m *Machine, now sim.Time, dt sim.Time) {
 		if n := laneCount[t.core]; n > 1 {
 			rate /= float64(n)
 		}
-		dem, _ := t.prog.DemandAt(t.work, now)
+		dem, _ := t.prog.DemandAt(t.tc.Work, now)
 		cold, numa := oracleMigrationFactors(t, now)
 		if cold > 1 {
 			dem.MissRatio = math.Min(dem.MissRatio*cold, 1)
@@ -125,9 +125,9 @@ func oracleStep(m *Machine, now sim.Time, dt sim.Time) {
 	fdt := float64(dt)
 	for i, t := range active {
 		dw := prog[i] * fdt
-		limit := t.prog.TotalWork() - t.work
+		limit := t.prog.TotalWork() - t.tc.Work
 		if t.barrier != nil {
-			if bl := oracleLimit(t.barrier, t, now) - t.work; bl < limit {
+			if bl := oracleLimit(t.barrier, t, now) - t.tc.Work; bl < limit {
 				limit = bl
 			}
 		}
@@ -141,17 +141,14 @@ func oracleStep(m *Machine, now sim.Time, dt sim.Time) {
 			}
 			dw = limit
 		}
-		t.work += dw
-		tc := t.tc
+		tc := &t.tc
 		tc.Work += dw
 		tc.Instructions += dw * 1000
 		tc.Accesses += dw * apws[i]
 		misses := dw * mpws[i]
 		tc.Misses += misses
-		cc := m.file.MutCore(int(t.core))
-		cc.ServedMisses += misses
-		cc.BusyTime += used
-		if t.work >= t.prog.TotalWork()-1e-9 {
+		m.coreCtr[t.core].ServedMisses += misses
+		if t.tc.Work >= t.prog.TotalWork()-1e-9 {
 			t.finished = true
 			m.unfinished--
 			t.finishAt = now + sim.Time(math.Ceil(used))
@@ -230,7 +227,7 @@ func oracleLimit(g *barrierGroup, t *thread, now sim.Time) float64 {
 		if m.finished || m.startAt > now {
 			continue
 		}
-		seg := math.Floor(m.work / g.interval)
+		seg := math.Floor(m.tc.Work / g.interval)
 		if seg < minSeg {
 			minSeg = seg
 		}
@@ -284,14 +281,14 @@ func (p stepProgram) DemandAt(work float64, now sim.Time) (Demand, Window) {
 // depend only on its arguments, so two machines asking it the same
 // questions get the same answers.
 type windowDisruptor struct {
-	offline  map[CoreID][2]sim.Time // [from, to)
-	throttle map[CoreID]float64     // factor in every other 40 ms window
-	stall    map[ThreadID][2]sim.Time
-	crash    map[ThreadID]sim.Time // crashed from then on
-	failMod  uint64                // a migration fails when its hash is 0 mod failMod
+	offline  map[platform.CoreID][2]sim.Time // [from, to)
+	throttle map[platform.CoreID]float64     // factor in every other 40 ms window
+	stall    map[platform.ThreadID][2]sim.Time
+	crash    map[platform.ThreadID]sim.Time // crashed from then on
+	failMod  uint64                         // a migration fails when its hash is 0 mod failMod
 }
 
-func (d *windowDisruptor) CoreFactor(c CoreID, now sim.Time) float64 {
+func (d *windowDisruptor) CoreFactor(c platform.CoreID, now sim.Time) float64 {
 	if w, ok := d.offline[c]; ok && w[0] <= now && now < w[1] {
 		return 0
 	}
@@ -301,12 +298,12 @@ func (d *windowDisruptor) CoreFactor(c CoreID, now sim.Time) float64 {
 	return 1
 }
 
-func (d *windowDisruptor) MigrationFails(id ThreadID, to CoreID, now sim.Time) bool {
+func (d *windowDisruptor) MigrationFails(id platform.ThreadID, to platform.CoreID, now sim.Time) bool {
 	h := (uint64(id)*31+uint64(to))*0x9E3779B97F4A7C15 ^ uint64(now)
 	return h%d.failMod == 0
 }
 
-func (d *windowDisruptor) ThreadFault(id ThreadID, now sim.Time) (stalled, crashed bool) {
+func (d *windowDisruptor) ThreadFault(id platform.ThreadID, now sim.Time) (stalled, crashed bool) {
 	if at, ok := d.crash[id]; ok && now >= at {
 		return false, true
 	}
@@ -314,7 +311,7 @@ func (d *windowDisruptor) ThreadFault(id ThreadID, now sim.Time) (stalled, crash
 	return ok && w[0] <= now && now < w[1], false
 }
 
-func (d *windowDisruptor) PerturbDelta(_ ThreadID, _ sim.Time, delta counters.ThreadDelta) (counters.ThreadDelta, bool) {
+func (d *windowDisruptor) PerturbDelta(_ platform.ThreadID, _ sim.Time, delta counters.ThreadDelta) (counters.ThreadDelta, bool) {
 	return delta, true
 }
 
@@ -338,7 +335,8 @@ func exampleSpec(t testing.TB, name string) *platform.MachineSpec {
 // per-tick programs with staggered arrivals and barrier groups. One seed
 // in three, seed 1 first, keeps DefaultConfig's half-lives, whose decay
 // comes from the shared tables; the others draw short ones, so penalties
-// settle within the run, and their decay takes the memo. Called twice
+// settle within the run, and their decay mostly falls back to exp (the
+// process holds at most maxDecayTables tables). Called twice
 // with equal seeds it builds two identical machines.
 func incScenario(t *testing.T, seed uint64) (*Machine, *windowDisruptor) {
 	t.Helper()
@@ -368,7 +366,7 @@ func incScenario(t *testing.T, seed uint64) (*Machine, *windowDisruptor) {
 	n := 2 + rng.Intn(3*nc/2+4)
 	spread := 1 + rng.Intn(800)
 	for i := 0; i < n; i++ {
-		id := ThreadID(i)
+		id := platform.ThreadID(i)
 		dem := func() Demand { return Demand{AccessesPerWork: rng.Range(0, 40), MissRatio: rng.Range(0, 0.4)} }
 		work := rng.Range(20, 1500)
 		var prog Program
@@ -392,7 +390,7 @@ func incScenario(t *testing.T, seed uint64) (*Machine, *windowDisruptor) {
 		if err := m.AddThread(id, i%5, prog); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Place(id, CoreID(rng.Intn(nc))); err != nil {
+		if err := m.Place(id, platform.CoreID(rng.Intn(nc))); err != nil {
 			t.Fatal(err)
 		}
 		if rng.Intn(2) == 0 {
@@ -402,29 +400,29 @@ func incScenario(t *testing.T, seed uint64) (*Machine, *windowDisruptor) {
 		}
 	}
 	for g := 0; g+2 < n && g < 15; g += 4 {
-		members := []ThreadID{ThreadID(g), ThreadID(g + 1), ThreadID(g + 2)}
+		members := []platform.ThreadID{platform.ThreadID(g), platform.ThreadID(g + 1), platform.ThreadID(g + 2)}
 		if err := m.AddBarrierGroup(rng.Range(5, 60), members); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dis := &windowDisruptor{
-		offline:  map[CoreID][2]sim.Time{},
-		throttle: map[CoreID]float64{},
-		stall:    map[ThreadID][2]sim.Time{},
-		crash:    map[ThreadID]sim.Time{},
+		offline:  map[platform.CoreID][2]sim.Time{},
+		throttle: map[platform.CoreID]float64{},
+		stall:    map[platform.ThreadID][2]sim.Time{},
+		crash:    map[platform.ThreadID]sim.Time{},
 		failMod:  uint64(3 + rng.Intn(8)),
 	}
 	for i := 0; i < 1+nc/4; i++ {
 		from := sim.Time(rng.Intn(1500))
-		dis.offline[CoreID(rng.Intn(nc))] = [2]sim.Time{from, from + sim.Time(1+rng.Intn(200))}
-		dis.throttle[CoreID(rng.Intn(nc))] = rng.Range(0.2, 0.95)
+		dis.offline[platform.CoreID(rng.Intn(nc))] = [2]sim.Time{from, from + sim.Time(1+rng.Intn(200))}
+		dis.throttle[platform.CoreID(rng.Intn(nc))] = rng.Range(0.2, 0.95)
 	}
 	for i := 0; i < 1+n/5; i++ {
 		from := sim.Time(rng.Intn(1500))
-		dis.stall[ThreadID(rng.Intn(n))] = [2]sim.Time{from, from + sim.Time(1+rng.Intn(100))}
+		dis.stall[platform.ThreadID(rng.Intn(n))] = [2]sim.Time{from, from + sim.Time(1+rng.Intn(100))}
 	}
 	for i := 0; i < 1+n/20; i++ {
-		dis.crash[ThreadID(rng.Intn(n))] = sim.Time(rng.Intn(3000))
+		dis.crash[platform.ThreadID(rng.Intn(n))] = sim.Time(rng.Intn(3000))
 	}
 	return m, dis
 }
@@ -469,23 +467,23 @@ func TestIncrementalStepMatchesOracle(t *testing.T) {
 		nc := inc.Topology().NumCores()
 		now := sim.Time(0)
 		for tick := 0; tick < 1500 && !inc.Done(); tick++ {
-			id := ThreadID(rng.Intn(n))
+			id := platform.ThreadID(rng.Intn(n))
 			switch r := rng.Intn(200); {
 			case r < 8:
-				b := ThreadID(rng.Intn(n))
+				b := platform.ThreadID(rng.Intn(n))
 				cover["swap"]++
 				both(func(m *Machine) error { return m.Swap(id, b, now) })
 			case r < 14:
-				c := CoreID(rng.Intn(nc))
+				c := platform.CoreID(rng.Intn(nc))
 				both(func(m *Machine) error { return m.Migrate(id, c, now) })
 			case r < 16:
-				c := CoreID(rng.Intn(nc))
+				c := platform.CoreID(rng.Intn(nc))
 				if inc.slots[id].alive(now) && inc.slots[id].core != c {
 					cover["place"]++
 				}
 				both(func(m *Machine) error { return m.Place(id, c) })
 			case r < 22:
-				c := CoreID(rng.Intn(nc))
+				c := platform.CoreID(rng.Intn(nc))
 				level := rng.Intn(inc.DVFSLevels(c))
 				if level != inc.DVFSOf(c) {
 					cover["dvfs"]++
@@ -504,7 +502,7 @@ func TestIncrementalStepMatchesOracle(t *testing.T) {
 					both(func(m *Machine) error { return m.SetStart(id, at) })
 				}
 			case r < 28:
-				if inc.Disruptor() == nil {
+				if inc.disruptor == nil {
 					cover["attach"]++
 					inc.SetDisruptor(dis)
 					orc.SetDisruptor(dis)
@@ -535,7 +533,7 @@ func TestIncrementalStepMatchesOracle(t *testing.T) {
 				dt = wake - now
 				cover["idle jump"]++
 			}
-			if inc.Disruptor() != nil {
+			if inc.disruptor != nil {
 				for _, th := range inc.live {
 					if dis.CoreFactor(th.core, now) == 0 {
 						cover["offline"]++
@@ -565,7 +563,7 @@ func TestIncrementalStepMatchesOracle(t *testing.T) {
 			if th.barrier != nil && th.seg > 0 {
 				cover["barrier"]++
 			}
-			if th.finished && th.work >= th.total-1e-9 {
+			if th.finished && th.tc.Work >= th.total-1e-9 {
 				cover["completion"]++
 			}
 		}
@@ -579,7 +577,7 @@ func TestIncrementalStepMatchesOracle(t *testing.T) {
 }
 
 // tabled reports whether m's decay at (age, half) comes from a shared
-// table rather than the memo.
+// table rather than from exp.
 func tabled(m *Machine, age sim.Time, half float64) bool {
 	for _, tab := range m.decayTabs {
 		if tab.half == half && age < sim.Time(len(tab.decay)) {
@@ -630,17 +628,17 @@ func compareMachines(t *testing.T, inc, orc *Machine, where string) {
 	}
 	for i, a := range inc.slots {
 		b := orc.slots[i]
-		if *a.tc != *b.tc {
-			t.Fatalf("%s: thread %d counters %+v, oracle %+v", where, a.id, *a.tc, *b.tc)
+		if a.tc != b.tc {
+			t.Fatalf("%s: thread %d counters %+v, oracle %+v", where, a.id, a.tc, b.tc)
 		}
-		if math.Float64bits(a.work) != math.Float64bits(b.work) || a.finished != b.finished ||
+		if math.Float64bits(a.tc.Work) != math.Float64bits(b.tc.Work) || a.finished != b.finished ||
 			a.finishAt != b.finishAt || a.core != b.core {
 			t.Fatalf("%s: thread %d state (work %v, finished %v at %d, core %d), oracle (%v, %v at %d, %d)",
-				where, a.id, a.work, a.finished, a.finishAt, a.core, b.work, b.finished, b.finishAt, b.core)
+				where, a.id, a.tc.Work, a.finished, a.finishAt, a.core, b.tc.Work, b.finished, b.finishAt, b.core)
 		}
 	}
-	for c := 0; c < inc.file.NumCores(); c++ {
-		if a, b := inc.file.Core(c), orc.file.Core(c); a != b {
+	for c, a := range inc.coreCtr {
+		if b := orc.coreCtr[c]; a != b {
 			t.Fatalf("%s: core %d counters %+v, oracle %+v", where, c, a, b)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -16,8 +17,8 @@ import (
 // oracleAlive is the set Step's occupancy and gather loops walked: every
 // registered thread that has arrived by now and not finished, in
 // registration order.
-func oracleAlive(m *Machine, now sim.Time) []ThreadID {
-	var out []ThreadID
+func oracleAlive(m *Machine, now sim.Time) []platform.ThreadID {
+	var out []platform.ThreadID
 	for _, t := range m.slots {
 		if t.alive(now) {
 			out = append(out, t.id)
@@ -58,8 +59,8 @@ func oracleIdleUntil(m *Machine, now sim.Time) (sim.Time, bool) {
 
 // liveIDs returns the ids of the threads the last admit left in live:
 // after a Step, exactly the threads that Step walked.
-func liveIDs(m *Machine) []ThreadID {
-	var out []ThreadID
+func liveIDs(m *Machine) []platform.ThreadID {
+	var out []platform.ThreadID
 	for _, t := range m.live {
 		out = append(out, t.id)
 	}
@@ -75,12 +76,12 @@ func churnScenario(t *testing.T, rng *sim.RNG) *Machine {
 	n := 1 + rng.Intn(70)
 	spread := 1 + rng.Intn(3000) // arrival window: dense to sparse
 	for i := 0; i < n; i++ {
-		id := ThreadID(i)
+		id := platform.ThreadID(i)
 		dem := Demand{AccessesPerWork: rng.Range(0, 40), MissRatio: rng.Range(0, 0.4)}
 		if err := m.AddThread(id, i%5, ConstProgram{Work: rng.Range(5, 600), Demand: dem}); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Place(id, CoreID(rng.Intn(m.Topology().NumCores()))); err != nil {
+		if err := m.Place(id, platform.CoreID(rng.Intn(m.Topology().NumCores()))); err != nil {
 			t.Fatal(err)
 		}
 		if rng.Intn(2) == 0 {
@@ -90,7 +91,7 @@ func churnScenario(t *testing.T, rng *sim.RNG) *Machine {
 		}
 	}
 	for g := 0; g+1 < n && g < 12; g += 3 {
-		if err := m.AddBarrierGroup(rng.Range(5, 50), []ThreadID{ThreadID(g), ThreadID(g + 1)}); err != nil {
+		if err := m.AddBarrierGroup(rng.Range(5, 50), []platform.ThreadID{platform.ThreadID(g), platform.ThreadID(g + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +115,7 @@ func TestLiveSetMatchesSlotWalk(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		rng := sim.NewRNG(seed)
 		m := churnScenario(t, rng)
-		dis := &stubDisruptor{stall: map[ThreadID]bool{}, crash: map[ThreadID]bool{}}
+		dis := &stubDisruptor{stall: map[platform.ThreadID]bool{}, crash: map[platform.ThreadID]bool{}}
 		m.SetDisruptor(dis)
 		n := len(m.slots)
 		now := sim.Time(0)
@@ -124,7 +125,7 @@ func TestLiveSetMatchesSlotWalk(t *testing.T) {
 			if tick%20 == 0 {
 				clear(dis.stall)
 			}
-			id := ThreadID(rng.Intn(n))
+			id := platform.ThreadID(rng.Intn(n))
 			switch r := rng.Intn(100); {
 			case r < 3:
 				if th := m.slots[id]; th.pending(now) {
@@ -146,7 +147,7 @@ func TestLiveSetMatchesSlotWalk(t *testing.T) {
 			case r < 11:
 				dis.crash[id] = true
 			case r < 14:
-				if err := m.Migrate(id, CoreID(rng.Intn(m.Topology().NumCores())), now); err != nil {
+				if err := m.Migrate(id, platform.CoreID(rng.Intn(m.Topology().NumCores())), now); err != nil {
 					t.Fatal(err)
 				}
 			case r < 15 && now > 0:
@@ -166,7 +167,7 @@ func TestLiveSetMatchesSlotWalk(t *testing.T) {
 			m.Step(now, dt)
 			cover["crash"] += m.CrashCount() - crashes
 			for _, th := range m.live {
-				if th.finished && th.work >= th.prog.TotalWork()-1e-9 {
+				if th.finished && th.tc.Work >= th.prog.TotalWork()-1e-9 {
 					cover["completion"]++
 				}
 			}
@@ -190,8 +191,8 @@ func TestLiveSetMatchesSlotWalk(t *testing.T) {
 }
 
 // oracleUnfinished returns the registered threads not yet finished.
-func oracleUnfinished(m *Machine) []ThreadID {
-	var out []ThreadID
+func oracleUnfinished(m *Machine) []platform.ThreadID {
+	var out []platform.ThreadID
 	for _, t := range m.slots {
 		if !t.finished {
 			out = append(out, t.id)

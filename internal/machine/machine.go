@@ -1,3 +1,19 @@
+// Package machine models the heterogeneous multicore the paper evaluates
+// on (Table I): two pools of physical cores running at different
+// frequencies, two SMT lanes per physical core, a shared last-level cache
+// and a single memory controller whose bandwidth all threads contend for.
+//
+// The model is a deterministic, millisecond-granularity performance
+// model, not a cycle-accurate simulator: each tick it solves a fixed
+// point between per-thread progress and memory-controller latency, which
+// is enough to reproduce the contention phenomenology the scheduler
+// reacts to — differential slowdown of memory- vs compute-intensive
+// threads, core-type speed asymmetry, SMT interference and migration
+// cost.
+//
+// The machine is the reference implementation of platform.Platform:
+// schedulers drive it exclusively through that seam, whose identifier
+// and topology types (internal/platform) it uses as they are.
 package machine
 
 import (
@@ -120,14 +136,13 @@ func (c Config) Validate() error {
 
 // thread is the machine-side execution state of one thread.
 type thread struct {
-	id       ThreadID
+	id       platform.ThreadID
 	bench    int
 	prog     Program
 	total    float64 // prog.TotalWork(), read once at AddThread
-	core     CoreID
+	core     platform.CoreID
 	placed   bool
 	finished bool
-	work     float64
 	finishAt sim.Time
 	// startAt is when the thread enters the system; it is invisible to
 	// scheduling and makes no progress before then.
@@ -152,9 +167,8 @@ type thread struct {
 	// holds for; Step asks again once the thread leaves it.
 	dem Demand
 	win Window
-	// tc is the thread's counter block, cached at AddThread (the counter
-	// file stores pointers, so it stays valid).
-	tc *counters.ThreadCounters
+	// tc is the thread's counter block; tc.Work is its progress.
+	tc counters.ThreadCounters
 	// sampled is tc as of the last Sample that saw the thread alive.
 	sampled counters.ThreadCounters
 }
@@ -204,21 +218,21 @@ type Disruptor interface {
 	// CoreFactor returns the speed multiplier for core c at time now:
 	// 1 = healthy, in (0,1) = thermally throttled, 0 = offline (threads
 	// bound to the core make no progress until it recovers).
-	CoreFactor(c CoreID, now sim.Time) float64
+	CoreFactor(c platform.CoreID, now sim.Time) float64
 	// MigrationFails reports whether a migration of id to core `to`
 	// requested at now silently fails: the affinity change is dropped
 	// and no error surfaces, exactly like a lost IPI on real hardware.
-	MigrationFails(id ThreadID, to CoreID, now sim.Time) bool
+	MigrationFails(id platform.ThreadID, to platform.CoreID, now sim.Time) bool
 	// ThreadFault reports whether id is stalled (descheduled, making no
 	// progress) or crashes (terminates with its work incomplete) during
 	// the tick beginning at now. The crash answer must be stable for all
 	// of now's fault window so repeated per-tick queries are idempotent.
-	ThreadFault(id ThreadID, now sim.Time) (stalled, crashed bool)
+	ThreadFault(id platform.ThreadID, now sim.Time) (stalled, crashed bool)
 	// PerturbDelta perturbs a per-thread counter delta as it is sampled:
 	// it may return a corrupted copy (NaN/Inf/negative/saturated
 	// readings), or ok=false to drop the sample entirely (the reading
 	// was lost).
-	PerturbDelta(id ThreadID, now sim.Time, d counters.ThreadDelta) (_ counters.ThreadDelta, ok bool)
+	PerturbDelta(id platform.ThreadID, now sim.Time, d counters.ThreadDelta) (_ counters.ThreadDelta, ok bool)
 }
 
 // Machine is the simulated heterogeneous multicore. It implements
@@ -226,11 +240,10 @@ type Disruptor interface {
 // goroutine.
 type Machine struct {
 	cfg  Config
-	topo *Topology
-	file *counters.File
+	topo *platform.Topology
 
 	// Resolved machine model (built once in New from cfg.Spec):
-	cores      []Core             // topo.Cores(), indexed by CoreID
+	cores      []platform.Core    // topo.Cores(), indexed by CoreID
 	ctrls      []MemController    // one per controller domain
 	solvers    []contentionSolver // parallel to ctrls
 	coreDomain []int              // logical core -> controller domain
@@ -242,7 +255,7 @@ type Machine struct {
 	dynPeak    []float64          // per-kind dynamic watts at multiplier 1, one busy lane
 	sockStatic []float64          // per-socket leakage watts (always burned)
 
-	threads map[ThreadID]*thread // by-id lookups for the affinity API
+	threads map[platform.ThreadID]*thread // by-id lookups for the affinity API
 	// slots holds every registered thread in registration order. Only
 	// admit's rescan and the once-per-quantum queries (Alive, Pending,
 	// Sample, ThreadsOn, AliveCount) walk it; the per-tick loops walk
@@ -261,9 +274,15 @@ type Machine struct {
 	// rescan is set when the cached nextStart may be stale: AddThread,
 	// SetStart, and Terminate of a thread that had not been admitted.
 	rescan     bool
-	unfinished int      // registered threads not yet finished; Done is unfinished == 0
-	admitted   int      // unfinished as of the last admit: compaction is due when they differ
-	smp        *sampler // lazily-created counter sampling stream
+	unfinished int // registered threads not yet finished; Done is unfinished == 0
+	admitted   int // unfinished as of the last admit: compaction is due when they differ
+
+	// coreCtr is each logical core's counter block. Sample differences it
+	// against sampledCores, its value at the previous Sample, taken at
+	// sampledAt (never before the first).
+	coreCtr      []counters.CoreCounters
+	sampledCores []counters.CoreCounters
+	sampledAt    sim.Time
 
 	// dirty is set by every event that changes what rebuild computes: a
 	// change of the live set's membership, Place, a Migrate that moved a
@@ -271,10 +290,8 @@ type Machine struct {
 	// and the live threads' rates only while it is set.
 	dirty bool
 	// decayTabs are the shared decay tables of the two configured
-	// half-lives; decays memoizes any other (age, half-life), so the
-	// threads of one swap share one exp.
+	// half-lives.
 	decayTabs [2]decayTable
-	decays    [1 << decayBits]decayEntry
 
 	disruptor Disruptor
 
@@ -324,10 +341,10 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:     cfg,
-		topo:    topo,
-		file:    counters.NewFile(topo.NumCores()),
-		threads: make(map[ThreadID]*thread),
+		cfg:       cfg,
+		topo:      topo,
+		threads:   make(map[platform.ThreadID]*thread),
+		sampledAt: never,
 	}
 	m.resolve()
 	return m, nil
@@ -391,6 +408,8 @@ func (m *Machine) resolve() {
 	m.coreMult = make([]float64, nc)
 	m.laneCount = make([]int, nc)
 	m.coreRate = make([]float64, nc)
+	m.coreCtr = make([]counters.CoreCounters, nc)
+	m.sampledCores = make([]counters.CoreCounters, nc)
 	nphys := 0
 	for _, c := range m.cores {
 		m.coreDomain[c.ID] = sockDomain[c.Socket]
@@ -410,9 +429,6 @@ func (m *Machine) resolve() {
 	}
 	copy(m.sockWatts, m.sockStatic)
 	m.decayTabs = [2]decayTable{sharedDecayTable(m.cfg.ColdHalfLife), sharedDecayTable(m.cfg.LocalColdHalfLife)}
-	for i := range m.decays {
-		m.decays[i].half = math.NaN() // matches no key
-	}
 }
 
 // reserveScratch grows every per-thread Step buffer to hold n threads:
@@ -444,7 +460,7 @@ func reserve[E any](s []E, n int) []E {
 
 // nominalMult returns kind k's level-0 speed multiplier (1 when the
 // type declares no DVFS table).
-func (m *Machine) nominalMult(k CoreKind) float64 {
+func (m *Machine) nominalMult(k platform.CoreKind) float64 {
 	if tab := m.dvfsTab[k]; len(tab) > 0 {
 		return tab[0]
 	}
@@ -469,20 +485,22 @@ func (m *Machine) Config() Config { return m.cfg }
 // on when the swap happened.
 func (m *Machine) SetDisruptor(d Disruptor) { m.disruptor = d }
 
-// Disruptor returns the attached fault injector, or nil. The counter
-// sampler uses it to perturb readings on their way to schedulers.
-func (m *Machine) Disruptor() Disruptor { return m.disruptor }
-
 // Topology returns the machine's core topology.
-func (m *Machine) Topology() *Topology { return m.topo }
+func (m *Machine) Topology() *platform.Topology { return m.topo }
 
-// Counters returns the machine's performance-counter file.
-func (m *Machine) Counters() *counters.File { return m.file }
+// ThreadCounters returns a copy of a thread's counter block; the zero
+// block for an unknown id.
+func (m *Machine) ThreadCounters(id platform.ThreadID) counters.ThreadCounters {
+	if t, ok := m.threads[id]; ok {
+		return t.tc
+	}
+	return counters.ThreadCounters{}
+}
 
 // AddThread registers a thread with its program and owning benchmark id.
 // Threads must be added before the simulation starts and placed with
 // Place before the first Step.
-func (m *Machine) AddThread(id ThreadID, bench int, prog Program) error {
+func (m *Machine) AddThread(id platform.ThreadID, bench int, prog Program) error {
 	if _, ok := m.threads[id]; ok {
 		return fmt.Errorf("machine: duplicate thread %d", id)
 	}
@@ -493,11 +511,9 @@ func (m *Machine) AddThread(id ThreadID, bench int, prog Program) error {
 	if total <= 0 {
 		return fmt.Errorf("machine: thread %d has non-positive work", id)
 	}
-	m.file.AddThread(int(id))
 	t := &thread{
 		id: id, bench: bench, prog: prog, total: total, migratedAt: -1, settleAge: never,
 		win: Window{WorkFrom: math.NaN()}, // holds nothing: the first Step asks
-		tc:  m.file.MutThread(int(id)),
 	}
 	m.threads[id] = t
 	m.slots = append(m.slots, t)
@@ -510,7 +526,7 @@ func (m *Machine) AddThread(id ThreadID, bench int, prog Program) error {
 // SetStart delays a thread's arrival: before `at` it is not alive, holds
 // no core and makes no progress. Models the paper's dynamic workloads
 // where "threads will enter and leave the systems" (§III-F).
-func (m *Machine) SetStart(id ThreadID, at sim.Time) error {
+func (m *Machine) SetStart(id platform.ThreadID, at sim.Time) error {
 	t, ok := m.threads[id]
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
@@ -524,7 +540,7 @@ func (m *Machine) SetStart(id ThreadID, at sim.Time) error {
 }
 
 // StartOf returns a thread's arrival time (0 = present from the start).
-func (m *Machine) StartOf(id ThreadID) (sim.Time, error) {
+func (m *Machine) StartOf(id platform.ThreadID) (sim.Time, error) {
 	t, ok := m.threads[id]
 	if !ok {
 		return 0, fmt.Errorf("machine: unknown thread %d", id)
@@ -534,7 +550,7 @@ func (m *Machine) StartOf(id ThreadID) (sim.Time, error) {
 
 // AddBarrierGroup couples the given threads with a barrier every interval
 // work units. All members must already be registered.
-func (m *Machine) AddBarrierGroup(interval float64, members []ThreadID) error {
+func (m *Machine) AddBarrierGroup(interval float64, members []platform.ThreadID) error {
 	if interval <= 0 {
 		return errors.New("machine: barrier interval must be positive")
 	}
@@ -554,14 +570,14 @@ func (m *Machine) AddBarrierGroup(interval float64, members []ThreadID) error {
 	}
 	for _, t := range g.members {
 		t.barrier = g
-		t.seg = math.Floor(t.work / interval)
+		t.seg = math.Floor(t.tc.Work / interval)
 	}
 	m.groups = append(m.groups, g)
 	return nil
 }
 
 // Place sets a thread's initial core without any migration penalty.
-func (m *Machine) Place(id ThreadID, core CoreID) error {
+func (m *Machine) Place(id platform.ThreadID, core platform.CoreID) error {
 	t, ok := m.threads[id]
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
@@ -577,7 +593,7 @@ func (m *Machine) Place(id ThreadID, core CoreID) error {
 
 // Migrate moves a thread to a new core, charging the migration stall and
 // cold-cache penalty. Migrating a finished thread is a no-op.
-func (m *Machine) Migrate(id ThreadID, core CoreID, now sim.Time) error {
+func (m *Machine) Migrate(id platform.ThreadID, core platform.CoreID, now sim.Time) error {
 	t, ok := m.threads[id]
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
@@ -623,7 +639,7 @@ func (m *Machine) Migrate(id ThreadID, core CoreID, now sim.Time) error {
 
 // Swap exchanges the cores of two threads (the paper's swap operation: a
 // pair of migrations, no third core involved). It counts as one swap.
-func (m *Machine) Swap(a, b ThreadID, now sim.Time) error {
+func (m *Machine) Swap(a, b platform.ThreadID, now sim.Time) error {
 	ta, ok := m.threads[a]
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", a)
@@ -676,7 +692,7 @@ func (m *Machine) AliveCount() int {
 func (m *Machine) Utilization() float64 { return m.lastUtil }
 
 // CoreOf returns the core a thread is currently bound to.
-func (m *Machine) CoreOf(id ThreadID) (CoreID, error) {
+func (m *Machine) CoreOf(id platform.ThreadID) (platform.CoreID, error) {
 	t, ok := m.threads[id]
 	if !ok {
 		return 0, fmt.Errorf("machine: unknown thread %d", id)
@@ -685,7 +701,7 @@ func (m *Machine) CoreOf(id ThreadID) (CoreID, error) {
 }
 
 // BenchOf returns the benchmark id a thread belongs to.
-func (m *Machine) BenchOf(id ThreadID) (int, error) {
+func (m *Machine) BenchOf(id platform.ThreadID) (int, error) {
 	t, ok := m.threads[id]
 	if !ok {
 		return 0, fmt.Errorf("machine: unknown thread %d", id)
@@ -694,8 +710,8 @@ func (m *Machine) BenchOf(id ThreadID) (int, error) {
 }
 
 // Threads returns all thread ids in registration order.
-func (m *Machine) Threads() []ThreadID {
-	out := make([]ThreadID, len(m.slots))
+func (m *Machine) Threads() []platform.ThreadID {
+	out := make([]platform.ThreadID, len(m.slots))
 	for i, t := range m.slots {
 		out[i] = t.id
 	}
@@ -704,8 +720,8 @@ func (m *Machine) Threads() []ThreadID {
 
 // Alive returns the ids of unfinished threads that have arrived, in
 // registration order.
-func (m *Machine) Alive() []ThreadID {
-	out := make([]ThreadID, 0, m.AliveCount())
+func (m *Machine) Alive() []platform.ThreadID {
+	out := make([]platform.ThreadID, 0, m.AliveCount())
 	for _, t := range m.slots {
 		if t.alive(m.lastNow) {
 			out = append(out, t.id)
@@ -715,14 +731,14 @@ func (m *Machine) Alive() []ThreadID {
 }
 
 // Pending returns the ids of threads that have not arrived yet.
-func (m *Machine) Pending() []ThreadID {
+func (m *Machine) Pending() []platform.ThreadID {
 	n := 0
 	for _, t := range m.slots {
 		if t.pending(m.lastNow) {
 			n++
 		}
 	}
-	out := make([]ThreadID, 0, n)
+	out := make([]platform.ThreadID, 0, n)
 	for _, t := range m.slots {
 		if t.pending(m.lastNow) {
 			out = append(out, t.id)
@@ -732,7 +748,7 @@ func (m *Machine) Pending() []ThreadID {
 }
 
 // Finished reports whether the thread has completed, and its finish time.
-func (m *Machine) Finished(id ThreadID) (sim.Time, bool) {
+func (m *Machine) Finished(id platform.ThreadID) (sim.Time, bool) {
 	t, ok := m.threads[id]
 	if !ok || !t.finished {
 		return 0, false
@@ -744,7 +760,7 @@ func (m *Machine) Finished(id ThreadID) (sim.Time, bool) {
 // The open-loop traffic layer uses it for admission control: a rejected
 // arrival is terminated the instant it would have entered the system, so
 // it never occupies a lane. Terminating a finished thread is a no-op.
-func (m *Machine) Terminate(id ThreadID, at sim.Time) error {
+func (m *Machine) Terminate(id platform.ThreadID, at sim.Time) error {
 	t, ok := m.threads[id]
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
@@ -831,12 +847,12 @@ func (m *Machine) admit(now sim.Time) {
 }
 
 // Progress returns the fraction of its total work a thread has completed.
-func (m *Machine) Progress(id ThreadID) float64 {
+func (m *Machine) Progress(id platform.ThreadID) float64 {
 	t, ok := m.threads[id]
 	if !ok {
 		return 0
 	}
-	return t.work / t.total
+	return t.tc.Work / t.total
 }
 
 // Done implements sim.World: true once every thread has finished.
@@ -886,33 +902,21 @@ func (m *Machine) migrationFactors(t *thread, now sim.Time) (cold, numa float64)
 // error of math.Exp.
 const settleEps = 0x1p-60
 
-// decayBits is the log2 of the decay memo's size.
-const decayBits = 6
-
-// decayEntry is one slot of the decay memo.
-type decayEntry struct {
-	age   sim.Time
-	half  float64
-	decay float64
-}
-
-// decay returns exp(-age·ln2/half), the migration decay at an age: from
-// a shared table when one covers (age, half), else from the memo when its
-// slot holds the same (age, half).
+// decay returns the migration decay at an age: from a shared table when
+// one covers (age, half), else evaluated by decayAt.
 func (m *Machine) decay(age sim.Time, half float64) float64 {
 	for _, tab := range m.decayTabs {
 		if tab.half == half && uint64(age) < uint64(len(tab.decay)) {
 			return tab.decay[age]
 		}
 	}
-	h := (uint64(age) ^ math.Float64bits(half)) * 0x9E3779B97F4A7C15
-	e := &m.decays[h>>(64-decayBits)]
-	if e.age == age && e.half == half {
-		return e.decay
-	}
-	d := math.Exp(-float64(age) * math.Ln2 / half)
-	*e = decayEntry{age: age, half: half, decay: d}
-	return d
+	return decayAt(age, half)
+}
+
+// decayAt is exp(-age·ln2/half), the expression every decay, tabled or
+// not, is computed by.
+func decayAt(age sim.Time, half float64) float64 {
+	return math.Exp(-float64(age) * math.Ln2 / half)
 }
 
 // decayTable is the migration decay of one half-life at the ages 0 up to
@@ -923,9 +927,9 @@ type decayTable struct {
 }
 
 // decayTables is the process's shared decay tables by half-life, at most
-// maxDecayTables of them, first come, first served. Each is filled by the
-// expression decay evaluates, so every entry is bit for bit what decay
-// would compute, and is never written once published.
+// maxDecayTables of them, first come, first served. Each is filled by
+// decayAt, so every entry is bit for bit what the fallback would compute,
+// and is never written once published.
 var decayTables = struct {
 	sync.Mutex
 	byHalf map[float64][]float64
@@ -947,7 +951,7 @@ func sharedDecayTable(half float64) decayTable {
 	if !ok && len(decayTables.byHalf) < maxDecayTables {
 		tab = make([]float64, int(min(math.Ceil(64*half), 1<<16)))
 		for age := range tab {
-			tab[age] = math.Exp(-float64(age) * math.Ln2 / half)
+			tab[age] = decayAt(sim.Time(age), half)
 		}
 		decayTables.byHalf[half] = tab
 	}
@@ -957,7 +961,7 @@ func sharedDecayTable(half float64) decayTable {
 // rateOf returns the attainable compute rate of a thread on core c at
 // speed factor f (1 on a healthy core), under the occupancy of the last
 // rebuild.
-func (m *Machine) rateOf(c CoreID, f float64) float64 {
+func (m *Machine) rateOf(c platform.CoreID, f float64) float64 {
 	core := &m.cores[c]
 	rate := core.Speed * m.coreMult[c] * f // DVFS multiplier is exactly 1 at nominal
 	if m.physBusy[core.Physical] > 1 {
@@ -1075,8 +1079,8 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			}
 			rate = m.rateOf(t.core, factor)
 		}
-		if !t.win.Contains(t.work, now) {
-			t.dem, t.win = t.prog.DemandAt(t.work, now)
+		if !t.win.Contains(t.tc.Work, now) {
+			t.dem, t.win = t.prog.DemandAt(t.tc.Work, now)
 		}
 		dem := t.dem
 		cold, numa := m.migrationFactors(t, now)
@@ -1119,9 +1123,10 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	for i, t := range active {
 		p := pos[i]
 		dw := prog[p] * fdt
-		limit := t.total - t.work
+		tc := &t.tc
+		limit := t.total - tc.Work
 		if t.barrier != nil {
-			if bl := t.barrier.limit(t, now) - t.work; bl < limit {
+			if bl := t.barrier.limit(t, now) - tc.Work; bl < limit {
 				limit = bl
 			}
 		}
@@ -1130,27 +1135,23 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		}
 		used := fdt
 		if dw > limit {
-			// Thread hits its work or barrier limit mid-tick; charge
-			// counters only for the productive fraction.
+			// Thread hits its work or barrier limit mid-tick: it runs only
+			// the productive fraction, and finishes inside the tick.
 			if dw > 0 {
 				used = fdt * limit / dw
 			}
 			dw = limit
 		}
-		t.work += dw
-		if t.barrier != nil {
-			t.seg = math.Floor(t.work / t.barrier.interval)
-		}
-		tc := t.tc
 		tc.Work += dw
+		if t.barrier != nil {
+			t.seg = math.Floor(tc.Work / t.barrier.interval)
+		}
 		tc.Instructions += dw * 1000
 		tc.Accesses += dw * apws[p]
 		misses := dw * mpws[p]
 		tc.Misses += misses
-		cc := m.file.MutCore(int(t.core))
-		cc.ServedMisses += misses
-		cc.BusyTime += used
-		if t.work >= t.total-1e-9 {
+		m.coreCtr[t.core].ServedMisses += misses
+		if tc.Work >= t.total-1e-9 {
 			t.finished = true
 			m.unfinished--
 			// Interpolate the finish instant inside the tick.
@@ -1162,7 +1163,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 // SetDVFS sets a core's DVFS level: an index into its type's multiplier
 // table (level 0 is nominal). Core types that declare no DVFS table only
 // accept level 0.
-func (m *Machine) SetDVFS(core CoreID, level int) error {
+func (m *Machine) SetDVFS(core platform.CoreID, level int) error {
 	if int(core) < 0 || int(core) >= m.topo.NumCores() {
 		return fmt.Errorf("machine: core %d out of range", core)
 	}
@@ -1209,7 +1210,7 @@ func (m *Machine) PowerWatts() float64 {
 }
 
 // DVFSOf returns a core's current DVFS level (0 = nominal).
-func (m *Machine) DVFSOf(core CoreID) int {
+func (m *Machine) DVFSOf(core platform.CoreID) int {
 	if int(core) < 0 || int(core) >= m.topo.NumCores() {
 		return 0
 	}
@@ -1218,7 +1219,7 @@ func (m *Machine) DVFSOf(core CoreID) int {
 
 // DVFSLevels returns how many DVFS levels a core's type declares (at
 // least 1: the nominal level).
-func (m *Machine) DVFSLevels(core CoreID) int {
+func (m *Machine) DVFSLevels(core platform.CoreID) int {
 	if int(core) < 0 || int(core) >= m.topo.NumCores() {
 		return 1
 	}
@@ -1242,8 +1243,8 @@ func (m *Machine) NumMemDomains() int { return len(m.ctrls) }
 
 // PlacementSnapshot returns a fresh map from every registered thread's id
 // to the core it is currently bound to. Used by traces and tests.
-func (m *Machine) PlacementSnapshot() map[ThreadID]CoreID {
-	out := make(map[ThreadID]CoreID, len(m.slots))
+func (m *Machine) PlacementSnapshot() map[platform.ThreadID]platform.CoreID {
+	out := make(map[platform.ThreadID]platform.CoreID, len(m.slots))
 	for _, t := range m.slots {
 		out[t.id] = t.core
 	}
@@ -1252,8 +1253,8 @@ func (m *Machine) PlacementSnapshot() map[ThreadID]CoreID {
 
 // ThreadsOn returns the unfinished threads currently bound to core c, in
 // ascending thread-id order.
-func (m *Machine) ThreadsOn(c CoreID) []ThreadID {
-	var out []ThreadID
+func (m *Machine) ThreadsOn(c platform.CoreID) []platform.ThreadID {
+	var out []platform.ThreadID
 	for _, t := range m.slots {
 		if t.alive(m.lastNow) && t.core == c {
 			out = append(out, t.id)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -18,7 +19,7 @@ func testMachine(t *testing.T) *Machine {
 }
 
 // place registers a thread with constant demand and places it.
-func place(t *testing.T, m *Machine, id ThreadID, bench int, work float64, dem Demand, core CoreID) {
+func place(t *testing.T, m *Machine, id platform.ThreadID, bench int, work float64, dem Demand, core platform.CoreID) {
 	t.Helper()
 	if err := m.AddThread(id, bench, ConstProgram{Work: work, Demand: dem}); err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func TestSingleThreadRuntime(t *testing.T) {
 }
 
 func TestFastVsSlowCoreRatio(t *testing.T) {
-	run1 := func(core CoreID) sim.Time {
+	run1 := func(core platform.CoreID) sim.Time {
 		m := testMachine(t)
 		place(t, m, 0, 0, 1000, Demand{AccessesPerWork: 0.5, MissRatio: 0.02}, core)
 		return run(t, m, 20000)
@@ -142,7 +143,7 @@ func TestContentionSlowsMemoryThreads(t *testing.T) {
 	mBusy := testMachine(t)
 	fast := mBusy.Topology().FastCores()
 	for i := 0; i < 16; i++ {
-		place(t, mBusy, ThreadID(i), 0, 1000, mem, fast[i])
+		place(t, mBusy, platform.ThreadID(i), 0, 1000, mem, fast[i])
 	}
 	busy := run(t, mBusy, 120000)
 	if ratio := float64(busy) / float64(solo); ratio < 1.3 {
@@ -166,16 +167,16 @@ func TestMigrationMechanics(t *testing.T) {
 	if m.MigrationCount() != 1 {
 		t.Errorf("migration count = %d", m.MigrationCount())
 	}
-	if m.Counters().Thread(0).Migrations != 1 {
-		t.Errorf("thread migration counter = %d", m.Counters().Thread(0).Migrations)
+	if m.ThreadCounters(0).Migrations != 1 {
+		t.Errorf("thread migration counter = %d", m.ThreadCounters(0).Migrations)
 	}
 	// During the stall the thread makes no progress.
-	before := m.Counters().Thread(0).Work
+	before := m.ThreadCounters(0).Work
 	m.Step(1, 1)
-	if m.Counters().Thread(0).Work != before {
+	if m.ThreadCounters(0).Work != before {
 		t.Error("thread progressed during migration stall")
 	}
-	if m.Counters().Thread(0).StallTime == 0 {
+	if m.ThreadCounters(0).StallTime == 0 {
 		t.Error("stall time not accounted")
 	}
 	// Migrating to the same core is a no-op.
@@ -275,14 +276,14 @@ func TestBarrierGroupCouplesProgress(t *testing.T) {
 	dem := Demand{AccessesPerWork: 1, MissRatio: 0.05}
 	place(t, m, 0, 0, 1000, dem, fast)
 	place(t, m, 1, 0, 1000, dem, slow)
-	if err := m.AddBarrierGroup(50, []ThreadID{0, 1}); err != nil {
+	if err := m.AddBarrierGroup(50, []platform.ThreadID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	for now := sim.Time(0); now < 200; now++ {
 		m.Step(now, 1)
 	}
-	w0 := m.Counters().Thread(0).Work
-	w1 := m.Counters().Thread(1).Work
+	w0 := m.ThreadCounters(0).Work
+	w1 := m.ThreadCounters(1).Work
 	// The fast thread may be at most one barrier segment ahead.
 	if w0-w1 > 50+1e-9 {
 		t.Errorf("barrier violated: fast at %v, slow at %v", w0, w1)
@@ -299,7 +300,7 @@ func TestBarrierFinishedMembersReleaseGroup(t *testing.T) {
 	dem := Demand{}
 	place(t, m, 0, 0, 100, dem, fast) // finishes early
 	place(t, m, 1, 0, 1000, dem, slow)
-	if err := m.AddBarrierGroup(50, []ThreadID{0, 1}); err != nil {
+	if err := m.AddBarrierGroup(50, []platform.ThreadID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	done := run(t, m, 60000)
@@ -311,13 +312,13 @@ func TestBarrierFinishedMembersReleaseGroup(t *testing.T) {
 func TestBarrierValidation(t *testing.T) {
 	m := testMachine(t)
 	place(t, m, 0, 0, 100, Demand{}, 0)
-	if err := m.AddBarrierGroup(0, []ThreadID{0, 0}); err == nil {
+	if err := m.AddBarrierGroup(0, []platform.ThreadID{0, 0}); err == nil {
 		t.Error("zero interval accepted")
 	}
-	if err := m.AddBarrierGroup(10, []ThreadID{0}); err == nil {
+	if err := m.AddBarrierGroup(10, []platform.ThreadID{0}); err == nil {
 		t.Error("single-member group accepted")
 	}
-	if err := m.AddBarrierGroup(10, []ThreadID{0, 99}); err == nil {
+	if err := m.AddBarrierGroup(10, []platform.ThreadID{0, 99}); err == nil {
 		t.Error("unknown member accepted")
 	}
 }
@@ -327,7 +328,7 @@ func TestThreadAccounting(t *testing.T) {
 	dem := Demand{AccessesPerWork: 4, MissRatio: 0.5}
 	place(t, m, 0, 0, 100, dem, m.Topology().FastCores()[0])
 	done := run(t, m, 10000)
-	tc := m.Counters().Thread(0)
+	tc := m.ThreadCounters(0)
 	if math.Abs(tc.Work-100) > 1e-6 {
 		t.Errorf("work = %v, want 100", tc.Work)
 	}
@@ -348,7 +349,7 @@ func TestThreadAccounting(t *testing.T) {
 		t.Errorf("progress = %v, want 1", m.Progress(0))
 	}
 	// Core counters saw the same misses.
-	cc := m.Counters().Core(int(m.Topology().FastCores()[0]))
+	cc := m.coreCtr[m.Topology().FastCores()[0]]
 	if math.Abs(cc.ServedMisses-200) > 1e-6 {
 		t.Errorf("core served = %v, want 200", cc.ServedMisses)
 	}
@@ -368,7 +369,7 @@ func TestAddThreadValidation(t *testing.T) {
 	if err := m.AddThread(0, 0, ConstProgram{Work: 10}); err == nil {
 		t.Error("duplicate thread accepted")
 	}
-	if err := m.Place(0, CoreID(999)); err == nil {
+	if err := m.Place(0, platform.CoreID(999)); err == nil {
 		t.Error("out-of-range core accepted")
 	}
 	if err := m.Place(99, 0); err == nil {
@@ -426,7 +427,7 @@ func TestDeterminism(t *testing.T) {
 		m := testMachine(t)
 		dem := Demand{AccessesPerWork: 8, MissRatio: 0.4}
 		for i := 0; i < 8; i++ {
-			place(t, m, ThreadID(i), 0, 2000, dem, CoreID(i*3%40))
+			place(t, m, platform.ThreadID(i), 0, 2000, dem, platform.CoreID(i*3%40))
 		}
 		return m
 	}
@@ -436,7 +437,7 @@ func TestDeterminism(t *testing.T) {
 	if d1 != d2 {
 		t.Errorf("runs diverged: %v vs %v", d1, d2)
 	}
-	if m1.Counters().Thread(3).Misses != m2.Counters().Thread(3).Misses {
+	if m1.ThreadCounters(3).Misses != m2.ThreadCounters(3).Misses {
 		t.Error("counter state diverged")
 	}
 }

@@ -6,16 +6,6 @@ import (
 	"dike/internal/sim"
 )
 
-// sampler holds the machine's counter-snapshot state: the previous
-// per-core counter values, so Sample can return deltas exactly as a
-// sampling profiler would. Each thread's previous values live in its
-// slot (thread.sampled).
-type sampler struct {
-	lastTime sim.Time
-	first    bool
-	prevC    []counters.CoreCounters
-}
-
 // MemCapacity implements platform.Platform: the service capacity of the
 // machine's largest memory controller, in misses/ms. (Observers use it
 // as a sanity bound for counter readings; on a multi-controller machine
@@ -32,42 +22,33 @@ func (m *Machine) MemCapacity() float64 {
 
 // ProcessOf implements platform.Platform; process membership is the
 // benchmark a thread belongs to.
-func (m *Machine) ProcessOf(id ThreadID) (int, error) { return m.BenchOf(id) }
+func (m *Machine) ProcessOf(id platform.ThreadID) (int, error) { return m.BenchOf(id) }
 
 // Sample implements platform.Platform: it reads the counters at time now
 // and returns deltas since the previous call. The first call returns
 // zero deltas (Interval 0); callers typically skip scheduling on it.
 // The machine keeps a single sampling stream — one policy per machine.
 func (m *Machine) Sample(now sim.Time) *platform.Sample {
-	if m.smp == nil {
-		m.smp = &sampler{
-			first: true,
-			prevC: make([]counters.CoreCounters, m.file.NumCores()),
-		}
-	}
-	s := m.smp
-	interval := float64(now - s.lastTime)
-	if s.first {
+	interval := float64(now - m.sampledAt)
+	if m.sampledAt == never {
 		interval = 0
-		s.first = false
 	}
 	alive := m.AliveCount()
 	out := &platform.Sample{
 		Interval: interval,
-		Threads:  make(map[ThreadID]counters.ThreadDelta, alive),
-		Cores:    make([]counters.CoreDelta, m.file.NumCores()),
-		Instr:    make(map[ThreadID]float64, alive),
+		Threads:  make(map[platform.ThreadID]counters.ThreadDelta, alive),
+		Cores:    make([]counters.CoreDelta, len(m.coreCtr)),
+		Instr:    make(map[platform.ThreadID]float64, alive),
 	}
 	for _, t := range m.slots {
 		if !t.alive(m.lastNow) {
 			continue
 		}
-		cur := *t.tc
-		delta := cur.Since(t.sampled, interval)
-		t.sampled = cur
+		delta := t.tc.Since(t.sampled, interval)
+		t.sampled = t.tc
 		// The cumulative instruction count is read directly (not via the
 		// delta), so it survives individual lost samples.
-		out.Instr[t.id] = cur.Instructions
+		out.Instr[t.id] = t.tc.Instructions
 		if m.disruptor != nil && interval > 0 {
 			// Counter faults: the read may be lost (thread absent from the
 			// sample) or corrupted. The underlying cumulative counters are
@@ -80,11 +61,11 @@ func (m *Machine) Sample(now sim.Time) *platform.Sample {
 		}
 		out.Threads[t.id] = delta
 	}
-	for c := 0; c < m.file.NumCores(); c++ {
-		out.Cores[c] = m.file.DiffCore(c, s.prevC[c], interval)
-		s.prevC[c] = m.file.Core(c)
+	for c, cur := range m.coreCtr {
+		out.Cores[c] = cur.Since(m.sampledCores[c], interval)
 	}
-	s.lastTime = now
+	copy(m.sampledCores, m.coreCtr)
+	m.sampledAt = now
 	return out
 }
 

@@ -31,7 +31,7 @@ func twoSocketSpec() *platform.MachineSpec {
 }
 
 // stepUntilFinished advances the machine until thread id completes.
-func stepUntilFinished(t *testing.T, m *Machine, id ThreadID, deadline sim.Time) sim.Time {
+func stepUntilFinished(t *testing.T, m *Machine, id platform.ThreadID, deadline sim.Time) sim.Time {
 	t.Helper()
 	now := sim.Time(0)
 	for {
@@ -69,7 +69,7 @@ func TestPerSocketContentionIsolation(t *testing.T) {
 		if loaded {
 			// Three memory hogs saturating socket 1's controller.
 			for i := 1; i <= 3; i++ {
-				place(t, m, ThreadID(i), 1, 1e6, heavy, CoreID(2+i))
+				place(t, m, platform.ThreadID(i), 1, 1e6, heavy, platform.CoreID(2+i))
 			}
 		}
 		return stepUntilFinished(t, m, 0, 100000)
@@ -154,7 +154,7 @@ func TestDistanceScalesMigrationPenalty(t *testing.T) {
 		})
 	}
 	// Cores 0-1 socket 0, 2-3 socket 1, 4-5 socket 2.
-	migrated := func(to CoreID) sim.Time {
+	migrated := func(to platform.CoreID) sim.Time {
 		m, err := New(specConfig(spec))
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +250,7 @@ func TestBigMachineDeterminism(t *testing.T) {
 	if got := bigMachineSpec().TotalLogical(); got != 1024 {
 		t.Fatalf("spec has %d logical cores, want 1024", got)
 	}
-	runOnce := func() (map[ThreadID]sim.Time, float64) {
+	runOnce := func() (map[platform.ThreadID]sim.Time, float64) {
 		m, err := New(specConfig(bigMachineSpec()))
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +263,7 @@ func TestBigMachineDeterminism(t *testing.T) {
 			if i%3 == 0 {
 				dem = Demand{AccessesPerWork: 3, MissRatio: 0.25}
 			}
-			place(t, m, ThreadID(i), i/4, 500+float64(i%7)*100, dem, CoreID((i*37)%n))
+			place(t, m, platform.ThreadID(i), i/4, 500+float64(i%7)*100, dem, platform.CoreID((i*37)%n))
 		}
 		now := sim.Time(0)
 		for !m.Done() {
@@ -273,7 +273,7 @@ func TestBigMachineDeterminism(t *testing.T) {
 			m.Step(now, 1)
 			now++
 		}
-		finishes := map[ThreadID]sim.Time{}
+		finishes := map[platform.ThreadID]sim.Time{}
 		for _, id := range m.Threads() {
 			at, ok := m.Finished(id)
 			if !ok {

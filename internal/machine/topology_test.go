@@ -7,7 +7,7 @@ import (
 )
 
 // defaultTopology lays out the Table I machine.
-func defaultTopology(t *testing.T) *Topology {
+func defaultTopology(t *testing.T) *platform.Topology {
 	t.Helper()
 	topo, err := platform.BuildMachineTopology(DefaultConfig().Spec)
 	if err != nil {
@@ -108,11 +108,11 @@ func TestTopologyCorePanicsOutOfRange(t *testing.T) {
 			t.Error("out-of-range Core did not panic")
 		}
 	}()
-	topo.Core(CoreID(100))
+	topo.Core(platform.CoreID(100))
 }
 
 func TestCoreKindString(t *testing.T) {
-	if FastCore.String() != "fast" || SlowCore.String() != "slow" {
+	if platform.FastCore.String() != "fast" || platform.SlowCore.String() != "slow" {
 		t.Error("CoreKind strings wrong")
 	}
 }

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"runtime/debug"
 	"testing"
 
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -55,10 +57,10 @@ func TestStepZeroAlloc(t *testing.T) {
 			if i%2 == 0 {
 				prog = even
 			}
-			if err := m.AddThread(ThreadID(i), 0, prog); err != nil {
+			if err := m.AddThread(platform.ThreadID(i), 0, prog); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Place(ThreadID(i), CoreID(i)); err != nil {
+			if err := m.Place(platform.ThreadID(i), platform.CoreID(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -79,14 +81,14 @@ func TestStepZeroAlloc(t *testing.T) {
 			// 48 threads on 40 lanes: SMT siblings busy and some lanes
 			// time-shared; two threads coupled by a barrier.
 			for i := 0; i < 48; i++ {
-				if err := m.AddThread(ThreadID(i), i/4, wave); err != nil {
+				if err := m.AddThread(platform.ThreadID(i), i/4, wave); err != nil {
 					t.Fatal(err)
 				}
-				if err := m.Place(ThreadID(i), CoreID(i%40)); err != nil {
+				if err := m.Place(platform.ThreadID(i), platform.CoreID(i%40)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := m.AddBarrierGroup(100, []ThreadID{0, 1}); err != nil {
+			if err := m.AddBarrierGroup(100, []platform.ThreadID{0, 1}); err != nil {
 				t.Fatal(err)
 			}
 			return m
@@ -97,10 +99,10 @@ func TestStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 8; i++ {
-				if err := m.AddThread(ThreadID(i), 0, wave); err != nil {
+				if err := m.AddThread(platform.ThreadID(i), 0, wave); err != nil {
 					t.Fatal(err)
 				}
-				if err := m.Place(ThreadID(i), CoreID(i%6)); err != nil {
+				if err := m.Place(platform.ThreadID(i), platform.CoreID(i%6)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -109,10 +111,10 @@ func TestStepZeroAlloc(t *testing.T) {
 		{name: "arrival-and-migration", build: func(t *testing.T) *Machine {
 			m := testMachine(t)
 			for i := 0; i < 6; i++ {
-				if err := m.AddThread(ThreadID(i), 0, wave); err != nil {
+				if err := m.AddThread(platform.ThreadID(i), 0, wave); err != nil {
 					t.Fatal(err)
 				}
-				if err := m.Place(ThreadID(i), CoreID(i)); err != nil {
+				if err := m.Place(platform.ThreadID(i), platform.CoreID(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -131,11 +133,11 @@ func TestStepZeroAlloc(t *testing.T) {
 			// 300 requests, one arriving every 3 ms, each done within
 			// tens of ticks: far more threads registered than alive.
 			for i := 0; i < 300; i++ {
-				id := ThreadID(i)
+				id := platform.ThreadID(i)
 				if err := m.AddThread(id, i%4, ConstProgram{Work: float64(20 + i%7*10), Demand: wave.hi}); err != nil {
 					t.Fatal(err)
 				}
-				if err := m.Place(id, CoreID(i%40)); err != nil {
+				if err := m.Place(id, platform.CoreID(i%40)); err != nil {
 					t.Fatal(err)
 				}
 				if err := m.SetStart(id, sim.Time(3*i)); err != nil {
@@ -162,7 +164,7 @@ func TestStepZeroAlloc(t *testing.T) {
 				return
 			}
 			for i := 0; i < 8; i++ {
-				if err := m.Swap(ThreadID(i), ThreadID(20+i), now); err != nil {
+				if err := m.Swap(platform.ThreadID(i), platform.ThreadID(20+i), now); err != nil {
 					panic(err)
 				}
 			}
@@ -170,17 +172,17 @@ func TestStepZeroAlloc(t *testing.T) {
 		{name: "dvfs-change", rebuilds: true, build: func(t *testing.T) *Machine {
 			m := dvfsMachine(t)
 			for i := 0; i < 8; i++ {
-				if err := m.AddThread(ThreadID(i), 0, wave); err != nil {
+				if err := m.AddThread(platform.ThreadID(i), 0, wave); err != nil {
 					t.Fatal(err)
 				}
-				if err := m.Place(ThreadID(i), CoreID(i%6)); err != nil {
+				if err := m.Place(platform.ThreadID(i), platform.CoreID(i%6)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			return m
 		}, perturb: func(m *Machine, now sim.Time) {
 			if now%3 == 0 {
-				c := CoreID(now / 3 % 6)
+				c := platform.CoreID(now / 3 % 6)
 				if err := m.SetDVFS(c, int(now)%m.DVFSLevels(c)); err != nil {
 					panic(err)
 				}
@@ -188,7 +190,7 @@ func TestStepZeroAlloc(t *testing.T) {
 		}},
 		{name: "disruptor", build: func(t *testing.T) *Machine {
 			m := population(t, 40, wave, wave)
-			m.SetDisruptor(&stubDisruptor{factor: map[CoreID]float64{0: 0.5, 3: 0, 21: 0.8}})
+			m.SetDisruptor(&stubDisruptor{factor: map[platform.CoreID]float64{0: 0.5, 3: 0, 21: 0.8}})
 			return m
 		}},
 		{name: "window-refresh", build: func(t *testing.T) *Machine {
@@ -202,10 +204,10 @@ func TestStepZeroAlloc(t *testing.T) {
 			stepped.dems = append(stepped.dems, wave.lo)
 			m := testMachine(t)
 			for i := 0; i < 40; i++ {
-				if err := m.AddThread(ThreadID(i), 0, stepped); err != nil {
+				if err := m.AddThread(platform.ThreadID(i), 0, stepped); err != nil {
 					t.Fatal(err)
 				}
-				if err := m.Place(ThreadID(i), CoreID(i)); err != nil {
+				if err := m.Place(platform.ThreadID(i), platform.CoreID(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -276,7 +278,7 @@ func churnTicks(t *testing.T, m *Machine, now sim.Time) {
 				if err := m.Terminate(m.live[0].id, now); err != nil {
 					t.Fatal(err)
 				}
-				if err := m.Terminate(ThreadID(len(m.slots)-1-int(now)), now); err != nil {
+				if err := m.Terminate(platform.ThreadID(len(m.slots)-1-int(now)), now); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -353,4 +355,35 @@ func pathOf(s *contentionSolver, passes int) solvePath {
 		return pathFellThrough
 	}
 	return pathLoop
+}
+
+// TestAddThreadAllocs pins the allocations of registering 1,000 threads
+// on a fresh Table I machine: the thread itself, and the amortised growth
+// of the by-id map, the slots and the per-thread Step buffers. A thread's
+// counter block lives in its thread, so it costs nothing more.
+func TestAddThreadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const n, want = 1000, 1198
+	progs := make([]Program, n)
+	for i := range progs {
+		progs[i] = ConstProgram{Work: 100, Demand: Demand{AccessesPerWork: 10, MissRatio: 0.1}}
+	}
+	build := func(threads int) func() {
+		return func() {
+			m := MustNew(DefaultConfig())
+			for i, prog := range progs[:threads] {
+				if err := m.AddThread(platform.ThreadID(i), 0, prog); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	// A collection may allocate in the runtime while it measures.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := testing.AllocsPerRun(5, build(n)) - testing.AllocsPerRun(5, build(0))
+	if got != want {
+		t.Errorf("registering %d threads allocates %v times, want %d", n, got, want)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dike/internal/machine"
+	"dike/internal/platform"
 	"dike/internal/sim"
 	"dike/internal/workload"
 )
@@ -28,7 +29,7 @@ func finishedMachine(t *testing.T) (*machine.Machine, *workload.Instance) {
 		t.Fatal(err)
 	}
 	for i, id := range m.Threads() {
-		if err := m.Place(id, machine.CoreID(i*2%40)); err != nil {
+		if err := m.Place(id, platform.CoreID(i*2%40)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -35,13 +35,13 @@ func NewDIO(p platform.Platform, seed uint64) *DIO {
 	return &DIO{p: p, seed: seed, ql: DIOQuantum}
 }
 
-// Name implements Policy.
+// Name implements sim.Policy.
 func (d *DIO) Name() string { return "dio" }
 
-// QuantaLength implements Policy.
+// QuantaLength implements sim.Policy.
 func (d *DIO) QuantaLength() sim.Time { return d.ql }
 
-// Quantum implements Policy.
+// Quantum implements sim.Policy.
 func (d *DIO) Quantum(now sim.Time) error {
 	if !d.placed {
 		if err := SpreadPlacement(d.p, d.seed); err != nil {

@@ -29,13 +29,13 @@ func NewRotate(p platform.Platform, seed uint64) *Rotate {
 	return &Rotate{p: p, seed: seed, ql: RotateQuantum}
 }
 
-// Name implements Policy.
+// Name implements sim.Policy.
 func (r *Rotate) Name() string { return "rotate" }
 
-// QuantaLength implements Policy.
+// QuantaLength implements sim.Policy.
 func (r *Rotate) QuantaLength() sim.Time { return r.ql }
 
-// Quantum implements Policy.
+// Quantum implements sim.Policy.
 func (r *Rotate) Quantum(now sim.Time) error {
 	if !r.placed {
 		if err := SpreadPlacement(r.p, r.seed); err != nil {
@@ -98,13 +98,13 @@ func NewStatic(p platform.Platform, assignment map[platform.ThreadID]platform.Co
 	return &Static{p: p, assignment: assignment}, nil
 }
 
-// Name implements Policy.
+// Name implements sim.Policy.
 func (s *Static) Name() string { return "static" }
 
-// QuantaLength implements Policy.
+// QuantaLength implements sim.Policy.
 func (s *Static) QuantaLength() sim.Time { return 1000 }
 
-// Quantum implements Policy. Threads are placed in ascending id order so
+// Quantum implements sim.Policy. Threads are placed in ascending id order so
 // the platform sees a deterministic call sequence (map iteration order
 // would differ between otherwise-identical runs, which record/replay
 // verification would flag as divergence).

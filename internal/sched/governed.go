@@ -14,7 +14,7 @@ import (
 // calls, then power calls, which is the order the replay layer
 // re-drives them in.
 type Governed struct {
-	inner Policy
+	inner sim.Policy
 	gov   power.Governor
 	pc    platform.PowerControl
 	every int
@@ -25,7 +25,7 @@ type Governed struct {
 // Govern wraps inner with gov actuating through pc every `every`
 // quanta. If the governor consumes a fairness feed and the policy
 // provides one (Dike does), they are coupled here.
-func Govern(inner Policy, gov power.Governor, pc platform.PowerControl, every int) *Governed {
+func Govern(inner sim.Policy, gov power.Governor, pc platform.PowerControl, every int) *Governed {
 	if every < 1 {
 		every = 1
 	}
@@ -37,20 +37,20 @@ func Govern(inner Policy, gov power.Governor, pc platform.PowerControl, every in
 	return &Governed{inner: inner, gov: gov, pc: pc, every: every, stats: power.Stats{Governor: gov.Name()}}
 }
 
-// Name implements Policy; the governed run keeps the policy's name (the
+// Name implements sim.Policy; the governed run keeps the policy's name (the
 // governor identifies itself in the stats and the run digest).
 func (g *Governed) Name() string { return g.inner.Name() }
 
-// QuantaLength implements Policy.
+// QuantaLength implements sim.Policy.
 func (g *Governed) QuantaLength() sim.Time { return g.inner.QuantaLength() }
 
 // Inner returns the wrapped policy, for result extraction after a run.
-func (g *Governed) Inner() Policy { return g.inner }
+func (g *Governed) Inner() sim.Policy { return g.inner }
 
 // Stats returns the governor's decision record.
 func (g *Governed) Stats() *power.Stats { return &g.stats }
 
-// Quantum implements Policy.
+// Quantum implements sim.Policy.
 func (g *Governed) Quantum(now sim.Time) error {
 	if err := g.inner.Quantum(now); err != nil {
 		return err

@@ -19,16 +19,6 @@ import (
 	"dike/internal/sim"
 )
 
-// Policy is what the simulation engine drives. It extends sim.Policy
-// with nothing; the alias exists so scheduler code doesn't import sim in
-// every file.
-type Policy = sim.Policy
-
-// Sample is one quantum's worth of counter deltas. It is an alias of
-// platform.Sample: the type moved to the platform seam when sampling
-// became a backend responsibility.
-type Sample = platform.Sample
-
 // SpreadPlacement binds every registered thread to its own logical core,
 // spreading across physical cores first (one lane per physical core
 // before doubling up on SMT siblings) and shuffling thread order with the
@@ -107,13 +97,13 @@ func NewCFS(p platform.Platform, seed uint64) *CFS {
 	return &CFS{p: p, seed: seed, ql: 1000}
 }
 
-// Name implements Policy.
+// Name implements sim.Policy.
 func (c *CFS) Name() string { return "cfs" }
 
-// QuantaLength implements Policy.
+// QuantaLength implements sim.Policy.
 func (c *CFS) QuantaLength() sim.Time { return c.ql }
 
-// Quantum implements Policy.
+// Quantum implements sim.Policy.
 func (c *CFS) Quantum(sim.Time) error {
 	if !c.placed {
 		if err := SpreadPlacement(c.p, c.seed); err != nil {
@@ -135,13 +125,13 @@ type Null struct {
 // NewNull returns the do-nothing policy.
 func NewNull(p platform.Platform, seed uint64) *Null { return &Null{p: p, seed: seed} }
 
-// Name implements Policy.
+// Name implements sim.Policy.
 func (n *Null) Name() string { return "null" }
 
-// QuantaLength implements Policy.
+// QuantaLength implements sim.Policy.
 func (n *Null) QuantaLength() sim.Time { return 1000 }
 
-// Quantum implements Policy.
+// Quantum implements sim.Policy.
 func (n *Null) Quantum(sim.Time) error {
 	if !n.placed {
 		if err := SpreadPlacement(n.p, n.seed); err != nil {

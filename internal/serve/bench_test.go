@@ -53,11 +53,11 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		get := httptest.NewRecorder()
 		h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/v1/runs/"+sub.ID, nil))
-		var v JobView
+		var v api.JobView
 		if err := json.Unmarshal(get.Body.Bytes(), &v); err != nil {
 			b.Fatal(err)
 		}
-		if v.Status == StatusDone {
+		if v.Status == api.StatusDone {
 			break
 		}
 		if api.Terminal(v.Status) || time.Now().After(deadline) {

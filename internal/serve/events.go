@@ -1,9 +1,13 @@
 package serve
 
-import "sync"
+import (
+	"sync"
 
-// The Event type lives in internal/serve/api (aliased in job.go): the
-// NDJSON stream is part of the wire format the coordinator shares.
+	"dike/internal/serve/api"
+)
+
+// The event type is api.Event: the NDJSON stream is part of the wire
+// format the coordinator shares.
 
 // subBuffer is each subscriber's channel capacity. A consumer that falls
 // further behind than this loses intermediate events (never the terminal
@@ -15,19 +19,19 @@ const subBuffer = 256
 // whether it attaches before, during or after the run.
 type broker struct {
 	mu      sync.Mutex
-	history []Event
-	subs    map[chan Event]struct{}
+	history []api.Event
+	subs    map[chan api.Event]struct{}
 	closed  bool
 }
 
 func newBroker() *broker {
-	return &broker{subs: make(map[chan Event]struct{})}
+	return &broker{subs: make(map[chan api.Event]struct{})}
 }
 
 // publish appends ev to history and offers it to every subscriber.
 // Publishing is non-blocking: a subscriber whose buffer is full skips
 // the event (it still has it in history if it resubscribes).
-func (b *broker) publish(ev Event) {
+func (b *broker) publish(ev api.Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -44,7 +48,7 @@ func (b *broker) publish(ev Event) {
 
 // close publishes the terminal event and closes every subscriber
 // channel. Further publishes and subscriptions see the frozen history.
-func (b *broker) close(final Event) {
+func (b *broker) close(final api.Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -73,14 +77,14 @@ func (b *broker) subscriberCount() int {
 // subscribe returns the events published so far and, unless the stream
 // has already closed, a live channel for the rest. The caller must call
 // cancel when done. A nil channel means the history is complete.
-func (b *broker) subscribe() (replay []Event, live <-chan Event, cancel func()) {
+func (b *broker) subscribe() (replay []api.Event, live <-chan api.Event, cancel func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	replay = append([]Event(nil), b.history...)
+	replay = append([]api.Event(nil), b.history...)
 	if b.closed {
 		return replay, nil, func() {}
 	}
-	ch := make(chan Event, subBuffer)
+	ch := make(chan api.Event, subBuffer)
 	b.subs[ch] = struct{}{}
 	return replay, ch, func() {
 		b.mu.Lock()

@@ -25,32 +25,6 @@ import (
 	"dike/internal/workload"
 )
 
-// The wire format lives in internal/serve/api so the cluster
-// coordinator and a single-node worker share one definition of every
-// body that crosses the network; these aliases keep the serve package's
-// own surface unchanged.
-type (
-	RunRequest       = api.RunRequest
-	GeneratorRequest = api.GeneratorRequest
-	FaultRequest     = api.FaultRequest
-	SweepRequest     = api.SweepRequest
-	RunResult        = api.RunResult
-	BenchResult      = api.BenchResult
-	SweepResult      = api.SweepResult
-	SweepPoint       = api.SweepPoint
-	JobView          = api.JobView
-	Event            = api.Event
-)
-
-// Job statuses, in lifecycle order.
-const (
-	StatusQueued   = api.StatusQueued
-	StatusRunning  = api.StatusRunning
-	StatusDone     = api.StatusDone
-	StatusFailed   = api.StatusFailed
-	StatusCanceled = api.StatusCanceled
-)
-
 // Job is one unit of work on a node — a run or a sweep — from
 // admission through its terminal state. The server and the cluster
 // coordinator share it, so a job is queued, run, finished and shown the
@@ -104,7 +78,7 @@ func (j *Job) Status() string {
 // Start moves a queued job to running.
 func (j *Job) Start() {
 	j.mu.Lock()
-	j.status = StatusRunning
+	j.status = api.StatusRunning
 	j.started = time.Now()
 	j.mu.Unlock()
 }
@@ -129,7 +103,7 @@ func (j *Job) Finish(status string, result json.RawMessage, errMsg string) {
 	}
 	j.mu.Unlock()
 	j.cancel()
-	j.events.close(Event{Status: status, Error: errMsg})
+	j.events.close(api.Event{Status: status, Error: errMsg})
 	j.table.retire(j.id)
 }
 
@@ -139,19 +113,19 @@ func (j *Job) Finish(status string, result json.RawMessage, errMsg string) {
 func (j *Job) Fail(err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
-		j.Finish(StatusCanceled, nil, "")
+		j.Finish(api.StatusCanceled, nil, "")
 	case errors.Is(err, context.DeadlineExceeded):
-		j.Finish(StatusFailed, nil, "deadline exceeded")
+		j.Finish(api.StatusFailed, nil, "deadline exceeded")
 	default:
-		j.Finish(StatusFailed, nil, err.Error())
+		j.Finish(api.StatusFailed, nil, err.Error())
 	}
 }
 
 // view snapshots the job for the API.
-func (j *Job) view() JobView {
+func (j *Job) view() api.JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	v := JobView{
+	v := api.JobView{
 		ID:     j.id,
 		Kind:   j.kind,
 		Status: j.status,
@@ -226,7 +200,7 @@ func (t *Jobs) open(parent context.Context, j *Job) {
 	t.seq++
 	j.id = fmt.Sprintf("%s-%06d-%.8s", j.kind, t.seq, j.digest)
 	t.mu.Unlock()
-	j.status = StatusQueued
+	j.status = api.StatusQueued
 	j.submitted = time.Now()
 	j.events = newBroker()
 	j.ctx, j.cancel = context.WithCancel(parent)
@@ -324,7 +298,7 @@ func (t *Jobs) handleEvents(w http.ResponseWriter, r *http.Request) {
 // The cluster coordinator calls it too: routing a run by digest requires
 // resolving the request exactly the way the worker that executes it
 // will.
-func BuildRunSpec(req RunRequest) (harness.RunSpec, string, error) {
+func BuildRunSpec(req api.RunRequest) (harness.RunSpec, string, error) {
 	var spec harness.RunSpec
 	var err error
 	if len(req.Traffic) > 0 {
@@ -407,7 +381,7 @@ func BuildRunSpec(req RunRequest) (harness.RunSpec, string, error) {
 
 // requestWorkload resolves a closed-loop request's workload: a
 // generated mix, an explicit app list, or a Table 2 row (default 1).
-func requestWorkload(req RunRequest) (*workload.Workload, error) {
+func requestWorkload(req api.RunRequest) (*workload.Workload, error) {
 	switch {
 	case req.Generator != nil:
 		g := req.Generator
@@ -460,9 +434,9 @@ func decodeConfig[T any](name string, raw json.RawMessage) (*T, error) {
 }
 
 // runResult converts a finished harness run into the API result.
-func runResult(out *harness.RunOutput) RunResult {
+func runResult(out *harness.RunOutput) api.RunResult {
 	r := out.Result
-	res := RunResult{
+	res := api.RunResult{
 		Workload:      r.Workload,
 		Type:          r.Type.String(),
 		Policy:        r.Policy,
@@ -484,7 +458,7 @@ func runResult(out *harness.RunOutput) RunResult {
 		res.Faults = out.FaultStats.Total()
 	}
 	for _, b := range r.Benches {
-		res.Benches = append(res.Benches, BenchResult{
+		res.Benches = append(res.Benches, api.BenchResult{
 			Name: b.Name, Extra: b.Extra, TimeMs: b.Time, CV: b.CV,
 		})
 	}

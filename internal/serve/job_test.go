@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"dike/internal/serve/api"
 )
 
 // TestJobsEvictsOldestFinished: a table keeps at most maxFinishedJobs
@@ -42,12 +44,12 @@ func TestJobsEvictsOldestFinished(t *testing.T) {
 	var finished []*Job
 	for i := range maxFinishedJobs + extra {
 		if i == maxFinishedJobs+extra-10 {
-			late.Finish(StatusDone, json.RawMessage(`{}`), "")
+			late.Finish(api.StatusDone, json.RawMessage(`{}`), "")
 			finished = append(finished, late)
 			live--
 		}
 		j := jobs.Submit(ctx, "run", "done")
-		j.Finish(StatusDone, json.RawMessage(`{}`), "")
+		j.Finish(api.StatusDone, json.RawMessage(`{}`), "")
 		finished = append(finished, j)
 		// Each finish retires at most one older job, so the table size is
 		// exact after every step: constant work per finish, bounded memory.

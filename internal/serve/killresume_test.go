@@ -179,7 +179,7 @@ func TestServeKillNineResume(t *testing.T) {
 		t.Fatalf("sweep digest changed across processes: %s vs %s", sub2.Digest, sub.Digest)
 	}
 	v := waitDone(t, base2, sub2.ID)
-	if v.Status != StatusDone {
+	if v.Status != api.StatusDone {
 		t.Fatalf("resumed sweep = %s: %s", v.Status, v.Error)
 	}
 	sims := scrapeCounter(t, base2, "dike_serve_simulations_total")

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+
+	"dike/internal/serve/api"
 )
 
 // maxMemoEntries bounds a RunMemo. A full memo is cleared and refills
@@ -36,7 +38,7 @@ func NewRunMemo() *RunMemo {
 
 // Resolve returns req's JSON encoding and its run digest: from the memo
 // when this encoding was resolved before, from BuildRunSpec otherwise.
-func (m *RunMemo) Resolve(req RunRequest) (body []byte, digest string, err error) {
+func (m *RunMemo) Resolve(req api.RunRequest) (body []byte, digest string, err error) {
 	body, err = json.Marshal(req)
 	if err != nil {
 		return nil, "", fmt.Errorf("serve: encode run request: %w", err)

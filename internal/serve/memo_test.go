@@ -54,8 +54,8 @@ func exampleRequests(tb testing.TB) []string {
 }
 
 // decodeBody decodes a body the way the submit handlers do.
-func decodeBody(body []byte) (RunRequest, error) {
-	var req RunRequest
+func decodeBody(body []byte) (api.RunRequest, error) {
+	var req api.RunRequest
 	err := api.DecodeJSON(httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)), &req)
 	return req, err
 }
@@ -106,7 +106,7 @@ func TestRunMemoServesBuildRunSpecDigest(t *testing.T) {
 // TestRunMemoConcurrent: handlers share one memo; resolving the corpus
 // from several goroutines at once yields BuildRunSpec's digests.
 func TestRunMemoConcurrent(t *testing.T) {
-	var reqs []RunRequest
+	var reqs []api.RunRequest
 	var want []string
 	for _, body := range exampleRequests(t) {
 		req, err := decodeBody([]byte(body))
@@ -170,7 +170,7 @@ func TestRunMemoBounded(t *testing.T) {
 	const extra = 10
 	for i := 0; i < maxMemoEntries+extra; i++ {
 		seed := uint64(i)
-		if _, _, err := m.Resolve(RunRequest{Workload: 1, Policy: "cfs", Seed: &seed}); err != nil {
+		if _, _, err := m.Resolve(api.RunRequest{Workload: 1, Policy: "cfs", Seed: &seed}); err != nil {
 			t.Fatal(err)
 		}
 		if n := m.size(); n > maxMemoEntries {
@@ -196,7 +196,7 @@ func TestRunMemoHitStillSimulates(t *testing.T) {
 			t.Fatalf("submit = %d %s, want 202", resp.StatusCode, b)
 		}
 		v := waitDone(t, ts, sub.ID)
-		if v.Status != StatusDone || v.Cached {
+		if v.Status != api.StatusDone || v.Cached {
 			t.Fatalf("job = %+v, want a simulated done job", v)
 		}
 		return v.Result

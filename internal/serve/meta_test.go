@@ -42,10 +42,10 @@ func TestServeMetaRunEndToEnd(t *testing.T) {
 	}
 
 	v := waitDone(t, ts.URL, sub.ID)
-	if v.Status != StatusDone {
+	if v.Status != api.StatusDone {
 		t.Fatalf("job = %+v, want done", v)
 	}
-	var res RunResult
+	var res api.RunResult
 	if err := json.Unmarshal(v.Result, &res); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"dike/internal/serve/api"
 	"dike/internal/store"
 )
 
@@ -48,9 +49,9 @@ func populatedMetrics() *metrics {
 		}
 	}
 	m := newMetrics(func() int64 { return 5 }, 8, 2, func() int64 { return 3 }, stats)
-	m.jobs.Add(5, StatusDone)
-	m.jobs.Add(2, StatusFailed)
-	m.jobs.Add(1, StatusCanceled)
+	m.jobs.Add(5, api.StatusDone)
+	m.jobs.Add(2, api.StatusFailed)
+	m.jobs.Add(1, api.StatusCanceled)
 	m.simulations.Add(4)
 	m.cacheHits.Add(3)
 	m.dedup.Inc()

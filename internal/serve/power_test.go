@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"dike/internal/serve/api"
 )
 
 // TestBuildRunSpecPowerPassthrough: a power config on the request must
 // reach the harness spec and move the content address.
 func TestBuildRunSpecPowerPassthrough(t *testing.T) {
-	bare := RunRequest{Workload: 1, Policy: "dike-af"}
+	bare := api.RunRequest{Workload: 1, Policy: "dike-af"}
 	governed := bare
 	governed.Power = json.RawMessage(`{"governor": "ondemand", "cap_watts": 20}`)
 
@@ -43,7 +45,7 @@ func TestBuildRunSpecPowerRejectsBadConfig(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req := RunRequest{Workload: 1, Policy: "dike-af", Power: json.RawMessage(tc.raw)}
+			req := api.RunRequest{Workload: 1, Policy: "dike-af", Power: json.RawMessage(tc.raw)}
 			if _, _, err := BuildRunSpec(req); err == nil {
 				t.Fatalf("BuildRunSpec accepted %s", tc.raw)
 			}

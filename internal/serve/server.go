@@ -226,7 +226,7 @@ func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request
 }
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
+	var req api.RunRequest
 	if !api.ReadRequest(w, r, &req) {
 		return
 	}
@@ -246,7 +246,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		runSpec.OnProgress = func(p harness.Progress) {
-			job.events.publish(Event{
+			job.events.publish(api.Event{
 				TMs:     p.Time.Millis(),
 				Quantum: p.Quantum,
 				Alive:   p.Alive,
@@ -265,7 +265,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
+	var req api.SweepRequest
 	if !api.ReadRequest(w, r, &req) {
 		return
 	}
@@ -358,7 +358,7 @@ func (s *Server) admit(w http.ResponseWriter, job *Job) {
 		s.mu.Unlock()
 		s.metrics.cacheMisses.Inc()
 		api.WriteJSON(w, http.StatusAccepted, api.SubmitResponse{
-			ID: job.id, Status: StatusQueued, Digest: job.digest,
+			ID: job.id, Status: api.StatusQueued, Digest: job.digest,
 		})
 	default:
 		s.mu.Unlock()
@@ -381,10 +381,10 @@ func (s *Server) completeCached(w http.ResponseWriter, job *Job, result json.Raw
 	job.started = job.submitted
 	job.finished = job.submitted
 	job.mu.Unlock()
-	job.Finish(StatusDone, result, "")
-	s.metrics.jobs.Inc(StatusDone)
+	job.Finish(api.StatusDone, result, "")
+	s.metrics.jobs.Inc(api.StatusDone)
 	api.WriteJSON(w, http.StatusOK, api.SubmitResponse{
-		ID: job.id, Status: StatusDone, Digest: job.digest, Cached: true, Stored: fromStore,
+		ID: job.id, Status: api.StatusDone, Digest: job.digest, Cached: true, Stored: fromStore,
 	})
 }
 
@@ -424,7 +424,7 @@ func (s *Server) finish(job *Job, result json.RawMessage, err error) {
 	if err != nil {
 		job.Fail(err)
 	} else {
-		job.Finish(StatusDone, result, "")
+		job.Finish(api.StatusDone, result, "")
 	}
 	s.metrics.jobs.Inc(job.Status())
 }

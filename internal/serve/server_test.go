@@ -86,11 +86,11 @@ func getJSON(t *testing.T, url string, v any) *http.Response {
 }
 
 // waitDone polls a job until it reaches a terminal state.
-func waitDone(t *testing.T, base, id string) JobView {
+func waitDone(t *testing.T, base, id string) api.JobView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		var v JobView
+		var v api.JobView
 		getJSON(t, base+"/v1/runs/"+id, &v)
 		if api.Terminal(v.Status) {
 			return v
@@ -98,7 +98,7 @@ func waitDone(t *testing.T, base, id string) JobView {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("job %s did not finish", id)
-	return JobView{}
+	return api.JobView{}
 }
 
 func TestServeRunEndToEnd(t *testing.T) {
@@ -120,10 +120,10 @@ func TestServeRunEndToEnd(t *testing.T) {
 	}
 
 	v := waitDone(t, ts.URL, sub.ID)
-	if v.Status != StatusDone {
+	if v.Status != api.StatusDone {
 		t.Fatalf("job = %+v, want done", v)
 	}
-	var res RunResult
+	var res api.RunResult
 	if err := json.Unmarshal(v.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestServeRunEndToEnd(t *testing.T) {
 	}
 	var sub2 api.SubmitResponse
 	json.Unmarshal(body2, &sub2)
-	if !sub2.Cached || sub2.Status != StatusDone || sub2.Digest != sub.Digest {
+	if !sub2.Cached || sub2.Status != api.StatusDone || sub2.Digest != sub.Digest {
 		t.Fatalf("resubmit not served from cache: %+v", sub2)
 	}
 	v2 := waitDone(t, ts.URL, sub2.ID)
@@ -264,7 +264,7 @@ func TestServeSingleflightDedup(t *testing.T) {
 
 	close(release)
 	v := waitDone(t, ts.URL, subA.ID)
-	if v.Status != StatusDone {
+	if v.Status != api.StatusDone {
 		t.Fatalf("leader finished as %q", v.Status)
 	}
 	_, _, dedup, sims := s.CacheStats()
@@ -298,7 +298,7 @@ func TestServeCancel(t *testing.T) {
 		t.Fatalf("cancel = %d, want 202", resp.StatusCode)
 	}
 	v := waitDone(t, ts.URL, sub.ID)
-	if v.Status != StatusCanceled {
+	if v.Status != api.StatusCanceled {
 		t.Fatalf("cancelled job finished as %q", v.Status)
 	}
 	// A cancelled job must not poison the cache: the same spec resubmitted
@@ -326,10 +326,10 @@ func TestServeEventsStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("events content type %q", ct)
 	}
-	var events []Event
+	var events []api.Event
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var ev Event
+		var ev api.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -339,7 +339,7 @@ func TestServeEventsStream(t *testing.T) {
 		t.Fatalf("got %d events, want progress + terminal", len(events))
 	}
 	last := events[len(events)-1]
-	if last.Status != StatusDone {
+	if last.Status != api.StatusDone {
 		t.Errorf("terminal event %+v, want status done", last)
 	}
 	for i, ev := range events[:len(events)-1] {
@@ -388,7 +388,7 @@ func TestServeDrain(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	v := waitDone(t, ts.URL, sub.ID)
-	if v.Status != StatusDone {
+	if v.Status != api.StatusDone {
 		t.Fatalf("in-flight job finished as %q during drain, want done", v.Status)
 	}
 }
@@ -406,10 +406,10 @@ func TestServeSweep(t *testing.T) {
 	var sub api.SubmitResponse
 	json.Unmarshal(body, &sub)
 	v := waitDone(t, ts.URL, sub.ID)
-	if v.Status != StatusDone {
+	if v.Status != api.StatusDone {
 		t.Fatalf("sweep finished as %q: %s", v.Status, v.Error)
 	}
-	var res SweepResult
+	var res api.SweepResult
 	if err := json.Unmarshal(v.Result, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -439,10 +439,10 @@ func TestServeGeneratorWorkload(t *testing.T) {
 	var sub api.SubmitResponse
 	json.Unmarshal(body, &sub)
 	v := waitDone(t, ts.URL, sub.ID)
-	if v.Status != StatusDone {
+	if v.Status != api.StatusDone {
 		t.Fatalf("generator run finished as %q: %s", v.Status, v.Error)
 	}
-	var res RunResult
+	var res api.RunResult
 	json.Unmarshal(v.Result, &res)
 	if !strings.HasPrefix(res.Workload, "gen-") {
 		t.Errorf("workload %q, want generated", res.Workload)
@@ -480,11 +480,11 @@ func TestServeMetricsExposition(t *testing.T) {
 // TestServeWorkloadReuse guards the digest against workload aliasing:
 // two custom workloads over different app lists must never collide.
 func TestServeWorkloadDigestsDiffer(t *testing.T) {
-	specA, digA, err := BuildRunSpec(RunRequest{Apps: []string{"jacobi", "srad"}, Policy: "cfs"})
+	specA, digA, err := BuildRunSpec(api.RunRequest{Apps: []string{"jacobi", "srad"}, Policy: "cfs"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, digB, err := BuildRunSpec(RunRequest{Apps: []string{"jacobi", "hotspot"}, Policy: "cfs"})
+	_, digB, err := BuildRunSpec(api.RunRequest{Apps: []string{"jacobi", "hotspot"}, Policy: "cfs"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func (s *Server) sweepExec(rs ResolvedSweep) func(ctx context.Context) (json.Raw
 		if err != nil {
 			return nil, err
 		}
-		merge := harness.NewGridMerge[SweepPoint](indices)
+		merge := harness.NewGridMerge[api.SweepPoint](indices)
 
 		// Execute the points with the configured intra-sweep concurrency.
 		pctx, cancel := context.WithCancel(ctx)
@@ -113,17 +113,17 @@ func (s *Server) sweepExec(rs ResolvedSweep) func(ctx context.Context) (json.Raw
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(SweepResult{Workload: rs.Workload.Name, Shard: rs.Indices, Grid: grid})
+		return json.Marshal(api.SweepResult{Workload: rs.Workload.Name, Shard: rs.Indices, Grid: grid})
 	}
 }
 
 // runGridPoint produces one sweep point: served from the store when one
 // is configured and already knows the point's RunSpec digest, simulated
 // (and stored) otherwise.
-func (s *Server) runGridPoint(ctx context.Context, spec harness.RunSpec, digest string, cr harness.ConfigResult) (SweepPoint, error) {
+func (s *Server) runGridPoint(ctx context.Context, spec harness.RunSpec, digest string, cr harness.ConfigResult) (api.SweepPoint, error) {
 	if s.store != nil {
 		if payload, ok := s.store.Get(digest); ok {
-			var rr RunResult
+			var rr api.RunResult
 			if err := json.Unmarshal(payload, &rr); err == nil {
 				return pointFrom(cr, rr), nil
 			}
@@ -133,7 +133,7 @@ func (s *Server) runGridPoint(ctx context.Context, spec harness.RunSpec, digest 
 	s.metrics.simulations.Inc()
 	out, err := s.simulate(ctx, spec)
 	if err != nil {
-		return SweepPoint{}, err
+		return api.SweepPoint{}, err
 	}
 	rr := runResult(out)
 	if payload, err := json.Marshal(rr); err == nil {
@@ -146,8 +146,8 @@ func (s *Server) runGridPoint(ctx context.Context, spec harness.RunSpec, digest 
 // result. InvMakespan is 1/MakespanMs — MakespanMs is the exact float64
 // the harness reported (Go's JSON encoding round-trips float64
 // exactly), so this equals the harness's own 1/Makespan bit for bit.
-func pointFrom(cr harness.ConfigResult, rr RunResult) SweepPoint {
-	return SweepPoint{
+func pointFrom(cr harness.ConfigResult, rr api.RunResult) api.SweepPoint {
+	return api.SweepPoint{
 		SwapSize: cr.SwapSize, QuantaMs: cr.Quanta.Millis(),
 		Fairness: rr.Fairness, InvMakespan: 1 / rr.MakespanMs, Swaps: rr.Swaps,
 	}

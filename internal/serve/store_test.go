@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestServeStoreWriteThrough(t *testing.T) {
 	var sub api.SubmitResponse
 	json.Unmarshal(raw, &sub)
 	v1 := waitDone(t, ts1.URL, sub.ID)
-	if v1.Status != StatusDone || sims1.Load() != 1 {
+	if v1.Status != api.StatusDone || sims1.Load() != 1 {
 		t.Fatalf("first run: status %s, sims %d", v1.Status, sims1.Load())
 	}
 
@@ -196,7 +197,7 @@ func TestServeSweepCheckpointResume(t *testing.T) {
 	_, raw := postJSON(t, ts1.URL+"/v1/sweeps", sweepBody)
 	var sub api.SubmitResponse
 	json.Unmarshal(raw, &sub)
-	if v := waitDone(t, ts1.URL, sub.ID); v.Status != StatusFailed {
+	if v := waitDone(t, ts1.URL, sub.ID); v.Status != api.StatusFailed {
 		t.Fatalf("interrupted sweep = %s, want failed", v.Status)
 	}
 
@@ -216,7 +217,7 @@ func TestServeSweepCheckpointResume(t *testing.T) {
 		t.Fatalf("sweep digest changed across restart: %s vs %s", sub2.Digest, sub.Digest)
 	}
 	v2 := waitDone(t, ts2.URL, sub2.ID)
-	if v2.Status != StatusDone {
+	if v2.Status != api.StatusDone {
 		t.Fatalf("resumed sweep = %s: %s", v2.Status, v2.Error)
 	}
 	if got := calls2.Load(); got != 32-failAfter {
@@ -248,7 +249,7 @@ func TestServeShardCheckpointResume(t *testing.T) {
 	_, raw := postJSON(t, ts1.URL+"/v1/sweeps", body)
 	var sub api.SubmitResponse
 	json.Unmarshal(raw, &sub)
-	if v := waitDone(t, ts1.URL, sub.ID); v.Status != StatusFailed {
+	if v := waitDone(t, ts1.URL, sub.ID); v.Status != api.StatusFailed {
 		t.Fatalf("interrupted shard = %s, want failed", v.Status)
 	}
 
@@ -257,7 +258,7 @@ func TestServeShardCheckpointResume(t *testing.T) {
 	_, raw2 := postJSON(t, ts2.URL+"/v1/sweeps", body)
 	var sub2 api.SubmitResponse
 	json.Unmarshal(raw2, &sub2)
-	if v := waitDone(t, ts2.URL, sub2.ID); v.Status != StatusDone {
+	if v := waitDone(t, ts2.URL, sub2.ID); v.Status != api.StatusDone {
 		t.Fatalf("resumed shard = %s: %s", v.Status, v.Error)
 	}
 	if got := calls2.Load(); got != 1 {
@@ -280,7 +281,7 @@ func TestServeSweepAppendsOnlyResults(t *testing.T) {
 	_, raw := postJSON(t, ts.URL+"/v1/sweeps", `{"workload":1,"scale":0.02,"seed":21}`)
 	var sub api.SubmitResponse
 	json.Unmarshal(raw, &sub)
-	if v := waitDone(t, ts.URL, sub.ID); v.Status != StatusDone {
+	if v := waitDone(t, ts.URL, sub.ID); v.Status != api.StatusDone {
 		t.Fatalf("sweep = %s: %s", v.Status, v.Error)
 	}
 	stats := st.Stats()
@@ -297,26 +298,48 @@ func TestServeSweepAppendsOnlyResults(t *testing.T) {
 
 // harnessSweepJSON renders harness.Sweep of Table II workload wl as the
 // service's sweep result: the reference that every executed sweep must
-// match byte for byte.
+// match byte for byte. Each (wl, seed, scale) is swept once per test
+// binary, so repeated passes (-count) compare against the same bytes.
 func harnessSweepJSON(t *testing.T, wl int, seed uint64, scale float64) []byte {
 	t.Helper()
+	v, _ := sweepRefs.LoadOrStore(sweepRefKey{wl, seed, scale}, new(sweepRef))
+	ref := v.(*sweepRef)
+	ref.once.Do(func() { ref.raw, ref.err = renderHarnessSweep(wl, seed, scale) })
+	if ref.err != nil {
+		t.Fatal(ref.err)
+	}
+	return ref.raw
+}
+
+type sweepRefKey struct {
+	wl    int
+	seed  uint64
+	scale float64
+}
+
+// sweepRef is one memoised harnessSweepJSON result.
+type sweepRef struct {
+	once sync.Once
+	raw  []byte
+	err  error
+}
+
+var sweepRefs sync.Map // sweepRefKey -> *sweepRef
+
+func renderHarnessSweep(wl int, seed uint64, scale float64) ([]byte, error) {
 	w := workload.MustTable2(wl)
 	grid, err := harness.Sweep(context.Background(), w, harness.Options{Seed: seed, SweepScale: scale, Workers: 2})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	res := SweepResult{Workload: w.Name}
+	res := api.SweepResult{Workload: w.Name}
 	for _, g := range grid {
-		res.Grid = append(res.Grid, SweepPoint{
+		res.Grid = append(res.Grid, api.SweepPoint{
 			SwapSize: g.SwapSize, QuantaMs: g.Quanta.Millis(),
 			Fairness: g.Fairness, InvMakespan: g.Perf, Swaps: g.Swaps,
 		})
 	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
+	return json.Marshal(res)
 }
 
 // TestSweepCountsSimulations: every grid point a sweep simulates counts
@@ -335,7 +358,7 @@ func TestSweepCountsSimulations(t *testing.T) {
 			_, raw := postJSON(t, ts.URL+"/v1/sweeps", body)
 			var sub api.SubmitResponse
 			json.Unmarshal(raw, &sub)
-			if v := waitDone(t, ts.URL, sub.ID); v.Status != StatusDone {
+			if v := waitDone(t, ts.URL, sub.ID); v.Status != api.StatusDone {
 				t.Fatalf("sweep = %s: %s", v.Status, v.Error)
 			}
 			if _, _, _, sims := s.CacheStats(); sims != 32 || calls.Load() != 32 {

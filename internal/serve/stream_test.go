@@ -92,7 +92,7 @@ func TestServeEventsClientDisconnect(t *testing.T) {
 
 	// The run was never throttled by the dead client: it still finishes.
 	close(release)
-	if v := waitDone(t, ts.URL, sub.ID); v.Status != StatusDone {
+	if v := waitDone(t, ts.URL, sub.ID); v.Status != api.StatusDone {
 		t.Fatalf("run after client disconnect: %s: %s", v.Status, v.Error)
 	}
 }
@@ -168,7 +168,7 @@ func TestServeConcurrentDuplicateSubmissions(t *testing.T) {
 	}
 
 	close(release)
-	if v := waitDone(t, ts.URL, subB.ID); v.Status != StatusDone {
+	if v := waitDone(t, ts.URL, subB.ID); v.Status != api.StatusDone {
 		t.Fatalf("run B: %s: %s", v.Status, v.Error)
 	}
 

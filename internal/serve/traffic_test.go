@@ -43,10 +43,10 @@ func TestServeTrafficRunEndToEnd(t *testing.T) {
 	}
 
 	v := waitDone(t, ts.URL, sub.ID)
-	if v.Status != StatusDone {
+	if v.Status != api.StatusDone {
 		t.Fatalf("job = %+v, want done", v)
 	}
-	var res RunResult
+	var res api.RunResult
 	if err := json.Unmarshal(v.Result, &res); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dike/internal/machine"
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -22,10 +23,10 @@ type Run struct {
 	m        *machine.Machine
 	maxSpeed float64 // fastest core's nominal speed, work units/ms
 
-	cursor   int                // next unprocessed arrival (== its ThreadID)
-	inflight []machine.ThreadID // admitted, not yet departed
-	reaped   int                // m.FinishedCount() at the last full reap
-	inSystem []int              // per class: admitted, unfinished
+	cursor   int                 // next unprocessed arrival (== its ThreadID)
+	inflight []platform.ThreadID // admitted, not yet departed
+	reaped   int                 // m.FinishedCount() at the last full reap
+	inSystem []int               // per class: admitted, unfinished
 	agg      []classAgg
 }
 
@@ -64,7 +65,7 @@ func Build(m *machine.Machine, spec Spec, seed uint64) (*Run, error) {
 	for i, a := range arrivals {
 		prof := profs[a.Class]
 		prog := prof.Scale(a.Work / prof.TotalWork()).Instantiate(a.Seed)
-		id := machine.ThreadID(i)
+		id := platform.ThreadID(i)
 		if err := m.AddThread(id, a.Class, prog); err != nil {
 			return nil, err
 		}
@@ -97,16 +98,16 @@ func (r *Run) Arrivals() []Arrival { return r.arrivals }
 // Intensity returns the ground-truth mean memory intensity (misses per
 // work unit) per thread — what an offline profiler would report. The
 // oracle policy consumes it in place of workload ground truth.
-func (r *Run) Intensity() map[machine.ThreadID]float64 {
+func (r *Run) Intensity() map[platform.ThreadID]float64 {
 	perClass := make([]float64, len(r.spec.Classes))
 	if profs, err := classProfiles(r.spec); err == nil {
 		for ci, p := range profs {
 			perClass[ci] = p.MeanMissesPerWork()
 		}
 	}
-	out := make(map[machine.ThreadID]float64, len(r.arrivals))
+	out := make(map[platform.ThreadID]float64, len(r.arrivals))
 	for i, a := range r.arrivals {
-		out[machine.ThreadID(i)] = perClass[a.Class]
+		out[platform.ThreadID(i)] = perClass[a.Class]
 	}
 	return out
 }
@@ -120,7 +121,7 @@ func (r *Run) Tick(now sim.Time) {
 	r.reapDepartures()
 	for r.cursor < len(r.arrivals) && r.arrivals[r.cursor].At <= now {
 		a := r.arrivals[r.cursor]
-		id := machine.ThreadID(r.cursor)
+		id := platform.ThreadID(r.cursor)
 		r.cursor++
 		c := &r.spec.Classes[a.Class]
 		if c.MaxInSystem > 0 && r.inSystem[a.Class] >= c.MaxInSystem {

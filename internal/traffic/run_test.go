@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dike/internal/machine"
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -44,7 +45,7 @@ func TestBuildRegistersEveryArrival(t *testing.T) {
 		t.Fatalf("machine has %d threads, want %d (one per arrival)", got, len(arr))
 	}
 	for i, a := range arr {
-		at, err := m.StartOf(machine.ThreadID(i))
+		at, err := m.StartOf(platform.ThreadID(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestAdmissionCapRejectsAtTheDoor(t *testing.T) {
 	}
 	// Rejected threads are terminated with zero progress.
 	for i := range r.Arrivals() {
-		id := machine.ThreadID(i)
+		id := platform.ThreadID(i)
 		if _, done := m.Finished(id); !done && i != 0 {
 			t.Fatalf("rejected thread %d not terminated", i)
 		}
@@ -123,7 +124,7 @@ func TestTickAccountingInvariant(t *testing.T) {
 	// normally delegates this to a policy; spreading by id is enough for
 	// the accounting to be exercised.)
 	cores := m.Topology().Cores()
-	placed := make(map[machine.ThreadID]bool)
+	placed := make(map[platform.ThreadID]bool)
 	now := sim.Time(0)
 	for i := 0; !m.Done() && i < 200_000; i++ {
 		r.Tick(now)
@@ -177,7 +178,7 @@ func TestReapRetiresEveryDeparture(t *testing.T) {
 			t.Fatal(err)
 		}
 		cores := m.Topology().Cores()
-		placed := make(map[machine.ThreadID]bool)
+		placed := make(map[platform.ThreadID]bool)
 		now := sim.Time(0)
 		for i := 0; !m.Done() && i < 200_000; i++ {
 			r.Tick(now)

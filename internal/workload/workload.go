@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dike/internal/machine"
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -122,7 +123,7 @@ func (w *Workload) Type() Type {
 
 // ThreadInfo records where a built thread came from.
 type ThreadInfo struct {
-	ID    machine.ThreadID
+	ID    platform.ThreadID
 	Bench int // index into Workload.Benchmarks
 }
 
@@ -132,7 +133,7 @@ type ThreadInfo struct {
 type Instance struct {
 	Workload *Workload
 	Threads  []ThreadInfo
-	byBench  [][]machine.ThreadID
+	byBench  [][]platform.ThreadID
 }
 
 // BuildOptions tunes instantiation.
@@ -161,14 +162,14 @@ func (w *Workload) Build(m *machine.Machine, opts BuildOptions) (*Instance, erro
 	if scale < 0 {
 		return nil, errors.New("workload: negative scale")
 	}
-	inst := &Instance{Workload: w, byBench: make([][]machine.ThreadID, len(w.Benchmarks))}
-	next := machine.ThreadID(0)
+	inst := &Instance{Workload: w, byBench: make([][]platform.ThreadID, len(w.Benchmarks))}
+	next := platform.ThreadID(0)
 	for bi, b := range w.Benchmarks {
 		prof := b.Profile
 		if scale != 1 {
 			prof = prof.Scale(scale)
 		}
-		var members []machine.ThreadID
+		var members []platform.ThreadID
 		for t := 0; t < b.Threads; t++ {
 			seed := opts.Seed ^ mix(uint64(bi)<<32, uint64(t))
 			prog := prof.Instantiate(seed)
@@ -212,14 +213,14 @@ func (p *Profile) Scale(s float64) *Profile {
 }
 
 // ThreadsOf returns the thread ids of benchmark bi.
-func (in *Instance) ThreadsOf(bi int) []machine.ThreadID {
-	ids := make([]machine.ThreadID, len(in.byBench[bi]))
+func (in *Instance) ThreadsOf(bi int) []platform.ThreadID {
+	ids := make([]platform.ThreadID, len(in.byBench[bi]))
 	copy(ids, in.byBench[bi])
 	return ids
 }
 
 // BenchOf returns the benchmark index owning thread id, or -1.
-func (in *Instance) BenchOf(id machine.ThreadID) int {
+func (in *Instance) BenchOf(id platform.ThreadID) int {
 	for _, ti := range in.Threads {
 		if ti.ID == id {
 			return ti.Bench

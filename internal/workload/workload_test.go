@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dike/internal/machine"
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -112,7 +113,7 @@ func TestBuildRegistersEverything(t *testing.T) {
 	if got := inst.BenchOf(5); got != 1 {
 		t.Errorf("BenchOf(5) = %d, want 1", got)
 	}
-	if got := inst.BenchOf(machine.ThreadID(99)); got != -1 {
+	if got := inst.BenchOf(platform.ThreadID(99)); got != -1 {
 		t.Errorf("BenchOf(99) = %d, want -1", got)
 	}
 	// BenchOf on the machine agrees.
@@ -149,7 +150,7 @@ func TestBuildScale(t *testing.T) {
 	// Access the registered program indirectly: run to completion and
 	// check final work.
 	for _, id := range m.Threads() {
-		if err := m.Place(id, machine.CoreID(int(id)%40)); err != nil {
+		if err := m.Place(id, platform.CoreID(int(id)%40)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,7 +162,7 @@ func TestBuildScale(t *testing.T) {
 	if !m.Done() {
 		t.Fatal("scaled workload did not finish")
 	}
-	got := m.Counters().Thread(0).Work
+	got := m.ThreadCounters(0).Work
 	if diff := got - jacobiWork/2; diff > 1 || diff < -1 {
 		t.Errorf("scaled work = %v, want %v", got, jacobiWork/2)
 	}
@@ -187,8 +188,8 @@ func TestBuildBarrierGroups(t *testing.T) {
 	for now := sim.Time(0); now < 3000; now++ {
 		m.Step(now, 1)
 	}
-	w0 := m.Counters().Thread(0).Work
-	w1 := m.Counters().Thread(1).Work
+	w0 := m.ThreadCounters(0).Work
+	w1 := m.ThreadCounters(1).Work
 	if w0-w1 > cat["kmeans"].BarrierInterval+1 {
 		t.Errorf("barrier not enforced: %v vs %v", w0, w1)
 	}
