@@ -7,6 +7,7 @@
 //	dikebench -exp fig1,fig7 -scale 1  # several, at full workload scale
 //	dikebench -list                    # list experiment ids
 //
+// Every experiment, the tournament grid included, simulates in process.
 // Output is plain text tables; add -csv DIR to also dump each table as a
 // CSV file under DIR. With -bench-out DIR, the bench experiments (scale,
 // slo, tournament, energy) also write their bench document there as
@@ -37,7 +38,6 @@ func main() {
 		quickFlag  = flag.Bool("quick", false, "shrink everything for a fast smoke run")
 		csvFlag    = flag.String("csv", "", "directory to write per-table CSV files into")
 		benchOut   = flag.String("bench-out", "", "directory bench experiments write BENCH_<id>.json into (empty: no file)")
-		tourServer = flag.String("tournament-server", "", "dikeserved/dikecoord base URL to submit tournament cells to instead of simulating locally")
 	)
 	flag.Parse()
 
@@ -49,13 +49,12 @@ func main() {
 	}
 
 	opts := harness.Options{
-		Seed:             *seedFlag,
-		Scale:            *scaleFlag,
-		SweepScale:       *sweepFlag,
-		Workers:          *workerFlag,
-		Quick:            *quickFlag,
-		BenchDir:         *benchOut,
-		TournamentServer: *tourServer,
+		Seed:       *seedFlag,
+		Scale:      *scaleFlag,
+		SweepScale: *sweepFlag,
+		Workers:    *workerFlag,
+		Quick:      *quickFlag,
+		BenchDir:   *benchOut,
 	}
 
 	ids := harness.ExperimentIDs()

@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dike/internal/serve"
 	"dike/internal/serve/api"
@@ -119,6 +124,53 @@ func TestDigestMatchesService(t *testing.T) {
 			if want := servedDigest(t, tc.body); got != want {
 				t.Errorf("dikesim %s prints digest %s; the service resolves %s to %s",
 					strings.Join(tc.args, " "), got, tc.body, want)
+			}
+		})
+	}
+}
+
+// TestDecisionSHA256MatchesDigest: a served result's decision_sha256 is
+// the SHA-256 of what dikesim -digest prints for an ungoverned run. A
+// governed run's -digest output also carries the governor's decision
+// stream, which the served hash leaves out.
+func TestDecisionSHA256MatchesDigest(t *testing.T) {
+	s := serve.New(serve.Config{Workers: 1})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Drain(context.Background())
+	}()
+	client := &api.Client{Base: ts.URL}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		body  string
+		equal bool
+	}{
+		{"dike", []string{"-wl", "6", "-policy", "dike", "-scale", "0.02"},
+			`{"workload":6,"policy":"dike","scale":0.02}`, true},
+		{"governed", []string{"-wl", "3", "-policy", "dike-af", "-scale", "0.02", "-governor", "fairness", "-power-cap", "18"},
+			`{"workload":3,"policy":"dike-af","scale":0.02,"power":{"governor":"fairness","cap_watts":18}}`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			sub, _, err := client.Submit(ctx, "/v1/runs", []byte(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := client.Await(ctx, sub.ID, 5*time.Millisecond)
+			if err != nil || v.Status != api.StatusDone {
+				t.Fatalf("served run: %v %s %s", err, v.Status, v.Error)
+			}
+			var res api.RunResult
+			if err := json.Unmarshal(v.Result, &res); err != nil || res.DecisionSHA256 == "" {
+				t.Fatalf("served result has no decision_sha256: %v %s", err, v.Result)
+			}
+			sum := sha256.Sum256([]byte(runCLI(t, append(tc.args, "-digest")...)))
+			if local := hex.EncodeToString(sum[:]); (local == res.DecisionSHA256) != tc.equal {
+				t.Errorf("dikesim -digest hashes to %s, served decision_sha256 %s; want equal: %v",
+					local, res.DecisionSHA256, tc.equal)
 			}
 		})
 	}

@@ -16,6 +16,7 @@ import (
 	simmetrics "dike/internal/metrics"
 	"dike/internal/serve"
 	"dike/internal/serve/api"
+	"dike/internal/store"
 	"dike/internal/workload"
 )
 
@@ -278,36 +279,86 @@ func TestWorkerKilledMidSweepReroutes(t *testing.T) {
 
 // TestRunRoutingIsCacheAffine: identical runs land on the same worker,
 // so the second submission is served from that worker's digest cache.
+// A traffic body under the meta policy, routed to store-backed workers,
+// is simulated once and its repeat not at all.
 func TestRunRoutingIsCacheAffine(t *testing.T) {
-	var callsA, callsB atomic.Int64
-	wA, tsA := newWorker(t, serve.Config{Workers: 2, Simulate: stubRun(&callsA)})
-	wB, tsB := newWorker(t, serve.Config{Workers: 2, Simulate: stubRun(&callsB)})
-	c, coord := newCoord(t, []string{tsA.URL, tsB.URL}, nil)
+	// realRun counts executions of the real harness.
+	realRun := func(calls *atomic.Int64) func(context.Context, harness.RunSpec) (*harness.RunOutput, error) {
+		return func(ctx context.Context, spec harness.RunSpec) (*harness.RunOutput, error) {
+			calls.Add(1)
+			return harness.Run(ctx, spec)
+		}
+	}
+	cases := []struct {
+		name     string
+		body     string
+		store    bool // each worker writes through to its own durable store
+		simulate func(*atomic.Int64) func(context.Context, harness.RunSpec) (*harness.RunOutput, error)
+	}{
+		{"table2", `{"workload": 2, "policy": "cfs", "seed": 5, "scale": 0.05}`, false, stubRun},
+		// An open-loop body under the meta policy with its own
+		// tournament config, as a tournament grid cell submits it.
+		{"traffic-meta-store", `{"policy": "meta", "seed": 7, "meta": {"epoch_ms": 250},
+			"traffic": {"name": "colo", "horizon_ms": 1000, "load": 0.5, "classes": [
+				{"name": "web", "profile": "hotspot", "mean_work": 300, "slo_ms": 500,
+				 "arrival": {"process": "poisson", "rate_per_sec": 20}},
+				{"name": "batch", "profile": "jacobi", "mean_work": 2000,
+				 "arrival": {"process": "poisson", "rate_per_sec": 2}}]}}`, true, realRun},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var callsA, callsB atomic.Int64
+			worker := func(calls *atomic.Int64) (*serve.Server, *httptest.Server) {
+				cfg := serve.Config{Workers: 2, Simulate: tc.simulate(calls)}
+				if tc.store {
+					st, err := store.Open(t.TempDir(), store.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { st.Close() }) // runs after the worker drains
+					cfg.Store = st
+				}
+				return newWorker(t, cfg)
+			}
+			wA, tsA := worker(&callsA)
+			wB, tsB := worker(&callsB)
+			c, coord := newCoord(t, []string{tsA.URL, tsB.URL}, nil)
 
-	const body = `{"workload": 2, "policy": "cfs", "seed": 5, "scale": 0.05}`
-	first := submit(t, coord.URL, "/v1/runs", body)
-	if v := await(t, coord.URL, first.ID, 10*time.Second); v.Status != api.StatusDone {
-		t.Fatalf("first run: %s: %s", v.Status, v.Error)
-	}
-	second := submit(t, coord.URL, "/v1/runs", body)
-	if v := await(t, coord.URL, second.ID, 10*time.Second); v.Status != api.StatusDone {
-		t.Fatalf("second run: %s: %s", v.Status, v.Error)
-	}
-	if first.Digest != second.Digest {
-		t.Fatalf("identical requests got different digests: %s vs %s", first.Digest, second.Digest)
-	}
+			first := submit(t, coord.URL, "/v1/runs", tc.body)
+			v := await(t, coord.URL, first.ID, 20*time.Second)
+			if v.Status != api.StatusDone {
+				t.Fatalf("first run: %s: %s", v.Status, v.Error)
+			}
+			var res api.RunResult
+			if err := json.Unmarshal(v.Result, &res); err != nil {
+				t.Fatal(err)
+			}
+			if tc.store && (res.Traffic == nil || res.MetaFinalPolicy == "") {
+				t.Fatalf("traffic meta body ran as %+v", res)
+			}
+			if n := callsA.Load() + callsB.Load(); n != 1 {
+				t.Fatalf("first run simulated %d times across the fleet, want 1", n)
+			}
+			second := submit(t, coord.URL, "/v1/runs", tc.body)
+			if v := await(t, coord.URL, second.ID, 10*time.Second); v.Status != api.StatusDone {
+				t.Fatalf("second run: %s: %s", v.Status, v.Error)
+			}
+			if first.Digest != second.Digest {
+				t.Fatalf("identical requests got different digests: %s vs %s", first.Digest, second.Digest)
+			}
 
-	if callsA.Load()+callsB.Load() != 1 {
-		t.Fatalf("identical runs simulated %d times across the fleet, want 1 (ring affinity + worker cache)",
-			callsA.Load()+callsB.Load())
-	}
-	hitsA, _, _, _ := wA.CacheStats()
-	hitsB, _, _, _ := wB.CacheStats()
-	if hitsA+hitsB != 1 {
-		t.Fatalf("second submission not served from the routed worker's cache: hits A=%d B=%d", hitsA, hitsB)
-	}
-	if primary, rerouted, _ := c.RoutingStats(); primary != 2 || rerouted != 0 {
-		t.Fatalf("routing stats: primary=%d rerouted=%d, want 2/0", primary, rerouted)
+			if n := callsA.Load() + callsB.Load(); n != 1 {
+				t.Fatalf("identical runs simulated %d times across the fleet, want 1 (ring affinity + worker cache)", n)
+			}
+			hitsA, _, _, _ := wA.CacheStats()
+			hitsB, _, _, _ := wB.CacheStats()
+			if hitsA+hitsB != 1 {
+				t.Fatalf("second submission not served from the routed worker's cache: hits A=%d B=%d", hitsA, hitsB)
+			}
+			if primary, rerouted, _ := c.RoutingStats(); primary != 2 || rerouted != 0 {
+				t.Fatalf("routing stats: primary=%d rerouted=%d, want 2/0", primary, rerouted)
+			}
+		})
 	}
 }
 

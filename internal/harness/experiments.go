@@ -26,11 +26,6 @@ type Options struct {
 	// tournament, energy) write their bench document to, as
 	// BENCH_<id>.json. Empty disables the file.
 	BenchDir string
-	// TournamentServer, when set, is the base URL of a dikeserved or
-	// dikecoord instance the `tournament` experiment submits its grid
-	// cells to instead of simulating locally; the server's digest cache
-	// and durable store then dedup repeated grids.
-	TournamentServer string
 }
 
 // withDefaults fills unset fields.

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"dike/internal/metrics"
-	"dike/internal/trace"
 )
 
 // RunRecord is the JSON-serialisable form of a finished run: enough to
@@ -82,26 +82,23 @@ func NewRunRecord(out *RunOutput) *RunRecord {
 	for _, p := range out.ErrSeries {
 		rec.ErrSeries = append(rec.ErrSeries, ErrPointJSON{TimeMs: p.Time.Millis(), Mean: p.Mean})
 	}
-	if out.Trace != nil {
+	if rt := out.Trace; rt != nil {
 		rec.Trace = map[string][]Sample{}
-		for _, s := range []struct {
-			name   string
-			series *trace.Series
-		}{
-			{"mem_util", out.Trace.Utilization},
-			{"alive", out.Trace.Alive},
-			{"swaps", out.Trace.Swaps},
-			{"dispersion", out.Trace.Dispersion},
+		for _, c := range []struct{ key, column string }{
+			{"mem_util", "mem_util"},
+			{"alive", "alive_threads"},
+			{"swaps", "cumulative_swaps"},
+			{"dispersion", "progress_dispersion"},
 		} {
-			if s.series == nil {
-				continue // no dispersion series on an open-loop run
+			j := slices.Index(rt.Columns, c.column)
+			if j < 0 {
+				continue // no dispersion column on an open-loop run
 			}
 			var pts []Sample
-			for i := 0; i < s.series.Len(); i++ {
-				t, v := s.series.At(i)
-				pts = append(pts, Sample{TimeMs: t, Value: v})
+			for i, row := range rt.Rows {
+				pts = append(pts, Sample{TimeMs: rt.Times[i], Value: row[j]})
 			}
-			rec.Trace[s.name] = pts
+			rec.Trace[c.key] = pts
 		}
 	}
 	return rec

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -313,5 +314,27 @@ func TestRunProgressHook(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Swaps != out.Result.Swaps {
 		t.Errorf("final event swaps = %d, want the run total %d", last.Swaps, out.Result.Swaps)
+	}
+}
+
+// TestNullRunsLikeCFS: null places threads and polls as cfs does, so
+// both compute the same Result apart from the policy name.
+func TestNullRunsLikeCFS(t *testing.T) {
+	for _, wl := range []int{1, 6} {
+		run := func(policy string) *RunOutput {
+			out, err := Run(context.Background(), RunSpec{Workload: workload.MustTable2(wl), Policy: policy, Seed: 42, Scale: 0.05})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		null, cfs := run(PolicyNull), run(PolicyCFS)
+		if null.Result.Policy != PolicyNull {
+			t.Fatalf("wl%d: null run reports policy %q", wl, null.Result.Policy)
+		}
+		null.Result.Policy = PolicyCFS
+		if !reflect.DeepEqual(null.Result, cfs.Result) || null.CompletedAt != cfs.CompletedAt {
+			t.Errorf("wl%d: null %+v at %v, cfs %+v at %v", wl, null.Result, null.CompletedAt, cfs.Result, cfs.CompletedAt)
+		}
 	}
 }

@@ -55,7 +55,7 @@ func init() {
 		dikeVariant(PolicyDikeAF, "Dike with fairness-adaptive parameter tuning", core.AdaptFairness),
 		dikeVariant(PolicyDikeAP, "Dike with performance-adaptive parameter tuning", core.AdaptPerformance),
 		dikeVariant(PolicyDikeEA, "Dike with energy-aware tuning: fairness × watts guard, longer quanta when fair", core.AdaptEnergy),
-		seeded(PolicyNull, "place once on core 0 order, never act (worst case)", sched.NewNull),
+		seeded(PolicyNull, "spread threads once as cfs does, never act (unscheduled baseline)", sched.NewNull),
 		seeded(PolicyRotate, "rotate every thread one core per quantum", sched.NewRotate),
 		{PolicyInfo: PolicyInfo{PolicyOracle, "static placement from offline ground truth", false}, New: newOracle},
 		{

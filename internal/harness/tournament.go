@@ -2,15 +2,9 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"math"
-	"net/http"
-	"time"
 
-	"dike/internal/serve/api"
 	"dike/internal/tournament"
-	"dike/internal/traffic"
 )
 
 func init() {
@@ -71,26 +65,6 @@ func checkTournament(d *BenchDoc) []string {
 	return v
 }
 
-// TournamentMeasure is one grid cell's deterministic measurement: the
-// worst latency-critical tenant's sojourn percentiles under one policy
-// at one offered load, plus the meta policy's switching record. It is
-// a pure function of the cell's RunSpec, so a local and a served cell
-// measure the same.
-type TournamentMeasure struct {
-	Load            float64
-	Policy          string
-	Arrivals        int
-	Rejected        int
-	Completed       int
-	P50Ms           float64
-	P95Ms           float64
-	P99Ms           float64
-	ViolationRate   float64
-	FairnessJain    float64
-	MetaSwitches    int
-	MetaFinalPolicy string
-}
-
 // tournamentLoads returns the offered-load grid.
 func tournamentLoads(quick bool) []float64 {
 	if quick {
@@ -109,104 +83,6 @@ func tournamentPolicies(quick bool) []string {
 	return []string{PolicyCFS, PolicyDIO, PolicyDike, PolicyDikeAF, PolicyMeta}
 }
 
-// tournamentMeasure folds one local run into a cell measurement.
-func tournamentMeasure(load float64, policy string, out *RunOutput) TournamentMeasure {
-	tr := out.Traffic
-	m := TournamentMeasure{
-		Load: load, Policy: policy,
-		Arrivals: tr.Arrivals, Rejected: tr.Rejected, Completed: tr.Completed,
-		FairnessJain: tr.FairnessJain,
-	}
-	m.P50Ms, m.P95Ms, m.P99Ms, m.ViolationRate = worstTenant(tr.Classes)
-	if ms := out.MetaStats; ms != nil {
-		m.MetaSwitches = ms.Switches
-		m.MetaFinalPolicy = ms.FinalPolicy
-	}
-	return m
-}
-
-// tournamentMeasureFromAPI folds a served run result into the same cell
-// measurement a local run produces. The wire carries each class's
-// violation rate, not its count; the count is recovered as
-// round(rate·completed) — exact, since rate is the float64 quotient of
-// two small integers — so both paths pool the same integers through
-// worstTenant and score bit-identically.
-func tournamentMeasureFromAPI(load float64, policy string, res *api.RunResult) (TournamentMeasure, error) {
-	if res.Traffic == nil {
-		return TournamentMeasure{}, fmt.Errorf("harness: served %s run has no traffic result", policy)
-	}
-	tr := res.Traffic
-	m := TournamentMeasure{
-		Load: load, Policy: policy,
-		Arrivals: tr.Arrivals, Rejected: tr.Rejected, Completed: tr.Completed,
-		FairnessJain:    tr.FairnessJain,
-		MetaSwitches:    res.MetaSwitches,
-		MetaFinalPolicy: res.MetaFinalPolicy,
-	}
-	classes := make([]traffic.ClassResult, len(tr.Classes))
-	for i, c := range tr.Classes {
-		classes[i] = traffic.ClassResult{
-			SLOMs: c.SLOMs, Completed: c.Completed,
-			P50Ms: c.P50Ms, P95Ms: c.P95Ms, P99Ms: c.P99Ms,
-			Violations: int(math.Round(c.ViolationRate * float64(c.Completed))),
-		}
-	}
-	m.P50Ms, m.P95Ms, m.P99Ms, m.ViolationRate = worstTenant(classes)
-	return m, nil
-}
-
-// tournamentCell executes one grid cell locally, or, when served is
-// set, against a running dikeserved/dikecoord instance whose own digest
-// cache and store then dedup repeated grids.
-func tournamentCell(ctx context.Context, served *api.Client, spec RunSpec, load float64) (TournamentMeasure, string, error) {
-	if served != nil {
-		return servedCell(ctx, served, spec, load)
-	}
-	digest, err := spec.Digest()
-	if err != nil {
-		return TournamentMeasure{}, "", err
-	}
-	out, err := Run(ctx, spec)
-	if err != nil {
-		return TournamentMeasure{}, "", err
-	}
-	return tournamentMeasure(load, spec.Policy, out), digest, nil
-}
-
-// servedCell submits the cell to the server and polls the job to its
-// terminal state. The server resolves the request to the same RunSpec
-// digest BuildRunSpec computes locally, so repeated grids hit its
-// caches instead of simulating.
-func servedCell(ctx context.Context, served *api.Client, spec RunSpec, load float64) (TournamentMeasure, string, error) {
-	traffic, err := json.Marshal(spec.Traffic)
-	if err != nil {
-		return TournamentMeasure{}, "", err
-	}
-	seed := spec.Seed
-	body, err := json.Marshal(api.RunRequest{Policy: spec.Policy, Seed: &seed, Traffic: traffic})
-	if err != nil {
-		return TournamentMeasure{}, "", err
-	}
-	sub, _, err := served.Submit(ctx, "/v1/runs", body)
-	if err != nil {
-		return TournamentMeasure{}, "", fmt.Errorf("harness: submit to %s: %w", served.Base, err)
-	}
-	view, err := served.Await(ctx, sub.ID, 50*time.Millisecond)
-	if err != nil {
-		return TournamentMeasure{}, "", fmt.Errorf("harness: await job %s: %w", sub.ID, err)
-	}
-	if view.Status != api.StatusDone {
-		return TournamentMeasure{}, "", fmt.Errorf("harness: served %s/%.2f job %s: %s (%s)",
-			spec.Policy, load, sub.ID, view.Status, view.Error)
-	}
-	var res api.RunResult
-	if err := json.Unmarshal(view.Result, &res); err != nil {
-		return TournamentMeasure{}, "", fmt.Errorf("harness: served run result: %w", err)
-	}
-	m, err := tournamentMeasureFromAPI(load, spec.Policy, &res)
-	return m, sub.Digest, err
-}
-
 // runTournament runs the level-2 competitive grid: every entrant policy
 // (fixed comparison set + the meta policy) over the colocation scenario
 // at every offered load, ranked per cell with regret against the
@@ -217,11 +93,6 @@ func runTournament(optsIn Options) (*Report, error) {
 	if opts.Quick {
 		horizon = 4_000
 	}
-	var served *api.Client
-	if opts.TournamentServer != "" {
-		served = &api.Client{Base: opts.TournamentServer, HTTP: &http.Client{Timeout: 5 * time.Minute}}
-	}
-
 	loads := tournamentLoads(opts.Quick)
 	policies := tournamentPolicies(opts.Quick)
 	doc := newBenchDoc("tournament", opts)
@@ -231,21 +102,30 @@ func runTournament(optsIn Options) (*Report, error) {
 		Header: []string{"load", "rank", "policy", "p99", "regret%", "viol%", "jain", "switches", "final"},
 	}
 	ctx := context.Background()
+	// cell is one grid cell's run: the worst latency-critical tenant's
+	// sojourn percentiles under one policy at one offered load.
 	type cell struct {
-		m      TournamentMeasure
-		digest string
+		out                      *RunOutput
+		digest                   string
+		p50, p95, p99, violation float64
 	}
 	for _, load := range loads {
 		cells := make(map[string]cell, len(policies))
 		entries := make([]tournament.CellEntry, 0, len(policies))
 		for _, pol := range policies {
 			spec := RunSpec{Traffic: sloTraffic(load, horizon), Policy: pol, Seed: opts.Seed}
-			m, digest, err := tournamentCell(ctx, served, spec, load)
+			digest, err := spec.Digest()
 			if err != nil {
 				return nil, fmt.Errorf("tournament %.2f/%s: %w", load, pol, err)
 			}
-			cells[pol] = cell{m, digest}
-			entries = append(entries, tournament.CellEntry{Policy: pol, Objective: m.P99Ms, Oracle: pol != PolicyMeta})
+			out, err := Run(ctx, spec)
+			if err != nil {
+				return nil, fmt.Errorf("tournament %.2f/%s: %w", load, pol, err)
+			}
+			c := cell{out: out, digest: digest}
+			c.p50, c.p95, c.p99, c.violation = worstTenant(out.Traffic.Classes)
+			cells[pol] = c
+			entries = append(entries, tournament.CellEntry{Policy: pol, Objective: c.p99, Oracle: pol != PolicyMeta})
 		}
 		ranked, err := tournament.RankCell(entries)
 		if err != nil {
@@ -254,38 +134,38 @@ func runTournament(optsIn Options) (*Report, error) {
 		// Cells enter the document in rank order. The digest label is
 		// the run's content address, the value a dikeserved digest
 		// lookup resolves, so any cell can be audited against a served
-		// or replayed run. Every metric is simulated or derived from the
-		// grid, so local and served grids write byte-identical documents.
+		// or replayed run.
 		for _, re := range ranked {
 			c := cells[re.Policy]
-			m := c.m
-			labels := map[string]string{"policy": m.Policy, "digest": c.digest}
-			if m.MetaFinalPolicy != "" {
-				labels["meta_final_policy"] = m.MetaFinalPolicy
+			tr := c.out.Traffic
+			switches, final := 0, ""
+			if ms := c.out.MetaStats; ms != nil {
+				switches, final = ms.Switches, ms.FinalPolicy
+			}
+			labels := map[string]string{"policy": re.Policy, "digest": c.digest}
+			if final != "" {
+				labels["meta_final_policy"] = final
 			}
 			metrics := map[string]float64{
-				"load": load, "arrivals": float64(m.Arrivals), "rejected": float64(m.Rejected),
-				"completed": float64(m.Completed), "p50_ms": m.P50Ms, "p95_ms": m.P95Ms, "p99_ms": m.P99Ms,
-				"violation_rate": m.ViolationRate, "fairness_jain": m.FairnessJain,
+				"load": load, "arrivals": float64(tr.Arrivals), "rejected": float64(tr.Rejected),
+				"completed": float64(tr.Completed), "p50_ms": c.p50, "p95_ms": c.p95, "p99_ms": c.p99,
+				"violation_rate": c.violation, "fairness_jain": tr.FairnessJain,
 				"oracle": boolMetric(re.Oracle), "rank": float64(re.Rank), "regret": re.Regret,
 				"winner": boolMetric(re.Winner),
 			}
-			if m.MetaSwitches != 0 {
-				metrics["meta_switches"] = float64(m.MetaSwitches)
+			if switches != 0 {
+				metrics["meta_switches"] = float64(switches)
 			}
-			doc.add(tournamentKey(load, m.Policy), labels, metrics)
-			t.AddRow(fmt.Sprintf("%.2f", load), re.Rank, m.Policy,
-				fmt.Sprintf("%.0f", m.P99Ms), fmt.Sprintf("%+.1f", 100*re.Regret),
-				fmt.Sprintf("%.1f", 100*m.ViolationRate), fmt.Sprintf("%.4f", m.FairnessJain),
-				m.MetaSwitches, m.MetaFinalPolicy)
+			doc.add(tournamentKey(load, re.Policy), labels, metrics)
+			t.AddRow(fmt.Sprintf("%.2f", load), re.Rank, re.Policy,
+				fmt.Sprintf("%.0f", c.p99), fmt.Sprintf("%+.1f", 100*re.Regret),
+				fmt.Sprintf("%.1f", 100*c.violation), fmt.Sprintf("%.4f", tr.FairnessJain),
+				switches, final)
 		}
 	}
 	notes := []string{
 		fmt.Sprintf("seed %d, arrival horizon %dms; objective is the worst latency-critical tenant's p99 sojourn (ms, simulated), lower is better", opts.Seed, horizon),
 		"regret is p99 relative to the per-load oracle-best fixed policy; meta competes but is not oracle-eligible",
-	}
-	if opts.TournamentServer != "" {
-		notes = append(notes, "cells simulated by "+opts.TournamentServer+" (server-side digest cache and durable store dedup repeated grids)")
 	}
 	if opts.Quick {
 		notes = append(notes, "quick mode: loads {0.30, 0.95}, horizon 4s, dio/dike-af/meta only")

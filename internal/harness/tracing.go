@@ -1,77 +1,43 @@
 package harness
 
 import (
+	"bufio"
 	"io"
+	"strconv"
 
 	"dike/internal/fault"
 	"dike/internal/machine"
 	"dike/internal/sim"
 	"dike/internal/stats"
-	"dike/internal/trace"
 	"dike/internal/workload"
 )
 
 // RunTrace is the optional per-run time-series capture: system-level
-// observables sampled at a fixed period, exportable as CSV for plotting.
+// observables sampled together at a fixed period, one row per sample,
+// exportable as CSV for plotting.
 type RunTrace struct {
-	// Utilization is the memory controller utilisation (0..MaxUtil).
-	Utilization *trace.Series
-	// Alive is the number of unfinished, arrived threads.
-	Alive *trace.Series
-	// Swaps is the cumulative swap count.
-	Swaps *trace.Series
-	// Dispersion is the mean over main benchmarks of the coefficient of
-	// variation of their threads' progress fractions — a live proxy for
-	// the final Eqn 4 fairness (lower = fairer). Nil for open-loop
-	// traffic runs, which have no fixed benchmark set to disperse over.
-	Dispersion *trace.Series
-	// Faults is the cumulative count of injected faults; nil when the run
-	// has no fault injector attached.
-	Faults *trace.Series
-	// Watts is the machine's total power draw over the last tick and
-	// EnergyJ the cumulative joules, both from the power model.
-	Watts   *trace.Series
-	EnergyJ *trace.Series
-
-	inj *fault.Injector
+	// Columns names the values of each row, in CSV order:
+	//   - mem_util: the memory controller utilisation (0..MaxUtil);
+	//   - alive_threads: the number of unfinished, arrived threads;
+	//   - cumulative_swaps: the cumulative swap count;
+	//   - power_watts: the machine's total power draw over the last tick;
+	//   - energy_joules: the cumulative joules of the power model;
+	//   - progress_dispersion: the mean over main benchmarks of the
+	//     coefficient of variation of their threads' progress fractions,
+	//     a live proxy for the final Eqn 4 fairness (lower = fairer).
+	//     Absent on open-loop traffic runs, which have no fixed benchmark
+	//     set to disperse over;
+	//   - cumulative_faults: the cumulative count of injected faults.
+	//     Present only when the run has a fault injector.
+	Columns []string
+	// Times holds each sample's time in ms; Rows[i] holds the values
+	// sampled at Times[i], one per column.
+	Times []float64
+	Rows  [][]float64
 }
 
-// newRunTrace allocates the series set. inj may be nil (no fault
-// series); withDispersion is false for traffic runs (no dispersion
-// series).
-func newRunTrace(inj *fault.Injector, withDispersion bool) *RunTrace {
-	rt := &RunTrace{
-		Utilization: trace.NewSeries("mem_util"),
-		Alive:       trace.NewSeries("alive_threads"),
-		Swaps:       trace.NewSeries("cumulative_swaps"),
-		Watts:       trace.NewSeries("power_watts"),
-		EnergyJ:     trace.NewSeries("energy_joules"),
-		inj:         inj,
-	}
-	if withDispersion {
-		rt.Dispersion = trace.NewSeries("progress_dispersion")
-	}
-	if inj != nil {
-		rt.Faults = trace.NewSeries("cumulative_faults")
-	}
-	return rt
-}
-
-// sample records one point at time now.
-func (rt *RunTrace) sample(now sim.Time, m *machine.Machine, inst *workload.Instance) {
-	t := float64(now.Millis())
-	rt.Utilization.Add(t, m.Utilization())
-	rt.Alive.Add(t, float64(m.AliveCount()))
-	rt.Swaps.Add(t, float64(m.SwapCount()))
-	rt.Watts.Add(t, m.PowerWatts())
-	rt.EnergyJ.Add(t, m.EnergyJoules())
-	if rt.Faults != nil {
-		rt.Faults.Add(t, float64(rt.inj.Stats().Total()))
-	}
-	if rt.Dispersion == nil {
-		return
-	}
-
+// progressDispersion is the value of the progress_dispersion column.
+func progressDispersion(m *machine.Machine, inst *workload.Instance) float64 {
 	cvSum, n := 0.0, 0
 	for bi, b := range inst.Workload.Benchmarks {
 		if b.Extra {
@@ -84,34 +50,59 @@ func (rt *RunTrace) sample(now sim.Time, m *machine.Machine, inst *workload.Inst
 		cvSum += stats.CV(fracs)
 		n++
 	}
-	if n > 0 {
-		rt.Dispersion.Add(t, cvSum/float64(n))
-	}
+	return cvSum / float64(n) // a run always has a main benchmark
 }
 
-// WriteCSV exports all trace series in wide form.
+// WriteCSV exports the trace: a time_ms column with three decimals, then
+// one column per entry of Columns in %.8g form.
 func (rt *RunTrace) WriteCSV(w io.Writer) error {
-	series := []*trace.Series{rt.Utilization, rt.Alive, rt.Swaps, rt.Watts, rt.EnergyJ}
-	if rt.Dispersion != nil {
-		series = append(series, rt.Dispersion)
+	bw := bufio.NewWriter(w)
+	bw.WriteString("time_ms")
+	for _, c := range rt.Columns {
+		bw.WriteString("," + c)
 	}
-	if rt.Faults != nil {
-		series = append(series, rt.Faults)
+	bw.WriteByte('\n')
+	var buf []byte
+	for i, row := range rt.Rows {
+		buf = strconv.AppendFloat(buf[:0], rt.Times[i], 'f', 3, 64)
+		for _, v := range row {
+			buf = strconv.AppendFloat(append(buf, ','), v, 'g', 8, 64)
+		}
+		buf = append(buf, '\n')
+		bw.Write(buf)
 	}
-	return trace.WriteWideCSV(w, series...)
+	return bw.Flush()
 }
 
 // attachTrace hooks a RunTrace onto the engine at the given sample
-// period. inj may be nil (no fault series); inst may be nil for
-// open-loop traffic runs (no dispersion series).
+// period. inj may be nil (no fault column); inst may be nil for
+// open-loop traffic runs (no dispersion column).
 func attachTrace(engine *sim.Engine, m *machine.Machine, inst *workload.Instance, every sim.Time, inj *fault.Injector) *RunTrace {
-	rt := newRunTrace(inj, inst != nil)
+	rt := &RunTrace{
+		Columns: []string{"mem_util", "alive_threads", "cumulative_swaps", "power_watts", "energy_joules"},
+	}
+	if inst != nil {
+		rt.Columns = append(rt.Columns, "progress_dispersion")
+	}
+	if inj != nil {
+		rt.Columns = append(rt.Columns, "cumulative_faults")
+	}
 	var last sim.Time = -every
 	engine.OnTick(func(now sim.Time) {
-		if now-last >= every {
-			rt.sample(now, m, inst)
-			last = now
+		if now-last < every {
+			return
 		}
+		last = now
+		row := make([]float64, 0, len(rt.Columns))
+		row = append(row, m.Utilization(), float64(m.AliveCount()), float64(m.SwapCount()), m.PowerWatts(), m.EnergyJoules())
+		if inst != nil {
+			row = append(row, progressDispersion(m, inst))
+		}
+		if inj != nil {
+			row = append(row, float64(inj.Stats().Total()))
+		}
+		rt.Times = append(rt.Times, float64(now.Millis()))
+		rt.Rows = append(rt.Rows, row)
 	})
 	return rt
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,8 +125,8 @@ func TestTrafficCancelledRunNamesSource(t *testing.T) {
 }
 
 // TestTrafficRunTrace: TraceEvery on an open-loop run captures the
-// machine-level series; the dispersion series needs a fixed benchmark
-// set and stays nil.
+// machine-level columns; the dispersion column needs a fixed benchmark
+// set and is absent.
 func TestTrafficRunTrace(t *testing.T) {
 	out, err := Run(context.Background(), RunSpec{
 		Traffic: testTrafficSpec(), Policy: PolicyCFS, Seed: 42, TraceEvery: 250,
@@ -137,11 +138,11 @@ func TestTrafficRunTrace(t *testing.T) {
 	if rt == nil {
 		t.Fatal("no trace captured for traffic run")
 	}
-	if rt.Utilization.Len() == 0 || rt.Alive.Len() == 0 || rt.Swaps.Len() == 0 {
-		t.Fatal("empty machine-level trace series")
+	if len(rt.Rows) == 0 {
+		t.Fatal("empty machine-level trace")
 	}
-	if rt.Dispersion != nil {
-		t.Error("dispersion series present without a fixed benchmark set")
+	if slices.Contains(rt.Columns, "progress_dispersion") {
+		t.Error("dispersion column present without a fixed benchmark set")
 	}
 	var sb strings.Builder
 	if err := rt.WriteCSV(&sb); err != nil {

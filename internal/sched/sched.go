@@ -114,7 +114,9 @@ func (c *CFS) Quantum(sim.Time) error {
 	return nil
 }
 
-// Null is a policy that places threads once and never acts; standalone
+// Null is a policy that places threads once and never acts. Its
+// placement and its 1000 ms polling period are CFS's, so a run under
+// Null computes what the same run under CFS does; standalone
 // (single-application) runs use it so Fig 1's baselines are unscheduled.
 type Null struct {
 	p      platform.Platform

@@ -5,8 +5,7 @@
 // consumes them — so the coordinator is a drop-in for a single node by
 // construction: there is exactly one definition of every body that
 // crosses the network. Client is the one calling side of it, shared by
-// the coordinator, the dikeserved registrar, dikeload and the served
-// tournament grid.
+// the coordinator, the dikeserved registrar and dikeload.
 package api
 
 import "encoding/json"
@@ -119,9 +118,11 @@ type RunResult struct {
 	PredErrMin float64 `json:"pred_err_min,omitempty"`
 	PredErrAvg float64 `json:"pred_err_avg,omitempty"`
 	PredErrMax float64 `json:"pred_err_max,omitempty"`
-	// DecisionSHA256 is the SHA-256 of the run's deterministic decision
-	// digest (harness.Digest) — the same value `dikesim -digest` hashes
-	// to, so a served result can be audited against a local replay.
+	// DecisionSHA256 is the SHA-256 of the run's per-quantum decision
+	// stream (harness.Digest), so a served result can be audited against
+	// a local replay. `dikesim -digest` prints harness.RunDigest, which
+	// appends the meta policy's tournament stream and the governor's
+	// decision stream; for a run with neither, it hashes to this value.
 	DecisionSHA256 string `json:"decision_sha256,omitempty"`
 	// Faults counts injected faults when the run had a fault plan.
 	Faults int `json:"faults,omitempty"`
