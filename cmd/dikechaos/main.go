@@ -51,10 +51,6 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	if *rateFlag < 0 || *rateFlag > 1 {
-		cli.Fatal(fmt.Errorf("dikechaos: -rate must be in [0,1], got %v", *rateFlag))
-	}
-
 	proxy, err := chaos.NewProxy(*targetFlag, chaos.Config{
 		Seed:       *seedFlag,
 		Rate:       *rateFlag,

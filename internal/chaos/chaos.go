@@ -11,8 +11,8 @@
 // of (seed, request index). Two proxies with the same Config issue the
 // same fault schedule, byte for byte, regardless of timing or
 // concurrency — request arrival order assigns indices, and everything
-// downstream of the index is fixed. Plan materialises the schedule
-// prefix so tests can compare it directly.
+// downstream of the index is fixed. Decide gives any index's verdict,
+// so tests compare schedules directly.
 //
 // Use NewTransport to wrap an http.RoundTripper (a coordinator's
 // client in a Go test), or NewProxy / cmd/dikechaos to stand a
@@ -102,11 +102,27 @@ type Config struct {
 	// Default 250ms.
 	MaxLatency time.Duration
 	// BurstLen is how many consecutive requests a 5xx draw poisons.
-	// Default 3.
+	// Zero means 3.
 	BurstLen int
 	// FlapEvery/FlapDown shape the flap window: of every FlapEvery
-	// requests, the first FlapDown are reset. Defaults 50/10.
+	// requests, the first FlapDown are reset. A zero FlapEvery means
+	// 50. A negative FlapDown means 10, and zero turns flapping off.
 	FlapEvery, FlapDown int
+}
+
+// Validate reports the first field a schedule cannot be drawn from: a
+// Rate that is NaN or outside [0, 1] (NaN would fault every request),
+// or a negative BurstLen or FlapEvery.
+func (c Config) Validate() error {
+	switch {
+	case !(c.Rate >= 0 && c.Rate <= 1):
+		return fmt.Errorf("chaos: rate must be in [0, 1], got %v", c.Rate)
+	case c.BurstLen < 0:
+		return fmt.Errorf("chaos: burst length must not be negative, got %d", c.BurstLen)
+	case c.FlapEvery < 0:
+		return fmt.Errorf("chaos: flap window must not be negative, got %d", c.FlapEvery)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -209,16 +225,6 @@ func (c Config) Decide(i uint64) Decision {
 		d.Fault = cl
 	}
 	return d
-}
-
-// Plan materialises the schedule for the first n request indices —
-// the byte-comparable artifact of the determinism contract.
-func (c Config) Plan(n int) []Decision {
-	out := make([]Decision, n)
-	for i := 0; i < n; i++ {
-		out[i] = c.Decide(uint64(i))
-	}
-	return out
 }
 
 // Transport is a fault-injecting http.RoundTripper. Request indices are
@@ -397,8 +403,11 @@ type Proxy struct {
 }
 
 // NewProxy builds a reverse proxy for target (a base URL) injecting
-// cfg's fault schedule.
+// cfg's fault schedule. A cfg that fails Validate is an error.
 func NewProxy(target string, cfg Config) (*Proxy, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	u, err := url.Parse(strings.TrimRight(target, "/"))
 	if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
 		return nil, fmt.Errorf("chaos: proxy target must be absolute http(s), got %q", target)
@@ -425,9 +434,6 @@ func NewProxy(target string, cfg Config) (*Proxy, error) {
 
 // ServeHTTP implements http.Handler.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) { p.rp.ServeHTTP(w, r) }
-
-// Counts snapshots the proxy's injected-fault counters.
-func (p *Proxy) Counts() map[Class]uint64 { return p.transport.Counts() }
 
 // Summary renders the proxy's counters as a one-line report.
 func (p *Proxy) Summary() string { return p.transport.Summary() }

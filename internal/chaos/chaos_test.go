@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,22 +17,31 @@ func allOn(seed uint64, rate float64) Config {
 	return Config{Seed: seed, Rate: rate, Classes: append([]Class(nil), AllClasses...)}
 }
 
+// plan materialises cfg's schedule for the first n request indices.
+func plan(cfg Config, n int) []Decision {
+	out := make([]Decision, n)
+	for i := range out {
+		out[i] = cfg.Decide(uint64(i))
+	}
+	return out
+}
+
 // TestPlanDeterminism is the contract: same seed ⇒ byte-identical
 // schedule; different seed ⇒ a different one.
 func TestPlanDeterminism(t *testing.T) {
 	cfg := allOn(42, 0.3)
-	a, err := json.Marshal(cfg.Plan(2000))
+	a, err := json.Marshal(plan(cfg, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(cfg.Plan(2000))
+	b, err := json.Marshal(plan(cfg, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same seed produced different schedules")
 	}
-	other, err := json.Marshal(allOn(43, 0.3).Plan(2000))
+	other, err := json.Marshal(plan(allOn(43, 0.3), 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +55,10 @@ func TestPlanDeterminism(t *testing.T) {
 // forward plan.
 func TestDecideIsOrderIndependent(t *testing.T) {
 	cfg := allOn(7, 0.5)
-	plan := cfg.Plan(500)
+	forward := plan(cfg, 500)
 	for i := 499; i >= 0; i-- {
-		if got := cfg.Decide(uint64(i)); got != plan[i] {
-			t.Fatalf("index %d: forward %+v backward %+v", i, plan[i], got)
+		if got := cfg.Decide(uint64(i)); got != forward[i] {
+			t.Fatalf("index %d: forward %+v backward %+v", i, forward[i], got)
 		}
 	}
 }
@@ -57,7 +67,7 @@ func TestDecideIsOrderIndependent(t *testing.T) {
 // request passes through.
 func TestRateZeroInjectsNothing(t *testing.T) {
 	cfg := Config{Seed: 1, Rate: 0, Classes: []Class{ClassLatency, ClassReset, ClassError5xx}}
-	for _, d := range cfg.Plan(1000) {
+	for _, d := range plan(cfg, 1000) {
 		if d.Fault != "" {
 			t.Fatalf("rate 0 injected %+v", d)
 		}
@@ -69,7 +79,7 @@ func TestRateZeroInjectsNothing(t *testing.T) {
 func TestRateLandsNearTarget(t *testing.T) {
 	cfg := Config{Seed: 99, Rate: 0.3, Classes: []Class{ClassReset}}
 	n, hits := 20000, 0
-	for _, d := range cfg.Plan(n) {
+	for _, d := range plan(cfg, n) {
 		if d.Fault != "" {
 			hits++
 		}
@@ -84,14 +94,14 @@ func TestRateLandsNearTarget(t *testing.T) {
 // BurstLen consecutive 5xx decisions (bursts can overlap and extend).
 func TestBurstExpansion(t *testing.T) {
 	cfg := Config{Seed: 5, Rate: 0.05, Classes: []Class{ClassError5xx}, BurstLen: 3}
-	plan := cfg.Plan(5000)
-	for i := 0; i < len(plan)-3; i++ {
+	ds := plan(cfg, 5000)
+	for i := 0; i < len(ds)-3; i++ {
 		// A burst start (raw draw lands 5xx) must poison the next
 		// BurstLen-1 indices too.
 		if cfg.withDefaults().rawDraw(uint64(i)) == ClassError5xx {
 			for j := i; j < i+3; j++ {
-				if plan[j].Fault != ClassError5xx {
-					t.Fatalf("index %d draws 5xx but index %d decided %+v", i, j, plan[j])
+				if ds[j].Fault != ClassError5xx {
+					t.Fatalf("index %d draws 5xx but index %d decided %+v", i, j, ds[j])
 				}
 			}
 		}
@@ -102,7 +112,7 @@ func TestBurstExpansion(t *testing.T) {
 // FlapEvery indices, independent of Rate.
 func TestFlapWindows(t *testing.T) {
 	cfg := Config{Seed: 3, Rate: 0, Classes: []Class{ClassFlap}, FlapEvery: 10, FlapDown: 4}
-	for i, d := range cfg.Plan(100) {
+	for i, d := range plan(cfg, 100) {
 		want := i%10 < 4
 		if (d.Fault == ClassFlap) != want {
 			t.Fatalf("index %d: flap=%v want %v", i, d.Fault == ClassFlap, want)
@@ -274,8 +284,8 @@ func TestProxy(t *testing.T) {
 		if resp.StatusCode != http.StatusBadGateway {
 			t.Fatalf("got %d want 502", resp.StatusCode)
 		}
-		if p.Counts()[ClassReset] != 1 {
-			t.Fatalf("counts %v", p.Counts())
+		if p.transport.Counts()[ClassReset] != 1 {
+			t.Fatalf("counts %v", p.transport.Counts())
 		}
 	})
 
@@ -283,6 +293,71 @@ func TestProxy(t *testing.T) {
 		for _, target := range []string{"", "not-a-url", "ftp://x", "/relative"} {
 			if _, err := NewProxy(target, Config{}); err == nil {
 				t.Fatalf("target %q accepted", target)
+			}
+		}
+	})
+
+	t.Run("bad-config", func(t *testing.T) {
+		if _, err := NewProxy(srv.URL, Config{Rate: math.NaN(), Classes: []Class{ClassReset}}); err == nil {
+			t.Fatal("NaN rate accepted")
+		}
+	})
+}
+
+// TestConfigValidate: a rate outside [0, 1], NaN included, and a
+// negative burst or flap window are rejected; the zero Config and the
+// documented defaults pass.
+func TestConfigValidate(t *testing.T) {
+	for _, bad := range []Config{
+		{Rate: math.NaN()}, {Rate: -0.1}, {Rate: 1.1}, {Rate: math.Inf(1)},
+		{BurstLen: -1}, {FlapEvery: -1},
+	} {
+		if bad.Validate() == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+	for _, good := range []Config{{}, {Rate: 1}, {Rate: 0.5, BurstLen: 3, FlapEvery: 50, FlapDown: -1}} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", good, err)
+		}
+	}
+}
+
+// FuzzChaosDecide: for any class list, rate, seed and window shape,
+// ParseClasses and Validate either reject the input or give a Config
+// whose Decide is a pure function of the index that only ever names an
+// enabled class.
+func FuzzChaosDecide(f *testing.F) {
+	f.Add("reset", math.NaN(), uint64(1), int8(0), int8(0), int8(0), uint64(0))
+	f.Add("all", 0.3, uint64(42), int8(3), int8(50), int8(10), uint64(7))
+	f.Add("flap", 0.0, uint64(7), int8(0), int8(5), int8(-1), uint64(49))
+	f.Add("reset,5xx", 1.0, uint64(3), int8(2), int8(0), int8(0), uint64(1<<63))
+	f.Fuzz(func(t *testing.T, classes string, rate float64, seed uint64, burst, flapEvery, flapDown int8, i uint64) {
+		cs, err := ParseClasses(classes)
+		if err != nil {
+			return
+		}
+		cfg := Config{Seed: seed, Rate: rate, Classes: cs, BurstLen: int(burst), FlapEvery: int(flapEvery), FlapDown: int(flapDown)}
+		if err := cfg.Validate(); err != nil {
+			return
+		}
+		if math.IsNaN(rate) || rate < 0 || rate > 1 {
+			t.Fatalf("rate %v passed Validate", rate)
+		}
+		maxLat := cfg.withDefaults().MaxLatency
+		for j := i; j < i+8 && j >= i; j++ {
+			d := cfg.Decide(j)
+			if again := cfg.Decide(j); again != d {
+				t.Fatalf("Decide(%d) = %+v, then %+v", j, d, again)
+			}
+			if d.Index != j {
+				t.Fatalf("Decide(%d) has index %d", j, d.Index)
+			}
+			if d.Fault != "" && !cfg.has(d.Fault) {
+				t.Fatalf("Decide(%d) = %+v names a class outside %v", j, d, cs)
+			}
+			if lat := time.Duration(d.LatencyNs); (d.Fault == ClassLatency) != (lat > 0) || lat > maxLat {
+				t.Fatalf("Decide(%d) = %+v: latency outside (0, %v]", j, d, maxLat)
 			}
 		}
 	})

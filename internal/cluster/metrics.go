@@ -71,12 +71,6 @@ func newClusterMetrics(fleet func() (healthy, total int), inflight func() int64,
 	return m
 }
 
-// breakerTransitionCount sums transitions into `to` across the fleet
-// (for tests; "" sums every transition).
-func (m *metrics) breakerTransitionCount(to string) uint64 {
-	return m.breakerTransitions.Value("", to)
-}
-
 func (m *metrics) requestsFor(worker string) uint64 { return m.workerRequests.Value(worker) }
 
 func (m *metrics) failuresFor(worker string) uint64 { return m.workerFailures.Value(worker) }

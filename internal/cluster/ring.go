@@ -84,9 +84,6 @@ func (r *Ring) Order(key string) []string {
 	return order
 }
 
-// Owner returns the primary worker for key.
-func (r *Ring) Owner(key string) string { return r.Order(key)[0] }
-
 // ringHash places a key or a virtual node on the ring. FNV-1a alone
 // leaves strings that differ only in their last bytes (one worker's
 // "url#0" … "url#63", or two workers on neighbouring ports) on a

@@ -61,7 +61,7 @@ func TestRingSpreadsKeys(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 4000
 	for i := 0; i < keys; i++ {
-		counts[r.Owner(fmt.Sprintf("digest-%d", i))]++
+		counts[r.Order(fmt.Sprintf("digest-%d", i))[0]]++
 	}
 	for _, w := range workers {
 		// Perfect balance is keys/4 = 1000; with 64 virtual nodes per
@@ -87,8 +87,8 @@ func TestRingRemovalOnlyRemapsLostKeys(t *testing.T) {
 	const keys = 1000
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("digest-%d", i)
-		before := rAll.Owner(key)
-		after := rLess.Owner(key)
+		before := rAll.Order(key)[0]
+		after := rLess.Order(key)[0]
 		if before != lost {
 			// A key not owned by the removed worker must keep its owner —
 			// the property that keeps the fleet's caches warm across
@@ -149,7 +149,7 @@ func TestRingSplitsSweepAcrossLocalPorts(t *testing.T) {
 			}
 			owned := 0
 			for _, p := range rs.Points {
-				if r.Owner(p) == a {
+				if r.Order(p)[0] == a {
 					owned++
 				}
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"dike/internal/platform"
 	"dike/internal/platform/platformtest"
 	"dike/internal/sim"
 )
@@ -98,8 +99,8 @@ func TestMigratorAppliesSwaps(t *testing.T) {
 	if err := m.AddThread(1, 1, platformtest.ConstProgram{Work: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	fast := m.Topology().FastCores()[0]
-	slow := m.Topology().SlowCores()[0]
+	fast := platformtest.CoresOfKind(m.Topology(), platform.FastCore)[0]
+	slow := platformtest.CoresOfKind(m.Topology(), platform.SlowCore)[0]
 	m.Place(0, fast)
 	m.Place(1, slow)
 	mg := NewMigrator(m)

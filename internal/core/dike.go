@@ -158,15 +158,6 @@ func New(p platform.Platform, cfg Config) (*Dike, error) {
 	return d, nil
 }
 
-// MustNew is New for known-valid configurations; it panics on error.
-func MustNew(p platform.Platform, cfg Config) *Dike {
-	d, err := New(p, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Name implements sim.Policy: "dike", "dike-af", "dike-ap" or
 // "dike-ea".
 func (d *Dike) Name() string {
@@ -185,13 +176,6 @@ func (d *Dike) Name() string {
 // QuantaLength implements sim.Policy; adaptive modes change it as the
 // Optimizer retunes.
 func (d *Dike) QuantaLength() sim.Time { return d.quanta }
-
-// SwapSize returns the current swap size (adaptive modes change it).
-func (d *Dike) SwapSize() int { return d.swapSize }
-
-// Decider exposes the decider for ablation configuration; tests and the
-// ablation benches flip its Disable flags before a run starts.
-func (d *Dike) Decider() *Decider { return d.dec }
 
 // History returns the per-quantum decision records.
 func (d *Dike) History() []QuantumRecord { return d.history }

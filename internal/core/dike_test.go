@@ -10,6 +10,16 @@ import (
 	"dike/internal/workload"
 )
 
+// newDike is New for a configuration the test knows to be valid.
+func newDike(t *testing.T, p platform.Platform, cfg Config) *Dike {
+	t.Helper()
+	d, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // runDike builds WLn at the given scale, runs Dike with cfg, and returns
 // the policy and machine after completion.
 func runDike(t *testing.T, wlN int, scale float64, cfg Config) (*Dike, *platformtest.Machine) {
@@ -39,8 +49,8 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.QuantaLength() != 500 || d.SwapSize() != 8 {
-		t.Errorf("defaults = ⟨%d,%d⟩", d.SwapSize(), d.QuantaLength())
+	if d.QuantaLength() != 500 || d.swapSize != 8 {
+		t.Errorf("defaults = ⟨%d,%d⟩", d.swapSize, d.QuantaLength())
 	}
 	if d.Name() != "dike" {
 		t.Errorf("name = %q", d.Name())
@@ -57,7 +67,7 @@ func TestDikeNames(t *testing.T) {
 		AdaptFairness:    "dike-af",
 		AdaptPerformance: "dike-ap",
 	} {
-		d := MustNew(m, Config{Goal: goal})
+		d := newDike(t, m, Config{Goal: goal})
 		if d.Name() != want {
 			t.Errorf("goal %v name = %q, want %q", goal, d.Name(), want)
 		}
@@ -155,7 +165,7 @@ func TestDikeImprovesFairnessOverNoScheduling(t *testing.T) {
 		return sum / float64(n), m
 	}
 	dikeCV, _ := runtimes(func(m *platformtest.Machine) sim.Policy {
-		return MustNew(m, Config{PlacementSeed: 42})
+		return newDike(t, m, Config{PlacementSeed: 42})
 	})
 	frozenCV, _ := runtimes(func(m *platformtest.Machine) sim.Policy {
 		return frozenPolicy{m: m}

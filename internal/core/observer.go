@@ -300,13 +300,9 @@ func entry[E keyed](table *[]E, from int, fresh E) (*E, int) {
 	return &(*table)[i], i + 1
 }
 
-// NewObserver builds an observer over p. alpha is the EWMA weight for
-// both CoreBW and capability; missTh the M/C miss-ratio boundary.
-func NewObserver(p platform.Platform, alpha, missTh float64) *Observer {
-	return newObserver(p, alpha, missTh, false)
-}
-
-// newObserver additionally selects the contention metric (ablation).
+// newObserver builds an observer over p. alpha is the EWMA weight for
+// both CoreBW and capability; missTh the M/C miss-ratio boundary; useIPC
+// selects the contention metric (ablation).
 func newObserver(p platform.Platform, alpha, missTh float64, useIPC bool) *Observer {
 	n := p.Topology().NumCores()
 	bw := make([]*stats.MovingMean, n)
@@ -568,16 +564,4 @@ func (o *Observer) identifyCores(obs *Observation) {
 			obs.HighBW[c] = true
 		}
 	}
-}
-
-// CoreBW returns the current raw moving-mean served bandwidth of core c.
-func (o *Observer) CoreBW(c platform.CoreID) float64 { return o.coreBW[int(c)].Value() }
-
-// Capability returns the current relative capability estimate of core c
-// (1.0 before any sample).
-func (o *Observer) Capability(c platform.CoreID) float64 {
-	if o.capab[int(c)].Count() == 0 {
-		return 1
-	}
-	return o.capab[int(c)].Value()
 }

@@ -51,7 +51,7 @@ func TestObserverRejectsInsaneReadings(t *testing.T) {
 	for _, k := range kinds {
 		t.Run(k.name, func(t *testing.T) {
 			m := twoClassMachine(t)
-			o := NewObserver(m, 0.25, 0.10)
+			o := newObserver(m, 0.25, 0.10, false)
 			dis := &steerableDisruptor{target: 0}
 			m.SetDisruptor(dis)
 			mustObserve(t, o, 0)
@@ -88,7 +88,7 @@ func TestObserverRejectsInsaneReadings(t *testing.T) {
 
 func TestObserverDropoutHoldsThenExpires(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	dis := &steerableDisruptor{target: 0}
 	m.SetDisruptor(dis)
 	mustObserve(t, o, 0)
@@ -132,7 +132,7 @@ func TestObserverDropoutHoldsThenExpires(t *testing.T) {
 
 func TestObserverClampsSaturatedReadings(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	dis := &steerableDisruptor{target: 0}
 	m.SetDisruptor(dis)
 	mustObserve(t, o, 0)
@@ -158,7 +158,7 @@ func TestObserverClampsSaturatedReadings(t *testing.T) {
 
 func TestObserverZeroIntervalQuantum(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	mustObserve(t, o, 0)
 	// A second observation at the same instant is a zero-length quantum:
 	// no rates, no sanitization, no held threads.
@@ -181,24 +181,22 @@ func TestObserverZeroIntervalQuantum(t *testing.T) {
 
 func TestObserverHeldExcludedFromCapability(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	dis := &steerableDisruptor{target: 0}
 	m.SetDisruptor(dis)
 	mustObserve(t, o, 0)
-	observeQuantum(t, m, o, 1)
 	core0, err := m.CoreOf(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := o.Capability(core0)
+	before := observeQuantum(t, m, o, 1).Capability[core0]
 	// Poison thread 0 with an insane reading carrying a colossal rate; if
 	// the capability estimator consumed it the core would look superhuman.
 	dis.mutate = func(d counters.ThreadDelta) (counters.ThreadDelta, bool) {
 		d.Misses = math.Inf(1)
 		return d, true
 	}
-	observeQuantum(t, m, o, 2)
-	after := o.Capability(core0)
+	after := observeQuantum(t, m, o, 2).Capability[core0]
 	if math.IsNaN(after) || math.IsInf(after, 0) {
 		t.Fatalf("capability corrupted: %v", after)
 	}
@@ -212,7 +210,7 @@ func TestObserverHeldExcludedFromCapability(t *testing.T) {
 func TestWatchdogRevertsToLastKnownGood(t *testing.T) {
 	m := twoClassMachine(t)
 	cfg := DefaultConfig()
-	d := MustNew(m, cfg)
+	d := newDike(t, m, cfg)
 	// Drift the parameters away from the validated starting pair, then
 	// feed the watchdog a diverging gate: after watchdogK consecutive
 	// growth quanta it must restore the last-known-good pair.
@@ -233,7 +231,7 @@ func TestWatchdogRevertsToLastKnownGood(t *testing.T) {
 
 func TestWatchdogQuietWhenFair(t *testing.T) {
 	m := twoClassMachine(t)
-	d := MustNew(m, DefaultConfig())
+	d := newDike(t, m, DefaultConfig())
 	d.swapSize, d.quanta = 16, 100
 	// Below the threshold the watchdog records, never trips — and adopts
 	// the current parameters as the new last-known-good.

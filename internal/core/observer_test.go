@@ -16,8 +16,8 @@ func twoClassMachine(t *testing.T) *platformtest.Machine {
 	m := platformtest.NewMachine(platformtest.DefaultConfig())
 	mem := platformtest.Demand{AccessesPerWork: 10, MissRatio: 0.5}
 	comp := platformtest.Demand{AccessesPerWork: 3, MissRatio: 0.03}
-	fast := m.Topology().FastCores()
-	slow := m.Topology().SlowCores()
+	fast := platformtest.CoresOfKind(m.Topology(), platform.FastCore)
+	slow := platformtest.CoresOfKind(m.Topology(), platform.SlowCore)
 	for i := 0; i < 8; i++ {
 		if err := m.AddThread(platform.ThreadID(i), 0, platformtest.ConstProgram{Work: 1e6, Demand: mem}); err != nil {
 			t.Fatal(err)
@@ -58,7 +58,7 @@ func mustObserve(t *testing.T, o *Observer, now sim.Time) *Observation {
 
 func TestObserverClassification(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	mustObserve(t, o, 0)
 	obs := observeAfter(t, m, o, 0, 500)
 	for i := 0; i < 8; i++ {
@@ -78,7 +78,7 @@ func TestObserverClassification(t *testing.T) {
 
 func TestObserverCapabilityIdentifiesFastCores(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	mustObserve(t, o, 0)
 	var obs *Observation
 	last := sim.Time(0)
@@ -114,7 +114,7 @@ func TestObserverCapabilityIdentifiesFastCores(t *testing.T) {
 
 func TestObserverBaselinePerProcess(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	mustObserve(t, o, 0)
 	obs := observeAfter(t, m, o, 0, 500)
 	// All threads of one process share a baseline.
@@ -132,7 +132,7 @@ func TestObserverBaselinePerProcess(t *testing.T) {
 
 func TestObserverFairnessGate(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	mustObserve(t, o, 0)
 	obs := observeAfter(t, m, o, 0, 500)
 	// Threads of each process straddle fast/slow cores: rates within a
@@ -150,7 +150,7 @@ func TestObserverFairnessGate(t *testing.T) {
 
 func TestObserverFirstSampleInert(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	obs := mustObserve(t, o, 0)
 	if obs.Sample.Interval != 0 {
 		t.Error("first sample has a nonzero interval")
@@ -164,7 +164,7 @@ func TestObserverFirstSampleInert(t *testing.T) {
 
 func TestObserverStalledThreadKeepsClass(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	mustObserve(t, o, 0)
 	obs := observeAfter(t, m, o, 0, 500)
 	if obs.Class[obs.Index(0)] != MemoryClass {
@@ -172,9 +172,7 @@ func TestObserverStalledThreadKeepsClass(t *testing.T) {
 	}
 	// Freeze thread 0 with a long migration stall, then observe over a
 	// window where it issues nothing: classification must persist.
-	cfg := m.Config()
-	_ = cfg
-	dest := m.Topology().SlowCores()[9]
+	dest := platformtest.CoresOfKind(m.Topology(), platform.SlowCore)[9]
 	if err := m.Migrate(0, dest, 500); err != nil {
 		t.Fatal(err)
 	}
@@ -188,23 +186,23 @@ func TestObserverStalledThreadKeepsClass(t *testing.T) {
 
 func TestObserverGetters(t *testing.T) {
 	m := twoClassMachine(t)
-	o := NewObserver(m, 0.25, 0.10)
+	o := newObserver(m, 0.25, 0.10, false)
 	// Before any sample: raw CoreBW 0, capability neutral 1.
-	if o.CoreBW(0) != 0 {
-		t.Errorf("CoreBW before samples = %v", o.CoreBW(0))
+	first := mustObserve(t, o, 0)
+	if first.CoreBW[0] != 0 {
+		t.Errorf("CoreBW before samples = %v", first.CoreBW[0])
 	}
-	if o.Capability(0) != 1 {
-		t.Errorf("Capability before samples = %v", o.Capability(0))
+	if first.Capability[0] != 1 {
+		t.Errorf("Capability before samples = %v", first.Capability[0])
 	}
-	mustObserve(t, o, 0)
-	observeAfter(t, m, o, 0, 500)
+	obs := observeAfter(t, m, o, 0, 500)
 	// A core hosting a memory thread now reports served bandwidth.
 	core, _ := m.CoreOf(0)
-	if o.CoreBW(core) <= 0 {
-		t.Errorf("CoreBW after samples = %v", o.CoreBW(core))
+	if obs.CoreBW[core] <= 0 {
+		t.Errorf("CoreBW after samples = %v", obs.CoreBW[core])
 	}
-	if o.Capability(core) <= 0 {
-		t.Errorf("Capability after samples = %v", o.Capability(core))
+	if obs.Capability[core] <= 0 {
+		t.Errorf("Capability after samples = %v", obs.Capability[core])
 	}
 }
 

@@ -16,18 +16,6 @@ const (
 	TypeUM
 )
 
-// String returns the paper's shorthand.
-func (t WorkloadType) String() string {
-	switch t {
-	case TypeB:
-		return "B"
-	case TypeUC:
-		return "UC"
-	default:
-		return "UM"
-	}
-}
-
 // classifyWorkload types the current mix. Exact equality is too brittle
 // for online counts (classifications flutter near the miss-ratio
 // boundary), so a band around one half is treated as balanced.

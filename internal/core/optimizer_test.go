@@ -41,12 +41,6 @@ func TestClassifyWorkload(t *testing.T) {
 	}
 }
 
-func TestWorkloadTypeString(t *testing.T) {
-	if TypeB.String() != "B" || TypeUC.String() != "UC" || TypeUM.String() != "UM" {
-		t.Error("type strings wrong")
-	}
-}
-
 // step runs the optimizer once with an unfair system and a flat metric.
 func step(o *Optimizer, obs *Observation) {
 	goal := 0.5 // flat metric; guard never triggers

@@ -239,7 +239,7 @@ func (o *oracleObserver) Observe(now sim.Time) (*oracleObservation, error) {
 		for c := range occupied {
 			caps = append(caps, obs.Capability[c])
 		}
-		median := stats.Median(caps)
+		median := stats.MedianInPlace(caps)
 		for c := range occupied {
 			if obs.Capability[c] > median {
 				obs.HighBW[c] = true

@@ -101,7 +101,7 @@ func newScript(seed int64, cfg scriptConfig) *scriptPlatform {
 		}
 		cores[c] = platform.Core{ID: platform.CoreID(c), Kind: kind, Speed: speed, Physical: c / 2}
 	}
-	topo, err := platform.NewTopology(cores)
+	topo, err := platform.NewTopologyNamed(cores, nil)
 	if err != nil {
 		panic(err)
 	}

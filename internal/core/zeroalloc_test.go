@@ -17,7 +17,7 @@ func policyScript(cores, threads, procs int) *scriptPlatform {
 // Observer; it leaves sp on its last quantum.
 func warmObserver(t testing.TB, sp *scriptPlatform) *Observer {
 	t.Helper()
-	o := NewObserver(sp, 0.25, 0.10)
+	o := newObserver(sp, 0.25, 0.10, false)
 	for q := range sp.quanta {
 		sp.q = q
 		if _, err := o.Observe(sim.Time(q * 500)); err != nil {

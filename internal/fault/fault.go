@@ -271,9 +271,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg, seen: make(map[episodeKey]bool)}, nil
 }
 
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Stats returns the counts of events injected so far.
 func (in *Injector) Stats() Stats { return in.stats }
 
@@ -394,24 +391,6 @@ func (in *Injector) PerturbDelta(id platform.ThreadID, now sim.Time, d counters.
 		}
 	}
 	return d, true
-}
-
-// Scenario names a canned fault configuration for the harness: one
-// class in isolation at its base rate, or everything at once.
-type Scenario struct {
-	Name    string
-	Classes Class
-}
-
-// Scenarios returns the canonical per-class scenarios plus "all", in
-// stable order.
-func Scenarios() []Scenario {
-	out := make([]Scenario, 0, len(classNames)+1)
-	for _, cn := range classNames {
-		out = append(out, Scenario{Name: cn.name, Classes: cn.c})
-	}
-	out = append(out, Scenario{Name: "all", Classes: All})
-	return out
 }
 
 var _ machine.Disruptor = (*Injector)(nil)

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dike/internal/counters"
@@ -279,20 +280,23 @@ func TestFaultRateZeroIsQuiet(t *testing.T) {
 	}
 }
 
+// TestFaultScenarios: the per-class scenarios the harness runs, one per
+// name ClassNames lists, are seven distinct classes that make up All.
 func TestFaultScenarios(t *testing.T) {
-	sc := Scenarios()
-	if len(sc) != 8 {
-		t.Fatalf("Scenarios() returned %d entries, want 8", len(sc))
+	names := strings.Split(ClassNames(), ",")
+	if len(names) != 7 {
+		t.Fatalf("ClassNames() lists %d classes, want 7", len(names))
 	}
 	var union Class
-	for _, s := range sc[:len(sc)-1] {
-		union |= s.Classes
+	for _, name := range names {
+		c, err := ParseClasses(name)
+		if err != nil || c == 0 || union&c != 0 {
+			t.Errorf("class %q parses to %v, %v (union so far %v)", name, c, err, union)
+		}
+		union |= c
 	}
 	if union != All {
 		t.Errorf("per-class scenarios union = %v, want all", union)
-	}
-	if sc[len(sc)-1].Classes != All || sc[len(sc)-1].Name != "all" {
-		t.Errorf("last scenario = %+v, want all", sc[len(sc)-1])
 	}
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"dike/internal/fault"
@@ -81,22 +82,25 @@ func TestFaultSeedChangesRun(t *testing.T) {
 // TestFaultEveryClassCompletes: a full run completes without error (and
 // without panicking) for every fault class in isolation and all at once.
 func TestFaultEveryClassCompletes(t *testing.T) {
-	for _, sc := range fault.Scenarios() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
+	for _, name := range append(strings.Split(fault.ClassNames(), ","), "all") {
+		classes, err := fault.ParseClasses(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			fc := fault.DefaultConfig()
 			fc.Seed = 7
-			fc.Classes = sc.Classes
+			fc.Classes = classes
 			out, err := Run(context.Background(), RunSpec{
 				Workload: workload.MustTable2(6), Policy: PolicyDikeAF,
 				Seed: 42, Scale: 0.05, Faults: &fc,
 			})
 			if err != nil {
-				t.Fatalf("run with %s faults failed: %v", sc.Name, err)
+				t.Fatalf("run with %s faults failed: %v", name, err)
 			}
 			if out.Result.Fairness <= 0 || out.Result.Fairness > 1 {
-				t.Errorf("fairness under %s faults = %v, outside (0,1]", sc.Name, out.Result.Fairness)
+				t.Errorf("fairness under %s faults = %v, outside (0,1]", name, out.Result.Fairness)
 			}
 		})
 	}

@@ -55,7 +55,7 @@ func init() {
 		dikeVariant(PolicyDikeAF, "Dike with fairness-adaptive parameter tuning", core.AdaptFairness),
 		dikeVariant(PolicyDikeAP, "Dike with performance-adaptive parameter tuning", core.AdaptPerformance),
 		dikeVariant(PolicyDikeEA, "Dike with energy-aware tuning: fairness × watts guard, longer quanta when fair", core.AdaptEnergy),
-		seeded(PolicyNull, "spread threads once as cfs does, never act (unscheduled baseline)", sched.NewNull),
+		seeded(PolicyNull, "unscheduled baseline: runs cfs's code, so threads spread once and never move", sched.NewCFS),
 		seeded(PolicyRotate, "rotate every thread one core per quantum", sched.NewRotate),
 		{PolicyInfo: PolicyInfo{PolicyOracle, "static placement from offline ground truth", false}, New: newOracle},
 		{

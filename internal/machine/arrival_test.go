@@ -29,13 +29,15 @@ func TestArrivalBasics(t *testing.T) {
 	if got := m.Alive(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Alive = %v, want [0]", got)
 	}
-	if got := m.Pending(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Pending = %v, want [1]", got)
+	for _, th := range m.slots {
+		if pending := !th.finished && th.startAt > m.lastNow; pending != (th.id == 1) {
+			t.Errorf("thread %d pending = %v", th.id, pending)
+		}
 	}
 	for now := sim.Time(0); now < 100; now++ {
 		m.Step(now, 1)
 	}
-	if w := m.ThreadCounters(1).Work; w != 0 {
+	if w := m.threads[1].tc.Work; w != 0 {
 		t.Errorf("pending thread progressed: %v", w)
 	}
 	// Thread 0 finished long before thread 1 arrives; Done must be false.
@@ -57,8 +59,8 @@ func TestArrivalBasics(t *testing.T) {
 
 func TestArrivalDoesNotHoldBarrier(t *testing.T) {
 	m := testMachine(t)
-	place(t, m, 0, 0, 1000, Demand{}, m.Topology().FastCores()[0])
-	place(t, m, 1, 0, 1000, Demand{}, m.Topology().FastCores()[2])
+	place(t, m, 0, 0, 1000, Demand{}, coresOf(m.Topology(), platform.FastCore)[0])
+	place(t, m, 1, 0, 1000, Demand{}, coresOf(m.Topology(), platform.FastCore)[2])
 	if err := m.AddBarrierGroup(50, []platform.ThreadID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestArrivalDoesNotHoldBarrier(t *testing.T) {
 	}
 	// Thread 0 must not be stuck at the first barrier waiting for the
 	// not-yet-arrived sibling.
-	if w := m.ThreadCounters(0).Work; w < 100 {
+	if w := m.threads[0].tc.Work; w < 100 {
 		t.Errorf("thread 0 blocked by pending barrier member: work=%v", w)
 	}
 }
@@ -78,8 +80,8 @@ func TestArrivalDoesNotHoldBarrier(t *testing.T) {
 func TestArrivalOccupancy(t *testing.T) {
 	// A pending thread's preset core must not count as busy for SMT.
 	m := testMachine(t)
-	fast := m.Topology().FastCores()
-	sib := m.Topology().Siblings(fast[0])
+	fast := coresOf(m.Topology(), platform.FastCore)
+	sib := siblings(m.Topology(), fast[0])
 	place(t, m, 0, 0, 1000, Demand{}, sib[0])
 	place(t, m, 1, 0, 1000, Demand{}, sib[1])
 	if err := m.SetStart(1, 100000); err != nil {
@@ -87,10 +89,10 @@ func TestArrivalOccupancy(t *testing.T) {
 	}
 	m.Step(0, 100)
 	// Thread 0 should run at full (un-shared) speed: 2.33 * 100.
-	if w := m.ThreadCounters(0).Work; w < 230 {
+	if w := m.threads[0].tc.Work; w < 230 {
 		t.Errorf("SMT penalty applied for pending sibling: work=%v", w)
 	}
-	if got := m.ThreadsOn(sib[1]); len(got) != 0 {
+	if got := threadsOn(m, sib[1]); len(got) != 0 {
 		t.Errorf("pending thread listed on core: %v", got)
 	}
 }

@@ -9,12 +9,15 @@ import (
 )
 
 // stubDisruptor is a hand-steered Disruptor for machine-level tests; the
-// probabilistic injector lives in internal/fault.
+// probabilistic injector lives in internal/fault. It counts the
+// migrations it dropped and the crashes it injected.
 type stubDisruptor struct {
 	factor  map[platform.CoreID]float64
 	migFail bool
 	stall   map[platform.ThreadID]bool
 	crash   map[platform.ThreadID]bool
+
+	dropped, crashes int
 }
 
 func (s *stubDisruptor) CoreFactor(c platform.CoreID, _ sim.Time) float64 {
@@ -25,10 +28,16 @@ func (s *stubDisruptor) CoreFactor(c platform.CoreID, _ sim.Time) float64 {
 }
 
 func (s *stubDisruptor) MigrationFails(platform.ThreadID, platform.CoreID, sim.Time) bool {
+	if s.migFail {
+		s.dropped++
+	}
 	return s.migFail
 }
 
 func (s *stubDisruptor) ThreadFault(id platform.ThreadID, _ sim.Time) (bool, bool) {
+	if s.crash[id] {
+		s.crashes++
+	}
 	return s.stall[id], s.crash[id]
 }
 
@@ -38,7 +47,7 @@ func (s *stubDisruptor) PerturbDelta(_ platform.ThreadID, _ sim.Time, d counters
 
 func TestDisruptorMigrationFailIsSilent(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()
+	fast := coresOf(m.Topology(), platform.FastCore)
 	place(t, m, 0, 0, 1000, Demand{}, fast[0])
 	dis := &stubDisruptor{migFail: true}
 	m.SetDisruptor(dis)
@@ -48,8 +57,8 @@ func TestDisruptorMigrationFailIsSilent(t *testing.T) {
 	if c, _ := m.CoreOf(0); c != fast[0] {
 		t.Errorf("thread moved to %d despite migration failure", c)
 	}
-	if m.MigrationFailures() != 1 {
-		t.Errorf("MigrationFailures = %d, want 1", m.MigrationFailures())
+	if dis.dropped != 1 {
+		t.Errorf("dropped migrations = %d, want 1", dis.dropped)
 	}
 	// Recovery: with the fault gone the same migration takes effect.
 	dis.migFail = false
@@ -63,7 +72,7 @@ func TestDisruptorMigrationFailIsSilent(t *testing.T) {
 
 func TestDisruptorOfflineCoreMakesNoProgress(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()
+	fast := coresOf(m.Topology(), platform.FastCore)
 	place(t, m, 0, 0, 1000, Demand{}, fast[0])
 	dis := &stubDisruptor{factor: map[platform.CoreID]float64{fast[0]: 0}}
 	m.SetDisruptor(dis)
@@ -87,7 +96,7 @@ func TestDisruptorOfflineCoreMakesNoProgress(t *testing.T) {
 
 func TestDisruptorThrottleSlowsCore(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()
+	fast := coresOf(m.Topology(), platform.FastCore)
 	place(t, m, 0, 0, 5000, Demand{}, fast[0])
 	place(t, m, 1, 0, 5000, Demand{}, fast[2]) // distinct physical cores
 	m.SetDisruptor(&stubDisruptor{factor: map[platform.CoreID]float64{fast[0]: 0.5}})
@@ -106,15 +115,16 @@ func TestDisruptorThrottleSlowsCore(t *testing.T) {
 
 func TestDisruptorCrashFinishesThreadEarly(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()
+	fast := coresOf(m.Topology(), platform.FastCore)
 	place(t, m, 0, 0, 1e9, Demand{}, fast[0]) // would run ~forever
-	m.SetDisruptor(&stubDisruptor{crash: map[platform.ThreadID]bool{0: true}})
+	dis := &stubDisruptor{crash: map[platform.ThreadID]bool{0: true}}
+	m.SetDisruptor(dis)
 	m.Step(0, 1)
 	if !m.Done() {
 		t.Fatal("crashed thread still counted as running")
 	}
-	if m.CrashCount() != 1 {
-		t.Errorf("CrashCount = %d, want 1", m.CrashCount())
+	if dis.crashes != 1 {
+		t.Errorf("crashes = %d, want 1", dis.crashes)
 	}
 	if p := m.Progress(0); p >= 1 {
 		t.Errorf("crashed thread reported full progress %v", p)
@@ -123,7 +133,7 @@ func TestDisruptorCrashFinishesThreadEarly(t *testing.T) {
 
 func TestDisruptorStallChargesStallTime(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()
+	fast := coresOf(m.Topology(), platform.FastCore)
 	place(t, m, 0, 0, 1000, Demand{}, fast[0])
 	m.SetDisruptor(&stubDisruptor{stall: map[platform.ThreadID]bool{0: true}})
 	for now := sim.Time(0); now < 20; now++ {
@@ -132,14 +142,14 @@ func TestDisruptorStallChargesStallTime(t *testing.T) {
 	if p := m.Progress(0); p != 0 {
 		t.Errorf("stalled thread progressed: %v", p)
 	}
-	if st := m.ThreadCounters(0).StallTime; st < 20 {
+	if st := m.threads[0].tc.StallTime; st < 20 {
 		t.Errorf("StallTime = %v, want >= 20", st)
 	}
 }
 
 func TestDisruptorAliveCount(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()
+	fast := coresOf(m.Topology(), platform.FastCore)
 	place(t, m, 0, 0, 100, Demand{}, fast[0])
 	place(t, m, 1, 0, 100, Demand{}, fast[2])
 	if m.AliveCount() != len(m.Alive()) {

@@ -69,13 +69,13 @@ func TestSetDVFSEdgeCases(t *testing.T) {
 				}
 				// A rejected call must not have moved the level.
 				if int(tc.core) >= 0 && int(tc.core) < m.Topology().NumCores() {
-					if got := m.DVFSOf(tc.core); got != 0 {
+					if got := m.dvfsLevel[tc.core]; got != 0 {
 						t.Fatalf("rejected SetDVFS moved level to %d", got)
 					}
 				}
 				return
 			}
-			if got := m.DVFSOf(tc.core); got != tc.level {
+			if got := m.dvfsLevel[tc.core]; got != tc.level {
 				t.Fatalf("DVFSOf(%d) = %d, want %d", tc.core, got, tc.level)
 			}
 		})
@@ -95,7 +95,7 @@ func TestSetDVFSNoLadderAcceptsOnlyNominal(t *testing.T) {
 	if err := m.SetDVFS(0, 1); err == nil {
 		t.Fatal("level 1 on ladder-less type: expected error")
 	}
-	if got := m.DVFSLevels(0); got != 1 {
+	if got := m.KindDVFSLevels()[m.topo.Core(0).Kind]; got != 1 {
 		t.Fatalf("DVFSLevels = %d, want 1", got)
 	}
 }
@@ -130,7 +130,7 @@ func dvfsScenario(t *testing.T, schedule func(m *Machine, now sim.Time)) string 
 		digest += fmt.Sprintf("t%d@%d;", id, at)
 	}
 	for c := platform.CoreID(0); int(c) < m.Topology().NumCores(); c++ {
-		digest += fmt.Sprintf("c%d=%d;", c, m.DVFSOf(c))
+		digest += fmt.Sprintf("c%d=%d;", c, m.dvfsLevel[c])
 	}
 	digest += fmt.Sprintf("E=%.9g", m.EnergyJoules())
 	return digest
@@ -199,7 +199,7 @@ func TestSetDVFSMidMigration(t *testing.T) {
 		if !ok {
 			t.Fatal("thread 0 not finished")
 		}
-		return fmt.Sprintf("t0@%d;lvl=%d;E=%.9g", at, m.DVFSOf(0), m.EnergyJoules())
+		return fmt.Sprintf("t0@%d;lvl=%d;E=%.9g", at, m.dvfsLevel[0], m.EnergyJoules())
 	}
 	throttled := scenario(true)
 	if again := scenario(true); again != throttled {

@@ -77,8 +77,8 @@ func churnScenario(t *testing.T, rng *sim.RNG) *Machine {
 	spread := 1 + rng.Intn(3000) // arrival window: dense to sparse
 	for i := 0; i < n; i++ {
 		id := platform.ThreadID(i)
-		dem := Demand{AccessesPerWork: rng.Range(0, 40), MissRatio: rng.Range(0, 0.4)}
-		if err := m.AddThread(id, i%5, ConstProgram{Work: rng.Range(5, 600), Demand: dem}); err != nil {
+		dem := Demand{AccessesPerWork: uniform(rng, 0, 40), MissRatio: uniform(rng, 0, 0.4)}
+		if err := m.AddThread(id, i%5, ConstProgram{Work: uniform(rng, 5, 600), Demand: dem}); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Place(id, platform.CoreID(rng.Intn(m.Topology().NumCores()))); err != nil {
@@ -91,7 +91,7 @@ func churnScenario(t *testing.T, rng *sim.RNG) *Machine {
 		}
 	}
 	for g := 0; g+1 < n && g < 12; g += 3 {
-		if err := m.AddBarrierGroup(rng.Range(5, 50), []platform.ThreadID{platform.ThreadID(g), platform.ThreadID(g + 1)}); err != nil {
+		if err := m.AddBarrierGroup(uniform(rng, 5, 50), []platform.ThreadID{platform.ThreadID(g), platform.ThreadID(g + 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestLiveSetMatchesSlotWalk(t *testing.T) {
 			id := platform.ThreadID(rng.Intn(n))
 			switch r := rng.Intn(100); {
 			case r < 3:
-				if th := m.slots[id]; th.pending(now) {
+				if th := m.slots[id]; !th.finished && th.startAt > now {
 					cover["terminate before arrival"]++
 				} else if th.alive(now) {
 					cover["terminate after arrival"]++
@@ -163,9 +163,9 @@ func TestLiveSetMatchesSlotWalk(t *testing.T) {
 				cover["idle jump"]++
 			}
 			want := oracleAlive(m, now)
-			crashes := m.CrashCount()
+			crashes := dis.crashes
 			m.Step(now, dt)
-			cover["crash"] += m.CrashCount() - crashes
+			cover["crash"] += dis.crashes - crashes
 			for _, th := range m.live {
 				if th.finished && th.tc.Work >= th.prog.TotalWork()-1e-9 {
 					cover["completion"]++

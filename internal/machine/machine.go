@@ -176,9 +176,6 @@ type thread struct {
 // alive reports whether t has arrived by now and not finished.
 func (t *thread) alive(now sim.Time) bool { return !t.finished && t.startAt <= now }
 
-// pending reports whether t has not arrived by now (and not finished).
-func (t *thread) pending(now sim.Time) bool { return !t.finished && t.startAt > now }
-
 // barrierGroup couples threads that synchronise every `interval` work
 // units (the KMEANS model: "excessive inter-thread communication"). No
 // member may run more than one barrier segment ahead of the slowest
@@ -257,9 +254,8 @@ type Machine struct {
 
 	threads map[platform.ThreadID]*thread // by-id lookups for the affinity API
 	// slots holds every registered thread in registration order. Only
-	// admit's rescan and the once-per-quantum queries (Alive, Pending,
-	// Sample, ThreadsOn, AliveCount) walk it; the per-tick loops walk
-	// live.
+	// admit's rescan and the once-per-quantum queries (Alive, Sample,
+	// AliveCount) walk it; the per-tick loops walk live.
 	slots  []*thread
 	groups []*barrierGroup
 	// live is the threads that had arrived and not finished at the last
@@ -295,12 +291,10 @@ type Machine struct {
 
 	disruptor Disruptor
 
-	swaps       int
-	migrations  int
-	migFailures int      // migrations silently dropped by the disruptor
-	crashes     int      // threads terminated by injected crashes
-	lastUtil    float64  // controller utilisation at the end of the last step
-	lastNow     sim.Time // time at the end of the last Step (for arrival checks)
+	swaps      int
+	migrations int
+	lastUtil   float64  // controller utilisation at the end of the last step
+	lastNow    sim.Time // time at the end of the last Step (for arrival checks)
 
 	// Energy accounting, integrated every Step from the lowered power
 	// model: cumulative joules and the per-socket watts of the last step.
@@ -467,19 +461,6 @@ func (m *Machine) nominalMult(k platform.CoreKind) float64 {
 	return 1
 }
 
-// MustNew is New for static configurations known to be valid; it panics
-// on error.
-func MustNew(cfg Config) *Machine {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // SetDisruptor attaches a fault injector (nil detaches). Call before the
 // simulation starts; swapping mid-run is allowed but makes runs depend
 // on when the swap happened.
@@ -487,15 +468,6 @@ func (m *Machine) SetDisruptor(d Disruptor) { m.disruptor = d }
 
 // Topology returns the machine's core topology.
 func (m *Machine) Topology() *platform.Topology { return m.topo }
-
-// ThreadCounters returns a copy of a thread's counter block; the zero
-// block for an unknown id.
-func (m *Machine) ThreadCounters(id platform.ThreadID) counters.ThreadCounters {
-	if t, ok := m.threads[id]; ok {
-		return t.tc
-	}
-	return counters.ThreadCounters{}
-}
 
 // AddThread registers a thread with its program and owning benchmark id.
 // Threads must be added before the simulation starts and placed with
@@ -611,7 +583,6 @@ func (m *Machine) Migrate(id platform.ThreadID, core platform.CoreID, now sim.Ti
 		// The affinity change is silently lost: the thread stays where it
 		// was and no error surfaces. Schedulers that care must verify the
 		// move took effect (core.Migrator does).
-		m.migFailures++
 		return nil
 	}
 	// Cross-socket moves strand the thread's pages on the remote NUMA
@@ -668,14 +639,6 @@ func (m *Machine) SwapCount() int { return m.swaps }
 // MigrationCount returns the number of individual thread migrations.
 func (m *Machine) MigrationCount() int { return m.migrations }
 
-// MigrationFailures returns how many migrations the disruptor silently
-// dropped.
-func (m *Machine) MigrationFailures() int { return m.migFailures }
-
-// CrashCount returns how many threads were terminated by injected
-// crashes.
-func (m *Machine) CrashCount() int { return m.crashes }
-
 // AliveCount implements sim.LiveCounter for horizon diagnostics.
 func (m *Machine) AliveCount() int {
 	n := 0
@@ -724,23 +687,6 @@ func (m *Machine) Alive() []platform.ThreadID {
 	out := make([]platform.ThreadID, 0, m.AliveCount())
 	for _, t := range m.slots {
 		if t.alive(m.lastNow) {
-			out = append(out, t.id)
-		}
-	}
-	return out
-}
-
-// Pending returns the ids of threads that have not arrived yet.
-func (m *Machine) Pending() []platform.ThreadID {
-	n := 0
-	for _, t := range m.slots {
-		if t.pending(m.lastNow) {
-			n++
-		}
-	}
-	out := make([]platform.ThreadID, 0, n)
-	for _, t := range m.slots {
-		if t.pending(m.lastNow) {
 			out = append(out, t.id)
 		}
 	}
@@ -1063,7 +1009,6 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 				t.finished = true
 				t.finishAt = now + dt
 				m.unfinished--
-				m.crashes++
 				continue
 			}
 			if stalled {
@@ -1209,23 +1154,6 @@ func (m *Machine) PowerWatts() float64 {
 	return t
 }
 
-// DVFSOf returns a core's current DVFS level (0 = nominal).
-func (m *Machine) DVFSOf(core platform.CoreID) int {
-	if int(core) < 0 || int(core) >= m.topo.NumCores() {
-		return 0
-	}
-	return m.dvfsLevel[core]
-}
-
-// DVFSLevels returns how many DVFS levels a core's type declares (at
-// least 1: the nominal level).
-func (m *Machine) DVFSLevels(core platform.CoreID) int {
-	if int(core) < 0 || int(core) >= m.topo.NumCores() {
-		return 1
-	}
-	return max(len(m.dvfsTab[m.topo.Core(core).Kind]), 1)
-}
-
 // KindDVFSLevels returns the per-kind DVFS level counts (index =
 // CoreKind, at least 1 each). Governors bind to this table so their
 // throttle grids match the machine's actual frequency ladders.
@@ -1234,32 +1162,5 @@ func (m *Machine) KindDVFSLevels() []int {
 	for k, tab := range m.dvfsTab {
 		out[k] = max(len(tab), 1)
 	}
-	return out
-}
-
-// NumMemDomains returns the number of independent memory controller
-// domains (1 for any spec with SharedMem, such as Table I).
-func (m *Machine) NumMemDomains() int { return len(m.ctrls) }
-
-// PlacementSnapshot returns a fresh map from every registered thread's id
-// to the core it is currently bound to. Used by traces and tests.
-func (m *Machine) PlacementSnapshot() map[platform.ThreadID]platform.CoreID {
-	out := make(map[platform.ThreadID]platform.CoreID, len(m.slots))
-	for _, t := range m.slots {
-		out[t.id] = t.core
-	}
-	return out
-}
-
-// ThreadsOn returns the unfinished threads currently bound to core c, in
-// ascending thread-id order.
-func (m *Machine) ThreadsOn(c platform.CoreID) []platform.ThreadID {
-	var out []platform.ThreadID
-	for _, t := range m.slots {
-		if t.alive(m.lastNow) && t.core == c {
-			out = append(out, t.id)
-		}
-	}
-	slices.Sort(out)
 	return out
 }

@@ -29,6 +29,52 @@ func place(t *testing.T, m *Machine, id platform.ThreadID, bench int, work float
 	}
 }
 
+// ConstProgram is the simplest Program: fixed total work with constant
+// demand.
+type ConstProgram struct {
+	Work   float64
+	Demand Demand
+}
+
+func (p ConstProgram) TotalWork() float64 { return p.Work }
+
+func (p ConstProgram) DemandAt(float64, sim.Time) (Demand, Window) { return p.Demand, Forever() }
+
+// coresOf lists topo's logical cores of kind k in id order.
+func coresOf(topo *platform.Topology, k platform.CoreKind) []platform.CoreID {
+	var out []platform.CoreID
+	for _, c := range topo.Cores() {
+		if c.Kind == k {
+			out = append(out, c.ID)
+		}
+	}
+	return out
+}
+
+// siblings lists the logical cores sharing id's physical core, id
+// included.
+func siblings(topo *platform.Topology, id platform.CoreID) []platform.CoreID {
+	var out []platform.CoreID
+	for _, c := range topo.Cores() {
+		if c.Physical == topo.Core(id).Physical {
+			out = append(out, c.ID)
+		}
+	}
+	return out
+}
+
+// threadsOn lists the unfinished, arrived threads bound to core c, in
+// registration order.
+func threadsOn(m *Machine, c platform.CoreID) []platform.ThreadID {
+	var out []platform.ThreadID
+	for _, t := range m.slots {
+		if t.alive(m.lastNow) && t.core == c {
+			out = append(out, t.id)
+		}
+	}
+	return out
+}
+
 // run steps the machine until done or the deadline.
 func run(t *testing.T, m *Machine, deadline sim.Time) sim.Time {
 	t.Helper()
@@ -77,7 +123,7 @@ func TestSingleThreadRuntime(t *testing.T) {
 	m := testMachine(t)
 	// Pure compute thread on a fast core: ~2.33 work/ms, 2330 work ->
 	// about 1000 ms (slightly more due to hit latency).
-	place(t, m, 0, 0, 2330, Demand{AccessesPerWork: 0, MissRatio: 0}, m.Topology().FastCores()[0])
+	place(t, m, 0, 0, 2330, Demand{AccessesPerWork: 0, MissRatio: 0}, coresOf(m.Topology(), platform.FastCore)[0])
 	done := run(t, m, 5000)
 	if done < 990 || done > 1100 {
 		t.Errorf("runtime = %v, want ~1000", done)
@@ -91,8 +137,8 @@ func TestFastVsSlowCoreRatio(t *testing.T) {
 		return run(t, m, 20000)
 	}
 	mTmp := testMachine(t)
-	fast := run1(mTmp.Topology().FastCores()[0])
-	slow := run1(mTmp.Topology().SlowCores()[0])
+	fast := run1(coresOf(mTmp.Topology(), platform.FastCore)[0])
+	slow := run1(coresOf(mTmp.Topology(), platform.SlowCore)[0])
 	ratio := float64(slow) / float64(fast)
 	want := 2.33 / 1.21
 	if math.Abs(ratio-want) > 0.1 {
@@ -102,18 +148,18 @@ func TestFastVsSlowCoreRatio(t *testing.T) {
 
 func TestSMTPenaltyApplies(t *testing.T) {
 	mSolo := testMachine(t)
-	fast := mSolo.Topology().FastCores()
+	fast := coresOf(mSolo.Topology(), platform.FastCore)
 	place(t, mSolo, 0, 0, 1000, Demand{}, fast[0])
 	solo := run(t, mSolo, 20000)
 
 	mPair := testMachine(t)
-	sib := mPair.Topology().Siblings(fast[0])
+	sib := siblings(mPair.Topology(), fast[0])
 	place(t, mPair, 0, 0, 1000, Demand{}, sib[0])
 	place(t, mPair, 1, 0, 1000, Demand{}, sib[1])
 	paired := run(t, mPair, 20000)
 
 	ratio := float64(paired) / float64(solo)
-	want := 1 / mPair.Config().SMTPenalty
+	want := 1 / mPair.cfg.SMTPenalty
 	if math.Abs(ratio-want) > 0.05 {
 		t.Errorf("SMT slowdown = %v, want ~%v", ratio, want)
 	}
@@ -122,7 +168,7 @@ func TestSMTPenaltyApplies(t *testing.T) {
 func TestLaneTimeSharing(t *testing.T) {
 	// Two threads on the SAME logical core split it.
 	m := testMachine(t)
-	core := m.Topology().FastCores()[0]
+	core := coresOf(m.Topology(), platform.FastCore)[0]
 	place(t, m, 0, 0, 500, Demand{}, core)
 	place(t, m, 1, 0, 500, Demand{}, core)
 	done := run(t, m, 20000)
@@ -137,11 +183,11 @@ func TestLaneTimeSharing(t *testing.T) {
 func TestContentionSlowsMemoryThreads(t *testing.T) {
 	mem := Demand{AccessesPerWork: 10, MissRatio: 0.55}
 	mSolo := testMachine(t)
-	place(t, mSolo, 0, 0, 1000, mem, mSolo.Topology().FastCores()[0])
+	place(t, mSolo, 0, 0, 1000, mem, coresOf(mSolo.Topology(), platform.FastCore)[0])
 	solo := run(t, mSolo, 60000)
 
 	mBusy := testMachine(t)
-	fast := mBusy.Topology().FastCores()
+	fast := coresOf(mBusy.Topology(), platform.FastCore)
 	for i := 0; i < 16; i++ {
 		place(t, mBusy, platform.ThreadID(i), 0, 1000, mem, fast[i])
 	}
@@ -153,8 +199,8 @@ func TestContentionSlowsMemoryThreads(t *testing.T) {
 
 func TestMigrationMechanics(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()[0]
-	slow := m.Topology().SlowCores()[0]
+	fast := coresOf(m.Topology(), platform.FastCore)[0]
+	slow := coresOf(m.Topology(), platform.SlowCore)[0]
 	place(t, m, 0, 0, 1e6, Demand{AccessesPerWork: 5, MissRatio: 0.3}, fast)
 	m.Step(0, 1)
 	if err := m.Migrate(0, slow, 1); err != nil {
@@ -167,16 +213,16 @@ func TestMigrationMechanics(t *testing.T) {
 	if m.MigrationCount() != 1 {
 		t.Errorf("migration count = %d", m.MigrationCount())
 	}
-	if m.ThreadCounters(0).Migrations != 1 {
-		t.Errorf("thread migration counter = %d", m.ThreadCounters(0).Migrations)
+	if m.threads[0].tc.Migrations != 1 {
+		t.Errorf("thread migration counter = %d", m.threads[0].tc.Migrations)
 	}
 	// During the stall the thread makes no progress.
-	before := m.ThreadCounters(0).Work
+	before := m.threads[0].tc.Work
 	m.Step(1, 1)
-	if m.ThreadCounters(0).Work != before {
+	if m.threads[0].tc.Work != before {
 		t.Error("thread progressed during migration stall")
 	}
-	if m.ThreadCounters(0).StallTime == 0 {
+	if m.threads[0].tc.StallTime == 0 {
 		t.Error("stall time not accounted")
 	}
 	// Migrating to the same core is a no-op.
@@ -190,8 +236,8 @@ func TestMigrationMechanics(t *testing.T) {
 
 func TestSwapMechanics(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()[0]
-	slow := m.Topology().SlowCores()[0]
+	fast := coresOf(m.Topology(), platform.FastCore)[0]
+	slow := coresOf(m.Topology(), platform.SlowCore)[0]
 	place(t, m, 0, 0, 1e6, Demand{}, fast)
 	place(t, m, 1, 0, 1e6, Demand{}, slow)
 	if err := m.Swap(0, 1, 0); err != nil {
@@ -216,8 +262,8 @@ func TestSwapMechanics(t *testing.T) {
 
 func TestColdCachePenaltyDecays(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()[0]
-	slow := m.Topology().SlowCores()[0]
+	fast := coresOf(m.Topology(), platform.FastCore)[0]
+	slow := coresOf(m.Topology(), platform.SlowCore)[0]
 	place(t, m, 0, 0, 1e6, Demand{AccessesPerWork: 10, MissRatio: 0.4}, fast)
 	th := m.threads[0]
 	coldFactor := func(now sim.Time) float64 {
@@ -245,8 +291,8 @@ func TestColdCachePenaltyDecays(t *testing.T) {
 
 func TestLocalVsRemoteMigrationPenalty(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()
-	slow := m.Topology().SlowCores()
+	fast := coresOf(m.Topology(), platform.FastCore)
+	slow := coresOf(m.Topology(), platform.SlowCore)
 	place(t, m, 0, 0, 1e6, Demand{AccessesPerWork: 10, MissRatio: 0.4}, fast[0])
 	place(t, m, 1, 0, 1e6, Demand{AccessesPerWork: 10, MissRatio: 0.4}, fast[2])
 	// Cross-socket move: big penalty plus NUMA latency factor.
@@ -271,8 +317,8 @@ func TestLocalVsRemoteMigrationPenalty(t *testing.T) {
 
 func TestBarrierGroupCouplesProgress(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()[0]
-	slow := m.Topology().SlowCores()[0]
+	fast := coresOf(m.Topology(), platform.FastCore)[0]
+	slow := coresOf(m.Topology(), platform.SlowCore)[0]
 	dem := Demand{AccessesPerWork: 1, MissRatio: 0.05}
 	place(t, m, 0, 0, 1000, dem, fast)
 	place(t, m, 1, 0, 1000, dem, slow)
@@ -282,8 +328,8 @@ func TestBarrierGroupCouplesProgress(t *testing.T) {
 	for now := sim.Time(0); now < 200; now++ {
 		m.Step(now, 1)
 	}
-	w0 := m.ThreadCounters(0).Work
-	w1 := m.ThreadCounters(1).Work
+	w0 := m.threads[0].tc.Work
+	w1 := m.threads[1].tc.Work
 	// The fast thread may be at most one barrier segment ahead.
 	if w0-w1 > 50+1e-9 {
 		t.Errorf("barrier violated: fast at %v, slow at %v", w0, w1)
@@ -295,8 +341,8 @@ func TestBarrierGroupCouplesProgress(t *testing.T) {
 
 func TestBarrierFinishedMembersReleaseGroup(t *testing.T) {
 	m := testMachine(t)
-	fast := m.Topology().FastCores()[0]
-	slow := m.Topology().SlowCores()[0]
+	fast := coresOf(m.Topology(), platform.FastCore)[0]
+	slow := coresOf(m.Topology(), platform.SlowCore)[0]
 	dem := Demand{}
 	place(t, m, 0, 0, 100, dem, fast) // finishes early
 	place(t, m, 1, 0, 1000, dem, slow)
@@ -326,9 +372,9 @@ func TestBarrierValidation(t *testing.T) {
 func TestThreadAccounting(t *testing.T) {
 	m := testMachine(t)
 	dem := Demand{AccessesPerWork: 4, MissRatio: 0.5}
-	place(t, m, 0, 0, 100, dem, m.Topology().FastCores()[0])
+	place(t, m, 0, 0, 100, dem, coresOf(m.Topology(), platform.FastCore)[0])
 	done := run(t, m, 10000)
-	tc := m.ThreadCounters(0)
+	tc := m.threads[0].tc
 	if math.Abs(tc.Work-100) > 1e-6 {
 		t.Errorf("work = %v, want 100", tc.Work)
 	}
@@ -349,7 +395,7 @@ func TestThreadAccounting(t *testing.T) {
 		t.Errorf("progress = %v, want 1", m.Progress(0))
 	}
 	// Core counters saw the same misses.
-	cc := m.coreCtr[m.Topology().FastCores()[0]]
+	cc := m.coreCtr[coresOf(m.Topology(), platform.FastCore)[0]]
 	if math.Abs(cc.ServedMisses-200) > 1e-6 {
 		t.Errorf("core served = %v, want 200", cc.ServedMisses)
 	}
@@ -410,10 +456,10 @@ func TestAliveAndThreadsOn(t *testing.T) {
 	if len(alive) != 1 || alive[0] != 1 {
 		t.Errorf("Alive = %v, want [1]", alive)
 	}
-	if got := m.ThreadsOn(0); len(got) != 0 {
+	if got := threadsOn(m, 0); len(got) != 0 {
 		t.Errorf("ThreadsOn(0) = %v, want empty (occupant finished)", got)
 	}
-	if got := m.ThreadsOn(1); len(got) != 1 || got[0] != 1 {
+	if got := threadsOn(m, 1); len(got) != 1 || got[0] != 1 {
 		t.Errorf("ThreadsOn(1) = %v", got)
 	}
 	b, err := m.BenchOf(1)
@@ -437,16 +483,7 @@ func TestDeterminism(t *testing.T) {
 	if d1 != d2 {
 		t.Errorf("runs diverged: %v vs %v", d1, d2)
 	}
-	if m1.ThreadCounters(3).Misses != m2.ThreadCounters(3).Misses {
+	if m1.threads[3].tc.Misses != m2.threads[3].tc.Misses {
 		t.Error("counter state diverged")
-	}
-}
-
-func TestPlacementSnapshot(t *testing.T) {
-	m := testMachine(t)
-	place(t, m, 0, 0, 10, Demand{}, 5)
-	snap := m.PlacementSnapshot()
-	if snap[0] != 5 {
-		t.Errorf("snapshot = %v", snap)
 	}
 }

@@ -73,7 +73,10 @@ var kindNames = [numKinds]string{"saturated", "unsaturated", "borderline", "no-c
 // specials are the values a bad-coefficient case plants.
 var specials = []float64{-1, -1e-300, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64}
 
-func uniform(rng *rand.Rand, lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+// uniform draws from [lo, hi) with a *rand.Rand or a *sim.RNG.
+func uniform(rng interface{ Float64() float64 }, lo, hi float64) float64 {
+	return lo + (hi-lo)*rng.Float64()
+}
 
 // genSolveCase draws one input of the given kind.
 func genSolveCase(rng *rand.Rand, kind int) solveCase {

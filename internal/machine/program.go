@@ -55,16 +55,3 @@ type Program interface {
 	// machine asks again only once the thread leaves the window.
 	DemandAt(work float64, now sim.Time) (Demand, Window)
 }
-
-// ConstProgram is the simplest Program: fixed total work with constant
-// demand. It is the workhorse of unit tests and micro-benchmarks.
-type ConstProgram struct {
-	Work   float64
-	Demand Demand
-}
-
-// TotalWork implements Program.
-func (p ConstProgram) TotalWork() float64 { return p.Work }
-
-// DemandAt implements Program. The demand holds forever.
-func (p ConstProgram) DemandAt(float64, sim.Time) (Demand, Window) { return p.Demand, Forever() }

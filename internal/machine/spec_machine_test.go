@@ -104,13 +104,13 @@ func TestDVFSSlowsCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.DVFSLevels(0); got != 2 {
+		if got := m.KindDVFSLevels()[m.topo.Core(0).Kind]; got != 2 {
 			t.Fatalf("DVFSLevels = %d, want 2", got)
 		}
 		if err := m.SetDVFS(0, level); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.DVFSOf(0); got != level {
+		if got := m.dvfsLevel[0]; got != level {
 			t.Fatalf("DVFSOf = %d, want %d", got, level)
 		}
 		place(t, m, 0, 0, 1000, Demand{}, 0)
@@ -192,14 +192,14 @@ func TestNumMemDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := table1.NumMemDomains(); got != 1 {
+	if got := len(table1.ctrls); got != 1 {
 		t.Errorf("Table I machine has %d mem domains, want 1", got)
 	}
 	split, err := New(specConfig(twoSocketSpec()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := split.NumMemDomains(); got != 2 {
+	if got := len(split.ctrls); got != 2 {
 		t.Errorf("two-socket spec has %d mem domains, want 2", got)
 	}
 	shared := twoSocketSpec()
@@ -208,7 +208,7 @@ func TestNumMemDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sm.NumMemDomains(); got != 1 {
+	if got := len(sm.ctrls); got != 1 {
 		t.Errorf("shared-mem spec has %d mem domains, want 1", got)
 	}
 }

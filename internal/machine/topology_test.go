@@ -21,8 +21,8 @@ func TestBuildTopologyCounts(t *testing.T) {
 	if topo.NumCores() != 40 {
 		t.Fatalf("NumCores = %d, want 40", topo.NumCores())
 	}
-	if len(topo.FastCores()) != 20 || len(topo.SlowCores()) != 20 {
-		t.Errorf("fast/slow split = %d/%d, want 20/20", len(topo.FastCores()), len(topo.SlowCores()))
+	if len(coresOf(topo, platform.FastCore)) != 20 || len(coresOf(topo, platform.SlowCore)) != 20 {
+		t.Errorf("fast/slow split = %d/%d, want 20/20", len(coresOf(topo, platform.FastCore)), len(coresOf(topo, platform.SlowCore)))
 	}
 	if topo.NumSockets() != 2 || topo.NumKinds() != 2 {
 		t.Errorf("%d sockets, %d kinds; want 2, 2", topo.NumSockets(), topo.NumKinds())
@@ -38,39 +38,32 @@ func TestTopologyDenseIDs(t *testing.T) {
 	}
 }
 
+// TestTopologySiblings: each of the Table I machine's 20 physical cores
+// has two SMT lanes of one kind.
 func TestTopologySiblings(t *testing.T) {
 	topo := defaultTopology(t)
+	lanes := map[int][]platform.Core{}
 	for _, c := range topo.Cores() {
-		sib := topo.Siblings(c.ID)
-		if len(sib) != 2 {
-			t.Fatalf("core %d has %d siblings, want 2", c.ID, len(sib))
-		}
-		found := false
-		for _, s := range sib {
-			if s == c.ID {
-				found = true
-			}
-			if topo.Core(s).Physical != c.Physical {
-				t.Fatalf("sibling %d on different physical core", s)
-			}
-			if topo.Core(s).Kind != c.Kind {
-				t.Fatalf("sibling %d has different kind", s)
-			}
-		}
-		if !found {
-			t.Fatalf("Siblings(%d) does not include itself", c.ID)
+		lanes[c.Physical] = append(lanes[c.Physical], c)
+	}
+	if len(lanes) != 20 {
+		t.Fatalf("%d physical cores, want 20", len(lanes))
+	}
+	for phys, cs := range lanes {
+		if len(cs) != 2 || cs[0].Kind != cs[1].Kind {
+			t.Fatalf("physical core %d has lanes %+v, want two of one kind", phys, cs)
 		}
 	}
 }
 
 func TestTopologySpeeds(t *testing.T) {
 	topo := defaultTopology(t)
-	for _, id := range topo.FastCores() {
+	for _, id := range coresOf(topo, platform.FastCore) {
 		if topo.Core(id).Speed != 2.33 {
 			t.Fatalf("fast core speed = %v", topo.Core(id).Speed)
 		}
 	}
-	for _, id := range topo.SlowCores() {
+	for _, id := range coresOf(topo, platform.SlowCore) {
 		if topo.Core(id).Speed != 1.21 {
 			t.Fatalf("slow core speed = %v", topo.Core(id).Speed)
 		}

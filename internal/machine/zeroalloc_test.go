@@ -183,7 +183,7 @@ func TestStepZeroAlloc(t *testing.T) {
 		}, perturb: func(m *Machine, now sim.Time) {
 			if now%3 == 0 {
 				c := platform.CoreID(now / 3 % 6)
-				if err := m.SetDVFS(c, int(now)%m.DVFSLevels(c)); err != nil {
+				if err := m.SetDVFS(c, int(now)%m.KindDVFSLevels()[m.topo.Core(c).Kind]); err != nil {
 					panic(err)
 				}
 			}
@@ -372,7 +372,10 @@ func TestAddThreadAllocs(t *testing.T) {
 	}
 	build := func(threads int) func() {
 		return func() {
-			m := MustNew(DefaultConfig())
+			m, err := New(DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, prog := range progs[:threads] {
 				if err := m.AddThread(platform.ThreadID(i), 0, prog); err != nil {
 					t.Fatal(err)

@@ -14,7 +14,10 @@ import (
 // a fixed placement and returns the machine plus instance.
 func finishedMachine(t *testing.T) (*machine.Machine, *workload.Instance) {
 	t.Helper()
-	m := machine.MustNew(machine.DefaultConfig())
+	m, err := machine.New(machine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cat := workload.Profiles()
 	w := &workload.Workload{
 		Name: "mtest",
@@ -85,7 +88,10 @@ func TestCollect(t *testing.T) {
 }
 
 func TestCollectUnfinished(t *testing.T) {
-	m := machine.MustNew(machine.DefaultConfig())
+	m, err := machine.New(machine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cat := workload.Profiles()
 	w := &workload.Workload{Name: "u", Benchmarks: []workload.Benchmark{{Profile: cat["jacobi"], Threads: 2}}}
 	inst, err := w.Build(m, workload.BuildOptions{})

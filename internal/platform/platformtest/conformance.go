@@ -85,7 +85,10 @@ func Conformance(t *testing.T, inst *Instance) {
 	if topo.NumKinds() < 1 {
 		t.Errorf("NumKinds = %d, want >= 1", topo.NumKinds())
 	}
+	// populated counts each kind's cores; speed is a kind's lowest-id
+	// core's, the one KindsBySpeed ranks it by.
 	populated := map[platform.CoreKind]int{}
+	speed := map[platform.CoreKind]float64{}
 	for i := 0; i < n; i++ {
 		c := topo.Core(platform.CoreID(i))
 		if c.Socket < 0 || c.Socket >= topo.NumSockets() {
@@ -100,6 +103,9 @@ func Conformance(t *testing.T, inst *Instance) {
 		if topo.KindName(c.Kind) == "" {
 			t.Errorf("kind %d has empty name", c.Kind)
 		}
+		if populated[c.Kind] == 0 {
+			speed[c.Kind] = c.Speed
+		}
 		populated[c.Kind]++
 	}
 	ranked := topo.KindsBySpeed()
@@ -107,21 +113,11 @@ func Conformance(t *testing.T, inst *Instance) {
 		t.Errorf("KindsBySpeed lists %d kinds, %d populated", len(ranked), len(populated))
 	}
 	for i, k := range ranked {
-		ids := topo.CoresOfKind(k)
-		if len(ids) != populated[k] {
-			t.Errorf("CoresOfKind(%v) lists %d cores, want %d", k, len(ids), populated[k])
+		if populated[k] == 0 {
+			t.Errorf("KindsBySpeed lists kind %v, which has no core", k)
 		}
-		for _, id := range ids {
-			if topo.Core(id).Kind != k {
-				t.Errorf("CoresOfKind(%v) lists core %d of kind %v", k, id, topo.Core(id).Kind)
-			}
-		}
-		if i > 0 {
-			prev := topo.Core(topo.CoresOfKind(ranked[i-1])[0]).Speed
-			cur := topo.Core(ids[0]).Speed
-			if cur > prev {
-				t.Errorf("KindsBySpeed out of order: kind %v (%v) after %v (%v)", k, cur, ranked[i-1], prev)
-			}
+		if i > 0 && speed[k] > speed[ranked[i-1]] {
+			t.Errorf("KindsBySpeed out of order: kind %v (%v) after %v (%v)", k, speed[k], ranked[i-1], speed[ranked[i-1]])
 		}
 	}
 

@@ -208,11 +208,15 @@ func TestBuildMachineTopology(t *testing.T) {
 		}
 	}
 	// SMT siblings share a physical core; the little cores have none.
-	if sib := topo.Siblings(0); len(sib) != 2 {
-		t.Errorf("big core 0 has %d lanes on its physical, want 2", len(sib))
+	lanes := map[int]int{}
+	for _, c := range topo.Cores() {
+		lanes[c.Physical]++
 	}
-	if sib := topo.Siblings(4); len(sib) != 1 {
-		t.Errorf("little core 4 has %d lanes on its physical, want 1", len(sib))
+	if n := lanes[topo.Core(0).Physical]; n != 2 {
+		t.Errorf("big core 0 has %d lanes on its physical, want 2", n)
+	}
+	if n := lanes[topo.Core(4).Physical]; n != 1 {
+		t.Errorf("little core 4 has %d lanes on its physical, want 1", n)
 	}
 	// KindsBySpeed ranks big (2.6) ahead of little (1.0) even though the
 	// type table declares little first.

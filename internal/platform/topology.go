@@ -53,8 +53,6 @@ type Core struct {
 // a physical core.
 type Topology struct {
 	cores []Core
-	// siblings[physical] lists the logical cores on that physical core.
-	siblings map[int][]CoreID
 	// kindNames[k] names core type k; len(kindNames) is the number of
 	// kinds the topology declares.
 	kindNames  []string
@@ -69,7 +67,7 @@ func BuildMachineTopology(spec *MachineSpec) (*Topology, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Topology{siblings: make(map[int][]CoreID), numSockets: len(spec.Sockets)}
+	t := &Topology{numSockets: len(spec.Sockets)}
 	for _, ct := range spec.CoreTypes {
 		t.kindNames = append(t.kindNames, ct.Name)
 	}
@@ -83,7 +81,6 @@ func BuildMachineTopology(spec *MachineSpec) (*Topology, error) {
 				for w := 0; w < ct.SMTWays; w++ {
 					c := Core{ID: id, Kind: CoreKind(ti), Speed: ct.Speed, Physical: phys, Socket: si}
 					t.cores = append(t.cores, c)
-					t.siblings[phys] = append(t.siblings[phys], id)
 					id++
 				}
 				phys++
@@ -93,13 +90,6 @@ func BuildMachineTopology(spec *MachineSpec) (*Topology, error) {
 	return t, nil
 }
 
-// NewTopology reconstructs a Topology from an explicit core list (e.g. a
-// deserialized recording header), using default kind names. Core ids
-// must be dense in [0, len).
-func NewTopology(cores []Core) (*Topology, error) {
-	return NewTopologyNamed(cores, nil)
-}
-
 // NewTopologyNamed reconstructs a Topology from an explicit core list
 // and kind-name table. A nil or short names slice is padded with the
 // kinds' default names.
@@ -107,7 +97,7 @@ func NewTopologyNamed(cores []Core, names []string) (*Topology, error) {
 	if len(cores) == 0 {
 		return nil, errors.New("platform: no cores")
 	}
-	t := &Topology{siblings: make(map[int][]CoreID)}
+	t := &Topology{}
 	maxKind := CoreKind(0)
 	for i, c := range cores {
 		if int(c.ID) != i {
@@ -129,7 +119,6 @@ func NewTopologyNamed(cores []Core, names []string) (*Topology, error) {
 			t.numSockets = c.Socket + 1
 		}
 		t.cores = append(t.cores, c)
-		t.siblings[c.Physical] = append(t.siblings[c.Physical], c.ID)
 	}
 	nKinds := int(maxKind) + 1
 	if nKinds < 2 {
@@ -166,12 +155,6 @@ func (t *Topology) Core(id CoreID) Core {
 
 // Cores returns all logical cores in id order (shared slice; do not mutate).
 func (t *Topology) Cores() []Core { return t.cores }
-
-// Siblings returns the logical cores sharing core id's physical core,
-// including id itself.
-func (t *Topology) Siblings(id CoreID) []CoreID {
-	return t.siblings[t.Core(id).Physical]
-}
 
 // NumKinds returns the number of core types the topology declares.
 func (t *Topology) NumKinds() int { return len(t.kindNames) }
@@ -212,23 +195,4 @@ func (t *Topology) KindsBySpeed() []CoreKind {
 		return kinds[i] < kinds[j]
 	})
 	return kinds
-}
-
-// CoresOfKind returns the ids of all logical cores of type k.
-func (t *Topology) CoresOfKind(k CoreKind) []CoreID { return t.kind(k) }
-
-// FastCores returns the ids of all fast logical cores.
-func (t *Topology) FastCores() []CoreID { return t.kind(FastCore) }
-
-// SlowCores returns the ids of all slow logical cores.
-func (t *Topology) SlowCores() []CoreID { return t.kind(SlowCore) }
-
-func (t *Topology) kind(k CoreKind) []CoreID {
-	var out []CoreID
-	for _, c := range t.cores {
-		if c.Kind == k {
-			out = append(out, c.ID)
-		}
-	}
-	return out
 }

@@ -69,18 +69,6 @@ func (g *grid) step(act Actuator, socket, delta int) {
 	}
 }
 
-// throttled reports whether any kind on any socket is above level 0.
-func (g *grid) throttled() bool {
-	for s := range g.lvl {
-		for _, l := range g.lvl[s] {
-			if l > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ondemand is the fixed-cap governor: each invocation compares every
 // socket's draw against the watt budget and steps the whole socket's
 // DVFS one level down (slower) when over, one level up when comfortably

@@ -133,9 +133,6 @@ func (p *Player) Meta() Meta {
 	return Meta{Policy: p.hdr.Policy, Seed: p.hdr.Seed, PolicyConfig: p.hdr.PolicyConfig, Static: p.hdr.Static, Power: p.hdr.Power}
 }
 
-// Quanta returns how many quantum boundaries have been replayed.
-func (p *Player) Quanta() int { return p.quanta }
-
 // LastTime returns the simulated time of the most recent event.
 func (p *Player) LastTime() sim.Time { return p.lastNow }
 

@@ -56,7 +56,7 @@ func record(t *testing.T) ([]byte, map[platform.ThreadID]platform.CoreID) {
 	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), m.PlacementSnapshot()
+	return buf.Bytes(), platformtest.Placement(m)
 }
 
 // drive replays the same script against a player; any step may be
@@ -140,9 +140,6 @@ func TestPlayerReproducesRecording(t *testing.T) {
 		if got != want {
 			t.Errorf("thread %d replayed to core %d, machine ended on %d", id, got, want)
 		}
-	}
-	if p.Quanta() != 2 {
-		t.Errorf("quanta = %d, want 2", p.Quanta())
 	}
 }
 

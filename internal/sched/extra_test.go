@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dike/internal/platform"
+	"dike/internal/platform/platformtest"
 	"dike/internal/sim"
 )
 
@@ -15,10 +16,10 @@ func TestRotateMovesEveryThread(t *testing.T) {
 		t.Error("identity wrong")
 	}
 	r.Quantum(0) // placement
-	before := m.PlacementSnapshot()
+	before := platformtest.Placement(m)
 	m.Step(0, 1)
 	r.Quantum(1000)
-	after := m.PlacementSnapshot()
+	after := platformtest.Placement(m)
 	moved := 0
 	for id := range before {
 		if before[id] != after[id] {

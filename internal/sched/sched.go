@@ -114,32 +114,7 @@ func (c *CFS) Quantum(sim.Time) error {
 	return nil
 }
 
-// Null is a policy that places threads once and never acts. Its
-// placement and its 1000 ms polling period are CFS's, so a run under
-// Null computes what the same run under CFS does; standalone
-// (single-application) runs use it so Fig 1's baselines are unscheduled.
-type Null struct {
-	p      platform.Platform
-	seed   uint64
-	placed bool
-}
-
-// NewNull returns the do-nothing policy.
-func NewNull(p platform.Platform, seed uint64) *Null { return &Null{p: p, seed: seed} }
-
-// Name implements sim.Policy.
-func (n *Null) Name() string { return "null" }
-
-// QuantaLength implements sim.Policy.
-func (n *Null) QuantaLength() sim.Time { return 1000 }
-
-// Quantum implements sim.Policy.
-func (n *Null) Quantum(sim.Time) error {
-	if !n.placed {
-		if err := SpreadPlacement(n.p, n.seed); err != nil {
-			return err
-		}
-		n.placed = true
-	}
-	return nil
-}
+// NewNull returns CFS: an unscheduled run places threads once and never
+// acts, which is what CFS does. The traced benchmark build
+// (cmd/dikeperf/trace.go) is its only caller; ROADMAP item 2 deletes it.
+func NewNull(p platform.Platform, seed uint64) *CFS { return NewCFS(p, seed) }

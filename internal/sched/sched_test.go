@@ -72,8 +72,8 @@ func TestSpreadPlacementDeterministic(t *testing.T) {
 	if err := SpreadPlacement(m2, 7); err != nil {
 		t.Fatal(err)
 	}
-	p1 := m1.PlacementSnapshot()
-	p2 := m2.PlacementSnapshot()
+	p1 := platformtest.Placement(m1)
+	p2 := platformtest.Placement(m2)
 	for id, c := range p1 {
 		if p2[id] != c {
 			t.Fatalf("placement diverged at thread %d", id)
@@ -111,10 +111,10 @@ func TestCFSPlacesOnceAndOnlyOnce(t *testing.T) {
 		t.Error("quanta not positive")
 	}
 	cfs.Quantum(0)
-	before := m.PlacementSnapshot()
+	before := platformtest.Placement(m)
 	m.Step(0, 1)
 	cfs.Quantum(1000)
-	after := m.PlacementSnapshot()
+	after := platformtest.Placement(m)
 	for id := range before {
 		if before[id] != after[id] {
 			t.Fatal("CFS moved a thread after initial placement")
@@ -122,19 +122,6 @@ func TestCFSPlacesOnceAndOnlyOnce(t *testing.T) {
 	}
 	if m.MigrationCount() != 0 {
 		t.Error("CFS migrated threads")
-	}
-}
-
-func TestNullPolicy(t *testing.T) {
-	m, _ := buildMachine(t, 1, 0.1)
-	n := NewNull(m, 42)
-	if n.Name() != "null" {
-		t.Error("name wrong")
-	}
-	n.Quantum(0)
-	m.Step(0, 1)
-	if m.MigrationCount() != 0 {
-		t.Error("null policy migrated")
 	}
 }
 

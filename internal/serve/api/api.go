@@ -21,7 +21,7 @@ type RunRequest struct {
 	// Generator synthesises a random Table II-style workload instead.
 	Generator *GeneratorRequest `json:"generator,omitempty"`
 	// Policy is the scheduling policy name (cfs, dio, dike, dike-af,
-	// dike-ap, null, rotate, oracle). Required.
+	// dike-ap, dike-ea, null, rotate, oracle, meta). Required.
 	Policy string `json:"policy"`
 	// Seed makes the run reproducible. Default 42.
 	Seed *uint64 `json:"seed,omitempty"`

@@ -67,10 +67,3 @@ func (c *resultCache) put(digest string, result json.RawMessage) {
 		delete(c.entries, last.Value.(*cacheEntry).digest)
 	}
 }
-
-// len reports how many results are cached.
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}

@@ -66,14 +66,6 @@ func (b *broker) close(final api.Event) {
 	b.closed = true
 }
 
-// subscriberCount reports the live subscribers; tests use it to prove a
-// disconnected client's subscription is actually released.
-func (b *broker) subscriberCount() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // subscribe returns the events published so far and, unless the stream
 // has already closed, a live channel for the rest. The caller must call
 // cancel when done. A nil channel means the history is complete.

@@ -117,7 +117,8 @@ func (e *HorizonError) Error() string {
 func (e *HorizonError) Unwrap() error { return ErrHorizon }
 
 // NewEngine builds an engine over world and policy. A nil policy is
-// rejected; use the sched package's Null policy for unscheduled runs.
+// rejected; an unscheduled run uses the sched package's CFS, which
+// places threads once and never acts.
 func NewEngine(world World, policy Policy, cfg Config) (*Engine, error) {
 	if world == nil {
 		return nil, errors.New("sim: nil world")
@@ -150,9 +151,6 @@ func (e *Engine) OnQuantum(fn TickFunc) {
 		e.quanta = append(e.quanta, fn)
 	}
 }
-
-// Now returns the engine's current simulated time.
-func (e *Engine) Now() Time { return e.clock.Now() }
 
 // DecisionCost returns the cumulative wall-clock time spent inside
 // policy.Quantum and the number of decisions taken.

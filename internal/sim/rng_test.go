@@ -78,16 +78,6 @@ func TestRNGIntn(t *testing.T) {
 	r.Intn(0)
 }
 
-func TestRNGRange(t *testing.T) {
-	r := NewRNG(6)
-	for i := 0; i < 1000; i++ {
-		v := r.Range(2, 5)
-		if v < 2 || v >= 5 {
-			t.Fatalf("Range out of bounds: %v", v)
-		}
-	}
-}
-
 func TestRNGPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1

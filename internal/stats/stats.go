@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used throughout the
-// Dike reproduction: means, dispersion measures, quantiles and the
-// coefficient of variation that both the Selector's fairness gate and the
-// paper's Fairness metric (Eqn 4) are built on.
+// Dike reproduction: means, dispersion measures, the median, percentiles
+// and the coefficient of variation that both the Selector's fairness gate
+// and the paper's Fairness metric (Eqn 4) are built on.
 //
 // All functions are pure and operate on float64 slices. Inputs are never
 // mutated unless the function name says so (e.g. MedianInPlace).
@@ -27,15 +27,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
 }
 
 // Min returns the minimum of xs. It returns ErrEmpty for an empty slice.
@@ -120,42 +111,10 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(len(xs)))
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between closest ranks. It copies the input before sorting.
-// It returns ErrEmpty for an empty slice and an error for q outside [0,1].
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, errors.New("stats: quantile out of range")
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	return quantileSorted(cp, q), nil
-}
-
-// quantileSorted is Quantile over an already sorted, non-empty slice.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Percentile returns the nearest-rank q-quantile (q in (0,1]) of an
 // already sorted slice: the smallest element with at least a q share of
-// the values at or below it. Unlike Quantile it never interpolates, so
-// the result is always one of the samples. It returns 0 for an empty
-// slice.
+// the values at or below it. It never interpolates, so the result is
+// always one of the samples. It returns 0 for an empty slice.
 func Percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
@@ -170,23 +129,19 @@ func Percentile(sorted []float64, q float64) float64 {
 	return sorted[idx]
 }
 
-// Median returns the median of xs (0 for empty input).
-func Median(xs []float64) float64 {
-	m, err := Quantile(xs, 0.5)
-	if err != nil {
-		return 0
-	}
-	return m
-}
-
-// MedianInPlace is Median without the copy: it sorts xs in place, so a
-// caller that owns a scratch buffer computes the median allocation-free.
+// MedianInPlace returns the median of xs (0 for empty input), the mean
+// of the two middle values for an even length. It sorts xs in place, so
+// a caller that owns a scratch buffer computes it allocation-free.
 func MedianInPlace(xs []float64) float64 {
-	if len(xs) == 0 {
+	n := len(xs)
+	if n == 0 {
 		return 0
 	}
 	sort.Float64s(xs)
-	return quantileSorted(xs, 0.5)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return xs[n/2-1]*0.5 + xs[n/2]*0.5
 }
 
 // Clamp bounds x to the closed interval [lo, hi].

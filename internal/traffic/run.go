@@ -89,12 +89,6 @@ func Build(m *machine.Machine, spec Spec, seed uint64) (*Run, error) {
 	}, nil
 }
 
-// Spec returns the scenario spec.
-func (r *Run) Spec() Spec { return r.spec }
-
-// Arrivals returns the generated stream (do not mutate).
-func (r *Run) Arrivals() []Arrival { return r.arrivals }
-
 // Intensity returns the ground-truth mean memory intensity (misses per
 // work unit) per thread — what an offline profiler would report. The
 // oracle policy consumes it in place of workload ground truth.

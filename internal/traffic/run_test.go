@@ -6,6 +6,7 @@ import (
 
 	"dike/internal/machine"
 	"dike/internal/platform"
+	"dike/internal/platform/platformtest"
 	"dike/internal/sim"
 )
 
@@ -37,7 +38,7 @@ func TestBuildRegistersEveryArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := r.Arrivals()
+	arr := r.arrivals
 	if len(arr) == 0 {
 		t.Fatal("no arrivals")
 	}
@@ -62,7 +63,7 @@ func TestBuildRegistersEveryArrival(t *testing.T) {
 
 func TestBuildRejectsDirtyMachine(t *testing.T) {
 	m := newMachine(t)
-	if err := m.AddThread(0, 0, machine.ConstProgram{Work: 1, Demand: machine.Demand{}}); err != nil {
+	if err := m.AddThread(0, 0, platformtest.ConstProgram{Work: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Build(m, tinySpec(0), 7); err == nil {
@@ -89,7 +90,7 @@ func TestAdmissionCapRejectsAtTheDoor(t *testing.T) {
 	}
 	// Admit arrivals but never step the machine: nothing completes, so
 	// after the first admission every arrival is rejected.
-	last := r.Arrivals()[len(r.Arrivals())-1].At
+	last := r.arrivals[len(r.arrivals)-1].At
 	for now := sim.Time(1); now <= last; now++ {
 		r.Tick(now)
 	}
@@ -102,7 +103,7 @@ func TestAdmissionCapRejectsAtTheDoor(t *testing.T) {
 		t.Errorf("rejected = %d, want %d", c.Rejected, c.Arrivals-1)
 	}
 	// Rejected threads are terminated with zero progress.
-	for i := range r.Arrivals() {
+	for i := range r.arrivals {
 		id := platform.ThreadID(i)
 		if _, done := m.Finished(id); !done && i != 0 {
 			t.Fatalf("rejected thread %d not terminated", i)

@@ -8,6 +8,9 @@ import (
 	"dike/internal/sim"
 )
 
+// uniform draws a float64 uniformly from [lo, hi).
+func uniform(rng *sim.RNG, lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+
 // FuzzDemandWindow checks the window DemandAt returns: it must contain
 // the query, and every point sampled inside it (its corners, the query's
 // row and column, and every instant of a narrow time range) must get the
@@ -25,20 +28,20 @@ func FuzzDemandWindow(f *testing.F) {
 			Name:            "fuzz",
 			BurstEvery:      sim.Time(every),
 			BurstLen:        sim.Time(blen),
-			BurstAccesses:   rng.Range(0, 50),
+			BurstAccesses:   uniform(rng, 0, 50),
 			BurstMissRatio:  rng.Float64(),
 			NoiseEps:        noise,
 			BarrierInterval: 0,
 		}
 		for i := 0; i < 1+rng.Intn(4); i++ {
-			w := rng.Range(0.1, 1000)
+			w := uniform(rng, 0.1, 1000)
 			switch i {
 			case 0:
 				w = w0
 			case 1:
 				w = w1
 			}
-			p.Phases = append(p.Phases, Phase{Work: w, AccessesPerWork: rng.Range(0, 50), MissRatio: rng.Float64()})
+			p.Phases = append(p.Phases, Phase{Work: w, AccessesPerWork: uniform(rng, 0, 50), MissRatio: rng.Float64()})
 		}
 		if p.Validate() != nil || math.IsInf(p.TotalWork(), 0) || math.IsNaN(p.TotalWork()) {
 			return

@@ -219,15 +219,5 @@ func (in *Instance) ThreadsOf(bi int) []platform.ThreadID {
 	return ids
 }
 
-// BenchOf returns the benchmark index owning thread id, or -1.
-func (in *Instance) BenchOf(id platform.ThreadID) int {
-	for _, ti := range in.Threads {
-		if ti.ID == id {
-			return ti.Bench
-		}
-	}
-	return -1
-}
-
 // simTime converts scaled milliseconds to a simulation time.
 func simTime(ms float64) sim.Time { return sim.Time(ms + 0.5) }

@@ -10,6 +10,15 @@ import (
 	"dike/internal/sim"
 )
 
+func newMachine(t *testing.T) *machine.Machine {
+	t.Helper()
+	m, err := machine.New(machine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func testWorkload() *Workload {
 	cat := Profiles()
 	return &Workload{
@@ -89,7 +98,7 @@ func TestTypeString(t *testing.T) {
 }
 
 func TestBuildRegistersEverything(t *testing.T) {
-	m := machine.MustNew(machine.DefaultConfig())
+	m := newMachine(t)
 	w := testWorkload()
 	inst, err := w.Build(m, BuildOptions{Seed: 1})
 	if err != nil {
@@ -110,11 +119,8 @@ func TestBuildRegistersEverything(t *testing.T) {
 	if got := inst.ThreadsOf(0); len(got) != 4 {
 		t.Errorf("jacobi threads = %v", got)
 	}
-	if got := inst.BenchOf(5); got != 1 {
-		t.Errorf("BenchOf(5) = %d, want 1", got)
-	}
-	if got := inst.BenchOf(platform.ThreadID(99)); got != -1 {
-		t.Errorf("BenchOf(99) = %d, want -1", got)
+	if got := inst.Threads[5].Bench; got != 1 {
+		t.Errorf("thread 5 in benchmark %d, want 1", got)
 	}
 	// BenchOf on the machine agrees.
 	b, err := m.BenchOf(5)
@@ -124,7 +130,7 @@ func TestBuildRegistersEverything(t *testing.T) {
 }
 
 func TestBuildRejectsDirtyMachine(t *testing.T) {
-	m := machine.MustNew(machine.DefaultConfig())
+	m := newMachine(t)
 	if _, err := testWorkload().Build(m, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +140,7 @@ func TestBuildRejectsDirtyMachine(t *testing.T) {
 }
 
 func TestBuildScale(t *testing.T) {
-	m := machine.MustNew(machine.DefaultConfig())
+	m := newMachine(t)
 	w := testWorkload()
 	if _, err := w.Build(m, BuildOptions{Scale: 0.5}); err != nil {
 		t.Fatal(err)
@@ -147,14 +153,20 @@ func TestBuildScale(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Access the registered program indirectly: run to completion and
-	// check final work.
+	// Read the registered program's total work back as work done over
+	// progress, then run to completion.
 	for _, id := range m.Threads() {
 		if err := m.Place(id, platform.CoreID(int(id)%40)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	now := sim.Time(0)
+	for ; now < 100; now++ {
+		m.Step(now, 1)
+	}
+	if got := m.Sample(now).Threads[0].Work / m.Progress(0); math.Abs(got-jacobiWork/2) > 1 {
+		t.Errorf("scaled work = %v, want %v", got, jacobiWork/2)
+	}
 	for !m.Done() && now < 600000 {
 		m.Step(now, 1)
 		now++
@@ -162,17 +174,13 @@ func TestBuildScale(t *testing.T) {
 	if !m.Done() {
 		t.Fatal("scaled workload did not finish")
 	}
-	got := m.ThreadCounters(0).Work
-	if diff := got - jacobiWork/2; diff > 1 || diff < -1 {
-		t.Errorf("scaled work = %v, want %v", got, jacobiWork/2)
-	}
-	if _, err := w.Build(machine.MustNew(machine.DefaultConfig()), BuildOptions{Scale: -1}); err == nil {
+	if _, err := w.Build(newMachine(t), BuildOptions{Scale: -1}); err == nil {
 		t.Error("negative scale accepted")
 	}
 }
 
 func TestBuildBarrierGroups(t *testing.T) {
-	m := machine.MustNew(machine.DefaultConfig())
+	m := newMachine(t)
 	cat := Profiles()
 	w := &Workload{Name: "km", Benchmarks: []Benchmark{{Profile: cat["kmeans"], Threads: 4}}}
 	if _, err := w.Build(m, BuildOptions{}); err != nil {
@@ -181,15 +189,17 @@ func TestBuildBarrierGroups(t *testing.T) {
 	// Verify coupling: place two threads on very different cores and
 	// check they stay within one barrier interval.
 	ids := m.Threads()
-	m.Place(ids[0], m.Topology().FastCores()[0])
-	m.Place(ids[1], m.Topology().SlowCores()[0])
-	m.Place(ids[2], m.Topology().SlowCores()[1])
-	m.Place(ids[3], m.Topology().SlowCores()[2])
+	// Table I lays out the 20 fast lanes first, then the slow ones.
+	m.Place(ids[0], 0)
+	m.Place(ids[1], 20)
+	m.Place(ids[2], 21)
+	m.Place(ids[3], 22)
 	for now := sim.Time(0); now < 3000; now++ {
 		m.Step(now, 1)
 	}
-	w0 := m.ThreadCounters(0).Work
-	w1 := m.ThreadCounters(1).Work
+	s := m.Sample(3000)
+	w0 := s.Threads[0].Work
+	w1 := s.Threads[1].Work
 	if w0-w1 > cat["kmeans"].BarrierInterval+1 {
 		t.Errorf("barrier not enforced: %v vs %v", w0, w1)
 	}
