@@ -1,11 +1,13 @@
 package replay
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 
 	"dike/internal/counters"
 	"dike/internal/platform"
@@ -64,16 +66,33 @@ func describe(ev *event) string {
 // Sample and the affinity calls are verified against the recorded
 // stream in order and produce the recorded outcomes. Drive the run
 // with Run, which fires the policy at each recorded quantum boundary.
+//
+// The player decodes its log a chunk ahead of the policy. A chunk is
+// the whole lines in the read buffer; its decode, split by bytes across
+// one goroutine per part, runs while the policy consumes the chunk
+// before. At most one chunk's decode is in flight, and its goroutines
+// wait on nothing, so a player that is dropped leaves nothing running
+// once that decode ends.
 type Player struct {
 	hdr       header
-	r         *bufio.Reader
-	long      []byte // a line longer than r's buffer, reassembled
-	scan      scanner
 	topo      *platform.Topology
 	threads   []platform.ThreadID
 	procs     map[platform.ThreadID]int
 	placement map[platform.ThreadID]platform.CoreID
 	alive     []platform.ThreadID
+
+	// The log is read into buf[:w]; buf[r:w] is not yet in a chunk.
+	rd   io.Reader
+	buf  []byte
+	r, w int
+	rerr error // the reader's final error, io.EOF at a clean end
+
+	parts  []part         // one per goroutine of a chunk's decode
+	decode sync.WaitGroup // the chunk decode in flight
+	busy   bool           // a chunk decode is in flight
+	chunk  []*event       // the decoded chunk the policy is consuming
+	pos    int            // index in chunk of the next event to hand out
+	cerr   error          // the decode error that ends chunk
 
 	pending *event // one-event lookahead
 	idx     int    // index of the next event to consume
@@ -82,18 +101,38 @@ type Player struct {
 	sticky  error // first divergence; latched because Sample cannot return an error
 }
 
+// part is one goroutine's share of a chunk: a run of whole lines,
+// decoded in place into evs. Decoding stops at the first bad line,
+// whose error is err.
+type part struct {
+	scan scanner
+	evs  []*event
+	err  error
+}
+
+// readSize is the size of the player's read buffer. A line longer than
+// the buffer grows it.
+const readSize = 64 << 10
+
 // NewPlayer reads the log header from r and returns a player positioned
 // before the first event. The header is the first line, decoded with
-// encoding/json; each later line is one event, decoded by the scanner
-// as the player reaches it.
+// encoding/json; each later line is one event, decoded by the scanner.
+// The decode of the event lines read along with the header starts
+// before NewPlayer returns.
 func NewPlayer(r io.Reader) (*Player, error) {
-	p := &Player{r: bufio.NewReaderSize(r, 64<<10)}
-	line, err := p.readLine()
-	if err != nil {
-		return nil, fmt.Errorf("replay: reading header: %w", err)
+	p := &Player{rd: r, buf: make([]byte, readSize), parts: make([]part, runtime.GOMAXPROCS(0))}
+	p.fill()
+	nl := bytes.IndexByte(p.buf[:p.w], '\n')
+	switch {
+	case nl >= 0:
+		p.r = nl + 1
+	case p.w > 0 && errors.Is(p.rerr, io.EOF):
+		p.r = p.w // a header without a newline and no events
+	default:
+		return nil, fmt.Errorf("replay: reading header: %w", p.rerr)
 	}
 	var h header
-	if err := json.Unmarshal(line, &h); err != nil {
+	if err := json.Unmarshal(p.buf[:p.r], &h); err != nil {
 		return nil, fmt.Errorf("replay: reading header: %w", err)
 	}
 	if h.Version != Version {
@@ -110,6 +149,7 @@ func NewPlayer(r io.Reader) (*Player, error) {
 		}
 		cores[i] = platform.Core{ID: c.ID, Kind: c.Kind, Speed: float64(c.Speed), Physical: c.Physical, Socket: c.Socket}
 	}
+	var err error
 	p.topo, err = platform.NewTopologyNamed(cores, h.KindNames)
 	if err != nil {
 		return nil, fmt.Errorf("replay: header: %w", err)
@@ -125,6 +165,7 @@ func NewPlayer(r io.Reader) (*Player, error) {
 		p.procs[t.ID] = t.Proc
 		p.placement[t.ID] = 0
 	}
+	p.launch()
 	return p, nil
 }
 
@@ -140,7 +181,9 @@ func (p *Player) LastTime() sim.Time { return p.lastNow }
 func (p *Player) Err() error { return p.sticky }
 
 // peek returns the next event without consuming it, or nil at a clean
-// end of log. Blank lines are skipped.
+// end of log. Blank lines are skipped. Events come out in log order,
+// and a decode, check or read error is latched at the index of the
+// event it stands in for, whichever goroutine decoded the line.
 func (p *Player) peek() (*event, error) {
 	if p.sticky != nil {
 		return nil, p.sticky
@@ -148,48 +191,145 @@ func (p *Player) peek() (*event, error) {
 	if p.pending != nil {
 		return p.pending, nil
 	}
-	for {
-		line, err := p.readLine()
-		if errors.Is(err, io.EOF) {
+	for p.pos == len(p.chunk) {
+		switch {
+		case p.cerr != nil:
+			return nil, p.latch(p.cerr)
+		case p.busy:
+			p.join()
+			if p.cerr == nil {
+				p.refill() // decode the next chunk while this one is consumed
+			}
+		case p.rerr == nil:
+			p.refill()
+		case errors.Is(p.rerr, io.EOF):
 			return nil, nil
+		default:
+			return nil, p.latch(p.rerr)
 		}
-		if err == nil && blank(line) {
-			continue
+	}
+	ev := p.chunk[p.pos]
+	p.pos++
+	if err := p.check(ev); err != nil {
+		return nil, p.latch(err)
+	}
+	p.pending = ev
+	return ev, nil
+}
+
+// latch records err as the error at the next event's index.
+func (p *Player) latch(err error) error {
+	p.sticky = fmt.Errorf("replay: event %d: %w", p.idx, err)
+	return p.sticky
+}
+
+// fill reads until buf[r:w] holds a newline or the reader is done. It
+// reads with single Read calls, so a line is handed on as soon as it
+// arrives, and gives up with io.ErrNoProgress after as many empty reads
+// in a row as bufio.Reader allows.
+func (p *Player) fill() {
+	seen := p.r // buf[p.r:seen] holds no newline
+	empty := 0
+	for p.rerr == nil && bytes.IndexByte(p.buf[seen:p.w], '\n') < 0 {
+		seen = p.w
+		if p.w == len(p.buf) {
+			p.buf = append(p.buf, make([]byte, len(p.buf))...)
 		}
-		var ev *event
-		if err == nil {
-			ev, err = p.scan.decode(line)
+		n, err := p.rd.Read(p.buf[p.w:])
+		p.w += n
+		switch {
+		case err != nil:
+			p.rerr = err
+		case n > 0:
+			empty = 0
+		default:
+			if empty++; empty == 100 {
+				p.rerr = io.ErrNoProgress
+			}
 		}
-		if err == nil {
-			err = p.check(ev)
-		}
-		if err != nil {
-			p.sticky = fmt.Errorf("replay: event %d: %w", p.idx, err)
-			return nil, p.sticky
-		}
-		p.pending = ev
-		return ev, nil
 	}
 }
 
-// readLine returns the next line of the log, newline included, or
-// io.EOF after the last. A line longer than the reader's buffer is
-// reassembled in p.long, so lines have no length limit. The slice is
-// valid until the next call.
-func (p *Player) readLine() ([]byte, error) {
-	line, err := p.r.ReadSlice('\n')
-	if errors.Is(err, bufio.ErrBufferFull) {
-		p.long = append(p.long[:0], line...)
-		for errors.Is(err, bufio.ErrBufferFull) {
-			line, err = p.r.ReadSlice('\n')
-			p.long = append(p.long, line...)
+// refill moves the bytes not yet in a chunk to the front of the buffer,
+// reads at least one more whole line and launches its chunk. The buffer
+// is free: the chunk decode before has been joined, and decoded events
+// hold no reference to it.
+func (p *Player) refill() {
+	p.w = copy(p.buf, p.buf[p.r:p.w])
+	p.r = 0
+	p.fill()
+	p.launch()
+}
+
+// launch cuts the whole lines of buf[r:w] into a chunk, along with a
+// last line without a newline once the reader is at its end, and starts
+// the chunk's decode: the chunk is split by bytes at line boundaries
+// into one part per goroutine. It does nothing if there is no line.
+func (p *Player) launch() {
+	end := p.w
+	if !errors.Is(p.rerr, io.EOF) {
+		end = p.r + bytes.LastIndexByte(p.buf[p.r:p.w], '\n') + 1
+	}
+	chunk := p.buf[p.r:end]
+	p.r = end
+	if len(chunk) == 0 {
+		return
+	}
+	for i := range p.parts {
+		seg := chunk
+		if rest := len(p.parts) - i; rest > 1 {
+			cut := len(chunk) / rest
+			if nl := bytes.IndexByte(chunk[cut:], '\n'); nl >= 0 {
+				seg = chunk[:cut+nl+1]
+			}
 		}
-		line = p.long
+		chunk = chunk[len(seg):]
+		pt := &p.parts[i]
+		pt.evs, pt.err = pt.evs[:0], nil
+		if len(seg) > 0 {
+			p.decode.Add(1)
+			go pt.run(seg, &p.decode)
+		}
 	}
-	if errors.Is(err, io.EOF) && len(line) > 0 {
-		err = nil // a last line without a newline
+	p.busy = true
+}
+
+// run decodes the lines of seg into pt, skipping blank ones.
+func (pt *part) run(seg []byte, done *sync.WaitGroup) {
+	defer done.Done()
+	for len(seg) > 0 {
+		n := bytes.IndexByte(seg, '\n') + 1
+		if n == 0 {
+			n = len(seg)
+		}
+		line := seg[:n]
+		seg = seg[n:]
+		if blank(line) {
+			continue
+		}
+		ev, err := pt.scan.decode(line)
+		if err != nil {
+			pt.err = err
+			return
+		}
+		pt.evs = append(pt.evs, ev)
 	}
-	return line, err
+}
+
+// join waits for the chunk decode in flight and makes its events, in
+// log order up to the first bad line, the chunk being consumed.
+func (p *Player) join() {
+	p.decode.Wait()
+	p.busy = false
+	p.chunk, p.pos = p.chunk[:0], 0
+	for i := range p.parts {
+		pt := &p.parts[i]
+		p.chunk = append(p.chunk, pt.evs...)
+		if pt.err != nil {
+			p.cerr = pt.err
+			return
+		}
+	}
 }
 
 func blank(line []byte) bool {
