@@ -53,10 +53,8 @@ type Config struct {
 	LeaseSweepInterval time.Duration
 	// ProbeInterval is the /healthz probing period. Default 2s;
 	// negative disables probing (health then changes only passively,
-	// on request failures).
+	// on request failures). One probe request times out after 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request. Default 1s.
-	ProbeTimeout time.Duration
 	// ShardTimeout bounds one placement attempt end to end: submit plus
 	// polling to a terminal state. Default 2 minutes.
 	ShardTimeout time.Duration
@@ -78,9 +76,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
 	}
 	if c.ShardTimeout <= 0 {
 		c.ShardTimeout = 2 * time.Minute
@@ -225,13 +220,13 @@ func (c *Coordinator) Start() {
 		defer close(c.proberDone)
 		// Probe immediately so a worker that is down at boot is marked
 		// before the first interval elapses.
-		c.reg.probeAll(c.baseCtx, c.client, c.cfg.ProbeTimeout)
+		c.reg.probeAll(c.baseCtx, c.client)
 		ticker := time.NewTicker(c.cfg.ProbeInterval)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-ticker.C:
-				c.reg.probeAll(c.baseCtx, c.client, c.cfg.ProbeTimeout)
+				c.reg.probeAll(c.baseCtx, c.client)
 			case <-c.baseCtx.Done():
 				return
 			}

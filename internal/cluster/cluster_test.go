@@ -42,7 +42,6 @@ func newCoord(t *testing.T, urls []string, mut func(*Config)) (*Coordinator, *ht
 	cfg := Config{
 		Workers:       urls,
 		ProbeInterval: -1, // passive health only, unless a test opts in
-		ProbeTimeout:  time.Second,
 		ShardTimeout:  20 * time.Second,
 		SubmitTimeout: 5 * time.Second,
 		PollInterval:  5 * time.Millisecond,

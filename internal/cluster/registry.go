@@ -332,19 +332,22 @@ func (r *registry) views(requests, failures func(url string) uint64) []api.Worke
 	return out
 }
 
+// probeTimeout bounds one /healthz probe.
+const probeTimeout = time.Second
+
 // probeAll probes every member's /healthz once, in parallel, and feeds
 // the outcomes to the breakers: 200 is a success, anything else
 // (including a draining worker's 503) a failure. Open workers are
 // probed too — successful probes are how they earn their way back to
 // closed without waiting out OpenFor.
-func (r *registry) probeAll(ctx context.Context, client *http.Client, timeout time.Duration) {
+func (r *registry) probeAll(ctx context.Context, client *http.Client) {
 	members := r.members()
 	var wg sync.WaitGroup
 	for _, url := range members {
 		wg.Add(1)
 		go func(url string) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, timeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			code, err := (&api.Client{Base: url, HTTP: client}).Do(pctx, http.MethodGet, "/healthz", nil, nil)
 			switch code {

@@ -4,8 +4,8 @@
 // Dike divides time into quanta. Each quantum (Figure 3):
 //
 //	Observer  — reads performance counters, classifies threads as
-//	            compute/memory intensive, maintains per-core bandwidth
-//	            moving means (CoreBW);
+//	            compute/memory intensive, maintains per-core capability
+//	            moving means (the paper's CoreBW);
 //	Selector  — checks the system-fairness gate (coefficient of
 //	            variation of access rates vs θf) and pairs placement-rule
 //	            violators (Algorithm 1);
@@ -98,8 +98,8 @@ type Config struct {
 	// MissRatioThreshold classifies a thread as memory intensive when
 	// its LLC miss ratio exceeds it. Default 0.10 (Xie & Loh boundary).
 	MissRatioThreshold float64
-	// CoreBWAlpha is the EWMA weight for the CoreBW moving means.
-	// Default 0.25.
+	// CoreBWAlpha is the EWMA weight of the per-core capability moving
+	// means, this reproduction's CoreBW. Default 0.25.
 	CoreBWAlpha float64
 	// SwapOH is the scheduler's estimate of per-swap thread overhead
 	// (ms), used by the Overhead term of Eqn 2. Default 3.

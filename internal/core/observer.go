@@ -70,9 +70,6 @@ type Observation struct {
 	// must not treat held rates as fresh feedback — the Predictor's
 	// error bookkeeping and the capability estimator both skip them.
 	Held []bool
-	// CoreBW is the per-core moving-mean served bandwidth (misses/ms) —
-	// the paper's CoreBW variable in raw form; kept for diagnostics.
-	CoreBW []float64
 	// Capability is the per-core relative bandwidth capability estimate
 	// (1.0 = average core): the moving mean of occupants' access rates
 	// normalized by their process baselines. A thread running faster
@@ -88,9 +85,6 @@ type Observation struct {
 	HighBW []bool
 	// Sanitized counts this quantum's counter-sanitization actions.
 	Sanitized SanitizeStats
-	// SystemCV is the coefficient of variation of all alive threads'
-	// access rates, for diagnostics.
-	SystemCV float64
 	// Fairness is the Selector's gate value: the worst (maximum) over
 	// processes of the coefficient of variation of access rates among
 	// that process's threads. Homogeneous threads of one process
@@ -230,7 +224,6 @@ type Observer struct {
 	// capacity is the controller's physical service capacity; no sane
 	// per-thread rate can exceed it, so saturated readings clamp here.
 	capacity float64
-	coreBW   []*stats.MovingMean
 	capab    []*stats.MovingMean
 	// threads is the per-thread state that outlives a quantum, sorted by
 	// thread id: the last classification and hold-last-good bookkeeping.
@@ -300,15 +293,12 @@ func entry[E keyed](table *[]E, from int, fresh E) (*E, int) {
 	return &(*table)[i], i + 1
 }
 
-// newObserver builds an observer over p. alpha is the EWMA weight for
-// both CoreBW and capability; missTh the M/C miss-ratio boundary; useIPC
+// newObserver builds an observer over p. alpha is the EWMA weight of
+// the capability estimates; missTh the M/C miss-ratio boundary; useIPC
 // selects the contention metric (ablation).
 func newObserver(p platform.Platform, alpha, missTh float64, useIPC bool) *Observer {
-	n := p.Topology().NumCores()
-	bw := make([]*stats.MovingMean, n)
-	cp := make([]*stats.MovingMean, n)
-	for i := range bw {
-		bw[i] = stats.NewMovingMean(alpha)
+	cp := make([]*stats.MovingMean, p.Topology().NumCores())
+	for i := range cp {
 		cp[i] = stats.NewMovingMean(alpha)
 	}
 	return &Observer{
@@ -316,7 +306,6 @@ func newObserver(p platform.Platform, alpha, missTh float64, useIPC bool) *Obser
 		missTh:   missTh,
 		useIPC:   useIPC,
 		capacity: p.MemCapacity(),
-		coreBW:   bw,
 		capab:    cp,
 	}
 }
@@ -355,7 +344,7 @@ func (o *Observer) Observe(now sim.Time) (*Observation, error) {
 	obs.Proc = resize(obs.Proc, n)
 	obs.Held = resize(obs.Held, n)
 	obs.Sanitized = SanitizeStats{}
-	obs.SystemCV, obs.Fairness = 0, 0
+	obs.Fairness = 0
 	o.keep = resize(o.keep, n)
 
 	next := 0 // where the next o.threads search starts
@@ -427,28 +416,20 @@ func (o *Observer) Observe(now sim.Time) (*Observation, error) {
 		obs.Class[i] = ts.class
 	}
 	o.sanitized.add(obs.Sanitized)
-	obs.SystemCV = stats.CV(obs.Rate)
 	obs.indexProcs()
 	o.processBaselines(obs)
 
-	// Fold this quantum's measurements into the per-core estimates:
-	// served bandwidth (raw CoreBW) and relative capability (occupant
-	// rate over its process baseline). Held threads reveal nothing about
-	// their core this quantum, so they are skipped; insane or saturated
-	// uncore readings are rejected or clamped like thread readings.
+	// Fold this quantum's measurements into the per-core capability
+	// estimates (occupant rate over its process baseline). Held threads
+	// reveal nothing about their core this quantum, so they are skipped.
+	// Insane uncore readings are rejected and counted like thread
+	// readings.
 	if sample.Interval > 0 {
-		for c := range o.coreBW {
-			cd := sample.Cores[c]
-			if !cd.Sane() {
+		for c := range o.capab {
+			if !sample.Cores[c].Sane() {
 				obs.Sanitized.Rejected++
 				o.sanitized.Rejected++
-				continue
 			}
-			bw := cd.Bandwidth()
-			if bw > o.capacity {
-				bw = o.capacity
-			}
-			o.coreBW[c].Add(bw)
 		}
 		for i := range obs.Alive {
 			if obs.Held[i] {
@@ -461,10 +442,8 @@ func (o *Observer) Observe(now sim.Time) (*Observation, error) {
 			o.capab[int(obs.CoreOf[i])].Add(obs.Rate[i] / base)
 		}
 	}
-	obs.CoreBW = resize(obs.CoreBW, len(o.coreBW))
 	obs.Capability = resize(obs.Capability, len(o.capab))
-	for c := range o.coreBW {
-		obs.CoreBW[c] = o.coreBW[c].Value()
+	for c := range o.capab {
 		if o.capab[c].Count() > 0 {
 			obs.Capability[c] = o.capab[c].Value()
 		} else {

@@ -187,20 +187,13 @@ func TestObserverStalledThreadKeepsClass(t *testing.T) {
 func TestObserverGetters(t *testing.T) {
 	m := twoClassMachine(t)
 	o := newObserver(m, 0.25, 0.10, false)
-	// Before any sample: raw CoreBW 0, capability neutral 1.
+	// Before any sample: capability neutral 1.
 	first := mustObserve(t, o, 0)
-	if first.CoreBW[0] != 0 {
-		t.Errorf("CoreBW before samples = %v", first.CoreBW[0])
-	}
 	if first.Capability[0] != 1 {
 		t.Errorf("Capability before samples = %v", first.Capability[0])
 	}
 	obs := observeAfter(t, m, o, 0, 500)
-	// A core hosting a memory thread now reports served bandwidth.
 	core, _ := m.CoreOf(0)
-	if obs.CoreBW[core] <= 0 {
-		t.Errorf("CoreBW after samples = %v", obs.CoreBW[core])
-	}
 	if obs.Capability[core] <= 0 {
 		t.Errorf("Capability after samples = %v", obs.Capability[core])
 	}

@@ -49,15 +49,13 @@ func diffObservation(got *Observation, want *oracleObservation) string {
 	if got.HeldThreads() != len(want.Held) {
 		return "HeldThreads"
 	}
-	if len(got.Capability) != len(want.Capability) || len(got.CoreBW) != len(want.CoreBW) || len(got.HighBW) != len(want.Capability) {
+	if len(got.Capability) != len(want.Capability) || len(got.HighBW) != len(want.Capability) {
 		return "per-core lengths"
 	}
 	for c := range got.Capability {
 		switch {
 		case !sameBits(got.Capability[c], want.Capability[c]):
 			return "Capability"
-		case !sameBits(got.CoreBW[c], want.CoreBW[c]):
-			return "CoreBW"
 		case got.HighBW[c] != want.HighBW[platform.CoreID(c)]:
 			return "HighBW"
 		}
@@ -65,8 +63,6 @@ func diffObservation(got *Observation, want *oracleObservation) string {
 	switch {
 	case !sameBits(got.Fairness, want.Fairness):
 		return "Fairness"
-	case !sameBits(got.SystemCV, want.SystemCV):
-		return "SystemCV"
 	case got.Sanitized != want.Sanitized:
 		return "Sanitized"
 	case got.Now != want.Now || got.Sample != want.Sample:

@@ -25,12 +25,10 @@ type oracleObservation struct {
 	Instr      map[platform.ThreadID]float64
 	CoreOf     map[platform.ThreadID]platform.CoreID
 	Proc       map[platform.ThreadID]int
-	CoreBW     []float64
 	Capability []float64
 	HighBW     map[platform.CoreID]bool
 	Held       map[platform.ThreadID]bool
 	Sanitized  SanitizeStats
-	SystemCV   float64
 	Fairness   float64
 }
 
@@ -40,7 +38,6 @@ type oracleObserver struct {
 	missTh    float64
 	useIPC    bool
 	capacity  float64
-	coreBW    []*stats.MovingMean
 	capab     []*stats.MovingMean
 	class     map[platform.ThreadID]ThreadClass
 	procBase  map[int]*stats.MovingMean
@@ -51,11 +48,8 @@ type oracleObserver struct {
 
 // newOracleObserver is the map-based newObserver.
 func newOracleObserver(p platform.Platform, alpha, missTh float64, useIPC bool) *oracleObserver {
-	n := p.Topology().NumCores()
-	bw := make([]*stats.MovingMean, n)
-	cp := make([]*stats.MovingMean, n)
-	for i := range bw {
-		bw[i] = stats.NewMovingMean(alpha)
+	cp := make([]*stats.MovingMean, p.Topology().NumCores())
+	for i := range cp {
 		cp[i] = stats.NewMovingMean(alpha)
 	}
 	return &oracleObserver{
@@ -63,7 +57,6 @@ func newOracleObserver(p platform.Platform, alpha, missTh float64, useIPC bool) 
 		missTh:   missTh,
 		useIPC:   useIPC,
 		capacity: p.MemCapacity(),
-		coreBW:   bw,
 		capab:    cp,
 		class:    make(map[platform.ThreadID]ThreadClass),
 		procBase: make(map[int]*stats.MovingMean),
@@ -161,7 +154,6 @@ func (o *oracleObserver) Observe(now sim.Time) (*oracleObservation, error) {
 		obs.Class[id] = o.class[id]
 	}
 	o.sanitized.add(obs.Sanitized)
-	obs.SystemCV = stats.CV(rates)
 	procMean := make(map[int]float64, len(byProc))
 	for p, rs := range byProc {
 		mean := stats.Mean(rs)
@@ -183,24 +175,17 @@ func (o *oracleObserver) Observe(now sim.Time) (*oracleObservation, error) {
 		obs.Baseline[id] = procMean[obs.Proc[id]]
 	}
 
-	// Fold this quantum's measurements into the per-core estimates:
-	// served bandwidth (raw CoreBW) and relative capability (occupant
-	// rate over its process baseline). Held threads reveal nothing about
-	// their core this quantum, so they are skipped; insane or saturated
-	// uncore readings are rejected or clamped like thread readings.
+	// Fold this quantum's measurements into the per-core capability
+	// estimates (occupant rate over its process baseline). Held threads
+	// reveal nothing about their core this quantum, so they are skipped.
+	// Insane uncore readings are rejected and counted like thread
+	// readings.
 	if sample.Interval > 0 {
-		for c := range o.coreBW {
-			cd := sample.Cores[c]
-			if !cd.Sane() {
+		for c := range o.capab {
+			if !sample.Cores[c].Sane() {
 				obs.Sanitized.Rejected++
 				o.sanitized.Rejected++
-				continue
 			}
-			bw := cd.Bandwidth()
-			if bw > o.capacity {
-				bw = o.capacity
-			}
-			o.coreBW[c].Add(bw)
 		}
 		for _, id := range alive {
 			if obs.Held[id] {
@@ -214,10 +199,8 @@ func (o *oracleObserver) Observe(now sim.Time) (*oracleObservation, error) {
 			o.capab[int(c)].Add(obs.Rate[id] / base)
 		}
 	}
-	obs.CoreBW = make([]float64, len(o.coreBW))
 	obs.Capability = make([]float64, len(o.capab))
-	for c := range o.coreBW {
-		obs.CoreBW[c] = o.coreBW[c].Value()
+	for c := range o.capab {
 		if o.capab[c].Count() > 0 {
 			obs.Capability[c] = o.capab[c].Value()
 		} else {

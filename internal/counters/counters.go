@@ -2,8 +2,8 @@
 // Observer reads. The machine model is the only writer; schedulers are
 // read-only consumers and may observe nothing about a thread beyond what a
 // real PMU would expose — cumulative instruction, LLC-access and LLC-miss
-// counts — plus per-core served-bandwidth counts (the uncore counters used
-// to maintain the paper's CoreBW estimate).
+// counts — plus per-core served-bandwidth counts (the uncore counters the
+// Observer checks each quantum).
 //
 // Counters are cumulative; rate-style metrics (memory access rate, miss
 // ratio) are derived by differencing snapshots across a quantum, exactly
@@ -18,7 +18,6 @@ type ThreadCounters struct {
 	Instructions float64 // retired instructions (proportional to work)
 	Accesses     float64 // LLC accesses
 	Misses       float64 // LLC misses, i.e. main-memory transactions
-	StallTime    float64 // ms spent stalled on migrations
 	Migrations   int     // number of times the thread changed cores
 }
 
@@ -102,15 +101,6 @@ type CoreDelta struct {
 // non-negative). See ThreadDelta.Sane.
 func (d CoreDelta) Sane() bool {
 	return !math.IsNaN(d.ServedMisses) && !math.IsInf(d.ServedMisses, 0) && d.ServedMisses >= 0
-}
-
-// Bandwidth returns the achieved memory bandwidth (misses served per ms)
-// of the core over the interval.
-func (d CoreDelta) Bandwidth() float64 {
-	if d.Interval <= 0 {
-		return 0
-	}
-	return d.ServedMisses / d.Interval
 }
 
 // Since returns the delta between a previous snapshot and c over

@@ -37,11 +37,8 @@ func TestDeltaDegenerateIntervals(t *testing.T) {
 func TestCoreDelta(t *testing.T) {
 	var prev CoreCounters
 	d := CoreCounters{ServedMisses: 30}.Since(prev, 60)
-	if d.Bandwidth() != 0.5 {
-		t.Errorf("Bandwidth = %v, want 0.5", d.Bandwidth())
-	}
-	if (CoreDelta{Interval: 0, ServedMisses: 5}).Bandwidth() != 0 {
-		t.Error("zero interval should yield zero bandwidth")
+	if d != (CoreDelta{Interval: 60, ServedMisses: 30}) {
+		t.Errorf("Since = %+v, want 30 misses over 60 ms", d)
 	}
 }
 

@@ -31,16 +31,8 @@ func runFig2(optsIn Options) (*Report, error) {
 		}
 		_, _, best, worst := bestWorst(rs)
 		def := defaultConfigIndex(rs)
-		maxF, maxP := rs[best].Fairness, rs[best].Perf
 		// Normalise against the best value of each metric across configs.
-		for _, r := range rs {
-			if r.Fairness > maxF {
-				maxF = r.Fairness
-			}
-			if r.Perf > maxP {
-				maxP = r.Perf
-			}
-		}
+		maxF, maxP := maxima(rs[best], rs)
 		for _, c := range []struct {
 			label string
 			idx   int

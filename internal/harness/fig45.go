@@ -97,15 +97,7 @@ func runFig5(optsIn Options) (*Report, error) {
 			a = &acc{fair: make([]float64, nCfg), perf: make([]float64, nCfg)}
 			accs[w.Type()] = a
 		}
-		maxF, maxP := 0.0, 0.0
-		for _, r := range rs {
-			if r.Fairness > maxF {
-				maxF = r.Fairness
-			}
-			if r.Perf > maxP {
-				maxP = r.Perf
-			}
-		}
+		maxF, maxP := maxima(ConfigResult{}, rs)
 		for i, r := range rs {
 			if maxF > 0 {
 				a.fair[i] += r.Fairness / maxF

@@ -17,12 +17,6 @@ type ConfigResult struct {
 	Fairness float64
 	Perf     float64
 	Swaps    int
-	// EnergyJ and EDP carry the run's power-model outcome: total joules
-	// and the energy-delay product (J·s). Sweeps predate the power
-	// model, so both are informational there; the energy experiment is
-	// their primary consumer.
-	EnergyJ float64
-	EDP     float64
 }
 
 // Fill copies a finished run's sweep-relevant outcome into the grid
@@ -35,8 +29,6 @@ func (c *ConfigResult) Fill(out *RunOutput) {
 	c.Fairness = out.Result.Fairness
 	c.Perf = 1 / out.Result.Makespan
 	c.Swaps = out.Result.Swaps
-	c.EnergyJ = out.EnergyJ
-	c.EDP = out.EDP
 }
 
 // Sweep runs the 32-configuration sweep on w with defaulted options; it
@@ -65,15 +57,7 @@ func sweepConfigs(ctx context.Context, w *workload.Workload, opts Options) ([]Co
 // the combined normalized score (fairness + performance), plus the best
 // indices for each metric alone.
 func bestWorst(rs []ConfigResult) (bestFair, bestPerf, bestCombined, worstCombined int) {
-	maxF, maxP := 0.0, 0.0
-	for _, r := range rs {
-		if r.Fairness > maxF {
-			maxF = r.Fairness
-		}
-		if r.Perf > maxP {
-			maxP = r.Perf
-		}
-	}
+	maxF, maxP := maxima(ConfigResult{}, rs)
 	bestScore, worstScore := -1.0, 1e18
 	for i, r := range rs {
 		if r.Fairness > rs[bestFair].Fairness {
@@ -97,6 +81,22 @@ func bestWorst(rs []ConfigResult) (bestFair, bestPerf, bestCombined, worstCombin
 		}
 	}
 	return
+}
+
+// maxima returns the largest Fairness and Perf of from and rs, searched
+// with > from from's values: a NaN in rs is never taken, and a NaN in from
+// is kept.
+func maxima(from ConfigResult, rs []ConfigResult) (maxF, maxP float64) {
+	maxF, maxP = from.Fairness, from.Perf
+	for _, r := range rs {
+		if r.Fairness > maxF {
+			maxF = r.Fairness
+		}
+		if r.Perf > maxP {
+			maxP = r.Perf
+		}
+	}
+	return maxF, maxP
 }
 
 // defaultConfigIndex returns the sweep index of the paper's default

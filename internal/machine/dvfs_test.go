@@ -25,6 +25,15 @@ func dvfsSpec() *platform.MachineSpec {
 	}
 }
 
+// levelMult is the speed multiplier of level on core c's type: the
+// multiplier SetDVFS must leave in coreMult.
+func levelMult(m *Machine, c platform.CoreID, level int) float64 {
+	if tab := m.dvfsTab[m.topo.Core(c).Kind]; len(tab) > 0 {
+		return tab[level]
+	}
+	return 1
+}
+
 func dvfsMachine(t *testing.T) *Machine {
 	t.Helper()
 	m, err := New(specConfig(dvfsSpec()))
@@ -69,14 +78,14 @@ func TestSetDVFSEdgeCases(t *testing.T) {
 				}
 				// A rejected call must not have moved the level.
 				if int(tc.core) >= 0 && int(tc.core) < m.Topology().NumCores() {
-					if got := m.dvfsLevel[tc.core]; got != 0 {
-						t.Fatalf("rejected SetDVFS moved level to %d", got)
+					if got, want := m.coreMult[tc.core], levelMult(m, tc.core, 0); got != want {
+						t.Fatalf("rejected SetDVFS moved the multiplier to %v, want %v", got, want)
 					}
 				}
 				return
 			}
-			if got := m.dvfsLevel[tc.core]; got != tc.level {
-				t.Fatalf("DVFSOf(%d) = %d, want %d", tc.core, got, tc.level)
+			if got, want := m.coreMult[tc.core], levelMult(m, tc.core, tc.level); got != want {
+				t.Fatalf("core %d multiplier = %v, want level %d's %v", tc.core, got, tc.level, want)
 			}
 		})
 	}
@@ -102,7 +111,7 @@ func TestSetDVFSNoLadderAcceptsOnlyNominal(t *testing.T) {
 
 // dvfsScenario runs a fixed thread mix while applying a DVFS schedule
 // and returns a digest of everything that should be deterministic:
-// per-thread finish times, final levels, and cumulative energy.
+// per-thread finish times, final multipliers, and cumulative energy.
 func dvfsScenario(t *testing.T, schedule func(m *Machine, now sim.Time)) string {
 	t.Helper()
 	m := dvfsMachine(t)
@@ -130,7 +139,7 @@ func dvfsScenario(t *testing.T, schedule func(m *Machine, now sim.Time)) string 
 		digest += fmt.Sprintf("t%d@%d;", id, at)
 	}
 	for c := platform.CoreID(0); int(c) < m.Topology().NumCores(); c++ {
-		digest += fmt.Sprintf("c%d=%d;", c, m.dvfsLevel[c])
+		digest += fmt.Sprintf("c%d=%g;", c, m.coreMult[c])
 	}
 	digest += fmt.Sprintf("E=%.9g", m.EnergyJoules())
 	return digest
@@ -199,7 +208,7 @@ func TestSetDVFSMidMigration(t *testing.T) {
 		if !ok {
 			t.Fatal("thread 0 not finished")
 		}
-		return fmt.Sprintf("t0@%d;lvl=%d;E=%.9g", at, m.dvfsLevel[0], m.EnergyJoules())
+		return fmt.Sprintf("t0@%d;mult=%g;E=%.9g", at, m.coreMult[0], m.EnergyJoules())
 	}
 	throttled := scenario(true)
 	if again := scenario(true); again != throttled {

@@ -62,7 +62,6 @@ func oracleStep(m *Machine, now sim.Time, dt sim.Time) {
 	hitLat := m.cfg.LLCHitLatency
 	for _, t := range m.live {
 		if t.stallUntil > now {
-			t.tc.StallTime += float64(dt)
 			continue
 		}
 		if m.disruptor != nil {
@@ -74,7 +73,6 @@ func oracleStep(m *Machine, now sim.Time, dt sim.Time) {
 				continue
 			}
 			if stalled {
-				t.tc.StallTime += float64(dt)
 				continue
 			}
 		}
@@ -84,7 +82,6 @@ func oracleStep(m *Machine, now sim.Time, dt sim.Time) {
 		if m.disruptor != nil {
 			factor := m.disruptor.CoreFactor(t.core, now)
 			if factor <= 0 {
-				t.tc.StallTime += float64(dt)
 				continue
 			}
 			rate *= factor
@@ -487,7 +484,7 @@ func TestIncrementalStepMatchesOracle(t *testing.T) {
 			case r < 22:
 				c := platform.CoreID(rng.Intn(nc))
 				level := rng.Intn(inc.KindDVFSLevels()[inc.topo.Core(c).Kind])
-				if level != inc.dvfsLevel[c] {
+				if inc.coreMult[c] != levelMult(inc, c, level) {
 					cover["dvfs"]++
 				}
 				both(func(m *Machine) error { return m.SetDVFS(c, level) })

@@ -247,7 +247,6 @@ type Machine struct {
 	dist       [][]float64        // socket x socket distance matrix
 	smtPen     []float64          // per-kind SMT penalty
 	dvfsTab    [][]float64        // per-kind DVFS multiplier tables (nil = nominal only)
-	dvfsLevel  []int              // per-core current DVFS level
 	coreMult   []float64          // per-core current speed multiplier
 	dynPeak    []float64          // per-kind dynamic watts at multiplier 1, one busy lane
 	sockStatic []float64          // per-socket leakage watts (always burned)
@@ -256,8 +255,7 @@ type Machine struct {
 	// slots holds every registered thread in registration order. Only
 	// admit's rescan and the once-per-quantum queries (Alive, Sample,
 	// AliveCount) walk it; the per-tick loops walk live.
-	slots  []*thread
-	groups []*barrierGroup
+	slots []*thread
 	// live is the threads that had arrived and not finished at the last
 	// admit, in registration order: Step and IdleUntil cost O(live),
 	// not O(registered). admit rebuilds it from slots only when
@@ -398,7 +396,6 @@ func (m *Machine) resolve() {
 	m.cores = m.topo.Cores()
 	nc := len(m.cores)
 	m.coreDomain = make([]int, nc)
-	m.dvfsLevel = make([]int, nc)
 	m.coreMult = make([]float64, nc)
 	m.laneCount = make([]int, nc)
 	m.coreRate = make([]float64, nc)
@@ -544,7 +541,6 @@ func (m *Machine) AddBarrierGroup(interval float64, members []platform.ThreadID)
 		t.barrier = g
 		t.seg = math.Floor(t.tc.Work / interval)
 	}
-	m.groups = append(m.groups, g)
 	return nil
 }
 
@@ -997,7 +993,6 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	hitLat := m.cfg.LLCHitLatency
 	for _, t := range m.live {
 		if t.stallUntil > now {
-			t.tc.StallTime += float64(dt)
 			continue
 		}
 		rate := m.coreRate[t.core]
@@ -1012,14 +1007,12 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 				continue
 			}
 			if stalled {
-				t.tc.StallTime += float64(dt)
 				continue
 			}
 			factor := m.disruptor.CoreFactor(t.core, now)
 			if factor <= 0 {
 				// Core offline: the occupant cannot run until the core
 				// recovers or the scheduler moves the thread elsewhere.
-				t.tc.StallTime += float64(dt)
 				continue
 			}
 			rate = m.rateOf(t.core, factor)
@@ -1114,7 +1107,6 @@ func (m *Machine) SetDVFS(core platform.CoreID, level int) error {
 	}
 	k := m.topo.Core(core).Kind
 	if level == 0 {
-		m.dvfsLevel[core] = 0
 		m.coreMult[core] = m.nominalMult(k)
 		m.dirty = true
 		return nil
@@ -1124,7 +1116,6 @@ func (m *Machine) SetDVFS(core platform.CoreID, level int) error {
 		return fmt.Errorf("machine: core %d (type %s) has no DVFS level %d (levels: %d)",
 			core, m.topo.KindName(k), level, max(len(tab), 1))
 	}
-	m.dvfsLevel[core] = level
 	m.coreMult[core] = tab[level]
 	m.dirty = true
 	return nil

@@ -110,8 +110,8 @@ func TestDVFSSlowsCore(t *testing.T) {
 		if err := m.SetDVFS(0, level); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.dvfsLevel[0]; got != level {
-			t.Fatalf("DVFSOf = %d, want %d", got, level)
+		if got, want := m.coreMult[0], levelMult(m, 0, level); got != want {
+			t.Fatalf("multiplier = %v, want level %d's %v", got, level, want)
 		}
 		place(t, m, 0, 0, 1000, Demand{}, 0)
 		return stepUntilFinished(t, m, 0, 20000)

@@ -1,9 +1,6 @@
 package power
 
-import (
-	"dike/internal/platform"
-	"dike/internal/sim"
-)
+import "dike/internal/platform"
 
 // relaxFrac is the hysteresis band of the capping governors: a socket
 // (or machine) must be under relaxFrac·cap before levels step back up,
@@ -82,7 +79,7 @@ func (o *ondemand) Name() string { return "ondemand" }
 
 func (o *ondemand) Bind(topo *platform.Topology, levels []int) { o.bind(topo, levels) }
 
-func (o *ondemand) Adapt(now sim.Time, s platform.PowerSample, act Actuator) {
+func (o *ondemand) Adapt(s platform.PowerSample, act Actuator) {
 	for sock := range o.lvl {
 		w := 0.0
 		if sock < len(s.Watts) {
@@ -118,7 +115,7 @@ func (t *thermal) Bind(topo *platform.Topology, levels []int) {
 	t.trip = make([]bool, topo.NumSockets())
 }
 
-func (t *thermal) Adapt(now sim.Time, s platform.PowerSample, act Actuator) {
+func (t *thermal) Adapt(s platform.PowerSample, act Actuator) {
 	for sock := range t.lvl {
 		w := 0.0
 		if sock < len(s.Watts) {
@@ -156,7 +153,7 @@ func (f *fairnessGov) Bind(topo *platform.Topology, levels []int) { f.bind(topo,
 // SetFeed implements FeedSetter.
 func (f *fairnessGov) SetFeed(feed LimitFeed) { f.feed = feed }
 
-func (f *fairnessGov) Adapt(now sim.Time, s platform.PowerSample, act Actuator) {
+func (f *fairnessGov) Adapt(s platform.PowerSample, act Actuator) {
 	budget := f.cap * float64(len(f.lvl))
 	total := s.Total()
 	lim, ok := platform.CoreKind(0), false

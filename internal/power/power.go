@@ -155,9 +155,9 @@ type Governor interface {
 	// Bind hands the governor its machine view before the run: the core
 	// topology and the per-kind DVFS level counts.
 	Bind(topo *platform.Topology, levels []int)
-	// Adapt runs one governor invocation at simulated time now with the
-	// current energy-meter reading, actuating through act.
-	Adapt(now sim.Time, s platform.PowerSample, act Actuator)
+	// Adapt runs one governor invocation with the current energy-meter
+	// reading, actuating through act.
+	Adapt(s platform.PowerSample, act Actuator)
 }
 
 // Info describes one registered governor for listings.

@@ -126,7 +126,7 @@ func TestOndemandCapAndHysteresis(t *testing.T) {
 	g.Bind(topo, levels)
 	act := &fakeAct{}
 
-	g.Adapt(0, platform.PowerSample{Watts: []float64{12, 5}}, act)
+	g.Adapt(platform.PowerSample{Watts: []float64{12, 5}}, act)
 	got := act.reset()
 	want := []Action{{Core: 0, Level: 1}, {Core: 1, Level: 1}}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
@@ -134,12 +134,12 @@ func TestOndemandCapAndHysteresis(t *testing.T) {
 	}
 
 	// 9 W is inside (relaxFrac·10, 10]: no movement either way.
-	g.Adapt(1, platform.PowerSample{Watts: []float64{9, 5}}, act)
+	g.Adapt(platform.PowerSample{Watts: []float64{9, 5}}, act)
 	if got := act.reset(); len(got) != 0 {
 		t.Fatalf("hysteresis band actuated: %v", got)
 	}
 
-	g.Adapt(2, platform.PowerSample{Watts: []float64{5, 5}}, act)
+	g.Adapt(platform.PowerSample{Watts: []float64{5, 5}}, act)
 	got = act.reset()
 	want = []Action{{Core: 0, Level: 0}, {Core: 1, Level: 0}}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
@@ -161,7 +161,7 @@ func TestFairnessGovSparesLimitingKind(t *testing.T) {
 	act := &fakeAct{}
 
 	// Budget is 10·2 sockets = 20 W; 30 W total is over.
-	g.Adapt(0, platform.PowerSample{Watts: []float64{15, 15}}, act)
+	g.Adapt(platform.PowerSample{Watts: []float64{15, 15}}, act)
 	for _, a := range act.acts {
 		if a.Core == 1 || a.Core == 3 {
 			t.Fatalf("limiting kind throttled: %v", act.acts)
@@ -173,7 +173,7 @@ func TestFairnessGovSparesLimitingKind(t *testing.T) {
 
 	// Headroom: perf (the non-limiting kind, currently throttled) comes
 	// back; eff was never touched.
-	g.Adapt(1, platform.PowerSample{Watts: []float64{5, 5}}, act)
+	g.Adapt(platform.PowerSample{Watts: []float64{5, 5}}, act)
 	got := act.reset()
 	if len(got) != 2 || got[0].Core != 0 || got[0].Level != 0 || got[1].Core != 2 {
 		t.Fatalf("relax actuations = %v", got)
@@ -195,11 +195,11 @@ func TestFairnessGovThrottlesLimitingKindLast(t *testing.T) {
 	over := platform.PowerSample{Watts: []float64{50, 50}}
 	// perf has 4 levels: three invocations walk it to its floor.
 	for i := 0; i < 3; i++ {
-		g.Adapt(0, over, act)
+		g.Adapt(over, act)
 	}
 	act.reset()
 	// Now only eff has room: the next over-budget invocation must touch it.
-	g.Adapt(3, over, act)
+	g.Adapt(over, act)
 	touchedEff := false
 	for _, a := range act.acts {
 		if a.Core == 1 || a.Core == 3 {
@@ -224,24 +224,24 @@ func TestThermalHysteresis(t *testing.T) {
 	act := &fakeAct{}
 	hot := platform.PowerSample{Watts: []float64{60, 0}} // target 90 °C on socket 0
 
-	g.Adapt(0, hot, act) // temp 45: below hot, no trip
+	g.Adapt(hot, act) // temp 45: below hot, no trip
 	if got := act.reset(); len(got) != 0 {
 		t.Fatalf("throttled before crossing hot: %v", got)
 	}
-	g.Adapt(1, hot, act) // temp 67.5: still below hot
+	g.Adapt(hot, act) // temp 67.5: still below hot
 	act.reset()
-	g.Adapt(2, hot, act) // temp 78.75: tripped
+	g.Adapt(hot, act) // temp 78.75: tripped
 	if got := act.reset(); len(got) == 0 {
 		t.Fatal("no throttle after crossing thermal_hot")
 	}
 	// Cooling toward 60: temp 69.4 — between cool and hot, trip holds.
-	g.Adapt(3, platform.PowerSample{Watts: []float64{40, 0}}, act)
+	g.Adapt(platform.PowerSample{Watts: []float64{40, 0}}, act)
 	act.reset()
 	// Idle socket: temp decays below cool within a few invocations and
 	// the governor relaxes back to nominal.
 	relaxed := false
 	for i := 0; i < 10 && !relaxed; i++ {
-		g.Adapt(4, platform.PowerSample{Watts: []float64{0, 0}}, act)
+		g.Adapt(platform.PowerSample{Watts: []float64{0, 0}}, act)
 		for _, a := range act.reset() {
 			if a.Level == 0 {
 				relaxed = true

@@ -135,30 +135,16 @@ func (s *Static) Quantum(sim.Time) error {
 // for — hence "oracle").
 func OracleAssignment(p platform.Platform, intensity map[platform.ThreadID]float64) map[platform.ThreadID]platform.CoreID {
 	topo := p.Topology()
-	// Core order: fast physical cores lane-0, slow lane-0, fast lane-1, …
-	type laneKey struct{ lane, phys int }
-	physSeen := map[int]int{}
-	byLane := map[laneKey]platform.CoreID{}
-	lanes := 0
-	for _, c := range topo.Cores() {
-		lane := physSeen[c.Physical]
-		physSeen[c.Physical]++
-		byLane[laneKey{lane, c.Physical}] = c.ID
-		if lane+1 > lanes {
-			lanes = lane + 1
-		}
-	}
-	// Core types fastest first (a shared fast core still beats a
-	// dedicated slow one at the default SMT penalty), all lanes of one
-	// type before any lane of the next.
+	// Core order: core types fastest first (a shared fast core still
+	// beats a dedicated slow one at the default SMT penalty), each type
+	// lane-major, all lanes of one type before any lane of the next: fast
+	// lane-0s, fast lane-1s, …, then slow lane-0s, slow lane-1s, …
+	laneMajor := lanes(topo)
 	var order []platform.CoreID
 	for _, kind := range topo.KindsBySpeed() {
-		for lane := 0; lane < lanes; lane++ {
-			for phys := 0; phys < len(physSeen); phys++ {
-				id, ok := byLane[laneKey{lane, phys}]
-				if ok && topo.Core(id).Kind == kind {
-					order = append(order, id)
-				}
+		for _, id := range laneMajor {
+			if topo.Core(id).Kind == kind {
+				order = append(order, id)
 			}
 		}
 	}

@@ -61,7 +61,7 @@ func (g *Governed) Quantum(now sim.Time) error {
 	}
 	s := g.pc.PowerSample()
 	inv := power.Invocation{T: now, Watts: s.Total(), Energy: s.Energy}
-	g.gov.Adapt(now, s, &recordingActuator{pc: g.pc, inv: &inv})
+	g.gov.Adapt(s, &recordingActuator{pc: g.pc, inv: &inv})
 	g.stats.Invocations = append(g.stats.Invocations, inv)
 	return nil
 }

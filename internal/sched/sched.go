@@ -29,31 +29,7 @@ import (
 // Every policy uses the same initial placement (same seed) so measured
 // differences come from steady-state behaviour, not starting luck.
 func SpreadPlacement(p platform.Platform, seed uint64) error {
-	topo := p.Topology()
-	// Lane-major core order: all lane-0s across physical cores, then all
-	// lane-1s, and so on.
-	type laneKey struct{ lane, phys int }
-	cores := topo.Cores()
-	byLane := make(map[laneKey]platform.CoreID, len(cores))
-	lanes := 0
-	physSeen := make(map[int]int)
-	for _, c := range cores {
-		lane := physSeen[c.Physical]
-		physSeen[c.Physical]++
-		byLane[laneKey{lane, c.Physical}] = c.ID
-		if lane+1 > lanes {
-			lanes = lane + 1
-		}
-	}
-	var order []platform.CoreID
-	for lane := 0; lane < lanes; lane++ {
-		for phys := 0; phys < len(physSeen); phys++ {
-			if id, ok := byLane[laneKey{lane, phys}]; ok {
-				order = append(order, id)
-			}
-		}
-	}
-
+	order := lanes(p.Topology())
 	threads := p.Threads()
 	if len(threads) > len(order) {
 		// More threads than logical cores: wrap around; lanes time-share.
@@ -76,6 +52,31 @@ func SpreadPlacement(p platform.Platform, seed uint64) error {
 		}
 	}
 	return nil
+}
+
+// lanes returns topo's logical cores lane-major: the first lane of every
+// physical core in physical-core order, then every second lane, and so
+// on.
+func lanes(topo *platform.Topology) []platform.CoreID {
+	type laneKey struct{ lane, phys int }
+	byLane := make(map[laneKey]platform.CoreID, topo.NumCores())
+	physSeen := make(map[int]int)
+	n := 0
+	for _, c := range topo.Cores() {
+		lane := physSeen[c.Physical]
+		physSeen[c.Physical]++
+		byLane[laneKey{lane, c.Physical}] = c.ID
+		n = max(n, lane+1)
+	}
+	var order []platform.CoreID
+	for lane := 0; lane < n; lane++ {
+		for phys := 0; phys < len(physSeen); phys++ {
+			if id, ok := byLane[laneKey{lane, phys}]; ok {
+				order = append(order, id)
+			}
+		}
+	}
+	return order
 }
 
 // CFS models the relevant behaviour of Linux's completely fair scheduler

@@ -34,9 +34,8 @@ type Client struct {
 	HTTP *http.Client
 }
 
-// StatusError is a reply outside 2xx.
+// StatusError is a reply outside 2xx. Do returns its code beside it.
 type StatusError struct {
-	Code   int
 	Status string // e.g. "503 Service Unavailable"
 	Body   string // the reply body, whitespace-trimmed
 }
@@ -79,7 +78,7 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte, out a
 	if resp.StatusCode/100 != 2 {
 		// The body only explains the status, so a short read still
 		// yields the StatusError.
-		return resp.StatusCode, &StatusError{Code: resp.StatusCode, Status: resp.Status, Body: string(bytes.TrimSpace(blob))}
+		return resp.StatusCode, &StatusError{Status: resp.Status, Body: string(bytes.TrimSpace(blob))}
 	}
 	if err == nil && len(blob) > MaxReplyBytes {
 		err = fmt.Errorf("reply exceeds %d bytes", MaxReplyBytes)

@@ -51,8 +51,8 @@ func TestClientStatusError(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("Do = %d, %v; want a *StatusError", code, err)
 	}
-	if code != http.StatusNotFound || se.Code != http.StatusNotFound || se.Status != "404 Not Found" {
-		t.Errorf("code %d, StatusError %d %q", code, se.Code, se.Status)
+	if code != http.StatusNotFound || se.Status != "404 Not Found" {
+		t.Errorf("code %d, StatusError %q", code, se.Status)
 	}
 	if want := `{"error":"no such job","code":404}`; se.Body != want {
 		t.Errorf("body %q, want %q (trimmed)", se.Body, want)

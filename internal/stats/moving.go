@@ -3,7 +3,8 @@ package stats
 // MovingMean is an exponentially-weighted moving mean. The paper's
 // Observer keeps "the moving mean bandwidth for each core in the CoreBW
 // variable and updates it every quanta"; EWMA is the standard lightweight
-// realisation of that — O(1) state per core, no sample history.
+// realisation of that — O(1) state per core, no sample history. Here it
+// holds each core's capability estimate and each process's baseline.
 //
 // The zero value is not ready for use; construct with NewMovingMean.
 type MovingMean struct {
